@@ -15,16 +15,13 @@ Commands
     Print the DCH reachability study (the analysis the paper summarizes).
 ``soak``
     Randomized differential conformance soak: seeded scenarios run under
-    paired configurations (vectorized/scalar, parallel/serial, digest
+    paired configurations (parallel/serial, event/array, digest
     ablation) with ground-truth oracles and trace audits; violations are
     shrunk to minimal seeded repros written as pytest files.
 ``campaign``
     Durable experiment campaigns: content-addressed result caching,
     checkpoint/resume via a chunk journal, live JSONL telemetry
     (``run``/``resume``/``status``/``gc``; see :mod:`repro.campaign`).
-``bench``
-    Run the hot-path microbenchmarks and write ``BENCH_hotpaths.json``
-    at the repository root.
 ``trace``
     Analyze a spooled trace: ``summarize`` (record counts, phase time
     shares, phi-unit detection-latency histogram), ``timeline``,
@@ -52,6 +49,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+
+from repro.errors import ReproError
+from repro.sim.loss import LOSS_KINDS
 
 
 def _cmd_figures(_args: argparse.Namespace) -> int:
@@ -251,8 +251,7 @@ def main(argv: list[str] | None = None) -> int:
                           help="RCC declaration backoff upper bound as a "
                                "fraction of a round, in (0, 0.9]")
     scenario.add_argument("--loss-kind", dest="loss_kind", default="bernoulli",
-                          choices=("perfect", "bernoulli", "bounded",
-                                   "distance", "gilbert"),
+                          choices=LOSS_KINDS,
                           help="loss model kind (default bernoulli with p)")
     scenario.add_argument("--track-energy", dest="track_energy",
                           action="store_true",
@@ -288,50 +287,17 @@ def main(argv: list[str] | None = None) -> int:
     soak.add_argument("--store", type=str, default="",
                       help="result-store root to cache per-spec verdicts in")
 
-    from repro.campaign.cli import add_campaign_parser
-    from repro.obs.cli import add_trace_parser
-    from repro.rt.cli import add_rt_parser
-    from repro.serve.cli import add_serve_parser
+    from repro.campaign.cli import add_campaign_parser, cmd_campaign
+    from repro.obs.cli import add_trace_parser, cmd_trace
+    from repro.rt.cli import add_rt_parser, cmd_rt
+    from repro.serve.cli import add_serve_parser, cmd_serve
 
     add_campaign_parser(sub)
     add_trace_parser(sub)
     add_rt_parser(sub)
     add_serve_parser(sub)
 
-    bench = sub.add_parser(
-        "bench", help="run hot-path benchmarks; write BENCH_hotpaths.json"
-    )
-    bench.add_argument("--quick", action="store_true",
-                       help="small sizes for CI smoke runs")
-    bench.add_argument("--output", type=str, default="",
-                       help="output path (default: <repo root>/BENCH_hotpaths.json)")
-
     args = parser.parse_args(argv)
-
-    def _cmd_campaign(namespace: argparse.Namespace) -> int:
-        from repro.campaign.cli import cmd_campaign
-
-        return cmd_campaign(namespace)
-
-    def _cmd_bench(namespace: argparse.Namespace) -> int:
-        from repro.campaign.cli import cmd_bench
-
-        return cmd_bench(namespace)
-
-    def _cmd_trace(namespace: argparse.Namespace) -> int:
-        from repro.obs.cli import cmd_trace
-
-        return cmd_trace(namespace)
-
-    def _cmd_rt(namespace: argparse.Namespace) -> int:
-        from repro.rt.cli import cmd_rt
-
-        return cmd_rt(namespace)
-
-    def _cmd_serve(namespace: argparse.Namespace) -> int:
-        from repro.serve.cli import cmd_serve
-
-        return cmd_serve(namespace)
 
     handlers = {
         "figures": _cmd_figures,
@@ -340,14 +306,18 @@ def main(argv: list[str] | None = None) -> int:
         "scenario": _cmd_scenario,
         "reachability": _cmd_reachability,
         "soak": _cmd_soak,
-        "campaign": _cmd_campaign,
-        "bench": _cmd_bench,
-        "trace": _cmd_trace,
-        "rt": _cmd_rt,
-        "serve": _cmd_serve,
+        "campaign": cmd_campaign,
+        "trace": cmd_trace,
+        "rt": cmd_rt,
+        "serve": cmd_serve,
     }
     try:
         return handlers[args.command](args)
+    except ReproError as exc:
+        # Invalid input (a config the library refuses) is a usage error,
+        # not a crash: one line, no traceback.
+        print(f"error: {exc}")
+        return 1
     except KeyboardInterrupt:
         # Durable state (journals, store objects) is flushed as it is
         # produced; acknowledge the signal with the conventional code.

@@ -4,8 +4,6 @@ One seeded :class:`ScenarioSpec` describes a complete experiment
 (topology, crash schedule, loss model).  :func:`check_spec` runs it under
 paired configurations and asserts what each pair promises:
 
-- **vectorized vs scalar medium**: bit-identical traces (the scalar loop
-  is the reference implementation of the same seeded draws);
 - **parallel vs serial fabric**: identical summaries (the process pool
   must not perturb results);
 - **digest ablation (R-2 off)**: no bit-identity promise -- instead both
@@ -38,8 +36,8 @@ minimal spec as a ready-to-paste pytest case.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
-from typing import Callable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, fields, replace
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -56,6 +54,7 @@ from repro.fds.events import (
 from repro.fds.intercluster import InterclusterForwarder
 from repro.fds.messages import FailureReport, HealthStatusUpdate
 from repro.sim.engine import Simulator
+from repro.sim.loss import loss_params
 from repro.sim.medium import RadioMedium
 from repro.sim.node import SimNode
 from repro.sim.trace import RecordingTracer, iter_jsonl
@@ -89,26 +88,8 @@ class ScenarioSpec:
     def fds_config(self, use_digests: bool = True) -> FdsConfig:
         return FdsConfig(phi=self.phi, thop=self.thop, use_digests=use_digests)
 
-    def loss_params(self) -> Tuple[Tuple[str, float], ...]:
-        if self.loss_kind == "bounded":
-            return (("p", self.loss_p), ("budget", float(self.loss_budget)))
-        if self.loss_kind == "bernoulli":
-            return (("p", self.loss_p),)
-        if self.loss_kind == "gilbert":
-            # Bursty-channel sweep: ``loss_p`` scales the Good -> Bad
-            # entry rate, so the stationary loss rises monotonically
-            # with it while bursts stay genuinely bursty (p_bad = 0.8).
-            return (
-                ("p_good", 0.02),
-                ("p_bad", 0.8),
-                ("p_gb", self.loss_p / 5.0),
-                ("p_bg", 0.3),
-            )
-        return ()
-
     def to_config(
         self,
-        vectorized: bool = True,
         use_digests: bool = True,
         engine: str = "event",
     ) -> ScenarioConfig:
@@ -119,10 +100,11 @@ class ScenarioSpec:
             executions=self.executions,
             seed=self.seed,
             loss_kind=self.loss_kind,
-            loss_params=self.loss_params(),
+            loss_params=loss_params(
+                self.loss_kind, self.loss_p, self.loss_budget
+            ),
             spacing_factor=self.spacing_factor,
             max_backups=self.max_backups,
-            vectorized=vectorized,
             engine=engine,
             fds=self.fds_config(use_digests=use_digests),
         )
@@ -212,26 +194,32 @@ def completeness_violations(
 
 
 def accuracy_violations(
-    spec: ScenarioSpec, result: ScenarioResult
+    config: FdsConfig,
+    operational: Iterable[int],
+    horizon: float,
+    losses: int,
+    tracer: RecordingTracer,
+    final_suspicions: Iterable[Tuple[int, int]],
 ) -> List[Violation]:
     """False suspicions must be refuted (or fall in the final window).
 
-    Trace-based: pair every detection of a node that is operational at
-    the end with a later refutation *somewhere*.  A detection inside the
-    last ``recovery window`` before the horizon may legitimately still be
-    awaiting its repair, so it is excused; when the run had no actual
-    drops there is no excuse and the final-state report must be clean.
+    Trace-based: pair every detection of a node that is ``operational``
+    at the end with a later refutation *somewhere*.  A detection inside
+    the last ``recovery window`` before ``horizon`` may legitimately
+    still be awaiting its repair, so it is excused; when the run had no
+    actual ``losses`` there is no excuse and ``final_suspicions`` (the
+    scored report's accuracy violations) must be empty.  Everything is
+    in the run's own timebase, so the same oracle serves the simulated
+    engines and (with the wall-scaled ``config``) the rt runtime.
     """
-    config = spec.fds_config()
-    horizon = result.network.sim.now
     window = (config.max_forward_retries + 1) * config.phi
-    operational = set(result.network.operational_ids())
+    operational = {int(nid) for nid in operational}
     refuted_at: dict = {}
-    for record in result.tracer.iter_kind(REFUTATION):
+    for record in tracer.iter_kind(REFUTATION):
         target = int(record.detail["target"])
         refuted_at.setdefault(target, []).append(record.time)
     violations: List[Violation] = []
-    for record in result.tracer.iter_kind(DETECTION):
+    for record in tracer.iter_kind(DETECTION):
         target = int(record.detail["target"])
         if target not in operational:
             continue
@@ -249,7 +237,7 @@ def accuracy_violations(
                 ),
             )
         )
-    if result.messages.losses == 0:
+    if losses == 0:
         violations.extend(
             Violation(
                 kind="accuracy",
@@ -258,18 +246,31 @@ def accuracy_violations(
                     f"{int(b)} at the end of a loss-free run"
                 ),
             )
-            for a, b in result.properties.accuracy_violations
+            for a, b in final_suspicions
         )
     return violations
 
 
+def _sim_accuracy_violations(result: ScenarioResult) -> List[Violation]:
+    """The accuracy oracle on a simulated (event or array) run."""
+    return accuracy_violations(
+        result.config.fds,
+        result.network.operational_ids(),
+        result.network.sim.now,
+        result.messages.losses,
+        result.tracer,
+        result.properties.accuracy_violations,
+    )
+
+
 def audit_violations(
-    spec: ScenarioSpec, result: ScenarioResult, label: str
+    tracer: RecordingTracer,
+    config: FdsConfig,
+    crash_times: dict,
+    label: str,
 ) -> List[Violation]:
     violations: List[Violation] = []
-    for status in run_audit_statuses(
-        result.tracer, result.config.fds, result.crash_times
-    ):
+    for status in run_audit_statuses(tracer, config, crash_times):
         violations.extend(
             Violation(
                 kind=f"audit:{finding.audit}",
@@ -278,6 +279,21 @@ def audit_violations(
             for finding in status.findings
         )
     return violations
+
+
+def predetected_targets(result) -> set:
+    """Crash targets some node *falsely* detected before they crashed.
+
+    The ``0.4*phi + 2*thop`` latency anchor assumes the CH was not
+    already suspecting the target, so such targets are anchor-exempt.
+    """
+    predetected = set()
+    for record in result.tracer.iter_kind(DETECTION):
+        target = int(record.detail["target"])
+        crash_time = result.crash_times.get(target)
+        if crash_time is not None and record.time < crash_time:
+            predetected.add(target)
+    return predetected
 
 
 # ----------------------------------------------------------------------
@@ -365,13 +381,7 @@ def array_engine_violations(
                 )
             )
 
-    predetected = set()
-    for result in (event, array):
-        for record in result.tracer.iter_kind(DETECTION):
-            target = int(record.detail["target"])
-            crash_time = result.crash_times.get(target)
-            if crash_time is not None and record.time < crash_time:
-                predetected.add(target)
+    predetected = predetected_targets(event) | predetected_targets(array)
     event_latencies = {
         t: v for t, v in event.detection_latencies.items()
         if t not in predetected
@@ -408,7 +418,7 @@ def array_engine_violations(
 
     violations.extend(
         Violation(kind="differential:array", description=f"[array] {v.description}")
-        for v in accuracy_violations(spec, array)
+        for v in _sim_accuracy_violations(array)
     )
 
     if spec.loss_kind == "perfect":
@@ -650,9 +660,7 @@ def probe_forwarder_conformance(spec: ScenarioSpec) -> List[Violation]:
         sim.run()
         violations.extend(
             Violation(kind=f"probe:{name}", description=v.description)
-            for v in audit_violations(
-                spec, _ProbeResult(tracer, config), f"probe:{name}"
-            )
+            for v in audit_violations(tracer, config, {}, f"probe:{name}")
             if v.kind == "audit:forwarder-conformance"
         )
 
@@ -711,20 +719,6 @@ def probe_forwarder_conformance(spec: ScenarioSpec) -> List[Violation]:
     return violations
 
 
-class _ProbeResult:
-    """Just enough of a ScenarioResult for :func:`audit_violations`."""
-
-    def __init__(self, tracer: RecordingTracer, config: FdsConfig) -> None:
-        self.tracer = tracer
-        self.config = _ProbeConfig(config)
-        self.crash_times: dict = {}
-
-
-class _ProbeConfig:
-    def __init__(self, fds: FdsConfig) -> None:
-        self.fds = fds
-
-
 # ----------------------------------------------------------------------
 # The differential check
 # ----------------------------------------------------------------------
@@ -746,19 +740,7 @@ def check_spec(
     """
     violations: List[Violation] = []
 
-    base = run_scenario(spec.to_config(vectorized=True))
-    scalar = run_scenario(spec.to_config(vectorized=False))
-    base_fp = trace_fingerprint(base.tracer)
-    if base_fp != trace_fingerprint(scalar.tracer):
-        violations.append(
-            Violation(
-                kind="differential:vectorized",
-                description=(
-                    "vectorized and scalar medium paths diverged on "
-                    "identical seeds (traces not bit-identical)"
-                ),
-            )
-        )
+    base = run_scenario(spec.to_config())
 
     if check_parallel:
         serial = run_scenario_summaries([spec.to_config()], workers=1)
@@ -777,10 +759,13 @@ def check_spec(
     ablated = run_scenario(spec.to_config(use_digests=False))
 
     violations.extend(completeness_violations(spec, base))
-    violations.extend(accuracy_violations(spec, base))
-    violations.extend(audit_violations(spec, base, "base"))
-    violations.extend(audit_violations(spec, scalar, "scalar"))
-    violations.extend(audit_violations(spec, ablated, "no-digests"))
+    violations.extend(_sim_accuracy_violations(base))
+    for label, result in (("base", base), ("no-digests", ablated)):
+        violations.extend(
+            audit_violations(
+                result.tracer, result.config.fds, result.crash_times, label
+            )
+        )
     if check_array:
         violations.extend(array_engine_violations(spec, base))
     if check_formation:
@@ -858,27 +843,22 @@ def shrink_spec(
     return current
 
 
+def snippet_parts(
+    spec: ScenarioSpec, violations: Sequence[Violation]
+) -> Tuple[str, str]:
+    """``(comment lines listing the violations, ScenarioSpec(...) literal)``
+    -- what every seeded-repro snippet is built from."""
+    lines = [f"    #   - {v.kind}: {v.description}" for v in violations]
+    body = "\n".join(lines) if lines else "    #   (violations list was empty)"
+    values = ", ".join(
+        f"{f.name}={getattr(spec, f.name)!r}" for f in fields(spec)
+    )
+    return body, f"ScenarioSpec({values})"
+
+
 def repro_snippet(spec: ScenarioSpec, violations: Sequence[Violation]) -> str:
     """A ready-to-paste pytest case reproducing the violations."""
-    lines = [f"    #   - {v.kind}: {v.description}" for v in violations]
-    fields = ", ".join(
-        f"{name}={getattr(spec, name)!r}"
-        for name in (
-            "seed",
-            "cluster_count",
-            "members_per_cluster",
-            "crash_count",
-            "executions",
-            "loss_kind",
-            "loss_p",
-            "loss_budget",
-            "spacing_factor",
-            "max_backups",
-            "phi",
-            "thop",
-        )
-    )
-    body = "\n".join(lines) if lines else "    #   (violations list was empty)"
+    body, literal = snippet_parts(spec, violations)
     return (
         "from repro.audit.differential import ScenarioSpec, check_spec\n"
         "\n"
@@ -886,6 +866,6 @@ def repro_snippet(spec: ScenarioSpec, violations: Sequence[Violation]) -> str:
         "def test_soak_regression():\n"
         "    # Shrunk from a failing soak run; observed violations:\n"
         f"{body}\n"
-        f"    spec = ScenarioSpec({fields})\n"
+        f"    spec = {literal}\n"
         "    assert check_spec(spec) == []\n"
     )

@@ -33,17 +33,19 @@ ready-to-paste seeded pytest case.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.audit.differential import (
     ScenarioSpec,
     Violation,
+    accuracy_violations,
     completeness_guaranteed,
+    predetected_targets,
+    snippet_parts,
 )
 from repro.experiments.runner import ScenarioResult, run_scenario
-from repro.fds.events import DETECTION, REFUTATION
 from repro.rt.runtime import RtResult, RtScenario, run_rt_scenario
 
 #: Default wall-clock tolerance band for phi-unit latency comparison.
@@ -76,92 +78,12 @@ def realnet_spec(seed: int) -> ScenarioSpec:
     )
 
 
-# ----------------------------------------------------------------------
-# Per-run reductions
-# ----------------------------------------------------------------------
-def _crash_executions(
-    crash_times: Dict, fds_start: float, phi: float
-) -> Dict[int, int]:
-    """Recover each crash's execution index from its timestamp (the
-    inverse of ``fds_start + (e - 1) * phi + 0.6 * phi``)."""
+def _latencies_phi(result, phi: float) -> Dict[int, Optional[float]]:
+    """Per-crashed-target detection latency in phi units."""
     return {
-        int(nid): int(round((t - fds_start - 0.6 * phi) / phi)) + 1
-        for nid, t in crash_times.items()
-    }
-
-
-def _latencies_phi(
-    result, phi: float
-) -> Tuple[Dict[int, Optional[float]], set]:
-    """Per-crashed-target detection latency in phi units, plus the set
-    of targets falsely detected before their crash (anchor-exempt)."""
-    predetected = set()
-    for record in result.tracer.iter_kind(DETECTION):
-        target = int(record.detail["target"])
-        crash_time = result.crash_times.get(target)
-        if crash_time is not None and record.time < crash_time:
-            predetected.add(target)
-    latencies = {
         int(nid): (None if seconds is None else seconds / phi)
         for nid, seconds in result.detection_latencies.items()
     }
-    return latencies, predetected
-
-
-def _rt_accuracy_violations(
-    spec: ScenarioSpec, result: RtResult
-) -> List[Violation]:
-    """The simulator's accuracy oracle, applied to a runtime run.
-
-    Same discipline as :func:`repro.audit.differential.accuracy_violations`,
-    in the runtime's wall timebase: the recovery-window excuse uses the
-    wall-scaled phi, the horizon is the last traced instant, and the
-    "no drops at all" strengthening counts the runtime's own loss draws.
-    """
-    config = result.config
-    records = getattr(result.tracer, "records", [])
-    horizon = max((r.time for r in records), default=0.0)
-    window = (config.max_forward_retries + 1) * config.phi
-    operational = {
-        int(nid) for nid, n in result.nodes.items() if n.is_operational
-    }
-    refuted_at: Dict[int, List[float]] = {}
-    for record in result.tracer.iter_kind(REFUTATION):
-        refuted_at.setdefault(int(record.detail["target"]), []).append(
-            record.time
-        )
-    violations: List[Violation] = []
-    for record in result.tracer.iter_kind(DETECTION):
-        target = int(record.detail["target"])
-        if target not in operational:
-            continue
-        if any(t >= record.time for t in refuted_at.get(target, [])):
-            continue
-        if record.time > horizon - window:
-            continue
-        violations.append(
-            Violation(
-                kind="accuracy",
-                description=(
-                    f"[realnet] node {record.node} detected operational "
-                    f"node {target} at t={record.time:.3f} with no "
-                    f"refutation in the remaining {horizon - record.time:.1f}s"
-                ),
-            )
-        )
-    losses = result.tracer.count("radio.loss")
-    if losses == 0:
-        violations.extend(
-            Violation(
-                kind="accuracy",
-                description=(
-                    f"[realnet] node {int(a)} still suspects operational "
-                    f"node {int(b)} at the end of a loss-free run"
-                ),
-            )
-            for a, b in result.properties.accuracy_violations
-        )
-    return violations
 
 
 # ----------------------------------------------------------------------
@@ -209,10 +131,15 @@ def check_realnet(
             f"broken): rt {rt_crashed} != sim {sim_crashed}"
         )
     else:
-        sim_execs = _crash_executions(sim.crash_times, 0.0, spec.phi)
-        rt_execs = _crash_executions(
-            rt.crash_times, rt.fds_start, rt.config.phi
-        )
+        sim_fds = sim.config.fds
+        sim_execs = {
+            int(nid): sim_fds.crash_execution(0.0, t)
+            for nid, t in sim.crash_times.items()
+        }
+        rt_execs = {
+            int(nid): rt.config.crash_execution(rt.fds_start, t)
+            for nid, t in rt.crash_times.items()
+        }
         if sim_execs != rt_execs:
             diverged(
                 f"crash execution indices diverged: rt {rt_execs} != "
@@ -233,15 +160,27 @@ def check_realnet(
                 f"vs rt {'complete' if rt_complete else 'incomplete'}"
             )
 
-    # Accuracy oracle on the runtime run (the sim side is covered by
-    # differential.accuracy_violations in check_spec / the soak).
-    violations.extend(_rt_accuracy_violations(spec, rt))
+    # Accuracy oracle on the runtime run (check_spec / the soak cover
+    # the sim side), in the runtime's wall timebase: the recovery-window
+    # excuse uses the wall-scaled phi, the horizon is the last traced
+    # instant, and "no drops at all" counts the runtime's own loss draws.
+    violations.extend(
+        Violation(kind=v.kind, description=f"[realnet] {v.description}")
+        for v in accuracy_violations(
+            rt.config,
+            rt.network.operational_ids(),
+            max((r.time for r in rt.tracer.records), default=0.0),
+            rt.losses,
+            rt.tracer,
+            rt.properties.accuracy_violations,
+        )
+    )
 
     # Loss-independent latency anchors, in phi units with a wall band.
     if sim_crashed == rt_crashed:
-        sim_lat, sim_pre = _latencies_phi(sim, spec.phi)
-        rt_lat, rt_pre = _latencies_phi(rt, rt.config.phi)
-        exempt = sim_pre | rt_pre
+        sim_lat = _latencies_phi(sim, spec.phi)
+        rt_lat = _latencies_phi(rt, rt.config.phi)
+        exempt = predetected_targets(sim) | predetected_targets(rt)
         for target in sorted(set(sim_lat) - exempt):
             s, r = sim_lat[target], rt_lat.get(target)
             if (s is None) != (r is None):
@@ -317,25 +256,7 @@ def realnet_repro_snippet(
     spec: ScenarioSpec, violations: List[Violation]
 ) -> str:
     """A ready-to-paste pytest case reproducing a realnet divergence."""
-    lines = [f"    #   - {v.kind}: {v.description}" for v in violations]
-    fields = ", ".join(
-        f"{name}={getattr(spec, name)!r}"
-        for name in (
-            "seed",
-            "cluster_count",
-            "members_per_cluster",
-            "crash_count",
-            "executions",
-            "loss_kind",
-            "loss_p",
-            "loss_budget",
-            "spacing_factor",
-            "max_backups",
-            "phi",
-            "thop",
-        )
-    )
-    body = "\n".join(lines) if lines else "    #   (violations list was empty)"
+    body, literal = snippet_parts(spec, violations)
     return (
         "from repro.audit.differential import ScenarioSpec\n"
         "from repro.audit.realnet import check_realnet\n"
@@ -344,6 +265,6 @@ def realnet_repro_snippet(
         "def test_realnet_regression():\n"
         "    # Shrunk from a failing sim/real differential; observed:\n"
         f"{body}\n"
-        f"    spec = ScenarioSpec({fields})\n"
+        f"    spec = {literal}\n"
         "    assert check_realnet(spec) == []\n"
     )

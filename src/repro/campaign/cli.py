@@ -12,7 +12,7 @@ import argparse
 import dataclasses
 import json
 from pathlib import Path
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 from repro.campaign.plans import (
     CampaignPlan,
@@ -28,7 +28,6 @@ from repro.campaign.runner import (
     run_campaign,
 )
 from repro.campaign.store import ResultStore, default_store_root
-from repro.errors import ReproError
 from repro.experiments.runner import ScenarioConfig
 from repro.util.tables import render_table
 
@@ -193,30 +192,26 @@ def _finish(outcome: CampaignOutcome, args: argparse.Namespace) -> int:
 
 
 def cmd_campaign(args: argparse.Namespace) -> int:
-    try:
-        if args.campaign_action == "run":
-            plan = _plan_from_run_args(args)
-            outcome = run_campaign(plan, _store_from(args), _options_from(args))
-            return _finish(outcome, args)
-        if args.campaign_action == "resume":
-            store = _store_from(args)
-            manifest_path = store.campaign_dir(args.id) / "manifest.json"
-            try:
-                manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-            except FileNotFoundError:
-                print(f"no campaign {args.id!r} under {store.root}")
-                return 1
-            plan = plan_from_manifest(manifest)
-            outcome = run_campaign(plan, store, _options_from(args))
-            return _finish(outcome, args)
-        if args.campaign_action == "status":
-            return _cmd_status(args)
-        if args.campaign_action == "gc":
-            return _cmd_gc(args)
-        raise AssertionError(args.campaign_action)
-    except ReproError as exc:
-        print(f"error: {exc}")
-        return 1
+    if args.campaign_action == "run":
+        plan = _plan_from_run_args(args)
+        outcome = run_campaign(plan, _store_from(args), _options_from(args))
+        return _finish(outcome, args)
+    if args.campaign_action == "resume":
+        store = _store_from(args)
+        manifest_path = store.campaign_dir(args.id) / "manifest.json"
+        try:
+            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        except FileNotFoundError:
+            print(f"no campaign {args.id!r} under {store.root}")
+            return 1
+        plan = plan_from_manifest(manifest)
+        outcome = run_campaign(plan, store, _options_from(args))
+        return _finish(outcome, args)
+    if args.campaign_action == "status":
+        return _cmd_status(args)
+    if args.campaign_action == "gc":
+        return _cmd_gc(args)
+    raise AssertionError(args.campaign_action)
 
 
 def status_payload(store: ResultStore, campaign_id: str = "") -> Dict[str, Any]:
@@ -273,43 +268,3 @@ def _cmd_gc(args: argparse.Namespace) -> int:
         f"{stats['bytes_freed']} bytes"
     )
     return 0
-
-
-# ----------------------------------------------------------------------
-# ``repro bench``
-# ----------------------------------------------------------------------
-def find_repo_root() -> Optional[Path]:
-    """The checkout root: nearest ancestor holding ``benchmarks/``.
-
-    Tried from the CWD first (running inside the checkout), then from
-    the package location (``src/repro`` layout), so ``repro bench``
-    works from any directory of an editable install.
-    """
-    import repro
-
-    candidates = [Path.cwd(), *Path.cwd().parents,
-                  Path(repro.__file__).resolve().parent.parent.parent]
-    for root in candidates:
-        if (root / "benchmarks" / "bench_hotpaths.py").is_file():
-            return root
-    return None
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    """Run the hot-path benchmark; land BENCH_hotpaths.json at the root."""
-    import importlib.util
-
-    root = find_repo_root()
-    if root is None:
-        print("error: benchmarks/bench_hotpaths.py not found "
-              "(run from inside the repository checkout)")
-        return 1
-    script = root / "benchmarks" / "bench_hotpaths.py"
-    spec = importlib.util.spec_from_file_location("bench_hotpaths", script)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    output = Path(args.output) if args.output else root / "BENCH_hotpaths.json"
-    argv = ["--output", str(output)]
-    if args.quick:
-        argv.append("--quick")
-    return module.main(argv)

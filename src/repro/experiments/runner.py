@@ -17,8 +17,8 @@ from repro.cluster.formation import FormationConfig, run_formation
 from repro.cluster.geometric import build_clusters
 from repro.cluster.state import ClusterLayout
 from repro.energy.model import EnergyConfig, EnergyModel
-from repro.errors import ExperimentError
-from repro.failure.faultload import Faultload, make_random_crashes
+from repro.errors import ConfigurationError, ExperimentError
+from repro.failure.faultload import Faultload, scenario_faultload
 from repro.failure.injection import FailureInjector
 from repro.fds.config import FdsConfig
 from repro.fds.service import FdsDeployment, install_fds
@@ -27,10 +27,12 @@ from repro.metrics.properties import (
     PropertyReport,
     detection_latency,
     evaluate_properties,
+    run_summary,
 )
-from repro.obs.analyze import META_KIND, PROFILE_KIND
+from repro.obs.analyze import TraceMeta, stamp_profile, stamp_run_header
 from repro.obs.profiler import PhaseProfiler
-from repro.sim.loss import LOSS_KINDS, build_loss_model
+from repro.obs.topology import layout_topology_detail
+from repro.sim.loss import LossModel, build_loss_model
 from repro.sim.network import Network, NetworkConfig, build_network
 from repro.sim.trace import RecordingTracer, Tracer
 from repro.topology.generators import multi_cluster_field
@@ -62,9 +64,6 @@ class ScenarioConfig:
     #: round (see :func:`repro.cluster.rcc.declaration_backoff`).
     formation_backoff_fraction: float = 0.4
     track_energy: bool = False
-    #: Radio hot-path selector; ``False`` runs the scalar reference loop
-    #: (same seeded results bit-for-bit, only slower -- see sim/medium.py).
-    vectorized: bool = True
     #: Declarative loss-model spec (see :func:`repro.sim.loss.build_loss_model`).
     #: ``"bernoulli"`` with empty params reproduces the classic behaviour
     #: driven by ``loss_probability``; the spec stays a plain (kind, tuple)
@@ -96,10 +95,10 @@ class ScenarioConfig:
             raise ExperimentError(
                 f"engine must be 'event' or 'array', got {self.engine!r}"
             )
-        if self.loss_kind not in LOSS_KINDS:
-            raise ExperimentError(
-                f"loss_kind must be one of {LOSS_KINDS}, got {self.loss_kind!r}"
-            )
+        try:
+            self.loss_model()
+        except ConfigurationError as exc:
+            raise ExperimentError(str(exc)) from exc
         if self.crash_count < 0:
             raise ExperimentError("crash_count must be >= 0")
         if self.formation_iterations < 1:
@@ -111,6 +110,15 @@ class ScenarioConfig:
             )
         if self.executions < 1:
             raise ExperimentError("executions must be >= 1")
+
+    def loss_model(self) -> LossModel:
+        """A fresh loss model parsed from the (kind, params) spec."""
+        return build_loss_model(
+            self.loss_kind,
+            self.loss_params,
+            loss_probability=self.loss_probability,
+            transmission_range=self.transmission_range,
+        )
 
 
 @dataclass
@@ -139,21 +147,9 @@ class ScenarioResult:
         return detection_latency(self.tracer, self.crash_times)
 
     def summary(self) -> Dict[str, float]:
-        latencies = [v for v in self.detection_latencies.values() if v is not None]
-        return {
-            "nodes": float(len(self.network)),
-            "clusters": float(len(self.layout.clusters)),
-            "crashes": float(len(self.faultload)),
-            "mean_completeness": self.properties.mean_completeness,
-            "accuracy_violations": float(
-                len(self.properties.accuracy_violations)
-            ),
-            "transmissions": float(self.messages.transmissions),
-            "observed_loss_rate": self.messages.loss_rate,
-            "mean_detection_latency": (
-                float(sum(latencies) / len(latencies)) if latencies else 0.0
-            ),
-        }
+        return run_summary(
+            self, self.messages.transmissions, self.messages.loss_rate
+        )
 
 
 def run_scenario(
@@ -193,21 +189,14 @@ def run_scenario(
     )
     if tracer is None:
         tracer = RecordingTracer()
-    loss_model = build_loss_model(
-        config.loss_kind,
-        config.loss_params,
-        loss_probability=config.loss_probability,
-        transmission_range=config.transmission_range,
-    )
     network = build_network(
         positions,
         NetworkConfig(
             transmission_range=config.transmission_range,
             loss_probability=config.loss_probability,
             seed=config.seed,
-            vectorized=config.vectorized,
         ),
-        loss_model=loss_model,
+        loss_model=config.loss_model(),
         tracer=tracer,
     )
     if profiler is not None:
@@ -235,54 +224,36 @@ def run_scenario(
     )
 
     injector = FailureInjector(network, config.fds, fds_start=fds_start)
-    candidates: Tuple[NodeId, ...] = tuple(
-        nid for nid in network.operational_ids() if nid not in layout.heads
-    )
-    last_exec = max(1, config.executions - 2)
-    faultload = make_random_crashes(
-        candidates,
+    faultload = scenario_faultload(
+        tuple(
+            nid for nid in network.operational_ids() if nid not in layout.heads
+        ),
         config.crash_count,
+        config.executions,
         config.fds,
         rngs.stream("faultload"),
         fds_start=fds_start,
-        first_execution=1,
-        last_execution=last_exec,
     )
     faultload.inject(injector)
     crash_times = {e.node_id: e.time for e in faultload.events}
 
     if tracer.enabled:
-        tracer.record(
+        stamp_run_header(
+            tracer,
             network.sim.now,
-            META_KIND,
-            phi=config.fds.phi,
-            thop=config.fds.thop,
-            nodes=len(network),
-            seed=config.seed,
-            executions=config.executions,
-            fds_start=fds_start,
-        )
-        # Cluster map right after the run description: the spool alone
-        # must be able to draw the field (repro serve's /api/topology).
-        from repro.obs.topology import TOPOLOGY_KIND, layout_topology_detail
-
-        tracer.record(
-            network.sim.now,
-            TOPOLOGY_KIND,
-            **layout_topology_detail(layout, positions),
+            TraceMeta(
+                phi=config.fds.phi,
+                thop=config.fds.thop,
+                nodes=len(network),
+                seed=config.seed,
+                executions=config.executions,
+                fds_start=fds_start,
+            ),
+            layout_topology_detail(layout, positions),
         )
 
     deployment.run_executions(config.executions)
-
-    if profiler is not None and profiler.enabled and tracer.enabled:
-        for phase, seconds, _share, calls in profiler.shares():
-            tracer.record(
-                network.sim.now,
-                PROFILE_KIND,
-                phase=phase,
-                seconds=seconds,
-                calls=calls,
-            )
+    stamp_profile(tracer, network.sim.now, profiler)
 
     return ScenarioResult(
         config=config,

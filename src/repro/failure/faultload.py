@@ -72,7 +72,36 @@ def make_random_crashes(
     events = []
     for nid in chosen:
         execution = int(rng.integers(first_execution, last + 1))
-        time = fds_start + (execution - 1) * config.phi + 0.6 * config.phi
+        time = config.crash_time(fds_start, execution)
         events.append(CrashEvent(node_id=NodeId(int(nid)), time=time))
     events.sort(key=lambda e: (e.time, e.node_id))
     return Faultload(events=tuple(events))
+
+
+def scenario_faultload(
+    candidates: Sequence[NodeId],
+    crash_count: int,
+    executions: int,
+    fds: FdsConfig,
+    rng: np.random.Generator,
+    fds_start: SimTime = 0.0,
+) -> Faultload:
+    """The crash schedule of one scenario run, on every substrate.
+
+    ``candidates`` are the operational non-head nodes in ascending NID
+    order and ``rng`` the seed's ``"faultload"`` stream; each crash lands
+    before an execution drawn from ``1 .. max(1, executions - 2)``, so it
+    can still be detected and reported before the run ends.  The event
+    engine, the array engine and the rt runtime all call this, so one
+    seed crashes the same nodes in the same executions everywhere --
+    only ``fds`` (wall-scaled for rt) and ``fds_start`` move the times.
+    """
+    return make_random_crashes(
+        candidates,
+        crash_count,
+        fds,
+        rng,
+        fds_start=fds_start,
+        first_execution=1,
+        last_execution=max(1, executions - 2),
+    )

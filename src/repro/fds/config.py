@@ -105,6 +105,29 @@ class FdsConfig:
         """Duration of R-1..R-3 plus the recovery window."""
         return (3.0 + self.recovery_rounds) * self.thop
 
+    # -- execution timing policy ----------------------------------------
+    # One definition for every substrate (event, array, rt).  Executions
+    # are indexed from 0; execution ``k`` has its epoch at
+    # ``start + k * phi``.
+    def crash_time(self, start: float, execution: int) -> float:
+        """The instant a node first silent in ``execution`` (>= 1) crashes.
+
+        60% into the preceding heartbeat interval: after every round of
+        execution ``execution - 1`` (Section 2.2: nodes do not fail
+        mid-execution), before the epoch of ``execution``.
+        """
+        return start + (execution - 1) * self.phi + 0.6 * self.phi
+
+    def crash_execution(self, start: float, time: float) -> int:
+        """Inverse of :meth:`crash_time`: the first execution a node that
+        crashed at ``time`` is silent in."""
+        return int(round((time - start - 0.6 * self.phi) / self.phi)) + 1
+
+    def run_end(self, start: float, count: int) -> float:
+        """When a run of ``count`` executions from ``start`` ends: the
+        tail of the last heartbeat interval, short of the next epoch."""
+        return start + (count - 1) * self.phi + 0.95 * self.phi
+
     @property
     def r3_end_offset(self) -> float:
         """Offset from the epoch to the end of R-3 (the report timeout)."""

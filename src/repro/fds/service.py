@@ -796,8 +796,7 @@ class FdsDeployment:
                     first_epoch, count, first_index=self.executions_scheduled
                 )
         self.executions_scheduled += count
-        end = first_epoch + (count - 1) * self.config.phi + self.config.phi * 0.95
-        self.network.sim.run_until(end)
+        self.network.sim.run_until(self.config.run_end(first_epoch, count))
 
     def protocol(self, node_id: NodeId) -> FdsProtocol:
         try:

@@ -19,10 +19,11 @@ network -- exactly the vantage point the paper's analysis takes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.fds.service import FdsDeployment
-from repro.sim.trace import RecordingTracer
+from repro.sim.trace import Tracer
 from repro.fds import events as ev
 from repro.types import NodeId, SimTime
 
@@ -54,6 +55,34 @@ class PropertyReport:
     @property
     def is_accurate(self) -> bool:
         return not self.accuracy_violations
+
+
+@dataclass(frozen=True)
+class LivenessView:
+    """Ground-truth liveness at the end of a run without a simulator.
+
+    The array engine and the rt runtime have no
+    :class:`~repro.sim.network.Network`; this is the part of one the
+    scorers and oracles read: ``operational_ids()``, ``crashed_ids()``,
+    ``len()`` and the clock ``sim.now`` (the view is its own ``sim``).
+    """
+
+    operational: Tuple[NodeId, ...]
+    crashed: Tuple[NodeId, ...]
+    now: SimTime
+
+    @property
+    def sim(self) -> "LivenessView":
+        return self
+
+    def operational_ids(self) -> Tuple[NodeId, ...]:
+        return self.operational
+
+    def crashed_ids(self) -> Tuple[NodeId, ...]:
+        return self.crashed
+
+    def __len__(self) -> int:
+        return len(self.operational) + len(self.crashed)
 
 
 def _observer_ids(deployment: FdsDeployment) -> List[NodeId]:
@@ -152,25 +181,59 @@ def evaluate_histories(
 
 
 def detection_latency(
-    tracer: RecordingTracer,
+    tracer: Optional[Tracer],
     crash_times: Dict[NodeId, SimTime],
+    spool: Optional[Path] = None,
 ) -> Dict[NodeId, Optional[SimTime]]:
     """Seconds from each crash to its *first* detection event (None if never).
 
-    Needs a tracer with full in-memory records.  Tracers without
-    ``iter_kind`` (disk spoolers, NullTracer) yield all-``None``; the
-    latencies are then recovered post-hoc from the spool by
-    ``repro trace latency``.
+    Reads the detections from a tracer with full in-memory records, else
+    from the ``spool`` file the run left behind (the runtime's merged
+    spool).  With neither -- a disk spooler or NullTracer and no spool
+    path -- every entry is ``None``; the latencies are then recovered
+    post-hoc by ``repro trace latency``.
     """
     iter_kind = getattr(tracer, "iter_kind", None)
-    if iter_kind is None:
+    if iter_kind is not None:
+        detections = iter_kind(ev.DETECTION)
+    elif spool is not None:
+        from repro.obs.spool import iter_spool
+
+        detections = (r for r in iter_spool(spool) if r.kind == ev.DETECTION)
+    else:
         return {nid: None for nid in crash_times}
     first_detection: Dict[NodeId, SimTime] = {}
-    for record in iter_kind(ev.DETECTION):
+    for record in detections:
         target = NodeId(int(record.detail["target"]))
         if target not in first_detection:
             first_detection[target] = record.time
     return {
         nid: (first_detection[nid] - t if nid in first_detection else None)
         for nid, t in crash_times.items()
+    }
+
+
+def run_summary(result, transmissions: int, loss_rate: float) -> Dict[str, float]:
+    """The headline numbers of one run -- same keys on every substrate.
+
+    ``result`` is any run product with ``network``, ``layout``,
+    ``faultload``, ``properties`` and ``detection_latencies``; message
+    accounting differs per substrate, so its two numbers are passed in.
+    """
+    detected = [
+        v for v in result.detection_latencies.values() if v is not None
+    ]
+    return {
+        "nodes": float(len(result.network)),
+        "clusters": float(len(result.layout.clusters)),
+        "crashes": float(len(result.faultload)),
+        "mean_completeness": result.properties.mean_completeness,
+        "accuracy_violations": float(
+            len(result.properties.accuracy_violations)
+        ),
+        "transmissions": float(transmissions),
+        "observed_loss_rate": loss_rate,
+        "mean_detection_latency": (
+            float(sum(detected) / len(detected)) if detected else 0.0
+        ),
     }

@@ -5,11 +5,14 @@ Everything here consumes an *iterable* of
 list or a streamed :func:`~repro.obs.spool.iter_spool` -- and reduces it
 in one pass, so analyzing a multi-gigabyte spool never materializes it.
 
-The scenario runner stamps every run with a ``meta.scenario`` record
-(phi, thop, node count, seed) and, when profiling, one ``profile.phase``
-record per phase; the analyzers use those to express detection latency
-in heartbeat-interval (phi) units and to report per-phase time shares
-from the spool alone.
+Every runner (event, array, rt) stamps its run through
+:func:`stamp_run_header` -- a ``meta.scenario`` record (phi, thop, node
+count, seed) followed by the ``meta.topology`` cluster map -- and, when
+profiling, :func:`stamp_profile` appends one ``profile.phase`` record
+per phase; the analyzers use those to express detection latency in
+heartbeat-interval (phi) units and to report per-phase time shares from
+the spool alone.  The record formats are written and read here and
+nowhere else.
 """
 
 from __future__ import annotations
@@ -24,10 +27,18 @@ from repro.obs.registry import (
     PHI_LATENCY_BUCKETS,
     MetricsRegistry,
 )
-from repro.sim.trace import TraceRecord
+from repro.obs.profiler import PhaseProfiler
+from repro.sim.trace import TraceRecord, Tracer
 
 #: Kind of the run-description record the scenario runner emits first.
 META_KIND = "meta.scenario"
+#: Kind of the cluster-map record that follows it (detail fields: see
+#: :mod:`repro.obs.topology`).
+TOPOLOGY_KIND = "meta.topology"
+#: The ``meta.scenario`` timebase stamp of runtime traces (wall-clock
+#: run; latency displays should use milliseconds).  Simulator traces
+#: omit the field and default to ``"phi"``.
+WALL_TIMEBASE = "wall_ms"
 #: Kind of the per-phase wall-clock records emitted at run end.
 PROFILE_KIND = "profile.phase"
 #: Kind the node runtime emits when a node fail-stops.
@@ -54,6 +65,8 @@ class TraceMeta:
     #: traces (wall-clock seconds; latencies are also meaningful in
     #: milliseconds).  Old spools omit the field and default to "phi".
     timebase: str = "phi"
+    #: Wall seconds per spec second (runtime traces only).
+    time_scale: Optional[float] = None
     found: bool = False
 
     @classmethod
@@ -67,13 +80,33 @@ class TraceMeta:
             executions=int(d.get("executions", 0)),
             fds_start=float(d.get("fds_start", 0.0)),
             timebase=str(d.get("timebase", "phi")),
+            time_scale=d.get("time_scale"),
             found=True,
         )
+
+    def to_detail(self) -> Dict[str, object]:
+        """The ``meta.scenario`` detail :meth:`from_record` reads back.
+
+        Simulator traces omit the timebase fields (readers default to
+        ``"phi"``), which keeps their spools byte-stable.
+        """
+        detail: Dict[str, object] = {
+            "phi": self.phi,
+            "thop": self.thop,
+            "nodes": self.nodes,
+            "seed": self.seed,
+            "executions": self.executions,
+            "fds_start": self.fds_start,
+        }
+        if self.wall_clock:
+            detail["timebase"] = self.timebase
+            detail["time_scale"] = self.time_scale
+        return detail
 
     @property
     def wall_clock(self) -> bool:
         """Whether timestamps are wall-clock seconds (runtime trace)."""
-        return self.timebase == "wall_ms"
+        return self.timebase == WALL_TIMEBASE
 
     def execution_of(self, time: float) -> int:
         """Which FDS execution a timestamp falls in (floor by phi)."""
@@ -93,6 +126,34 @@ class TraceMeta:
         if offset < 3 * self.thop:
             return "R-3"
         return "post"
+
+
+def stamp_run_header(
+    tracer: Tracer,
+    time: float,
+    meta: TraceMeta,
+    topology_detail: Dict[str, object],
+) -> None:
+    """Open a run's trace: the run description, then the cluster map.
+
+    The map follows immediately so the spool alone can draw the field
+    (``repro serve``'s ``/api/topology``); ``topology_detail`` comes from
+    :func:`repro.obs.topology.layout_topology_detail` or its array twin.
+    """
+    tracer.record(time, META_KIND, **meta.to_detail())
+    tracer.record(time, TOPOLOGY_KIND, **topology_detail)
+
+
+def stamp_profile(
+    tracer: Tracer, time: float, profiler: Optional[PhaseProfiler]
+) -> None:
+    """Close a run's trace with one ``profile.phase`` record per phase."""
+    if profiler is None or not profiler.enabled or not tracer.enabled:
+        return
+    for phase, seconds, _share, calls in profiler.shares():
+        tracer.record(
+            time, PROFILE_KIND, phase=phase, seconds=seconds, calls=calls
+        )
 
 
 @dataclass

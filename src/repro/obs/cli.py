@@ -15,7 +15,6 @@ import math
 from pathlib import Path
 from typing import Optional
 
-from repro.errors import ReproError
 from repro.obs.analyze import (
     Lineage,
     TraceSummary,
@@ -85,17 +84,13 @@ def add_trace_parser(sub: argparse._SubParsersAction) -> None:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    try:
-        handler = {
-            "summarize": _cmd_summarize,
-            "timeline": _cmd_timeline,
-            "lineage": _cmd_lineage,
-            "latency": _cmd_latency,
-        }[args.trace_action]
-        return handler(args)
-    except ReproError as exc:
-        print(f"error: {exc}")
-        return 1
+    handler = {
+        "summarize": _cmd_summarize,
+        "timeline": _cmd_timeline,
+        "lineage": _cmd_lineage,
+        "latency": _cmd_latency,
+    }[args.trace_action]
+    return handler(args)
 
 
 # ----------------------------------------------------------------------

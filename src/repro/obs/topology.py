@@ -31,11 +31,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.obs.analyze import CRASH_KIND, META_KIND, TraceMeta, meta_payload
+from repro.obs.analyze import (
+    CRASH_KIND,
+    META_KIND,
+    TOPOLOGY_KIND,
+    TraceMeta,
+    meta_payload,
+)
 from repro.sim.trace import TraceRecord
-
-#: Kind of the cluster-map record the runners emit after ``meta.scenario``.
-TOPOLOGY_KIND = "meta.topology"
 
 #: Coordinate rounding in the emitted record (display precision; keeps a
 #: million-node topology line ~40% smaller than full float reprs).

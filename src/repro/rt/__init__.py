@@ -21,8 +21,7 @@ Modules
     The scenario runtime: socket binding, broadcast emulation with
     seeded drop/delay, protocol installation, run orchestration.
 ``faults``
-    Stream-identical faultload derivation and wall-clock crash injection
-    (task killing).
+    Wall-clock crash injection (task killing).
 ``collector``
     Per-node spool merging into one analyzable trace.
 ``cli``

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 from pathlib import Path
 
+from repro.sim.loss import LOSS_KINDS
 from repro.util.tables import render_table
 
 
@@ -34,7 +35,7 @@ def add_rt_parser(sub) -> None:
     run.add_argument("--executions", type=int, default=3)
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--loss-kind", dest="loss_kind", default="perfect",
-                     choices=("perfect", "bernoulli", "bounded", "gilbert"),
+                     choices=LOSS_KINDS,
                      help="socket-layer loss model (mirrors the simulator)")
     run.add_argument("--loss-p", dest="loss_p", type=float, default=0.1)
     run.add_argument("--time-scale", dest="time_scale", type=float,

@@ -1,57 +1,18 @@
-"""Faultload derivation and wall-clock crash injection for the runtime.
+"""Wall-clock crash injection for the runtime.
 
-Stream identity is the whole point: the runtime draws its crash schedule
-from the *same* named RNG streams, candidate ordering, and execution
-window as :func:`repro.experiments.runner.run_scenario`, so a simulated
-and a real run of one seeded spec crash the *same nodes* in the *same
-executions* -- only the timestamps differ (wall-scaled instead of
-virtual).  That is what makes the sim/real differential
-(:mod:`repro.audit.realnet`) compare like with like.
+The crash schedule itself is the simulator's
+(:func:`repro.failure.faultload.scenario_faultload`, called with the
+wall-scaled config): a simulated and a real run of one seeded spec crash
+the *same nodes* in the *same executions*, which is what makes the
+sim/real differential (:mod:`repro.audit.realnet`) compare like with
+like.
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import Tuple
 
-import numpy as np
-
-from repro.cluster.state import ClusterLayout
-from repro.failure.faultload import Faultload, make_random_crashes
-from repro.fds.config import FdsConfig
-from repro.types import NodeId
-
-
-def derive_faultload(
-    node_ids: Tuple[NodeId, ...],
-    layout: ClusterLayout,
-    crash_count: int,
-    executions: int,
-    wall_config: FdsConfig,
-    rng: np.random.Generator,
-    fds_start: float,
-) -> Faultload:
-    """The scenario runner's crash schedule, with wall-clock timestamps.
-
-    ``rng`` must be the seed's ``"faultload"`` stream and ``node_ids``
-    the full sorted id set -- then the candidate tuple (operational
-    non-heads, ascending) and the draw sequence match the simulator's
-    bit for bit, and only ``wall_config.phi`` / ``fds_start`` (already
-    wall-scaled) change the resulting times.
-    """
-    candidates: Tuple[NodeId, ...] = tuple(
-        nid for nid in sorted(node_ids) if nid not in layout.heads
-    )
-    last_exec = max(1, executions - 2)
-    return make_random_crashes(
-        candidates,
-        crash_count,
-        wall_config,
-        rng,
-        fds_start=fds_start,
-        first_execution=1,
-        last_execution=last_exec,
-    )
+from repro.failure.faultload import Faultload
 
 
 class CrashDriver:

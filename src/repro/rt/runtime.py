@@ -1,6 +1,6 @@
 """The asyncio-UDP scenario runtime.
 
-:func:`run_rt_scenario` is the runtime twin of
+:func:`run_rt_scenario` is the runtime side of
 :func:`repro.experiments.runner.run_scenario`: it builds the same seeded
 field and cluster layout from the same named RNG streams, installs the
 same :class:`~repro.fds.service.FdsProtocol` objects -- but each node is
@@ -25,8 +25,9 @@ a seeded drop draw (the spec's loss model, private stream) and a uniform
 ``(0, max_delay]`` artificial delay -- mirroring
 :class:`~repro.sim.medium.RadioMedium` semantics at the socket layer.
 
-**Crash injection.**  The faultload (stream-identical to the
-simulator's, see :mod:`repro.rt.faults`) kills each victim at its
+**Crash injection.**  The faultload (the simulator's own
+:func:`~repro.failure.faultload.scenario_faultload`, so stream-identical)
+kills each victim at its
 wall-scaled crash time: the node fail-stops, its supervisor task is
 cancelled, and its socket closes.
 """
@@ -34,25 +35,32 @@ cancelled, and its socket closes.
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.cluster.geometric import build_clusters
 from repro.cluster.state import ClusterLayout
 from repro.errors import ConfigurationError
-from repro.failure.faultload import Faultload
+from repro.failure.faultload import Faultload, scenario_faultload
 from repro.fds.config import FdsConfig
 from repro.fds.service import FdsProtocol
-from repro.metrics.properties import PropertyReport, evaluate_properties
-from repro.obs.analyze import META_KIND
+from repro.metrics.properties import (
+    LivenessView,
+    PropertyReport,
+    detection_latency,
+    evaluate_properties,
+    run_summary,
+)
+from repro.obs.analyze import WALL_TIMEBASE, TraceMeta, stamp_run_header
 from repro.obs.profiler import NULL_PROFILER
 from repro.obs.spool import SpoolingTracer
+from repro.obs.topology import layout_topology_detail
 from repro.rt.codec import CodecError, decode_frame, encode_frame
 from repro.rt.collector import merge_spools
-from repro.rt.faults import CrashDriver, derive_faultload
+from repro.rt.faults import CrashDriver
 from repro.rt.substrate import RtNode
-from repro.sim.loss import build_loss_model
+from repro.sim.loss import build_loss_model, loss_params
 from repro.sim.medium import Envelope, draw_delays
 from repro.sim.trace import RecordingTracer, Tracer
 from repro.topology.generators import multi_cluster_field
@@ -62,11 +70,6 @@ from repro.util.rng import RngFactory
 
 #: Trace kind emitted when an undecodable datagram is dropped.
 CODEC_ERROR_KIND = "rt.codec_error"
-
-#: The meta.scenario timebase stamp of runtime traces (wall-clock run;
-#: latency displays should use milliseconds).  Simulator traces omit the
-#: field and default to ``"phi"``.
-WALL_TIMEBASE = "wall_ms"
 
 
 @dataclass(frozen=True)
@@ -113,23 +116,12 @@ class RtScenario:
 
     @classmethod
     def from_spec(cls, spec, **overrides) -> "RtScenario":
-        """Adopt a differential :class:`ScenarioSpec`-shaped object."""
+        """Adopt a differential :class:`ScenarioSpec`-shaped object:
+        every field the two share, then ``overrides``."""
         kwargs = {
-            name: getattr(spec, name)
-            for name in (
-                "seed",
-                "cluster_count",
-                "members_per_cluster",
-                "crash_count",
-                "executions",
-                "loss_kind",
-                "loss_p",
-                "loss_budget",
-                "spacing_factor",
-                "max_backups",
-                "phi",
-                "thop",
-            )
+            f.name: getattr(spec, f.name)
+            for f in fields(cls)
+            if hasattr(spec, f.name)
         }
         kwargs.update(overrides)
         return cls(**kwargs)
@@ -144,50 +136,6 @@ class RtScenario:
             thop=spec_config.thop * self.time_scale,
             wait_slot=spec_config.wait_slot * self.time_scale,
         )
-
-    def loss_params(self) -> Tuple[Tuple[str, float], ...]:
-        if self.loss_kind == "bounded":
-            return (("p", self.loss_p), ("budget", float(self.loss_budget)))
-        if self.loss_kind == "bernoulli":
-            return (("p", self.loss_p),)
-        if self.loss_kind == "gilbert":
-            return (
-                ("p_good", 0.02),
-                ("p_bad", 0.8),
-                ("p_gb", self.loss_p / 5.0),
-                ("p_bg", 0.3),
-            )
-        return ()
-
-
-class _RtNetworkView:
-    """Ground-truth liveness over the runtime's nodes (metrics only)."""
-
-    def __init__(self, nodes: Dict[NodeId, RtNode]) -> None:
-        self.nodes = nodes
-
-    def __len__(self) -> int:
-        return len(self.nodes)
-
-    def operational_ids(self) -> Tuple[NodeId, ...]:
-        return tuple(
-            sorted(nid for nid, n in self.nodes.items() if n.is_operational)
-        )
-
-    def crashed_ids(self) -> Tuple[NodeId, ...]:
-        return tuple(
-            sorted(nid for nid, n in self.nodes.items() if not n.is_operational)
-        )
-
-
-@dataclass
-class _RtDeploymentView:
-    """Duck-typed :class:`~repro.fds.service.FdsDeployment` for the
-    property oracles (:func:`~repro.metrics.properties.evaluate_properties`)."""
-
-    network: _RtNetworkView
-    layout: ClusterLayout
-    protocols: Dict[NodeId, FdsProtocol]
 
 
 @dataclass
@@ -206,65 +154,41 @@ class RtResult:
     spool_dir: Optional[Path]
     merged_spool: Optional[Path]
     codec_errors: int = 0
+    #: Copies the socket-layer loss model dropped.
+    losses: int = 0
+    network: LivenessView = field(init=False)
     properties: PropertyReport = field(init=False)
 
     def __post_init__(self) -> None:
-        self.properties = evaluate_properties(
-            _RtDeploymentView(
-                network=_RtNetworkView(self.nodes),
-                layout=self.layout,
-                protocols=self.protocols,
-            )
+        nodes = sorted(self.nodes.items())
+        self.network = LivenessView(
+            tuple(nid for nid, n in nodes if n.is_operational),
+            tuple(nid for nid, n in nodes if not n.is_operational),
+            self.config.run_end(self.fds_start, self.scenario.executions),
         )
-
-    def _iter_detections(self):
-        """Detection records from the in-memory tracer, or (for spooled
-        runs) re-read from the merged spool on disk."""
-        iter_kind = getattr(self.tracer, "iter_kind", None)
-        if iter_kind is not None:
-            yield from iter_kind("fds.detection")
-            return
-        if self.merged_spool is not None:
-            from repro.obs.spool import iter_spool
-
-            for record in iter_spool(self.merged_spool):
-                if record.kind == "fds.detection":
-                    yield record
+        # The property oracles read ``network``/``layout``/``protocols``
+        # off an FdsDeployment; this result carries the same three.
+        self.properties = evaluate_properties(self)
 
     @property
     def detection_latencies(self) -> Dict[NodeId, Optional[float]]:
-        """Crash-to-first-detection wall seconds per crashed node."""
-        first: Dict[NodeId, float] = {}
-        for record in self._iter_detections():
-            target = NodeId(int(record.detail["target"]))
-            if target not in first or record.time < first[target]:
-                first[target] = record.time
-        return {
-            nid: (first[nid] - t if nid in first else None)
-            for nid, t in self.crash_times.items()
-        }
+        """Crash-to-first-detection wall seconds per crashed node (from
+        the in-memory tracer, or for spooled runs the merged spool)."""
+        return detection_latency(
+            self.tracer, self.crash_times, spool=self.merged_spool
+        )
 
     def summary(self) -> Dict[str, float]:
-        latencies = [
-            v for v in self.detection_latencies.values() if v is not None
-        ]
-        sent = sum(n.sent_count for n in self.nodes.values())
         received = sum(n.received_count for n in self.nodes.values())
-        return {
-            "nodes": float(len(self.nodes)),
-            "clusters": float(len(self.layout.clusters)),
-            "crashes": float(len(self.faultload)),
-            "mean_completeness": self.properties.mean_completeness,
-            "accuracy_violations": float(
-                len(self.properties.accuracy_violations)
-            ),
-            "transmissions": float(sent),
-            "deliveries": float(received),
-            "codec_errors": float(self.codec_errors),
-            "mean_detection_latency": (
-                float(sum(latencies) / len(latencies)) if latencies else 0.0
-            ),
-        }
+        attempted = received + self.losses
+        summary = run_summary(
+            self,
+            sum(n.sent_count for n in self.nodes.values()),
+            self.losses / attempted if attempted else 0.0,
+        )
+        summary["deliveries"] = float(received)
+        summary["codec_errors"] = float(self.codec_errors)
+        return summary
 
 
 class _NodeDatagramProtocol(asyncio.DatagramProtocol):
@@ -354,7 +278,9 @@ class RtRuntime:
         # loss-independent anchors (same policy as the array engine).
         self.loss_model = build_loss_model(
             scenario.loss_kind,
-            scenario.loss_params(),
+            loss_params(
+                scenario.loss_kind, scenario.loss_p, scenario.loss_budget
+            ),
             loss_probability=scenario.loss_p,
             transmission_range=scenario.transmission_range,
         )
@@ -385,6 +311,7 @@ class RtRuntime:
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._epoch = 0.0
         self.codec_errors = 0
+        self.losses = 0
         self.fds_start = 0.0
         self.faultload: Optional[Faultload] = None
 
@@ -429,6 +356,7 @@ class RtRuntime:
             if self.loss_model.is_lost(
                 sender, neighbor, distance, now, self._loss_rng
             ):
+                self.losses += 1
                 if tracer.enabled:
                     tracer.record(
                         now,
@@ -508,29 +436,22 @@ class RtRuntime:
         self.fds_start = max(scenario.warmup, self.now + 0.05)
 
         if self._run_tracer.enabled:
-            self._run_tracer.record(
-                self.now,
-                META_KIND,
-                phi=config.phi,
-                thop=config.thop,
-                nodes=len(self.nodes),
-                seed=scenario.seed,
-                executions=scenario.executions,
-                fds_start=self.fds_start,
-                timebase=WALL_TIMEBASE,
-                time_scale=scenario.time_scale,
-            )
             # The run spool carries the cluster map too, so a merged rt
             # trace feeds the dashboard's /api/topology unchanged.
-            from repro.obs.topology import (
-                TOPOLOGY_KIND,
-                layout_topology_detail,
-            )
-
-            self._run_tracer.record(
+            stamp_run_header(
+                self._run_tracer,
                 self.now,
-                TOPOLOGY_KIND,
-                **layout_topology_detail(self.layout, self.positions),
+                TraceMeta(
+                    phi=config.phi,
+                    thop=config.thop,
+                    nodes=len(self.nodes),
+                    seed=scenario.seed,
+                    executions=scenario.executions,
+                    fds_start=self.fds_start,
+                    timebase=WALL_TIMEBASE,
+                    time_scale=scenario.time_scale,
+                ),
+                layout_topology_detail(self.layout, self.positions),
             )
 
         # Same protocol objects as the simulator, on the rt substrate.
@@ -541,9 +462,11 @@ class RtRuntime:
             self.protocols[nid] = protocol
             protocol.start(self.fds_start, scenario.executions, first_index=0)
 
-        self.faultload = derive_faultload(
-            tuple(self.nodes),
-            self.layout,
+        self.faultload = scenario_faultload(
+            tuple(
+                nid for nid in sorted(self.nodes)
+                if nid not in self.layout.heads
+            ),
             scenario.crash_count,
             scenario.executions,
             config,
@@ -556,13 +479,9 @@ class RtRuntime:
         for nid, node in self.nodes.items():
             self._tasks[nid] = loop.create_task(self._node_main(node))
 
-        # Mirror FdsDeployment.run_executions' horizon, plus a short
-        # drain so the last delayed copies land before sockets close.
-        end = (
-            self.fds_start
-            + (scenario.executions - 1) * config.phi
-            + 0.95 * config.phi
-        )
+        # A short drain past the run end lets the last delayed copies
+        # land before sockets close.
+        end = config.run_end(self.fds_start, scenario.executions)
         await asyncio.sleep(max(0.0, end - self.now) + 2 * self.max_delay)
 
         # Clean shutdown: crashes that never fired stay unfired, timers
@@ -602,6 +521,7 @@ class RtRuntime:
             spool_dir=self.spool_dir,
             merged_spool=merged,
             codec_errors=self.codec_errors,
+            losses=self.losses,
         )
 
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 from pathlib import Path
 
-from repro.errors import ReproError
 
 
 def add_serve_parser(sub: argparse._SubParsersAction) -> None:
@@ -32,18 +31,14 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve.http import DashboardServer
     from repro.serve.state import SpoolView, StoreView
 
-    try:
-        spool_view = SpoolView(Path(args.spool))
-        store_view = StoreView(Path(args.store)) if args.store else None
-        server = DashboardServer(
-            (args.host, args.port),
-            spool_view,
-            store_view=store_view,
-            poll_interval=args.poll_interval,
-        )
-    except ReproError as exc:
-        print(f"error: {exc}")
-        return 1
+    spool_view = SpoolView(Path(args.spool))
+    store_view = StoreView(Path(args.store)) if args.store else None
+    server = DashboardServer(
+        (args.host, args.port),
+        spool_view,
+        store_view=store_view,
+        poll_interval=args.poll_interval,
+    )
     host, port = server.server_address[:2]
     print(f"serving {spool_view.path} on http://{host}:{port}/ "
           f"(Ctrl-C to stop)")

@@ -37,7 +37,7 @@ from repro.sim.array_engine.layout import (
     build_array_layout,
     lattice_positions,
 )
-from repro.sim.array_engine.loss import ARRAY_LOSS_KINDS, ArrayLossDraw
+from repro.sim.array_engine.loss import ArrayLossDraw
 from repro.sim.array_engine.rounds import ArrayRoundEngine
 from repro.sim.array_engine.runner import (
     ArrayScenarioResult,
@@ -45,7 +45,6 @@ from repro.sim.array_engine.runner import (
 )
 
 __all__ = [
-    "ARRAY_LOSS_KINDS",
     "ArrayLayout",
     "ArrayLossDraw",
     "ArrayRoundEngine",

@@ -97,6 +97,17 @@ class ArrayLayout:
             return self.head_ids
         return np.arange(self.cluster_count, dtype=np.int64)
 
+    @property
+    def clusters(self) -> range:
+        """Cluster indices (the scoring surface reads ``len()`` of it)."""
+        return range(self.cluster_count)
+
+    def is_clustered(self, node_id: int) -> bool:
+        """Whether ``node_id`` is a node of some cluster (the lattice
+        clusters everyone; protocol formation leaves stragglers ``PAD``)."""
+        nid = int(node_id)
+        return 0 <= nid < self.node_count and int(self.assign[nid]) >= 0
+
     def slot_of(self, node_id: int) -> tuple:
         """``(cluster, slot)`` of a member NID (linear scan; test helper)."""
         cluster = int(self.assign[node_id])

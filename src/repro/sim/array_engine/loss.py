@@ -1,10 +1,11 @@
 """Vectorized per-copy loss draws for the array engine.
 
-Mirrors the declarative ``(kind, params)`` specs of
-:mod:`repro.sim.loss`, but produces *delivered* masks for whole batches
-of copies in one call.  The array engine owns its draw order (documented
-in the engine module): it consumes a dedicated named stream
-(``stream("array", "loss")``) under the same
+Takes the same declarative ``(kind, params)`` specs as the event engine
+-- parsed by :func:`repro.sim.loss.build_loss_model`, whose validated
+model supplies every parameter here -- but produces *delivered* masks
+for whole batches of copies in one call.  The array engine owns its
+draw order (documented in the engine module): it consumes a dedicated
+named stream (``stream("array", "loss")``) under the same
 :class:`~repro.util.rng.RngFactory` discipline as every other consumer,
 so array runs replay bit-exactly from the scenario seed without
 perturbing the event engine's streams.
@@ -21,8 +22,7 @@ Kinds:
   pass per-copy distances);
 - ``gilbert`` -- bursty loss via per-directed-link two-state Markov
   chains (Good/Bad), the vectorized twin of
-  :class:`repro.sim.loss.GilbertElliottLoss` with the same parameter
-  names and defaults as ``build_loss_model`` (p_good, p_bad, p_gb,
+  :class:`repro.sim.loss.GilbertElliottLoss` (its p_good, p_bad, p_gb,
   p_bg).
 
 Gilbert chain contract (engine-private, like the draw order itself):
@@ -59,10 +59,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.errors import ExperimentError
-from repro.util.validation import check_probability
-
-#: Loss kinds the array engine can batch.
-ARRAY_LOSS_KINDS = ("perfect", "bernoulli", "bounded", "distance", "gilbert")
+from repro.sim.loss import build_loss_model
 
 
 class ArrayLossDraw:
@@ -76,54 +73,22 @@ class ArrayLossDraw:
         transmission_range: float,
         rng: np.random.Generator,
     ) -> None:
-        if kind not in ARRAY_LOSS_KINDS:
-            raise ExperimentError(
-                f"array engine supports loss kinds {ARRAY_LOSS_KINDS}, "
-                f"got {kind!r}"
-            )
-        kwargs = dict(params or {})
+        #: The parsed spec: validated parameters, defaults filled in.
+        #: Only its attributes are read; draws never go through it.
+        self.model = build_loss_model(
+            kind,
+            params,
+            loss_probability=loss_probability,
+            transmission_range=transmission_range,
+        )
         self.kind = kind
         self.rng = rng
-        self.p = float(kwargs.pop("p", loss_probability))
-        self.budget_left = int(kwargs.pop("budget", 3)) if kind == "bounded" else 0
-        self.transmission_range = float(transmission_range)
-        self.p_near = float(kwargs.pop("p_near", 0.02))
-        self.p_far = float(kwargs.pop("p_far", 0.4))
-        self.exponent = float(kwargs.pop("exponent", 2.0))
-        # Gilbert-Elliott parameters: same names and defaults as
-        # repro.sim.loss.build_loss_model's gilbert branch.
-        if kind == "gilbert":
-            self.p_good = check_probability(
-                "p_good", float(kwargs.pop("p_good", 0.01))
-            )
-            self.p_bad = check_probability(
-                "p_bad", float(kwargs.pop("p_bad", 0.8))
-            )
-            self.p_gb = check_probability(
-                "p_gb", float(kwargs.pop("p_gb", 0.05))
-            )
-            self.p_bg = check_probability(
-                "p_bg", float(kwargs.pop("p_bg", 0.3))
-            )
-            if self.p_gb + self.p_bg == 0:
-                raise ExperimentError(
-                    "p_gb + p_bg must be > 0 for an ergodic chain"
-                )
+        self.budget_left = self.model.budget if kind == "bounded" else 0
         #: Per-family Markov state arrays, True = Bad (gilbert only).
         self._chains: Dict[str, np.ndarray] = {}
         #: Copy accounting for :class:`~repro.metrics.collectors.MessageCounts`.
         self.attempted = 0
         self.delivered_count = 0
-
-    @property
-    def stationary_loss_rate(self) -> float:
-        """Long-run average loss probability of the gilbert chain."""
-        if self.kind != "gilbert":
-            raise ExperimentError(
-                "stationary_loss_rate is only defined for gilbert loss"
-            )
-        pi_bad = self.p_gb / (self.p_gb + self.p_bg)
-        return (1 - pi_bad) * self.p_good + pi_bad * self.p_bad
 
     # ------------------------------------------------------------------
     # Gilbert chain state
@@ -157,11 +122,12 @@ class ArrayLossDraw:
         links; returns ``(new_states, lost)``.  Transition first, then
         the loss draw in the new state -- the scalar model's order.
         """
+        model = self.model
         u = self.rng.random(n)
-        toggle = u < np.where(states, self.p_bg, self.p_gb)
+        toggle = u < np.where(states, model.p_bg, model.p_gb)
         new_states = states ^ toggle
         u2 = self.rng.random(n)
-        lost = u2 < np.where(new_states, self.p_bad, self.p_good)
+        lost = u2 < np.where(new_states, model.p_bad, model.p_good)
         return new_states, lost
 
     # ------------------------------------------------------------------
@@ -200,31 +166,22 @@ class ArrayLossDraw:
                 raise ExperimentError(
                     "distance loss draws require per-copy distances"
                 )
-            frac = np.clip(
-                np.asarray(distances, dtype=np.float64)
-                / self.transmission_range,
-                0.0,
-                1.0,
-            )
-            p = np.clip(
-                self.p_near + (self.p_far - self.p_near) * frac ** self.exponent,
-                0.0,
-                1.0,
-            )
+            p = self.model.loss_probabilities(distances)
             out = self.rng.random(count) >= p
             self.delivered_count += int(out.sum())
             return out
         # bernoulli / bounded share the p in {0, 1} shortcut discipline.
-        if self.p == 0.0:
+        p = self.model.p
+        if p == 0.0:
             self.delivered_count += count
             return np.ones(count, dtype=bool)
         if self.kind == "bounded" and self.budget_left <= 0:
             self.delivered_count += count
             return np.ones(count, dtype=bool)
-        if self.p == 1.0:
+        if p == 1.0:
             lost = np.ones(count, dtype=bool)
         else:
-            lost = self.rng.random(count) < self.p
+            lost = self.rng.random(count) < p
         if self.kind == "bounded":
             # Spend the budget in flat draw order; later losses revert
             # to deliveries once the adversary is out of drops.

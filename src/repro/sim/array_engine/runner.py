@@ -1,6 +1,6 @@
 """End-to-end scenario execution through the array engine.
 
-:func:`run_array_scenario` is the array-engine twin of
+:func:`run_array_scenario` is the array-engine side of
 :func:`repro.experiments.runner.run_scenario`: same
 :class:`~repro.experiments.runner.ScenarioConfig` in, a result object
 with the same scoring surface out (``summary()``, ``properties``,
@@ -34,24 +34,29 @@ engine.
 
 from __future__ import annotations
 
-import math
 import time as _time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.failure.faultload import Faultload, make_random_crashes
+from repro.energy.model import EnergyConfig
+from repro.failure.faultload import Faultload, scenario_faultload
 from repro.metrics.collectors import MessageCounts
-from repro.metrics.properties import PropertyReport, detection_latency
-from repro.obs.analyze import META_KIND, PROFILE_KIND
+from repro.metrics.properties import (
+    LivenessView,
+    PropertyReport,
+    detection_latency,
+    run_summary,
+)
+from repro.obs.analyze import TraceMeta, stamp_profile, stamp_run_header
 from repro.obs.profiler import (
     PHASE_ARRAY_LAYOUT,
     PHASE_ARRAY_ROUNDS,
     PHASE_ARRAY_SCORE,
     PhaseProfiler,
 )
-from repro.energy.model import EnergyConfig
+from repro.obs.topology import array_topology_detail
 from repro.sim.array_engine.energy import ArrayEnergyLedger
 from repro.sim.array_engine.layout import ArrayLayout, build_array_layout
 from repro.sim.array_engine.loss import ArrayLossDraw
@@ -62,74 +67,12 @@ from repro.util.rng import RngFactory
 
 
 @dataclass
-class _ArrayClock:
-    """Duck-type of ``network.sim`` for the scoring/oracle surface."""
-
-    now: float
-
-
-class _ArrayNetworkFacade:
-    """Duck-type of :class:`~repro.sim.network.Network` for scoring.
-
-    Provides exactly what the summary and the differential oracles
-    consume: ``sim.now``, ``operational_ids()``, ``crashed_ids()``, and
-    ``len()``.
-    """
-
-    def __init__(
-        self,
-        now: float,
-        operational: Tuple[NodeId, ...],
-        crashed: Tuple[NodeId, ...],
-    ) -> None:
-        self.sim = _ArrayClock(now=now)
-        self._operational = operational
-        self._crashed = crashed
-
-    def operational_ids(self) -> Tuple[NodeId, ...]:
-        return self._operational
-
-    def crashed_ids(self) -> Tuple[NodeId, ...]:
-        return self._crashed
-
-    def __len__(self) -> int:
-        return len(self._operational) + len(self._crashed)
-
-
-class _ArrayLayoutFacade:
-    """Duck-type of ``ClusterLayout`` where only ``len(clusters)`` and
-    clustered-membership checks are consumed."""
-
-    def __init__(
-        self,
-        cluster_count: int,
-        node_count: int,
-        assign: Optional[np.ndarray] = None,
-    ) -> None:
-        self.clusters = range(cluster_count)
-        self._node_count = node_count
-        #: ``None`` means the oracle lattice (everyone clustered,
-        #: spacing < 2r); protocol layouts pass their ``assign`` array
-        #: so unclustered nodes (``PAD``) answer False.
-        self._assign = assign
-
-    def is_clustered(self, node_id: NodeId) -> bool:
-        nid = int(node_id)
-        if not 0 <= nid < self._node_count:
-            return False
-        if self._assign is None:
-            return True
-        return int(self._assign[nid]) >= 0
-
-
-@dataclass
 class ArrayScenarioResult:
     """Array-engine run product, summary-compatible with ScenarioResult."""
 
     config: "object"  # ScenarioConfig (kept untyped to avoid an import cycle)
-    network: _ArrayNetworkFacade
-    layout: _ArrayLayoutFacade
-    array_layout: ArrayLayout
+    network: LivenessView
+    layout: ArrayLayout
     faultload: Faultload
     properties: PropertyReport
     messages: MessageCounts
@@ -152,45 +95,9 @@ class ArrayScenarioResult:
         return detection_latency(self.tracer, self.crash_times)
 
     def summary(self) -> Dict[str, float]:
-        latencies = [
-            v for v in self.detection_latencies.values() if v is not None
-        ]
-        return {
-            "nodes": float(len(self.network)),
-            "clusters": float(len(self.layout.clusters)),
-            "crashes": float(len(self.faultload)),
-            "mean_completeness": self.properties.mean_completeness,
-            "accuracy_violations": float(
-                len(self.properties.accuracy_violations)
-            ),
-            "transmissions": float(self.messages.transmissions),
-            "observed_loss_rate": self.messages.loss_rate,
-            "mean_detection_latency": (
-                float(sum(latencies) / len(latencies)) if latencies else 0.0
-            ),
-        }
-
-
-def _crash_executions(
-    faultload: Faultload,
-    node_count: int,
-    executions: int,
-    phi: float,
-    fds_start: float,
-) -> np.ndarray:
-    """First 0-based execution during which each node is crashed.
-
-    The faultload places crash ``k`` (1-based scheduling index) at
-    ``fds_start + (k - 1) * phi + 0.6 * phi`` -- after every round of
-    execution ``k - 1`` but before execution ``k`` -- so the node is
-    alive through execution ``k - 1`` and silent from ``k`` on.  Nodes
-    that never crash get ``executions + 1`` (alive past the horizon).
-    """
-    out = np.full(node_count, executions + 1, dtype=np.int64)
-    for event in faultload.events:
-        k = int(round((event.time - fds_start - 0.6 * phi) / phi)) + 1
-        out[int(event.node_id)] = k
-    return out
+        return run_summary(
+            self, self.messages.transmissions, self.messages.loss_rate
+        )
 
 
 def _score_properties(
@@ -333,54 +240,48 @@ def run_array_scenario(
     if profiler is not None:
         profiler.add_seconds(PHASE_ARRAY_LAYOUT, _time.perf_counter() - t0)
 
-    # Same candidate order and stream as the event path: operational
-    # node IDs ascending, heads excluded -- in the lattice that is every
-    # member NID; under the protocol, heads sit anywhere, and unclustered
-    # nodes remain candidates.
-    if config.formation == "oracle":
-        candidates = tuple(
-            NodeId(int(n))
-            for n in range(config.cluster_count, layout.node_count)
-        )
-    else:
-        head_set = frozenset(int(h) for h in layout.head_nids)
-        candidates = tuple(
-            NodeId(n)
-            for n in range(layout.node_count)
-            if n not in head_set
-        )
-    last_exec = max(1, config.executions - 2)
-    faultload = make_random_crashes(
+    # Same candidates as the event path: node IDs ascending, heads
+    # excluded -- in the lattice that is every member NID; under the
+    # protocol, heads sit anywhere, and unclustered nodes remain
+    # candidates.
+    candidates = np.setdiff1d(
+        np.arange(layout.node_count, dtype=np.int64),
+        layout.head_nids,
+        assume_unique=True,
+    )
+    faultload = scenario_faultload(
         candidates,
         config.crash_count,
+        config.executions,
         config.fds,
         rngs.stream("faultload"),
         fds_start=fds_start,
-        first_execution=1,
-        last_execution=last_exec,
     )
     crash_times = {e.node_id: e.time for e in faultload.events}
-    crash_exec = _crash_executions(
-        faultload, layout.node_count, config.executions,
-        config.fds.phi, fds_start,
+    # First execution each node is silent in; nodes that never crash get
+    # ``executions + 1`` (alive past the horizon).
+    crash_exec = np.full(
+        layout.node_count, config.executions + 1, dtype=np.int64
     )
+    for event in faultload.events:
+        crash_exec[int(event.node_id)] = config.fds.crash_execution(
+            fds_start, event.time
+        )
 
     if tracer.enabled:
-        tracer.record(
+        stamp_run_header(
+            tracer,
             0.0,
-            META_KIND,
-            phi=config.fds.phi,
-            thop=config.fds.thop,
-            nodes=layout.node_count,
-            seed=config.seed,
-            executions=config.executions,
-            fds_start=fds_start,
+            TraceMeta(
+                phi=config.fds.phi,
+                thop=config.fds.thop,
+                nodes=layout.node_count,
+                seed=config.seed,
+                executions=config.executions,
+                fds_start=fds_start,
+            ),
+            array_topology_detail(layout),
         )
-        # Cluster map for the dashboard's /api/topology, same shape as
-        # the event engine's record (heads/members/deputies/boundaries).
-        from repro.obs.topology import TOPOLOGY_KIND, array_topology_detail
-
-        tracer.record(0.0, TOPOLOGY_KIND, **array_topology_detail(layout))
         # Crash ground truth, as the event engine's node runtime emits
         # it -- the spool must stay self-describing (``repro trace
         # latency`` recovers crash times from ``sim.crash`` alone).
@@ -416,10 +317,9 @@ def run_array_scenario(
             calls=config.executions,
         )
 
-    # The event scheduler parks the clock at the tail of the last
-    # execution window; mirror it so latency/accuracy horizons agree.
-    horizon = fds_start + (config.executions - 1) * config.fds.phi
-    horizon += 0.95 * config.fds.phi
+    # Where the event scheduler parks its clock, so latency/accuracy
+    # horizons agree across engines.
+    horizon = config.fds.run_end(fds_start, config.executions)
 
     t0 = _time.perf_counter()
     report, operational, crashed = _score_properties(
@@ -443,22 +343,12 @@ def run_array_scenario(
         origin_retransmissions=0,
     )
 
-    if profiler is not None and profiler.enabled and tracer.enabled:
-        for phase, seconds, _share, calls in profiler.shares():
-            tracer.record(
-                horizon, PROFILE_KIND, phase=phase, seconds=seconds,
-                calls=calls,
-            )
+    stamp_profile(tracer, horizon, profiler)
 
     return ArrayScenarioResult(
         config=config,
-        network=_ArrayNetworkFacade(horizon, operational, crashed),
-        layout=_ArrayLayoutFacade(
-            layout.cluster_count,
-            layout.node_count,
-            assign=layout.assign if outcome is not None else None,
-        ),
-        array_layout=layout,
+        network=LivenessView(operational, crashed, horizon),
+        layout=layout,
         faultload=faultload,
         properties=report,
         messages=messages,

@@ -20,11 +20,11 @@ Extensions beyond the paper (used by ablation and robustness studies):
 
 from __future__ import annotations
 
-import math
 from typing import Dict, Mapping, Sequence, Tuple
 
 import numpy as np
 
+from repro.errors import ConfigurationError
 from repro.types import NodeId, SimTime
 from repro.util.validation import check_probability, check_range
 
@@ -212,27 +212,28 @@ class DistanceDependentLoss(LossModel):
         self.p_far = check_probability("p_far", p_far)
         self.exponent = check_range("exponent", exponent, 0.0, 16.0)
 
-    def loss_probability(self, distance: float) -> float:
-        """The per-copy loss probability at the given distance."""
-        frac = min(max(distance / self.transmission_range, 0.0), 1.0)
-        p = self.p_near + (self.p_far - self.p_near) * math.pow(frac, self.exponent)
-        return min(max(p, 0.0), 1.0)
-
-    def is_lost(self, sender, receiver, distance, time, rng) -> bool:
-        return bool(rng.uniform() < self.loss_probability(distance))
-
-    def lost_mask(self, sender, receivers, distances, time, rng) -> np.ndarray:
+    def loss_probabilities(self, distances) -> np.ndarray:
+        """The per-copy loss probability at each of ``distances``."""
         frac = np.clip(
             np.asarray(distances, dtype=np.float64) / self.transmission_range,
             0.0,
             1.0,
         )
-        p = np.clip(
+        return np.clip(
             self.p_near + (self.p_far - self.p_near) * frac**self.exponent,
             0.0,
             1.0,
         )
-        return rng.random(len(receivers)) < p
+
+    def loss_probability(self, distance: float) -> float:
+        """The per-copy loss probability at the given distance."""
+        return float(self.loss_probabilities(distance))
+
+    def is_lost(self, sender, receiver, distance, time, rng) -> bool:
+        return bool(rng.uniform() < self.loss_probability(distance))
+
+    def lost_mask(self, sender, receivers, distances, time, rng) -> np.ndarray:
+        return rng.random(len(receivers)) < self.loss_probabilities(distances)
 
     def describe(self) -> str:
         return (
@@ -301,8 +302,16 @@ class CompositeLoss(LossModel):
         return f"CompositeLoss({inner})"
 
 
-#: Loss-model kinds addressable by name (declarative scenario configs).
-LOSS_KINDS = ("perfect", "bernoulli", "bounded", "distance", "gilbert")
+#: Loss-model kinds addressable by name (declarative scenario configs),
+#: each with its model class and the parameter names its spec accepts.
+_LOSS_MODELS = {
+    "perfect": (PerfectLinks, ()),
+    "bernoulli": (BernoulliLoss, ("p",)),
+    "bounded": (BoundedAdversaryLoss, ("p", "budget")),
+    "distance": (DistanceDependentLoss, ("p_near", "p_far", "exponent")),
+    "gilbert": (GilbertElliottLoss, ("p_good", "p_bad", "p_gb", "p_bg")),
+}
+LOSS_KINDS = tuple(_LOSS_MODELS)
 
 
 def build_loss_model(
@@ -312,36 +321,63 @@ def build_loss_model(
     loss_probability: float = 0.1,
     transmission_range: float = 100.0,
 ) -> LossModel:
-    """Instantiate a loss model from a declarative ``(kind, params)`` spec.
+    """Parse a declarative ``(kind, params)`` spec into its loss model.
 
     Scenario configs must stay frozen and picklable (they cross process
     boundaries in the parallel fabric), so they carry a kind string and a
-    flat parameter mapping instead of a live model object; this factory
-    turns the spec into the model at run time.  ``loss_probability`` seeds
-    the ``p`` of the Bernoulli-flavored kinds unless ``params`` overrides
-    it; ``transmission_range`` parameterizes the distance-dependent model.
+    flat parameter mapping instead of a live model object; this is the
+    one place that spec is parsed.  The model carries the validated
+    values with every default filled in, so the array engine's batched
+    draws read their parameters off it.  ``loss_probability`` seeds the
+    ``p`` of the Bernoulli-flavored kinds unless ``params`` overrides it.
+    Unknown kinds or parameter names and out-of-range values raise
+    :class:`~repro.errors.ConfigurationError`.
     """
-    kwargs = dict(params or {})
-    if kind == "perfect":
-        model: LossModel = PerfectLinks()
-    elif kind == "bernoulli":
-        model = BernoulliLoss(kwargs.pop("p", loss_probability))
-    elif kind == "bounded":
-        model = BoundedAdversaryLoss(
-            kwargs.pop("p", loss_probability), int(kwargs.pop("budget", 3))
-        )
-    elif kind == "distance":
-        model = DistanceDependentLoss(transmission_range, **kwargs)
-        kwargs = {}
-    elif kind == "gilbert":
-        model = GilbertElliottLoss(**kwargs)
-        kwargs = {}
-    else:
-        raise ValueError(
+    if kind not in _LOSS_MODELS:
+        raise ConfigurationError(
             f"unknown loss kind {kind!r}; expected one of {LOSS_KINDS}"
         )
-    if kwargs:
-        raise ValueError(
-            f"unused loss parameters for kind {kind!r}: {sorted(kwargs)}"
+    model_class, names = _LOSS_MODELS[kind]
+    kwargs = dict(params or {})
+    unknown = sorted(set(kwargs) - set(names))
+    if unknown:
+        raise ConfigurationError(
+            f"unknown loss parameters for kind {kind!r}: {unknown} "
+            f"(accepted: {list(names)})"
         )
-    return model
+    if "p" in names:
+        kwargs.setdefault("p", loss_probability)
+    if kind == "distance":
+        kwargs["transmission_range"] = transmission_range
+    try:
+        if kind == "bounded":
+            kwargs["budget"] = int(kwargs.get("budget", 3))
+        return model_class(**kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"invalid {kind!r} loss spec: {exc}") from exc
+
+
+def loss_params(
+    kind: str, p: float, budget: int
+) -> Tuple[Tuple[str, float], ...]:
+    """The ``params`` of the soak/runtime shorthand ``(kind, p, budget)``.
+
+    Differential specs and runtime scenarios describe loss by one
+    intensity ``p`` (plus the adversary's drop ``budget``); this expands
+    the pair into the declarative spec :func:`build_loss_model` parses.
+    """
+    if kind == "bounded":
+        return (("p", p), ("budget", float(budget)))
+    if kind == "bernoulli":
+        return (("p", p),)
+    if kind == "gilbert":
+        # Bursty-channel sweep: ``p`` scales the Good -> Bad entry rate,
+        # so the stationary loss rises monotonically with it while
+        # bursts stay genuinely bursty (p_bad = 0.8).
+        return (
+            ("p_good", 0.02),
+            ("p_bad", 0.8),
+            ("p_gb", p / 5.0),
+            ("p_bg", 0.3),
+        )
+    return ()

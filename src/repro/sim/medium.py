@@ -21,19 +21,18 @@ protocol code never peeks at ground truth.
 Hot-path design
 ---------------
 ``transmit`` is the single hottest function in any full-stack run: every
-heartbeat, digest, and gossip fans out over it.  The default *vectorized*
-path draws the loss outcome for every in-range receiver with one batched
-RNG call (:meth:`LossModel.lost_mask`) and all delivery delays with a
-second, against a per-sender cached ``(neighbors, distances)`` array pair
+heartbeat, digest, and gossip fans out over it.  It draws the loss
+outcome for every in-range receiver with one batched RNG call
+(:meth:`LossModel.lost_mask`) and all delivery delays with a second,
+against a per-sender cached ``(neighbors, distances)`` array pair
 (invalidated together with the neighbor cache on any topology change).
 
-A *scalar* reference path (``vectorized=False``) keeps the pre-vectorization
-per-receiver loop -- one RNG draw, one distance recomputation, and one
-tracer dispatch per receiver -- for regression benchmarks and determinism
-tests.  Both paths follow the same canonical draw schedule (all loss draws
-in ascending receiver order, then all delay draws for the surviving
-receivers), and batched NumPy doubles consume the bit stream exactly like
-sequential scalar draws, so the two paths are bit-identical for any seed.
+The draw schedule is canonical -- all loss draws in ascending receiver
+order, then all delay draws for the surviving receivers -- and batched
+NumPy doubles consume the bit stream exactly like sequential scalar
+draws, so the per-receiver reference loop the tests keep
+(``tests/scalar_medium.py``, overriding :meth:`RadioMedium._fan_out`)
+replays any seeded run bit for bit.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ from collections import defaultdict
 from functools import partial
 from itertools import compress
 from time import perf_counter
-from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, NamedTuple, Optional, Set, Tuple
 
 import numpy as np
 
@@ -104,7 +103,6 @@ class RadioMedium:
         rng: Optional[np.random.Generator] = None,
         max_delay: float = 0.1,
         tracer: Optional[Tracer] = None,
-        vectorized: bool = True,
     ) -> None:
         self.sim = sim
         self.transmission_range = check_positive(
@@ -116,9 +114,6 @@ class RadioMedium:
         #: protocol round duration chosen >= this bound).
         self.max_delay = check_positive("max_delay", max_delay)
         self.tracer = tracer if tracer is not None else NullTracer()
-        #: ``True`` uses the batched-RNG fan-out; ``False`` the per-receiver
-        #: reference loop.  Both produce bit-identical runs (see module doc).
-        self.vectorized = bool(vectorized)
 
         self._positions: Dict[NodeId, Vec2] = {}
         self._handlers: Dict[NodeId, DeliveryHandler] = {}
@@ -258,18 +253,14 @@ class RadioMedium:
             raise MediumError(f"recipient {recipient} is not registered")
         profiler = self.sim.profiler
         if not profiler.enabled:
-            if not self.vectorized:
-                return self._transmit_scalar(sender, payload, recipient)
-            return self._transmit_vectorized(sender, payload, recipient)
+            return self._fan_out(sender, payload, recipient)
         t0 = perf_counter()
         try:
-            if not self.vectorized:
-                return self._transmit_scalar(sender, payload, recipient)
-            return self._transmit_vectorized(sender, payload, recipient)
+            return self._fan_out(sender, payload, recipient)
         finally:
             profiler.add(PHASE_RADIO_TRANSMIT, t0)
 
-    def _transmit_vectorized(
+    def _fan_out(
         self,
         sender: NodeId,
         payload: object,
@@ -331,51 +322,6 @@ class RadioMedium:
             schedule(when, partial(deliver, receiver, envelope))
         return len(survivors)
 
-    def _transmit_scalar(
-        self,
-        sender: NodeId,
-        payload: object,
-        recipient: Optional[NodeId],
-    ) -> int:
-        """Reference per-receiver fan-out (the pre-vectorization hot path).
-
-        Follows the same canonical draw schedule as the vectorized path --
-        all loss draws first (ascending receiver id), then all delay draws
-        for the survivors -- so a seeded run is bit-identical under either
-        path.  Everything else is deliberately naive: per-receiver distance
-        recomputation, per-receiver scalar RNG calls, unconditional tracer
-        dispatch.
-        """
-        now = self.sim.now
-        self.transmissions += 1
-        self.tracer.record(now, "radio.tx", node=int(sender), recipient=recipient)
-        survivors: List[NodeId] = []
-        for receiver in self.neighbors_of(sender):
-            if not self._receiving[receiver]:
-                continue
-            dist = self.distance(sender, receiver)
-            if self.loss_model.is_lost(sender, receiver, dist, now, self.rng):
-                self.losses += 1
-                self.tracer.record(
-                    now, "radio.loss", node=int(receiver), sender=int(sender)
-                )
-                continue
-            survivors.append(receiver)
-        delivered = 0
-        for receiver in survivors:
-            delay = float(self.max_delay * (1.0 - self.rng.random()))
-            envelope = Envelope(
-                sender=sender,
-                recipient=recipient,
-                payload=payload,
-                sent_at=now,
-                received_at=now + delay,
-                overheard=(recipient is not None and receiver != recipient),
-            )
-            self._schedule_delivery(receiver, envelope)
-            delivered += 1
-        return delivered
-
     def _deliver(self, receiver: NodeId, envelope: Envelope) -> None:
         # Receiver may have crashed/unregistered since the copy left.
         if not self._receiving.get(receiver, False):
@@ -399,13 +345,6 @@ class RadioMedium:
                 profiler.add(PHASE_RADIO_DELIVER, t0)
         else:
             self._handlers[receiver](envelope)
-
-    def _schedule_delivery(self, receiver: NodeId, envelope: Envelope) -> None:
-        self.sim.schedule_at(
-            envelope.received_at,
-            partial(self._deliver, receiver, envelope),
-            label="radio.delivery",
-        )
 
     # ------------------------------------------------------------------
     # Spatial grid internals

@@ -36,9 +36,6 @@ class NetworkConfig:
     loss_probability: float = 0.1
     max_delay: float = 0.1
     seed: int = 0
-    #: ``True`` (default) uses the batched-RNG radio hot path; ``False``
-    #: the per-receiver reference loop.  Bit-identical either way.
-    vectorized: bool = True
 
     def __post_init__(self) -> None:
         if self.transmission_range <= 0:
@@ -122,7 +119,6 @@ def build_network(
         rng=rngs.stream("medium"),
         max_delay=cfg.max_delay,
         tracer=trc,
-        vectorized=cfg.vectorized,
     )
     nodes = {
         NodeId(nid): SimNode(NodeId(nid), pos, sim, medium)

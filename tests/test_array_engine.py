@@ -32,7 +32,7 @@ from repro.audit.differential import (
     verdict_records,
 )
 from repro.cluster.geometric import build_clusters
-from repro.errors import ExperimentError
+from repro.errors import ConfigurationError, ExperimentError
 from repro.experiments.runner import ScenarioConfig, run_scenario
 from repro.sim.array_engine import run_array_scenario
 from repro.sim.array_engine.layout import PAD, build_array_layout
@@ -343,7 +343,7 @@ def test_gilbert_stationary_loss_rate_matches_scalar():
         loss_probability=0.0, transmission_range=100.0,
         rng=np.random.default_rng(0),
     )
-    assert array.stationary_loss_rate == (
+    assert array.model.stationary_loss_rate == (
         GilbertElliottLoss(**params).stationary_loss_rate
     )
 
@@ -351,7 +351,7 @@ def test_gilbert_stationary_loss_rate_matches_scalar():
 def test_gilbert_non_ergodic_chain_rejected():
     from repro.sim.array_engine.loss import ArrayLossDraw
 
-    with pytest.raises(ExperimentError, match="ergodic"):
+    with pytest.raises(ConfigurationError, match="ergodic"):
         ArrayLossDraw(
             "gilbert", (("p_gb", 0.0), ("p_bg", 0.0)),
             loss_probability=0.0, transmission_range=100.0,
@@ -490,7 +490,6 @@ def test_fds_rounds_with_nonidentity_heads_match_event():
     )
     from repro.sim.array_engine.loss import ArrayLossDraw
     from repro.sim.array_engine.rounds import ArrayRoundEngine
-    from repro.sim.array_engine.runner import _crash_executions
     from repro.sim.loss import build_loss_model
     from repro.sim.network import NetworkConfig, build_network
     from repro.sim.trace import RecordingTracer
@@ -519,7 +518,7 @@ def test_fds_rounds_with_nonidentity_heads_match_event():
         positions,
         NetworkConfig(
             transmission_range=outcome.radius, loss_probability=0.0,
-            seed=0, vectorized=True,
+            seed=0,
         ),
         loss_model=build_loss_model("perfect", ()),
         tracer=event_tracer,
@@ -538,9 +537,9 @@ def test_fds_rounds_with_nonidentity_heads_match_event():
     deployment.run_executions(executions)
 
     array_tracer = RecordingTracer()
-    crash_exec = _crash_executions(
-        faultload, outcome.node_count, executions, fds.phi, 0.0
-    )
+    crash_exec = np.full(outcome.node_count, executions + 1, dtype=np.int64)
+    for event in faultload.events:
+        crash_exec[int(event.node_id)] = fds.crash_execution(0.0, event.time)
     engine = ArrayRoundEngine(
         array_layout, fds,
         ArrayLossDraw(
@@ -586,7 +585,6 @@ def _formation_layouts_for_field(xs, ys, radius, loss_p=0.0, iterations=3):
         positions,
         NetworkConfig(
             transmission_range=radius, loss_probability=loss_p, seed=0,
-            vectorized=True,
         ),
         loss_model=build_loss_model(kind, params),
     )

@@ -17,7 +17,6 @@ from pathlib import Path
 import pytest
 
 from repro.__main__ import main
-from repro.campaign.cli import find_repo_root
 from repro.campaign.telemetry import read_events
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -224,11 +223,6 @@ class TestSoakCli:
         ])
         assert code == 130
         assert "interrupted" in capsys.readouterr().out
-
-
-class TestBenchCli:
-    def test_find_repo_root(self):
-        assert find_repo_root() == REPO_ROOT
 
 
 class TestStatusJson:

@@ -221,6 +221,15 @@ class TestManifests:
         with pytest.raises(ConfigurationError):
             plan_from_manifest(manifest)
 
+    def test_plan_from_manifest_rejects_retired_config_field(self):
+        # A manifest stored before ``vectorized`` was retired must be
+        # refused with the typed error, not a TypeError from the
+        # dataclass constructor.
+        manifest = scenario_repeat_plan(SMALL, [4, 5]).manifest()
+        manifest["params"]["config"]["vectorized"] = True
+        with pytest.raises(ConfigurationError, match="vectorized"):
+            plan_from_manifest(manifest)
+
     def test_unknown_estimator_rejected(self):
         with pytest.raises(ConfigurationError):
             mc_plan("not_an_estimator", n=10, p=0.1, trials=100, seed=0)

@@ -65,8 +65,21 @@ class TestCli:
         assert "dch_distance" in out
 
     def test_unknown_command_exits(self):
-        with pytest.raises(SystemExit):
-            main(["not-a-command"])
+        for command in ("not-a-command", "bench"):  # bench: retired
+            with pytest.raises(SystemExit):
+                main([command])
+
+    @pytest.mark.parametrize("argv", [
+        ["scenario", "--clusters", "2", "--members", "5", "--crashes", "50"],
+        ["scenario", "--formation-backoff", "2"],
+        ["rt", "run", "--crashes", "40", "--members", "4"],
+    ])
+    def test_invalid_input_is_one_error_line(self, argv, capsys):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        lines = captured.out.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "Traceback" not in captured.out + captured.err
 
 
 class TestTraceCli:

@@ -8,6 +8,7 @@ compare everything observable.
 
 from repro.experiments.runner import ScenarioConfig, run_scenario
 from repro.experiments.scenarios import single_cluster_validation
+from tests.scalar_medium import ScalarRadioMedium, scalar_medium_installed
 
 
 def fingerprint(result):
@@ -53,11 +54,11 @@ class TestDeterminism:
             executions=4,
             seed=99,
         )
-        from dataclasses import replace
-
         a = fingerprint(run_scenario(config))
-        b = fingerprint(run_scenario(replace(config, vectorized=False)))
-        assert a == b
+        with scalar_medium_installed():
+            scalar = run_scenario(config)
+        assert isinstance(scalar.network.medium, ScalarRadioMedium)
+        assert a == fingerprint(scalar)
 
     def test_different_seeds_differ(self):
         base = ScenarioConfig(

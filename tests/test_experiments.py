@@ -95,6 +95,20 @@ class TestScenarioRunner:
             ScenarioConfig(formation="magic")
         with pytest.raises(ExperimentError):
             ScenarioConfig(crash_count=-1)
+        # A bad loss spec is refused before any engine starts -- the
+        # array engine used to run these (p=1.5 as 100 % loss, the typos
+        # ignored) while the event engine raised three different errors.
+        for engine in ("event", "array"):
+            for kind, params in (
+                ("bernoulli", (("p", 1.5),)),
+                ("bernoulli", (("p_typo", 0.5),)),
+                ("gilbert", (("p_goood", 0.5),)),
+                ("quantum", ()),
+            ):
+                with pytest.raises(ExperimentError):
+                    ScenarioConfig(
+                        engine=engine, loss_kind=kind, loss_params=params
+                    )
 
 
 class TestValidation:

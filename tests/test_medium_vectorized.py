@@ -25,6 +25,7 @@ from repro.sim.loss import (
 from repro.sim.medium import RadioMedium, draw_delays
 from repro.sim.trace import RecordingTracer
 from repro.util.geometry import Vec2
+from tests.scalar_medium import ScalarRadioMedium
 
 
 class StubRng:
@@ -42,14 +43,13 @@ class StubRng:
 def make_medium(loss=None, rng_seed=0, vectorized=True, tracer=None,
                 max_delay=0.1):
     sim = Simulator()
-    medium = RadioMedium(
+    medium = (RadioMedium if vectorized else ScalarRadioMedium)(
         sim,
         transmission_range=100.0,
         loss_model=loss if loss is not None else PerfectLinks(),
         rng=np.random.default_rng(rng_seed),
         max_delay=max_delay,
         tracer=tracer,
-        vectorized=vectorized,
     )
     return sim, medium
 
@@ -230,9 +230,9 @@ class TestLostMaskEquivalence:
 
 class TestVectorizedScalarEquivalence:
     def test_paths_bit_identical_at_medium_level(self):
-        # Same seed, same topology, same transmissions: the two transmit
-        # implementations must produce identical envelopes, counters, and
-        # trace records.
+        # Same seed, same topology, same transmissions: the production
+        # fan-out and the scalar reference (tests/scalar_medium.py) must
+        # produce identical envelopes, counters, and trace records.
         captured = {}
         for vectorized in (True, False):
             tracer = RecordingTracer()

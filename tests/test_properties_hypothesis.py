@@ -14,6 +14,7 @@ from repro.analysis.incompleteness import (
     p_incompleteness_literal,
 )
 from repro.cluster.geometric import lowest_id_partition
+from repro.fds.config import FdsConfig
 from repro.fds.detector import DetectionInputs, apply_failure_rule
 from repro.fds.digest import build_digest
 from repro.fds.reports import BoundaryLedger, ReportHistory
@@ -314,3 +315,31 @@ def test_render_table_never_crashes_and_aligns(rows):
     assert len(lines) == len(rows) + 2
     widths = {len(line.rstrip()) <= len(lines[0]) + 200 for line in lines}
     assert widths  # smoke: all lines rendered
+
+
+# ----------------------------------------------------------------------
+# Execution timing policy (one owner: FdsConfig)
+# ----------------------------------------------------------------------
+
+#: phi from rt's wall-scaled 0.3 s (thop 25 ms) up to the paper's 30 s.
+timing_cases = st.tuples(
+    st.sampled_from([0.3, 0.4, 0.6, 1.0, 6.0, 8.0, 20.0, 30.0, 1e3]),
+    st.floats(min_value=0.0, max_value=1e4, allow_nan=False),
+    st.integers(min_value=1, max_value=400),
+    st.integers(min_value=1, max_value=400),
+)
+
+
+@given(timing_cases)
+def test_crash_execution_inverts_crash_time_and_precedes_run_end(case):
+    phi, start, execution, extra = case
+    fds = FdsConfig(phi=phi, thop=phi / 16.0, wait_slot=phi / 1000.0)
+    crash = fds.crash_time(start, execution)
+    assert fds.crash_execution(start, crash) == execution
+    # The faultload window draws from 1 .. max(1, count - 2): such a
+    # crash always lands before the run ends, outside any execution.
+    count = execution + extra
+    assert crash < fds.run_end(start, count)
+    assert fds.run_end(start, count) < start + count * phi
+    assert (crash - start) % phi > fds.execution_duration()
+

@@ -277,6 +277,57 @@ def test_realnet_spec_distribution_is_deterministic():
     assert realnet_spec(3) != realnet_spec(4)
 
 
+def test_one_scenario_contract_across_event_array_rt():
+    """One seed, three substrates: the same nodes crash in the same
+    executions (all through ``scenario_faultload``), the three run
+    headers read back to the same phi-unit description, and the summary
+    surface is shared."""
+    from repro.experiments.runner import run_scenario
+    from repro.obs.analyze import META_KIND, TOPOLOGY_KIND
+
+    spec = ScenarioSpec(
+        seed=5, cluster_count=2, members_per_cluster=6, crash_count=3,
+        executions=5, phi=8.0, thop=0.5,
+    )
+    event = run_scenario(spec.to_config())
+    array = run_scenario(spec.to_config(engine="array"))
+    rt = run_rt_scenario(RtScenario.from_spec(spec))
+
+    def crash_executions(result, fds, start):
+        return {
+            int(nid): fds.crash_execution(start, t)
+            for nid, t in result.crash_times.items()
+        }
+
+    want = crash_executions(event, event.config.fds, 0.0)
+    assert len(want) == 3 and set(want.values()) <= {1, 2, 3}
+    assert crash_executions(array, array.config.fds, 0.0) == want
+    assert crash_executions(rt, rt.config, rt.fds_start) == want
+
+    metas = []
+    for result in (event, array, rt):
+        records = list(result.tracer.records)
+        index = next(
+            i for i, r in enumerate(records) if r.kind == META_KIND
+        )
+        assert records[index + 1].kind == TOPOLOGY_KIND
+        meta = TraceMeta.from_record(records[index])
+        # The writer and the reader agree field for field.
+        assert meta.to_detail() == dict(records[index].detail)
+        metas.append(meta)
+    for meta in metas:
+        assert (meta.nodes, meta.seed, meta.executions) == (14, 5, 5)
+        assert meta.thop / meta.phi == pytest.approx(0.5 / 8.0)
+    assert [m.timebase for m in metas] == ["phi", "phi", WALL_TIMEBASE]
+    assert [m.time_scale for m in metas] == [None, None, 0.05]
+    assert metas[2].phi == pytest.approx(8.0 * 0.05)
+
+    shared = set(event.summary())
+    assert set(array.summary()) == shared
+    assert set(rt.summary()) - shared == {"deliveries", "codec_errors"}
+    assert set(rt.summary()) >= shared
+
+
 def test_realnet_differential_perfect_loss():
     spec = ScenarioSpec(
         seed=11, cluster_count=2, members_per_cluster=5, crash_count=1,

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.sim.loss import (
     BernoulliLoss,
     CompositeLoss,
@@ -160,11 +161,11 @@ class TestBuildLossModel:
     def test_unknown_kind_rejected(self):
         from repro.sim.loss import build_loss_model
 
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             build_loss_model("quantum")
 
     def test_unused_params_rejected(self):
         from repro.sim.loss import build_loss_model
 
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             build_loss_model("perfect", (("p", 0.5),))

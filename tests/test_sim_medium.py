@@ -9,6 +9,7 @@ from repro.sim.loss import BernoulliLoss, PerfectLinks
 from repro.sim.medium import RadioMedium
 from repro.sim.trace import RecordingTracer
 from repro.util.geometry import Vec2
+from tests.scalar_medium import ScalarRadioMedium
 
 
 def make_medium(loss=None, rng_seed=0, tracer=None, max_delay=0.1):
@@ -226,18 +227,17 @@ class TestTracing:
 
 class TestUnregisterMidFlight:
     """A copy in flight toward a node that unregisters must be dropped
-    silently -- on both radio hot paths."""
+    silently -- by the production fan-out and the scalar reference."""
 
     @pytest.mark.parametrize("vectorized", [True, False])
     def test_unregister_before_delivery_drops_copy(self, vectorized):
         sim = Simulator()
-        medium = RadioMedium(
+        medium = (RadioMedium if vectorized else ScalarRadioMedium)(
             sim,
             transmission_range=100.0,
             loss_model=PerfectLinks(),
             rng=np.random.default_rng(0),
             max_delay=0.1,
-            vectorized=vectorized,
         )
         inboxes = {}
         register_line(medium, inboxes, spacing=60.0, count=3)
@@ -249,13 +249,12 @@ class TestUnregisterMidFlight:
     @pytest.mark.parametrize("vectorized", [True, False])
     def test_medium_still_usable_after_midflight_unregister(self, vectorized):
         sim = Simulator()
-        medium = RadioMedium(
+        medium = (RadioMedium if vectorized else ScalarRadioMedium)(
             sim,
             transmission_range=100.0,
             loss_model=PerfectLinks(),
             rng=np.random.default_rng(0),
             max_delay=0.1,
-            vectorized=vectorized,
         )
         inboxes = {}
         register_line(medium, inboxes, spacing=60.0, count=3)

@@ -27,6 +27,7 @@ from repro.audit.soak import SoakOptions, run_soak, soak_iteration
 from repro.experiments.runner import ScenarioConfig, run_scenario
 from repro.fds import events as ev
 from repro.fds.intercluster import InterclusterForwarder
+from tests.scalar_medium import ScalarRadioMedium, scalar_medium_installed
 
 
 # ----------------------------------------------------------------------
@@ -116,8 +117,10 @@ class TestCleanStackChecksClean:
 class TestDifferentialPairs:
     def test_vectorized_scalar_bit_identical(self):
         spec = ScenarioSpec(seed=11, loss_kind="bernoulli", loss_p=0.25)
-        a = run_scenario(spec.to_config(vectorized=True))
-        b = run_scenario(spec.to_config(vectorized=False))
+        a = run_scenario(spec.to_config())
+        with scalar_medium_installed():
+            b = run_scenario(spec.to_config())
+        assert isinstance(b.network.medium, ScalarRadioMedium)
         assert trace_fingerprint(a.tracer) == trace_fingerprint(b.tracer)
 
     def test_fingerprint_distinguishes_seeds(self):
