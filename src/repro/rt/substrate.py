@@ -13,7 +13,7 @@ is disarmed in one call.
 from __future__ import annotations
 
 import asyncio
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.errors import NodeStateError, SchedulingError
 from repro.sim.medium import Envelope
@@ -30,10 +30,15 @@ class RtTimer:
         loop: asyncio.AbstractEventLoop,
         callback,
         label: str = "",
+        armed_registry: Optional[Dict["RtTimer", None]] = None,
     ) -> None:
         self._loop = loop
         self._callback = callback
         self._label = label
+        #: The owning service's armed set (a private one for a timer made
+        #: without a service): this timer is a key exactly while it is
+        #: counting down.
+        self._armed_registry = armed_registry if armed_registry is not None else {}
         self._handle: Optional[asyncio.TimerHandle] = None
         self._fired_count = 0
 
@@ -52,30 +57,40 @@ class RtTimer:
             raise SchedulingError(f"timer delay must be >= 0, got {delay}")
         self.stop()
         self._handle = self._loop.call_later(delay, self._expire)
+        self._armed_registry[self] = None
 
     def stop(self) -> None:
         """Disarm without firing; idempotent."""
         if self._handle is not None:
             self._handle.cancel()
-            self._handle = None
+            self._disarmed()
+
+    def _disarmed(self) -> None:
+        self._handle = None
+        self._armed_registry.pop(self, None)
 
     def _expire(self) -> None:
-        self._handle = None
+        self._disarmed()
         self._fired_count += 1
         self._callback()
 
 
 class RtTimerService:
-    """A factory that tracks every timer it creates (crash = stop_all)."""
+    """A factory that tracks its armed timers (crash = stop_all).
+
+    Like :class:`repro.sim.timers.TimerService`, a timer is tracked only
+    while it counts down, so a long ``repro rt`` run does not accumulate
+    its fired one-shots.
+    """
 
     def __init__(self, loop: asyncio.AbstractEventLoop) -> None:
         self._loop = loop
-        self._timers: List[RtTimer] = []
+        self._armed: Dict[RtTimer, None] = {}
 
     def create(self, callback, label: str = "") -> RtTimer:
-        timer = RtTimer(self._loop, callback, label=label)
-        self._timers.append(timer)
-        return timer
+        return RtTimer(
+            self._loop, callback, label=label, armed_registry=self._armed
+        )
 
     def after(self, delay: float, callback, label: str = "") -> RtTimer:
         timer = self.create(callback, label=label)
@@ -83,12 +98,12 @@ class RtTimerService:
         return timer
 
     def stop_all(self) -> None:
-        for timer in self._timers:
+        for timer in list(self._armed):
             timer.stop()
 
     @property
     def armed_count(self) -> int:
-        return sum(1 for t in self._timers if t.armed)
+        return len(self._armed)
 
 
 class RtNode:

@@ -14,12 +14,15 @@ fancier.  Determinism rules:
 
 from __future__ import annotations
 
+from math import inf
 from time import perf_counter
 from typing import Callable, Optional
 
+import numpy as np
+
 from repro.errors import SchedulingError, SimulationError
 from repro.obs.profiler import NULL_PROFILER, PHASE_SIM_HEAP, PhaseProfiler
-from repro.sim.events import DEFAULT_PRIORITY, Event, EventQueue
+from repro.sim.events import DEFAULT_PRIORITY, BatchCallback, Event, EventQueue
 from repro.types import SimTime
 
 
@@ -97,21 +100,23 @@ class Simulator:
             self._now + delay, callback, priority=priority, label=label
         )
 
-    def schedule_fire_and_forget(
-        self, time: SimTime, callback: Callable[[], None]
+    def schedule_batch(
+        self,
+        times: np.ndarray,
+        targets: np.ndarray,
+        callback: BatchCallback,
     ) -> None:
-        """Schedule a *non-cancellable* callback at absolute time ``time``.
+        """Schedule ``callback(targets[i])`` at absolute ``times[i]``, all ``i``.
 
-        The hot path for high-fan-out producers (the radio medium schedules
-        one delivery per surviving receiver of every transmission): skips
-        the :class:`Event` handle allocation.  Ordering semantics are
-        identical to :meth:`schedule_at` at default priority.
+        One call for a whole fan-out (the radio medium schedules every
+        surviving copy of a transmission this way).  Firing order is
+        exactly that of one :meth:`schedule_at` per entry, in array
+        order, at default priority -- but the entries cannot be
+        cancelled and cost no per-entry heap event (see
+        :mod:`repro.sim.events`, "delivery lane").  Any time in the past
+        raises :class:`SchedulingError`.
         """
-        if time < self._now:
-            raise SchedulingError(
-                f"cannot schedule at t={time} before current time t={self._now}"
-            )
-        self._queue.push_bare(time, callback)
+        self._queue.push_batch(times, targets, callback, not_before=self._now)
 
     def cancel(self, event: Event) -> None:
         """Cancel a scheduled event; idempotent."""
@@ -122,23 +127,11 @@ class Simulator:
 
         Returns ``False`` when the queue is empty (nothing was run).
         """
-        if not self._queue:
-            return False
-        profiler = self.profiler
-        if profiler.enabled:
-            # Event-heap churn: the pop (and lazy cancellation skips)
-            # alone, so callback work is charged to its own phase.
-            t0 = perf_counter()
-            time, _priority, _sequence, callback, _event = self._queue.pop_entry()
-            profiler.add(PHASE_SIM_HEAP, t0)
-        else:
-            time, _priority, _sequence, callback, _event = self._queue.pop_entry()
-        if time < self._now:  # pragma: no cover - guarded by schedule_at
-            raise SimulationError("event queue yielded an event in the past")
-        self._now = time
-        self._processed += 1
-        callback()
-        return True
+        self._guard_reentry()
+        try:
+            return self._advance(inf, 1) == 1
+        finally:
+            self._running = False
 
     def run_until(self, end_time: SimTime) -> None:
         """Run all events with ``time <= end_time``; clock ends at ``end_time``.
@@ -152,11 +145,7 @@ class Simulator:
             )
         self._guard_reentry()
         try:
-            while True:
-                next_time = self._queue.peek_time()
-                if next_time is None or next_time > end_time:
-                    break
-                self.step()
+            self._advance(end_time, None)
         finally:
             self._running = False
         self._now = end_time
@@ -168,18 +157,81 @@ class Simulator:
         (e.g. a periodic service with no stop condition).
         """
         self._guard_reentry()
-        executed = 0
         try:
-            while self._queue:
-                if max_events is not None and executed >= max_events:
-                    raise SimulationError(
-                        f"run() exceeded max_events={max_events}; a periodic "
-                        "service may be rescheduling forever -- use run_until()"
-                    )
-                self.step()
-                executed += 1
+            self._advance(inf, max_events)
+            if self._queue:
+                raise SimulationError(
+                    f"run() exceeded max_events={max_events}; a periodic "
+                    "service may be rescheduling forever -- use run_until()"
+                )
         finally:
             self._running = False
+
+    def _advance(self, end_time: SimTime, budget: Optional[int]) -> int:
+        """Fire events in order while ``time <= end_time``, at most ``budget``.
+
+        The one loop behind :meth:`step`, :meth:`run` and
+        :meth:`run_until`; returns the number of events fired.  Heap
+        events fire one per pass.  Lane entries fire in a run: after
+        each callback -- which may have transmitted (parking a batch),
+        armed or cancelled timers, or crashed a node -- the next lane
+        entry fires directly only if it still precedes the heap top and
+        every parked entry and is within ``end_time``; otherwise the
+        outer pass decides again.
+        """
+        queue = self._queue
+        heap = queue.heap
+        profiler = self.profiler
+        profiling = profiler.enabled
+        fired = 0
+        while fired != budget:
+            if profiling:
+                # Event-queue churn: choosing and removing the next
+                # entry (lazy cancellation skips, lane merges), so
+                # callback work is charged to its own phase.
+                t0 = perf_counter()
+            lane = queue.next_is_lane()
+            if lane is None:
+                break
+            if not lane:
+                if heap[0][0] > end_time:
+                    break
+                time, _priority, _sequence, callback, _event = queue.pop_heap()
+                if profiling:
+                    profiler.add(PHASE_SIM_HEAP, t0)
+                self._now = time
+                self._processed += 1
+                fired += 1
+                callback()
+                continue
+            times = queue.lane_time
+            sequences = queue.lane_sequence
+            targets = queue.lane_target
+            callbacks = queue.lane_callback
+            pos = queue.lane_pos
+            time = times[pos]
+            if time > end_time:
+                break
+            while True:
+                queue.lane_pos = pos + 1
+                if profiling:
+                    profiler.add(PHASE_SIM_HEAP, t0)
+                self._now = time
+                self._processed += 1
+                fired += 1
+                callbacks[pos](targets[pos])
+                pos += 1
+                if profiling:
+                    t0 = perf_counter()
+                if fired == budget or pos >= len(times):
+                    break
+                time = times[pos]
+                if time > end_time or queue.parked_min <= time:
+                    break
+                # Heap entries are (time, priority, sequence, ...) tuples.
+                if heap and heap[0] < (time, DEFAULT_PRIORITY, sequences[pos]):
+                    break
+        return fired
 
     def _guard_reentry(self) -> None:
         if self._running:

@@ -21,18 +21,38 @@ protocol code never peeks at ground truth.
 Hot-path design
 ---------------
 ``transmit`` is the single hottest function in any full-stack run: every
-heartbeat, digest, and gossip fans out over it.  It draws the loss
-outcome for every in-range receiver with one batched RNG call
-(:meth:`LossModel.lost_mask`) and all delivery delays with a second,
-against a per-sender cached ``(neighbors, distances)`` array pair
-(invalidated together with the neighbor cache on any topology change).
+heartbeat, digest, and gossip fans out over it, and each is heard by
+~30 neighbours.  It works on whole arrays from the draw to the schedule:
+
+- the loss outcome for every in-range receiver comes from one batched
+  RNG call (:meth:`LossModel.lost_mask`) and all delivery delays from a
+  second, against per-sender cached ``(neighbors, distances)`` arrays
+  plus the neighbours as an int64 id array (all invalidated together
+  with the neighbor cache on any topology change);
+- the surviving copies go to the simulator as *one batch*
+  (:meth:`Simulator.schedule_batch`): the ``received_at`` array, the
+  surviving receiver ids, and one callback closed over the shared
+  ``(sender, recipient, payload, sent_at)`` record.  Nothing is
+  allocated per copy at transmission time -- no heap event, no
+  callable, no envelope (see :mod:`repro.sim.events`, "delivery lane").
+
+The :class:`Envelope` is built when the copy *arrives*
+(:meth:`RadioMedium._deliver_copy`), with ``received_at`` read off the
+clock, and handed to the receiver or dropped against the medium's state
+at that instant -- a receiver that crashed, was muted or left the field
+while the copy was in flight hears nothing, exactly as when every copy
+was its own event.  Building it late is what keeps ~8 000 in-flight
+copies per round from existing as long-lived container objects that the
+cycle collector has to walk.
 
 The draw schedule is canonical -- all loss draws in ascending receiver
-order, then all delay draws for the surviving receivers -- and batched
+order, then all delay draws for the surviving receivers -- batched
 NumPy doubles consume the bit stream exactly like sequential scalar
-draws, so the per-receiver reference loop the tests keep
-(``tests/scalar_medium.py``, overriding :meth:`RadioMedium._fan_out`)
-replays any seeded run bit for bit.
+draws, and a batch takes the sequence numbers its copies would have
+taken one by one.  So the per-receiver reference loop the tests keep
+(``tests/scalar_medium.py``, overriding :meth:`RadioMedium._fan_out`
+with one ``schedule_at`` and one eager envelope per copy) replays any
+seeded run bit for bit.
 """
 
 from __future__ import annotations
@@ -123,9 +143,14 @@ class RadioMedium:
         self._cell_size = self.transmission_range
         self._grid: Dict[Tuple[int, int], Set[NodeId]] = defaultdict(set)
         self._neighbor_cache: Optional[Dict[NodeId, Tuple[NodeId, ...]]] = None
-        #: Per-sender (neighbors, distances) arrays; invalidated together
-        #: with ``_neighbor_cache`` on every topology change.
-        self._array_cache: Dict[NodeId, Tuple[Tuple[NodeId, ...], np.ndarray]] = {}
+        #: Per-sender ``((neighbors, distances), neighbor_ids)``: the public
+        #: pair of :meth:`neighbor_arrays` plus the neighbors as an int64
+        #: array, the form the delivery lane takes receivers in.
+        #: Invalidated with ``_neighbor_cache`` on every topology change.
+        self._array_cache: Dict[
+            NodeId,
+            Tuple[Tuple[Tuple[NodeId, ...], np.ndarray], np.ndarray],
+        ] = {}
         # Counters for metrics.
         self.transmissions = 0
         self.deliveries = 0
@@ -207,6 +232,11 @@ class RadioMedium:
         the pair is built lazily per sender and dropped whenever the
         topology changes (register / unregister / move).
         """
+        return self._sender_arrays(node_id)[0]
+
+    def _sender_arrays(
+        self, node_id: NodeId
+    ) -> Tuple[Tuple[Tuple[NodeId, ...], np.ndarray], np.ndarray]:
         entry = self._array_cache.get(node_id)
         if entry is None:
             neighbors = self.neighbors_of(node_id)
@@ -219,7 +249,10 @@ class RadioMedium:
                 dtype=np.float64,
                 count=len(neighbors),
             )
-            entry = (neighbors, distances)
+            entry = (
+                (neighbors, distances),
+                np.array(neighbors, dtype=np.int64),
+            )
             self._array_cache[node_id] = entry
         return entry
 
@@ -274,16 +307,17 @@ class RadioMedium:
         if tracing:
             tracer.record(now, "radio.tx", node=int(sender), recipient=recipient)
 
-        neighbors, distances = self.neighbor_arrays(sender)
+        (neighbors, distances), receivers = self._sender_arrays(sender)
         if not neighbors:
             return 0
-        if self._muted:
-            receiving = self._receiving
-            flags = [receiving[r] for r in neighbors]
-            eligible: Tuple[NodeId, ...] = tuple(compress(neighbors, flags))
+        muted = self._muted
+        if muted and not muted.isdisjoint(neighbors):
+            hearing = [r not in muted for r in neighbors]
+            eligible: Tuple[NodeId, ...] = tuple(compress(neighbors, hearing))
             if not eligible:
                 return 0
-            distances = distances[np.fromiter(flags, dtype=bool, count=len(flags))]
+            distances = distances[hearing]
+            receivers = receivers[hearing]
         else:
             eligible = neighbors
 
@@ -294,33 +328,41 @@ class RadioMedium:
         if n_lost:
             self.losses += n_lost
             if tracing:
-                for receiver in compress(eligible, lost):
+                for receiver in receivers[lost].tolist():
                     tracer.record(
-                        now, "radio.loss", node=int(receiver), sender=int(sender)
+                        now, "radio.loss", node=receiver, sender=int(sender)
                     )
-            survivors = list(compress(eligible, np.logical_not(lost)))
+            survivors = receivers[~lost]
+            if not len(survivors):
+                return 0
         else:
-            survivors = list(eligible)
-        if not survivors:
-            return 0
+            survivors = receivers
 
-        received_at = (
-            now + draw_delays(self.rng, self.max_delay, len(survivors))
-        ).tolist()
-        schedule = self.sim.schedule_fire_and_forget
-        deliver = self._deliver
-        unicast = recipient is not None
-        for receiver, when in zip(survivors, received_at):
-            envelope = Envelope(
+        self.sim.schedule_batch(
+            now + draw_delays(self.rng, self.max_delay, len(survivors)),
+            survivors,
+            partial(self._deliver_copy, (sender, recipient, payload, now)),
+        )
+        return len(survivors)
+
+    def _deliver_copy(
+        self,
+        transmission: Tuple[NodeId, Optional[NodeId], object, SimTime],
+        receiver: NodeId,
+    ) -> None:
+        """Lane callback: one copy of ``transmission`` reaches ``receiver`` now."""
+        sender, recipient, payload, sent_at = transmission
+        self._deliver(
+            receiver,
+            Envelope(
                 sender,
                 recipient,
                 payload,
-                now,
-                when,
-                unicast and receiver != recipient,
-            )
-            schedule(when, partial(deliver, receiver, envelope))
-        return len(survivors)
+                sent_at,
+                self.sim.now,
+                recipient is not None and receiver != recipient,
+            ),
+        )
 
     def _deliver(self, receiver: NodeId, envelope: Envelope) -> None:
         # Receiver may have crashed/unregistered since the copy left.

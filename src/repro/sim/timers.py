@@ -10,7 +10,7 @@ stop / restart lifecycle those mechanisms need.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Dict, Optional
 
 from repro.errors import SchedulingError
 from repro.sim.engine import Simulator
@@ -27,10 +27,20 @@ class Timer:
     forwarding".
     """
 
-    def __init__(self, sim: Simulator, callback: Callable[[], None], label: str = "") -> None:
+    def __init__(
+        self,
+        sim: Simulator,
+        callback: Callable[[], None],
+        label: str = "",
+        armed_registry: Optional[Dict["Timer", None]] = None,
+    ) -> None:
         self._sim = sim
         self._callback = callback
         self._label = label
+        #: The owning service's armed set (a private one for a timer made
+        #: without a service): this timer is a key exactly while it is
+        #: counting down.
+        self._armed_registry = armed_registry if armed_registry is not None else {}
         self._event: Optional[Event] = None
         self._fired_count = 0
 
@@ -58,35 +68,42 @@ class Timer:
             raise SchedulingError(f"timer delay must be >= 0, got {delay}")
         self.stop()
         self._event = self._sim.schedule_in(delay, self._expire, label=self._label)
+        self._armed_registry[self] = None
 
     def stop(self) -> None:
         """Disarm without firing; idempotent."""
         if self._event is not None:
             self._sim.cancel(self._event)
-            self._event = None
+            self._disarmed()
+
+    def _disarmed(self) -> None:
+        self._event = None
+        self._armed_registry.pop(self, None)
 
     def _expire(self) -> None:
-        self._event = None
+        self._disarmed()
         self._fired_count += 1
         self._callback()
 
 
 class TimerService:
-    """A factory that tracks every timer it creates.
+    """A factory that tracks the armed timers among those it created.
 
     Nodes own one service so that crashing a node can disarm all of its
     outstanding timers in one call (fail-stop nodes must fall silent).
+    A timer is tracked only while it counts down -- it registers on
+    ``start`` and drops out when it expires or is stopped -- so a long
+    run's fired one-shots cost nothing here.
     """
 
     def __init__(self, sim: Simulator) -> None:
         self._sim = sim
-        self._timers: list[Timer] = []
+        # A dict for its insertion order: stop_all stays deterministic.
+        self._armed: Dict[Timer, None] = {}
 
     def create(self, callback: Callable[[], None], label: str = "") -> Timer:
-        """A new timer registered with this service."""
-        timer = Timer(self._sim, callback, label=label)
-        self._timers.append(timer)
-        return timer
+        """A new, unarmed timer owned by this service."""
+        return Timer(self._sim, callback, label=label, armed_registry=self._armed)
 
     def after(self, delay: SimTime, callback: Callable[[], None], label: str = "") -> Timer:
         """Convenience: create and immediately start a timer."""
@@ -95,11 +112,11 @@ class TimerService:
         return timer
 
     def stop_all(self) -> None:
-        """Disarm every timer created by this service."""
-        for timer in self._timers:
+        """Disarm every armed timer created by this service."""
+        for timer in list(self._armed):
             timer.stop()
 
     @property
     def armed_count(self) -> int:
         """Number of timers currently counting down."""
-        return sum(1 for t in self._timers if t.armed)
+        return len(self._armed)

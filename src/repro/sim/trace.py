@@ -113,6 +113,22 @@ class RecordingTracer(Tracer):
             self.dropped += 1
         self.records.append(record)
 
+    def record(
+        self,
+        time: SimTime,
+        kind: str,
+        node: Optional[int] = None,
+        **detail: object,
+    ) -> None:
+        # Unbounded buffers (every default run) have no overflow to
+        # count, so the record goes straight onto the list; the bounded
+        # drop-oldest policy stays in ``emit``.
+        record = TraceRecord(time, kind, node, detail)
+        if self.max_records is None:
+            self.records.append(record)
+        else:
+            self.emit(record)
+
     def __len__(self) -> int:
         return len(self.records)
 

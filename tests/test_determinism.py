@@ -6,8 +6,13 @@ pure function of its seed.  These tests run full scenarios twice and
 compare everything observable.
 """
 
+import pytest
+
+from repro.audit.differential import trace_fingerprint
 from repro.experiments.runner import ScenarioConfig, run_scenario
 from repro.experiments.scenarios import single_cluster_validation
+from repro.obs.profiler import PhaseProfiler
+from repro.sim.trace import RecordingTracer
 from tests.scalar_medium import ScalarRadioMedium, scalar_medium_installed
 
 
@@ -98,3 +103,82 @@ class TestDeterminism:
         b = single_cluster_validation(n=30, p=0.4, executions=40, seed=5)
         assert a.false_detections == b.false_detections
         assert a.incompleteness_events == b.incompleteness_events
+
+
+# ----------------------------------------------------------------------
+# Golden bit-identity gate for the event engine
+# ----------------------------------------------------------------------
+# Captured at commit 6f1dba1 (one heap event per reception), before the
+# delivery lane went in: the whole trace, the event count and the
+# medium's counters of four event-engine runs.  A change to how the
+# engine stores or fires events must leave every one of them alone; a
+# change that *means* to alter behaviour re-captures them and says so.
+EVENT_REF = dict(
+    cluster_count=9, members_per_cluster=30, executions=4,
+    crash_count=5, loss_probability=0.1, seed=1,
+)
+GOLDEN_RUNS = {
+    "event_ref": (
+        EVENT_REF,
+        "52c7908c06965b8df8c0b833610b19c638398597b06e0c2ba2d2122c1b13bf6a",
+        86405,
+        {"transmissions": 2956, "deliveries": 81448, "losses": 8913},
+    ),
+    "lossless": (
+        dict(EVENT_REF, loss_probability=0.0),
+        "483c482b2f50211812b03216a01cd2820e912408cb8ac90a6de51f737e850596",
+        75227,
+        {"transmissions": 2348, "deliveries": 70674, "losses": 0},
+    ),
+    "protocol_gilbert_energy": (
+        dict(
+            EVENT_REF, formation="protocol", loss_kind="gilbert",
+            track_energy=True,
+        ),
+        "a8fb25513a6a7ec935eda2e5462b38848bf7a0d2e35188b21a801577e6687508",
+        136363,
+        {"transmissions": 4610, "deliveries": 126320, "losses": 15734},
+    ),
+}
+#: ``PhaseProfiler.calls`` of the profiled ``event_ref`` run: one
+#: ``sim.heap`` add per fired event, one ``radio.deliver`` per delivered
+#: copy, one ``radio.transmit`` per transmission.
+GOLDEN_PHASE_CALLS = {
+    "fds.intercluster": 8013,
+    "fds.r1": 1104,
+    "fds.r2": 1104,
+    "fds.r3": 1104,
+    "fds.r3end": 1104,
+    "radio.deliver": 81448,
+    "radio.transmit": 2956,
+    "sim.heap": 86405,
+}
+
+
+def observed(result, tracer=None):
+    return (
+        trace_fingerprint(tracer if tracer is not None else result.tracer),
+        result.network.sim.processed_events,
+        result.network.medium.message_stats(),
+    )
+
+
+class TestGoldenEventEngine:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+    def test_trace_events_and_counters_unchanged(self, name):
+        kwargs, fingerprint_, events, stats = GOLDEN_RUNS[name]
+        result = run_scenario(ScenarioConfig(**kwargs))
+        assert observed(result) == (fingerprint_, events, stats)
+
+    def test_profiled_run_differs_only_in_profile_records(self):
+        kwargs, fingerprint_, events, stats = GOLDEN_RUNS["event_ref"]
+        profiler = PhaseProfiler()
+        result = run_scenario(ScenarioConfig(**kwargs), profiler=profiler)
+        unprofiled = RecordingTracer()
+        unprofiled.records = [
+            r for r in result.tracer.records
+            if not r.kind.startswith("profile.")
+        ]
+        assert len(unprofiled.records) < len(result.tracer.records)
+        assert observed(result, unprofiled) == (fingerprint_, events, stats)
+        assert profiler.calls == GOLDEN_PHASE_CALLS

@@ -257,3 +257,76 @@ class TestVectorizedScalarEquivalence:
                 records,
             )
         assert captured[True] == captured[False]
+
+
+class TestMidFlightChanges:
+    """Copies in the delivery lane honour what happens before they land.
+
+    A batch is scheduled at transmission time but each copy is delivered
+    (or dropped) against the medium's state at *its* arrival, exactly as
+    the per-receiver heap events of the scalar reference are.
+    """
+
+    MUTED, UNMUTED, GONE, SENDER, REPLIER = 2, 3, 4, 0, 5
+
+    def _run(self, vectorized):
+        tracer = RecordingTracer()
+        sim, medium = make_medium(
+            loss=BernoulliLoss(0.2), rng_seed=33, vectorized=vectorized,
+            tracer=tracer, max_delay=0.1,
+        )
+        inboxes = {}
+        register_cluster(medium, inboxes, count=10)
+        replies = []
+
+        def replier(envelope):
+            # A handler that transmits (a batch parked mid-drain) and
+            # detaches a node that still has copies in flight.
+            inboxes[self.REPLIER].append(envelope)
+            if not replies:
+                replies.append(sim.now)
+                medium.transmit(self.REPLIER, "reply")
+                medium.unregister(9)
+
+        medium._handlers[self.REPLIER] = replier
+        medium.set_receiving(self.UNMUTED, False)
+        for sender in (self.SENDER, 1, 6, 7, 8):
+            medium.transmit(sender, f"from{sender}")
+        sim.schedule_at(0.03, lambda: medium.set_receiving(self.MUTED, False))
+        sim.schedule_at(0.04, lambda: medium.set_receiving(self.UNMUTED, True))
+        sim.schedule_at(0.05, lambda: medium.unregister(self.GONE))
+        sim.schedule_at(0.06, lambda: medium.unregister(self.SENDER))
+        sim.run()
+        records = tuple(
+            (r.time, r.kind, r.node, tuple(sorted(r.detail.items())))
+            for r in tracer.records
+        )
+        return inboxes, medium.message_stats(), records, sim.processed_events, replies
+
+    def test_lane_matches_scalar_reference(self):
+        assert self._run(True) == self._run(False)
+
+    def test_each_copy_sees_the_state_at_its_arrival(self):
+        inboxes, stats, records, processed, replies = self._run(True)
+        assert all(e.received_at <= 0.03 for e in inboxes[self.MUTED])
+        assert all(e.received_at <= 0.05 for e in inboxes[self.GONE])
+        # Muted at transmission time: no copy was ever addressed to it,
+        # so unmuting mid-flight delivers nothing from that burst.
+        assert [e.payload for e in inboxes[self.UNMUTED]] == []
+        # The sender left at 0.06; its copies already in flight still land.
+        late = [
+            e for box in inboxes.values() for e in box
+            if e.sender == self.SENDER and e.received_at > 0.06
+        ]
+        assert late
+        # Node 9 was detached by the replier's handler: nothing after that.
+        assert all(e.received_at <= replies[0] for e in inboxes[9])
+        assert any(
+            e.payload == "reply" for box in inboxes.values() for e in box
+        )
+        # Every scheduled copy was popped (dropped ones included), and
+        # the rx records are exactly the delivered ones.
+        delivered = sum(len(box) for box in inboxes.values())
+        assert stats["deliveries"] == delivered
+        assert sum(1 for r in records if r[1] == "radio.rx") == delivered
+        assert processed > delivered + 4  # some copies were dropped in flight

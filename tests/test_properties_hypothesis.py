@@ -1,7 +1,10 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
+import functools
+import heapq
 import math
 
+import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -68,6 +71,145 @@ def test_event_queue_cancellation_removes_exactly_those(specs, to_cancel):
     ordered = sorted(events, key=lambda e: (e.time, e.priority, e.sequence))
     expected = [e.sequence for e in ordered if e.sequence not in cancelled]
     assert survivors == expected
+
+
+class HeapModel:
+    """The queue the simulator must be indistinguishable from: one heap,
+    one entry per firing, a batch pushed entry by entry in array order."""
+
+    def __init__(self):
+        self.now = 0.0
+        self._heap = []
+        self._sequence = 0
+
+    def at(self, time, priority, callback):
+        entry = [time, priority, self._sequence, callback, False]
+        self._sequence += 1
+        heapq.heappush(self._heap, entry)
+        return entry
+
+    def batch(self, times, callback):
+        for target, time in enumerate(times):
+            self.at(time, 0, functools.partial(callback, target))
+
+    def cancel(self, entry):
+        entry[4] = True
+
+    def run(self, split):
+        while self._heap:
+            time, _priority, _sequence, callback, cancelled = heapq.heappop(
+                self._heap
+            )
+            if not cancelled:
+                self.now = time
+                callback()
+
+
+class EngineUnderTest:
+    def __init__(self):
+        self.sim = Simulator()
+
+    @property
+    def now(self):
+        return self.sim.now
+
+    def at(self, time, priority, callback):
+        return self.sim.schedule_at(time, callback, priority=priority)
+
+    def batch(self, times, callback):
+        self.sim.schedule_batch(
+            np.array(times, dtype=np.float64),
+            np.arange(len(times), dtype=np.int64),
+            callback,
+        )
+
+    def cancel(self, event):
+        self.sim.cancel(event)
+
+    def run(self, split):
+        # Two legs, so a run also ends (and resumes) mid-lane.
+        self.sim.run_until(split)
+        self.sim.run()
+
+
+def run_program(scheduler, program, split):
+    """Interpret ``program`` on ``scheduler``; returns the firing log.
+
+    Every fired callback logs where in the program it came from and the
+    clock it saw, then runs its child actions -- scheduling, batching and
+    cancelling from inside callbacks, as protocol handlers do.
+    """
+    log = []
+    handles = []  # [handle, fired_or_cancelled]
+
+    def interpret(actions, path):
+        for index, action in enumerate(actions):
+            label = path + (index,)
+            if action[0] == "at":
+                _, delay, priority, children = action
+                slot = [None, False]
+
+                def fire(label=label, children=children, slot=slot):
+                    slot[1] = True
+                    log.append((label, scheduler.now))
+                    interpret(children, label)
+
+                slot[0] = scheduler.at(scheduler.now + delay, priority, fire)
+                handles.append(slot)
+            elif action[0] == "batch":
+                _, delays, children = action
+
+                def deliver(target, label=label, children=children):
+                    log.append((label, target, scheduler.now))
+                    if target == 0:
+                        interpret(children, label)
+
+                scheduler.batch([scheduler.now + d for d in delays], deliver)
+            elif handles:
+                slot = handles[action[1] % len(handles)]
+                if not slot[1]:
+                    slot[1] = True
+                    scheduler.cancel(slot[0])
+
+    interpret(program, ())
+    scheduler.run(split)
+    return log
+
+
+# Few distinct delays (0 included), so exact time ties between heap
+# events and lane entries -- and entries due "now" -- are the common case.
+tie_prone_delays = st.sampled_from([0.0, 0.25, 0.5, 0.5, 1.0, 1.75])
+
+
+def queue_actions(children):
+    return st.lists(
+        st.one_of(
+            st.tuples(
+                st.just("at"), tie_prone_delays,
+                st.integers(min_value=-2, max_value=2), children,
+            ),
+            st.tuples(
+                st.just("batch"),
+                st.lists(tie_prone_delays, max_size=5),
+                children,
+            ),
+            st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=30)),
+        ),
+        max_size=5,
+    )
+
+
+queue_programs = st.recursive(st.just([]), queue_actions, max_leaves=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(queue_programs, st.sampled_from([0.0, 0.5, 1.0, 2.25]))
+def test_delivery_lane_fires_exactly_like_a_single_heap(program, split):
+    expected = run_program(HeapModel(), program, split)
+    engine = EngineUnderTest()
+    assert run_program(engine, program, split) == expected
+    assert engine.sim.processed_events == len(expected)
+    assert engine.sim.pending_events == 0
 
 
 @given(st.lists(st.floats(min_value=0, max_value=1000, allow_nan=False),

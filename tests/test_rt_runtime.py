@@ -69,6 +69,31 @@ def test_both_substrates_satisfy_the_protocols(small_run):
     assert isinstance(sim_node.timers, TimerScheduler)
 
 
+def test_rt_timer_service_tracks_armed_timers_only():
+    # Same contract as the simulator's TimerService: fired one-shots are
+    # dropped, a restarted handle re-registers, stop_all (crash) disarms.
+    import asyncio
+
+    from repro.rt.substrate import RtTimerService
+
+    async def scenario():
+        service = RtTimerService(asyncio.get_running_loop())
+        fired = []
+        timers = [
+            service.after(0.0, lambda: fired.append(1)) for _ in range(1000)
+        ]
+        assert service.armed_count == 1000
+        await asyncio.sleep(0.05)
+        assert len(fired) == 1000
+        assert service.armed_count == 0 and not service._armed
+        timers[0].start(30.0)
+        assert service.armed_count == 1
+        service.stop_all()
+        assert not timers[0].armed and not service._armed
+
+    asyncio.run(scenario())
+
+
 # ----------------------------------------------------------------------
 # The runtime itself
 # ----------------------------------------------------------------------

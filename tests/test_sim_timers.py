@@ -4,7 +4,10 @@ import pytest
 
 from repro.errors import SchedulingError
 from repro.sim.engine import Simulator
+from repro.sim.medium import RadioMedium
+from repro.sim.node import SimNode
 from repro.sim.timers import Timer, TimerService
+from repro.util.geometry import Vec2
 
 
 class TestTimer:
@@ -85,3 +88,48 @@ class TestTimerService:
         service.stop_all()
         sim.run()
         assert fired == []
+
+    def test_fired_one_shots_are_not_retained(self):
+        # The service tracks armed timers only: a long run's worth of
+        # expired after() timers must leave nothing behind for
+        # stop_all / armed_count to walk.
+        sim = Simulator()
+        service = TimerService(sim)
+        fired = []
+        for i in range(10_000):
+            service.after(1.0 + i * 1e-3, lambda: fired.append(1))
+        assert service.armed_count == 10_000
+        sim.run()
+        assert len(fired) == 10_000
+        assert service.armed_count == 0
+        assert not service._armed
+
+    def test_stopped_and_restarted_handles_track_their_state(self):
+        sim = Simulator()
+        service = TimerService(sim)
+        timer = service.create(lambda: None)
+        assert service.armed_count == 0  # created, never started
+        timer.start(1.0)
+        timer.start(2.0)  # restart: still one armed timer
+        assert service.armed_count == 1
+        timer.stop()
+        timer.stop()
+        assert service.armed_count == 0
+        assert not service._armed
+
+    def test_crash_disarms_a_timer_restarted_after_it_fired(self):
+        sim = Simulator()
+        medium = RadioMedium(sim, transmission_range=100.0)
+        node = SimNode(0, Vec2(0.0, 0.0), sim, medium)
+        fired = []
+        timer = node.timers.after(1.0, lambda: fired.append(sim.now))
+        sim.run_until(1.5)
+        assert fired == [1.0]
+        assert node.timers.armed_count == 0  # dropped when it expired
+        timer.start(1.0)  # the fired handle re-registers itself
+        assert node.timers.armed_count == 1
+        node.crash()
+        assert not timer.armed
+        assert node.timers.armed_count == 0
+        sim.run_until(5.0)
+        assert fired == [1.0]

@@ -52,6 +52,33 @@ class TestRecordingTracer:
         assert len(list(tracer.iter_kind("x"))) == 2
 
 
+    def test_record_fast_path_matches_emit(self):
+        # ``record`` appends directly when the buffer is unbounded and
+        # goes through ``emit`` (drop-oldest + ``dropped``) when bounded;
+        # while nothing overflows both must hold the same records.
+        calls = [
+            (0.5, "radio.tx", 3, {"recipient": None}),
+            (0.5, "radio.rx", 4, {"sender": 3, "overheard": False}),
+            (0.75, "meta.note", None, {}),
+        ]
+        direct, bounded, emitted = (
+            RecordingTracer(), RecordingTracer(max_records=10), RecordingTracer()
+        )
+        for time, kind, node, detail in calls:
+            direct.record(time, kind, node=node, **detail)
+            bounded.record(time, kind, node=node, **detail)
+            emitted.emit(TraceRecord(time, kind, node, detail))
+        assert direct.records == emitted.records == list(bounded.records)
+        assert direct.dropped == bounded.dropped == 0
+
+    def test_bounded_record_still_drops_oldest(self):
+        tracer = RecordingTracer(max_records=2)
+        for i in range(5):
+            tracer.record(float(i), "k")
+        assert [r.time for r in tracer.records] == [3.0, 4.0]
+        assert tracer.dropped == 3
+
+
 def test_records_to_jsonl_roundtrip():
     import json
 
@@ -79,3 +106,17 @@ def test_callback_tracer_streams():
     tracer = CallbackTracer(seen.append)
     tracer.record(1.0, "k", node=2)
     assert seen == [TraceRecord(time=1.0, kind="k", node=2, detail={})]
+
+
+def test_only_recording_tracer_overrides_record(tmp_path):
+    # The fast path is RecordingTracer's alone: the streaming tracers
+    # keep the base ``record -> emit`` route, so whatever their ``emit``
+    # does (callback, spool write) sees every record.
+    from repro.obs.spool import SpoolingTracer, read_spool
+    from repro.sim.trace import Tracer
+
+    assert CallbackTracer.record is Tracer.record
+    assert SpoolingTracer.record is Tracer.record
+    with SpoolingTracer(tmp_path / "t.jsonl") as spool:
+        spool.record(1.0, "k", node=2, x=1)
+    assert [r.kind for r in read_spool(tmp_path / "t.jsonl")] == ["k"]
