@@ -5,6 +5,18 @@ Everything here consumes an *iterable* of
 list or a streamed :func:`~repro.obs.spool.iter_spool` -- and reduces it
 in one pass, so analyzing a multi-gigabyte spool never materializes it.
 
+Each reduction is a small *reducer*: ``feed(record)`` applies its
+per-record rule, ``finish()`` returns the result.  The rule lives in the
+reducer and nowhere else: :func:`summarize`, :func:`timeline`,
+:func:`lineage` and :func:`repro.obs.topology.topology_view` drive one
+reducer each (what ``repro trace`` calls), and :func:`reduce_records`
+drives several over the *same* pass -- which is how ``repro serve``
+answers every endpoint from a single read of the spool
+(:class:`repro.serve.state.SpoolView`).  :class:`ProtocolLog` is the
+reducer that makes lineage-for-any-target possible afterwards: it keeps
+the few records that are not ``radio.*`` (under a tenth of a trace) and
+drops the rest.
+
 Every runner (event, array, rt) stamps its run through
 :func:`stamp_run_header` -- a ``meta.scenario`` record (phi, thop, node
 count, seed) followed by the ``meta.topology`` cluster map -- and, when
@@ -19,7 +31,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Protocol, Tuple
 
 from repro.errors import ConfigurationError
 from repro.obs.registry import (
@@ -203,57 +215,149 @@ class TraceSummary:
         return rows
 
 
-def summarize(records: Iterable[TraceRecord]) -> TraceSummary:
-    """Reduce a record stream to a :class:`TraceSummary` in one pass."""
-    summary = TraceSummary()
-    hop = summary.registry.histogram(
-        "repro_hop_latency_seconds",
-        HOP_LATENCY_BUCKETS,
-        help="Per-hop delivery latency of received copies",
-    )
+class Reducer(Protocol):
+    """One reduction of a record stream, fed a record at a time."""
+
+    def feed(self, record: TraceRecord) -> None: ...
+
+    def finish(self) -> Any: ...
+
+
+def reduce_records(
+    records: Iterable[TraceRecord], *reducers: Reducer
+) -> List[Any]:
+    """Feed every record to every reducer; one pass, results in order."""
+    feeds = [reducer.feed for reducer in reducers]
     for record in records:
+        for feed in feeds:
+            feed(record)
+    return [reducer.finish() for reducer in reducers]
+
+
+class SummaryReducer:
+    """Counts, run header, crash/detection times, latency histograms."""
+
+    def __init__(self) -> None:
+        self.summary = TraceSummary()
+        self._hop = self.summary.registry.histogram(
+            "repro_hop_latency_seconds",
+            HOP_LATENCY_BUCKETS,
+            help="Per-hop delivery latency of received copies",
+        )
+
+    def feed(self, record: TraceRecord) -> None:
+        summary = self.summary
+        kind = record.kind
         summary.records += 1
         if summary.first_time is None:
             summary.first_time = record.time
         summary.last_time = record.time
-        summary.kinds[record.kind] += 1
-        if record.kind == META_KIND and not summary.meta.found:
-            summary.meta = TraceMeta.from_record(record)
-        elif record.kind == PROFILE_KIND:
+        summary.kinds[kind] += 1
+        if kind == "radio.rx":
+            latency = record.detail.get("latency")
+            if latency is not None:
+                self._hop.observe(float(latency))
+        elif kind == META_KIND:
+            if not summary.meta.found:
+                summary.meta = TraceMeta.from_record(record)
+        elif kind == PROFILE_KIND:
             phase = str(record.detail.get("phase", "?"))
             seconds = float(record.detail.get("seconds", 0.0))
             calls = int(record.detail.get("calls", 0))
             old_s, old_c = summary.phases.get(phase, (0.0, 0))
             summary.phases[phase] = (old_s + seconds, old_c + calls)
-        elif record.kind == CRASH_KIND and record.node is not None:
-            summary.crash_times.setdefault(int(record.node), record.time)
-        elif record.kind == "fds.detection":
+        elif kind == CRASH_KIND:
+            if record.node is not None:
+                summary.crash_times.setdefault(int(record.node), record.time)
+        elif kind == "fds.detection":
             target = record.detail.get("target")
             if target is not None:
                 summary.first_detection.setdefault(int(target), record.time)
-        elif record.kind == "radio.rx":
-            latency = record.detail.get("latency")
+
+    def finish(self) -> TraceSummary:
+        summary = self.summary
+        phi_hist = summary.registry.histogram(
+            "repro_detection_latency_phi",
+            PHI_LATENCY_BUCKETS,
+            help="Crash-to-first-detection latency in heartbeat intervals",
+        )
+        for latency in summary.detection_latencies_phi().values():
             if latency is not None:
-                hop.observe(float(latency))
-    phi_hist = summary.registry.histogram(
-        "repro_detection_latency_phi",
-        PHI_LATENCY_BUCKETS,
-        help="Crash-to-first-detection latency in heartbeat intervals",
-    )
-    for latency in summary.detection_latencies_phi().values():
-        if latency is not None:
-            phi_hist.observe(latency)
-    counters = summary.registry
-    counters.counter(
-        "repro_trace_records_total", "Records in the analyzed trace"
-    ).inc(summary.records)
-    counters.counter(
-        "repro_trace_detections_total", "fds.detection events"
-    ).inc(summary.kinds.get("fds.detection", 0))
-    counters.counter(
-        "repro_trace_crashes_total", "sim.crash events"
-    ).inc(len(summary.crash_times))
-    return summary
+                phi_hist.observe(latency)
+        counters = summary.registry
+        counters.counter(
+            "repro_trace_records_total", "Records in the analyzed trace"
+        ).inc(summary.records)
+        counters.counter(
+            "repro_trace_detections_total", "fds.detection events"
+        ).inc(summary.kinds.get("fds.detection", 0))
+        counters.counter(
+            "repro_trace_crashes_total", "sim.crash events"
+        ).inc(len(summary.crash_times))
+        return summary
+
+
+def summarize(records: Iterable[TraceRecord]) -> TraceSummary:
+    """Reduce a record stream to a :class:`TraceSummary` in one pass."""
+    return reduce_records(records, SummaryReducer())[0]
+
+
+class TimelineReducer:
+    """Bucketed event counts per top-level kind group.
+
+    ``bucket`` defaults to the trace's phi (one row per FDS execution).
+    Until that width is known -- only when the run header is not the
+    first record -- events wait as ``(time, group)`` pairs.
+    """
+
+    def __init__(
+        self,
+        bucket: Optional[float] = None,
+        groups: Tuple[str, ...] = ("radio", "fds", "sim"),
+    ) -> None:
+        self._bucket = bucket
+        self._groups = groups
+        self._width = bucket if bucket is not None else 0.0
+        self._meta = TraceMeta()
+        self._buckets: Dict[int, Dict[str, int]] = {}
+        self._pending: List[Tuple[float, str]] = []
+
+    def _charge(self, time: float, group: str) -> None:
+        index = int(time // self._width)
+        counts = self._buckets.get(index)
+        if counts is None:
+            counts = self._buckets[index] = dict.fromkeys(self._groups, 0)
+        if group in counts:
+            counts[group] += 1
+
+    def feed(self, record: TraceRecord) -> None:
+        kind = record.kind
+        if kind == META_KIND and not self._meta.found:
+            self._meta = TraceMeta.from_record(record)
+            if self._bucket is None:
+                self._width = self._meta.phi
+        group = kind.partition(".")[0]
+        if self._width <= 0.0:
+            self._pending.append((record.time, group))
+            return
+        if self._pending:
+            self._drain()
+        self._charge(record.time, group)
+
+    def _drain(self) -> None:
+        for time, group in self._pending:
+            self._charge(time, group)
+        self._pending.clear()
+
+    def finish(self) -> Tuple[List[Tuple[float, Dict[str, int]]], TraceMeta]:
+        if self._width <= 0.0:
+            self._width = 1.0
+        self._drain()
+        rows = [
+            (index * self._width, counts)
+            for index, counts in sorted(self._buckets.items())
+        ]
+        return rows, self._meta
 
 
 def timeline(
@@ -266,39 +370,7 @@ def timeline(
     ``bucket`` defaults to the trace's phi (one row per FDS execution).
     Returns ``(rows, meta)`` where each row is ``(bucket_start, counts)``.
     """
-    meta = TraceMeta()
-    buckets: Dict[int, Dict[str, int]] = {}
-    pending: List[TraceRecord] = []
-
-    def charge(record: TraceRecord, width: float) -> None:
-        index = int(record.time // width) if width > 0 else 0
-        counts = buckets.setdefault(index, {g: 0 for g in groups})
-        group = record.kind.split(".", 1)[0]
-        if group in counts:
-            counts[group] += 1
-
-    width = bucket if bucket is not None else 0.0
-    for record in records:
-        if record.kind == META_KIND and not meta.found:
-            meta = TraceMeta.from_record(record)
-            if bucket is None:
-                width = meta.phi
-        if width <= 0.0:
-            pending.append(record)
-        else:
-            for held in pending:
-                charge(held, width)
-            pending.clear()
-            charge(record, width)
-    if width <= 0.0:
-        width = 1.0
-        for held in pending:
-            charge(held, width)
-        pending.clear()
-    rows = [
-        (index * width, counts) for index, counts in sorted(buckets.items())
-    ]
-    return rows, meta
+    return reduce_records(records, TimelineReducer(bucket, groups))[0]
 
 
 # ----------------------------------------------------------------------
@@ -389,6 +461,72 @@ def _note_for(record: TraceRecord) -> str:
     return ", ".join(f"{k}={v}" for k, v in sorted(d.items()))
 
 
+class LineageReducer:
+    """Everything the trace says about one node (``target``)."""
+
+    def __init__(self, target: int) -> None:
+        self.target = int(target)
+        self._meta = TraceMeta()
+        self._matched: List[TraceRecord] = []
+        self._crash_time: Optional[float] = None
+        self._detectors: List[int] = []
+        self._forward_hops = 0
+        self._relays = 0
+
+    def feed(self, record: TraceRecord) -> None:
+        kind = record.kind
+        if kind == META_KIND and not self._meta.found:
+            self._meta = TraceMeta.from_record(record)
+            return
+        if kind == CRASH_KIND:
+            if record.node is not None and int(record.node) == self.target:
+                self._crash_time = record.time
+                self._matched.append(record)
+            return
+        if not kind.startswith("fds."):
+            return
+        if not _mentions(record, self.target):
+            return
+        self._matched.append(record)
+        if kind == "fds.detection":
+            detector = record.detail.get("detector")
+            if detector is not None and int(detector) not in self._detectors:
+                self._detectors.append(int(detector))
+        elif kind == "fds.report_forwarded":
+            self._forward_hops += 1
+        elif kind == "fds.relay":
+            self._relays += 1
+
+    def finish(self) -> Lineage:
+        if not self._matched:
+            raise ConfigurationError(
+                f"trace has no events about node {self.target} (crash, "
+                "detection, or forwarding) -- wrong report id, or the spool "
+                "filtered fds.*"
+            )
+        meta = self._meta
+        self._matched.sort(key=lambda r: r.time)
+        events = [
+            LineageEvent(
+                time=record.time,
+                execution=meta.execution_of(record.time),
+                round=meta.round_label(record.time),
+                kind=record.kind,
+                node=None if record.node is None else int(record.node),
+                note=_note_for(record),
+            )
+            for record in self._matched
+        ]
+        return Lineage(
+            target=self.target,
+            crash_time=self._crash_time,
+            events=events,
+            detectors=tuple(self._detectors),
+            forward_hops=self._forward_hops,
+            relays=self._relays,
+        )
+
+
 def lineage(records: Iterable[TraceRecord], target: int) -> Lineage:
     """Reconstruct the R-1 -> R-3 -> inter-cluster path of one report.
 
@@ -399,60 +537,122 @@ def lineage(records: Iterable[TraceRecord], target: int) -> Lineage:
     the destination relays, and any refutations -- each stamped with the
     execution index and round (R-1/R-2/R-3) it fell in.
     """
-    target = int(target)
-    meta = TraceMeta()
-    matched: List[TraceRecord] = []
-    crash_time: Optional[float] = None
-    detectors: List[int] = []
-    forward_hops = 0
-    relays = 0
-    for record in records:
-        if record.kind == META_KIND and not meta.found:
-            meta = TraceMeta.from_record(record)
-            continue
-        if record.kind == CRASH_KIND:
-            if record.node is not None and int(record.node) == target:
-                crash_time = record.time
-                matched.append(record)
-            continue
-        if not record.kind.startswith("fds."):
-            continue
-        if not _mentions(record, target):
-            continue
-        matched.append(record)
-        if record.kind == "fds.detection":
-            detector = record.detail.get("detector")
-            if detector is not None and int(detector) not in detectors:
-                detectors.append(int(detector))
-        elif record.kind == "fds.report_forwarded":
-            forward_hops += 1
-        elif record.kind == "fds.relay":
-            relays += 1
-    if not matched:
-        raise ConfigurationError(
-            f"trace has no events about node {target} (crash, detection, "
-            "or forwarding) -- wrong report id, or the spool filtered fds.*"
-        )
-    matched.sort(key=lambda r: r.time)
-    events = [
-        LineageEvent(
-            time=record.time,
-            execution=meta.execution_of(record.time),
-            round=meta.round_label(record.time),
-            kind=record.kind,
-            node=None if record.node is None else int(record.node),
-            note=_note_for(record),
-        )
-        for record in matched
-    ]
-    return Lineage(
-        target=target,
-        crash_time=crash_time,
-        events=events,
-        detectors=tuple(detectors),
-        forward_hops=forward_hops,
-        relays=relays,
-    )
+    return reduce_records(records, LineageReducer(target))[0]
+
+
+class ProtocolLog:
+    """Keeps the records that are not ``radio.*``, in order.
+
+    Lineage takes its target as a parameter, so it cannot be reduced
+    ahead of the question; but it reads only the run header, crashes and
+    ``fds.*`` events.  Dropping the radio firehose (over nine records in
+    ten) leaves a log small enough to hold and complete enough to answer
+    :func:`lineage` for any target later.
+    """
+
+    def __init__(self) -> None:
+        self.records: List[TraceRecord] = []
+
+    def feed(self, record: TraceRecord) -> None:
+        if not record.kind.startswith("radio."):
+            self.records.append(record)
+
+    def finish(self) -> List[TraceRecord]:
+        return self.records
+
+
+# ----------------------------------------------------------------------
+# Topology
+# ----------------------------------------------------------------------
+@dataclass
+class TopologyView:
+    """The cluster map a record stream describes, plus liveness status."""
+
+    meta: TraceMeta = field(default_factory=TraceMeta)
+    #: ``[{"head", "members", "deputies"}, ...]`` sorted by head.
+    clusters: List[Dict[str, object]] = field(default_factory=list)
+    #: ``[{"owner", "peer", "forwarders"}, ...]`` sorted by (owner, peer).
+    boundaries: List[Dict[str, object]] = field(default_factory=list)
+    unclustered: List[int] = field(default_factory=list)
+    #: node -> (x, y); empty when the spool predates ``meta.topology``.
+    positions: Dict[int, Tuple[float, float]] = field(default_factory=dict)
+    #: node -> crash time (ground truth).
+    crash_times: Dict[int, float] = field(default_factory=dict)
+    #: node -> first ``fds.detection`` time.
+    first_detection: Dict[int, float] = field(default_factory=dict)
+    #: Whether a ``meta.topology`` record was present.
+    found: bool = False
+
+    def roles(self) -> Dict[int, str]:
+        """node -> ``head``/``deputy``/``gateway``/``member``/``unclustered``.
+
+        A node holding several roles reports the most specific one, in
+        the order head > deputy > gateway > member.
+        """
+        out: Dict[int, str] = {}
+        for node in self.positions:
+            out[node] = "member"
+        for node in self.unclustered:
+            out[node] = "unclustered"
+        for boundary in self.boundaries:
+            for forwarder in boundary["forwarders"]:
+                out[int(forwarder)] = "gateway"
+        for cluster in self.clusters:
+            for member in cluster["members"]:
+                out.setdefault(int(member), "member")
+            for deputy in cluster["deputies"]:
+                out[int(deputy)] = "deputy"
+        for cluster in self.clusters:
+            out[int(cluster["head"])] = "head"
+        return out
+
+    def cluster_of(self) -> Dict[int, int]:
+        """node -> owning cluster's head id."""
+        out: Dict[int, int] = {}
+        for cluster in self.clusters:
+            head = int(cluster["head"])
+            for member in cluster["members"]:
+                out[int(member)] = head
+        return out
+
+
+class TopologyReducer:
+    """The ``meta.topology`` map crossed with crashes and detections."""
+
+    def __init__(self) -> None:
+        self.view = TopologyView()
+
+    def feed(self, record: TraceRecord) -> None:
+        view = self.view
+        kind = record.kind
+        if kind == META_KIND:
+            if not view.meta.found:
+                view.meta = TraceMeta.from_record(record)
+        elif kind == TOPOLOGY_KIND:
+            if view.found:
+                return
+            detail = record.detail
+            view.clusters = [dict(c) for c in detail.get("clusters", [])]
+            view.boundaries = [dict(b) for b in detail.get("boundaries", [])]
+            view.unclustered = [int(n) for n in detail.get("unclustered", [])]
+            nodes = detail.get("nodes", [])
+            xs = detail.get("x", [])
+            ys = detail.get("y", [])
+            view.positions = {
+                int(n): (float(x), float(y))
+                for n, x, y in zip(nodes, xs, ys)
+            }
+            view.found = True
+        elif kind == CRASH_KIND:
+            if record.node is not None:
+                view.crash_times.setdefault(int(record.node), record.time)
+        elif kind == "fds.detection":
+            target = record.detail.get("target")
+            if target is not None:
+                view.first_detection.setdefault(int(target), record.time)
+
+    def finish(self) -> TopologyView:
+        return self.view
 
 
 # ----------------------------------------------------------------------

@@ -9,18 +9,35 @@ buffer of recent records for in-process inspection, and optionally
 filters by kind prefix so a spool can capture "``fds.`` plus ``sim.``
 and ``meta.``" without paying for the radio firehose.
 
-The on-disk format is one JSON object per line with the same shape
-:func:`repro.sim.trace.iter_jsonl` emits (``time``/``kind``/``node``
-plus the flattened detail), so ``repro trace``, ``jq``, and pandas all
-read it directly; :func:`iter_spool` streams it back as
+The on-disk format is one JSON object per line, serialized by
+:func:`repro.sim.trace.record_line` (``time``/``kind``/``node`` plus the
+flattened detail), so ``repro trace``, ``jq``, and pandas all read it
+directly; :func:`iter_spool` streams it back as
 :class:`~repro.sim.trace.TraceRecord` objects.
 
-Emission is safe under concurrency: ``emit``/``flush``/``close`` hold an
-internal lock, so asyncio callbacks that hop threads (executors,
+Writing is batched.  ``record()`` encodes its arguments straight to a
+line (no :class:`TraceRecord` is built) and appends it to a pending
+batch; every ``flush_every`` records, and on ``flush()`` / ``close()``,
+the batch goes to the file as one write followed by a stream flush.
+So ``flush_every`` bounds three things at once: the records a crash of
+the writing process can lose, the lines held in memory, and how far a
+reader of the growing file (``iter_spool(follow=True)``, the dashboard's
+``/events``) can lag -- a live tail advances in steps of ``flush_every``
+records (4096 by default; the rt runtime uses 64, a dashboard following
+a run wants a small value too).  In exchange the file only ever grows by
+whole lines: another reader never sees a torn one.
+
+Emission is safe under concurrency: the batch, the counters and the
+file are only touched under an internal lock (lines are encoded outside
+it), so asyncio callbacks that hop threads (executors,
 loop.call_soon_threadsafe) and the rt runtime's socket callbacks can
 share one spool without interleaving half-written lines.  (Within a
 single event loop the callbacks never truly race, but the lock makes the
 guarantee independent of the caller's scheduling.)
+
+Reading is tolerant by type, in both modes through one bytes-level line
+parser: a line that is torn, not UTF-8, not JSON, not a JSON object or
+has no string ``kind`` carries no record and is skipped.
 """
 
 from __future__ import annotations
@@ -32,14 +49,21 @@ import time
 import threading
 from collections import deque
 from pathlib import Path
-from typing import Deque, Iterator, Optional, Sequence, Union
+from typing import (
+    BinaryIO,
+    Deque,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.errors import ConfigurationError
-from repro.sim.trace import TraceRecord, Tracer, record_to_dict
+from repro.sim.trace import TraceRecord, Tracer, record_line
 from repro.types import SimTime
-
-#: Fields of the serialized record that are not ``detail`` entries.
-_CORE_FIELDS = ("time", "kind", "node")
 
 
 def _kind_matches(kind: str, prefixes: Sequence[str]) -> bool:
@@ -66,7 +90,8 @@ class SpoolingTracer(Tracer):
         """``kinds`` keeps only records whose kind equals, or is nested
         under, one of the given prefixes (``None`` keeps everything).
         ``tail`` bounds the in-memory ring buffer; ``flush_every`` is the
-        record interval between explicit stream flushes (crash-tolerant
+        batch size: that many records are held as encoded lines, then
+        written and flushed together (crash-tolerant and live-tailed
         spools want small values; throughput wants large ones).
         """
         if tail < 0:
@@ -78,9 +103,13 @@ class SpoolingTracer(Tracer):
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._prefixes = tuple(kinds) if kinds is not None else None
-        self._tail: Deque[TraceRecord] = deque(maxlen=tail)
+        # The ring holds the ``record()`` arguments, not TraceRecords:
+        # nearly all of them fall off the end unread.
+        self._tail: Deque[
+            Tuple[SimTime, str, Optional[int], Mapping[str, object]]
+        ] = deque(maxlen=tail)
         self._flush_every = flush_every
-        #: Records written to disk (post-filter).
+        #: Records accepted for the spool (post-filter).
         self.spooled = 0
         #: Records dropped by the kind filter.
         self.filtered = 0
@@ -91,46 +120,69 @@ class SpoolingTracer(Tracer):
         else:
             self._handle = self.path.open("w", encoding="utf-8")
         self._closed = False
-        # Serializes emit/flush/close across threads: one record is one
-        # intact line on disk, and the spooled counter stays exact.
+        #: Encoded lines not yet written (fewer than ``flush_every``).
+        self._pending: List[str] = []
+        # Serializes batch/flush/close across threads: one record is one
+        # intact line on disk, and the counters stay exact.
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
+    def record(
+        self,
+        time: SimTime,
+        kind: str,
+        node: Optional[int] = None,
+        **detail: object,
+    ) -> None:
+        # Overridden so the hot path builds no TraceRecord.
+        self._spool(time, kind, node, detail)
+
     def emit(self, record: TraceRecord) -> None:
-        if self._prefixes is not None and not _kind_matches(
-            record.kind, self._prefixes
-        ):
-            with self._lock:
-                if self._closed:
-                    raise ConfigurationError(
-                        f"SpoolingTracer {self.path} is closed; "
-                        f"no further records"
-                    )
-                self.filtered += 1
-            return
-        # Serialize outside the lock (pure CPU), write inside it.
-        line = json.dumps(record_to_dict(record), sort_keys=True)
+        self._spool(record.time, record.kind, record.node, record.detail)
+
+    def _spool(
+        self,
+        time: SimTime,
+        kind: str,
+        node: Optional[int],
+        detail: Mapping[str, object],
+    ) -> None:
+        keep = self._prefixes is None or _kind_matches(kind, self._prefixes)
+        # Encode outside the lock (pure CPU), batch inside it.
+        line = record_line(time, kind, node, detail) if keep else None
         with self._lock:
             if self._closed:
                 raise ConfigurationError(
                     f"SpoolingTracer {self.path} is closed; no further records"
                 )
-            self._handle.write(line)
-            self._handle.write("\n")
+            if line is None:
+                self.filtered += 1
+                return
+            self._pending.append(line)
             self.spooled += 1
-            self._tail.append(record)
-            if self.spooled % self._flush_every == 0:
-                self._handle.flush()
+            self._tail.append((time, kind, node, detail))
+            if len(self._pending) >= self._flush_every:
+                self._write_pending()
+
+    def _write_pending(self) -> None:
+        """Write the batch as whole lines and flush (lock held)."""
+        if self._pending:
+            self._handle.write("\n".join(self._pending))
+            self._handle.write("\n")
+            self._pending.clear()
+        self._handle.flush()
 
     # ------------------------------------------------------------------
     def tail_records(self) -> tuple:
         """The most recent spooled records (up to the ring size)."""
-        return tuple(self._tail)
+        with self._lock:
+            tail = tuple(self._tail)
+        return tuple(TraceRecord(*entry) for entry in tail)
 
     def flush(self) -> None:
         with self._lock:
             if not self._closed:
-                self._handle.flush()
+                self._write_pending()
 
     def close(self) -> None:
         with self._lock:
@@ -138,7 +190,7 @@ class SpoolingTracer(Tracer):
                 return
             self._closed = True
             try:
-                self._handle.flush()
+                self._write_pending()
             finally:
                 self._handle.close()
 
@@ -152,46 +204,43 @@ class SpoolingTracer(Tracer):
 # ----------------------------------------------------------------------
 # Reading spools back
 # ----------------------------------------------------------------------
-def _open_spool(path: Path) -> io.TextIOBase:
-    """Open a spool for reading, sniffing gzip by magic bytes (a spool
-    renamed without its ``.gz`` suffix still loads)."""
-    with path.open("rb") as probe:
-        magic = probe.read(2)
-    if magic == b"\x1f\x8b":
-        return gzip.open(path, "rt", encoding="utf-8")
-    return path.open("r", encoding="utf-8")
-
-
-def _parse_line(
-    line: str, prefixes: Optional[Sequence[str]]
-) -> Optional[TraceRecord]:
-    """One JSONL line -> record, or ``None`` (blank/garbage/filtered)."""
-    line = line.strip()
-    if not line:
-        return None
-    try:
-        payload = json.loads(line)
-    except json.JSONDecodeError:
-        return None
-    kind = payload.get("kind", "")
-    if prefixes is not None and not _kind_matches(kind, prefixes):
-        return None
-    detail = {
-        key: value
-        for key, value in payload.items()
-        if key not in _CORE_FIELDS
-    }
-    return TraceRecord(
-        time=SimTime(payload.get("time", 0.0)),
-        kind=kind,
-        node=payload.get("node"),
-        detail=detail,
-    )
-
-
 def _is_gzip(path: Path) -> bool:
     with path.open("rb") as probe:
         return probe.read(2) == b"\x1f\x8b"
+
+
+def _open_spool(path: Path) -> BinaryIO:
+    """Open a spool for reading, sniffing gzip by magic bytes (a spool
+    renamed without its ``.gz`` suffix still loads)."""
+    if _is_gzip(path):
+        return gzip.open(path, "rb")
+    return path.open("rb")
+
+
+def _parse_line(
+    raw: bytes, prefixes: Optional[Sequence[str]]
+) -> Optional[TraceRecord]:
+    """One JSONL line -> record, or ``None`` (blank/garbage/filtered).
+
+    Garbage is anything that is not a JSON object with a string
+    ``kind``: a torn line, bytes that are not UTF-8, a bare number or
+    list.  None of them carries a completed event.
+    """
+    try:
+        payload = json.loads(str(raw, "utf-8"))
+    except ValueError:  # JSONDecodeError and UnicodeDecodeError alike
+        return None
+    if not isinstance(payload, dict):
+        return None
+    kind = payload.pop("kind", "")
+    if not isinstance(kind, str):
+        return None
+    if prefixes is not None and not _kind_matches(kind, prefixes):
+        return None
+    time = SimTime(payload.pop("time", 0.0))
+    node = payload.pop("node", None)
+    # What is left of the object is the detail, in file order.
+    return TraceRecord(time, kind, node, payload)
 
 
 def iter_spool(
@@ -227,8 +276,8 @@ def iter_spool(
     prefixes = tuple(kinds) if kinds is not None else None
     if not follow:
         with _open_spool(path) as handle:
-            for line in handle:
-                record = _parse_line(line, prefixes)
+            for raw in handle:
+                record = _parse_line(raw, prefixes)
                 if record is not None:
                     yield record
         return
@@ -255,9 +304,7 @@ def iter_spool(
                     if newline < 0:
                         break
                     raw, pending = pending[:newline], pending[newline + 1:]
-                    record = _parse_line(
-                        raw.decode("utf-8", errors="replace"), prefixes
-                    )
+                    record = _parse_line(raw, prefixes)
                     if record is not None:
                         yield record
                 continue

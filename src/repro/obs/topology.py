@@ -15,11 +15,13 @@ The dashboard's cluster map needs exactly that, so runs now stamp one
   protocols from.
 
 :func:`topology_view` replays a record stream into a
-:class:`TopologyView` -- cluster membership crossed with the ground-truth
-``sim.crash`` stream and the ``fds.detection`` verdicts, so the map can
-show crashed-but-undetected vs detected nodes.  Spools written before
-this record existed degrade gracefully (``found=False``; crash/detection
-status is still reported per node).
+:class:`~repro.obs.analyze.TopologyView` -- cluster membership crossed
+with the ground-truth ``sim.crash`` stream and the ``fds.detection``
+verdicts, so the map can show crashed-but-undetected vs detected nodes;
+the per-record rule is :class:`~repro.obs.analyze.TopologyReducer`, next
+to the other reducers.  Spools written before this record existed
+degrade gracefully (``found=False``; crash/detection status is still
+reported per node).
 
 Everything here is duck-typed over the layout objects (no imports from
 ``repro.cluster`` or ``repro.sim.array_engine``) to keep ``repro.obs``
@@ -28,15 +30,13 @@ dependency-free of the engines it observes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable
 
 from repro.obs.analyze import (
-    CRASH_KIND,
-    META_KIND,
-    TOPOLOGY_KIND,
-    TraceMeta,
+    TopologyReducer,
+    TopologyView,
     meta_payload,
+    reduce_records,
 )
 from repro.sim.trace import TraceRecord
 
@@ -134,84 +134,9 @@ def array_topology_detail(layout) -> Dict[str, object]:
 # ----------------------------------------------------------------------
 # Reconstruction side
 # ----------------------------------------------------------------------
-@dataclass
-class TopologyView:
-    """The cluster map a record stream describes, plus liveness status."""
-
-    meta: TraceMeta = field(default_factory=TraceMeta)
-    #: ``[{"head", "members", "deputies"}, ...]`` sorted by head.
-    clusters: List[Dict[str, object]] = field(default_factory=list)
-    #: ``[{"owner", "peer", "forwarders"}, ...]`` sorted by (owner, peer).
-    boundaries: List[Dict[str, object]] = field(default_factory=list)
-    unclustered: List[int] = field(default_factory=list)
-    #: node -> (x, y); empty when the spool predates ``meta.topology``.
-    positions: Dict[int, Tuple[float, float]] = field(default_factory=dict)
-    #: node -> crash time (ground truth).
-    crash_times: Dict[int, float] = field(default_factory=dict)
-    #: node -> first ``fds.detection`` time.
-    first_detection: Dict[int, float] = field(default_factory=dict)
-    #: Whether a ``meta.topology`` record was present.
-    found: bool = False
-
-    def roles(self) -> Dict[int, str]:
-        """node -> ``head``/``deputy``/``gateway``/``member``/``unclustered``.
-
-        A node holding several roles reports the most specific one, in
-        the order head > deputy > gateway > member.
-        """
-        out: Dict[int, str] = {}
-        for node in self.positions:
-            out[node] = "member"
-        for node in self.unclustered:
-            out[node] = "unclustered"
-        for boundary in self.boundaries:
-            for forwarder in boundary["forwarders"]:
-                out[int(forwarder)] = "gateway"
-        for cluster in self.clusters:
-            for member in cluster["members"]:
-                out.setdefault(int(member), "member")
-            for deputy in cluster["deputies"]:
-                out[int(deputy)] = "deputy"
-        for cluster in self.clusters:
-            out[int(cluster["head"])] = "head"
-        return out
-
-    def cluster_of(self) -> Dict[int, int]:
-        """node -> owning cluster's head id."""
-        out: Dict[int, int] = {}
-        for cluster in self.clusters:
-            head = int(cluster["head"])
-            for member in cluster["members"]:
-                out[int(member)] = head
-        return out
-
-
 def topology_view(records: Iterable[TraceRecord]) -> TopologyView:
     """One-pass reduction of a record stream to a :class:`TopologyView`."""
-    view = TopologyView()
-    for record in records:
-        if record.kind == META_KIND and not view.meta.found:
-            view.meta = TraceMeta.from_record(record)
-        elif record.kind == TOPOLOGY_KIND and not view.found:
-            detail = record.detail
-            view.clusters = [dict(c) for c in detail.get("clusters", [])]
-            view.boundaries = [dict(b) for b in detail.get("boundaries", [])]
-            view.unclustered = [int(n) for n in detail.get("unclustered", [])]
-            nodes = detail.get("nodes", [])
-            xs = detail.get("x", [])
-            ys = detail.get("y", [])
-            view.positions = {
-                int(n): (float(x), float(y))
-                for n, x, y in zip(nodes, xs, ys)
-            }
-            view.found = True
-        elif record.kind == CRASH_KIND and record.node is not None:
-            view.crash_times.setdefault(int(record.node), record.time)
-        elif record.kind == "fds.detection":
-            target = record.detail.get("target")
-            if target is not None:
-                view.first_detection.setdefault(int(target), record.time)
-    return view
+    return reduce_records(records, TopologyReducer())[0]
 
 
 def topology_payload(view: TopologyView) -> Dict[str, object]:

@@ -14,12 +14,11 @@ unchanged.
 from __future__ import annotations
 
 import heapq
-import json
 from pathlib import Path
 from typing import Iterable, List, Optional, Union
 
 from repro.errors import ConfigurationError
-from repro.sim.trace import TraceRecord, record_to_dict
+from repro.sim.trace import TraceRecord, iter_jsonl
 from repro.obs.spool import iter_spool
 
 #: Filename of the merged trace inside a spool directory.
@@ -60,7 +59,7 @@ def merge_spools(
     target = out if out is not None else spool_dir / MERGED_NAME
     target.parent.mkdir(parents=True, exist_ok=True)
     with target.open("w", encoding="utf-8") as handle:
-        for record in iter_merged(spool_dir):
-            handle.write(json.dumps(record_to_dict(record), sort_keys=True))
+        for line in iter_jsonl(iter_merged(spool_dir)):
+            handle.write(line)
             handle.write("\n")
     return target

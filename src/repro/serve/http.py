@@ -22,7 +22,6 @@ Routes
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -35,7 +34,7 @@ from repro.obs.registry import MetricsRegistry
 from repro.obs.spool import iter_spool
 from repro.serve.page import DASHBOARD_HTML
 from repro.serve.state import SpoolView, StoreView
-from repro.sim.trace import record_to_dict
+from repro.sim.trace import record_line
 
 #: Request-latency buckets in seconds; recorded spools answer from the
 #: stamp cache (sub-millisecond), live re-reductions land in the tail.
@@ -199,7 +198,9 @@ class DashboardHandler(BaseHTTPRequestHandler):
                     self.wfile.write(b": keep-alive\n\n")
                     self.wfile.flush()
                     continue
-                data = json.dumps(record_to_dict(record), sort_keys=True)
+                data = record_line(
+                    record.time, record.kind, record.node, record.detail
+                )
                 self.wfile.write(f"data: {data}\n\n".encode("utf-8"))
                 self.wfile.flush()
                 self.server.sse_records_total.inc()

@@ -165,6 +165,27 @@ def record_to_dict(record: TraceRecord) -> Dict[str, object]:
     }
 
 
+#: ``json.dumps(..., sort_keys=True)`` builds this encoder on every call;
+#: trace lines share one.
+_encode = json.JSONEncoder(sort_keys=True).encode
+
+
+def record_line(
+    time: SimTime,
+    kind: str,
+    node: Optional[int],
+    detail: Mapping[str, object],
+) -> str:
+    """The one serialized form of a record: a JSON object on one line.
+
+    Every writer of trace lines -- :func:`iter_jsonl`, the disk spool,
+    the rt spool merge, the dashboard's SSE tail -- goes through here, so
+    the format has a single owner: :func:`record_to_dict`'s flat object
+    with sorted keys, encoded without building the record first.
+    """
+    return _encode({"time": time, "kind": kind, "node": node, **detail})
+
+
 def iter_jsonl(
     records: Iterator[TraceRecord] | list[TraceRecord],
 ) -> Iterator[str]:
@@ -175,8 +196,8 @@ def iter_jsonl(
     values must be JSON-serializable (the library's own emitters only use
     ints, floats, bools, strings, lists).
     """
-    for record in records:
-        yield json.dumps(record_to_dict(record), sort_keys=True)
+    for r in records:
+        yield record_line(r.time, r.kind, r.node, r.detail)
 
 
 def records_to_jsonl(records: Iterator[TraceRecord] | list[TraceRecord]) -> str:

@@ -143,3 +143,13 @@ class TestTraceCli:
     def test_missing_spool_is_an_error(self, tmp_path, capsys):
         assert main(["trace", "summarize", str(tmp_path / "no.jsonl")]) == 1
         assert "error:" in capsys.readouterr().out
+
+    def test_lines_that_are_not_records_are_skipped(self, tmp_path, capsys):
+        from tests.spool_helpers import write_hostile_spool
+
+        path = tmp_path / "hostile.jsonl"
+        write_hostile_spool(path)
+        assert main(["trace", "summarize", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("3 record(s)")
+        assert "Traceback" not in captured.out + captured.err

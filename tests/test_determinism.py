@@ -6,14 +6,20 @@ pure function of its seed.  These tests run full scenarios twice and
 compare everything observable.
 """
 
+import hashlib
+import random
+
 import pytest
 
 from repro.audit.differential import trace_fingerprint
 from repro.experiments.runner import ScenarioConfig, run_scenario
 from repro.experiments.scenarios import single_cluster_validation
 from repro.obs.profiler import PhaseProfiler
+from repro.obs.spool import SpoolingTracer
+from repro.rt.collector import merge_spools
 from repro.sim.trace import RecordingTracer
 from tests.scalar_medium import ScalarRadioMedium, scalar_medium_installed
+from tests.spool_helpers import PIPELINE
 
 
 def fingerprint(result):
@@ -182,3 +188,94 @@ class TestGoldenEventEngine:
         assert len(unprofiled.records) < len(result.tracer.records)
         assert observed(result, unprofiled) == (fingerprint_, events, stats)
         assert profiler.calls == GOLDEN_PHASE_CALLS
+
+
+# ----------------------------------------------------------------------
+# Golden bytes of the disk spool
+# ----------------------------------------------------------------------
+# Captured at commit 833ce24, when every line was
+# ``json.dumps(record_to_dict(record), sort_keys=True)`` written one at a
+# time: the spools below must keep those bytes whatever the writer,
+# the serializer or the rt merge do internally.  ``profile.phase`` lines
+# carry wall-clock seconds and are left out of the hash.
+GOLDEN_SPOOLS = {
+    "event": (
+        PIPELINE,
+        "028775cd560d37fcab473fa9d6fab3835d2e5949f699cdc7704e6a2c27f0707d",
+        44011,
+    ),
+    "array": (
+        dict(PIPELINE, engine="array"),
+        "ad38c0a52fa0ca5ed99addaf77dcc8f084042f0ba7445e9763e2db9ae69ffde9",
+        12,
+    ),
+}
+GOLDEN_RT_MERGE = (
+    "fc3140389d2cec60b0112eaaa99b79491cf164003d0617bd290d86e890b61bc4",
+    451,
+)
+
+
+def spool_fingerprint(path):
+    """``(sha256, lines)`` of a plain spool without its profile lines."""
+    digest = hashlib.sha256()
+    lines = 0
+    with open(path, "rb") as handle:
+        for line in handle:
+            if b'"kind": "profile.phase"' in line:
+                continue
+            digest.update(line)
+            lines += 1
+    return digest.hexdigest(), lines
+
+
+def write_rt_node_spools(spool_dir):
+    """Per-node spools shaped like a runtime run's: wall-clock floats
+    with full reprs, one writer per node at the runtime's flush_every."""
+    rng = random.Random(17)
+    with SpoolingTracer(spool_dir / "run.jsonl", flush_every=64) as run:
+        run.record(
+            0.0, "meta.scenario", phi=0.6000000000000001, thop=0.05,
+            nodes=3, seed=17, executions=2, fds_start=0.1 + 0.2,
+            timebase="wall_ms", time_scale=0.1,
+        )
+    for node in range(3):
+        clock = 0.0
+        with SpoolingTracer(
+            spool_dir / f"node-{node:05d}.jsonl", flush_every=64
+        ) as spool:
+            for step in range(150):
+                clock += rng.random() * 1e-3
+                if step % 5 == 0:
+                    spool.record(
+                        clock, "fds.detection", node=node,
+                        target=(node + 1) % 3, detector=node,
+                        execution=step // 50,
+                        evidence=[[1, 2.5], [None, True]],
+                        note="n\u00f8de \u2713", tiny=1e-07, zero=-0.0,
+                    )
+                else:
+                    spool.record(
+                        clock, "radio.rx", node=node, sender=(node + 2) % 3,
+                        latency=rng.random() * 1e-4, recipient=None,
+                    )
+
+
+class TestGoldenSpoolBytes:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_SPOOLS))
+    def test_scenario_spool_unchanged(self, name, tmp_path):
+        kwargs, sha256, lines = GOLDEN_SPOOLS[name]
+        path = tmp_path / "trace.jsonl"
+        with SpoolingTracer(path) as tracer:
+            run_scenario(
+                ScenarioConfig(**kwargs), tracer=tracer,
+                profiler=PhaseProfiler(),
+            )
+        assert spool_fingerprint(path) == (sha256, lines)
+
+    def test_rt_merge_unchanged(self, tmp_path):
+        write_rt_node_spools(tmp_path)
+        merged = merge_spools(tmp_path).read_bytes()
+        assert (
+            hashlib.sha256(merged).hexdigest(), merged.count(b"\n"),
+        ) == GOLDEN_RT_MERGE

@@ -10,6 +10,7 @@ import gzip
 import json
 import math
 import re
+import threading
 
 import pytest
 
@@ -31,6 +32,7 @@ from repro.obs.registry import (
 )
 from repro.obs.spool import SpoolingTracer, iter_spool, read_spool
 from repro.sim.trace import RecordingTracer, TraceRecord, iter_jsonl
+from tests.spool_helpers import write_hostile_spool
 
 
 # ----------------------------------------------------------------------
@@ -244,6 +246,68 @@ class TestSpoolingTracer:
     def test_iter_spool_missing_file(self, tmp_path):
         with pytest.raises(ConfigurationError):
             list(iter_spool(tmp_path / "absent.jsonl"))
+
+    @pytest.mark.parametrize("gzipped", [False, True])
+    def test_read_spool_skips_lines_that_are_not_records(
+        self, tmp_path, gzipped
+    ):
+        path = tmp_path / "t.jsonl"
+        data = write_hostile_spool(path)
+        if gzipped:
+            path.write_bytes(gzip.compress(data))
+        assert [(r.time, r.kind) for r in read_spool(path)] == [
+            (1.0, "a"), (2.0, "b"), (3.0, "c"),
+        ]
+
+    def test_follow_mode_skips_the_same_lines(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        write_hostile_spool(path)
+        stop = threading.Event()
+        stop.set()
+        records = iter_spool(path, follow=True, poll_interval=0.01, stop=stop)
+        assert [r.kind for r in records] == ["a", "b", "c"]
+
+    def test_flush_every_is_what_another_reader_sees(self, tmp_path):
+        # The rt crash-isolation contract: whatever happens to the
+        # writer, the file holds whole batches of whole lines.
+        path = tmp_path / "t.jsonl"
+        tracer = SpoolingTracer(path, flush_every=4)
+        for n in range(1, 11):
+            tracer.record(float(n), "k", node=n)
+            data = path.read_bytes()
+            assert data.count(b"\n") == 4 * (n // 4)
+            assert data == b"" or data.endswith(b"\n")
+            assert tracer.spooled == n
+        tracer.flush()
+        assert len(read_spool(path)) == 10
+        tracer.record(11.0, "k")
+        assert len(read_spool(path)) == 10
+        tracer.close()
+        assert [r.time for r in read_spool(path)] == [
+            float(n) for n in range(1, 12)
+        ]
+
+    def test_emit_and_filtered_record_after_close_raise(self, tmp_path):
+        tracer = SpoolingTracer(tmp_path / "t.jsonl", kinds=("fds",))
+        tracer.close()
+        with pytest.raises(ConfigurationError):
+            tracer.emit(TraceRecord(1.0, "fds.detection", 1, {}))
+        with pytest.raises(ConfigurationError):
+            tracer.record(1.0, "radio.tx")
+        assert (tracer.spooled, tracer.filtered) == (0, 0)
+
+    def test_emit_goes_through_the_kind_filter_and_the_tail(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        with SpoolingTracer(path, kinds=("fds",), tail=4) as tracer:
+            tracer.emit(TraceRecord(1.0, "fds.detection", 1, {"target": 2}))
+            tracer.emit(TraceRecord(1.5, "radio.tx", 1, {}))
+            tracer.record(2.0, "fds.relay", node=3, failures=[2])
+            assert tracer.tail_records() == (
+                TraceRecord(1.0, "fds.detection", 1, {"target": 2}),
+                TraceRecord(2.0, "fds.relay", 3, {"failures": [2]}),
+            )
+        assert (tracer.spooled, tracer.filtered) == (2, 1)
+        assert list(read_spool(path)) == list(tracer.tail_records())
 
     def test_validation(self, tmp_path):
         with pytest.raises(ConfigurationError):

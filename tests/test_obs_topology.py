@@ -11,13 +11,9 @@ differentially.
 import json
 
 from repro.experiments.runner import ScenarioConfig, run_scenario
+from repro.obs.analyze import TOPOLOGY_KIND, TopologyView
 from repro.obs.spool import SpoolingTracer, read_spool
-from repro.obs.topology import (
-    TOPOLOGY_KIND,
-    TopologyView,
-    topology_payload,
-    topology_view,
-)
+from repro.obs.topology import topology_payload, topology_view
 from repro.sim.trace import TraceRecord
 
 

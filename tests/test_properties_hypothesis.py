@@ -2,6 +2,7 @@
 
 import functools
 import heapq
+import json
 import math
 
 import numpy as np
@@ -23,6 +24,7 @@ from repro.fds.digest import build_digest
 from repro.fds.reports import BoundaryLedger, ReportHistory
 from repro.sim.engine import Simulator
 from repro.sim.events import EventQueue
+from repro.sim.trace import TraceRecord, record_line, record_to_dict
 from repro.topology.graph import UnitDiskGraph
 from repro.util.geometry import Vec2, lens_area
 from repro.util.logmath import log_binomial, log_binomial_pmf, logsumexp
@@ -485,3 +487,42 @@ def test_crash_execution_inverts_crash_time_and_precedes_run_end(case):
     assert fds.run_end(start, count) < start + count * phi
     assert (crash - start) % phi > fds.execution_duration()
 
+
+
+# ----------------------------------------------------------------------
+# Trace line serialization
+# ----------------------------------------------------------------------
+
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([1e-07, -0.0, 0.1 + 0.2, 1e22, 5e-324]),
+    st.text(max_size=12),
+)
+detail_values = st.recursive(
+    json_scalars, lambda inner: st.lists(inner, max_size=4), max_leaves=12
+)
+detail_keys = st.text(max_size=8).filter(
+    lambda key: key not in ("time", "kind", "node")
+)
+
+
+@given(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=20),
+    st.one_of(st.none(), st.integers(min_value=0, max_value=10**6)),
+    st.dictionaries(detail_keys, detail_values, max_size=6),
+)
+def test_record_line_is_the_sorted_dump_of_the_flat_record(
+    time, kind, node, detail
+):
+    # The spool's bytes are pinned to what json.dumps of the flat dict
+    # gave before record_line existed: same key order, float repr,
+    # ASCII escaping and separators.
+    expected = json.dumps(
+        record_to_dict(TraceRecord(time, kind, node, detail)), sort_keys=True
+    )
+    assert record_line(time, kind, node, detail) == expected
+    assert "\n" not in expected

@@ -8,9 +8,11 @@ poll interval without disturbing the writer.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import re
+import shutil
 import socket
 import threading
 import time
@@ -22,10 +24,14 @@ import pytest
 
 from repro.__main__ import main
 from repro.experiments.runner import ScenarioConfig, run_scenario
+from repro.obs.cli import render_json
+from repro.obs.profiler import PhaseProfiler
 from repro.obs.spool import SpoolingTracer
+from repro.serve import state
 from repro.serve.http import DashboardServer
 from repro.serve.state import SpoolView, StoreView
 from repro.sim.trace import TraceRecord
+from tests.spool_helpers import PIPELINE, write_hostile_spool
 
 
 @pytest.fixture(scope="module")
@@ -105,6 +111,160 @@ class TestEndpointCliAgreement:
         assert body == _cli(
             "trace", "lineage", str(spool), str(target), "--json"
         )
+
+
+# Captured at commit 833ce24 from the spool of the PIPELINE run (``phases`` stripped from the summary: wall-clock).  The
+# endpoint-vs-CLI identity above cannot see the two drift together.
+GOLDEN_ENDPOINT_SHA256 = {
+    "summary": "77e127065f2c2f0ee2911a5a6a301b59bee547bb5606b3cc320a452313883964",
+    "timeline": "42e894ea8297c296701eb9a82cac24e8bdb7c94b02206f9ac5e9dbae93e9d2e6",
+    "latency": "229b399c35439ed0a2480caeee32faf5a0b6366756db63524ef46514a21c6b83",
+    "topology": "95403804c45ae867304fbb9431cd1c120fb3bd50803b30e4621143fba6e0307e",
+    "lineage": "db50d44d6ce884e6aaea3b7c2613400f3c724e8ceab97c8daab252080bc15bf3",
+}
+
+
+def _spool_urls(target):
+    """The five spool endpoints, as the benchmark and the page ask."""
+    return {
+        "summary": "/api/summary",
+        "timeline": "/api/timeline",
+        "latency": "/api/latency",
+        "topology": "/api/topology",
+        "lineage": f"/api/lineage?target={target}",
+    }
+
+
+def _first_crashed(spool_path):
+    crashes = json.loads(
+        _cli("trace", "latency", str(spool_path), "--json")
+    )["crashes"]
+    return min(row["node"] for row in crashes)
+
+
+class TestGoldenEndpointBytes:
+    def test_bodies_unchanged(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        with SpoolingTracer(path) as tracer:
+            result = run_scenario(
+                ScenarioConfig(**PIPELINE), tracer=tracer,
+                profiler=PhaseProfiler(),
+            )
+        target = min(int(node) for node in result.crash_times)
+        bodies = {}
+        with serving(path) as port:
+            for label, url in _spool_urls(target).items():
+                status, _, bodies[label] = _get(port, url)
+                assert status == 200
+        summary = json.loads(bodies["summary"])
+        assert len(summary.pop("phases")) == 8
+        bodies["summary"] = render_json(summary).encode("utf-8")
+        assert {
+            label: hashlib.sha256(body).hexdigest()
+            for label, body in bodies.items()
+        } == GOLDEN_ENDPOINT_SHA256
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """The spool reads ``repro.serve.state`` starts, one entry each."""
+    started = []
+    real = state.iter_spool
+
+    def counting(path, *args, **kwargs):
+        started.append(path)
+        return real(path, *args, **kwargs)
+
+    monkeypatch.setattr(state, "iter_spool", counting)
+    return started
+
+
+class TestOnePass:
+    def test_cold_view_answers_every_endpoint_from_one_pass(
+        self, spool, passes
+    ):
+        urls = _spool_urls(_first_crashed(spool))
+        with serving(spool) as port:
+            for url in urls.values():
+                assert _get(port, url)[0] == 200
+            assert len(passes) == 1
+            # Any other target is answered from the same digest.
+            other = json.loads(_get(port, "/api/latency")[2])["crashes"][-1]
+            status, _, _ = _get(port, f"/api/lineage?target={other['node']}")
+            assert status == 200
+            assert len(passes) == 1
+
+    def test_concurrent_cold_requests_share_the_pass(self, spool, passes):
+        # What the dashboard page fires on load.
+        urls = [
+            "/api/summary", "/api/timeline", "/api/latency", "/api/topology",
+        ]
+        barrier = threading.Barrier(len(urls))
+        statuses = []
+
+        def fetch(port, url):
+            barrier.wait(timeout=10)
+            statuses.append(_get(port, url)[0])
+
+        with serving(spool) as port:
+            clients = [
+                threading.Thread(target=fetch, args=(port, url))
+                for url in urls
+            ]
+            for client in clients:
+                client.start()
+            for client in clients:
+                client.join(timeout=30)
+                assert not client.is_alive()
+        assert statuses == [200] * len(urls)
+        assert len(passes) == 1
+
+    def test_grown_spool_is_reduced_once_more(self, spool, tmp_path, passes):
+        live = tmp_path / "live.jsonl"
+        shutil.copyfile(spool, live)
+        urls = _spool_urls(_first_crashed(spool))
+        with serving(live) as port:
+            before = json.loads(_get(port, "/api/summary")[2])["records"]
+            with live.open("a", encoding="utf-8") as handle:
+                handle.write(
+                    '{"time": 99.0, "kind": "sim.crash", "node": 0}\n'
+                )
+            for url in urls.values():
+                assert _get(port, url)[0] == 200
+            after = json.loads(_get(port, "/api/summary")[2])["records"]
+        assert after == before + 1
+        assert len(passes) == 2
+
+    def test_explicit_bucket_streams_once_more(self, spool, passes):
+        with serving(spool) as port:
+            _get(port, "/api/timeline")
+            assert len(passes) == 1
+            first = _get(port, "/api/timeline?bucket=5.0")[2]
+            assert len(passes) == 2
+            assert _get(port, "/api/timeline?bucket=5.0")[2] == first
+            assert len(passes) == 2
+
+    def test_digest_holds_no_radio_record(self, spool):
+        # The stand-in for peak memory: of everything parsed, only the
+        # protocol records (a small share) outlive the pass.
+        view = SpoolView(spool)
+        kinds = view.summary_payload()["kinds"]
+        radio = sum(n for kind, n in kinds.items() if kind.startswith("radio."))
+        kept = view._digest.protocol
+        assert radio > 0 and kept
+        assert not any(r.kind.startswith("radio.") for r in kept)
+        assert len(kept) == sum(kinds.values()) - radio
+
+
+class TestHostileSpool:
+    def test_summary_counts_the_records_that_remain(self, tmp_path):
+        path = tmp_path / "hostile.jsonl"
+        write_hostile_spool(path)
+        with serving(path) as port:
+            status, _, body = _get(port, "/api/summary")
+        assert status == 200
+        assert json.loads(body)["records"] == 3
+        assert body == _cli("trace", "summarize", str(path), "--json")
 
 
 class TestTopologyEndpoint:

@@ -109,14 +109,19 @@ def test_callback_tracer_streams():
 
 
 def test_only_recording_tracer_overrides_record(tmp_path):
-    # The fast path is RecordingTracer's alone: the streaming tracers
-    # keep the base ``record -> emit`` route, so whatever their ``emit``
-    # does (callback, spool write) sees every record.
-    from repro.obs.spool import SpoolingTracer, read_spool
+    # The in-memory fast path is RecordingTracer's alone: CallbackTracer
+    # keeps the base ``record -> emit`` route, so its callback sees every
+    # record.  SpoolingTracer is the one other override: a record bound
+    # for disk only needs its JSON line, so ``record`` encodes the
+    # arguments without building a TraceRecord first -- and must write
+    # exactly what ``emit`` of the equivalent record writes.
+    from repro.obs.spool import SpoolingTracer
     from repro.sim.trace import Tracer
 
     assert CallbackTracer.record is Tracer.record
-    assert SpoolingTracer.record is Tracer.record
+    assert SpoolingTracer.record is not Tracer.record
     with SpoolingTracer(tmp_path / "t.jsonl") as spool:
         spool.record(1.0, "k", node=2, x=1)
-    assert [r.kind for r in read_spool(tmp_path / "t.jsonl")] == ["k"]
+        spool.emit(TraceRecord(1.0, "k", 2, {"x": 1}))
+    first, second = (tmp_path / "t.jsonl").read_text().splitlines()
+    assert first == second == '{"kind": "k", "node": 2, "time": 1.0, "x": 1}'
