@@ -90,44 +90,45 @@ def array_topology_detail(layout) -> Dict[str, object]:
     dropped), and unclustered nodes are those with ``assign == PAD``.
     """
     pad = -1  # repro.sim.array_engine.layout.PAD
-    head_nids = [int(h) for h in layout.head_nids]
-    clusters = []
-    for c, head in enumerate(head_nids):
-        row = layout.members[c]
-        mask = layout.member_mask[c]
-        members = sorted({head, *(int(m) for m in row[mask])})
-        deputies = [int(d) for d in layout.deputies[c] if int(d) != pad]
-        clusters.append(
-            {"head": head, "members": members, "deputies": deputies}
+    # Whole arrays to Python lists once: ``int()``/``float()`` on 10^5
+    # numpy scalars one by one dominated this function.
+    head_nids = layout.head_nids.tolist()
+    member_rows = layout.members.tolist()
+    clusters = [
+        {
+            "head": head,
+            "members": sorted({head, *(m for m in row if m != pad)}),
+            "deputies": [d for d in deputies if d != pad],
+        }
+        for head, row, deputies in zip(
+            head_nids, member_rows, layout.deputies.tolist()
         )
+    ]
     clusters.sort(key=lambda entry: entry["head"])
-    boundaries = []
-    for b in range(len(layout.boundary_owner)):
-        owner_cluster = int(layout.boundary_owner[b])
-        forwarders = [
-            int(layout.members[owner_cluster][int(slot)])
-            for slot in layout.boundary_gateway_slots[b]
-            if int(slot) != pad
-        ]
-        boundaries.append({
-            "owner": head_nids[owner_cluster],
-            "peer": head_nids[int(layout.boundary_peer[b])],
-            "forwarders": forwarders,
-        })
+    boundaries = [
+        {
+            "owner": head_nids[owner],
+            "peer": head_nids[peer],
+            "forwarders": [
+                member_rows[owner][slot] for slot in slots if slot != pad
+            ],
+        }
+        for owner, peer, slots in zip(
+            layout.boundary_owner.tolist(),
+            layout.boundary_peer.tolist(),
+            layout.boundary_gateway_slots.tolist(),
+        )
+    ]
     boundaries.sort(key=lambda entry: (entry["owner"], entry["peer"]))
-    unclustered = sorted(
-        int(n)
-        for n in range(layout.node_count)
-        if int(layout.assign[n]) == pad
-    )
-    nodes = list(range(layout.node_count))
+    # Python's round(): np.round is not correctly rounded, and the
+    # array spool's bytes are pinned.
     return {
         "clusters": clusters,
         "boundaries": boundaries,
-        "unclustered": unclustered,
-        "nodes": nodes,
-        "x": [round(float(v), _COORD_DECIMALS) for v in layout.xs],
-        "y": [round(float(v), _COORD_DECIMALS) for v in layout.ys],
+        "unclustered": (layout.assign == pad).nonzero()[0].tolist(),
+        "nodes": list(range(layout.node_count)),
+        "x": [round(v, _COORD_DECIMALS) for v in layout.xs.tolist()],
+        "y": [round(v, _COORD_DECIMALS) for v in layout.ys.tolist()],
     }
 
 

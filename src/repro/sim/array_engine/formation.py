@@ -724,7 +724,7 @@ def formation_array_layout(
     adjacency = np.zeros((c, max_m, max_m), dtype=bool)
     with np.errstate(invalid="ignore"):
         pair_dist = _fill_adjacency(
-            adjacency, px, py, member_mask, outcome.radius,
+            adjacency, px, py, outcome.radius,
             keep_dist=keep_pair_dist,
         )
 

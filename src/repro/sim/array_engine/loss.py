@@ -50,6 +50,16 @@ Gilbert chain contract (engine-private, like the draw order itself):
 
 All chains start in the Good state, like the scalar model's fresh
 per-link dictionary.
+
+Blocking never moves the stream.  ``bernoulli`` / ``bounded`` /
+``distance`` draws fetch their uniforms ``_DRAW_BLOCK`` at a time into
+one reused buffer; ``Generator.random`` spends one 64-bit output per
+double, so the stream ends where a single ``random(count)`` would leave
+it and a draw of at most one block *is* a single call.  ``bounded``
+applies its budget after the whole call's uniforms are drawn: the call
+in which the budget runs out consumes all ``count`` of them, the next
+call none.  ``gilbert`` draws every transition, then every loss, per
+call -- blocking would interleave the two, so it stays one-shot.
 """
 
 from __future__ import annotations
@@ -60,6 +70,10 @@ import numpy as np
 
 from repro.errors import ExperimentError
 from repro.sim.loss import build_loss_model
+
+#: Uniforms drawn per ``Generator.random(out=...)`` call (module
+#: docstring: blocking never moves the stream).
+_DRAW_BLOCK = 1 << 16
 
 
 class ArrayLossDraw:
@@ -161,38 +175,39 @@ class ArrayLossDraw:
             state[cell] = bool(s[0])
             self.delivered_count += int(out.sum())
             return out
-        if self.kind == "distance":
+        by_distance = self.kind == "distance"
+        if by_distance:
             if distances is None:
                 raise ExperimentError(
                     "distance loss draws require per-copy distances"
                 )
-            p = self.model.loss_probabilities(distances)
-            out = self.rng.random(count) >= p
-            self.delivered_count += int(out.sum())
-            return out
-        # bernoulli / bounded share the p in {0, 1} shortcut discipline.
-        p = self.model.p
-        if p == 0.0:
-            self.delivered_count += count
-            return np.ones(count, dtype=bool)
-        if self.kind == "bounded" and self.budget_left <= 0:
-            self.delivered_count += count
-            return np.ones(count, dtype=bool)
-        if p == 1.0:
-            lost = np.ones(count, dtype=bool)
         else:
-            lost = self.rng.random(count) < p
+            # bernoulli / bounded share the p in {0, 1} shortcut discipline.
+            p = self.model.p
+            if p == 0.0 or (self.kind == "bounded" and self.budget_left <= 0):
+                self.delivered_count += count
+                return np.ones(count, dtype=bool)
+        out = np.zeros(count, dtype=bool)
+        if by_distance or p < 1.0:
+            uniforms = np.empty(min(count, _DRAW_BLOCK))
+            for lo in range(0, count, _DRAW_BLOCK):
+                hi = lo + _DRAW_BLOCK  # slices clip at ``count``
+                u = self.rng.random(out=uniforms[: count - lo])
+                if by_distance:
+                    p = self.model.loss_probabilities(distances[lo:hi])
+                np.greater_equal(u, p, out=out[lo:hi])
         if self.kind == "bounded":
             # Spend the budget in flat draw order; later losses revert
-            # to deliveries once the adversary is out of drops.
-            idx = np.flatnonzero(lost)
+            # to deliveries once the adversary is out of drops.  All of
+            # this call's uniforms are consumed by then -- only the
+            # *next* call stops drawing.
+            idx = np.flatnonzero(~out)
             if idx.size > self.budget_left:
-                lost[idx[self.budget_left:]] = False
+                out[idx[self.budget_left:]] = True
                 self.budget_left = 0
             else:
                 self.budget_left -= int(idx.size)
-        out = ~lost
-        self.delivered_count += int(out.sum())
+        self.delivered_count += int(np.count_nonzero(out))
         return out
 
     def draw_into(
@@ -204,6 +219,11 @@ class ArrayLossDraw:
     ) -> np.ndarray:
         """Delivered mask shaped like ``active``; False wherever inactive.
 
+        Beyond the returned mask this allocates one bool per *active*
+        copy plus one uniform block (``distance`` adds the active
+        copies' distances, ``gilbert`` two uniforms per active copy) --
+        never an index array or a uniform per cell.
+
         Only active copies consume the stream (and, for ``bounded``, the
         budget; for ``gilbert``, their link's chain step), mirroring the
         event medium where crashed senders and absent links produce no
@@ -212,28 +232,24 @@ class ArrayLossDraw:
         optionally indexes into a larger family so a draw site can
         address a slice of it (e.g. one cluster's CH -> member row).
         """
-        if self.kind == "gilbert":
-            out = np.zeros(active.shape, dtype=bool)
-            flat = np.flatnonzero(active)
-            if flat.size:
-                self.attempted += int(flat.size)
-                state = self._chain_view(chain, at, active.shape)
-                # Gather-copy under ``at`` (advanced indexing may not
-                # yield a writable view), mutate, scatter back.
-                gathered = state[at].copy() if at is not None else state
-                s = gathered.ravel()[flat].copy()
-                s, lost = self._gilbert_flat(int(flat.size), s)
-                gathered.ravel()[flat] = s
-                if at is not None:
-                    state[at] = gathered
-                out.ravel()[flat] = ~lost
-                self.delivered_count += int((~lost).sum())
-            return out
         out = np.zeros(active.shape, dtype=bool)
-        flat = np.flatnonzero(active)
-        if flat.size:
-            d = None
+        count = int(np.count_nonzero(active))
+        if count == 0:
+            return out
+        if self.kind == "gilbert":
+            self.attempted += count
+            state = self._chain_view(chain, at, active.shape)
+            # Gather-copy under ``at`` (advanced indexing may not yield
+            # a writable view), mutate, scatter back.
+            gathered = state[at].copy() if at is not None else state
+            gathered[active], lost = self._gilbert_flat(count, gathered[active])
+            if at is not None:
+                state[at] = gathered
+            delivered = ~lost
+            self.delivered_count += int(delivered.sum())
+        else:
             if distances is not None:
-                d = np.asarray(distances).ravel()[flat]
-            out.ravel()[flat] = self.delivered(int(flat.size), distances=d)
+                distances = np.asarray(distances)[active]
+            delivered = self.delivered(count, distances=distances)
+        out[active] = delivered
         return out

@@ -49,6 +49,15 @@ and peer-request copies member -> own CH; ``cm`` carries CH broadcasts
 deputy-row witness draws); ``over``/``rep`` the per-channel gateway
 ladders.
 
+Frontier invariant of the inter-cluster fixpoint: which channels hold
+forwardable news (``has``) is computed for all channels once per
+execution; afterwards only a successful crossing changes knowledge, and
+only of the CH and members of the cluster it entered, which ``has``
+reads as destination CH, source CH or outbound gateway of exactly the
+channels incident to that cluster.  Each wave therefore recomputes
+those rows alone; the per-wave ``active`` lists, their order and every
+draw equal a full rescan's (``tests/test_array_kernels.py``).
+
 Energy (``track_energy``): an optional
 :class:`~repro.sim.array_engine.energy.ArrayEnergyLedger` charges every
 ``transmissions`` increment to its sender and every delivered copy to
@@ -208,6 +217,15 @@ class ArrayRoundEngine:
             self.ch_overhear_dist = np.zeros((0, 1), dtype=np.float64)
             self.ch_src_nid = np.zeros(0, dtype=np.int64)
             self.ch_dst_nid = np.zeros(0, dtype=np.int64)
+
+        #: Per-channel scalars of :meth:`_cross_channel` as Python values
+        #: (numpy scalar indexing cost more than a crossing's draws).
+        self._crossing = list(zip(
+            self.ch_dst.tolist(), self.ch_dst_nid.tolist(),
+            self.ch_src_nid.tolist(), self.ch_inbound.tolist(),
+            self.ch_gw_ids.tolist(),
+        ))
+        self._safe_gw = np.where(self.ch_gw_ok, self.ch_gw_ids, 0)
 
         # The per-channel gateway ladders address chain cells by (b, g)
         # before any full-family draw would create them, so pre-create
@@ -711,29 +729,36 @@ class ArrayRoundEngine:
         """
         if not self.T:
             return
-        fds, layout, loss = self.fds, self.layout, self.loss
+        fds = self.fds
         attempts = (fds.max_forward_retries + 1) if fds.implicit_ack else 1
-        ok = self.ch_gw_ok
-        safe_gw = np.where(ok, self.ch_gw_ids, 0)
-        alive_gw = ok & alive[safe_gw]
+        alive_gw = self.ch_gw_ok & alive[self._safe_gw]
+        has = self._has_news(slice(None), alive_gw)
+        entered = np.zeros(self.C, dtype=bool)
         guard = 0
         while guard <= self.C + 2:
             guard += 1
-            dst_known = self.known[self.ch_dst_nid]  # (2B, T)
-            gw_known = self.known[safe_gw]  # (2B, G, T)
-            out_has = (gw_known & ~dst_known[:, None, :]).any(axis=2)
-            in_has = (self.known[self.ch_src_nid] & ~dst_known).any(axis=1)
-            has = np.where(self.ch_inbound[:, None], in_has[:, None], out_has)
-            has &= alive_gw
-            active = np.flatnonzero(has.any(axis=1))
-            if active.size == 0:
-                break
-            progressed = False
+            active = np.flatnonzero(has.any(axis=1)).tolist()
+            entered[:] = False
             for b in active:
-                if self._cross_channel(int(b), has[b], alive_m, hd, attempts):
-                    progressed = True
-            if not progressed:
+                if self._cross_channel(b, has[b], alive_m, hd, attempts):
+                    entered[self.ch_dst[b]] = True
+            if not entered.any():
                 break
+            # Every other row would recompute to the value it holds
+            # (frontier invariant, module docstring).
+            rows = np.flatnonzero(entered[self.ch_src] | entered[self.ch_dst])
+            has[rows] = self._has_news(rows, alive_gw)
+
+    def _has_news(self, rows, alive_gw: np.ndarray) -> np.ndarray:
+        """``(len(rows), G)``: the alive ranked gateways of channels
+        ``rows`` that could carry news the destination CH lacks -- their
+        own knowledge outbound, the source CH's inbound."""
+        known = self.known
+        dst_known = known[self.ch_dst_nid[rows]]  # (R, T)
+        out_has = (known[self._safe_gw[rows]] & ~dst_known[:, None, :]).any(axis=2)
+        in_has = (known[self.ch_src_nid[rows]] & ~dst_known).any(axis=1)
+        has = np.where(self.ch_inbound[rows, None], in_has[:, None], out_has)
+        return has & alive_gw[rows]
 
     def _cross_channel(
         self,
@@ -746,12 +771,11 @@ class ArrayRoundEngine:
         """Attempt one channel crossing; returns True on success."""
         loss = self.loss
         layout = self.layout
-        dst = int(self.ch_dst[b])  # cluster index (layout rows, chains)
-        dst_nid = int(self.ch_dst_nid[b])  # the dst CH's knowledge row
-        inbound = bool(self.ch_inbound[b])
-        src_row = self.known[int(self.ch_src_nid[b])]
-        for g in np.flatnonzero(ranks_ok):
-            gid = int(self.ch_gw_ids[b, g])
+        # dst: cluster index (layout rows, chains); dst_nid: its CH's NID.
+        dst, dst_nid, src_nid, inbound, gw_ids = self._crossing[b]
+        src_row = self.known[src_nid]
+        for g in np.flatnonzero(ranks_ok).tolist():
+            gid = gw_ids[g]
             if inbound:
                 news = src_row & ~self.known[dst_nid]
             else:
@@ -759,24 +783,14 @@ class ArrayRoundEngine:
             if not news.any():
                 return False  # covered by an earlier crossing this wave
             if inbound:
-                over = loss.delivered(
-                    attempts,
-                    distances=np.full(attempts, self.ch_overhear_dist[b, g]),
-                    chain="over",
-                    at=(b, g),
-                )
+                over = self._ladder("over", self.ch_overhear_dist, b, g, attempts)
                 if self._e_rx is not None:
                     self._e_rx[gid] += int(over.sum())
                 if not over.any():
                     continue  # never overheard the source CH; next BGW
             if g > 0:
                 self.bgw_activations += 1
-            rep = loss.delivered(
-                attempts,
-                distances=np.full(attempts, self.ch_report_dist[b, g]),
-                chain="rep",
-                at=(b, g),
-            )
+            rep = self._ladder("rep", self.ch_report_dist, b, g, attempts)
             self.reports_sent += 1
             self.report_retransmissions += attempts - 1
             self.transmissions += attempts
@@ -796,3 +810,14 @@ class ArrayRoundEngine:
                 self.known[rec_ids] |= news[None, :]
             return True
         return False
+
+    def _ladder(
+        self, chain: str, dist: np.ndarray, b: int, g: int, attempts: int
+    ) -> np.ndarray:
+        """``attempts`` sequential tries on gateway link ``(b, g)``."""
+        distances = None
+        if self.loss.kind == "distance":  # the only kind reading them
+            distances = np.full(attempts, dist[b, g])
+        return self.loss.delivered(
+            attempts, distances=distances, chain=chain, at=(b, g)
+        )

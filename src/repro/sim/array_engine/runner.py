@@ -160,9 +160,7 @@ def _score_properties(
         operational_count=int(obs_ids.size),
         crashed_count=int(crashed_ids.size),
     )
-    operational = tuple(NodeId(int(n)) for n in op_ids)
-    crashed = tuple(NodeId(int(n)) for n in crashed_ids)
-    return report, operational, crashed
+    return report, tuple(op_ids.tolist()), tuple(crashed_ids.tolist())
 
 
 def run_array_scenario(

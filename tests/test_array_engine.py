@@ -32,7 +32,7 @@ from repro.audit.differential import (
     verdict_records,
 )
 from repro.cluster.geometric import build_clusters
-from repro.errors import ConfigurationError, ExperimentError
+from repro.errors import ConfigurationError, ExperimentError, TopologyError
 from repro.experiments.runner import ScenarioConfig, run_scenario
 from repro.sim.array_engine import run_array_scenario
 from repro.sim.array_engine.layout import PAD, build_array_layout
@@ -685,3 +685,25 @@ def test_formation_differential_pair_clean():
 def test_unknown_engine_rejected():
     with pytest.raises(ExperimentError, match="engine"):
         _config(engine="quantum")
+
+
+@pytest.mark.parametrize("field, name", [
+    (dict(cluster_count=0), "cluster_count"),
+    (dict(members_per_cluster=0), "members_per_cluster"),
+    (dict(transmission_range=0.0), "radius"),
+    (dict(spacing_factor=2.0), "spacing_factor"),
+])
+@pytest.mark.parametrize("formation", ["oracle", "protocol"])
+def test_both_engines_reject_the_same_fields(field, name, formation):
+    """One lattice contract: what ``multi_cluster_field`` refuses, the
+    array layout refuses with the same typed error and message (it used
+    to run 0-node and memberless fields to a "result")."""
+    raised = {}
+    for engine in ("event", "array"):
+        config = _config(
+            crash_count=0, engine=engine, formation=formation, **field
+        )
+        with pytest.raises((ConfigurationError, TopologyError), match=name) as info:
+            run_scenario(config)
+        raised[engine] = (type(info.value), str(info.value))
+    assert raised["event"] == raised["array"]

@@ -72,6 +72,8 @@ class TestCli:
     @pytest.mark.parametrize("argv", [
         ["scenario", "--clusters", "2", "--members", "5", "--crashes", "50"],
         ["scenario", "--formation-backoff", "2"],
+        ["scenario", "--engine", "array", "--clusters", "0", "--crashes", "0"],
+        ["scenario", "--engine", "array", "--members", "0", "--crashes", "0"],
         ["rt", "run", "--crashes", "40", "--members", "4"],
     ])
     def test_invalid_input_is_one_error_line(self, argv, capsys):

@@ -7,7 +7,9 @@ compare everything observable.
 """
 
 import hashlib
+import json
 import random
+from dataclasses import astuple
 
 import pytest
 
@@ -191,6 +193,78 @@ class TestGoldenEventEngine:
 
 
 # ----------------------------------------------------------------------
+# Golden fingerprints of the array engine
+# ----------------------------------------------------------------------
+# Captured at commit 242b077 (one ``rng.random(count)`` per draw, index
+# gather/scatter, full inter-cluster rescans), one config per draw path:
+# SHA-256 of the canonical ``summary()``, the trace fingerprint, and the
+# whole ``MessageCounts``.  The 36 x 60 field makes the ``hb_mm`` draw
+# ~75 k copies, more than one draw block; the bounded budget (7000)
+# dies inside that draw's second block.
+ARRAY_FIELD = dict(
+    cluster_count=36, members_per_cluster=60, executions=4,
+    crash_count=6, loss_probability=0.1, engine="array", seed=1,
+)
+ORACLE_TRACE = "96c6e8dc72040c777011b4bbbdb5b8b5f2a322b75d6b6528209910e8195fb4af"
+GOLDEN_ARRAY_RUNS = {
+    "bernoulli": (
+        ARRAY_FIELD,
+        "30c1268812f318110c0ea6fee61b32b626d9ca838ff86780f8184f83195327b1",
+        ORACLE_TRACE,
+        (20319, 348806, 38757, 1069, 968, 874, 150, 300, 6, 0),
+    ),
+    "bounded": (
+        dict(
+            ARRAY_FIELD, loss_kind="bounded",
+            loss_params=(("p", 0.1), ("budget", 7000.0)),
+        ),
+        "6274a2ec1d4d406ae393b5ce414b7c703180292004db94f0a92c9a1519c3d9a3",
+        ORACLE_TRACE,
+        (18278, 378465, 7000, 0, 0, 0, 149, 298, 0, 0),
+    ),
+    "distance": (
+        dict(ARRAY_FIELD, loss_kind="distance"),
+        "0917450d7c3823eb3f54855f2dc6d3b21254372cf211d845816d361d21e9403a",
+        ORACLE_TRACE,
+        (23683, 319669, 71550, 3127, 2242, 1594, 159, 318, 31, 0),
+    ),
+    "gilbert_energy": (
+        dict(ARRAY_FIELD, loss_kind="gilbert", track_energy=True),
+        "597f0c11d19a0d6233b1ac0448d85af18487cdf4ca5fe2cd76d4b58405d43b0f",
+        ORACLE_TRACE,
+        (21436, 355695, 32931, 1683, 1469, 716, 151, 302, 7, 0),
+    ),
+    "protocol": (
+        dict(ARRAY_FIELD, formation="protocol"),
+        "401e285469a610b2b285ea8400b0aba610042c2c763b39985b417e7bc12f8f8b",
+        "fee8a3a78b6ebb6d727c15205629663b9fbad0e1832733e9a0cb073bd4d7ec68",
+        (32188, 775597, 86290, 1048, 955, 873, 151, 302, 5, 0),
+    ),
+}
+GOLDEN_GILBERT_ENERGY = {
+    "tx_total": 21436.0,
+    "rx_total": 355695.0,
+    "min_level": 798.9749999999719,
+    "mean_level": 962.3873292349696,
+}
+
+
+class TestGoldenArrayEngine:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_ARRAY_RUNS))
+    def test_summary_trace_and_counters_unchanged(self, name):
+        kwargs, summary_sha256, trace, messages = GOLDEN_ARRAY_RUNS[name]
+        result = run_scenario(ScenarioConfig(**kwargs))
+        summary = json.dumps(result.summary(), sort_keys=True)
+        assert (
+            hashlib.sha256(summary.encode()).hexdigest(),
+            trace_fingerprint(result.tracer),
+            astuple(result.messages),
+        ) == (summary_sha256, trace, messages)
+        if result.energy is not None:
+            assert result.energy.totals() == GOLDEN_GILBERT_ENERGY
+
+
+# ----------------------------------------------------------------------
 # Golden bytes of the disk spool
 # ----------------------------------------------------------------------
 # Captured at commit 833ce24, when every line was
@@ -207,6 +281,13 @@ GOLDEN_SPOOLS = {
     "array": (
         dict(PIPELINE, engine="array"),
         "ad38c0a52fa0ca5ed99addaf77dcc8f084042f0ba7445e9763e2db9ae69ffde9",
+        12,
+    ),
+    # Captured at commit 242b077 (the header's topology detail still
+    # built one numpy scalar at a time).
+    "array_protocol": (
+        dict(PIPELINE, engine="array", formation="protocol"),
+        "ba28abd8c35d55f2c8b6eade86c3d6ce00f13b918bf890c05d80124beea39de8",
         12,
     ),
 }

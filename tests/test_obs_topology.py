@@ -10,10 +10,16 @@ differentially.
 
 import json
 
+import pytest
+
 from repro.experiments.runner import ScenarioConfig, run_scenario
 from repro.obs.analyze import TOPOLOGY_KIND, TopologyView
 from repro.obs.spool import SpoolingTracer, read_spool
-from repro.obs.topology import topology_payload, topology_view
+from repro.obs.topology import (
+    array_topology_detail,
+    topology_payload,
+    topology_view,
+)
 from repro.sim.trace import TraceRecord
 
 
@@ -58,6 +64,79 @@ class TestEmission:
         )
         assert json.dumps(pick(event), sort_keys=True) \
             == json.dumps(pick(array), sort_keys=True)
+
+
+def per_element_topology_detail(layout):
+    """``array_topology_detail`` as it was before it went through
+    ``ndarray.tolist()``: one ``int()``/``float()`` per numpy scalar."""
+    pad = -1
+    head_nids = [int(h) for h in layout.head_nids]
+    clusters = []
+    for c, head in enumerate(head_nids):
+        row = layout.members[c]
+        mask = layout.member_mask[c]
+        members = sorted({head, *(int(m) for m in row[mask])})
+        deputies = [int(d) for d in layout.deputies[c] if int(d) != pad]
+        clusters.append(
+            {"head": head, "members": members, "deputies": deputies}
+        )
+    clusters.sort(key=lambda entry: entry["head"])
+    boundaries = []
+    for b in range(len(layout.boundary_owner)):
+        owner_cluster = int(layout.boundary_owner[b])
+        forwarders = [
+            int(layout.members[owner_cluster][int(slot)])
+            for slot in layout.boundary_gateway_slots[b]
+            if int(slot) != pad
+        ]
+        boundaries.append({
+            "owner": head_nids[owner_cluster],
+            "peer": head_nids[int(layout.boundary_peer[b])],
+            "forwarders": forwarders,
+        })
+    boundaries.sort(key=lambda entry: (entry["owner"], entry["peer"]))
+    unclustered = sorted(
+        int(n)
+        for n in range(layout.node_count)
+        if int(layout.assign[n]) == pad
+    )
+    return {
+        "clusters": clusters,
+        "boundaries": boundaries,
+        "unclustered": unclustered,
+        "nodes": list(range(layout.node_count)),
+        "x": [round(float(v), 4) for v in layout.xs],
+        "y": [round(float(v), 4) for v in layout.ys],
+    }
+
+
+class TestArrayDetail:
+    @pytest.mark.parametrize("overrides", [
+        dict(cluster_count=9, members_per_cluster=20),
+        # Lossy two-iteration formation: a head with NID 17, twelve
+        # stragglers, ragged rows, short gateway ladders.
+        dict(cluster_count=4, members_per_cluster=12, seed=1,
+             formation="protocol", formation_iterations=2,
+             loss_probability=0.3),
+    ], ids=["oracle", "protocol"])
+    def test_list_built_detail_equals_per_element_detail(self, overrides):
+        config = dict(
+            cluster_count=2, members_per_cluster=6, crash_count=1,
+            executions=2, seed=7, engine="array",
+        )
+        config.update(overrides)
+        layout = run_scenario(ScenarioConfig(**config)).layout
+        got = array_topology_detail(layout)
+        want = per_element_topology_detail(layout)
+        assert got == want
+        # Plain JSON types only (no numpy scalar compares equal *and*
+        # serializes), and the very bytes the spool pins.
+        assert json.dumps(got, sort_keys=True) \
+            == json.dumps(want, sort_keys=True)
+        if "formation" in overrides:
+            assert got["unclustered"]
+            assert max(c["head"] for c in got["clusters"]) \
+                >= len(got["clusters"])
 
 
 class TestReconstruction:
