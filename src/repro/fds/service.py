@@ -26,9 +26,9 @@ ground truth; all knowledge arrives by radio.
 Protocol code is substrate-agnostic: everything it needs from its host
 goes through the :class:`~repro.fds.substrate.Substrate` surface
 (``send``, ``timers``, ``now``, ``tracer``, ``profiler``), so the same
-objects run inside the discrete-event simulator
-(:class:`~repro.sim.node.SimNode`) and on real localhost UDP sockets
-(:class:`~repro.rt.substrate.RtNode`).  The deployment driver below
+objects run on a :class:`~repro.sim.node.SimNode` inside the
+discrete-event simulator and on a ``SimNode`` over real localhost UDP
+sockets (:mod:`repro.rt.substrate`).  The deployment driver below
 (:class:`FdsDeployment` / :func:`install_fds`) is the *simulator*
 binding; the runtime binding lives in :mod:`repro.rt.runtime`.
 """

@@ -4,23 +4,33 @@ The protocol code (:class:`~repro.fds.service.FdsProtocol` and its
 sub-components) never talks to the discrete-event simulator directly:
 everything it needs from its host funnels through the small surface
 formalized here -- transmit a payload, schedule a restartable timeout,
-read a monotonic clock, and emit trace records.  Two hosts implement it:
+read a monotonic clock, and emit trace records.  One host class
+implements it, :class:`~repro.sim.node.SimNode` with its
+:class:`~repro.sim.timers.TimerService`: the fail-stop gate on send and
+deliver, the ``sim.crash`` record and the restartable timer exist once.
+The seam between substrates is *below* the host, in the two
+collaborators a ``SimNode`` is built with:
 
-- :class:`~repro.sim.node.SimNode` -- the discrete-event simulator's
-  node: the clock is virtual simulated time, timers are heap events, and
-  a "send" fans out through the :class:`~repro.sim.medium.RadioMedium`;
-- :class:`~repro.rt.substrate.RtNode` -- the real-network runtime's
-  node: the clock is the wall clock, timers are asyncio callbacks, and a
-  "send" writes length-prefixed JSON datagrams to localhost UDP sockets.
+- ``sim`` -- who schedules a callback (``now``, ``schedule_in``,
+  ``schedule_at``, ``cancel``, ``profiler``): the discrete-event
+  :class:`~repro.sim.engine.Simulator` (virtual time, heap events) or
+  the runtime's :class:`~repro.rt.substrate.WallClockScheduler` (wall
+  seconds since the run epoch, asyncio ``call_at`` callbacks);
+- ``medium`` -- who carries a message (``register``, ``transmit``,
+  ``set_receiving``, ``tracer``): the modeled
+  :class:`~repro.sim.medium.RadioMedium` or the node's
+  :class:`~repro.rt.substrate.UdpLink` (length-prefixed JSON datagrams
+  between localhost UDP sockets).
 
-Because the same protocol objects run unmodified on both substrates, a
-simulated scenario and a real-socket scenario of the same spec are
-*differentially comparable* (see :mod:`repro.audit.realnet`) -- the
-conformance story behind the ``repro rt`` commands.
+Because the same protocol objects run on the same host over both
+substrates, a simulated scenario and a real-socket scenario of the same
+spec are *differentially comparable* (see :mod:`repro.audit.realnet`) --
+the conformance story behind the ``repro rt`` commands.
 
-The interfaces are :class:`typing.Protocol` classes (structural): a host
-satisfies them by shape, not by inheritance, so the simulator keeps its
-zero-overhead concrete classes and the runtime keeps asyncio-native ones.
+The interfaces below are :class:`typing.Protocol` classes (structural):
+they state the whole of what the protocol code may ask of its host, and
+a host -- ``SimNode``, or a stand-in a test builds -- satisfies them by
+shape, not by inheritance.
 """
 
 from __future__ import annotations

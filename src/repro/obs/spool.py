@@ -4,10 +4,8 @@
 which is unusable for large-field or soak runs (a 200-node scenario
 emits hundreds of thousands of radio records per execution).  A
 :class:`SpoolingTracer` instead streams each record to a JSONL file
-(gzip'd when the path ends in ``.gz``), keeps only a fixed-size ring
-buffer of recent records for in-process inspection, and optionally
-filters by kind prefix so a spool can capture "``fds.`` plus ``sim.``
-and ``meta.``" without paying for the radio firehose.
+(gzip'd when the path ends in ``.gz``) and holds at most one batch of
+encoded lines.
 
 The on-disk format is one JSON object per line, serialized by
 :func:`repro.sim.trace.record_line` (``time``/``kind``/``node`` plus the
@@ -47,19 +45,8 @@ import io
 import json
 import time
 import threading
-from collections import deque
 from pathlib import Path
-from typing import (
-    BinaryIO,
-    Deque,
-    Iterator,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import BinaryIO, Iterator, List, Mapping, Optional, Sequence, Union
 
 from repro.errors import ConfigurationError
 from repro.sim.trace import TraceRecord, Tracer, record_line
@@ -76,43 +63,29 @@ def _kind_matches(kind: str, prefixes: Sequence[str]) -> bool:
 
 
 class SpoolingTracer(Tracer):
-    """Streams records to disk; holds only a bounded tail in memory."""
+    """Streams records to disk; holds only the pending batch in memory."""
 
     enabled = True
 
     def __init__(
         self,
         path: Union[str, Path],
-        kinds: Optional[Sequence[str]] = None,
-        tail: int = 1024,
         flush_every: int = 4096,
     ) -> None:
-        """``kinds`` keeps only records whose kind equals, or is nested
-        under, one of the given prefixes (``None`` keeps everything).
-        ``tail`` bounds the in-memory ring buffer; ``flush_every`` is the
-        batch size: that many records are held as encoded lines, then
-        written and flushed together (crash-tolerant and live-tailed
-        spools want small values; throughput wants large ones).
+        """``flush_every`` is the batch size: that many records are held
+        as encoded lines, then written and flushed together
+        (crash-tolerant and live-tailed spools want small values;
+        throughput wants large ones).
         """
-        if tail < 0:
-            raise ConfigurationError(f"tail must be >= 0, got {tail}")
         if flush_every < 1:
             raise ConfigurationError(
                 f"flush_every must be >= 1, got {flush_every}"
             )
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._prefixes = tuple(kinds) if kinds is not None else None
-        # The ring holds the ``record()`` arguments, not TraceRecords:
-        # nearly all of them fall off the end unread.
-        self._tail: Deque[
-            Tuple[SimTime, str, Optional[int], Mapping[str, object]]
-        ] = deque(maxlen=tail)
         self._flush_every = flush_every
-        #: Records accepted for the spool (post-filter).
+        #: Records accepted for the spool.
         self.spooled = 0
-        #: Records dropped by the kind filter.
-        self.filtered = 0
         if self.path.suffix == ".gz":
             self._handle: io.TextIOBase = gzip.open(
                 self.path, "wt", encoding="utf-8"
@@ -147,20 +120,15 @@ class SpoolingTracer(Tracer):
         node: Optional[int],
         detail: Mapping[str, object],
     ) -> None:
-        keep = self._prefixes is None or _kind_matches(kind, self._prefixes)
         # Encode outside the lock (pure CPU), batch inside it.
-        line = record_line(time, kind, node, detail) if keep else None
+        line = record_line(time, kind, node, detail)
         with self._lock:
             if self._closed:
                 raise ConfigurationError(
                     f"SpoolingTracer {self.path} is closed; no further records"
                 )
-            if line is None:
-                self.filtered += 1
-                return
             self._pending.append(line)
             self.spooled += 1
-            self._tail.append((time, kind, node, detail))
             if len(self._pending) >= self._flush_every:
                 self._write_pending()
 
@@ -173,12 +141,6 @@ class SpoolingTracer(Tracer):
         self._handle.flush()
 
     # ------------------------------------------------------------------
-    def tail_records(self) -> tuple:
-        """The most recent spooled records (up to the ring size)."""
-        with self._lock:
-            tail = tuple(self._tail)
-        return tuple(TraceRecord(*entry) for entry in tail)
-
     def flush(self) -> None:
         with self._lock:
             if not self._closed:

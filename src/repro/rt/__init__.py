@@ -2,11 +2,12 @@
 
 The discrete-event simulator exercises the protocol under a *modeled*
 radio; this package runs the very same :class:`~repro.fds.service.FdsProtocol`
-objects as asyncio tasks bound to real localhost UDP sockets, with
-wall-clock timers and a deterministic wire codec.  Both hosts implement
-the :class:`~repro.fds.substrate.Substrate` surface, so a simulated and a
-real run of the same seeded spec are differentially comparable
-(:mod:`repro.audit.realnet`).
+objects on the very same :class:`~repro.sim.node.SimNode` hosts, over a
+wall-clock scheduler and real localhost UDP sockets with a deterministic
+wire codec.  One host class, two substrates beneath it, so a simulated
+and a real run of the same seeded spec are differentially comparable
+(:mod:`repro.audit.realnet`).  What lives here is only what is genuinely
+rt: sockets, codec, spool merge, wall clock.
 
 Modules
 -------
@@ -15,13 +16,13 @@ Modules
     :mod:`repro.fds.messages` type; decoding raises a typed
     :class:`~repro.rt.codec.CodecError`, never crashes the loop.
 ``substrate``
-    :class:`~repro.rt.substrate.RtNode` and asyncio-backed timers -- the
-    runtime's implementation of the substrate surface.
+    :class:`~repro.rt.substrate.WallClockScheduler` (the ``sim`` of an
+    rt-hosted ``SimNode``) and :class:`~repro.rt.substrate.UdpLink` (its
+    ``medium``: socket, broadcast emulation with seeded drop/delay, and
+    the task-kill + socket-close that a fail-stop means here).
 ``runtime``
-    The scenario runtime: socket binding, broadcast emulation with
-    seeded drop/delay, protocol installation, run orchestration.
-``faults``
-    Wall-clock crash injection (task killing).
+    The scenario runtime: field and layout, protocol installation,
+    faultload arming, run orchestration, result.
 ``collector``
     Per-node spool merging into one analyzable trace.
 ``cli``

@@ -1,7 +1,7 @@
 """Spool collection: merge per-node JSONL spools into one trace.
 
-Each :class:`~repro.rt.substrate.RtNode` writes its own spool (crash
-isolation: a dead node's records are already on disk), plus one
+Each node's :class:`~repro.rt.substrate.UdpLink` writes its own spool
+(crash isolation: a dead node's records are already on disk), plus one
 ``run.jsonl`` with the run-level ``meta.scenario`` record.  The
 analyzers want a single time-ordered stream, and each individual spool
 is already time-ordered (a node emits monotonically), so a heap merge

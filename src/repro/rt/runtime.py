@@ -3,11 +3,12 @@
 :func:`run_rt_scenario` is the runtime side of
 :func:`repro.experiments.runner.run_scenario`: it builds the same seeded
 field and cluster layout from the same named RNG streams, installs the
-same :class:`~repro.fds.service.FdsProtocol` objects -- but each node is
-an :class:`~repro.rt.substrate.RtNode` hosted by an asyncio task and
-bound to its own localhost UDP socket, timers are wall-clock
-``call_later`` callbacks, and every message crosses a real socket as a
-length-prefixed JSON frame (:mod:`repro.rt.codec`).
+same :class:`~repro.fds.service.FdsProtocol` objects on the same
+:class:`~repro.sim.node.SimNode` hosts -- but each host's ``sim`` is a
+:class:`~repro.rt.substrate.WallClockScheduler` over the asyncio loop and
+its ``medium`` is its own :class:`~repro.rt.substrate.UdpLink`: timers are
+wall-clock callbacks, and every message crosses a real localhost socket
+as a length-prefixed JSON frame (:mod:`repro.rt.codec`).
 
 **Clock model.**  Protocol timing constants are *pre-scaled*: the wall
 :class:`~repro.fds.config.FdsConfig` carries ``phi * time_scale`` and
@@ -23,13 +24,16 @@ send fans out as one unicast datagram per in-range neighbor (computed
 from the same seeded placement the simulator uses), each copy subject to
 a seeded drop draw (the spec's loss model, private stream) and a uniform
 ``(0, max_delay]`` artificial delay -- mirroring
-:class:`~repro.sim.medium.RadioMedium` semantics at the socket layer.
+:class:`~repro.sim.medium.RadioMedium` semantics at the socket layer
+(:meth:`UdpLink.transmit <repro.rt.substrate.UdpLink.transmit>`; the
+graph, loss model, streams and counters it reads live on the runtime).
 
 **Crash injection.**  The faultload (the simulator's own
 :func:`~repro.failure.faultload.scenario_faultload`, so stream-identical)
-kills each victim at its
-wall-scaled crash time: the node fail-stops, its supervisor task is
-cancelled, and its socket closes.
+is armed as ``scheduler.schedule_at(event.time, node.crash)``:
+:meth:`SimNode.crash <repro.sim.node.SimNode.crash>` is the one
+fail-stop procedure, and its ``medium.set_receiving(False)`` step is
+where the victim's supervisor task is cancelled and its socket closes.
 """
 
 from __future__ import annotations
@@ -53,23 +57,17 @@ from repro.metrics.properties import (
     run_summary,
 )
 from repro.obs.analyze import WALL_TIMEBASE, TraceMeta, stamp_run_header
-from repro.obs.profiler import NULL_PROFILER
 from repro.obs.spool import SpoolingTracer
 from repro.obs.topology import layout_topology_detail
-from repro.rt.codec import CodecError, decode_frame, encode_frame
 from repro.rt.collector import merge_spools
-from repro.rt.faults import CrashDriver
-from repro.rt.substrate import RtNode
+from repro.rt.substrate import UdpLink, WallClockScheduler
 from repro.sim.loss import build_loss_model, loss_params
-from repro.sim.medium import Envelope, draw_delays
+from repro.sim.node import SimNode
 from repro.sim.trace import RecordingTracer, Tracer
 from repro.topology.generators import multi_cluster_field
 from repro.topology.graph import UnitDiskGraph
 from repro.types import NodeId
 from repro.util.rng import RngFactory
-
-#: Trace kind emitted when an undecodable datagram is dropped.
-CODEC_ERROR_KIND = "rt.codec_error"
 
 
 @dataclass(frozen=True)
@@ -145,7 +143,7 @@ class RtResult:
     scenario: RtScenario
     layout: ClusterLayout
     protocols: Dict[NodeId, FdsProtocol]
-    nodes: Dict[NodeId, RtNode]
+    nodes: Dict[NodeId, SimNode]
     config: FdsConfig
     fds_start: float
     faultload: Faultload
@@ -191,56 +189,6 @@ class RtResult:
         return summary
 
 
-class _NodeDatagramProtocol(asyncio.DatagramProtocol):
-    """One node's socket: decode, trace, deliver -- and never die."""
-
-    def __init__(self, runtime: "RtRuntime", node: RtNode) -> None:
-        self._runtime = runtime
-        self._node = node
-
-    def datagram_received(self, data: bytes, addr) -> None:
-        runtime = self._runtime
-        node = self._node
-        now = runtime.now
-        try:
-            frame = decode_frame(data)
-        except CodecError as exc:
-            runtime.codec_errors += 1
-            if node.tracer.enabled:
-                node.tracer.record(
-                    now,
-                    CODEC_ERROR_KIND,
-                    node=int(node.node_id),
-                    error=str(exc),
-                )
-            return
-        envelope = Envelope(
-            sender=frame.sender,
-            recipient=frame.recipient,
-            payload=frame.payload,
-            sent_at=frame.sent_at,
-            received_at=now,
-            overheard=(
-                frame.recipient is not None
-                and frame.recipient != node.node_id
-            ),
-        )
-        if node.is_operational and node.tracer.enabled:
-            node.tracer.record(
-                now,
-                "radio.rx",
-                node=int(node.node_id),
-                sender=int(frame.sender),
-                overheard=envelope.overheard,
-                latency=now - frame.sent_at,
-            )
-        node.deliver(envelope)
-
-    def error_received(self, exc) -> None:  # pragma: no cover - platform
-        # ICMP errors from a crashed peer's closed port are expected noise.
-        pass
-
-
 class RtRuntime:
     """One scenario's worth of UDP nodes on the running event loop.
 
@@ -284,8 +232,8 @@ class RtRuntime:
             loss_probability=scenario.loss_p,
             transmission_range=scenario.transmission_range,
         )
-        self._loss_rng = rngs.stream("rt", "loss")
-        self._delay_rng = rngs.stream("rt", "delay")
+        self.loss_rng = rngs.stream("rt", "loss")
+        self.delay_rng = rngs.stream("rt", "delay")
         #: Artificial per-copy delay bound; same 0.2 * thop proportion as
         #: the simulator's default (max_delay=0.1 against thop=0.5).
         self.max_delay = 0.2 * self.config.thop
@@ -300,147 +248,51 @@ class RtRuntime:
         else:
             self._shared_tracer = tracer if tracer is not None else RecordingTracer()
             self._run_tracer = self._shared_tracer
-        self._node_spools: Dict[NodeId, SpoolingTracer] = {}
 
-        self.nodes: Dict[NodeId, RtNode] = {}
+        #: Made by :meth:`run` (it needs the running loop).
+        self.scheduler: Optional[WallClockScheduler] = None
+        self.nodes: Dict[NodeId, SimNode] = {}
+        self.links: Dict[NodeId, UdpLink] = {}
         self.protocols: Dict[NodeId, FdsProtocol] = {}
-        self._transports: Dict[NodeId, asyncio.DatagramTransport] = {}
-        self._addrs: Dict[NodeId, tuple] = {}
-        self._tasks: Dict[NodeId, asyncio.Task] = {}
         self._stop = asyncio.Event()
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._epoch = 0.0
         self.codec_errors = 0
         self.losses = 0
         self.fds_start = 0.0
         self.faultload: Optional[Faultload] = None
 
-    # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Wall seconds since the run epoch (the substrate clock)."""
-        assert self._loop is not None
-        return self._loop.time() - self._epoch
-
     def _node_tracer(self, node_id: NodeId) -> Tracer:
-        if self.spool_dir is None:
-            assert self._shared_tracer is not None
+        if self._shared_tracer is not None:
             return self._shared_tracer
-        spool = SpoolingTracer(
+        return SpoolingTracer(
             self.spool_dir / f"node-{int(node_id):05d}.jsonl", flush_every=64
         )
-        self._node_spools[node_id] = spool
-        return spool
-
-    # ------------------------------------------------------------------
-    # Link layer (broadcast emulation over unicast UDP)
-    # ------------------------------------------------------------------
-    def transmit(
-        self, sender: NodeId, payload: object, recipient: Optional[NodeId]
-    ) -> int:
-        """Fan ``payload`` out to every in-range neighbor of ``sender``."""
-        now = self.now
-        frame = encode_frame(sender, recipient, now, payload)
-        tracer = self.nodes[sender].tracer
-        if tracer.enabled:
-            tracer.record(
-                now,
-                "radio.tx",
-                node=int(sender),
-                recipient=None if recipient is None else int(recipient),
-            )
-        assert self._loop is not None
-        sent = 0
-        for neighbor in self.graph.neighbors(sender):
-            distance = self.graph.distance(sender, neighbor)
-            if self.loss_model.is_lost(
-                sender, neighbor, distance, now, self._loss_rng
-            ):
-                self.losses += 1
-                if tracer.enabled:
-                    tracer.record(
-                        now,
-                        "radio.loss",
-                        node=int(neighbor),
-                        sender=int(sender),
-                    )
-                continue
-            delay = float(draw_delays(self._delay_rng, self.max_delay, 1)[0])
-            self._loop.call_later(
-                delay, self._sendto, sender, frame, neighbor
-            )
-            sent += 1
-        return sent
-
-    def _sendto(self, sender: NodeId, frame: bytes, neighbor: NodeId) -> None:
-        transport = self._transports.get(sender)
-        if transport is None or transport.is_closing():
-            return  # the sender crashed while the copy was in flight
-        addr = self._addrs.get(neighbor)
-        if addr is not None:
-            transport.sendto(frame, addr)
-
-    # ------------------------------------------------------------------
-    # Failure injection
-    # ------------------------------------------------------------------
-    def crash_node(self, node_id: NodeId) -> None:
-        """Fail-stop one node: mute it, kill its task, close its socket."""
-        node = self.nodes[node_id]
-        if not node.is_operational:
-            return
-        node.crash()
-        task = self._tasks.get(node_id)
-        if task is not None and not task.done():
-            task.cancel()
-        transport = self._transports.pop(node_id, None)
-        if transport is not None:
-            transport.close()
-
-    # ------------------------------------------------------------------
-    # Orchestration
-    # ------------------------------------------------------------------
-    async def _node_main(self, node: RtNode) -> None:
-        """Per-node supervisor: alive until shutdown or crash-cancel."""
-        try:
-            await self._stop.wait()
-        except asyncio.CancelledError:
-            pass
 
     async def run(self) -> RtResult:
         scenario = self.scenario
         config = self.config
-        loop = asyncio.get_running_loop()
-        self._loop = loop
-        self._epoch = loop.time()
+        scheduler = self.scheduler = WallClockScheduler(
+            asyncio.get_running_loop()
+        )
 
-        # Bind one UDP socket per node, then publish the address book.
+        # One host per node, its socket bound before any protocol starts
+        # (a link's address is its entry in the address book).
         for nid in sorted(self.positions):
-            node = RtNode(
-                NodeId(nid),
-                self.positions[nid],
-                loop,
-                link=self,
-                clock=lambda: self.now,
-                tracer=self._node_tracer(NodeId(nid)),
-                profiler=NULL_PROFILER,
+            link = UdpLink(self, self._node_tracer(NodeId(nid)))
+            self.links[NodeId(nid)] = link
+            self.nodes[NodeId(nid)] = SimNode(
+                NodeId(nid), self.positions[nid], scheduler, link
             )
-            self.nodes[NodeId(nid)] = node
-            transport, _protocol = await loop.create_datagram_endpoint(
-                lambda node=node: _NodeDatagramProtocol(self, node),
-                local_addr=("127.0.0.1", 0),
-            )
-            self._transports[NodeId(nid)] = transport
-            self._addrs[NodeId(nid)] = transport.get_extra_info("sockname")
+            await link.open(self._stop)
 
         # First execution epoch: after warmup, and strictly in the future.
-        self.fds_start = max(scenario.warmup, self.now + 0.05)
+        self.fds_start = max(scenario.warmup, scheduler.now + 0.05)
 
         if self._run_tracer.enabled:
             # The run spool carries the cluster map too, so a merged rt
             # trace feeds the dashboard's /api/topology unchanged.
             stamp_run_header(
                 self._run_tracer,
-                self.now,
+                scheduler.now,
                 TraceMeta(
                     phi=config.phi,
                     thop=config.thop,
@@ -454,7 +306,7 @@ class RtRuntime:
                 layout_topology_detail(self.layout, self.positions),
             )
 
-        # Same protocol objects as the simulator, on the rt substrate.
+        # Same protocol objects as the simulator, on the same host class.
         for nid, node in sorted(self.nodes.items()):
             view = self.layout.local_view(nid)
             protocol = FdsProtocol(config, view)
@@ -473,38 +325,38 @@ class RtRuntime:
             self._faultload_rng,
             fds_start=self.fds_start,
         )
-        driver = CrashDriver(loop, self)
-        driver.schedule(self.faultload)
-
-        for nid, node in self.nodes.items():
-            self._tasks[nid] = loop.create_task(self._node_main(node))
+        crashes = [
+            scheduler.schedule_at(event.time, self.nodes[event.node_id].crash)
+            for event in self.faultload.events
+        ]
 
         # A short drain past the run end lets the last delayed copies
         # land before sockets close.
         end = config.run_end(self.fds_start, scenario.executions)
-        await asyncio.sleep(max(0.0, end - self.now) + 2 * self.max_delay)
+        await asyncio.sleep(
+            max(0.0, end - scheduler.now) + 2 * self.max_delay
+        )
 
         # Clean shutdown: crashes that never fired stay unfired, timers
         # disarm, supervisor tasks end, sockets close, spools flush.
-        driver.cancel_pending()
+        for crash in crashes:
+            scheduler.cancel(crash)
         for node in self.nodes.values():
             node.timers.stop_all()
         self._stop.set()
-        for task in self._tasks.values():
-            if not task.done():
-                task.cancel()
-        await asyncio.gather(*self._tasks.values(), return_exceptions=True)
-        for transport in self._transports.values():
-            transport.close()
-        self._transports.clear()
+        for link in self.links.values():
+            link.close()
+        await asyncio.gather(
+            *(link.task for link in self.links.values()),
+            return_exceptions=True,
+        )
         await asyncio.sleep(0)
 
         merged: Optional[Path] = None
         if self.spool_dir is not None:
-            for spool in self._node_spools.values():
-                spool.close()
-            if isinstance(self._run_tracer, SpoolingTracer):
-                self._run_tracer.close()
+            for link in self.links.values():
+                link.tracer.close()
+            self._run_tracer.close()
             merged = merge_spools(self.spool_dir)
 
         crash_times = {e.node_id: e.time for e in self.faultload.events}

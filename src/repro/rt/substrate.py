@@ -1,209 +1,220 @@
-"""The runtime's implementation of the FDS substrate surface.
+"""What the runtime puts *under* the simulator's own host.
 
-:class:`RtNode` is to the asyncio runtime what
-:class:`~repro.sim.node.SimNode` is to the discrete-event simulator: a
-fail-stop host that owns a timer service and a protocol stack.  The
-clock is the wall clock (seconds since the run epoch), timers are
-``loop.call_later`` callbacks, and a send fans out through the runtime's
-UDP link layer.  Fail-stop semantics mirror the simulator exactly: a
-crashed node stops sending, stops receiving, and every outstanding timer
-is disarmed in one call.
+``repro rt`` has no node class and no timer class of its own: a node is a
+:class:`~repro.sim.node.SimNode` and its timeouts are
+:class:`~repro.sim.timers.Timer` objects, exactly as in the event engine,
+so fail-stop and restart semantics have one owner.  The host reaches its
+substrate through two collaborators, and these are the runtime's:
+
+- :class:`WallClockScheduler` stands where a
+  :class:`~repro.sim.engine.Simulator` does -- ``now``, ``schedule_in``,
+  ``schedule_at``, ``cancel``, ``profiler`` -- with the asyncio loop's
+  clock (seconds since the run epoch) and ``call_at`` callbacks;
+- :class:`UdpLink`, one per node, stands where a
+  :class:`~repro.sim.medium.RadioMedium` does -- ``register``,
+  ``transmit``, ``set_receiving``, ``tracer`` -- with a localhost UDP
+  socket, the node's own spool, and the supervisor task that is the
+  node's "process".  ``set_receiving(node, False)`` is process death:
+  :meth:`SimNode.crash` calls it, the task is cancelled and the socket
+  closes.
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import Dict, List, Optional
+from typing import Callable, Optional
 
-from repro.errors import NodeStateError, SchedulingError
-from repro.sim.medium import Envelope
-from repro.sim.node import Protocol
-from repro.types import NodeId, NodeStatus
+from repro.obs.profiler import NULL_PROFILER
+from repro.rt.codec import CodecError, decode_frame, encode_frame
+from repro.sim.medium import Envelope, draw_delays
+from repro.sim.trace import Tracer
+from repro.types import NodeId
 from repro.util.geometry import Vec2
 
+#: Trace kind emitted when an undecodable datagram is dropped.
+CODEC_ERROR_KIND = "rt.codec_error"
 
-class RtTimer:
-    """A one-shot, restartable timeout backed by ``loop.call_later``."""
 
-    def __init__(
-        self,
-        loop: asyncio.AbstractEventLoop,
-        callback,
-        label: str = "",
-        armed_registry: Optional[Dict["RtTimer", None]] = None,
-    ) -> None:
-        self._loop = loop
-        self._callback = callback
-        self._label = label
-        #: The owning service's armed set (a private one for a timer made
-        #: without a service): this timer is a key exactly while it is
-        #: counting down.
-        self._armed_registry = armed_registry if armed_registry is not None else {}
-        self._handle: Optional[asyncio.TimerHandle] = None
-        self._fired_count = 0
+class WallEvent:
+    """A scheduled callback: the ``time`` / ``active`` face of
+    :class:`repro.sim.events.Event` over a loop timer handle."""
+
+    __slots__ = ("time", "handle")
+
+    def __init__(self, time: float, handle: asyncio.TimerHandle) -> None:
+        self.time = time
+        self.handle = handle
 
     @property
-    def armed(self) -> bool:
-        """Whether the timer is currently counting down."""
-        return self._handle is not None
-
-    @property
-    def fired_count(self) -> int:
-        return self._fired_count
-
-    def start(self, delay: float) -> None:
-        """(Re)arm the timer ``delay`` wall-seconds from now."""
-        if delay < 0:
-            raise SchedulingError(f"timer delay must be >= 0, got {delay}")
-        self.stop()
-        self._handle = self._loop.call_later(delay, self._expire)
-        self._armed_registry[self] = None
-
-    def stop(self) -> None:
-        """Disarm without firing; idempotent."""
-        if self._handle is not None:
-            self._handle.cancel()
-            self._disarmed()
-
-    def _disarmed(self) -> None:
-        self._handle = None
-        self._armed_registry.pop(self, None)
-
-    def _expire(self) -> None:
-        self._disarmed()
-        self._fired_count += 1
-        self._callback()
+    def active(self) -> bool:
+        return not self.handle.cancelled()
 
 
-class RtTimerService:
-    """A factory that tracks its armed timers (crash = stop_all).
+class WallClockScheduler:
+    """The asyncio loop behind the scheduling face of a ``Simulator``.
 
-    Like :class:`repro.sim.timers.TimerService`, a timer is tracked only
-    while it counts down, so a long ``repro rt`` run does not accumulate
-    its fired one-shots.
+    Times are wall seconds since the epoch taken at construction.  A time
+    already past fires on the next loop pass (a late wall clock is a
+    fact, not a scheduling error).
     """
+
+    #: Wall-clock runs are timer-bound; phases are not profiled.
+    profiler = NULL_PROFILER
 
     def __init__(self, loop: asyncio.AbstractEventLoop) -> None:
-        self._loop = loop
-        self._armed: Dict[RtTimer, None] = {}
+        self.loop = loop
+        self._epoch = loop.time()
 
-    def create(self, callback, label: str = "") -> RtTimer:
-        return RtTimer(
-            self._loop, callback, label=label, armed_registry=self._armed
-        )
-
-    def after(self, delay: float, callback, label: str = "") -> RtTimer:
-        timer = self.create(callback, label=label)
-        timer.start(delay)
-        return timer
-
-    def stop_all(self) -> None:
-        for timer in list(self._armed):
-            timer.stop()
-
-    @property
-    def armed_count(self) -> int:
-        return len(self._armed)
-
-
-class RtNode:
-    """A real host: one UDP socket, wall-clock timers, a protocol stack.
-
-    The runtime wires ``_link`` (its transmit fan-out), ``_clock`` (wall
-    seconds since the run epoch), ``_tracer`` (this node's spool) and
-    ``_profiler`` before any protocol attaches; the node itself only
-    enforces fail-stop semantics and dispatches deliveries.
-    """
-
-    def __init__(
-        self,
-        node_id: NodeId,
-        position: Vec2,
-        loop: asyncio.AbstractEventLoop,
-        link,
-        clock,
-        tracer,
-        profiler,
-    ) -> None:
-        self.node_id = node_id
-        self.position = position
-        self.status = NodeStatus.ALIVE
-        self.timers = RtTimerService(loop)
-        self.protocols: List[Protocol] = []
-        self.sent_count = 0
-        self.received_count = 0
-        self._link = link
-        self._clock = clock
-        self._tracer = tracer
-        self._profiler = profiler
-
-    # ------------------------------------------------------------------
-    # Protocol stack (mirrors SimNode)
-    # ------------------------------------------------------------------
-    def add_protocol(self, protocol: Protocol) -> None:
-        protocol.attach(self)
-        self.protocols.append(protocol)
-
-    def get_protocol(self, protocol_type: type) -> Protocol:
-        for protocol in self.protocols:
-            if isinstance(protocol, protocol_type):
-                return protocol
-        raise NodeStateError(
-            f"node {self.node_id} has no protocol of type {protocol_type.__name__}"
-        )
-
-    # ------------------------------------------------------------------
-    # Substrate surface (see :mod:`repro.fds.substrate`)
-    # ------------------------------------------------------------------
     @property
     def now(self) -> float:
-        """Wall-clock seconds since the run epoch."""
-        return self._clock()
+        """Wall seconds since the run epoch."""
+        return self.loop.time() - self._epoch
 
-    @property
-    def tracer(self):
-        return self._tracer
+    def schedule_at(
+        self, time: float, callback: Callable[[], None], label: str = ""
+    ) -> WallEvent:
+        return WallEvent(time, self.loop.call_at(self._epoch + time, callback))
 
-    @property
-    def profiler(self):
-        return self._profiler
+    def schedule_in(
+        self, delay: float, callback: Callable[[], None], label: str = ""
+    ) -> WallEvent:
+        return self.schedule_at(self.now + delay, callback)
 
-    def send(self, payload: object, recipient: Optional[NodeId] = None) -> int:
-        """Transmit over UDP (``recipient=None`` emulates a broadcast).
+    def cancel(self, event: WallEvent) -> None:
+        """Cancel a scheduled callback; idempotent."""
+        event.handle.cancel()
 
-        A crashed node silently sends nothing (fail-stop), returning 0.
-        """
-        if self.status is not NodeStatus.ALIVE:
-            return 0
-        self.sent_count += 1
-        return self._link.transmit(self.node_id, payload, recipient)
+
+class UdpLink(asyncio.DatagramProtocol):
+    """One node's radio: a UDP socket behind the medium face.
+
+    ``net`` is the run's shared ether (the
+    :class:`~repro.rt.runtime.RtRuntime`): the clock, the unit-disk
+    graph, the seeded loss model and delay stream, every node's link,
+    and the run's loss / codec-error counters.
+    """
+
+    def __init__(self, net, tracer: Tracer) -> None:
+        self.tracer = tracer
+        self._net = net
+        self._handler: Optional[Callable[[Envelope], None]] = None
+        self.node_id: Optional[NodeId] = None
+        self.transport: Optional[asyncio.DatagramTransport] = None
+        self.address: Optional[tuple] = None
+        #: The node's "process": alive until shutdown or crash-cancel.
+        self.task: Optional[asyncio.Task] = None
+
+    async def open(self, until: asyncio.Event) -> None:
+        """Bind the socket and start the supervisor task."""
+        loop = asyncio.get_running_loop()
+        self.transport, _ = await loop.create_datagram_endpoint(
+            lambda: self, local_addr=("127.0.0.1", 0)
+        )
+        self.address = self.transport.get_extra_info("sockname")
+        self.task = loop.create_task(until.wait())
+
+    def close(self) -> None:
+        """Kill the task and close the socket; idempotent."""
+        self.task.cancel()
+        self.transport.close()
 
     # ------------------------------------------------------------------
-    # Delivery and failure injection
+    # The medium face (what SimNode calls)
     # ------------------------------------------------------------------
-    def deliver(self, envelope: Envelope) -> None:
-        """Hand one decoded datagram to the protocol stack."""
-        if self.status is not NodeStatus.ALIVE:
+    def register(
+        self, node_id: NodeId, position: Vec2, handler: Callable[[Envelope], None]
+    ) -> None:
+        self.node_id = node_id
+        self._handler = handler
+
+    def set_receiving(self, node_id: NodeId, receiving: bool) -> None:
+        """Fail-stop (the only caller is ``SimNode.crash``, with False)."""
+        assert not receiving, "a real socket does not come back"
+        self.close()
+
+    def transmit(
+        self, sender: NodeId, payload: object, recipient: Optional[NodeId]
+    ) -> int:
+        """Broadcast emulation: one delayed unicast datagram per in-range
+        neighbor that survives the seeded loss draw."""
+        net = self._net
+        now = net.scheduler.now
+        frame = encode_frame(sender, recipient, now, payload)
+        tracer = self.tracer
+        if tracer.enabled:
+            tracer.record(
+                now,
+                "radio.tx",
+                node=int(sender),
+                recipient=None if recipient is None else int(recipient),
+            )
+        call_later = net.scheduler.loop.call_later
+        sent = 0
+        for neighbor in net.graph.neighbors(sender):
+            distance = net.graph.distance(sender, neighbor)
+            if net.loss_model.is_lost(
+                sender, neighbor, distance, now, net.loss_rng
+            ):
+                net.losses += 1
+                if tracer.enabled:
+                    tracer.record(
+                        now,
+                        "radio.loss",
+                        node=int(neighbor),
+                        sender=int(sender),
+                    )
+                continue
+            delay = float(draw_delays(net.delay_rng, net.max_delay, 1)[0])
+            call_later(delay, self._sendto, frame, net.links[neighbor])
+            sent += 1
+        return sent
+
+    def _sendto(self, frame: bytes, peer: "UdpLink") -> None:
+        if self.transport.is_closing():
+            return  # the sender crashed while the copy was in flight
+        self.transport.sendto(frame, peer.address)
+
+    # ------------------------------------------------------------------
+    # asyncio.DatagramProtocol: decode, trace, deliver -- and never die
+    # ------------------------------------------------------------------
+    def datagram_received(self, data: bytes, addr) -> None:
+        net = self._net
+        now = net.scheduler.now
+        tracer = self.tracer
+        try:
+            frame = decode_frame(data)
+        except CodecError as exc:
+            net.codec_errors += 1
+            if tracer.enabled:
+                tracer.record(
+                    now,
+                    CODEC_ERROR_KIND,
+                    node=int(self.node_id),
+                    error=str(exc),
+                )
             return
-        self.received_count += 1
-        for protocol in self.protocols:
-            protocol.on_receive(envelope)
+        envelope = Envelope(
+            sender=frame.sender,
+            recipient=frame.recipient,
+            payload=frame.payload,
+            sent_at=frame.sent_at,
+            received_at=now,
+            overheard=(
+                frame.recipient is not None
+                and frame.recipient != self.node_id
+            ),
+        )
+        if tracer.enabled:
+            tracer.record(
+                now,
+                "radio.rx",
+                node=int(self.node_id),
+                sender=int(frame.sender),
+                overheard=envelope.overheard,
+                latency=now - frame.sent_at,
+            )
+        self._handler(envelope)
 
-    def crash(self) -> None:
-        """Fail-stop: fall permanently silent (same contract as SimNode)."""
-        if self.status is NodeStatus.CRASHED:
-            raise NodeStateError(f"node {self.node_id} is already crashed")
-        self.status = NodeStatus.CRASHED
-        if self._tracer.enabled:
-            self._tracer.record(self.now, "sim.crash", node=int(self.node_id))
-        self.timers.stop_all()
-        for protocol in self.protocols:
-            protocol.on_crash()
-
-    @property
-    def is_operational(self) -> bool:
-        """Ground truth liveness (metrics only)."""
-        return self.status is NodeStatus.ALIVE
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<RtNode {self.node_id} {self.status.value}>"
+    def error_received(self, exc) -> None:  # pragma: no cover - platform
+        # ICMP errors from a crashed peer's closed port are expected noise.
+        pass

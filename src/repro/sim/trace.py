@@ -10,11 +10,10 @@ whatever tracer the network was built with; the default
 from __future__ import annotations
 
 import json
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, Mapping, Optional
+from typing import Dict, Iterator, Mapping, Optional
 
-from repro.errors import ConfigurationError
 from repro.types import SimTime
 
 
@@ -80,37 +79,17 @@ class NullTracer(Tracer):
 
 
 class RecordingTracer(Tracer):
-    """Keeps records in memory; supports filtering and counting.
+    """Keeps every record in memory; supports filtering and counting.
 
-    By default the buffer is unbounded (tests want every record).  Runs
-    that cannot afford that can pass ``max_records``: once full, the
-    *oldest* record is dropped per new one and ``dropped`` counts the
-    evictions, so a long run keeps a sliding window instead of dying --
-    and the consumer can tell the window was clipped.  For genuinely
+    The buffer is unbounded (tests and metrics want every record).  For
     large traces use :class:`repro.obs.spool.SpoolingTracer`, which
     streams to disk instead.
     """
 
-    def __init__(self, max_records: Optional[int] = None) -> None:
-        if max_records is not None and max_records < 1:
-            raise ConfigurationError(
-                f"max_records must be >= 1 or None, got {max_records}"
-            )
-        self.max_records = max_records
-        self.records: deque[TraceRecord] | list[TraceRecord]
-        if max_records is None:
-            self.records = []
-        else:
-            self.records = deque(maxlen=max_records)
-        #: Records evicted by the drop-oldest overflow policy.
-        self.dropped = 0
+    def __init__(self) -> None:
+        self.records: list[TraceRecord] = []
 
     def emit(self, record: TraceRecord) -> None:
-        if (
-            self.max_records is not None
-            and len(self.records) == self.max_records
-        ):
-            self.dropped += 1
         self.records.append(record)
 
     def record(
@@ -120,14 +99,7 @@ class RecordingTracer(Tracer):
         node: Optional[int] = None,
         **detail: object,
     ) -> None:
-        # Unbounded buffers (every default run) have no overflow to
-        # count, so the record goes straight onto the list; the bounded
-        # drop-oldest policy stays in ``emit``.
-        record = TraceRecord(time, kind, node, detail)
-        if self.max_records is None:
-            self.records.append(record)
-        else:
-            self.emit(record)
+        self.records.append(TraceRecord(time, kind, node, detail))
 
     def __len__(self) -> int:
         return len(self.records)
@@ -198,23 +170,3 @@ def iter_jsonl(
     """
     for r in records:
         yield record_line(r.time, r.kind, r.node, r.detail)
-
-
-def records_to_jsonl(records: Iterator[TraceRecord] | list[TraceRecord]) -> str:
-    """Serialize trace records as one JSON Lines string.
-
-    A thin join over :func:`iter_jsonl` -- convenient for small traces
-    and tests; streaming consumers should iterate :func:`iter_jsonl`
-    directly instead of materializing the whole document.
-    """
-    return "\n".join(iter_jsonl(records))
-
-
-class CallbackTracer(Tracer):
-    """Forwards each record to a user callback (streaming consumption)."""
-
-    def __init__(self, callback: Callable[[TraceRecord], None]) -> None:
-        self._callback = callback
-
-    def emit(self, record: TraceRecord) -> None:
-        self._callback(record)

@@ -12,8 +12,6 @@ from collections import deque
 from statistics import mean
 from typing import Dict, Iterable, List, Set, Tuple
 
-import networkx as nx
-
 from repro.topology.graph import UnitDiskGraph
 from repro.types import NodeId
 
@@ -85,12 +83,16 @@ def reachable_from(graph: UnitDiskGraph, sources: Iterable[NodeId]) -> Set[NodeI
     return seen
 
 
-def to_networkx(graph: UnitDiskGraph) -> nx.Graph:
+def to_networkx(graph: UnitDiskGraph) -> "networkx.Graph":
     """Export to a :class:`networkx.Graph` with position attributes.
 
     Cross-checks in the test suite compare our BFS results against
-    networkx; users get interop for free.
+    networkx; users get interop for free.  networkx is imported here, not
+    at module top: this is its only user, and ``import repro`` runs on
+    every CLI call, campaign worker and benchmark child.
     """
+    import networkx as nx
+
     g = nx.Graph()
     for node_id in graph.nodes():
         pos = graph.position(node_id)

@@ -155,27 +155,15 @@ class TestPhaseProfiler:
 
 
 # ----------------------------------------------------------------------
-# Bounded RecordingTracer (satellite)
+# RecordingTracer and the streamed JSONL form
 # ----------------------------------------------------------------------
 class TestBoundedRecordingTracer:
-    def test_drop_oldest_and_counter(self):
-        tracer = RecordingTracer(max_records=3)
-        for i in range(5):
-            tracer.record(float(i), "k", node=i)
-        assert len(tracer) == 3
-        assert tracer.dropped == 2
-        assert [r.time for r in tracer.records] == [2.0, 3.0, 4.0]
-
     def test_unbounded_default_never_drops(self):
         tracer = RecordingTracer()
         for i in range(100):
             tracer.record(float(i), "k")
         assert len(tracer) == 100
-        assert tracer.dropped == 0
-
-    def test_max_records_validated(self):
-        with pytest.raises(ConfigurationError):
-            RecordingTracer(max_records=0)
+        assert tracer.records[0].time == 0.0
 
     def test_iter_jsonl_streams(self):
         tracer = RecordingTracer()
@@ -209,24 +197,18 @@ class TestSpoolingTracer:
         assert read_spool(path)[0].kind == "radio.tx"
 
     def test_kind_prefix_filter_is_segment_aware(self, tmp_path):
+        # The filter is the reader's (``/events?kinds=``); the writer
+        # spools everything.
         path = tmp_path / "trace.jsonl"
-        with SpoolingTracer(path, kinds=("fds", "meta")) as tracer:
+        with SpoolingTracer(path) as tracer:
             tracer.record(1.0, "fds.detection", node=1)
             tracer.record(1.0, "fdsx.not_ours", node=1)
             tracer.record(1.0, "radio.tx", node=1)
             tracer.record(1.0, "meta.scenario")
-        assert tracer.spooled == 2
-        assert tracer.filtered == 2
-        assert [r.kind for r in read_spool(path)] == [
+        assert tracer.spooled == 4
+        assert [r.kind for r in read_spool(path, kinds=("fds", "meta"))] == [
             "fds.detection", "meta.scenario",
         ]
-
-    def test_tail_ring_is_bounded(self, tmp_path):
-        with SpoolingTracer(tmp_path / "t.jsonl", tail=2) as tracer:
-            for i in range(5):
-                tracer.record(float(i), "k")
-            assert [r.time for r in tracer.tail_records()] == [3.0, 4.0]
-            assert tracer.spooled == 5
 
     def test_emit_after_close_raises(self, tmp_path):
         tracer = SpoolingTracer(tmp_path / "t.jsonl")
@@ -287,31 +269,7 @@ class TestSpoolingTracer:
             float(n) for n in range(1, 12)
         ]
 
-    def test_emit_and_filtered_record_after_close_raise(self, tmp_path):
-        tracer = SpoolingTracer(tmp_path / "t.jsonl", kinds=("fds",))
-        tracer.close()
-        with pytest.raises(ConfigurationError):
-            tracer.emit(TraceRecord(1.0, "fds.detection", 1, {}))
-        with pytest.raises(ConfigurationError):
-            tracer.record(1.0, "radio.tx")
-        assert (tracer.spooled, tracer.filtered) == (0, 0)
-
-    def test_emit_goes_through_the_kind_filter_and_the_tail(self, tmp_path):
-        path = tmp_path / "t.jsonl"
-        with SpoolingTracer(path, kinds=("fds",), tail=4) as tracer:
-            tracer.emit(TraceRecord(1.0, "fds.detection", 1, {"target": 2}))
-            tracer.emit(TraceRecord(1.5, "radio.tx", 1, {}))
-            tracer.record(2.0, "fds.relay", node=3, failures=[2])
-            assert tracer.tail_records() == (
-                TraceRecord(1.0, "fds.detection", 1, {"target": 2}),
-                TraceRecord(2.0, "fds.relay", 3, {"failures": [2]}),
-            )
-        assert (tracer.spooled, tracer.filtered) == (2, 1)
-        assert list(read_spool(path)) == list(tracer.tail_records())
-
     def test_validation(self, tmp_path):
-        with pytest.raises(ConfigurationError):
-            SpoolingTracer(tmp_path / "t.jsonl", tail=-1)
         with pytest.raises(ConfigurationError):
             SpoolingTracer(tmp_path / "t.jsonl", flush_every=0)
 

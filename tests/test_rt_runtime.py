@@ -1,5 +1,5 @@
 """Real-network runtime tests: a scenario over actual localhost UDP
-sockets, substrate conformance of both node types, spooling under
+sockets, the one host class over both substrates, spooling under
 concurrent emitters, timebase-aware analysis, and the sim/real
 differential (``differential:realnet``).
 
@@ -49,49 +49,34 @@ def spooled_run(tmp_path_factory):
 
 
 # ----------------------------------------------------------------------
-# Substrate conformance
+# One host class, two substrates beneath it
 # ----------------------------------------------------------------------
 def test_both_substrates_satisfy_the_protocols(small_run):
     from repro.sim.engine import Simulator
     from repro.sim.medium import RadioMedium
     from repro.sim.node import SimNode
+    from repro.sim.timers import Timer, TimerService
     from repro.util.geometry import Vec2
-
-    rt_node = next(iter(small_run.nodes.values()))
-    assert isinstance(rt_node, Substrate)
-    assert isinstance(rt_node.timers, TimerScheduler)
-    assert isinstance(rt_node.timers.create(lambda: None), TimerHandle)
 
     sim = Simulator()
     medium = RadioMedium(sim, transmission_range=100.0, max_delay=0.01)
-    sim_node = SimNode(0, Vec2(0.0, 0.0), sim, medium)
-    assert isinstance(sim_node, Substrate)
-    assert isinstance(sim_node.timers, TimerScheduler)
-
-
-def test_rt_timer_service_tracks_armed_timers_only():
-    # Same contract as the simulator's TimerService: fired one-shots are
-    # dropped, a restarted handle re-registers, stop_all (crash) disarms.
-    import asyncio
-
-    from repro.rt.substrate import RtTimerService
-
-    async def scenario():
-        service = RtTimerService(asyncio.get_running_loop())
-        fired = []
-        timers = [
-            service.after(0.0, lambda: fired.append(1)) for _ in range(1000)
-        ]
-        assert service.armed_count == 1000
-        await asyncio.sleep(0.05)
-        assert len(fired) == 1000
-        assert service.armed_count == 0 and not service._armed
-        timers[0].start(30.0)
-        assert service.armed_count == 1
-        service.stop_all()
-        assert not timers[0].armed and not service._armed
-
-    asyncio.run(scenario())
+    hosts = [
+        next(iter(small_run.nodes.values())),
+        SimNode(0, Vec2(0.0, 0.0), sim, medium),
+    ]
+    for host in hosts:
+        assert type(host) is SimNode
+        assert isinstance(host, Substrate)
+        assert type(host.timers) is TimerService
+        assert isinstance(host.timers, TimerScheduler)
+        timer = host.timers.create(lambda: None)
+        assert type(timer) is Timer and isinstance(timer, TimerHandle)
+        # The seam is below the host: exactly what SimNode, Timer and
+        # crash injection call on a scheduler, and SimNode on a medium.
+        for member in ("now", "schedule_in", "schedule_at", "cancel", "profiler"):
+            assert hasattr(host.sim, member)
+        for member in ("register", "transmit", "set_receiving", "tracer"):
+            assert hasattr(host.medium, member)
 
 
 # ----------------------------------------------------------------------
@@ -123,17 +108,36 @@ def test_rt_messages_really_crossed_sockets(small_run):
     assert small_run.tracer.count("radio.tx") == sent
 
 
-def test_rt_crashed_node_is_silent_after_the_kill(small_run):
+def test_rt_crashed_node_is_silent_after_the_kill(small_run, spooled_run):
     [(victim, crashed_at)] = small_run.crash_times.items()
     for record in small_run.tracer.iter_kind("radio.tx"):
         if record.node == int(victim):
             assert record.time <= crashed_at + 1e-9
+    # The parts of a fail-stop only the runtime has: the victim's
+    # "process" is gone, and nothing of it is left counting down.
+    for result in (small_run, spooled_run[0]):
+        node = result.nodes[victim]
+        assert node.medium.task.done()
+        assert node.medium.transport.is_closing()
+        assert node.timers.armed_count == 0
+    # Crash isolation: the ground-truth record is in the victim's own
+    # spool (written by SimNode.crash through the node's link tracer).
+    spooled, spool_dir = spooled_run
+    own = read_spool(spool_dir / f"node-{int(victim):05d}.jsonl")
+    crash = [r for r in own if r.kind == "sim.crash"]
+    assert [r.node for r in crash] == [int(victim)]
+    assert crash[0].time == pytest.approx(
+        spooled.crash_times[victim], abs=0.05
+    )
+    assert all(r.time <= crash[0].time for r in own if r.kind == "radio.tx")
 
 
 def test_rt_crash_twice_raises(small_run):
     [(victim, _)] = small_run.crash_times.items()
     with pytest.raises(NodeStateError):
         small_run.nodes[victim].crash()
+    # The refused second crash left no second ground-truth record.
+    assert small_run.tracer.count("sim.crash") == 1
 
 
 def test_rt_meta_record_carries_wall_timebase(small_run):

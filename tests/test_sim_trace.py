@@ -1,11 +1,6 @@
 """Tests for tracing."""
 
-from repro.sim.trace import (
-    CallbackTracer,
-    NullTracer,
-    RecordingTracer,
-    TraceRecord,
-)
+from repro.sim.trace import NullTracer, RecordingTracer, TraceRecord
 
 
 class TestRecordingTracer:
@@ -53,47 +48,18 @@ class TestRecordingTracer:
 
 
     def test_record_fast_path_matches_emit(self):
-        # ``record`` appends directly when the buffer is unbounded and
-        # goes through ``emit`` (drop-oldest + ``dropped``) when bounded;
-        # while nothing overflows both must hold the same records.
+        # ``record`` appends without the ``emit`` dispatch; both must
+        # hold the same records.
         calls = [
             (0.5, "radio.tx", 3, {"recipient": None}),
             (0.5, "radio.rx", 4, {"sender": 3, "overheard": False}),
             (0.75, "meta.note", None, {}),
         ]
-        direct, bounded, emitted = (
-            RecordingTracer(), RecordingTracer(max_records=10), RecordingTracer()
-        )
+        direct, emitted = RecordingTracer(), RecordingTracer()
         for time, kind, node, detail in calls:
             direct.record(time, kind, node=node, **detail)
-            bounded.record(time, kind, node=node, **detail)
             emitted.emit(TraceRecord(time, kind, node, detail))
-        assert direct.records == emitted.records == list(bounded.records)
-        assert direct.dropped == bounded.dropped == 0
-
-    def test_bounded_record_still_drops_oldest(self):
-        tracer = RecordingTracer(max_records=2)
-        for i in range(5):
-            tracer.record(float(i), "k")
-        assert [r.time for r in tracer.records] == [3.0, 4.0]
-        assert tracer.dropped == 3
-
-
-def test_records_to_jsonl_roundtrip():
-    import json
-
-    from repro.sim.trace import records_to_jsonl
-
-    tracer = RecordingTracer()
-    tracer.record(1.5, "fds.detection", node=3, target=9, execution=2)
-    tracer.record(2.0, "radio.tx", node=1)
-    text = records_to_jsonl(tracer.records)
-    lines = [json.loads(line) for line in text.splitlines()]
-    assert lines[0] == {
-        "time": 1.5, "kind": "fds.detection", "node": 3,
-        "target": 9, "execution": 2,
-    }
-    assert lines[1]["kind"] == "radio.tx"
+        assert direct.records == emitted.records
 
 
 def test_null_tracer_discards():
@@ -101,24 +67,15 @@ def test_null_tracer_discards():
     tracer.record(0.0, "anything")  # must not raise or store
 
 
-def test_callback_tracer_streams():
-    seen = []
-    tracer = CallbackTracer(seen.append)
-    tracer.record(1.0, "k", node=2)
-    assert seen == [TraceRecord(time=1.0, kind="k", node=2, detail={})]
-
-
 def test_only_recording_tracer_overrides_record(tmp_path):
-    # The in-memory fast path is RecordingTracer's alone: CallbackTracer
-    # keeps the base ``record -> emit`` route, so its callback sees every
-    # record.  SpoolingTracer is the one other override: a record bound
-    # for disk only needs its JSON line, so ``record`` encodes the
-    # arguments without building a TraceRecord first -- and must write
-    # exactly what ``emit`` of the equivalent record writes.
+    # Besides RecordingTracer's in-memory fast path, SpoolingTracer is
+    # the one other ``record`` override: a record bound for disk only
+    # needs its JSON line, so ``record`` encodes the arguments without
+    # building a TraceRecord first -- and must write exactly what
+    # ``emit`` of the equivalent record writes.
     from repro.obs.spool import SpoolingTracer
     from repro.sim.trace import Tracer
 
-    assert CallbackTracer.record is Tracer.record
     assert SpoolingTracer.record is not Tracer.record
     with SpoolingTracer(tmp_path / "t.jsonl") as spool:
         spool.record(1.0, "k", node=2, x=1)

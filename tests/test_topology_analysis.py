@@ -1,5 +1,10 @@
 """Tests for topology analysis (connectivity, components)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import networkx as nx
 import pytest
 
@@ -80,3 +85,19 @@ class TestDegreeStats:
         nxg = to_networkx(g)
         assert nxg.nodes[0]["pos"] == (0.0, 0.0)
         assert nxg.number_of_edges() == g.edge_count()
+
+
+def test_networkx_stays_off_the_import_path_of_a_run():
+    # ``to_networkx`` is its only user; every CLI call, campaign worker
+    # and benchmark child imports the runner and must not pay for it.
+    code = (
+        "import sys, repro.experiments.runner; "
+        "sys.exit('networkx' in sys.modules)"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=60,
+    )
+    assert done.returncode == 0
