@@ -15,9 +15,10 @@ Commands
     Print the DCH reachability study (the analysis the paper summarizes).
 ``soak``
     Randomized differential conformance soak: seeded scenarios run under
-    paired configurations (parallel/serial, event/array, digest
-    ablation) with ground-truth oracles and trace audits; violations are
-    shrunk to minimal seeded repros written as pytest files.
+    paired configurations (digest ablation, event/array engine,
+    distributed formation) with ground-truth oracles and trace audits;
+    violations are shrunk to minimal seeded repros written as pytest
+    files.
 ``campaign``
     Durable experiment campaigns: content-addressed result caching,
     checkpoint/resume via a chunk journal, live JSONL telemetry
@@ -147,9 +148,7 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
             tracer.close()
     for key, value in result.summary().items():
         print(f"  {key:26s} {value:.6g}")
-    energy = getattr(result, "energy", None)
-    if energy is None:
-        energy = getattr(getattr(result, "deployment", None), "energy", None)
+    energy = result.energy
     if energy is not None:
         for key, value in energy.totals().items():
             print(f"  energy.{key:19s} {value:.6g}")
@@ -192,7 +191,6 @@ def _cmd_soak(args: argparse.Namespace) -> int:
         iterations=args.iterations,
         seed=args.seed,
         out_dir=Path(args.out) if args.out else None,
-        check_parallel=not args.serial,
         max_shrink_evals=args.shrink_evals,
         max_violations=args.max_violations,
         store_root=Path(args.store) if args.store else None,
@@ -278,8 +276,6 @@ def main(argv: list[str] | None = None) -> int:
     soak.add_argument("--seed", type=int, default=0)
     soak.add_argument("--out", type=str, default="",
                       help="directory for shrunk repro .py files")
-    soak.add_argument("--serial", action="store_true",
-                      help="skip the parallel-fabric differential pair")
     soak.add_argument("--shrink-evals", type=int, default=24,
                       help="re-check budget while shrinking a violation")
     soak.add_argument("--max-violations", type=int, default=1,

@@ -20,14 +20,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.analysis.confidence import wilson_interval
 from repro.analysis.geometry import PAPER_TRANSMISSION_RANGE
-from repro.errors import AnalysisError, ConfigurationError
-from repro.util.parallel import chunk_sizes, parallel_map, spawn_seed_sequences
+from repro.errors import AnalysisError, ConfigurationError, ExperimentError
 from repro.util.validation import check_int_at_least, check_probability
 
 
@@ -197,17 +196,48 @@ def mc_incompleteness(
 
 
 # ----------------------------------------------------------------------
-# Chunked / multi-worker execution
+# Chunked execution
 # ----------------------------------------------------------------------
 
 #: An estimator callable: ``(n, p, trials, rng, **kwargs) -> McEstimate``.
 McEstimator = Callable[..., McEstimate]
 
-#: Fixed default chunk count for :func:`mc_chunked`.  Deliberately *not*
-#: derived from the worker count: the chunking scheme (and hence the
-#: per-chunk RNG streams) must depend only on the estimator inputs so that
-#: serial and parallel executions return bit-identical estimates.
+#: Fixed default chunk count for :func:`mc_chunked`.  The chunking scheme
+#: (and hence the per-chunk RNG streams) depends only on the estimator
+#: inputs, so this one-shot call and its pooled campaign twin
+#: (:func:`repro.campaign.plans.mc_plan`) return bit-identical estimates;
+#: the count is part of every MC campaign key.
 DEFAULT_MC_CHUNKS = 8
+
+
+def chunk_sizes(total: int, chunks: int) -> List[int]:
+    """Split ``total`` into ``chunks`` balanced positive parts (sum exact).
+
+    The split depends only on ``(total, chunks)``, so chunked estimators
+    stay deterministic wherever the chunks run.
+    """
+    if total < 1:
+        raise ExperimentError(f"total must be >= 1, got {total}")
+    if chunks < 1:
+        raise ExperimentError(f"chunks must be >= 1, got {chunks}")
+    chunks = min(chunks, total)
+    base, extra = divmod(total, chunks)
+    return [base + (1 if i < extra else 0) for i in range(chunks)]
+
+
+def spawn_seed_sequences(
+    root_seed: int, count: int
+) -> List[np.random.SeedSequence]:
+    """``count`` independent child sequences of one root seed.
+
+    Uses :meth:`numpy.random.SeedSequence.spawn`, the recommended scheme
+    for parallel streams: children are statistically independent of each
+    other and of the parent, and the mapping (root_seed, index) -> stream
+    is stable across processes and platforms.
+    """
+    if count < 1:
+        raise ExperimentError(f"count must be >= 1, got {count}")
+    return np.random.SeedSequence(int(root_seed)).spawn(int(count))
 
 
 def merge_estimates(estimates: Sequence[McEstimate]) -> McEstimate:
@@ -247,12 +277,6 @@ def merge_estimates(estimates: Sequence[McEstimate]) -> McEstimate:
     )
 
 
-def _run_mc_chunk(task) -> McEstimate:
-    """Worker entry point: one seeded chunk of trials (picklable)."""
-    estimator, n, p, trials, seed_seq, kwargs = task
-    return estimator(n, p, trials, np.random.default_rng(seed_seq), **kwargs)
-
-
 def mc_chunked(
     estimator: McEstimator,
     n: int,
@@ -260,7 +284,6 @@ def mc_chunked(
     trials: int,
     seed: int,
     chunks: int = DEFAULT_MC_CHUNKS,
-    workers: Optional[int] = 1,
     **kwargs: object,
 ) -> McEstimate:
     """Run ``estimator`` over ``trials`` split into seeded chunks.
@@ -268,17 +291,21 @@ def mc_chunked(
     Each chunk draws from its own :class:`~numpy.random.SeedSequence`
     child of ``seed`` and the chunk results are merged in chunk order, so
     the estimate depends only on ``(estimator, n, p, trials, seed,
-    chunks, kwargs)`` -- **never** on ``workers``.  ``workers=1`` runs the
-    chunks serially in-process; larger values (or ``None`` for all CPUs)
-    fan them over a process pool.  Extra ``kwargs`` (``distance``,
-    ``radius``, ...) are forwarded to the estimator.
+    chunks, kwargs)``.  The chunks run serially in-process; to spread
+    them over cores run the same estimate as a campaign
+    (:func:`repro.campaign.plans.mc_plan`), which is bit-identical.
+    Extra ``kwargs`` (``distance``, ``radius``, ...) are forwarded to the
+    estimator.
     """
     check_int_at_least("trials", trials, 1)
     check_int_at_least("chunks", chunks, 1)
     sizes = chunk_sizes(trials, chunks)
     seqs = spawn_seed_sequences(seed, len(sizes))
-    tasks = [
-        (estimator, int(n), float(p), size, seq, dict(kwargs))
-        for size, seq in zip(sizes, seqs)
-    ]
-    return merge_estimates(parallel_map(_run_mc_chunk, tasks, workers=workers))
+    return merge_estimates(
+        [
+            estimator(
+                int(n), float(p), size, np.random.default_rng(seq), **kwargs
+            )
+            for size, seq in zip(sizes, seqs)
+        ]
+    )

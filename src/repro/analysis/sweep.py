@@ -4,21 +4,16 @@ Every figure in the paper is a family of curves: a measure evaluated over
 ``p`` in [0.05, 0.5] for ``N`` in {50, 75, 100}.  :func:`sweep_measure`
 produces exactly that shape for any measure callable.
 
-Grid points are independent, so a sweep over an expensive measure (e.g. a
-protocol-in-the-loop scenario) parallelizes embarrassingly: pass
-``workers > 1``.  The grid is always evaluated N-major/p-minor and
-reassembled in that order, so the series is bit-identical for any worker
-count; with ``workers > 1`` the measure must be picklable (a module-level
-function or :func:`functools.partial`, not a lambda) and should be pure.
+The grid is evaluated serially in N-major/p-minor order, so stateful
+measures always see the same call order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Sequence, Tuple
 
 from repro.errors import AnalysisError
-from repro.util.parallel import parallel_map
 
 #: The paper's p-axis: 0.05 to 0.50 in steps of 0.05.
 PAPER_P_GRID: Tuple[float, ...] = tuple(round(0.05 * i, 2) for i in range(1, 11))
@@ -55,40 +50,19 @@ class MeasureSeries:
         ]
 
 
-class _PointEval:
-    """Picklable adapter: evaluates ``measure`` at one ``(n, p)`` point."""
-
-    def __init__(self, measure: Callable[[int, float], float]) -> None:
-        self.measure = measure
-
-    def __call__(self, point: Tuple[int, float]) -> float:
-        n, p = point
-        return float(self.measure(n, p))
-
-
 def sweep_measure(
     name: str,
     measure: Callable[[int, float], float],
     p_values: Sequence[float] = PAPER_P_GRID,
     n_values: Sequence[int] = PAPER_N_VALUES,
-    workers: Optional[int] = 1,
 ) -> MeasureSeries:
-    """Evaluate ``measure(n, p)`` over the grid; returns the series.
-
-    ``workers=1`` evaluates serially in N-major/p-minor order (exactly the
-    historical behavior, so stateful measures keep seeing the same call
-    order); larger values fan the grid points over a process pool, which
-    requires ``measure`` to be picklable and pure.
-    """
+    """Evaluate ``measure(n, p)`` over the grid; returns the series."""
     if not p_values:
         raise AnalysisError("p_values must be non-empty")
     if not n_values:
         raise AnalysisError("n_values must be non-empty")
-    grid = [(int(n), float(p)) for n in n_values for p in p_values]
-    values = parallel_map(_PointEval(measure), grid, workers=workers)
-    width = len(p_values)
     curves = {
-        int(n): tuple(values[i * width : (i + 1) * width])
-        for i, n in enumerate(n_values)
+        int(n): tuple(float(measure(int(n), float(p))) for p in p_values)
+        for n in n_values
     }
     return MeasureSeries(name=name, p_values=tuple(p_values), curves=curves)

@@ -4,10 +4,16 @@ One seeded :class:`ScenarioSpec` describes a complete experiment
 (topology, crash schedule, loss model).  :func:`check_spec` runs it under
 paired configurations and asserts what each pair promises:
 
-- **parallel vs serial fabric**: identical summaries (the process pool
-  must not perturb results);
 - **digest ablation (R-2 off)**: no bit-identity promise -- instead both
   runs must satisfy every applicable trace audit;
+- **event vs array engine**: equal field shape, crashed-target detection
+  latencies and guaranteed completeness, the same accuracy discipline,
+  and the array energy ledger equal to a scalar replay
+  (:func:`array_engine_violations`);
+- **distributed formation**: over perfect links both engines converge to
+  the same clustering and verdict records; under the spec's own loss the
+  array outcome satisfies the layout shape invariants
+  (:func:`formation_violations`);
 
 plus ground-truth oracles on the primary run:
 
@@ -42,7 +48,6 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.audit.invariants import run_audit_statuses
-from repro.experiments.parallel import run_scenario_summaries
 from repro.experiments.runner import ScenarioConfig, ScenarioResult, run_scenario
 from repro.fds.config import FdsConfig
 from repro.fds.events import (
@@ -722,40 +727,11 @@ def probe_forwarder_conformance(spec: ScenarioSpec) -> List[Violation]:
 # ----------------------------------------------------------------------
 # The differential check
 # ----------------------------------------------------------------------
-def check_spec(
-    spec: ScenarioSpec,
-    check_parallel: bool = True,
-    check_probes: bool = True,
-    check_array: bool = True,
-    check_formation: bool = True,
-) -> List[Violation]:
-    """Run every paired configuration and oracle; return all violations.
-
-    ``check_parallel=False`` skips the process-pool pair (needed when the
-    code under test is monkeypatched -- patches do not cross process
-    boundaries).  ``check_probes=False`` skips the directed forwarder
-    probes (used by the shrinker, whose violations are end-to-end).
-    ``check_array=False`` skips the array-engine equivalence pair.
-    ``check_formation=False`` skips the distributed-formation pair.
-    """
+def check_spec(spec: ScenarioSpec) -> List[Violation]:
+    """Run every paired configuration and oracle; return all violations."""
     violations: List[Violation] = []
 
     base = run_scenario(spec.to_config())
-
-    if check_parallel:
-        serial = run_scenario_summaries([spec.to_config()], workers=1)
-        pooled = run_scenario_summaries([spec.to_config()], workers=2)
-        if serial != pooled:
-            violations.append(
-                Violation(
-                    kind="differential:parallel",
-                    description=(
-                        "parallel experiment fabric produced a different "
-                        f"summary than the serial run: {pooled} != {serial}"
-                    ),
-                )
-            )
-
     ablated = run_scenario(spec.to_config(use_digests=False))
 
     violations.extend(completeness_violations(spec, base))
@@ -766,12 +742,9 @@ def check_spec(
                 result.tracer, result.config.fds, result.crash_times, label
             )
         )
-    if check_array:
-        violations.extend(array_engine_violations(spec, base))
-    if check_formation:
-        violations.extend(formation_violations(spec))
-    if check_probes:
-        violations.extend(probe_forwarder_conformance(spec))
+    violations.extend(array_engine_violations(spec, base))
+    violations.extend(formation_violations(spec))
+    violations.extend(probe_forwarder_conformance(spec))
     return violations
 
 
@@ -780,7 +753,6 @@ def check_spec(
 # ----------------------------------------------------------------------
 def shrink_spec(
     spec: ScenarioSpec,
-    check_parallel: bool = True,
     max_evals: int = 32,
     still_fails: Optional[Callable[[ScenarioSpec], bool]] = None,
 ) -> ScenarioSpec:
@@ -795,7 +767,7 @@ def shrink_spec(
     if still_fails is None:
 
         def still_fails(candidate: ScenarioSpec) -> bool:
-            return bool(check_spec(candidate, check_parallel=check_parallel))
+            return bool(check_spec(candidate))
 
     evals = 0
 

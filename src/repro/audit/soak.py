@@ -2,7 +2,8 @@
 
 The soak loop is the repo's standing conformance gate: each iteration
 draws a seeded :class:`~repro.audit.differential.ScenarioSpec` from the
-soak distribution and puts it through every paired configuration and
+soak distribution and puts it through every paired configuration
+(digest ablation, event vs array engine, distributed formation) and
 oracle in :func:`~repro.audit.differential.check_spec`.  A violation is
 shrunk to a minimal spec and rendered as a ready-to-paste pytest case, so
 a CI soak failure arrives as a regression test, not a stack trace.
@@ -39,8 +40,6 @@ class SoakOptions:
     seed: int = 0
     #: Where to write ``soak_repro_*.py`` files for violations (optional).
     out_dir: Optional[Path] = None
-    #: Skip the process-pool differential pair (e.g. under monkeypatches).
-    check_parallel: bool = True
     #: Re-check budget for the shrinker, per violation.
     max_shrink_evals: int = 24
     #: Stop after this many violating specs (0 = never stop early).
@@ -83,17 +82,14 @@ class SoakResult:
 
 def soak_iteration(
     spec: ScenarioSpec,
-    check_parallel: bool = True,
     max_shrink_evals: int = 24,
 ) -> Optional[SoakViolation]:
     """Check one spec; on violation, shrink it and render the repro."""
-    violations = check_spec(spec, check_parallel=check_parallel)
+    violations = check_spec(spec)
     if not violations:
         return None
-    shrunk = shrink_spec(
-        spec, check_parallel=check_parallel, max_evals=max_shrink_evals
-    )
-    final = check_spec(shrunk, check_parallel=check_parallel)
+    shrunk = shrink_spec(spec, max_evals=max_shrink_evals)
+    final = check_spec(shrunk)
     if not final:
         # Shrinking is best-effort: if a reduction pass landed on a spec
         # that no longer fails (flaky boundary), fall back to the original.
@@ -115,7 +111,6 @@ def _spec_cache_key(spec: ScenarioSpec, options: SoakOptions) -> str:
         "soak_iteration",
         {
             "spec": asdict(spec),
-            "check_parallel": options.check_parallel,
             "max_shrink_evals": options.max_shrink_evals,
         },
     )
@@ -178,9 +173,7 @@ def run_soak(
         else:
             try:
                 failure = soak_iteration(
-                    spec,
-                    check_parallel=options.check_parallel,
-                    max_shrink_evals=options.max_shrink_evals,
+                    spec, max_shrink_evals=options.max_shrink_evals
                 )
             except KeyboardInterrupt:
                 # Finished iterations are already durable (store writes

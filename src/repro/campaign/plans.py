@@ -1,6 +1,7 @@
 """Campaign plans: experiments decomposed into content-addressed chunks.
 
-A :class:`CampaignPlan` is the durable twin of a one-shot entry point:
+A :class:`CampaignPlan` is the durable, pooled twin of a serial one-shot
+entry point:
 
 - :func:`scenario_repeat_plan` mirrors
   :func:`repro.experiments.repeat.repeat_scenario` -- one chunk per
@@ -30,10 +31,12 @@ import numpy as np
 from repro.analysis.montecarlo import (
     DEFAULT_MC_CHUNKS,
     McEstimate,
+    chunk_sizes,
     mc_false_detection,
     mc_false_detection_on_ch,
     mc_incompleteness,
     merge_estimates,
+    spawn_seed_sequences,
 )
 from repro.campaign.store import (
     canonical_config_dict,
@@ -48,7 +51,6 @@ from repro.experiments.repeat import (
     check_seeds,
 )
 from repro.experiments.runner import ScenarioConfig, run_scenario
-from repro.util.parallel import chunk_sizes, spawn_seed_sequences
 
 #: Monte Carlo estimators addressable by name (names are part of chunk
 #: keys, so renaming one invalidates its cached results -- intended).

@@ -16,6 +16,12 @@ durable run:
    order, so an interrupted-and-resumed campaign is bit-identical to an
    uninterrupted one (and to the one-shot twin the plan mirrors).
 
+This module holds the package's only process pool: the one-shot calls
+(``repeat_scenario``, ``mc_chunked``, ``sweep_measure``) are serial, and
+running their campaign twin with ``CampaignOptions(workers=N)`` is how
+an experiment uses more than one core.  The pool never changes results
+-- chunks are pure functions of their payload and merge in chunk order.
+
 Stuck workers are handled by a per-chunk timeout: a chunk whose pool
 future does not complete in time is retried **in-process** (chunks are
 pure functions of their payload, so the retry result is the same one the
@@ -42,7 +48,6 @@ from repro.campaign.plans import CampaignPlan, ChunkTask, execute_chunk
 from repro.campaign.store import ResultStore
 from repro.campaign.telemetry import Progress, Telemetry, read_events
 from repro.errors import ExperimentError
-from repro.util.parallel import note_task_rate, resolve_workers
 
 #: Exit-code vocabulary shared with the CLI.
 STATUS_COMPLETE = "complete"
@@ -53,8 +58,13 @@ STATUS_INTERRUPTED = "interrupted"
 
 @dataclass(frozen=True)
 class CampaignOptions:
-    """Execution knobs for one runner invocation."""
+    """Execution knobs for one runner invocation.
 
+    Out-of-range values raise :class:`ExperimentError` at construction,
+    before a runner can create anything under the store.
+    """
+
+    #: Pool width; ``None`` means all CPUs, 1 runs the chunks in-process.
     workers: Optional[int] = 1
     #: Wall-clock budget per chunk before a pool worker is declared stuck
     #: and the chunk is retried in-process (``None`` disables the policy;
@@ -68,6 +78,29 @@ class CampaignOptions:
     stop_after: Optional[int] = None
     #: Mirror telemetry events to this path besides the campaign dir.
     telemetry_path: Optional[Path] = None
+
+    def __post_init__(self) -> None:
+        if self.workers is not None and self.workers < 1:
+            raise ExperimentError(f"workers must be >= 1, got {self.workers}")
+        if self.chunk_timeout is not None and not self.chunk_timeout > 0:
+            raise ExperimentError(
+                f"chunk_timeout must be > 0, got {self.chunk_timeout}"
+            )
+        if self.max_retries < 0:
+            raise ExperimentError(
+                f"max_retries must be >= 0, got {self.max_retries}"
+            )
+        if self.stop_after is not None and self.stop_after < 0:
+            raise ExperimentError(
+                f"stop_after must be >= 0, got {self.stop_after}"
+            )
+
+    @property
+    def pool_width(self) -> int:
+        """``workers`` with ``None`` resolved to the CPU count."""
+        if self.workers is None:
+            return max(1, os.cpu_count() or 1)
+        return self.workers
 
 
 @dataclass
@@ -177,12 +210,10 @@ def run_campaign(
         chunks_total=len(plan.chunks),
         chunks_already_done=len(already_done),
         resumed=bool(already_done),
-        workers=resolve_workers(options.workers),
+        workers=options.pool_width,
     )
     try:
-        runner = (
-            _run_pooled if resolve_workers(options.workers) > 1 else _run_serial
-        )
+        runner = _run_pooled if options.pool_width > 1 else _run_serial
         stopped = runner(
             plan, pending, store, journal, telemetry, progress, options, failed
         )
@@ -286,11 +317,6 @@ def _finish_chunk(
         elapsed_s=elapsed,
     )
     stats = progress.record_chunk(chunk.replications, cache_hit)
-    if not cache_hit and chunk.kind == "scenario":
-        # Feed the fabric's chunk-size tuner with the measured scenario
-        # throughput (MC chunks run at trial rates -- a different unit
-        # entirely -- so only scenario replications qualify).
-        note_task_rate(chunk.replications, elapsed)
     telemetry.emit(
         "chunk_done",
         index=chunk.index,
@@ -371,7 +397,7 @@ def _run_pooled(
     if not to_execute:
         return False
 
-    workers = min(resolve_workers(options.workers), len(to_execute))
+    workers = min(options.pool_width, len(to_execute))
     stopped = False
     abandoned = False
     pool = ProcessPoolExecutor(max_workers=workers)

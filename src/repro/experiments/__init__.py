@@ -15,12 +15,6 @@ from repro.experiments.figures import (
     figure7_incompleteness,
     render_figure,
 )
-from repro.experiments.parallel import (
-    parallel_map,
-    run_scenario_summaries,
-    spawn_rngs,
-    spawn_seed_sequences,
-)
 from repro.experiments.repeat import RepeatedResult, repeat_scenario
 from repro.experiments.runner import ScenarioConfig, ScenarioResult, run_scenario
 from repro.experiments.scenarios import (
@@ -40,10 +34,6 @@ __all__ = [
     "run_scenario",
     "RepeatedResult",
     "repeat_scenario",
-    "parallel_map",
-    "run_scenario_summaries",
-    "spawn_rngs",
-    "spawn_seed_sequences",
     "single_cluster_validation",
     "validation_summary",
     "ablation_digest",

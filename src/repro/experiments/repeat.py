@@ -6,19 +6,19 @@ aggregates each summary metric with mean/min/max and the standard error,
 so benches and reports can state e.g. "completeness 1.0 across 20 seeds"
 instead of "completeness 1.0 once".
 
-Replications are independent, so they parallelize embarrassingly: pass
-``workers > 1`` to fan the per-seed runs over a process pool.  Each run
-derives all randomness from its own seed and results are aggregated in
-seed order, so the aggregate is bit-identical for any worker count.
+The seeds run serially in-process.  Each run derives all randomness from
+its own seed and results are aggregated in seed order, so the durable
+pooled twin (:func:`repro.campaign.plans.scenario_repeat_plan` through
+:func:`repro.campaign.runner.run_campaign`) is bit-identical to it: that
+is how to use more than one core.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import ExperimentError
-from repro.experiments.parallel import run_scenario_summaries
 from repro.experiments.runner import ScenarioConfig, run_scenario
 from repro.metrics.summary import SeriesSummary, summarize
 from repro.util.tables import render_table
@@ -89,16 +89,11 @@ def aggregate_summaries(
 def repeat_scenario(
     config: ScenarioConfig,
     seeds: Sequence[int],
-    workers: Optional[int] = 1,
 ) -> RepeatedResult:
-    """Run ``config`` once per seed; aggregate the scalar summaries.
-
-    ``workers=1`` (default) runs the seeds serially; larger values (or
-    ``None`` for all CPUs) fan the independent replications over a process
-    pool.  Summaries are always aggregated in seed order, so the result is
-    bit-identical for any worker count.
-    """
+    """Run ``config`` once per seed, in seed order; aggregate the scalar
+    summaries."""
     seeds = check_seeds(seeds)
-    configs = [replace(config, seed=int(seed)) for seed in seeds]
-    summaries = run_scenario_summaries(configs, workers=workers)
+    summaries = [
+        run_scenario(replace(config, seed=seed)).summary() for seed in seeds
+    ]
     return aggregate_summaries(config, seeds, summaries)

@@ -68,7 +68,7 @@ class ScenarioConfig:
     #: ``"bernoulli"`` with empty params reproduces the classic behaviour
     #: driven by ``loss_probability``; the spec stays a plain (kind, tuple)
     #: pair so configs remain frozen, hashable, and picklable for the
-    #: parallel fabric.
+    #: campaign pool.
     loss_kind: str = "bernoulli"
     loss_params: Tuple[Tuple[str, float], ...] = ()
     #: CH lattice spacing as a fraction of the radio range (must stay in
@@ -145,6 +145,13 @@ class ScenarioResult:
         spool instead.
         """
         return detection_latency(self.tracer, self.crash_times)
+
+    @property
+    def energy(self) -> Optional[EnergyModel]:
+        """The deployment's energy model (``None`` unless
+        ``config.track_energy``); same surface as the array result's
+        ``energy`` ledger (``totals()``, ``spread()``)."""
+        return self.deployment.energy
 
     def summary(self) -> Dict[str, float]:
         return run_summary(

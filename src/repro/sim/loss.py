@@ -324,7 +324,7 @@ def build_loss_model(
     """Parse a declarative ``(kind, params)`` spec into its loss model.
 
     Scenario configs must stay frozen and picklable (they cross process
-    boundaries in the parallel fabric), so they carry a kind string and a
+    boundaries in the campaign pool), so they carry a kind string and a
     flat parameter mapping instead of a live model object; this is the
     one place that spec is parsed.  The model carries the validated
     values with every default filled in, so the array engine's batched

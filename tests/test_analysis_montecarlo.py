@@ -8,11 +8,16 @@ from repro.analysis.confidence import wilson_interval
 from repro.analysis.false_detection import p_false_detection
 from repro.analysis.incompleteness import p_incompleteness
 from repro.analysis.montecarlo import (
+    DEFAULT_MC_CHUNKS,
+    McEstimate,
+    chunk_sizes,
     mc_false_detection,
     mc_false_detection_on_ch,
     mc_incompleteness,
+    merge_estimates,
+    spawn_seed_sequences,
 )
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, ConfigurationError
 
 
 @pytest.fixture
@@ -98,3 +103,72 @@ class TestMcIncompleteness:
         assert estimate.estimate == pytest.approx(
             0.5 * estimate.conditional_mean
         )
+
+
+class TestChunking:
+    def test_default_chunk_count_is_pinned(self):
+        # The chunk count is part of every MC campaign key.
+        assert DEFAULT_MC_CHUNKS == 8
+
+    def test_chunk_sizes_balanced(self):
+        sizes = chunk_sizes(10, 3)
+        assert sum(sizes) == 10
+        assert max(sizes) - min(sizes) <= 1
+        # More chunks than items: empty chunks are dropped, not emitted.
+        assert all(s > 0 for s in chunk_sizes(2, 8))
+        # Purely a function of (total, chunks).
+        assert chunk_sizes(1000, 8) == chunk_sizes(1000, 8)
+
+    def test_spawn_seed_sequences_deterministic_and_distinct(self):
+        first = [np.random.default_rng(s).random() for s in spawn_seed_sequences(5, 4)]
+        second = [np.random.default_rng(s).random() for s in spawn_seed_sequences(5, 4)]
+        assert first == second
+        assert len(set(first)) == 4  # children draw distinct streams
+
+    def test_merge_estimates_pools_counts(self):
+        parts = [
+            McEstimate(estimate=0.5, prefactor=1.0,
+                       conditional_successes=5, trials=10),
+            McEstimate(estimate=0.25, prefactor=1.0,
+                       conditional_successes=5, trials=20),
+        ]
+        merged = merge_estimates(parts)
+        assert merged.trials == 30
+        assert merged.conditional_successes == 10
+        assert merged.estimate == pytest.approx(10 / 30)
+
+    def test_merge_rejects_mismatched_prefactors(self):
+        parts = [
+            McEstimate(estimate=0.5, prefactor=1.0,
+                       conditional_successes=1, trials=2),
+            McEstimate(estimate=0.5, prefactor=2.0,
+                       conditional_successes=1, trials=2),
+        ]
+        with pytest.raises(AnalysisError):
+            merge_estimates(parts)
+
+    def test_merge_rejects_empty_sequence(self):
+        with pytest.raises(ConfigurationError):
+            merge_estimates([])
+
+    def test_merge_rejects_mismatched_parameters(self):
+        # Chunks from different (n, p) experiments must never be pooled.
+        parts = [
+            McEstimate(estimate=0.5, prefactor=1.0,
+                       conditional_successes=1, trials=2, n=40, p=0.4),
+            McEstimate(estimate=0.5, prefactor=1.0,
+                       conditional_successes=1, trials=2, n=41, p=0.4),
+        ]
+        with pytest.raises(ConfigurationError):
+            merge_estimates(parts)
+
+    def test_merge_carries_parameters(self):
+        parts = [
+            McEstimate(estimate=0.5, prefactor=1.0,
+                       conditional_successes=1, trials=2, n=40, p=0.4),
+            McEstimate(estimate=0.5, prefactor=1.0,
+                       conditional_successes=1, trials=2, n=40, p=0.4),
+        ]
+        merged = merge_estimates(parts)
+        assert merged.n == 40
+        assert merged.p == 0.4

@@ -56,6 +56,24 @@ class TestExitCodes:
         assert code == 3
         assert "partial" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--workers", "0"),
+        ("--chunk-timeout", "0"),
+        ("--chunk-timeout", "-1"),
+        ("--max-retries", "-1"),
+    ])
+    def test_rejected_option_is_one_error_line_and_no_campaign(
+        self, tmp_path, capsys, flag, value
+    ):
+        store = tmp_path / "store"
+        code = main([
+            "campaign", "run", *MC_ARGS, "--store", str(store), flag, value,
+        ])
+        assert code == 1
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert not store.exists()
+
     def test_complete_exits_zero_and_writes_result(self, tmp_path, capsys):
         result_path = tmp_path / "result.json"
         code = main([

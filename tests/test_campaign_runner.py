@@ -28,7 +28,7 @@ from repro.campaign.plans import (
 from repro.campaign.runner import CampaignOptions, campaign_status, run_campaign
 from repro.campaign.store import ResultStore, content_key
 from repro.campaign.telemetry import read_events
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ExperimentError
 from repro.experiments.repeat import repeat_scenario
 from repro.experiments.runner import ScenarioConfig
 
@@ -67,12 +67,44 @@ class TestOneShotTwins:
         assert outcome.merged.seeds == direct.seeds
 
     def test_pooled_equals_serial(self, tmp_path):
+        # Both plan kinds, on a pool that is really entered (every chunk
+        # executes in a worker): the pool never changes results.
+        for plan in (
+            mc_plan("false_detection", **MC_ARGS),
+            scenario_repeat_plan(SMALL, [1, 2, 3, 4]),
+        ):
+            serial = run_campaign(plan, _store(tmp_path, f"{plan.kind}-a"))
+            pooled = run_campaign(
+                plan,
+                _store(tmp_path, f"{plan.kind}-b"),
+                CampaignOptions(workers=3),
+            )
+            assert pooled.executed == len(plan.chunks)
+            assert pooled.merged == serial.merged
+
+
+class TestOptions:
+    def test_resolve_workers(self):
+        assert CampaignOptions(workers=1).pool_width == 1
+        assert CampaignOptions(workers=3).pool_width == 3
+        assert CampaignOptions(workers=None).pool_width >= 1
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            dict(workers=0),
+            dict(chunk_timeout=0),
+            dict(chunk_timeout=-1.0),
+            dict(max_retries=-1),
+            dict(stop_after=-1),
+        ],
+    )
+    def test_rejected_options_leave_the_store_untouched(self, tmp_path, bad):
+        store = _store(tmp_path)
         plan = mc_plan("false_detection", **MC_ARGS)
-        serial = run_campaign(plan, _store(tmp_path, "a"))
-        pooled = run_campaign(
-            plan, _store(tmp_path, "b"), CampaignOptions(workers=3)
-        )
-        assert pooled.merged == serial.merged
+        with pytest.raises(ExperimentError):
+            run_campaign(plan, store, CampaignOptions(**bad))
+        assert not store.root.exists()
 
 
 class TestCaching:

@@ -69,6 +69,14 @@ class TestCli:
             with pytest.raises(SystemExit):
                 main([command])
 
+    def test_soak_serial_flag_is_gone(self, capsys):
+        # The pair it skipped no longer exists; a stale CI invocation
+        # must fail loudly rather than be ignored.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["soak", "--iterations", "1", "--serial"])
+        assert exit_info.value.code == 2
+        assert "--serial" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [
         ["scenario", "--clusters", "2", "--members", "5", "--crashes", "50"],
         ["scenario", "--formation-backoff", "2"],

@@ -5,8 +5,7 @@ shrunk to a seeded pytest repro.
 The mutants reproduce the exact pre-fix logic of
 ``InterclusterForwarder`` (plus the current tracing, which the fixes did
 not change semantically) so the harness is graded against the real bugs,
-not strawmen.  Mutation checks disable the parallel-fabric pair:
-monkeypatches do not cross process boundaries.
+not strawmen.
 """
 
 import unittest.mock as mock
@@ -102,13 +101,13 @@ class TestCleanStackChecksClean:
             spacing_factor=1.25,
             max_backups=1,
         )
-        assert check_spec(spec, check_parallel=False) == []
+        assert check_spec(spec) == []
 
     def test_random_specs_have_no_violations(self):
         rng = np.random.default_rng(1234)
         for _ in range(3):
             spec = random_spec(rng)
-            assert check_spec(spec, check_parallel=False) == [], spec
+            assert check_spec(spec) == [], spec
 
     def test_probes_clean_on_fixed_code(self):
         assert probe_forwarder_conformance(ScenarioSpec(seed=3)) == []
@@ -135,13 +134,11 @@ class TestMutationsCaughtAndShrunk:
         attr, fn = MUTANTS[name]
         spec = ScenarioSpec(seed=7, loss_kind="bounded")
         with mock.patch.object(InterclusterForwarder, attr, fn):
-            failure = soak_iteration(
-                spec, check_parallel=False, max_shrink_evals=16
-            )
+            failure = soak_iteration(spec, max_shrink_evals=16)
             assert failure is not None, f"mutant {name} was not caught"
             assert failure.violations
             # The shrunk spec still reproduces under the mutant ...
-            assert check_spec(failure.shrunk, check_parallel=False)
+            assert check_spec(failure.shrunk)
         # ... the snippet is a valid, ready-to-paste pytest module ...
         compile(failure.snippet, "<repro>", "exec")
         assert "ScenarioSpec(" in failure.snippet
@@ -213,7 +210,6 @@ class TestSoakLoop:
                     iterations=4,
                     seed=9,
                     out_dir=tmp_path,
-                    check_parallel=False,
                     max_shrink_evals=8,
                 )
             )
