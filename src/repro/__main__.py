@@ -52,7 +52,6 @@ import argparse
 import sys
 
 from repro.errors import ReproError
-from repro.sim.loss import LOSS_KINDS
 
 
 def _cmd_figures(_args: argparse.Namespace) -> int:
@@ -115,22 +114,10 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_scenario(args: argparse.Namespace) -> int:
     from pathlib import Path
 
-    from repro.experiments.runner import ScenarioConfig, run_scenario
+    from repro.experiments.args import config_from_args
+    from repro.experiments.runner import run_scenario
 
-    config = ScenarioConfig(
-        cluster_count=args.clusters,
-        members_per_cluster=args.members,
-        loss_probability=args.p,
-        crash_count=args.crashes,
-        executions=args.executions,
-        seed=args.seed,
-        formation=args.formation,
-        formation_iterations=args.formation_iterations,
-        formation_backoff_fraction=args.formation_backoff,
-        engine=args.engine,
-        loss_kind=args.loss_kind,
-        track_energy=args.track_energy,
-    )
+    config = config_from_args(args)
     tracer = None
     profiler = None
     if args.trace_out:
@@ -231,35 +218,15 @@ def main(argv: list[str] | None = None) -> int:
                           help="also run the real protocol (slow)")
     validate.add_argument("--executions", type=int, default=150)
 
+    from repro.experiments.args import add_scenario_arguments
+
     scenario = sub.add_parser("scenario", help="run an end-to-end scenario")
-    scenario.add_argument("--clusters", type=int, default=4)
-    scenario.add_argument("--members", type=int, default=30)
-    scenario.add_argument("--p", type=float, default=0.1)
-    scenario.add_argument("--crashes", type=int, default=2)
-    scenario.add_argument("--executions", type=int, default=5)
-    scenario.add_argument("--seed", type=int, default=0)
-    scenario.add_argument("--formation", choices=("oracle", "protocol"),
-                          default="oracle")
-    scenario.add_argument("--formation-iterations", dest="formation_iterations",
-                          type=int, default=3,
-                          help="six-round formation iterations (protocol "
-                               "formation only)")
-    scenario.add_argument("--formation-backoff", dest="formation_backoff",
-                          type=float, default=0.4,
-                          help="RCC declaration backoff upper bound as a "
-                               "fraction of a round, in (0, 0.9]")
-    scenario.add_argument("--loss-kind", dest="loss_kind", default="bernoulli",
-                          choices=LOSS_KINDS,
-                          help="loss model kind (default bernoulli with p)")
-    scenario.add_argument("--track-energy", dest="track_energy",
-                          action="store_true",
-                          help="charge the per-node energy ledger and print "
-                               "its totals")
-    scenario.add_argument("--engine", choices=("event", "array"),
-                          default="event",
-                          help="'event' = discrete-event reference; 'array' = "
-                               "round-level numpy engine (both formation "
-                               "modes, scales to 10^6 nodes)")
+    add_scenario_arguments(scenario, dict(
+        cluster_count=4, members_per_cluster=30, loss_probability=0.1,
+        crash_count=2, executions=5, seed=0, formation="oracle",
+        formation_iterations=3, formation_backoff_fraction=0.4,
+        loss_kind="bernoulli", track_energy=False, engine="event",
+    ))
     scenario.add_argument("--trace-out", type=str, default="",
                           help="spool the full trace to this .jsonl[.gz] path")
     scenario.add_argument("--profile", action="store_true",

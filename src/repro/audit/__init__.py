@@ -2,7 +2,6 @@
 and soak-test the whole stack with differential conformance runs."""
 
 from repro.audit.differential import (
-    ScenarioSpec,
     Violation,
     check_spec,
     probe_forwarder_conformance,
@@ -24,10 +23,7 @@ from repro.audit.invariants import (
 )
 
 from repro.audit.realnet import (
-    RealnetSuiteResult,
-    RealnetVerdict,
     check_realnet,
-    realnet_repro_snippet,
     realnet_spec,
     run_realnet_suite,
 )
@@ -41,15 +37,11 @@ from repro.audit.soak import (
 )
 
 __all__ = [
-    "RealnetSuiteResult",
-    "RealnetVerdict",
     "check_realnet",
-    "realnet_repro_snippet",
     "realnet_spec",
     "run_realnet_suite",
     "AuditFinding",
     "AuditStatus",
-    "ScenarioSpec",
     "SoakOptions",
     "SoakResult",
     "SoakViolation",

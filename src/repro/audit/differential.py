@@ -1,15 +1,16 @@
 """Differential conformance checking of whole scenario runs.
 
-One seeded :class:`ScenarioSpec` describes a complete experiment
-(topology, crash schedule, loss model).  :func:`check_spec` runs it under
-paired configurations and asserts what each pair promises:
+One seeded :class:`~repro.experiments.runner.ScenarioConfig` describes a
+complete experiment (topology, crash schedule, loss model).
+:func:`check_spec` runs it under paired configurations and asserts what
+each pair promises:
 
 - **digest ablation (R-2 off)**: no bit-identity promise -- instead both
   runs must satisfy every applicable trace audit;
-- **event vs array engine**: equal field shape, crashed-target detection
-  latencies and guaranteed completeness, the same accuracy discipline,
-  and the array energy ledger equal to a scalar replay
-  (:func:`array_engine_violations`);
+- **event vs array engine**: :func:`engine_pair_violations` with a zero
+  tolerance (the same check, with a wall-clock band, is the sim-vs-real
+  differential of :mod:`repro.audit.realnet`), plus the array energy
+  ledger equal to a scalar replay (:func:`energy_ledger_violations`);
 - **distributed formation**: over perfect links both engines converge to
   the same clustering and verdict records; under the spec's own loss the
   array outcome satisfies the layout shape invariants
@@ -36,19 +37,24 @@ random soak to find.
 When a violation is found, :func:`shrink_spec` greedily reduces the
 scenario (fewer executions, clusters, members, crashes; simpler loss)
 while the violation reproduces, and :func:`repro_snippet` renders the
-minimal spec as a ready-to-paste pytest case.
+minimal config as a ready-to-paste pytest case.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, fields, replace
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.audit.invariants import run_audit_statuses
-from repro.experiments.runner import ScenarioConfig, ScenarioResult, run_scenario
+from repro.experiments.runner import (
+    RunResult,
+    ScenarioConfig,
+    run_scenario,
+    scenario_config,
+)
 from repro.fds.config import FdsConfig
 from repro.fds.events import (
     DETECTION,
@@ -59,63 +65,13 @@ from repro.fds.events import (
 from repro.fds.intercluster import InterclusterForwarder
 from repro.fds.messages import FailureReport, HealthStatusUpdate
 from repro.sim.engine import Simulator
-from repro.sim.loss import loss_params
 from repro.sim.medium import RadioMedium
 from repro.sim.node import SimNode
 from repro.sim.trace import RecordingTracer, iter_jsonl
 from repro.util.geometry import Vec2
 
 
-@dataclass(frozen=True)
-class ScenarioSpec:
-    """A seeded, self-contained scenario for differential checking.
-
-    Everything :func:`check_spec` runs derives deterministically from
-    these fields, so a spec *is* a repro: same spec, same verdict.
-    ``phi`` is deliberately generous relative to ``thop`` so the
-    round-structure audit stays applicable (the simulator is
-    event-driven; a long idle tail costs no wall-clock).
-    """
-
-    seed: int = 0
-    cluster_count: int = 4
-    members_per_cluster: int = 12
-    crash_count: int = 2
-    executions: int = 5
-    loss_kind: str = "perfect"
-    loss_p: float = 0.3
-    loss_budget: int = 2
-    spacing_factor: float = 1.25
-    max_backups: int = 2
-    phi: float = 20.0
-    thop: float = 0.5
-
-    def fds_config(self, use_digests: bool = True) -> FdsConfig:
-        return FdsConfig(phi=self.phi, thop=self.thop, use_digests=use_digests)
-
-    def to_config(
-        self,
-        use_digests: bool = True,
-        engine: str = "event",
-    ) -> ScenarioConfig:
-        return ScenarioConfig(
-            cluster_count=self.cluster_count,
-            members_per_cluster=self.members_per_cluster,
-            crash_count=self.crash_count,
-            executions=self.executions,
-            seed=self.seed,
-            loss_kind=self.loss_kind,
-            loss_params=loss_params(
-                self.loss_kind, self.loss_p, self.loss_budget
-            ),
-            spacing_factor=self.spacing_factor,
-            max_backups=self.max_backups,
-            engine=engine,
-            fds=self.fds_config(use_digests=use_digests),
-        )
-
-
-def random_spec(rng: np.random.Generator) -> ScenarioSpec:
+def random_spec(rng: np.random.Generator) -> ScenarioConfig:
     """Sample one scenario from the soak distribution.
 
     Biased toward tight 2x2 lattices (multi-boundary gateways, the
@@ -126,7 +82,7 @@ def random_spec(rng: np.random.Generator) -> ScenarioSpec:
     loss_kind = str(
         rng.choice(["perfect", "bounded", "bounded", "bernoulli", "gilbert"])
     )
-    return ScenarioSpec(
+    return scenario_config(
         seed=int(rng.integers(0, 2**31 - 1)),
         cluster_count=int(rng.choice([2, 3, 4, 4])),
         members_per_cluster=int(rng.integers(8, 17)),
@@ -164,7 +120,7 @@ def trace_fingerprint(tracer: RecordingTracer) -> str:
 # ----------------------------------------------------------------------
 # Oracles
 # ----------------------------------------------------------------------
-def completeness_guaranteed(spec: ScenarioSpec) -> bool:
+def completeness_guaranteed(spec: ScenarioConfig) -> bool:
     """Whether the spec's loss model makes completeness deterministic.
 
     Blocking one boundary crossing costs at least ``max_forward_retries
@@ -177,14 +133,12 @@ def completeness_guaranteed(spec: ScenarioSpec) -> bool:
     if spec.loss_kind == "perfect":
         return True
     if spec.loss_kind == "bounded":
-        return spec.loss_budget <= spec.fds_config().max_forward_retries
+        return spec.loss_model().budget <= spec.fds.max_forward_retries
     return False
 
 
-def completeness_violations(
-    spec: ScenarioSpec, result: ScenarioResult
-) -> List[Violation]:
-    if not completeness_guaranteed(spec):
+def completeness_violations(result: RunResult) -> List[Violation]:
+    if not completeness_guaranteed(result.config):
         return []
     return [
         Violation(
@@ -214,8 +168,7 @@ def accuracy_violations(
     still be awaiting its repair, so it is excused; when the run had no
     actual ``losses`` there is no excuse and ``final_suspicions`` (the
     scored report's accuracy violations) must be empty.  Everything is
-    in the run's own timebase, so the same oracle serves the simulated
-    engines and (with the wall-scaled ``config``) the rt runtime.
+    in the run's own timebase (see :func:`run_accuracy_violations`).
     """
     window = (config.max_forward_retries + 1) * config.phi
     operational = {int(nid) for nid in operational}
@@ -256,13 +209,13 @@ def accuracy_violations(
     return violations
 
 
-def _sim_accuracy_violations(result: ScenarioResult) -> List[Violation]:
-    """The accuracy oracle on a simulated (event or array) run."""
+def run_accuracy_violations(result: RunResult) -> List[Violation]:
+    """The accuracy oracle on a run of any engine, in its own timebase."""
     return accuracy_violations(
-        result.config.fds,
+        result.fds,
         result.network.operational_ids(),
         result.network.sim.now,
-        result.messages.losses,
+        result.losses,
         result.tracer,
         result.properties.accuracy_violations,
     )
@@ -302,9 +255,9 @@ def predetected_targets(result) -> set:
 
 
 # ----------------------------------------------------------------------
-# Array-engine differential pair
+# The engine pair
 # ----------------------------------------------------------------------
-#: The record kinds both engines emit with identical semantics -- the
+#: The record kinds every engine emits with identical semantics -- the
 #: service's externally visible verdicts.  The event engine additionally
 #: traces transport-level kinds (relays, peer requests, gateway duties)
 #: that the round-level engine folds into counters.
@@ -325,124 +278,134 @@ def verdict_records(tracer: RecordingTracer) -> List[Tuple]:
     ]
 
 
-def array_engine_violations(
-    spec: ScenarioSpec, event: ScenarioResult
+def _latencies_phi(result: RunResult) -> Dict[int, Optional[float]]:
+    """Per-crashed-target detection latency in phi units."""
+    return {
+        int(nid): (None if seconds is None else seconds / result.fds.phi)
+        for nid, seconds in result.detection_latencies.items()
+    }
+
+
+def engine_pair_violations(
+    reference: RunResult,
+    other: RunResult,
+    label: str,
+    tolerance_phi: float = 0.0,
 ) -> List[Violation]:
-    """Verdict-level equivalence of the round-level array engine.
+    """One config run on two engines: the event ``reference`` and ``other``.
 
     The engines share the placement and faultload streams (bit-identical
-    topology and crash schedule) but draw per-copy loss privately, so
-    the pair compares what is loss-independent or guaranteed:
+    topology and crash schedule) but draw per-copy loss privately, and
+    rt runs on a wall clock, so the pair compares what is
+    loss-independent or guaranteed, each run in its own timebase:
 
-    - field shape: node/cluster/crash counts must be equal;
-    - crashed-target detections: a crashed node is silent, so its CH
-      detects it at exactly ``0.4*phi + 2*thop`` after the crash no
-      matter what the links do -- the per-target latency maps must be
-      equal entry for entry (including never-detected ``None`` for a
-      crash at the horizon).  The anchor assumes the CH was not already
-      suspecting the target when it crashed, so a target that either
-      engine *falsely* detected before its crash time (possible under
-      heavy loss, and timed by each engine's private draws) is exempt;
+    - field shape: node and cluster counts, the crashed-node set, and
+      each crash's execution index must be equal (stream identity);
+    - latency anchors: a crashed node is silent, so its CH detects it at
+      exactly ``0.4*phi + 2*thop`` after the crash no matter what the
+      links do -- per crashed target, detected-ness must agree
+      (never-detected for a crash at the horizon included) and the
+      phi-unit latencies must lie within ``tolerance_phi`` of each
+      other: 0 for the array engine, the band that absorbs asyncio timer
+      jitter and socket latency for rt.  The anchor assumes the CH was
+      not already suspecting the target when it crashed, so a target
+      that either run *falsely* detected before its crash time (possible
+      under heavy loss, and timed by private draws) is exempt;
     - guaranteed completeness: when the loss model's drop budget is
-      within the forwarding tolerance, both engines must report every
-      crash to every operational node;
-    - the accuracy oracle: the array run must satisfy the same
-      trace-based refutation discipline as the event run;
-    - perfect links: with no loss draws at all, the verdict-bearing
-      records must match bit for bit, times included.
+      within the forwarding tolerance, completeness is deterministic and
+      the two verdicts must agree;
+    - the accuracy oracle: ``other`` must satisfy the same trace-based
+      refutation discipline as the reference (:func:`check_spec` holds
+      the reference to both oracles themselves);
+    - perfect links on an exact (``tolerance_phi == 0``) pair: with no
+      loss draws at all, the verdict-bearing records must match bit for
+      bit, times included.
 
-    Raw completeness under unbounded Bernoulli loss, transmission
-    counts, and transport-level trace kinds are deliberately *not*
-    compared: they depend on which copies each engine's private stream
-    dropped.
-
-    The loss-independent anchors above hold under every loss kind the
-    spec distribution samples, including the stateful ``gilbert``
-    chains -- each engine drives its own chains from its private stream,
-    but crashed-target latencies and guaranteed completeness do not
-    depend on the draws.
-
-    An **energy sub-pair** reruns the array engine with the ledger
-    journal on and replays every charge batch through the scalar
-    :class:`~repro.energy.model.EnergyModel`: levels, counters, totals
-    and spread must be bit-identical, and the debit population must
-    mirror the run's message accounting exactly (one transmit debit per
-    transmission, one receive debit per delivered copy).
+    Raw completeness under unbounded loss, transmission counts, and
+    transport-level trace kinds are deliberately *not* compared: they
+    depend on which copies each engine's private stream dropped.  The
+    anchors above hold under every loss kind the soak samples, the
+    stateful ``gilbert`` chains included.
     """
-    array = run_scenario(spec.to_config(engine="array"))
     violations: List[Violation] = []
 
-    event_summary = event.summary()
-    array_summary = array.summary()
-    for key in ("nodes", "clusters", "crashes"):
-        if event_summary[key] != array_summary[key]:
-            violations.append(
-                Violation(
-                    kind="differential:array",
-                    description=(
-                        f"field shape diverged between engines: {key} "
-                        f"{array_summary[key]} != {event_summary[key]}"
-                    ),
-                )
-            )
-
-    predetected = predetected_targets(event) | predetected_targets(array)
-    event_latencies = {
-        t: v for t, v in event.detection_latencies.items()
-        if t not in predetected
-    }
-    array_latencies = {
-        t: v for t, v in array.detection_latencies.items()
-        if t not in predetected
-    }
-    if event_latencies != array_latencies:
+    def diverged(description: str) -> None:
         violations.append(
-            Violation(
-                kind="differential:array",
-                description=(
-                    "crashed-target detection latencies diverged "
-                    f"(loss-independent anchor): array {array_latencies} "
-                    f"!= event {event_latencies}"
-                ),
-            )
+            Violation(kind=f"differential:{label}", description=description)
         )
 
-    if completeness_guaranteed(spec):
-        for label, result in (("event", event), ("array", array)):
-            if result.properties.mean_completeness != 1.0:
-                violations.append(
-                    Violation(
-                        kind="differential:array",
-                        description=(
-                            f"{label} engine incomplete "
-                            f"({result.properties.mean_completeness:.4f}) "
-                            "despite loss within the drop budget"
-                        ),
-                    )
+    def crash_executions(result: RunResult) -> Dict[int, int]:
+        return {
+            int(nid): result.fds.crash_execution(result.fds_start, t)
+            for nid, t in result.crash_times.items()
+        }
+
+    for what, count in (
+        ("node", lambda r: len(r.network)),
+        ("cluster", lambda r: len(r.layout.clusters)),
+    ):
+        if count(other) != count(reference):
+            diverged(
+                f"{what} counts diverged: {label} {count(other)} != "
+                f"event {count(reference)}"
+            )
+    same_crashes = set(reference.crash_times) == set(other.crash_times)
+    if not same_crashes:
+        diverged(
+            "crashed-node sets diverged (faultload stream identity "
+            f"broken): {label} {sorted(map(int, other.crash_times))} != "
+            f"event {sorted(map(int, reference.crash_times))}"
+        )
+    elif crash_executions(reference) != crash_executions(other):
+        diverged(
+            f"crash execution indices diverged: {label} "
+            f"{crash_executions(other)} != event "
+            f"{crash_executions(reference)}"
+        )
+
+    if same_crashes:
+        want, got = _latencies_phi(reference), _latencies_phi(other)
+        exempt = predetected_targets(reference) | predetected_targets(other)
+        for target in sorted(set(want) - exempt):
+            w, g = want[target], got[target]
+            if (w is None) != (g is None):
+                diverged(
+                    f"crash of node {target} detected in "
+                    f"{'event' if w is not None else label} only "
+                    f"(event={w}, {label}={g})"
+                )
+            elif w is not None and abs(w - g) > tolerance_phi:
+                diverged(
+                    f"detection latency of node {target} off the "
+                    f"loss-independent anchor: {label} {g:.3f} phi vs "
+                    f"event {w:.3f} phi (|delta| {abs(w - g):.3f} > "
+                    f"tolerance {tolerance_phi})"
                 )
 
-    violations.extend(
-        Violation(kind="differential:array", description=f"[array] {v.description}")
-        for v in _sim_accuracy_violations(array)
-    )
-
-    if spec.loss_kind == "perfect":
-        if verdict_records(event.tracer) != verdict_records(array.tracer):
-            violations.append(
-                Violation(
-                    kind="differential:array",
-                    description=(
-                        "verdict records diverged between engines on "
-                        "loss-free links (must be bit-identical)"
-                    ),
-                )
+    if completeness_guaranteed(reference.config):
+        complete = {
+            name: "complete" if r.properties.is_complete else "incomplete"
+            for name, r in (("event", reference), (label, other))
+        }
+        if complete["event"] != complete[label]:
+            diverged(
+                "completeness verdicts diverged under deterministic loss: "
+                f"{complete}"
             )
 
-    violations.extend(energy_ledger_violations(spec))
+    for v in run_accuracy_violations(other):
+        diverged(f"[{label}] {v.description}")
+
+    if tolerance_phi == 0 and reference.config.loss_kind == "perfect":
+        if verdict_records(reference.tracer) != verdict_records(other.tracer):
+            diverged(
+                "verdict records diverged between engines on loss-free "
+                "links (must be bit-identical)"
+            )
     return violations
 
 
-def formation_violations(spec: ScenarioSpec) -> List[Violation]:
+def formation_violations(spec: ScenarioConfig) -> List[Violation]:
     """The distributed-formation pair: event vs array, plus shape audit.
 
     **Lossless leg** (both engines, ``formation="protocol"`` over
@@ -471,13 +434,11 @@ def formation_violations(spec: ScenarioSpec) -> List[Violation]:
 
     violations: List[Violation] = []
 
-    lossless = replace(spec, loss_kind="perfect")
-    event = run_scenario(
-        replace(lossless.to_config(engine="event"), formation="protocol")
+    lossless = replace(
+        spec, loss_kind="perfect", loss_params=(), formation="protocol"
     )
-    array = run_scenario(
-        replace(lossless.to_config(engine="array"), formation="protocol")
-    )
+    event = run_scenario(replace(lossless, engine="event"))
+    array = run_scenario(replace(lossless, engine="array"))
     layout = formation_cluster_layout(array.formation)
     for field_name, got, want in (
         ("clusters", layout.clusters, event.layout.clusters),
@@ -518,7 +479,7 @@ def formation_violations(spec: ScenarioSpec) -> List[Violation]:
 
     if spec.loss_kind != "perfect":
         lossy = run_scenario(
-            replace(spec.to_config(engine="array"), formation="protocol")
+            replace(spec, engine="array", formation="protocol")
         )
         violations.extend(
             Violation(
@@ -530,7 +491,7 @@ def formation_violations(spec: ScenarioSpec) -> List[Violation]:
     return violations
 
 
-def energy_ledger_violations(spec: ScenarioSpec) -> List[Violation]:
+def energy_ledger_violations(spec: ScenarioConfig) -> List[Violation]:
     """The array energy ledger vs a scalar EnergyModel replay.
 
     Runs the spec through the array engine with ``track_energy`` on and
@@ -544,7 +505,7 @@ def energy_ledger_violations(spec: ScenarioSpec) -> List[Violation]:
     from repro.sim.array_engine import run_array_scenario
     from repro.sim.array_engine.energy import replay_journal
 
-    config = replace(spec.to_config(engine="array"), track_energy=True)
+    config = replace(spec, engine="array", track_energy=True)
     result = run_array_scenario(config, record_energy_journal=True)
     ledger = result.energy
     model = replay_journal(ledger)
@@ -611,7 +572,7 @@ def energy_ledger_violations(spec: ScenarioSpec) -> List[Violation]:
 # ----------------------------------------------------------------------
 # Directed forwarder-conformance probes
 # ----------------------------------------------------------------------
-def probe_forwarder_conformance(spec: ScenarioSpec) -> List[Violation]:
+def probe_forwarder_conformance(spec: ScenarioConfig) -> List[Violation]:
     """Drive a forwarder through the rare paths and replay the trace.
 
     Three seeded probes on a tiny synthetic medium:
@@ -632,7 +593,7 @@ def probe_forwarder_conformance(spec: ScenarioSpec) -> List[Violation]:
     when the random topology never exercises it.
     """
     rng = np.random.default_rng(spec.seed)
-    config = spec.fds_config()
+    config = spec.fds
     ids = [int(x) for x in rng.permutation(np.arange(10, 90))[:8]]
     my_id, my_head, peer_b, peer_c, f1, f2, f3, _spare = ids
     violations: List[Violation] = []
@@ -727,22 +688,26 @@ def probe_forwarder_conformance(spec: ScenarioSpec) -> List[Violation]:
 # ----------------------------------------------------------------------
 # The differential check
 # ----------------------------------------------------------------------
-def check_spec(spec: ScenarioSpec) -> List[Violation]:
+def check_spec(spec: ScenarioConfig) -> List[Violation]:
     """Run every paired configuration and oracle; return all violations."""
     violations: List[Violation] = []
 
-    base = run_scenario(spec.to_config())
-    ablated = run_scenario(spec.to_config(use_digests=False))
+    base = run_scenario(replace(spec, engine="event"))
+    ablated = run_scenario(
+        replace(base.config, fds=replace(spec.fds, use_digests=False))
+    )
 
-    violations.extend(completeness_violations(spec, base))
-    violations.extend(_sim_accuracy_violations(base))
+    violations.extend(completeness_violations(base))
+    violations.extend(run_accuracy_violations(base))
     for label, result in (("base", base), ("no-digests", ablated)):
         violations.extend(
             audit_violations(
-                result.tracer, result.config.fds, result.crash_times, label
+                result.tracer, result.fds, result.crash_times, label
             )
         )
-    violations.extend(array_engine_violations(spec, base))
+    array = run_scenario(replace(spec, engine="array"))
+    violations.extend(engine_pair_violations(base, array, "array"))
+    violations.extend(energy_ledger_violations(spec))
     violations.extend(formation_violations(spec))
     violations.extend(probe_forwarder_conformance(spec))
     return violations
@@ -751,11 +716,16 @@ def check_spec(spec: ScenarioSpec) -> List[Violation]:
 # ----------------------------------------------------------------------
 # Shrinking
 # ----------------------------------------------------------------------
+def _with_budget(spec: ScenarioConfig, budget: int) -> ScenarioConfig:
+    params = dict(spec.loss_params, budget=float(budget))
+    return replace(spec, loss_params=tuple(params.items()))
+
+
 def shrink_spec(
-    spec: ScenarioSpec,
+    spec: ScenarioConfig,
     max_evals: int = 32,
-    still_fails: Optional[Callable[[ScenarioSpec], bool]] = None,
-) -> ScenarioSpec:
+    still_fails: Optional[Callable[[ScenarioConfig], bool]] = None,
+) -> ScenarioConfig:
     """Greedily reduce a failing spec while it keeps failing.
 
     Each pass tries one simplification (fewer executions, clusters,
@@ -766,12 +736,12 @@ def shrink_spec(
     """
     if still_fails is None:
 
-        def still_fails(candidate: ScenarioSpec) -> bool:
+        def still_fails(candidate: ScenarioConfig) -> bool:
             return bool(check_spec(candidate))
 
     evals = 0
 
-    def attempt(candidate: ScenarioSpec) -> bool:
+    def attempt(candidate: ScenarioConfig) -> bool:
         nonlocal evals
         if evals >= max_evals:
             return False
@@ -779,7 +749,7 @@ def shrink_spec(
         return still_fails(candidate)
 
     current = spec
-    passes: Sequence[Callable[[ScenarioSpec], Optional[ScenarioSpec]]] = (
+    passes: Sequence[Callable[[ScenarioConfig], Optional[ScenarioConfig]]] = (
         lambda s: replace(s, executions=s.executions - 1)
         if s.executions > 3
         else None,
@@ -794,14 +764,14 @@ def shrink_spec(
         lambda s: replace(s, crash_count=s.crash_count - 1)
         if s.crash_count > 0
         else None,
-        lambda s: replace(s, loss_budget=s.loss_budget - 1)
-        if s.loss_kind == "bounded" and s.loss_budget > 0
+        lambda s: _with_budget(s, s.loss_model().budget - 1)
+        if s.loss_kind == "bounded" and s.loss_model().budget > 0
         else None,
-        lambda s: replace(s, loss_kind="perfect")
+        lambda s: replace(s, loss_kind="perfect", loss_params=())
         if s.loss_kind != "perfect"
         else None,
         lambda s: replace(s, max_backups=s.max_backups - 1)
-        if s.max_backups > 0
+        if s.max_backups
         else None,
     )
     progress = True
@@ -815,29 +785,38 @@ def shrink_spec(
     return current
 
 
-def snippet_parts(
-    spec: ScenarioSpec, violations: Sequence[Violation]
-) -> Tuple[str, str]:
-    """``(comment lines listing the violations, ScenarioSpec(...) literal)``
-    -- what every seeded-repro snippet is built from."""
+def _literal(value: object) -> str:
+    """``value`` as source text; a dataclass as a constructor call
+    naming only the fields that differ from their defaults."""
+    if not is_dataclass(value):
+        return repr(value)
+    parts = []
+    for f in fields(value):
+        default = f.default if f.default is not MISSING else f.default_factory()
+        if getattr(value, f.name) != default:
+            parts.append(f"{f.name}={_literal(getattr(value, f.name))}")
+    return f"{type(value).__name__}({', '.join(parts)})"
+
+
+def repro_snippet(
+    spec: ScenarioConfig,
+    violations: Sequence[Violation],
+    check: Callable[[ScenarioConfig], List[Violation]] = check_spec,
+) -> str:
+    """A ready-to-paste pytest case reproducing the violations ``check``
+    (:func:`check_spec`, or the realnet differential) reported."""
     lines = [f"    #   - {v.kind}: {v.description}" for v in violations]
     body = "\n".join(lines) if lines else "    #   (violations list was empty)"
-    values = ", ".join(
-        f"{f.name}={getattr(spec, f.name)!r}" for f in fields(spec)
-    )
-    return body, f"ScenarioSpec({values})"
-
-
-def repro_snippet(spec: ScenarioSpec, violations: Sequence[Violation]) -> str:
-    """A ready-to-paste pytest case reproducing the violations."""
-    body, literal = snippet_parts(spec, violations)
+    name = check.__name__
     return (
-        "from repro.audit.differential import ScenarioSpec, check_spec\n"
+        f"from {check.__module__} import {name}\n"
+        "from repro.experiments.runner import ScenarioConfig\n"
+        "from repro.fds.config import FdsConfig\n"
         "\n"
         "\n"
-        "def test_soak_regression():\n"
-        "    # Shrunk from a failing soak run; observed violations:\n"
+        "def test_differential_regression():\n"
+        "    # Shrunk from a failing differential run; observed violations:\n"
         f"{body}\n"
-        f"    spec = {literal}\n"
-        "    assert check_spec(spec) == []\n"
+        f"    spec = {_literal(spec)}\n"
+        f"    assert {name}(spec) == []\n"
     )

@@ -1,7 +1,7 @@
 """Randomized differential soak: sample specs, check, shrink, report.
 
 The soak loop is the repo's standing conformance gate: each iteration
-draws a seeded :class:`~repro.audit.differential.ScenarioSpec` from the
+draws a seeded :class:`~repro.experiments.runner.ScenarioConfig` from the
 soak distribution and puts it through every paired configuration
 (digest ablation, event vs array engine, distributed formation) and
 oracle in :func:`~repro.audit.differential.check_spec`.  A violation is
@@ -16,20 +16,26 @@ uploads any repro files as artifacts.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.audit.differential import (
-    ScenarioSpec,
     Violation,
     check_spec,
     random_spec,
     repro_snippet,
     shrink_spec,
 )
+from repro.campaign.store import (
+    ResultStore,
+    canonical_config_dict,
+    config_from_canonical,
+    content_key,
+)
+from repro.experiments.runner import ScenarioConfig
 
 
 @dataclass(frozen=True)
@@ -56,8 +62,8 @@ class SoakOptions:
 class SoakViolation:
     """One failing iteration, shrunk and rendered."""
 
-    spec: ScenarioSpec
-    shrunk: ScenarioSpec
+    spec: ScenarioConfig
+    shrunk: ScenarioConfig
     violations: Tuple[Violation, ...]
     snippet: str
     repro_path: Optional[Path] = None
@@ -81,7 +87,7 @@ class SoakResult:
 
 
 def soak_iteration(
-    spec: ScenarioSpec,
+    spec: ScenarioConfig,
     max_shrink_evals: int = 24,
 ) -> Optional[SoakViolation]:
     """Check one spec; on violation, shrink it and render the repro."""
@@ -102,26 +108,22 @@ def soak_iteration(
     )
 
 
-def _spec_cache_key(spec: ScenarioSpec, options: SoakOptions) -> str:
-    from dataclasses import asdict
-
-    from repro.campaign.store import content_key
-
+def _spec_cache_key(spec: ScenarioConfig, options: SoakOptions) -> str:
     return content_key(
         "soak_iteration",
         {
-            "spec": asdict(spec),
+            "spec": canonical_config_dict(spec),
             "max_shrink_evals": options.max_shrink_evals,
         },
     )
 
 
-def _cached_verdict(payload: dict, spec: ScenarioSpec) -> Optional[SoakViolation]:
+def _cached_verdict(payload: dict, spec: ScenarioConfig) -> Optional[SoakViolation]:
     if not payload["violations"]:
         return None
     return SoakViolation(
         spec=spec,
-        shrunk=ScenarioSpec(**payload["shrunk"]),
+        shrunk=config_from_canonical(payload["shrunk"]),
         violations=tuple(
             Violation(kind=v["kind"], description=v["description"])
             for v in payload["violations"]
@@ -131,13 +133,11 @@ def _cached_verdict(payload: dict, spec: ScenarioSpec) -> Optional[SoakViolation
 
 
 def _verdict_payload(failure: Optional[SoakViolation]) -> dict:
-    from dataclasses import asdict
-
     if failure is None:
         return {"violations": []}
     return {
         "violations": [asdict(v) for v in failure.violations],
-        "shrunk": asdict(failure.shrunk),
+        "shrunk": canonical_config_dict(failure.shrunk),
         "snippet": failure.snippet,
     }
 
@@ -157,8 +157,6 @@ def run_soak(
     """
     store = None
     if options.store_root is not None:
-        from repro.campaign.store import ResultStore
-
         store = ResultStore(options.store_root)
     rng = np.random.default_rng(options.seed)
     result = SoakResult()
@@ -198,13 +196,7 @@ def run_soak(
                 options.out_dir.mkdir(parents=True, exist_ok=True)
                 path = options.out_dir / f"soak_repro_{spec.seed}.py"
                 path.write_text(failure.snippet, encoding="utf-8")
-                failure = SoakViolation(
-                    spec=failure.spec,
-                    shrunk=failure.shrunk,
-                    violations=failure.violations,
-                    snippet=failure.snippet,
-                    repro_path=path,
-                )
+                failure = replace(failure, repro_path=path)
                 if log is not None:
                     log(f"  repro written to {path}")
             result.failures.append(failure)

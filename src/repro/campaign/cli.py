@@ -28,7 +28,7 @@ from repro.campaign.runner import (
     run_campaign,
 )
 from repro.campaign.store import ResultStore, default_store_root
-from repro.experiments.runner import ScenarioConfig
+from repro.experiments.args import add_scenario_arguments, config_from_args
 from repro.util.tables import render_table
 
 
@@ -67,27 +67,14 @@ def add_campaign_parser(sub: argparse._SubParsersAction) -> None:
     run.add_argument("--chunks", type=int, default=8)
     run.add_argument("--seed", type=int, default=0)
     # Scenario-replication campaign parameters.
-    run.add_argument("--clusters", type=int, default=4)
-    run.add_argument("--members", type=int, default=12)
-    run.add_argument("--loss-p", type=float, default=0.1)
-    run.add_argument("--crashes", type=int, default=2)
-    run.add_argument("--executions", type=int, default=5)
+    add_scenario_arguments(run, dict(
+        cluster_count=4, members_per_cluster=12, loss_probability=0.1,
+        crash_count=2, executions=5, engine="event", formation="oracle",
+        formation_iterations=3, formation_backoff_fraction=0.4,
+    ), flags={"loss_probability": "--loss-p"})
     run.add_argument("--seeds", type=int, default=8,
                      help="replication count (seeds seed-base..seed-base+seeds-1)")
     run.add_argument("--seed-base", type=int, default=1)
-    run.add_argument("--engine", choices=("event", "array"), default="event",
-                     help="scenario execution engine ('array' = round-level "
-                          "numpy engine; both formation modes)")
-    run.add_argument("--formation", choices=("oracle", "protocol"),
-                     default="oracle",
-                     help="cluster formation: geometric oracle or the "
-                          "distributed six-round protocol")
-    run.add_argument("--formation-iterations", dest="formation_iterations",
-                     type=int, default=3,
-                     help="formation iterations (protocol formation only)")
-    run.add_argument("--formation-backoff", dest="formation_backoff",
-                     type=float, default=0.4,
-                     help="RCC declaration backoff bound in (0, 0.9]")
     _execution_knobs(run)
 
     resume = actions.add_parser(
@@ -131,19 +118,8 @@ def _plan_from_run_args(args: argparse.Namespace) -> CampaignPlan:
             args.estimator, args.n, args.p, args.trials,
             seed=args.seed, chunks=args.chunks,
         )
-    config = ScenarioConfig(
-        cluster_count=args.clusters,
-        members_per_cluster=args.members,
-        loss_probability=args.loss_p,
-        crash_count=args.crashes,
-        executions=args.executions,
-        engine=args.engine,
-        formation=args.formation,
-        formation_iterations=args.formation_iterations,
-        formation_backoff_fraction=args.formation_backoff,
-    )
     seeds = list(range(args.seed_base, args.seed_base + args.seeds))
-    return scenario_repeat_plan(config, seeds)
+    return scenario_repeat_plan(config_from_args(args), seeds)
 
 
 def result_as_json(outcome: CampaignOutcome) -> Dict[str, Any]:

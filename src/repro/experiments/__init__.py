@@ -16,7 +16,13 @@ from repro.experiments.figures import (
     render_figure,
 )
 from repro.experiments.repeat import RepeatedResult, repeat_scenario
-from repro.experiments.runner import ScenarioConfig, ScenarioResult, run_scenario
+from repro.experiments.runner import (
+    RunResult,
+    ScenarioConfig,
+    ScenarioResult,
+    run_scenario,
+    scenario_config,
+)
 from repro.experiments.scenarios import (
     single_cluster_validation,
     validation_summary,
@@ -29,9 +35,11 @@ __all__ = [
     "render_figure",
     "PAPER_CLAIMS",
     "check_paper_claims",
+    "RunResult",
     "ScenarioConfig",
     "ScenarioResult",
     "run_scenario",
+    "scenario_config",
     "RepeatedResult",
     "repeat_scenario",
     "single_cluster_validation",

@@ -32,9 +32,13 @@ class MessageCounts:
         return self.losses / attempted if attempted else 0.0
 
 
-def collect_message_counts(deployment: FdsDeployment) -> MessageCounts:
-    """Aggregate counters from the medium and every protocol instance."""
-    stats = deployment.network.medium.message_stats()
+def collect_message_counts(
+    deployment: FdsDeployment, stats: Optional[Dict[str, int]] = None
+) -> MessageCounts:
+    """Aggregate counters from the medium (or the ``stats`` of a run
+    without one) and every protocol instance."""
+    if stats is None:
+        stats = deployment.network.medium.message_stats()
     peer_requests = peer_forwards = peer_recoveries = 0
     reports = retrans = bgw = origin = 0
     for protocol in deployment.protocols.values():

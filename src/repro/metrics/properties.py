@@ -188,10 +188,10 @@ def detection_latency(
     """Seconds from each crash to its *first* detection event (None if never).
 
     Reads the detections from a tracer with full in-memory records, else
-    from the ``spool`` file the run left behind (the runtime's merged
-    spool).  With neither -- a disk spooler or NullTracer and no spool
-    path -- every entry is ``None``; the latencies are then recovered
-    post-hoc by ``repro trace latency``.
+    from the ``spool`` file the run left behind (a closed spooling
+    tracer's file, the runtime's merged spool).  With neither -- a
+    NullTracer, a spooler still open -- every entry is ``None``; the
+    latencies are then recovered post-hoc by ``repro trace latency``.
     """
     iter_kind = getattr(tracer, "iter_kind", None)
     if iter_kind is not None:
@@ -210,30 +210,4 @@ def detection_latency(
     return {
         nid: (first_detection[nid] - t if nid in first_detection else None)
         for nid, t in crash_times.items()
-    }
-
-
-def run_summary(result, transmissions: int, loss_rate: float) -> Dict[str, float]:
-    """The headline numbers of one run -- same keys on every substrate.
-
-    ``result`` is any run product with ``network``, ``layout``,
-    ``faultload``, ``properties`` and ``detection_latencies``; message
-    accounting differs per substrate, so its two numbers are passed in.
-    """
-    detected = [
-        v for v in result.detection_latencies.values() if v is not None
-    ]
-    return {
-        "nodes": float(len(result.network)),
-        "clusters": float(len(result.layout.clusters)),
-        "crashes": float(len(result.faultload)),
-        "mean_completeness": result.properties.mean_completeness,
-        "accuracy_violations": float(
-            len(result.properties.accuracy_violations)
-        ),
-        "transmissions": float(transmissions),
-        "observed_loss_rate": loss_rate,
-        "mean_detection_latency": (
-            float(sum(detected) / len(detected)) if detected else 0.0
-        ),
     }

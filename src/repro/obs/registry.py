@@ -304,7 +304,7 @@ def scenario_metrics(
     result,
     registry: Optional[MetricsRegistry] = None,
 ) -> MetricsRegistry:
-    """Fold a finished :class:`~repro.experiments.runner.ScenarioResult`
+    """Fold a finished :class:`~repro.experiments.runner.RunResult`
     into a registry: message counters, loss rate, completeness/accuracy,
     and the detection-latency histogram in phi units.
     """
@@ -329,7 +329,7 @@ def scenario_metrics(
                 "Operational nodes suspected by operational nodes").inc(
         len(result.properties.accuracy_violations)
     )
-    phi = result.config.fds.phi
+    phi = result.fds.phi
     latencies = [
         v / phi for v in result.detection_latencies.values() if v is not None
     ]

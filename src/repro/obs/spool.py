@@ -141,6 +141,11 @@ class SpoolingTracer(Tracer):
         self._handle.flush()
 
     # ------------------------------------------------------------------
+    @property
+    def closed(self) -> bool:
+        """Whether :meth:`close` ran (the file on disk is then complete)."""
+        return self._closed
+
     def flush(self) -> None:
         with self._lock:
             if not self._closed:

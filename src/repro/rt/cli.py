@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 from pathlib import Path
 
-from repro.sim.loss import LOSS_KINDS
+from repro.experiments.args import add_scenario_arguments, config_from_args
 from repro.util.tables import render_table
 
 
@@ -29,19 +29,11 @@ def add_rt_parser(sub) -> None:
     run = rt_sub.add_parser(
         "run", help="run a scenario over real UDP sockets"
     )
-    run.add_argument("--clusters", type=int, default=2)
-    run.add_argument("--members", type=int, default=10)
-    run.add_argument("--crashes", type=int, default=1)
-    run.add_argument("--executions", type=int, default=3)
-    run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--loss-kind", dest="loss_kind", default="perfect",
-                     choices=LOSS_KINDS,
-                     help="socket-layer loss model (mirrors the simulator)")
-    run.add_argument("--loss-p", dest="loss_p", type=float, default=0.1)
-    run.add_argument("--time-scale", dest="time_scale", type=float,
-                     default=0.05,
-                     help="wall seconds per spec second (phi=8 spec seconds "
-                          "-> 0.4 wall seconds at the default 0.05)")
+    add_scenario_arguments(run, dict(
+        cluster_count=2, members_per_cluster=10, crash_count=1,
+        executions=3, seed=0, loss_kind="perfect", loss_p=0.1,
+        time_scale=0.05,
+    ))
     run.add_argument("--spool-dir", dest="spool_dir", type=str, default="",
                      help="write per-node JSONL spools here and merge them "
                           "(analyze with 'repro trace <dir>/merged.jsonl')")
@@ -64,25 +56,18 @@ def add_rt_parser(sub) -> None:
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.rt.runtime import RtScenario, run_rt_scenario
 
-    scenario = RtScenario(
-        seed=args.seed,
-        cluster_count=args.clusters,
-        members_per_cluster=args.members,
-        crash_count=args.crashes,
-        executions=args.executions,
-        loss_kind=args.loss_kind,
-        loss_p=args.loss_p,
-        time_scale=args.time_scale,
-    )
     spool_dir = Path(args.spool_dir) if args.spool_dir else None
-    result = run_rt_scenario(scenario, spool_dir=spool_dir)
+    result = run_rt_scenario(
+        config_from_args(args, build=RtScenario), spool_dir=spool_dir
+    )
     for key, value in result.summary().items():
         print(f"  {key:26s} {value:.6g}")
     if result.crash_times:
-        phi = result.config.phi
+        phi = result.fds.phi
+        latencies = result.detection_latencies  # one pass over the spool
         rows = []
         for nid in sorted(result.crash_times):
-            latency = result.detection_latencies.get(nid)
+            latency = latencies.get(nid)
             rows.append([
                 int(nid),
                 f"{result.crash_times[nid]:.3f}",
@@ -104,37 +89,37 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_diff(args: argparse.Namespace) -> int:
+    from repro.audit.differential import repro_snippet
     from repro.audit.realnet import (
         DEFAULT_TOLERANCE_PHI,
-        realnet_repro_snippet,
+        check_realnet,
         run_realnet_suite,
     )
 
     tolerance = (
         DEFAULT_TOLERANCE_PHI if args.tolerance is None else args.tolerance
     )
-    result = run_realnet_suite(
+    verdicts = run_realnet_suite(
         args.specs,
         seed=args.seed,
         time_scale=args.time_scale,
         tolerance_phi=tolerance,
         log=print,
     )
+    failures = [(spec, found) for spec, found in verdicts if found]
     out_dir = Path(args.out) if args.out else None
-    for index, verdict in enumerate(result.failures):
-        snippet = realnet_repro_snippet(verdict.spec, verdict.violations)
-        print(f"--- realnet repro (seed {verdict.spec.seed}) ---")
+    for spec, violations in failures:
+        snippet = repro_snippet(spec, violations, check=check_realnet)
+        print(f"--- realnet repro (seed {spec.seed}) ---")
         print(snippet)
         if out_dir is not None:
             out_dir.mkdir(parents=True, exist_ok=True)
-            path = out_dir / f"repro_realnet_{verdict.spec.seed}.py"
+            path = out_dir / f"repro_realnet_{spec.seed}.py"
             path.write_text(snippet, encoding="utf-8")
             print(f"written to {path}")
-    status = "clean" if result.clean else (
-        f"{len(result.failures)} divergent spec(s)"
-    )
-    print(f"realnet: {len(result.verdicts)} spec(s), {status}")
-    return 0 if result.clean else 1
+    status = f"{len(failures)} divergent spec(s)" if failures else "clean"
+    print(f"realnet: {len(verdicts)} spec(s), {status}")
+    return 1 if failures else 0
 
 
 def cmd_rt(args: argparse.Namespace) -> int:

@@ -18,7 +18,7 @@ with the discrete-event reference wherever the two are comparable:
 What is deliberately *not* compared: raw Bernoulli-loss completeness,
 transmission counts, and transport-level trace records -- those depend
 on which copies each engine's private loss stream drops (see
-``repro.audit.differential.array_engine_violations``).
+``repro.audit.differential.engine_pair_violations``).
 """
 
 from dataclasses import replace
@@ -27,13 +27,17 @@ import numpy as np
 import pytest
 
 from repro.audit.differential import (
-    ScenarioSpec,
-    array_engine_violations,
+    energy_ledger_violations,
+    engine_pair_violations,
     verdict_records,
 )
 from repro.cluster.geometric import build_clusters
 from repro.errors import ConfigurationError, ExperimentError, TopologyError
-from repro.experiments.runner import ScenarioConfig, run_scenario
+from repro.experiments.runner import (
+    ScenarioConfig,
+    run_scenario,
+    scenario_config,
+)
 from repro.sim.array_engine import run_array_scenario
 from repro.sim.array_engine.layout import PAD, build_array_layout
 from repro.topology.generators import multi_cluster_field
@@ -54,6 +58,16 @@ def _config(**overrides) -> ScenarioConfig:
     )
     base.update(overrides)
     return ScenarioConfig(**base)
+
+
+def _array_pair_violations(spec: ScenarioConfig) -> list:
+    """The soak's event/array pair plus its energy sub-pair."""
+    event = run_scenario(spec)
+    array = run_scenario(replace(spec, engine="array"))
+    return (
+        engine_pair_violations(event, array, "array")
+        + energy_ledger_violations(spec)
+    )
 
 
 def _real(row: np.ndarray) -> list:
@@ -91,10 +105,14 @@ def test_layout_matches_oracle(seed, spacing_factor):
     for nid, pos in positions.items():
         assert arr.xs[nid] == pos.x
         assert arr.ys[nid] == pos.y
+    assert sorted(oracle.clusters) == list(range(cluster_count))
+    _assert_same_layout(arr, oracle)
 
+
+def _assert_same_layout(arr, oracle):
+    """An ArrayLayout against the ClusterLayout of the same lattice."""
     # Cluster membership: heads are NIDs 0..C-1; every Cluster.members
     # frozenset (head included) equals the head + the padded member row.
-    assert sorted(oracle.clusters) == list(range(cluster_count))
     assert not oracle.unclustered
     for head, cluster in oracle.clusters.items():
         row = _real(arr.members[head])
@@ -116,6 +134,34 @@ def test_layout_matches_oracle(seed, spacing_factor):
     for (owner, peer), boundary in oracle.boundaries.items():
         ladder = [int(arr.members[owner][s]) for s in array_pairs[(owner, peer)]]
         assert tuple(ladder) == boundary.all_forwarders
+
+
+@pytest.mark.parametrize("formation", ["oracle", "protocol"])
+@pytest.mark.parametrize("knob", [0, 1, 3])
+def test_layout_knobs_reach_every_layout_builder(formation, knob):
+    """``fds.deputy_count`` and ``max_backups`` size the deputy and
+    gateway ladders of every layout -- oracle or protocol, either engine
+    (the event oracle used to install 2 deputies whatever was asked, and
+    protocol formation 2 backups)."""
+    from repro.fds.config import FdsConfig
+    from repro.sim.array_engine.formation import formation_cluster_layout
+
+    config = _config(
+        formation=formation, fds=FdsConfig(deputy_count=knob),
+        max_backups=knob, spacing_factor=1.25, crash_count=0, executions=1,
+    )
+    event = run_scenario(config).layout
+    array = run_scenario(replace(config, engine="array"))
+    if formation == "oracle":
+        _assert_same_layout(array.layout, event)
+    else:
+        layout = formation_cluster_layout(array.formation)
+        assert layout.clusters == event.clusters
+        assert layout.boundaries == event.boundaries
+    assert max(len(c.deputies) for c in event.clusters.values()) == knob
+    assert max(
+        len(b.all_forwarders) for b in event.boundaries.values()
+    ) == 1 + knob
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +203,7 @@ def test_perfect_loss_kind_is_verdict_identical():
 def test_lossy_anchors_hold(seed):
     """Under Bernoulli loss the engines draw from private streams, so only
     the loss-independent anchors are compared -- exactly the soak pair."""
-    spec = ScenarioSpec(
+    spec = scenario_config(
         seed=seed,
         cluster_count=4,
         members_per_cluster=10,
@@ -166,15 +212,14 @@ def test_lossy_anchors_hold(seed):
         loss_kind="bernoulli",
         loss_p=0.2,
     )
-    event = run_scenario(spec.to_config())
-    assert array_engine_violations(spec, event) == []
+    assert _array_pair_violations(spec) == []
 
 
 def test_bounded_loss_guaranteed_completeness():
     """Bounded adversarial loss within the retry budget: both engines must
     deliver completeness 1.0 (the paper's guarantee), checked via the
     differential pair."""
-    spec = ScenarioSpec(
+    spec = scenario_config(
         seed=4,
         cluster_count=4,
         members_per_cluster=8,
@@ -183,9 +228,8 @@ def test_bounded_loss_guaranteed_completeness():
         loss_kind="bounded",
         loss_budget=1,
     )
-    event = run_scenario(spec.to_config())
-    assert event.properties.mean_completeness == 1.0
-    assert array_engine_violations(spec, event) == []
+    assert run_scenario(spec).properties.mean_completeness == 1.0
+    assert _array_pair_violations(spec) == []
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +313,7 @@ def test_gilbert_anchors_hold_at_972_nodes():
     12 clusters x (80 members + head) = 972 nodes.  The engines drive
     their chains from private streams, so only the loss-independent
     anchors are compared -- plus the energy ledger sub-pair."""
-    spec = ScenarioSpec(
+    spec = scenario_config(
         seed=17,
         cluster_count=12,
         members_per_cluster=80,
@@ -278,8 +322,7 @@ def test_gilbert_anchors_hold_at_972_nodes():
         loss_kind="gilbert",
         loss_p=0.15,
     )
-    event = run_scenario(spec.to_config())
-    assert array_engine_violations(spec, event) == []
+    assert _array_pair_violations(spec) == []
 
 
 def test_gilbert_never_leaves_good_is_lossless():
@@ -668,11 +711,11 @@ def test_formation_differential_pair_clean():
     from repro.audit.differential import formation_violations
 
     for spec in (
-        ScenarioSpec(seed=21, cluster_count=3, members_per_cluster=9,
-                     crash_count=2, executions=4, loss_kind="perfect"),
-        ScenarioSpec(seed=33, cluster_count=4, members_per_cluster=8,
-                     crash_count=1, executions=4, loss_kind="bernoulli",
-                     loss_p=0.3),
+        scenario_config(seed=21, cluster_count=3, members_per_cluster=9,
+                        crash_count=2, executions=4, loss_kind="perfect"),
+        scenario_config(seed=33, cluster_count=4, members_per_cluster=8,
+                        crash_count=1, executions=4, loss_kind="bernoulli",
+                        loss_p=0.3),
     ):
         assert formation_violations(spec) == []
 

@@ -23,14 +23,18 @@ class TestCli:
         out = capsys.readouterr().out
         assert "in-CI=True" in out
 
-    def test_scenario(self, capsys):
-        code = main([
-            "scenario", "--clusters", "2", "--members", "12",
-            "--executions", "3", "--crashes", "1",
-        ])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "mean_completeness" in out
+    def test_scenario(self, tmp_path, capsys):
+        """Spooling the trace must not change the report (it used to zero
+        ``mean_detection_latency``: the result held no records and did
+        not look at its own spool)."""
+        argv = ["scenario", "--clusters", "3", "--members", "12",
+                "--crashes", "2", "--executions", "4", "--seed", "9"]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out.splitlines()
+        assert main(argv + ["--trace-out", str(tmp_path / "t.jsonl")]) == 0
+        assert capsys.readouterr().out.splitlines()[:8] == plain
+        assert plain[3].split() == ["mean_completeness", "1"]
+        assert plain[7].split() == ["mean_detection_latency", "13"]
 
     def test_scenario_protocol_formation_both_engines(self, capsys):
         """The formation knobs ride the CLI into both engines, and under
@@ -58,6 +62,33 @@ class TestCli:
                     if "transmissions" not in line]
 
         assert comparable(outs[0]) == comparable(outs[1])
+
+    def test_three_commands_build_one_scenario(self, monkeypatch):
+        """``scenario``, ``campaign run`` and ``rt run`` read their flags
+        through one ``config_from_args``."""
+        from repro.experiments.runner import ScenarioConfig
+        from repro.rt.runtime import RtScenario
+
+        seen = []
+
+        def capture(config, *_args, **_kwargs):
+            seen.append(config)
+            raise KeyboardInterrupt  # main's quickest way out: exit 130
+
+        monkeypatch.setattr("repro.experiments.runner.run_scenario", capture)
+        monkeypatch.setattr("repro.campaign.cli.scenario_repeat_plan", capture)
+        monkeypatch.setattr("repro.rt.runtime.run_rt_scenario", capture)
+        flags = ["--clusters", "3", "--members", "9", "--crashes", "1",
+                 "--executions", "4"]
+        for command in (["scenario"], ["rt", "run"],
+                        ["campaign", "run", "--kind", "scenario"]):
+            assert main(command + flags) == 130
+        sized = dict(
+            cluster_count=3, members_per_cluster=9, crash_count=1, executions=4
+        )
+        assert seen == [
+            ScenarioConfig(**sized), RtScenario(**sized), ScenarioConfig(**sized)
+        ]
 
     def test_reachability(self, capsys):
         assert main(["reachability", "--p", "0.1"]) == 0

@@ -13,7 +13,7 @@ from repro.experiments.figures import (
     render_figure,
 )
 from repro.experiments.reporting import render_ablation, render_claims
-from repro.experiments.runner import ScenarioConfig, ScenarioResult, run_scenario
+from repro.experiments.runner import ScenarioConfig, run_scenario
 from repro.experiments.scenarios import (
     single_cluster_validation,
     validation_summary,
@@ -58,24 +58,6 @@ class TestPaperClaims:
 
 
 class TestScenarioRunner:
-    def test_oracle_scenario_end_to_end(self):
-        config = ScenarioConfig(
-            cluster_count=2,
-            members_per_cluster=15,
-            loss_probability=0.1,
-            crash_count=1,
-            executions=3,
-            seed=5,
-        )
-        result = run_scenario(config)
-        assert isinstance(result, ScenarioResult)
-        assert result.properties.mean_completeness == 1.0
-        summary = result.summary()
-        assert summary["crashes"] == 1.0
-        assert summary["clusters"] >= 2.0
-        assert 0.05 < summary["observed_loss_rate"] < 0.15
-        assert summary["mean_detection_latency"] > 0
-
     def test_protocol_formation_scenario(self):
         config = ScenarioConfig(
             cluster_count=2,

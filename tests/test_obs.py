@@ -373,11 +373,21 @@ class TestTraceAnalysis:
         assert payload["gauges"]["repro_scenario_nodes"] == len(result.network)
         assert "repro_detection_latency_phi" in payload["histograms"]
 
-    def test_detection_latency_graceful_without_records(self, scenario_spool):
-        # With a spooling tracer the in-memory latency view degrades to
-        # all-None (the spool is the authority), never a crash.
-        _path, _config, result = scenario_spool
-        latencies = result.detection_latencies
+    def test_detection_latency_graceful_without_records(
+        self, scenario_spool, tmp_path
+    ):
+        # A closed spooling tracer's file is the authority; while it is
+        # still open (or with no records at all) the view degrades to
+        # all-None, never a crash.
+        path, config, result = scenario_spool
+        summary = summarize(iter_spool(path))
+        assert result.detection_latencies == {
+            nid: phi_units * config.fds.phi
+            for nid, phi_units in summary.detection_latencies_phi().items()
+        }
+        tracer = SpoolingTracer(tmp_path / "open.jsonl")
+        latencies = run_scenario(config, tracer=tracer).detection_latencies
+        tracer.close()
         assert set(latencies) == set(result.crash_times)
         assert all(v is None for v in latencies.values())
 

@@ -10,16 +10,20 @@ wall-clock run stays around a second; CI's smoke job covers the
 
 import json
 import threading
+from dataclasses import replace
 
 import pytest
 
-from repro.audit.differential import ScenarioSpec
-from repro.audit.realnet import (
-    check_realnet,
-    realnet_repro_snippet,
-    realnet_spec,
+from repro.audit.differential import engine_pair_violations, repro_snippet
+from repro.audit.realnet import check_realnet, realnet_spec
+from repro.errors import ConfigurationError, ExperimentError, NodeStateError
+from repro.experiments.runner import (
+    RunResult,
+    ScenarioConfig,
+    ScenarioResult,
+    run_scenario,
+    scenario_config,
 )
-from repro.errors import NodeStateError
 from repro.fds.substrate import Substrate, TimerHandle, TimerScheduler
 from repro.obs.analyze import TraceMeta, summarize
 from repro.obs.spool import SpoolingTracer, read_spool
@@ -93,7 +97,7 @@ def test_rt_run_detects_the_injected_crash(small_run):
     assert latency is not None
     # Loss-independent anchor: 0.4 phi + 2 thop, in wall seconds, with
     # a generous band for scheduler jitter.
-    phi, thop = result.config.phi, result.config.thop
+    phi, thop = result.fds.phi, result.fds.thop
     anchor = 0.4 * phi + 2 * thop
     assert latency == pytest.approx(anchor, abs=0.3 * phi)
     assert result.codec_errors == 0
@@ -140,24 +144,6 @@ def test_rt_crash_twice_raises(small_run):
     assert small_run.tracer.count("sim.crash") == 1
 
 
-def test_rt_meta_record_carries_wall_timebase(small_run):
-    [meta_record] = list(small_run.tracer.iter_kind("meta.scenario"))
-    assert meta_record.detail["timebase"] == WALL_TIMEBASE
-    assert meta_record.detail["time_scale"] == SMALL.time_scale
-    assert meta_record.detail["phi"] == pytest.approx(
-        SMALL.phi * SMALL.time_scale
-    )
-
-
-def test_rt_scenario_rejects_bad_knobs():
-    from repro.errors import ConfigurationError
-
-    with pytest.raises(ConfigurationError):
-        RtScenario(time_scale=0.0)
-    with pytest.raises(ConfigurationError):
-        RtScenario(warmup=-1.0)
-
-
 # ----------------------------------------------------------------------
 # Spool mode: per-node JSONL, merged for the analyzers
 # ----------------------------------------------------------------------
@@ -185,7 +171,7 @@ def test_spooled_run_merges_into_one_analyzable_trace(spooled_run):
     # the result anchors on the *scheduled* crash time, the trace on the
     # instant the kill callback actually ran).
     assert result.detection_latencies[victim] == pytest.approx(
-        latencies[int(victim)] * result.config.phi, abs=0.05 * result.config.phi
+        latencies[int(victim)] * result.fds.phi, abs=0.05 * result.fds.phi
     )
 
 
@@ -278,7 +264,6 @@ def test_trace_latency_cli_labels_wall_units(spooled_run, capsys):
 
 
 def test_trace_latency_cli_keeps_phi_units_for_sim(tmp_path, capsys):
-    from repro.experiments.runner import ScenarioConfig, run_scenario
     from repro.obs.cli import cmd_trace
     from repro.sim.trace import record_to_dict
     import argparse
@@ -306,59 +291,99 @@ def test_realnet_spec_distribution_is_deterministic():
     assert realnet_spec(3) != realnet_spec(4)
 
 
-def test_one_scenario_contract_across_event_array_rt():
-    """One seed, three substrates: the same nodes crash in the same
-    executions (all through ``scenario_faultload``), the three run
-    headers read back to the same phi-unit description, and the summary
-    surface is shared."""
-    from repro.experiments.runner import run_scenario
+CONTRACT = RtScenario(
+    seed=5, cluster_count=2, members_per_cluster=6, crash_count=3,
+    executions=5,
+)
+
+
+@pytest.fixture(scope="module")
+def contract_runs():
+    """One seeded config on every engine: ``engine -> (config, result)``."""
+    configs = [replace(CONTRACT, engine=e) for e in ("event", "array", "rt")]
+    return {c.engine: (c, run_scenario(c)) for c in configs}
+
+
+@pytest.mark.parametrize("engine", ["event", "array", "rt"])
+def test_run_result_contract(engine, contract_runs):
+    """One seed, three substrates, one result surface: the same nodes
+    crash in the same executions (one skeleton, one ``scenario_faultload``
+    call), the run header reads back to the same phi-unit description,
+    and ``summary()`` has the same keys."""
     from repro.obs.analyze import META_KIND, TOPOLOGY_KIND
 
-    spec = ScenarioSpec(
-        seed=5, cluster_count=2, members_per_cluster=6, crash_count=3,
-        executions=5, phi=8.0, thop=0.5,
-    )
-    event = run_scenario(spec.to_config())
-    array = run_scenario(spec.to_config(engine="array"))
-    rt = run_rt_scenario(RtScenario.from_spec(spec))
+    (config, result), (_, reference) = contract_runs[engine], contract_runs["event"]
+    wall = engine == "rt"
+    assert isinstance(result, RunResult) and result.config is config
+    assert isinstance(reference, ScenarioResult)
+    assert result.fds == (config.wall_config() if wall else config.fds)
+    assert result.energy is None and result.losses == result.messages.losses
 
-    def crash_executions(result, fds, start):
+    def crash_executions(run):
         return {
-            int(nid): fds.crash_execution(start, t)
-            for nid, t in result.crash_times.items()
+            int(nid): run.fds.crash_execution(run.fds_start, t)
+            for nid, t in run.crash_times.items()
         }
 
-    want = crash_executions(event, event.config.fds, 0.0)
+    want = crash_executions(reference)
     assert len(want) == 3 and set(want.values()) <= {1, 2, 3}
-    assert crash_executions(array, array.config.fds, 0.0) == want
-    assert crash_executions(rt, rt.config, rt.fds_start) == want
+    assert crash_executions(result) == want
+    assert set(result.detection_latencies) == set(want)
 
-    metas = []
-    for result in (event, array, rt):
-        records = list(result.tracer.records)
-        index = next(
-            i for i, r in enumerate(records) if r.kind == META_KIND
-        )
-        assert records[index + 1].kind == TOPOLOGY_KIND
-        meta = TraceMeta.from_record(records[index])
-        # The writer and the reader agree field for field.
-        assert meta.to_detail() == dict(records[index].detail)
-        metas.append(meta)
-    for meta in metas:
-        assert (meta.nodes, meta.seed, meta.executions) == (14, 5, 5)
-        assert meta.thop / meta.phi == pytest.approx(0.5 / 8.0)
-    assert [m.timebase for m in metas] == ["phi", "phi", WALL_TIMEBASE]
-    assert [m.time_scale for m in metas] == [None, None, 0.05]
-    assert metas[2].phi == pytest.approx(8.0 * 0.05)
+    summary, shared = result.summary(), reference.summary()
+    assert [summary[k] for k in ("nodes", "clusters", "crashes")] == [14, 2, 3]
+    extra = {"deliveries", "codec_errors"} if wall else set()
+    assert set(summary) == set(shared) | extra
+    assert len(result.network) == 14
 
-    shared = set(event.summary())
-    assert set(array.summary()) == shared
-    assert set(rt.summary()) - shared == {"deliveries", "codec_errors"}
-    assert set(rt.summary()) >= shared
+    records = list(result.tracer.records)
+    index = next(i for i, r in enumerate(records) if r.kind == META_KIND)
+    assert records[index + 1].kind == TOPOLOGY_KIND
+    meta = TraceMeta.from_record(records[index])
+    # The writer and the reader agree field for field.
+    assert meta.to_detail() == dict(records[index].detail)
+    assert (meta.nodes, meta.seed, meta.executions) == (14, 5, 5)
+    assert meta.fds_start == result.fds_start
+    assert (meta.phi, meta.thop) == (result.fds.phi, result.fds.thop)
+    assert (meta.timebase, meta.time_scale, meta.phi) == (
+        (WALL_TIMEBASE, 0.05, pytest.approx(8.0 * 0.05))
+        if wall else ("phi", None, 8.0)
+    )
+
+
+def test_rt_scenario_rejects_bad_knobs():
+    assert isinstance(RtScenario(seed=1, time_scale=0.1), ScenarioConfig)
+    assert RtScenario(seed=1).engine == "rt"
+    for error, match, build, knobs in (
+        (ExperimentError, "engine", ScenarioConfig, dict(engine="bogus")),
+        (ExperimentError, "rt", RtScenario, dict(formation="protocol")),
+        (ConfigurationError, "time_scale", RtScenario, dict(time_scale=0.0)),
+        (ConfigurationError, "warmup", RtScenario, dict(warmup=-1.0)),
+        (ConfigurationError, "loss_q", scenario_config, dict(loss_q=0.1)),
+    ):
+        with pytest.raises(error, match=match):
+            build(**knobs)
+
+
+def test_engine_pair_reads_each_runs_own_epoch():
+    """After protocol formation the FDS epoch is > 0; the pair check
+    reads it off each result (the realnet check used to assume 0.0 for
+    the simulated side)."""
+    run = run_scenario(scenario_config(
+        seed=5, cluster_count=2, members_per_cluster=6, crash_count=2,
+        formation="protocol",
+    ))
+    assert run.fds_start > 0 and len(run.crash_times) == 2
+    assert engine_pair_violations(run, run, "self") == []
+    shifted = replace(run, fds_start=run.fds_start + run.fds.phi)
+    assert any(
+        "crash execution indices" in v.description
+        for v in engine_pair_violations(run, shifted, "shifted")
+    )
 
 
 def test_realnet_differential_perfect_loss():
-    spec = ScenarioSpec(
+    spec = scenario_config(
         seed=11, cluster_count=2, members_per_cluster=5, crash_count=1,
         executions=3, loss_kind="perfect", loss_p=0.0, loss_budget=0,
         spacing_factor=1.25, max_backups=2, phi=8.0, thop=0.5,
@@ -367,7 +392,7 @@ def test_realnet_differential_perfect_loss():
 
 
 def test_realnet_differential_bounded_loss():
-    spec = ScenarioSpec(
+    spec = scenario_config(
         seed=5, cluster_count=2, members_per_cluster=6, crash_count=2,
         executions=3, loss_kind="bounded", loss_p=0.15, loss_budget=2,
         spacing_factor=1.25, max_backups=2, phi=8.0, thop=0.5,
@@ -379,9 +404,14 @@ def test_realnet_repro_snippet_is_valid_python():
     spec = realnet_spec(0)
     from repro.audit.differential import Violation
 
-    snippet = realnet_repro_snippet(
-        spec, [Violation(kind="differential:realnet", description="demo")]
+    snippet = repro_snippet(
+        spec,
+        [Violation(kind="differential:realnet", description="demo")],
+        check=check_realnet,
     )
-    compile(snippet, "<repro>", "exec")
+    namespace = {}
+    exec(compile(snippet, "<repro>", "exec"), namespace)
     assert f"seed={spec.seed}" in snippet
-    assert "check_realnet" in snippet
+    assert "check_realnet(spec)" in snippet
+    # The pasted literal is the spec, field for field.
+    assert eval(snippet.split("spec = ")[1].split("\n")[0], namespace) == spec

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from repro.audit.differential import (
-    ScenarioSpec,
     check_spec,
     probe_forwarder_conformance,
     random_spec,
@@ -23,7 +22,11 @@ from repro.audit.differential import (
     trace_fingerprint,
 )
 from repro.audit.soak import SoakOptions, run_soak, soak_iteration
-from repro.experiments.runner import ScenarioConfig, run_scenario
+from repro.experiments.runner import (
+    ScenarioConfig,
+    run_scenario,
+    scenario_config,
+)
 from repro.fds import events as ev
 from repro.fds.intercluster import InterclusterForwarder
 from tests.scalar_medium import ScalarRadioMedium, scalar_medium_installed
@@ -78,7 +81,7 @@ MUTANTS = {
 
 class TestCleanStackChecksClean:
     def test_default_spec_has_no_violations(self):
-        assert check_spec(ScenarioSpec(seed=7, loss_kind="bounded")) == []
+        assert check_spec(scenario_config(seed=7, loss_kind="bounded")) == []
 
     def test_seed_1342382291_no_digests_pair_clean(self):
         """Permanent regression repro: soak seed 7 at defaults sampled
@@ -89,7 +92,7 @@ class TestCleanStackChecksClean:
         heard the target's heartbeat, and the round-structure audit
         abstains for digest-free forwarding configs whose conformant
         cascades legitimately chain ladder generations."""
-        spec = ScenarioSpec(
+        spec = scenario_config(
             seed=1342382291,
             cluster_count=4,
             members_per_cluster=16,
@@ -110,21 +113,21 @@ class TestCleanStackChecksClean:
             assert check_spec(spec) == [], spec
 
     def test_probes_clean_on_fixed_code(self):
-        assert probe_forwarder_conformance(ScenarioSpec(seed=3)) == []
+        assert probe_forwarder_conformance(scenario_config(seed=3)) == []
 
 
 class TestDifferentialPairs:
     def test_vectorized_scalar_bit_identical(self):
-        spec = ScenarioSpec(seed=11, loss_kind="bernoulli", loss_p=0.25)
-        a = run_scenario(spec.to_config())
+        spec = scenario_config(seed=11, loss_kind="bernoulli", loss_p=0.25)
+        a = run_scenario(spec)
         with scalar_medium_installed():
-            b = run_scenario(spec.to_config())
+            b = run_scenario(spec)
         assert isinstance(b.network.medium, ScalarRadioMedium)
         assert trace_fingerprint(a.tracer) == trace_fingerprint(b.tracer)
 
     def test_fingerprint_distinguishes_seeds(self):
-        a = run_scenario(ScenarioSpec(seed=1).to_config())
-        b = run_scenario(ScenarioSpec(seed=2).to_config())
+        a = run_scenario(scenario_config(seed=1))
+        b = run_scenario(scenario_config(seed=2))
         assert trace_fingerprint(a.tracer) != trace_fingerprint(b.tracer)
 
 
@@ -132,7 +135,7 @@ class TestMutationsCaughtAndShrunk:
     @pytest.mark.parametrize("name", sorted(MUTANTS))
     def test_mutant_yields_shrunk_seeded_repro(self, name):
         attr, fn = MUTANTS[name]
-        spec = ScenarioSpec(seed=7, loss_kind="bounded")
+        spec = scenario_config(seed=7, loss_kind="bounded")
         with mock.patch.object(InterclusterForwarder, attr, fn):
             failure = soak_iteration(spec, max_shrink_evals=16)
             assert failure is not None, f"mutant {name} was not caught"
@@ -141,7 +144,7 @@ class TestMutationsCaughtAndShrunk:
             assert check_spec(failure.shrunk)
         # ... the snippet is a valid, ready-to-paste pytest module ...
         compile(failure.snippet, "<repro>", "exec")
-        assert "ScenarioSpec(" in failure.snippet
+        assert "ScenarioConfig(" in failure.snippet
         assert f"seed={failure.shrunk.seed}" in failure.snippet
         # ... and names the violation it reproduces.
         assert failure.violations[0].kind in failure.snippet
@@ -152,17 +155,15 @@ class TestMutationsCaughtAndShrunk:
         from repro.audit.invariants import audit_forwarder_conformance
 
         attr, fn = MUTANTS["backup-count-max"]
-        cfg = ScenarioConfig(
+        cfg = scenario_config(
             cluster_count=4,
             members_per_cluster=16,
             crash_count=3,
             executions=5,
             seed=18,
             loss_kind="bernoulli",
-            loss_params=(("p", 0.25),),
-            spacing_factor=1.25,
+            loss_p=0.25,
             max_backups=3,
-            fds=ScenarioSpec().fds_config(),
         )
         with mock.patch.object(InterclusterForwarder, attr, fn):
             result = run_scenario(cfg)
@@ -173,7 +174,7 @@ class TestMutationsCaughtAndShrunk:
 
 class TestShrinking:
     def test_shrink_respects_floors(self):
-        spec = ScenarioSpec(
+        spec = scenario_config(
             seed=1,
             cluster_count=4,
             members_per_cluster=16,
@@ -189,7 +190,7 @@ class TestShrinking:
         assert small.loss_kind == "perfect"
 
     def test_shrink_keeps_spec_when_nothing_simpler_fails(self):
-        spec = ScenarioSpec(seed=1)
+        spec = scenario_config(seed=1)
         assert shrink_spec(spec, still_fails=lambda s: False) == spec
 
 
