@@ -174,9 +174,10 @@ def run_soak(
                     spec, max_shrink_evals=options.max_shrink_evals
                 )
             except KeyboardInterrupt:
-                # Finished iterations are already durable (store writes
-                # are atomic, repro files land per-iteration); stop the
-                # loop and report partial progress instead of dying.
+                # Finished iterations are already cached (store writes
+                # are atomic; un-synced, so a verdict lost to a power cut
+                # is recomputed) and repro files land per-iteration; stop
+                # the loop and report partial progress instead of dying.
                 result.interrupted = True
                 break
             if store is not None:

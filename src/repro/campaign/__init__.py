@@ -12,7 +12,8 @@ durable and observable:
   store replays any sweep/benchmark/soak as cache hits that are
   bit-identical to a cold run;
 - :mod:`repro.campaign.runner` -- a checkpointed runner that journals
-  every finished chunk to a JSONL write-ahead log.  A campaign killed
+  every finished chunk, payload included, to a JSONL redo log committed
+  in groups.  A campaign killed
   mid-run resumes exactly where it stopped, and the merged result equals
   the uninterrupted run bit for bit;
 - :mod:`repro.campaign.telemetry` -- a JSONL event stream (chunks

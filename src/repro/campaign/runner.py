@@ -5,14 +5,23 @@ durable run:
 
 1. the campaign **manifest** is persisted once (identity, params, chunk
    keys) so ``resume``/``status`` can reconstruct the plan later;
-2. every finished chunk is appended to a **journal** (JSONL write-ahead
-   log, flushed and fsynced per record) *after* its result object landed
-   in the store -- so a kill at any instant loses at most the chunk in
-   flight, never a recorded one;
-3. on entry, the journal and the store are consulted first: chunks whose
-   results already exist are replayed as **cache hits**, executing zero
-   simulations;
-4. the merged result is folded from the per-chunk payloads in chunk
+2. every finished chunk is appended to a **journal** (a JSONL redo
+   log): the ``chunk_done`` line of an executed chunk carries its
+   payload, and lines are committed in groups -- one flush and one
+   ``fsync`` for whatever finished while the previous commit was in
+   flight (per executed chunk in a serial run, once for a whole warm
+   run).  A chunk is *recorded* once the commit holding its line
+   returns.  The result object is cached in the store first, un-synced:
+   objects are a cache of the journal, not the durable copy;
+3. the contract: a process kill loses at most the batch being committed
+   (its objects still replay as hits); power loss loses no recorded
+   chunk; an object may be lost or torn at any time, which costs a
+   restore from the journal or a recompute, never a wrong result;
+4. on entry the journal is read once; every chunk is then looked up in
+   the store and replayed as a **cache hit** if found, *restored* from
+   its journaled payload if the object is gone, and executed only when
+   neither exists -- a recorded chunk is never re-executed;
+5. the merged result is folded from the per-chunk payloads in chunk
    order, so an interrupted-and-resumed campaign is bit-identical to an
    uninterrupted one (and to the one-shot twin the plan mirrors).
 
@@ -30,8 +39,8 @@ failing marks the campaign ``failed`` -- partial results stay cached, so
 fixing the cause and re-running only pays for the broken chunk.
 
 ``KeyboardInterrupt`` is part of the contract, not an error: the journal
-and telemetry are flushed, an ``interrupted`` outcome is returned, and
-the next invocation resumes where this one stopped.
+is committed and telemetry flushed, an ``interrupted`` outcome is
+returned, and the next invocation resumes where this one stopped.
 """
 
 from __future__ import annotations
@@ -40,12 +49,12 @@ import json
 import os
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.campaign.plans import CampaignPlan, ChunkTask, execute_chunk
-from repro.campaign.store import ResultStore
+from repro.campaign.store import ResultStore, _atomic_write_text
 from repro.campaign.telemetry import Progress, Telemetry, read_events
 from repro.errors import ExperimentError
 
@@ -133,31 +142,76 @@ class CampaignOutcome:
 
 
 class _Journal:
-    """Append-only JSONL write-ahead log of finished chunks."""
+    """Append-only JSONL redo log of finished chunks, committed in groups."""
 
     def __init__(self, path: Path) -> None:
-        self.path = path
         path.parent.mkdir(parents=True, exist_ok=True)
-        self._handle = path.open("a", encoding="utf-8")
+        self._handle = path.open("a+b")
+        self._dirty = False
+        if self._handle.tell():
+            # A killed run can leave a torn last line; appending straight
+            # after it would make the next record unreadable as well.
+            self._handle.seek(-1, os.SEEK_END)
+            if self._handle.read(1) != b"\n":
+                self._handle.write(b"\n")
 
     def record(self, **fields: Any) -> None:
-        self._handle.write(json.dumps(fields) + "\n")
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
+        """Buffer one line; it is *recorded* once :meth:`commit` returns."""
+        self._handle.write(json.dumps(fields).encode("utf-8") + b"\n")
+        self._dirty = True
+
+    def commit(self) -> None:
+        """One flush and one fsync for every line since the last commit."""
+        if self._dirty:
+            self._handle.flush()
+            os.fsync(self._handle.fileno())
+            self._dirty = False
 
     def close(self) -> None:
         try:
-            self._handle.flush()
+            self.commit()
         finally:
             self._handle.close()
 
 
-def _journal_done_indexes(path: Path) -> Set[int]:
-    return {
-        int(event["index"])
-        for event in read_events(path)
-        if event.get("event") == "chunk_done"
-    }
+def _read_journal(
+    path: Path, keys: Dict[int, str]
+) -> Dict[int, Optional[Dict[str, Any]]]:
+    """What the journal records about the plan whose chunk keys are ``keys``.
+
+    Maps the index of every chunk with a ``chunk_done`` line under the
+    plan's key to the payload that line carries (an executed chunk), or
+    to ``None`` when only cache-hit lines name it.  Lines for another
+    key, or with a payload that is not an object, are ignored.
+    """
+    recorded: Dict[int, Optional[Dict[str, Any]]] = {}
+    for event in read_events(path):
+        index = event.get("index")
+        if (
+            event.get("event") != "chunk_done"
+            or not isinstance(index, int)
+            or keys.get(index) != event.get("key")
+        ):
+            continue
+        payload = event.get("payload")
+        if isinstance(payload, dict):
+            recorded[index] = payload
+        else:
+            recorded.setdefault(index, None)
+    return recorded
+
+
+def _chunks_done(
+    store: ResultStore,
+    keys: Dict[int, str],
+    recorded: Dict[int, Optional[Dict[str, Any]]],
+) -> int:
+    """Recorded chunks a resume will not execute: the journal holds the
+    payload, or (for a cache-hit line) the object is still in the store."""
+    return sum(
+        payload is not None or store.contains(keys[index])
+        for index, payload in recorded.items()
+    )
 
 
 def _write_manifest(store: ResultStore, plan: CampaignPlan) -> Path:
@@ -165,10 +219,78 @@ def _write_manifest(store: ResultStore, plan: CampaignPlan) -> Path:
     path = directory / "manifest.json"
     if not path.is_file():
         directory.mkdir(parents=True, exist_ok=True)
-        from repro.campaign.store import _atomic_write_text
-
         _atomic_write_text(path, json.dumps(plan.manifest(), indent=2) + "\n")
     return path
+
+
+@dataclass
+class _Run:
+    """What the chunk loops of one invocation share."""
+
+    plan: CampaignPlan
+    store: ResultStore
+    options: CampaignOptions
+    journal: _Journal
+    telemetry: Telemetry
+    progress: Progress
+    #: :func:`_read_journal` of the earlier invocations.
+    recorded: Dict[int, Optional[Dict[str, Any]]]
+    #: Payload of every cache hit served, by chunk index: the merge
+    #: folds these instead of reading the objects a second time.
+    served: Dict[int, Dict[str, Any]] = field(default_factory=dict)
+    failed: List[int] = field(default_factory=list)
+
+    def stop_now(self) -> bool:
+        """``stop_after`` chunks have completed in this invocation."""
+        done = self.progress.cache_hits + self.progress.executed
+        stop_after = self.options.stop_after
+        return stop_after is not None and done >= stop_after
+
+    def replay(self, chunk: ChunkTask) -> bool:
+        """Finish ``chunk`` as a cache hit if the store, or failing that
+        the journal, has its payload; ``False`` means it must execute."""
+        payload = self.store.get(chunk.key)
+        restored = False
+        if payload is None:
+            payload = self.recorded.get(chunk.index)
+            if payload is None:
+                return False
+            # The object was lost (gc, power loss, corruption) but the
+            # redo log kept its payload: a recorded chunk never re-runs.
+            self.store.put(chunk.key, payload, kind=chunk.kind)
+            restored = True
+        self.served[chunk.index] = payload
+        self.finish(chunk, payload, 0.0, cache_hit=True, restored=restored)
+        return True
+
+    def finish(
+        self,
+        chunk: ChunkTask,
+        payload: Dict[str, Any],
+        elapsed: float,
+        cache_hit: bool = False,
+        restored: bool = False,
+    ) -> None:
+        """Cache an executed chunk's object, then buffer its journal line
+        -- which carries the payload, the copy ``commit`` makes durable."""
+        line = dict(
+            event="chunk_done", index=chunk.index, key=chunk.key,
+            cache_hit=cache_hit, elapsed_s=elapsed,
+        )
+        if not cache_hit:
+            self.store.put(chunk.key, payload, kind=chunk.kind)
+            line["payload"] = payload
+        self.journal.record(**line)
+        stats = self.progress.record_chunk(chunk.replications, cache_hit)
+        if restored:
+            stats["restored"] = True
+        self.telemetry.emit(
+            "chunk_done",
+            index=chunk.index,
+            cache_hit=cache_hit,
+            elapsed_s=elapsed,
+            **stats,
+        )
 
 
 def run_campaign(
@@ -179,28 +301,28 @@ def run_campaign(
     """Execute ``plan`` durably; resume is implicit (same plan, same dirs).
 
     Invoking this again with the same plan continues from the journal:
-    chunks recorded there (and present in the store) are not re-run, and
-    chunks cached from *any* earlier campaign with identical content
-    keys are served as hits.
+    chunks recorded there are not re-run (a lost object is restored from
+    the recorded payload), and chunks cached from *any* earlier campaign
+    with identical content keys are served as hits.
     """
     directory = store.campaign_dir(plan.campaign_id)
     _write_manifest(store, plan)
     journal_path = directory / "journal.jsonl"
-    # The store is the authority on what can be skipped: every chunk goes
-    # through the loop and journaled-but-cached chunks replay as explicit
-    # cache hits (one telemetry event each), executing zero simulations.
-    # The journal's role is crash recovery and progress accounting.
-    already_done = {
-        i for i in _journal_done_indexes(journal_path)
-        if i < len(plan.chunks) and store.contains(plan.chunks[i].key)
-    }
-    pending = list(plan.chunks)
-    journal = _Journal(journal_path)
-    telemetry = Telemetry(
-        directory / "telemetry.jsonl", mirror=options.telemetry_path
+    # Every chunk goes through the loop, so recorded chunks replay as
+    # explicit cache hits (one telemetry event each) without executing.
+    keys = {chunk.index: chunk.key for chunk in plan.chunks}
+    recorded = _read_journal(journal_path, keys)
+    already_done = _chunks_done(store, keys, recorded)
+    run = _Run(
+        plan, store, options,
+        journal=_Journal(journal_path),
+        telemetry=Telemetry(
+            directory / "telemetry.jsonl", mirror=options.telemetry_path
+        ),
+        progress=Progress(len(plan.chunks)),
+        recorded=recorded,
     )
-    progress = Progress(len(plan.chunks))
-    failed: List[int] = []
+    telemetry, progress, failed = run.telemetry, run.progress, run.failed
     interrupted = False
     stopped = False
     telemetry.emit(
@@ -208,21 +330,19 @@ def run_campaign(
         campaign=plan.campaign_id,
         kind=plan.kind,
         chunks_total=len(plan.chunks),
-        chunks_already_done=len(already_done),
+        chunks_already_done=already_done,
         resumed=bool(already_done),
         workers=options.pool_width,
     )
     try:
         runner = _run_pooled if options.pool_width > 1 else _run_serial
-        stopped = runner(
-            plan, pending, store, journal, telemetry, progress, options, failed
-        )
+        stopped = runner(run)
     except KeyboardInterrupt:
-        # Flush-and-checkpoint is the whole point: the journal already
-        # holds every finished chunk; nothing else needs saving.
+        # Checkpointing is the whole point: ``close`` commits every
+        # finished chunk's line; nothing else needs saving.
         interrupted = True
     finally:
-        journal.close()
+        run.journal.close()
 
     chunks_done = progress.cache_hits + progress.executed
     if failed:
@@ -239,7 +359,11 @@ def run_campaign(
     if status == STATUS_COMPLETE:
         results = []
         for chunk in plan.chunks:
-            payload = store.get(chunk.key)
+            # An executed chunk is read back from the store: proof that
+            # it landed, in the JSON-normalised form a warm run will see.
+            payload = run.served.get(chunk.index)
+            if payload is None:
+                payload = store.get(chunk.key)
             if payload is None:
                 raise ExperimentError(
                     f"store lost chunk {chunk.index} ({chunk.key[:12]}...) "
@@ -248,8 +372,6 @@ def run_campaign(
             results.append(payload)
         payloads = tuple(results)
         merged = plan.merge(results)
-        from repro.campaign.store import _atomic_write_text
-
         _atomic_write_text(
             directory / "result.json",
             json.dumps(
@@ -285,8 +407,6 @@ def _write_metrics(directory: Path, progress: Progress) -> None:
     """Snapshot the run's registry (JSON + Prometheus text) next to the
     journal, whatever the outcome -- a partial campaign's throughput and
     cache ratio are exactly what a resume decision needs."""
-    from repro.campaign.store import _atomic_write_text
-
     _atomic_write_text(
         directory / "metrics.json",
         json.dumps(progress.registry.to_json(), indent=2) + "\n",
@@ -296,103 +416,46 @@ def _write_metrics(directory: Path, progress: Progress) -> None:
     )
 
 
-def _finish_chunk(
-    chunk: ChunkTask,
-    payload: Dict[str, Any],
-    cache_hit: bool,
-    elapsed: float,
-    store: ResultStore,
-    journal: _Journal,
-    telemetry: Telemetry,
-    progress: Progress,
-) -> None:
-    """Store-then-journal: the WAL only ever names results that exist."""
-    if not cache_hit:
-        store.put(chunk.key, payload, kind=chunk.kind)
-    journal.record(
-        event="chunk_done",
-        index=chunk.index,
-        key=chunk.key,
-        cache_hit=cache_hit,
-        elapsed_s=elapsed,
-    )
-    stats = progress.record_chunk(chunk.replications, cache_hit)
-    telemetry.emit(
-        "chunk_done",
-        index=chunk.index,
-        cache_hit=cache_hit,
-        elapsed_s=elapsed,
-        **stats,
-    )
+def _run_serial(run: _Run) -> bool:
+    """In-process chunk loop.  Returns True if ``stop_after`` tripped.
 
-
-def _run_serial(
-    plan: CampaignPlan,
-    pending: List[ChunkTask],
-    store: ResultStore,
-    journal: _Journal,
-    telemetry: Telemetry,
-    progress: Progress,
-    options: CampaignOptions,
-    failed: List[int],
-) -> bool:
-    """In-process chunk loop.  Returns True if ``stop_after`` tripped."""
-    completed = 0
-    for chunk in pending:
-        if options.stop_after is not None and completed >= options.stop_after:
+    One commit per executed chunk; a run of cache hits rides along with
+    the next one (or with ``close``).
+    """
+    for chunk in run.plan.chunks:
+        if run.stop_now():
             return True
-        cached = store.get(chunk.key)
+        if run.replay(chunk):
+            continue
         started = time.monotonic()
-        if cached is not None:
-            payload, cache_hit = cached, True
-        else:
-            telemetry.emit("chunk_start", index=chunk.index, worker="serial")
-            try:
-                payload = execute_chunk(chunk)
-            except KeyboardInterrupt:
-                raise
-            except Exception as exc:
-                failed.append(chunk.index)
-                telemetry.emit(
-                    "chunk_failed", index=chunk.index, error=repr(exc)
-                )
-                continue
-            cache_hit = False
-        _finish_chunk(
-            chunk, payload, cache_hit,
-            time.monotonic() - started,
-            store, journal, telemetry, progress,
-        )
-        completed += 1
+        run.telemetry.emit("chunk_start", index=chunk.index, worker="serial")
+        try:
+            payload = execute_chunk(chunk)
+        except KeyboardInterrupt:
+            raise
+        except Exception as exc:
+            run.failed.append(chunk.index)
+            run.telemetry.emit(
+                "chunk_failed", index=chunk.index, error=repr(exc)
+            )
+            continue
+        run.finish(chunk, payload, time.monotonic() - started)
+        run.journal.commit()
     return False
 
 
-def _run_pooled(
-    plan: CampaignPlan,
-    pending: List[ChunkTask],
-    store: ResultStore,
-    journal: _Journal,
-    telemetry: Telemetry,
-    progress: Progress,
-    options: CampaignOptions,
-    failed: List[int],
-) -> bool:
+def _run_pooled(run: _Run) -> bool:
     """Process-pool chunk loop with the timeout-and-retry liveness policy."""
+    options, telemetry = run.options, run.telemetry
     # Cache hits never enter the pool: serve them first so a warm store
-    # costs no worker round-trips at all.
+    # costs no worker round-trips at all, and one commit.
     to_execute: List[ChunkTask] = []
-    completed = 0
-    for chunk in pending:
-        if options.stop_after is not None and completed >= options.stop_after:
+    for chunk in run.plan.chunks:
+        if run.stop_now():
             return True
-        cached = store.get(chunk.key)
-        if cached is not None:
-            _finish_chunk(
-                chunk, cached, True, 0.0, store, journal, telemetry, progress
-            )
-            completed += 1
-        else:
+        if not run.replay(chunk):
             to_execute.append(chunk)
+    run.journal.commit()
 
     if not to_execute:
         return False
@@ -410,7 +473,7 @@ def _run_pooled(
             )
         outstanding = set(futures)
         while outstanding:
-            if options.stop_after is not None and completed >= options.stop_after:
+            if run.stop_now():
                 for future in outstanding:
                     future.cancel()
                 stopped = True
@@ -435,16 +498,16 @@ def _run_pooled(
                     waited_s=time.monotonic() - started,
                     inflight=[futures[f][0].index for f in outstanding],
                 )
-                payload = _retry_in_process(chunk, telemetry, options, failed)
+                payload = _retry_in_process(run, chunk)
                 if payload is not None:
-                    _finish_chunk(
-                        chunk, payload, False,
-                        time.monotonic() - started,
-                        store, journal, telemetry, progress,
-                    )
-                    completed += 1
-                continue
-            for future in finished:
+                    run.finish(chunk, payload, time.monotonic() - started)
+            # Group commit: whatever finished while the previous commit
+            # was in flight is one batch.  Chunk-index order makes the
+            # ``stop_after`` cut exact; the surplus results are dropped
+            # and recomputed on resume.
+            for future in sorted(finished, key=lambda f: futures[f][0].index):
+                if run.stop_now():
+                    break
                 chunk, started = futures[future]
                 try:
                     payload = future.result()
@@ -454,17 +517,11 @@ def _run_pooled(
                     telemetry.emit(
                         "chunk_worker_error", index=chunk.index, error=repr(exc)
                     )
-                    payload = _retry_in_process(
-                        chunk, telemetry, options, failed
-                    )
+                    payload = _retry_in_process(run, chunk)
                     if payload is None:
                         continue
-                _finish_chunk(
-                    chunk, payload, False,
-                    time.monotonic() - started,
-                    store, journal, telemetry, progress,
-                )
-                completed += 1
+                run.finish(chunk, payload, time.monotonic() - started)
+            run.journal.commit()
     finally:
         if abandoned:
             # A declared-stuck worker may never return; a graceful
@@ -481,25 +538,20 @@ def _run_pooled(
     return stopped
 
 
-def _retry_in_process(
-    chunk: ChunkTask,
-    telemetry: Telemetry,
-    options: CampaignOptions,
-    failed: List[int],
-) -> Optional[Dict[str, Any]]:
+def _retry_in_process(run: _Run, chunk: ChunkTask) -> Optional[Dict[str, Any]]:
     """Deterministic fallback: chunks are pure, so re-running is safe."""
-    for attempt in range(1, options.max_retries + 1):
-        telemetry.emit("chunk_retry", index=chunk.index, attempt=attempt)
+    for attempt in range(1, run.options.max_retries + 1):
+        run.telemetry.emit("chunk_retry", index=chunk.index, attempt=attempt)
         try:
             return execute_chunk(chunk)
         except KeyboardInterrupt:
             raise
         except Exception as exc:
-            telemetry.emit(
+            run.telemetry.emit(
                 "chunk_failed", index=chunk.index, attempt=attempt,
                 error=repr(exc),
             )
-    failed.append(chunk.index)
+    run.failed.append(chunk.index)
     return None
 
 
@@ -517,15 +569,14 @@ def campaign_status(store: ResultStore, campaign_id: str) -> Dict[str, Any]:
         raise ExperimentError(f"no campaign {campaign_id!r} in {store.root}")
     total = len(manifest.get("chunks", []))
     keys = {c["index"]: c["key"] for c in manifest.get("chunks", [])}
-    done = {
-        i for i in _journal_done_indexes(directory / "journal.jsonl")
-        if i in keys and store.contains(keys[i])
-    }
+    done = _chunks_done(
+        store, keys, _read_journal(directory / "journal.jsonl", keys)
+    )
     events = read_events(directory / "telemetry.jsonl")
     cache_hits = sum(
         1 for e in events if e.get("event") == "chunk_done" and e.get("cache_hit")
     )
-    complete = (directory / "result.json").is_file() and len(done) == total
+    complete = (directory / "result.json").is_file() and done == total
     # Journal-derived progress for in-flight campaigns: the latest
     # chunk_done telemetry event carries the runner's live throughput and
     # ETA projection, so status (and the dashboard's /api/campaigns) can
@@ -548,7 +599,7 @@ def campaign_status(store: ResultStore, campaign_id: str) -> Dict[str, Any]:
     return {
         "id": campaign_id,
         "kind": manifest.get("kind"),
-        "chunks_done": len(done),
+        "chunks_done": done,
         "chunks_total": total,
         "complete": complete,
         "cache_hits": cache_hits,

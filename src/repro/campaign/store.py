@@ -17,12 +17,20 @@ Layout under the store root::
 
     objects/<k[:2]>/<key>.json     one chunk result each
     campaigns/<id>/manifest.json   campaign identity + chunk keys
-    campaigns/<id>/journal.jsonl   write-ahead log of finished chunks
+    campaigns/<id>/journal.jsonl   redo log of finished chunks
     campaigns/<id>/telemetry.jsonl progress event stream
     campaigns/<id>/result.json     merged payload once complete
 
-Object writes are atomic (tempfile + ``os.replace``), so a campaign
-killed mid-write never leaves a truncated object behind.
+Object writes are atomic (tempfile + ``os.replace``), so a reader never
+sees a partial object from a killed process -- but they are **not**
+fsync'd: the object tree is a cache, of the campaign journals (which
+carry every executed chunk's payload and are the durable copy) and of
+recomputable work.  After power loss an object may be missing, empty or
+NUL-filled; :meth:`ResultStore.get` serves none of those, so a lost
+object costs a restore from the journal or a recompute, never a wrong
+result.  A bare ``put`` with no journal behind it (``audit/soak.py``'s
+verdict cache) is recompute-on-loss by the same rule.  The campaign
+files written once per run (manifest, result, metrics) stay fsync'd.
 """
 
 from __future__ import annotations
@@ -131,21 +139,33 @@ class ResultStore:
         self.root = Path(root)
         self.hits = 0
         self.misses = 0
+        #: Misses whose object existed but could not be served.
+        self.corrupt = 0
 
     # -- objects --------------------------------------------------------
     def _object_path(self, key: str) -> Path:
         return self.root / "objects" / key[:2] / f"{key}.json"
 
     def get(self, key: str) -> Optional[Dict[str, Any]]:
-        """The cached result payload for ``key``, or ``None`` on a miss."""
-        path = self._object_path(key)
+        """The cached result payload for ``key``, or ``None`` on a miss.
+
+        An object that is not UTF-8 JSON, not a JSON object, carries no
+        payload dict or was written under another key is a miss too
+        (counted in ``corrupt``): un-synced objects can come back from a
+        power loss in any of those shapes.
+        """
         try:
-            wrapped = json.loads(path.read_text(encoding="utf-8"))
-        except (FileNotFoundError, json.JSONDecodeError):
+            wrapped = _read_object(self._object_path(key))
+        except FileNotFoundError:
+            self.misses += 1
+            return None
+        payload = wrapped.get("payload")
+        if wrapped.get("key") != key or not isinstance(payload, dict):
+            self.corrupt += 1
             self.misses += 1
             return None
         self.hits += 1
-        return wrapped["payload"]
+        return payload
 
     def put(
         self,
@@ -154,7 +174,7 @@ class ResultStore:
         kind: str = "chunk",
         fingerprint: Optional[str] = None,
     ) -> None:
-        """Persist ``payload`` under ``key`` (atomic replace)."""
+        """Cache ``payload`` under ``key`` (atomic replace, not fsync'd)."""
         wrapped = {
             "key": key,
             "kind": kind,
@@ -162,7 +182,9 @@ class ResultStore:
             "payload": payload,
         }
         path = self._object_path(key)
-        _atomic_write_text(path, json.dumps(wrapped, indent=None) + "\n")
+        _atomic_write_text(
+            path, json.dumps(wrapped, indent=None) + "\n", durable=False
+        )
 
     def contains(self, key: str) -> bool:
         return self._object_path(key).is_file()
@@ -172,10 +194,7 @@ class ResultStore:
         if not objects.is_dir():
             return
         for path in sorted(objects.rglob("*.json")):
-            try:
-                yield path, json.loads(path.read_text(encoding="utf-8"))
-            except json.JSONDecodeError:
-                yield path, {}
+            yield path, _read_object(path)
 
     # -- campaign directories ------------------------------------------
     def campaign_dir(self, campaign_id: str) -> Path:
@@ -230,15 +249,27 @@ class ResultStore:
         }
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
-    """Write via tempfile + rename so readers never see partial objects."""
+def _read_object(path: Path) -> Dict[str, Any]:
+    """The wrapped object at ``path``; ``{}`` for anything but a UTF-8
+    JSON object (a torn rename leaves an empty or NUL-filled file)."""
+    try:
+        wrapped = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError:  # JSONDecodeError and UnicodeDecodeError alike
+        return {}
+    return wrapped if isinstance(wrapped, dict) else {}
+
+
+def _atomic_write_text(path: Path, text: str, durable: bool = True) -> None:
+    """Write via tempfile + rename so readers never see partial objects;
+    ``durable`` also forces the bytes to disk before the rename."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
-            handle.flush()
-            os.fsync(handle.fileno())
+            if durable:
+                handle.flush()
+                os.fsync(handle.fileno())
         os.replace(tmp, path)
     except BaseException:
         try:

@@ -76,24 +76,24 @@ class Telemetry:
 
 
 def read_events(path: Path) -> List[Dict[str, Any]]:
-    """Parse a telemetry (or journal) JSONL file, skipping torn lines.
+    """Parse a telemetry (or journal) JSONL file, skipping garbage lines.
 
-    A campaign killed mid-write can leave a truncated final line; that
-    line carries no completed work, so it is dropped rather than fatal.
+    A campaign killed mid-write can leave a truncated final line, and a
+    damaged disk anything at all; a line that is not a UTF-8 JSON object
+    carries no completed work, so it is dropped rather than fatal.
     """
     events: List[Dict[str, Any]] = []
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        data = Path(path).read_bytes()
     except FileNotFoundError:
         return events
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
+    for raw in data.splitlines():
         try:
-            events.append(json.loads(line))
-        except json.JSONDecodeError:
+            event = json.loads(str(raw, "utf-8"))
+        except ValueError:  # JSONDecodeError and UnicodeDecodeError alike
             continue
+        if isinstance(event, dict):
+            events.append(event)
     return events
 
 

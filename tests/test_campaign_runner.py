@@ -7,9 +7,13 @@ The load-bearing guarantees:
 - interrupt-and-resume equals uninterrupted, bit for bit;
 - a warm store serves the whole campaign with **zero** executions;
 - a config field change misses the cache (re-executes);
-- a stuck pool worker is timed out and its chunk retried in-process.
+- a stuck pool worker is timed out and its chunk retried in-process;
+- the journal is a redo log committed in groups: no recorded chunk is
+  ever re-executed, an unrecorded batch costs at most its own chunks,
+  and a cold run pays one ``fsync`` per executed chunk at most.
 """
 
+import json
 import os
 import time
 
@@ -45,6 +49,10 @@ MC_ARGS = dict(n=40, p=0.4, trials=12_000, seed=3, chunks=6)
 
 def _store(tmp_path, name="store"):
     return ResultStore(tmp_path / name)
+
+
+def _explodes(_payload):
+    raise AssertionError("this chunk must not execute")
 
 
 class TestOneShotTwins:
@@ -113,9 +121,6 @@ class TestCaching:
         plan = scenario_repeat_plan(SMALL, [1, 2])
         cold = run_campaign(plan, store)
         assert cold.executed == 2
-
-        def _explodes(_payload):
-            raise AssertionError("a warm store must not execute chunks")
 
         monkeypatch.setitem(EXECUTORS, "scenario", _explodes)
         warm = run_campaign(plan, store)
@@ -197,16 +202,39 @@ class TestInterruptResume:
         assert len(done) == 1
         assert store.contains(done[0]["key"])
 
-    def test_lost_object_is_recomputed_on_resume(self, tmp_path):
+    def test_lost_object_is_recomputed_on_resume(self, tmp_path, monkeypatch):
+        # ...unless the journal recorded its payload: an executed chunk's
+        # line is a redo record, so a deleted, emptied or bit-flipped
+        # object behind it is restored, never re-executed.
         store = _store(tmp_path)
-        plan = scenario_repeat_plan(SMALL, [1, 2])
-        run_campaign(plan, store)
-        # Simulate a gc'd/corrupted object behind a journaled chunk.
-        victim = plan.chunks[0].key
-        (store.root / "objects" / victim[:2] / f"{victim}.json").unlink()
-        outcome = run_campaign(plan, store)
+        plan = scenario_repeat_plan(SMALL, [1, 2, 3])
+        clean = run_campaign(plan, store)
+        paths = [store._object_path(chunk.key) for chunk in plan.chunks]
+        paths[0].unlink()
+        paths[1].write_bytes(b"")
+        flipped = bytearray(paths[2].read_bytes())
+        flipped[len(flipped) // 2] ^= 0x80
+        paths[2].write_bytes(bytes(flipped))
+        real = EXECUTORS["scenario"]
+        monkeypatch.setitem(EXECUTORS, "scenario", _explodes)
+        restored = run_campaign(plan, store)
+        assert restored.complete
+        assert restored.executed == 0 and restored.cache_hits == 3
+        assert restored.result_payloads == clean.result_payloads
+        events = read_events(
+            store.campaign_dir(plan.campaign_id) / "telemetry.jsonl"
+        )
+        assert sum(e.get("restored", False) for e in events) == 3
+
+        # A cache-hit line carries no payload: a campaign that only ever
+        # *hit* chunk 0 has nothing to restore it from, and recomputes.
+        wider = scenario_repeat_plan(SMALL, [1, 2, 3, 4])
+        monkeypatch.setitem(EXECUTORS, "scenario", real)
+        assert run_campaign(wider, store).executed == 1
+        paths[0].unlink()
+        outcome = run_campaign(wider, store)
         assert outcome.complete
-        assert outcome.executed == 1 and outcome.cache_hits == 1
+        assert outcome.executed == 1 and outcome.cache_hits == 3
 
     def test_keyboard_interrupt_checkpoints(self, tmp_path, monkeypatch):
         store = _store(tmp_path)
@@ -234,6 +262,144 @@ class TestInterruptResume:
         clean = run_campaign(plan, _store(tmp_path, "clean"))
         assert resumed.complete
         assert resumed.merged.metrics == clean.merged.metrics
+
+
+def _run_until_killed(plan, store, kill_after_puts):
+    """Run ``plan`` in a forked child that dies -- nothing flushed,
+    nothing closed -- right after its n-th ``put`` returns."""
+    pid = os.fork()
+    if pid == 0:
+        try:
+            real, puts = ResultStore.put, []
+
+            def _put(self, *args, **kwargs):
+                real(self, *args, **kwargs)
+                puts.append(1)
+                if len(puts) == kill_after_puts:
+                    os._exit(9)
+
+            ResultStore.put = _put
+            run_campaign(plan, store)
+        finally:
+            os._exit(1)
+    assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 9
+
+
+class TestGroupCommit:
+    MC = dict(n=40, p=0.4, trials=400, seed=3)
+
+    def test_kill_between_put_and_commit_costs_only_that_batch(self, tmp_path):
+        plan = mc_plan("false_detection", chunks=4, **self.MC)
+        clean = run_campaign(plan, _store(tmp_path, "clean"))
+        store = _store(tmp_path)
+        # Chunk 0 is committed; chunk 1's object landed, its line did not.
+        _run_until_killed(plan, store, kill_after_puts=2)
+        directory = store.campaign_dir(plan.campaign_id)
+        journal = read_events(directory / "journal.jsonl")
+        assert [e["index"] for e in journal] == [0]
+        assert store.contains(plan.chunks[1].key)
+        # Lose the recorded chunk's object as well: it restores, the
+        # unrecorded one replays from its object, only 2 and 3 execute.
+        store._object_path(plan.chunks[0].key).unlink()
+        resumed = run_campaign(plan, store)
+        assert resumed.complete
+        assert resumed.executed == 2 and resumed.cache_hits == 2
+        assert resumed.merged == clean.merged
+        journal = read_events(directory / "journal.jsonl")
+        assert [e["index"] for e in journal if "payload" in e] == [0, 2, 3]
+
+    def test_kill_between_two_puts_of_one_batch(self, tmp_path, monkeypatch):
+        plan = mc_plan("false_detection", chunks=4, **self.MC)
+        store = _store(tmp_path)
+        clean = run_campaign(plan, store)
+        for chunk in plan.chunks:
+            store._object_path(chunk.key).unlink()
+        # The restore pass is one batch of four puts; die after the second.
+        _run_until_killed(plan, store, kill_after_puts=2)
+        assert [store.contains(c.key) for c in plan.chunks] == [
+            True, True, False, False,
+        ]
+        monkeypatch.setitem(EXECUTORS, "mc", _explodes)
+        resumed = run_campaign(plan, store)
+        assert resumed.complete and resumed.executed == 0
+        assert resumed.merged == clean.merged
+
+    def test_garbage_and_torn_journal_lines_are_ignored(
+        self, tmp_path, monkeypatch
+    ):
+        plan = mc_plan("false_detection", chunks=3, **self.MC)
+        clean = run_campaign(plan, _store(tmp_path, "clean"))
+        store = _store(tmp_path)
+        run_campaign(plan, store, CampaignOptions(stop_after=1))
+        journal_path = store.campaign_dir(plan.campaign_id) / "journal.jsonl"
+        line = dict(event="chunk_done", index=2, cache_hit=False)
+        with journal_path.open("ab") as handle:
+            handle.write(b"123\n\xff\xfe\n[1, 2]\n")
+            for bad in (
+                dict(line, key="0" * 64, payload={"bogus": 1}),
+                dict(line, key=plan.chunks[2].key, payload=[1]),
+                dict(line, index=[2], key=plan.chunks[2].key, payload={}),
+            ):
+                handle.write(json.dumps(bad).encode() + b"\n")
+            handle.write(b'{"event": "chunk_do')  # torn tail, no newline
+        assert campaign_status(store, plan.campaign_id)["chunks_done"] == 1
+        resumed = run_campaign(plan, store)
+        assert resumed.executed == 2 and resumed.cache_hits == 1
+        assert resumed.merged == clean.merged
+        # The lines appended after the torn tail are all readable: with
+        # every object gone the whole campaign restores from them.
+        for chunk in plan.chunks:
+            store._object_path(chunk.key).unlink()
+        monkeypatch.setitem(EXECUTORS, "mc", _explodes)
+        restored = run_campaign(plan, store)
+        assert restored.complete and restored.executed == 0
+        assert restored.merged == clean.merged
+
+    @pytest.mark.parametrize("chunks", [4, 40])
+    def test_fsync_budget(self, tmp_path, monkeypatch, chunks):
+        calls = []
+        real = os.fsync
+        monkeypatch.setattr(os, "fsync", lambda fd: (calls.append(fd), real(fd)))
+        plan = mc_plan("false_detection", chunks=chunks, **self.MC)
+        for name, options in (
+            ("serial", CampaignOptions()),
+            ("pooled", CampaignOptions(workers=2)),
+        ):
+            store = _store(tmp_path, name)
+            del calls[:]
+            cold = run_campaign(plan, store, options)
+            assert cold.executed == chunks
+            assert len(calls) <= chunks + 6
+            result = store.campaign_dir(plan.campaign_id) / "result.json"
+            cold_bytes = result.read_bytes()
+            del calls[:]
+            warm = run_campaign(plan, store, options)
+            assert warm.cache_hits == chunks
+            assert len(calls) <= 6
+            assert result.read_bytes() == cold_bytes
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("stop_after", [1, 3])
+    def test_stop_after_is_exact_at_any_pool_width(
+        self, tmp_path, stop_after, workers
+    ):
+        plan = mc_plan("false_detection", chunks=12, **self.MC)
+        clean = run_campaign(plan, _store(tmp_path, "clean"))
+        for attempt in range(10):
+            store = _store(tmp_path, f"store-{attempt}")
+            partial = run_campaign(
+                plan, store,
+                CampaignOptions(stop_after=stop_after, workers=workers),
+            )
+            assert partial.status == "partial"
+            assert partial.chunks_done == stop_after
+            journal = read_events(
+                store.campaign_dir(plan.campaign_id) / "journal.jsonl"
+            )
+            assert len(journal) == stop_after
+            resumed = run_campaign(plan, store)
+            assert resumed.cache_hits == stop_after
+            assert resumed.result_payloads == clean.result_payloads
 
 
 class TestManifests:

@@ -158,6 +158,29 @@ class TestResultStore:
         assert store.misses == 1
         assert store.hits == 1
 
+    @pytest.mark.parametrize("body", [
+        b"\xff\xfe not utf-8",
+        b"{}",
+        b"[1, 2]",
+        b'{"key": "' + b"ef" * 32 + b'", "payload": {"v": 1}}',
+        b"",
+        b"\0" * 64,
+    ], ids=["not-utf8", "no-payload", "not-an-object", "foreign-key",
+            "zero-length", "nul-filled"])
+    def test_unreadable_object_is_a_miss_never_served(self, tmp_path, body):
+        # Un-synced objects can come back from a power loss torn; gc and
+        # operators can leave anything.  None of it may be served.
+        store = ResultStore(tmp_path / "store")
+        key = "ab" * 32
+        store.put(key, {"v": 1})
+        store._object_path(key).write_bytes(body)
+        assert store.get(key) is None
+        assert (store.hits, store.misses, store.corrupt) == (0, 1, 1)
+        assert [wrapped.get("code") for _, wrapped in store.iter_objects()] == [None]
+        assert store.gc(stale_only=True)["objects_removed"] == 1
+        store.put(key, {"v": 2})
+        assert store.get(key) == {"v": 2}
+
     def test_no_temp_files_left_behind(self, tmp_path):
         store = ResultStore(tmp_path / "store")
         for i in range(5):
