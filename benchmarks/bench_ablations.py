@@ -8,8 +8,13 @@ writes the comparison table to ``benchmarks/results/ablation_*.txt``:
 - DCH takeover              -> cluster survival of a CH crash
 - BGW standby ladder        -> cross-boundary delivery at high loss
 - implicit acknowledgments  -> delivery vs forwarding cost
+- iid loss assumption       -> the same protocol under bursty
+  Gilbert-Elliott loss at the *same* mean rate (``loss_models.txt``)
 """
 
+import numpy as np
+
+from repro.cluster.geometric import build_clusters
 from repro.experiments.ablations import (
     ablation_bgw_count,
     ablation_dch,
@@ -18,6 +23,17 @@ from repro.experiments.ablations import (
     ablation_peer_forwarding,
 )
 from repro.experiments.reporting import render_ablation
+from repro.failure.injection import FailureInjector
+from repro.fds import events as ev
+from repro.fds.config import FdsConfig
+from repro.fds.service import install_fds
+from repro.metrics.properties import evaluate_properties
+from repro.sim.loss import GilbertElliottLoss
+from repro.sim.network import NetworkConfig, build_network
+from repro.sim.trace import RecordingTracer
+from repro.topology.graph import UnitDiskGraph
+from repro.topology.placement import cluster_disk_placement
+from repro.util.tables import render_table
 
 
 def test_ablation_digest(benchmark, write_result):
@@ -80,3 +96,52 @@ def test_ablation_implicit_ack(benchmark, write_result):
         "without-implicit-ack", "mean_cross_boundary_knowledge"
     )
     assert with_ack >= without_ack
+
+
+def test_loss_model_robustness(benchmark, write_result):
+    """The protocol under bursty loss at the same mean rate as iid."""
+
+    def run(loss_model, label, seed):
+        rng = np.random.default_rng(11)
+        placement = cluster_disk_placement(39, 100.0, rng)
+        layout = build_clusters(UnitDiskGraph(placement, 100.0))
+        tracer = RecordingTracer()
+        network = build_network(
+            placement,
+            NetworkConfig(loss_probability=0.2, seed=seed),
+            loss_model=loss_model,
+            tracer=tracer,
+        )
+        cfg = FdsConfig(phi=5.0, thop=0.5)
+        deployment = install_fds(network, layout, cfg)
+        FailureInjector(network, cfg).crash_before_execution(11, 2)
+        deployment.run_executions(10)
+        report = evaluate_properties(deployment)
+        return {
+            "loss_model": label,
+            "false_detections": float(
+                sum(1 for r in tracer.iter_kind(ev.DETECTION)
+                    if r.detail["target"] != 11)
+            ),
+            "crash_completeness": report.completeness.get(11, 0.0),
+            "residual_violations": float(len(report.accuracy_violations)),
+        }
+
+    def run_all():
+        bursty = GilbertElliottLoss(p_good=0.05, p_bad=0.8, p_gb=0.05, p_bg=0.2)
+        rows = [run(None, f"iid p=0.2", 3)]
+        rows.append(
+            run(bursty, f"gilbert-elliott mean={bursty.stationary_loss_rate:.2f}", 3)
+        )
+        return rows
+
+    rows = benchmark.pedantic(run_all, rounds=1, iterations=1)
+    keys = ["loss_model", "false_detections", "crash_completeness",
+            "residual_violations"]
+    write_result(
+        "loss_models",
+        render_table(keys, [[r[k] for k in keys] for r in rows],
+                     title="iid vs bursty loss at equal mean rate"),
+    )
+    for r in rows:
+        assert r["crash_completeness"] == 1.0

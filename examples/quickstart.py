@@ -88,13 +88,6 @@ def main() -> None:
         f"{counts.reports_sent} inter-cluster reports"
     )
 
-    from repro.viz import render_field_map
-
-    print("\nfield map:")
-    print(render_field_map(positions, layout=layout,
-                           crashed=set(network.crashed_ids()),
-                           width=64, height=14))
-
 
 if __name__ == "__main__":
     main()

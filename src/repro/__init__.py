@@ -34,12 +34,6 @@ Quickstart::
     deployment.run_executions(3)
 """
 
-from repro.aggregation import (
-    Aggregate,
-    AggregateKind,
-    AggregationConfig,
-    attach_aggregation,
-)
 from repro.cluster import (
     Boundary,
     Cluster,
@@ -57,7 +51,6 @@ from repro.metrics import (
     collect_message_counts,
     evaluate_properties,
 )
-from repro.power import DutyCycleSchedule, install_power_management
 from repro.sim import (
     BernoulliLoss,
     GilbertElliottLoss,
@@ -114,10 +107,4 @@ __all__ = [
     "make_random_crashes",
     "evaluate_properties",
     "collect_message_counts",
-    "Aggregate",
-    "AggregateKind",
-    "AggregationConfig",
-    "attach_aggregation",
-    "DutyCycleSchedule",
-    "install_power_management",
 ]

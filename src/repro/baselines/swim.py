@@ -5,7 +5,7 @@ uniformly at random from those it believes alive and within reach.  If no
 ack arrives within the timeout, it asks ``proxy_count`` other members to
 ping the target on its behalf (ping-req); if no indirect ack arrives
 either, the target is declared failed and the declaration is broadcast
-(the wireless stand-in for SWIM's piggybacked dissemination; receivers
+(the wireless stand-in for SWIM's infection-style dissemination; receivers
 re-broadcast a declaration once, giving multi-hop spread).
 
 SWIM is the modern point of comparison for any membership failure

@@ -26,11 +26,6 @@ from repro.fds.messages import (
     PeerForwardAck,
     PeerForwardRequest,
 )
-from repro.fds.membership import (
-    MembershipView,
-    ViewTracker,
-    attach_view_trackers,
-)
 from repro.fds.reports import ReportHistory
 from repro.fds.service import FdsDeployment, FdsProtocol, install_fds
 
@@ -51,7 +46,4 @@ __all__ = [
     "PeerForwardAck",
     "PeerForwardRequest",
     "ReportHistory",
-    "MembershipView",
-    "ViewTracker",
-    "attach_view_trackers",
 ]

@@ -58,11 +58,6 @@ class FdsConfig:
     dch_enabled: bool = True
     #: Number of deputies the CH maintains when re-ranking.
     deputy_count: int = 2
-    #: Honor sleep announcements (Section 6 power management): absences a
-    #: node announced before sleeping are excused by the detection rules.
-    #: Disabling models a naive FDS under sleep/wakeup, which false-detects
-    #: every sleeping member.
-    sleep_aware: bool = True
     #: Re-rank deputies by observed digest coverage and announce the
     #: ranking in R-3 updates.  The best-witnessed members are the ones a
     #: takeover can rely on to reach the whole cluster (the reachability

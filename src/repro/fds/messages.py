@@ -18,22 +18,11 @@ from repro.types import NodeId
 
 @dataclass(frozen=True, slots=True)
 class Heartbeat:
-    """fds.R-1: NID plus the one-bit mark indicator (Section 4.2 / F5).
-
-    ``piggyback`` is the message-sharing slot of the paper's Section 6
-    outlook: application payloads (e.g. a sensor measurement for
-    in-network aggregation) ride on the heartbeat at zero extra
-    transmissions.
-    """
+    """fds.R-1: NID plus the one-bit mark indicator (Section 4.2 / F5)."""
 
     sender: NodeId
     execution: int
     marked: bool = True
-    piggyback: object = None
-    #: Sleep announcement (Section 6 power management): the sender will
-    #: sleep through this many upcoming executions.  Sleep-aware
-    #: authorities excuse the announced absences instead of detecting.
-    sleep_span: int = 0
 
 
 @dataclass(frozen=True, slots=True)
@@ -78,9 +67,6 @@ class HealthStatusUpdate:
     #: takeover authorities -- Section 4.2's reachability discussion) and
     #: announces the ranking so the whole cluster agrees on the authority.
     deputies: Optional[Tuple[NodeId, ...]] = None
-    #: Message-sharing slot (Section 6): e.g. the cluster's partial
-    #: aggregate rides on the health-status update.
-    piggyback: object = None
 
     @property
     def has_news(self) -> bool:

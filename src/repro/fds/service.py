@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Callable, Dict, FrozenSet, List, Optional, Set
+from typing import Dict, FrozenSet, List, Optional, Set
 
 from repro.cluster.maintenance import AdmissionBook
 from repro.cluster.state import ClusterLayout, LocalClusterView
@@ -104,22 +104,6 @@ class FdsProtocol(Protocol):
         #: via the CH-failure rule; liveness evidence from that node
         #: triggers a takeover revert.
         self._deposed_head: Optional[NodeId] = None
-        # Sleep/wakeup support (Section 6 power management).  The sleep
-        # manager flips ``asleep`` via ``pre_round1_hook``; a node about to
-        # sleep announces the span on its last awake heartbeat, and
-        # detecting authorities excuse announced absences.
-        self.asleep = False
-        self.pre_round1_hook: Optional[Callable[[int], None]] = None
-        self.pending_sleep_announcement = 0
-        self._excused: Dict[NodeId, int] = {}
-        # Message-sharing hooks (Section 6 outlook): applications may ride
-        # payloads on heartbeats and updates, and observe received ones.
-        # Providers are called at send time with the execution index;
-        # consumers receive the whole message.
-        self.heartbeat_payload_provider: Optional[Callable[[int], object]] = None
-        self.update_payload_provider: Optional[Callable[[int], object]] = None
-        self.heartbeat_consumer: Optional[Callable[[Heartbeat], None]] = None
-        self.update_consumer: Optional[Callable[[HealthStatusUpdate], None]] = None
         # Sub-components, wired after attach().
         self.peer: Optional[PeerForwarder] = None
         self.inter: Optional[InterclusterForwarder] = None
@@ -244,30 +228,15 @@ class FdsProtocol(Protocol):
     def _round1(self, execution: int) -> None:
         """fds.R-1: heartbeat exchange."""
         assert self.node is not None
-        if self.pre_round1_hook is not None:
-            self.pre_round1_hook(execution)
         self.execution = execution
-        if self.asleep:
-            return
         self._heard = set()
         self._digests = {}
         if self.peer is not None:
             self.peer.reset_for_execution()
         recipient = None if (self.is_head or not self.marked) else self.head
-        piggyback = (
-            self.heartbeat_payload_provider(execution)
-            if self.heartbeat_payload_provider is not None
-            else None
-        )
-        sleep_span = self.pending_sleep_announcement
-        self.pending_sleep_announcement = 0
         self._send(
             Heartbeat(
-                sender=self.node.node_id,
-                execution=execution,
-                marked=self.marked,
-                piggyback=piggyback,
-                sleep_span=sleep_span,
+                sender=self.node.node_id, execution=execution, marked=self.marked
             ),
             recipient=recipient,
         )
@@ -275,7 +244,7 @@ class FdsProtocol(Protocol):
     def _round2(self, execution: int) -> None:
         """fds.R-2: digest exchange."""
         assert self.node is not None
-        if self.asleep or not self.marked or not self.config.use_digests:
+        if not self.marked or not self.config.use_digests:
             return
         digest = build_digest(
             sender=self.node.node_id,
@@ -289,7 +258,7 @@ class FdsProtocol(Protocol):
     def _round3(self, execution: int) -> None:
         """fds.R-3: the CH detects and broadcasts the health update."""
         assert self.node is not None
-        if self.asleep or not self.is_head:
+        if not self.is_head:
             return
         my_id = self.node.node_id
         if self.config.use_digests:
@@ -302,18 +271,6 @@ class FdsProtocol(Protocol):
                     self._note_liveness(suspect)
         newly_deputies = self._rerank_deputies()
         expected = frozenset(self.members) - {my_id} - self.history.known
-        if self.config.sleep_aware and self._excused:
-            excused_now = frozenset(
-                member
-                for member, until in self._excused.items()
-                if until >= execution
-            )
-            expected -= excused_now
-            # Prune expired excuses to keep the table small.
-            self._excused = {
-                m: until for m, until in self._excused.items()
-                if until >= execution
-            }
         inputs = DetectionInputs(
             heartbeats=frozenset(self._heard), digests=dict(self._digests)
         )
@@ -342,11 +299,6 @@ class FdsProtocol(Protocol):
         refutations = frozenset(self._pending_refutations)
         self._pending_refutations.clear()
         membership = frozenset(self.members) if admissions else None
-        piggyback = (
-            self.update_payload_provider(execution)
-            if self.update_payload_provider is not None
-            else None
-        )
         update = HealthStatusUpdate(
             head=my_id,
             execution=execution,
@@ -356,7 +308,6 @@ class FdsProtocol(Protocol):
             membership=membership,
             refutations=refutations,
             deputies=newly_deputies,
-            piggyback=piggyback,
         )
         self._updates[execution] = update
         self._send(update)
@@ -403,7 +354,7 @@ class FdsProtocol(Protocol):
     def _round3_end(self, execution: int) -> None:
         """End of R-3: DCH rule, then peer-forwarding requests."""
         assert self.node is not None
-        if self.asleep or not self.marked or self.is_head:
+        if not self.marked or self.is_head:
             return
         if self.config.dch_enabled and self._acting_deputy() == self.node.node_id:
             self._apply_dch_rule(execution)
@@ -423,11 +374,6 @@ class FdsProtocol(Protocol):
 
     def _apply_dch_rule(self, execution: int) -> None:
         assert self.node is not None
-        if (
-            self.config.sleep_aware
-            and self._excused.get(self.head, -1) >= execution
-        ):
-            return  # the CH announced sleep; its silence is excused
         update = self._updates.get(execution)
         update_from = update.head if update is not None else None
         inputs = DetectionInputs(
@@ -511,8 +457,6 @@ class FdsProtocol(Protocol):
     def _on_heartbeat(self, heartbeat: Heartbeat) -> None:
         if heartbeat.execution != self.execution:
             return
-        if self.heartbeat_consumer is not None and heartbeat.piggyback is not None:
-            self.heartbeat_consumer(heartbeat)
         # Any heartbeat is liveness evidence, whatever its mark bit says --
         # a node admitted via F5 may not have learned of its admission yet
         # (the announcing update can be lost) and still heartbeats unmarked.
@@ -525,10 +469,6 @@ class FdsProtocol(Protocol):
         ):
             assert self._admissions is not None
             self._admissions.note_unmarked_heartbeat(heartbeat.sender)
-        if heartbeat.sleep_span > 0 and self.config.sleep_aware:
-            self._excused[heartbeat.sender] = (
-                heartbeat.execution + heartbeat.sleep_span
-            )
 
     def _on_digest(self, digest: Digest) -> None:
         if digest.execution != self.execution:
@@ -594,8 +534,6 @@ class FdsProtocol(Protocol):
         my_id = self.node.node_id
         if update.head == my_id:
             return
-        if self.update_consumer is not None and update.piggyback is not None:
-            self.update_consumer(update)
         from_my_cluster = (
             update.head == self.head
             or update.takeover_from == self.head
@@ -711,8 +649,8 @@ class FdsProtocol(Protocol):
                 incoming |= report.history
             # Direct liveness evidence beats hearsay: a heartbeat heard
             # this execution proves the node outlived whatever stale
-            # observation the forwarded report (or its piggybacked
-            # history) carries.  Without this filter a CH that just
+            # observation the forwarded report (or the history riding
+            # on it) carries.  Without this filter a CH that just
             # refuted a false detection re-adopts the suspicion from a
             # still-circulating report, re-refutes on the next
             # heartbeat, and the refutation resets boundary-forwarding

@@ -1,11 +1,10 @@
-"""Message and energy accounting for a run."""
+"""Message accounting for a run."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.energy.model import EnergyModel
 from repro.fds.service import FdsDeployment
 from repro.types import NodeId
 
@@ -63,12 +62,3 @@ def collect_message_counts(
         bgw_activations=bgw,
         origin_retransmissions=origin,
     )
-
-
-def energy_summary(energy: Optional[EnergyModel]) -> Dict[str, float]:
-    """Energy totals plus the balance spread (empty dict if untracked)."""
-    if energy is None:
-        return {}
-    summary = energy.totals()
-    summary["spread"] = energy.spread()
-    return summary

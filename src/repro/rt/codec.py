@@ -8,13 +8,14 @@ bytes 4..4+n          UTF-8 canonical JSON (sorted keys, compact
                       separators) -- the frame object
 ====================  ==================================================
 
-The frame object is ``{"v": 1, "sender": int, "recipient": int|null,
+The frame object is ``{"v": 2, "sender": int, "recipient": int|null,
 "sent_at": float, "type": str, "body": {...}}`` where ``type`` names one
 of the :mod:`repro.fds.messages` dataclasses and ``body`` carries its
-fields.  Sets of node ids serialize as *sorted* integer lists and keys
-are sorted, so encoding is a pure function of the message -- two runs
-that send the same messages produce byte-identical frames, which is what
-makes trace diffing and replay meaningful.
+fields.  Every field has a typed kind in ``_FIELD_CODECS`` -- no field is
+passed through unvalidated.  Sets of node ids serialize as *sorted*
+integer lists and keys are sorted, so encoding is a pure function of the
+message -- two runs that send the same messages produce byte-identical
+frames, which is what makes trace diffing and replay meaningful.
 
 Decoding is strict and total: any malformed input -- truncated prefix,
 length mismatch, bad UTF-8, invalid JSON, wrong shapes, unknown types,
@@ -46,7 +47,7 @@ from repro.fds.messages import (
 from repro.types import NodeId
 
 #: Wire format version; bump on incompatible changes.
-WIRE_VERSION = 1
+WIRE_VERSION = 2
 
 #: Hard ceiling on the declared body length (a localhost FDS frame is a
 #: few hundred bytes; anything near this is garbage or an attack).
@@ -97,8 +98,7 @@ def _dec_nodeset(value, where: str) -> frozenset:
     return frozenset(_dec_node(v, where) for v in value)
 
 
-# Field kinds: (encoder, decoder) keyed by a short tag.  ``json`` passes
-# through untouched (piggyback slots; must already be JSON-serializable).
+# Field kinds: (encoder, decoder) keyed by a short tag.
 _FIELD_CODECS = {
     "node": (int, _dec_node),
     "int": (int, _dec_int),
@@ -122,7 +122,6 @@ _FIELD_CODECS = {
             else _raise(f"{w}: expected a list of node ids, got {v!r}")
         ),
     ),
-    "json": (lambda v: v, lambda v, w: v),
     # "update" (nested HealthStatusUpdate) is special-cased below.
 }
 
@@ -135,13 +134,7 @@ def _raise(message: str):
 _SCHEMAS: Dict[str, Tuple[type, Tuple[Tuple[str, str], ...]]] = {
     "Heartbeat": (
         Heartbeat,
-        (
-            ("sender", "node"),
-            ("execution", "int"),
-            ("marked", "bool"),
-            ("piggyback", "json"),
-            ("sleep_span", "int"),
-        ),
+        (("sender", "node"), ("execution", "int"), ("marked", "bool")),
     ),
     "Digest": (
         Digest,
@@ -160,7 +153,6 @@ _SCHEMAS: Dict[str, Tuple[type, Tuple[Tuple[str, str], ...]]] = {
             ("membership", "opt_nodeset"),
             ("refutations", "nodeset"),
             ("deputies", "opt_nodetuple"),
-            ("piggyback", "json"),
         ),
     ),
     "FailureReport": (
@@ -261,12 +253,9 @@ def encode_frame(
         "type": type_name,
         "body": body,
     }
-    try:
-        text = json.dumps(frame, sort_keys=True, separators=(",", ":"))
-    except (TypeError, ValueError) as exc:
-        raise CodecError(
-            f"{type_name} is not JSON-serializable (piggyback?): {exc}"
-        ) from exc
+    # Every field encoder yields ints, bools, None or lists of ints, so
+    # serialization cannot fail.
+    text = json.dumps(frame, sort_keys=True, separators=(",", ":"))
     encoded = text.encode("utf-8")
     return len(encoded).to_bytes(4, "big") + encoded
 

@@ -192,16 +192,6 @@ class RadioMedium:
         else:
             self._muted.add(node_id)
 
-    def move(self, node_id: NodeId, position: Vec2) -> None:
-        """Relocate a node (mobility extension)."""
-        old = self._positions.get(node_id)
-        if old is None:
-            raise MediumError(f"node {node_id} is not registered")
-        self._grid[self._cell_of(old)].discard(node_id)
-        self._positions[node_id] = position
-        self._grid[self._cell_of(position)].add(node_id)
-        self._invalidate_topology()
-
     def position_of(self, node_id: NodeId) -> Vec2:
         """Ground-truth position (for metrics/tests, not protocol logic)."""
         try:
@@ -230,7 +220,7 @@ class RadioMedium:
 
         ``distances[i]`` is the ground-truth distance to ``neighbors[i]``;
         the pair is built lazily per sender and dropped whenever the
-        topology changes (register / unregister / move).
+        topology changes (register / unregister).
         """
         return self._sender_arrays(node_id)[0]
 

@@ -5,13 +5,11 @@ from repro.topology.analysis import (
     degree_statistics,
     is_connected,
     isolated_nodes,
-    to_networkx,
 )
 from repro.topology.generators import (
     corridor_field,
     multi_cluster_field,
     single_cluster_disk,
-    uniform_field,
 )
 from repro.topology.graph import UnitDiskGraph
 from repro.topology.placement import (
@@ -30,12 +28,10 @@ __all__ = [
     "gaussian_blobs_placement",
     "cluster_disk_placement",
     "single_cluster_disk",
-    "uniform_field",
     "multi_cluster_field",
     "corridor_field",
     "connected_components",
     "degree_statistics",
     "is_connected",
     "isolated_nodes",
-    "to_networkx",
 ]

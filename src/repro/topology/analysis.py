@@ -81,21 +81,3 @@ def reachable_from(graph: UnitDiskGraph, sources: Iterable[NodeId]) -> Set[NodeI
                 seen.add(neighbor)
                 queue.append(neighbor)
     return seen
-
-
-def to_networkx(graph: UnitDiskGraph) -> "networkx.Graph":
-    """Export to a :class:`networkx.Graph` with position attributes.
-
-    Cross-checks in the test suite compare our BFS results against
-    networkx; users get interop for free.  networkx is imported here, not
-    at module top: this is its only user, and ``import repro`` runs on
-    every CLI call, campaign worker and benchmark child.
-    """
-    import networkx as nx
-
-    g = nx.Graph()
-    for node_id in graph.nodes():
-        pos = graph.position(node_id)
-        g.add_node(int(node_id), pos=(pos.x, pos.y))
-    g.add_edges_from((int(a), int(b)) for a, b in graph.edges())
-    return g

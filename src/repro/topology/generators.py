@@ -1,9 +1,9 @@
 """Scenario topology generators.
 
 These compose the low-level placements into the field layouts the paper's
-introduction motivates: a single analysis cluster (Section 5), a large
-uniform sensor field, a multi-cluster field with guaranteed CH spacing, and
-a corridor (chain of clusters) that stresses inter-cluster forwarding depth.
+introduction motivates: a single analysis cluster (Section 5), a
+multi-cluster field with guaranteed CH spacing, and a corridor (chain of
+clusters) that stresses inter-cluster forwarding depth.
 """
 
 from __future__ import annotations
@@ -14,11 +14,7 @@ from typing import Dict, List
 import numpy as np
 
 from repro.errors import TopologyError
-from repro.topology.placement import (
-    Placement,
-    cluster_disk_placement,
-    uniform_rect_placement,
-)
+from repro.topology.placement import Placement, cluster_disk_placement
 from repro.types import NodeId
 from repro.util.geometry import Vec2, sample_in_disk
 from repro.util.validation import check_int_at_least, check_positive
@@ -42,16 +38,6 @@ def single_cluster_disk(
         rng=rng,
         worst_case_member=worst_case_member,
     )
-
-
-def uniform_field(
-    count: int,
-    width: float,
-    height: float,
-    rng: np.random.Generator,
-) -> Placement:
-    """A large uniformly seeded field (air-dropped sensor network)."""
-    return uniform_rect_placement(count, width, height, rng)
 
 
 def multi_cluster_field(

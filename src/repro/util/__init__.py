@@ -5,10 +5,7 @@ from repro.util.geometry import (
     disk_area,
     lens_area,
     lens_area_integral,
-    neighborhood_overlap_fraction,
-    point_in_disk,
     sample_in_disk,
-    sample_on_circle,
 )
 from repro.util.logmath import (
     log_binomial,
@@ -29,10 +26,7 @@ __all__ = [
     "disk_area",
     "lens_area",
     "lens_area_integral",
-    "neighborhood_overlap_fraction",
-    "point_in_disk",
     "sample_in_disk",
-    "sample_on_circle",
     "log_binomial",
     "log_binomial_pmf",
     "logsumexp",

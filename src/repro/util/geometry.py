@@ -28,7 +28,7 @@ from typing import Iterator
 import numpy as np
 
 from repro.errors import AnalysisError
-from repro.util.validation import check_positive, check_range
+from repro.util.validation import check_positive
 
 
 @dataclass(frozen=True, slots=True)
@@ -136,24 +136,8 @@ def lens_area_integral(radius: float, distance: float, samples: int = 200_001) -
     return 4.0 * quarter
 
 
-def neighborhood_overlap_fraction(radius: float, distance: float) -> float:
-    """``a = An / Au``: fraction of the cluster within ``v``'s range.
-
-    The probability that a uniformly placed cluster member falls inside the
-    transmission range of a member located ``distance`` from the CH.  The
-    paper's worst case is ``distance == radius`` (``v`` on the
-    circumference), giving ``a = (2*pi/3 - sqrt(3)/2) / pi ~= 0.391``.
-    """
-    return lens_area(radius, distance) / disk_area(radius)
-
-
 #: The paper's worst-case overlap fraction (v on the cluster circumference).
 WORST_CASE_OVERLAP_FRACTION = (2.0 * math.pi / 3.0 - math.sqrt(3.0) / 2.0) / math.pi
-
-
-def point_in_disk(point: Vec2, center: Vec2, radius: float) -> bool:
-    """Whether ``point`` lies within (or on) the disk around ``center``."""
-    return point.distance_to(center) <= radius
 
 
 def sample_in_disk(rng: np.random.Generator, center: Vec2, radius: float) -> Vec2:
@@ -167,50 +151,3 @@ def sample_in_disk(rng: np.random.Generator, center: Vec2, radius: float) -> Vec
     r = radius * math.sqrt(rng.uniform())
     theta = rng.uniform(0.0, 2.0 * math.pi)
     return Vec2(center.x + r * math.cos(theta), center.y + r * math.sin(theta))
-
-
-def sample_on_circle(rng: np.random.Generator, center: Vec2, radius: float) -> Vec2:
-    """A point drawn uniformly from the circle of the given radius.
-
-    Used to place the worst-case member ``v`` on the cluster circumference
-    (Figure 4(b)) in Monte Carlo estimators.
-    """
-    check_positive("radius", radius)
-    theta = rng.uniform(0.0, 2.0 * math.pi)
-    return Vec2(center.x + radius * math.cos(theta), center.y + radius * math.sin(theta))
-
-
-def annulus_area(radius_inner: float, radius_outer: float) -> float:
-    """Area between two concentric circles."""
-    check_range("radius_inner", radius_inner, 0.0, radius_outer)
-    return math.pi * (radius_outer * radius_outer - radius_inner * radius_inner)
-
-
-def circle_circle_intersections(
-    center_a: Vec2, radius_a: float, center_b: Vec2, radius_b: float
-) -> tuple[Vec2, ...]:
-    """Intersection points of two circles (0, 1, or 2 points).
-
-    Used by the DCH-reachability analysis to construct the region ``Ag``
-    reachable by both the deputy clusterhead and an out-of-range member
-    (Figure 2(a)).
-    """
-    d = center_a.distance_to(center_b)
-    if d == 0:
-        return ()
-    if d > radius_a + radius_b or d < abs(radius_a - radius_b):
-        return ()
-    a = (radius_a**2 - radius_b**2 + d * d) / (2 * d)
-    h_sq = radius_a**2 - a * a
-    if h_sq < 0:
-        return ()
-    ex = (center_b.x - center_a.x) / d
-    ey = (center_b.y - center_a.y) / d
-    mid = Vec2(center_a.x + a * ex, center_a.y + a * ey)
-    if h_sq == 0:
-        return (mid,)
-    h = math.sqrt(h_sq)
-    return (
-        Vec2(mid.x + h * ey, mid.y - h * ex),
-        Vec2(mid.x - h * ey, mid.y + h * ex),
-    )

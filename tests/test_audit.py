@@ -19,7 +19,6 @@ from repro.fds import events as ev
 from repro.fds.config import FdsConfig
 from repro.sim.trace import RecordingTracer
 from repro.topology.generators import corridor_field
-from repro.topology.placement import cluster_disk_placement
 
 from tests.fds_helpers import deploy
 
@@ -150,23 +149,6 @@ class TestViolationsCaught:
                 intercluster_forwarding=False,
             )
         )
-
-
-class TestSleepRunsAuditClean:
-    def test_power_managed_run(self, rng):
-        from repro.power import DutyCycleSchedule, install_power_management
-
-        placement = cluster_disk_placement(18, 100.0, rng)
-        cfg = FdsConfig(phi=8.0, thop=0.5)
-        deployment, _layout, tracer, _network = deploy(
-            placement, p=0.05, seed=4, fds_config=cfg
-        )
-        install_power_management(
-            deployment, DutyCycleSchedule(awake=2, asleep_count=1)
-        )
-        deployment.run_executions(6)
-        findings = run_all_audits(tracer, cfg)
-        assert findings == []
 
 
 class TestAuditStatuses:

@@ -122,20 +122,6 @@ class TestArrayCacheInvalidation:
         for nid, dist in zip(neighbors, distances):
             assert dist == pytest.approx(medium.distance(1, nid))
 
-    def test_move_invalidates(self):
-        _sim, medium = make_medium()
-        medium.register(0, Vec2(0, 0), lambda e: None)
-        medium.register(1, Vec2(50.0, 0), lambda e: None)
-        neighbors, distances = medium.neighbor_arrays(0)
-        assert neighbors == (1,) and distances[0] == pytest.approx(50.0)
-        medium.move(1, Vec2(80.0, 0))
-        neighbors, distances = medium.neighbor_arrays(0)
-        assert neighbors == (1,) and distances[0] == pytest.approx(80.0)
-        medium.move(1, Vec2(300.0, 0))
-        neighbors, distances = medium.neighbor_arrays(0)
-        assert neighbors == () and len(distances) == 0
-        assert medium.neighbors_of(0) == ()
-
     def test_register_invalidates(self):
         _sim, medium = make_medium()
         medium.register(0, Vec2(0, 0), lambda e: None)

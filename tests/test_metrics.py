@@ -5,7 +5,7 @@ import pytest
 from repro.errors import AnalysisError
 from repro.failure.injection import FailureInjector
 from repro.fds.reports import ReportHistory
-from repro.metrics.collectors import collect_message_counts, energy_summary
+from repro.metrics.collectors import collect_message_counts
 from repro.metrics.properties import (
     detection_latency,
     evaluate_histories,
@@ -80,9 +80,6 @@ class TestCollectors:
         counts = collect_message_counts(deployment)
         assert counts.transmissions > 0
         assert 0.1 < counts.loss_rate < 0.3
-
-    def test_energy_summary_none(self):
-        assert energy_summary(None) == {}
 
 
 class TestSummarize:

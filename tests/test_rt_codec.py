@@ -8,8 +8,13 @@ each dataclass in :mod:`repro.fds.messages`, including the nested
 Optional / tuple fields.
 """
 
+import asyncio
+import dataclasses
 import json
+import socket
 import struct
+import zlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,14 +29,19 @@ from repro.fds.messages import (
     PeerForwardRequest,
 )
 from repro.rt.codec import (
+    _FIELD_CODECS,
+    _SCHEMAS,
     MAX_FRAME_BODY,
     MESSAGE_TYPES,
+    WIRE_VERSION,
     CodecError,
     decode_frame,
     decode_message,
     encode_frame,
     encode_message,
 )
+from repro.rt.substrate import CODEC_ERROR_KIND, UdpLink, WallClockScheduler
+from repro.sim.trace import RecordingTracer
 
 
 def _node_set(rng, low=0, high=40):
@@ -60,8 +70,6 @@ def _random_update(rng):
             if rng.random() < 0.5
             else tuple(int(v) for v in rng.integers(0, 40, size=2))
         ),
-        piggyback={"hop": int(rng.integers(0, 5))} if rng.random() < 0.3
-        else None,
     )
 
 
@@ -71,8 +79,6 @@ def _random_message(rng, cls):
             sender=int(rng.integers(0, 40)),
             execution=int(rng.integers(0, 100)),
             marked=bool(rng.random() < 0.5),
-            piggyback=None if rng.random() < 0.5 else {"k": 1},
-            sleep_span=int(rng.integers(0, 4)),
         )
     if cls is Digest:
         return Digest(
@@ -112,7 +118,7 @@ def _random_message(rng, cls):
 
 @pytest.mark.parametrize("cls", MESSAGE_TYPES, ids=lambda c: c.__name__)
 def test_roundtrip_every_message_type(cls):
-    rng = np.random.default_rng(hash(cls.__name__) % (2**32))
+    rng = np.random.default_rng(zlib.crc32(cls.__name__.encode()))
     for _ in range(25):
         message = _random_message(rng, cls)
         frame = encode_frame(3, None, 1.25, message)
@@ -122,6 +128,19 @@ def test_roundtrip_every_message_type(cls):
         assert decoded.sent_at == 1.25
         assert decoded.payload == message
         assert type(decoded.payload) is cls
+
+
+@pytest.mark.parametrize("type_name", sorted(_SCHEMAS))
+def test_schema_matches_dataclass_and_every_kind_has_a_codec(type_name):
+    # A message field added without a codec entry (or the reverse) fails
+    # here instead of at the first datagram.
+    cls, spec = _SCHEMAS[type_name]
+    assert cls.__name__ == type_name
+    assert [name for name, _kind in spec] == [
+        f.name for f in dataclasses.fields(cls)
+    ]
+    for name, kind in spec:
+        assert kind in _FIELD_CODECS or (name, kind) == ("update", "update")
 
 
 def test_roundtrip_unicast_recipient():
@@ -144,7 +163,7 @@ def test_frame_is_length_prefixed_canonical_json():
     (length,) = struct.unpack(">I", frame[:4])
     assert length == len(frame) - 4
     body = json.loads(frame[4:].decode("utf-8"))
-    assert body["v"] == 1
+    assert body["v"] == WIRE_VERSION == 2
     assert body["type"] == "PeerForwardAck"
 
 
@@ -259,11 +278,58 @@ def test_nodeset_rejects_non_int_members():
 def test_unencodable_payload_raises():
     with pytest.raises(CodecError):
         encode_message(object())
-    with pytest.raises(CodecError):
-        encode_frame(
-            0, None, 0.0,
-            Heartbeat(sender=0, execution=0, piggyback={"bad": object()}),
+
+
+def _v1_heartbeat_frame() -> bytes:
+    """A well-formed frame of wire version 1, extension fields included."""
+    return _reframe({
+        "v": 1, "sender": 0, "recipient": None, "sent_at": 0.0,
+        "type": "Heartbeat",
+        "body": {
+            "sender": 0, "execution": 1, "marked": True,
+            "piggyback": {"reading": 20.5}, "sleep_span": 2,
+        },
+    })
+
+
+def test_v1_frame_is_rejected():
+    with pytest.raises(CodecError, match="wire version"):
+        decode_frame(_v1_heartbeat_frame())
+    # The same body under the current version: the old fields are surplus.
+    body = json.loads(_v1_heartbeat_frame()[4:])
+    with pytest.raises(CodecError, match="unexpected fields"):
+        decode_frame(_reframe({**body, "v": WIRE_VERSION}))
+
+
+def test_v1_frame_at_a_live_link_is_counted_not_raised():
+    async def scenario():
+        loop = asyncio.get_running_loop()
+        net = SimpleNamespace(
+            scheduler=WallClockScheduler(loop), codec_errors=0
         )
+        tracer = RecordingTracer()
+        delivered = []
+        link = UdpLink(net, tracer)
+        link.register(7, None, delivered.append)
+        await link.open(asyncio.Event())
+        try:
+            with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sender:
+                sender.sendto(_v1_heartbeat_frame(), link.address)
+                sender.sendto(_valid_frame(), link.address)
+            deadline = loop.time() + 5.0
+            while not delivered and loop.time() < deadline:
+                await asyncio.sleep(0.01)
+        finally:
+            link.close()
+        return net, tracer, delivered
+
+    net, tracer, delivered = asyncio.run(scenario())
+    # The link outlived the stale frame: the valid one behind it arrived.
+    assert [type(e.payload) for e in delivered] == [PeerForwardAck]
+    assert net.codec_errors == 1
+    (record,) = tracer.iter_kind(CODEC_ERROR_KIND)
+    assert record.node == 7
+    assert "wire version" in record.detail["error"]
 
 
 def test_decode_message_rejects_non_dict():

@@ -75,14 +75,6 @@ class TestNeighborStructure:
         medium.register(1, Vec2(100.0, 0), lambda e: None)
         assert medium.neighbors_of(0) == (1,)
 
-    def test_move_updates_neighbors(self):
-        _sim, medium = make_medium()
-        medium.register(0, Vec2(0, 0), lambda e: None)
-        medium.register(1, Vec2(300.0, 0), lambda e: None)
-        assert medium.neighbors_of(0) == ()
-        medium.move(1, Vec2(50.0, 0))
-        assert medium.neighbors_of(0) == (1,)
-
     def test_grid_matches_brute_force(self):
         # The spatial-hash neighbor structure must equal O(n^2) checking.
         rng = np.random.default_rng(3)

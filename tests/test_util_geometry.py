@@ -9,15 +9,10 @@ from repro.errors import AnalysisError, ConfigurationError
 from repro.util.geometry import (
     WORST_CASE_OVERLAP_FRACTION,
     Vec2,
-    annulus_area,
-    circle_circle_intersections,
     disk_area,
     lens_area,
     lens_area_integral,
-    neighborhood_overlap_fraction,
-    point_in_disk,
     sample_in_disk,
-    sample_on_circle,
 )
 
 
@@ -95,15 +90,9 @@ class TestAreas:
     def test_worst_case_fraction_value(self):
         # a = (2 pi/3 - sqrt(3)/2) / pi ~= 0.391
         assert WORST_CASE_OVERLAP_FRACTION == pytest.approx(0.3910022, rel=1e-5)
-        assert neighborhood_overlap_fraction(100.0, 100.0) == pytest.approx(
+        assert lens_area(100.0, 100.0) / disk_area(100.0) == pytest.approx(
             WORST_CASE_OVERLAP_FRACTION
         )
-
-    def test_annulus(self):
-        assert annulus_area(0.0, 1.0) == pytest.approx(math.pi)
-        assert annulus_area(1.0, 1.0) == pytest.approx(0.0)
-        with pytest.raises(ConfigurationError):
-            annulus_area(2.0, 1.0)
 
 
 class TestSampling:
@@ -122,34 +111,3 @@ class TestSampling:
             if sample_in_disk(rng, center, 1.0).distance_to(center) <= 0.5
         )
         assert 0.22 <= inner / 20_000 <= 0.28
-
-    def test_sample_on_circle_is_on_circle(self, rng):
-        center = Vec2(3.0, 4.0)
-        for _ in range(100):
-            p = sample_on_circle(rng, center, 25.0)
-            assert p.distance_to(center) == pytest.approx(25.0)
-
-
-class TestCircleIntersections:
-    def test_two_point_case(self):
-        points = circle_circle_intersections(Vec2(0, 0), 1.0, Vec2(1, 0), 1.0)
-        assert len(points) == 2
-        for p in points:
-            assert p.norm() == pytest.approx(1.0)
-            assert p.distance_to(Vec2(1, 0)) == pytest.approx(1.0)
-
-    def test_tangent_case(self):
-        points = circle_circle_intersections(Vec2(0, 0), 1.0, Vec2(2, 0), 1.0)
-        assert points == (Vec2(1.0, 0.0),)
-
-    def test_disjoint_and_contained(self):
-        assert circle_circle_intersections(Vec2(0, 0), 1.0, Vec2(5, 0), 1.0) == ()
-        assert circle_circle_intersections(Vec2(0, 0), 3.0, Vec2(0.5, 0), 1.0) == ()
-
-    def test_coincident_centers(self):
-        assert circle_circle_intersections(Vec2(0, 0), 1.0, Vec2(0, 0), 1.0) == ()
-
-
-def test_point_in_disk_boundary_inclusive():
-    assert point_in_disk(Vec2(1.0, 0.0), Vec2(0, 0), 1.0)
-    assert not point_in_disk(Vec2(1.0001, 0.0), Vec2(0, 0), 1.0)
