@@ -5,9 +5,7 @@ A large field is seeded by discrete air-drops (Gaussian blobs of sensors),
 clustered by the *distributed* formation protocol running over the lossy
 radio medium, and monitored by the FDS while nodes attrit.  The operations
 team's view -- how many resources remain, per the failure reports reaching
-an arbitrary surviving node -- is compared against ground truth, and
-against a centralized base-station monitor that only covers one radio disk
-(the scalability wall the paper's introduction leads with).
+an arbitrary surviving node -- is compared against ground truth.
 
 Run:  python examples/sensor_field_monitoring.py
 """
@@ -22,7 +20,6 @@ from repro import (
     evaluate_properties,
     run_formation,
 )
-from repro.baselines.centralized import CentralizedConfig, install_centralized
 from repro.failure.injection import FailureInjector
 from repro.fds.service import install_fds
 from repro.topology.placement import gaussian_blobs_placement
@@ -91,28 +88,6 @@ def main() -> None:
             "be bridged by two-intermediate-node gateways but does not "
             "adopt them, deferring to an inter-cluster routing protocol)"
         )
-
-    # Contrast: a centralized base station at the field centroid.
-    network2 = build_network(
-        positions,
-        NetworkConfig(transmission_range=100.0, loss_probability=0.12, seed=12),
-    )
-    station = min(
-        network2.nodes,
-        key=lambda nid: network2.medium.position_of(nid).distance_to(
-            Vec2(165.0, 90.0)
-        ),
-    )
-    central = install_centralized(
-        network2, station, CentralizedConfig(interval=2.0), until=40.0
-    )
-    network2.sim.run_until(40.0)
-    print("\n--- centralized base-station baseline ---")
-    print(
-        f"station {station} can hear only {central.coverage():.1%} of the "
-        "field: everything beyond one radio disk is invisible to it, "
-        "which is why the paper clusters."
-    )
 
 
 if __name__ == "__main__":

@@ -7,15 +7,15 @@ The library has three layers:
 1. **Substrate** (:mod:`repro.sim`, :mod:`repro.topology`): a deterministic
    discrete-event simulator with a unit-disk, promiscuous, lossy radio
    medium, plus placement/graph tooling.
-2. **Protocols** (:mod:`repro.cluster`, :mod:`repro.fds`,
-   :mod:`repro.baselines`): distributed cluster formation with the paper's
-   F1-F5 features, the three-round cluster-based FDS with peer forwarding
-   and implicit-ack inter-cluster forwarding, and baseline failure
-   detectors for comparison.
+2. **Protocols** (:mod:`repro.cluster`, :mod:`repro.fds`): distributed
+   cluster formation with the paper's F1-F5 features and the three-round
+   cluster-based FDS with peer forwarding and implicit-ack inter-cluster
+   forwarding.
 3. **Evaluation** (:mod:`repro.analysis`, :mod:`repro.metrics`,
    :mod:`repro.experiments`): the paper's closed-form probabilistic
-   measures (Figures 5-7), Monte Carlo twins, ground-truth
-   completeness/accuracy scoring, and the figure-regeneration harness.
+   measures (Figures 2, 5-7), Monte Carlo twins, ground-truth
+   completeness/accuracy scoring, and the claims registry that checks
+   the paper's evaluation against all of them.
 
 Quickstart::
 

@@ -3,16 +3,16 @@
 Commands
 --------
 ``figures``
-    Print the paper's Figures 5-7 as tables (closed-form evaluation).
+    Print the paper's Figures 2, 5, 6 and 7 as tables (closed forms).
 ``claims``
-    Check every quantitative claim of the paper's evaluation prose.
+    Check every claim of the paper's evaluation -- closed forms, Monte
+    Carlo and protocol-level evidence -- as one table; exit 1 if any
+    row fails.
 ``validate``
     Monte Carlo + protocol-in-the-loop validation at a chosen (N, p).
 ``scenario``
     Run an end-to-end multi-cluster scenario with crashes and print the
     scored summary.
-``reachability``
-    Print the DCH reachability study (the analysis the paper summarizes).
 ``soak``
     Randomized differential conformance soak: seeded scenarios run under
     paired configurations (digest ablation, event/array engine,
@@ -56,12 +56,16 @@ from repro.errors import ReproError
 
 def _cmd_figures(_args: argparse.Namespace) -> int:
     from repro.experiments.figures import (
+        figure2_dch_reachability,
         figure5_false_detection,
         figure6_false_detection_on_ch,
         figure7_incompleteness,
         render_figure,
+        render_figure2,
     )
 
+    print(render_figure2(figure2_dch_reachability()))
+    print()
     for series, title in (
         (figure5_false_detection(), "Figure 5: P^(False detection)"),
         (figure6_false_detection_on_ch(), "Figure 6: P(False detection on CH)"),
@@ -73,12 +77,11 @@ def _cmd_figures(_args: argparse.Namespace) -> int:
 
 
 def _cmd_claims(_args: argparse.Namespace) -> int:
-    from repro.experiments.figures import check_paper_claims
-    from repro.experiments.reporting import render_claims
+    from repro.experiments.claims import evaluate_claims, render_claims
 
-    results = check_paper_claims()
+    results = evaluate_claims()
     print(render_claims(results))
-    return 0 if all(ok for _claim, ok in results) else 1
+    return 0 if all(ok for _claim, _measured, ok in results) else 1
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
@@ -151,24 +154,6 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
     return 0 if result.properties.is_accurate else 1
 
 
-def _cmd_reachability(args: argparse.Namespace) -> int:
-    from repro.analysis.reachability import dch_reachability_failure
-    from repro.util.tables import render_table
-
-    ns = (25, 50, 75, 100)
-    rows = []
-    for d in (20.0, 40.0, 60.0, 80.0, 95.0):
-        rows.append(
-            [d, *(dch_reachability_failure(n, args.p, dch_distance=d)
-                  for n in ns)]
-        )
-    print(render_table(
-        ["dch_distance", *(f"N={n}" for n in ns)], rows,
-        title=f"P(DCH unaware of out-of-range member), p={args.p}",
-    ))
-    return 0
-
-
 def _cmd_soak(args: argparse.Namespace) -> int:
     from pathlib import Path
 
@@ -206,8 +191,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("figures", help="print Figures 5-7 as tables")
-    sub.add_parser("claims", help="check the paper's evaluation claims")
+    sub.add_parser("figures", help="print Figures 2, 5, 6 and 7 as tables")
+    sub.add_parser("claims",
+                   help="check the paper's evaluation claims (exit 1 on FAIL)")
 
     validate = sub.add_parser("validate", help="cross-validate the measures")
     validate.add_argument("--n", type=int, default=50)
@@ -232,9 +218,6 @@ def main(argv: list[str] | None = None) -> int:
     scenario.add_argument("--profile", action="store_true",
                           help="attach the phase profiler; per-phase totals "
                                "are printed and spooled as profile.phase")
-
-    reach = sub.add_parser("reachability", help="DCH reachability study")
-    reach.add_argument("--p", type=float, default=0.1)
 
     soak = sub.add_parser(
         "soak", help="differential conformance soak (seeded, shrinking)"
@@ -267,7 +250,6 @@ def main(argv: list[str] | None = None) -> int:
         "claims": _cmd_claims,
         "validate": _cmd_validate,
         "scenario": _cmd_scenario,
-        "reachability": _cmd_reachability,
         "soak": _cmd_soak,
         "campaign": cmd_campaign,
         "trace": cmd_trace,

@@ -30,17 +30,6 @@ class MeasureSeries:
     p_values: Tuple[float, ...]
     curves: Dict[int, Tuple[float, ...]] = field(default_factory=dict)
 
-    def value_at(self, n: int, p: float) -> float:
-        """The measured value at (N, p); raises if not on the grid."""
-        try:
-            index = self.p_values.index(p)
-        except ValueError:
-            raise AnalysisError(f"p={p} is not on the sweep grid") from None
-        try:
-            return self.curves[n][index]
-        except KeyError:
-            raise AnalysisError(f"N={n} is not in the sweep") from None
-
     def as_rows(self) -> list[list[float]]:
         """Rows of [p, curve_N1, curve_N2, ...] for table rendering."""
         ns = sorted(self.curves)

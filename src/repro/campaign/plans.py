@@ -83,10 +83,6 @@ class CampaignPlan:
     params: Dict[str, Any]
     chunks: Tuple[ChunkTask, ...]
 
-    @property
-    def total_replications(self) -> int:
-        return sum(c.replications for c in self.chunks)
-
     def manifest(self) -> Dict[str, Any]:
         return {
             "schema": "repro.campaign/v1",

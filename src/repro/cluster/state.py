@@ -113,10 +113,6 @@ class LocalClusterView:
     def is_head(self) -> bool:
         return self.node_id == self.head
 
-    @property
-    def is_primary_deputy(self) -> bool:
-        return bool(self.deputies) and self.deputies[0] == self.node_id
-
 
 class ClusterLayout:
     """The network-wide cluster structure, with invariant validation."""

@@ -8,8 +8,6 @@ from repro.experiments.ablations import (
     ablation_peer_forwarding,
 )
 from repro.experiments.figures import (
-    PAPER_CLAIMS,
-    check_paper_claims,
     figure5_false_detection,
     figure6_false_detection_on_ch,
     figure7_incompleteness,
@@ -33,8 +31,6 @@ __all__ = [
     "figure6_false_detection_on_ch",
     "figure7_incompleteness",
     "render_figure",
-    "PAPER_CLAIMS",
-    "check_paper_claims",
     "RunResult",
     "ScenarioConfig",
     "ScenarioResult",

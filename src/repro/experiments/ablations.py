@@ -11,6 +11,7 @@ peer forwarding (4.2)       completeness: missed R-3 updates per round
 DCH takeover (4.2, F2)      cluster survival of a CH crash
 BGW standby (4.3, F2)       across-boundary report delivery
 implicit ack (4.3)          across-boundary delivery vs message cost
+iid loss assumption (2.2)   completeness under bursty loss, same mean
 ==========================  ============================================
 """
 
@@ -19,12 +20,16 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, List, Tuple
 
+import numpy as np
+
 from repro.cluster.geometric import build_clusters
 from repro.fds import events as ev
 from repro.fds.config import FdsConfig
 from repro.fds.service import install_fds
 from repro.metrics.collectors import collect_message_counts
+from repro.metrics.properties import evaluate_properties
 from repro.failure.injection import FailureInjector
+from repro.sim.loss import GilbertElliottLoss
 from repro.sim.network import NetworkConfig, build_network
 from repro.sim.trace import RecordingTracer
 from repro.topology.generators import corridor_field
@@ -32,6 +37,7 @@ from repro.topology.graph import UnitDiskGraph
 from repro.topology.placement import cluster_disk_placement
 from repro.types import NodeId
 from repro.util.rng import RngFactory
+from repro.util.tables import render_table
 
 
 @dataclass(frozen=True)
@@ -54,6 +60,21 @@ class AblationResult:
             if row.label == label:
                 return row.metrics[key]
         raise KeyError(f"no row labelled {label!r} in ablation {self.name!r}")
+
+
+def render_ablation(result: AblationResult) -> str:
+    """One ablation as a table: rows are configurations."""
+    keys: list[str] = []
+    for row in result.rows:
+        for key in row.metrics:
+            if key not in keys:
+                keys.append(key)
+    headers = ["configuration", *keys]
+    rows = [
+        [row.label, *(row.metrics.get(k, float("nan")) for k in keys)]
+        for row in result.rows
+    ]
+    return render_table(headers, rows, title=f"ablation: {result.name}")
 
 
 # ----------------------------------------------------------------------
@@ -327,3 +348,49 @@ def ablation_implicit_ack(
             )
         )
     return AblationResult(name="implicit-ack", rows=tuple(rows))
+
+
+def ablation_loss_model() -> AblationResult:
+    """iid vs bursty loss at the same mean rate (Section 2.2's assumption).
+
+    One 40-node cluster, member 11 crashed before execution 2, ten
+    executions: once under iid loss p = 0.2, once under a Gilbert-Elliott
+    channel whose stationary loss rate is also 0.2.
+    """
+    bursty = GilbertElliottLoss(p_good=0.05, p_bad=0.8, p_gb=0.05, p_bg=0.2)
+    rows: List[AblationRow] = []
+    for label, loss_model in (
+        ("iid p=0.2", None),
+        (f"gilbert-elliott mean={bursty.stationary_loss_rate:.2f}", bursty),
+    ):
+        rng = np.random.default_rng(11)
+        placement = cluster_disk_placement(39, 100.0, rng)
+        layout = build_clusters(UnitDiskGraph(placement, 100.0))
+        tracer = RecordingTracer()
+        network = build_network(
+            placement,
+            NetworkConfig(loss_probability=0.2, seed=3),
+            loss_model=loss_model,
+            tracer=tracer,
+        )
+        cfg = FdsConfig(phi=5.0, thop=0.5)
+        deployment = install_fds(network, layout, cfg)
+        FailureInjector(network, cfg).crash_before_execution(11, 2)
+        deployment.run_executions(10)
+        report = evaluate_properties(deployment)
+        rows.append(
+            AblationRow(
+                label=label,
+                metrics={
+                    "false_detections": float(
+                        sum(1 for r in tracer.iter_kind(ev.DETECTION)
+                            if r.detail["target"] != 11)
+                    ),
+                    "crash_completeness": report.completeness.get(11, 0.0),
+                    "residual_violations": float(
+                        len(report.accuracy_violations)
+                    ),
+                },
+            )
+        )
+    return AblationResult(name="loss-model", rows=tuple(rows))

@@ -21,7 +21,6 @@ from typing import Dict, List, Sequence, Tuple
 from repro.errors import ExperimentError
 from repro.experiments.runner import ScenarioConfig, run_scenario
 from repro.metrics.summary import SeriesSummary, summarize
-from repro.util.tables import render_table
 
 
 @dataclass(frozen=True)
@@ -41,17 +40,6 @@ class RepeatedResult:
     def worst(self, key: str, lower_is_worse: bool = True) -> float:
         summary = self.metrics[key]
         return summary.minimum if lower_is_worse else summary.maximum
-
-    def as_table(self) -> str:
-        rows = [
-            [key, s.mean, s.stderr, s.minimum, s.maximum]
-            for key, s in sorted(self.metrics.items())
-        ]
-        return render_table(
-            ["metric", "mean", "stderr", "min", "max"],
-            rows,
-            title=f"{len(self.seeds)} seeds",
-        )
 
 
 def check_seeds(seeds: Sequence[int]) -> Tuple[int, ...]:

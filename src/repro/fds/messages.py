@@ -68,12 +68,6 @@ class HealthStatusUpdate:
     #: announces the ranking so the whole cluster agrees on the authority.
     deputies: Optional[Tuple[NodeId, ...]] = None
 
-    @property
-    def has_news(self) -> bool:
-        """Whether inter-cluster forwarding is warranted ("no news is
-        good news" otherwise)."""
-        return bool(self.new_failures) or self.takeover_from is not None
-
 
 @dataclass(frozen=True, slots=True)
 class FailureReport:

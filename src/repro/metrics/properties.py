@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.fds.service import FdsDeployment
 from repro.sim.trace import Tracer
@@ -133,47 +133,6 @@ def evaluate_properties(deployment: FdsDeployment) -> PropertyReport:
     return PropertyReport(
         completeness=completeness,
         accuracy_violations=accuracy_violations(deployment),
-        incomplete_failures=tuple(incomplete),
-        operational_count=len(observers),
-        crashed_count=len(crashed),
-    )
-
-
-def evaluate_histories(
-    network,
-    histories: Dict[NodeId, "object"],
-) -> PropertyReport:
-    """Score completeness/accuracy from raw per-node failure knowledge.
-
-    ``histories`` maps each node to an object supporting ``in`` (its
-    failure-knowledge set) -- typically a
-    :class:`~repro.fds.reports.ReportHistory`.  Used for baseline
-    detectors, which have no cluster layout; every operational node is an
-    observer.
-    """
-    observers = [nid for nid in network.operational_ids() if nid in histories]
-    operational = set(network.operational_ids())
-    crashed = network.crashed_ids()
-    completeness: Dict[NodeId, float] = {}
-    incomplete: List[NodeId] = []
-    for failure in crashed:
-        if observers:
-            aware = sum(1 for nid in observers if failure in histories[nid])
-            frac = aware / len(observers)
-        else:
-            frac = 1.0
-        completeness[failure] = frac
-        if frac < 1.0:
-            incomplete.append(failure)
-    violations: List[Tuple[NodeId, NodeId]] = []
-    for nid in sorted(observers):
-        history = histories[nid]
-        for suspected in sorted(getattr(history, "known", frozenset())):
-            if suspected in operational:
-                violations.append((nid, suspected))
-    return PropertyReport(
-        completeness=completeness,
-        accuracy_violations=tuple(violations),
         incomplete_failures=tuple(incomplete),
         operational_count=len(observers),
         crashed_count=len(crashed),

@@ -94,10 +94,6 @@ class ArrayLayout:
     head_ids: Optional[np.ndarray] = None
 
     @property
-    def max_members(self) -> int:
-        return int(self.members.shape[1])
-
-    @property
     def head_nids(self) -> np.ndarray:
         """Cluster index -> head NID, defaulting to the lattice identity."""
         if self.head_ids is not None:
@@ -114,15 +110,6 @@ class ArrayLayout:
         clusters everyone; protocol formation leaves stragglers ``PAD``)."""
         nid = int(node_id)
         return 0 <= nid < self.node_count and int(self.assign[nid]) >= 0
-
-    def slot_of(self, node_id: int) -> tuple:
-        """``(cluster, slot)`` of a member NID (linear scan; test helper)."""
-        cluster = int(self.assign[node_id])
-        row = self.members[cluster]
-        hits = np.flatnonzero(row == node_id)
-        if hits.size == 0:
-            raise TopologyError(f"node {node_id} is not a member slot")
-        return cluster, int(hits[0])
 
 
 def _lattice_field(

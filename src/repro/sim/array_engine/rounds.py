@@ -280,10 +280,6 @@ class ArrayRoundEngine:
         )
         return col
 
-    def ensure_targets(self, node_ids) -> None:
-        for nid in node_ids:
-            self._col(int(nid))
-
     @property
     def T(self) -> int:
         return len(self.t_ids)

@@ -5,7 +5,7 @@ it neither transmits nor receives, and it never recovers by itself.
 :meth:`SimNode.crash` enforces exactly that: the receiver is muted, every
 outstanding timer is disarmed, and subsequent send attempts are dropped.
 
-Protocols (cluster formation, the FDS, baselines) are attached as
+Protocols (cluster formation, the FDS) are attached as
 :class:`Protocol` instances; each receives delivered envelopes in
 attachment order.
 """

@@ -10,7 +10,9 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 
-def _format_cell(value: object, precision: int) -> str:
+def format_cell(value: object, precision: int = 4) -> str:
+    """One value as a table cell: floats to ``precision`` significant
+    digits, scientific when tiny or huge."""
     if isinstance(value, bool):
         return str(value)
     if isinstance(value, float):
@@ -34,7 +36,7 @@ def render_table(
     Floats are shown in scientific notation when tiny/huge, which matters
     here because the reproduced measures reach 1e-120.
     """
-    cells = [[_format_cell(c, precision) for c in row] for row in rows]
+    cells = [[format_cell(c, precision) for c in row] for row in rows]
     widths = [len(h) for h in headers]
     for row in cells:
         if len(row) != len(headers):

@@ -80,7 +80,7 @@ class TestSweep:
 
     def test_sweep_measure(self):
         series = sweep_measure("test", lambda n, p: n * p)
-        assert series.value_at(50, 0.1) == pytest.approx(5.0)
+        assert series.curves[50][PAPER_P_GRID.index(0.1)] == pytest.approx(5.0)
         assert len(series.curves) == 3
 
     def test_as_rows(self):
@@ -89,13 +89,6 @@ class TestSweep:
         )
         rows = series.as_rows()
         assert rows == [[0.1, 2.0, 3.0], [0.2, 2.0, 3.0]]
-
-    def test_off_grid_lookup_raises(self):
-        series = sweep_measure("t", lambda n, p: 0.0)
-        with pytest.raises(AnalysisError):
-            series.value_at(50, 0.123)
-        with pytest.raises(AnalysisError):
-            series.value_at(51, 0.05)
 
     def test_empty_grids_rejected(self):
         with pytest.raises(AnalysisError):

@@ -9,13 +9,24 @@ class TestCli:
     def test_figures(self, capsys):
         assert main(["figures"]) == 0
         out = capsys.readouterr().out
+        assert ("Figure 2: P(DCH unaware of out-of-range member), p=0.1"
+                in out)
         assert "Figure 5" in out and "Figure 7" in out
         assert "N=100" in out
 
-    def test_claims_pass(self, capsys):
-        assert main(["claims"]) == 0
+    def test_claims_exit_1_if_any_row_fails(self, capsys, monkeypatch):
+        # Two stand-in rows: the full table is the CI step's, not tier-1's.
+        from repro.experiments import claims
+
+        monkeypatch.setattr(claims, "CLAIMS", (
+            claims.Claim("demo-holds", "a row that holds", lambda: ("1", True)),
+            claims.Claim("demo-broken", "a row that fails", lambda: ("2", False)),
+        ))
+        assert main(["claims"]) == 1
         out = capsys.readouterr().out
-        assert "PASS" in out and "FAIL" not in out
+        assert "1 of 2 pass" in out
+        assert "demo-holds" in out and "PASS" in out
+        assert "demo-broken" in out and "FAIL" in out
 
     def test_validate_fast(self, capsys):
         assert main(["validate", "--n", "30", "--p", "0.5",
@@ -90,10 +101,13 @@ class TestCli:
             ScenarioConfig(**sized), RtScenario(**sized), ScenarioConfig(**sized)
         ]
 
-    def test_reachability(self, capsys):
-        assert main(["reachability", "--p", "0.1"]) == 0
-        out = capsys.readouterr().out
-        assert "dch_distance" in out
+    def test_reachability_is_gone(self, capsys):
+        # Its table is the Fig 2 section of ``repro figures``; a stale
+        # invocation must fail loudly rather than print something else.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["reachability", "--p", "0.1"])
+        assert exit_info.value.code == 2
+        assert "reachability" in capsys.readouterr().err
 
     def test_unknown_command_exits(self):
         for command in ("not-a-command", "bench"):  # bench: retired

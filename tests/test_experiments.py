@@ -4,15 +4,14 @@ import pytest
 
 from repro.analysis.false_detection import p_false_detection
 from repro.errors import ExperimentError
+from repro.experiments import claims
+from repro.experiments.ablations import render_ablation
 from repro.experiments.figures import (
-    PAPER_CLAIMS,
-    check_paper_claims,
     figure5_false_detection,
     figure6_false_detection_on_ch,
     figure7_incompleteness,
     render_figure,
 )
-from repro.experiments.reporting import render_ablation, render_claims
 from repro.experiments.runner import ScenarioConfig, run_scenario
 from repro.experiments.scenarios import (
     single_cluster_validation,
@@ -25,7 +24,7 @@ class TestFigures:
         series = figure5_false_detection()
         assert series.p_values == tuple(round(0.05 * i, 2) for i in range(1, 11))
         assert sorted(series.curves) == [50, 75, 100]
-        assert series.value_at(50, 0.5) == pytest.approx(
+        assert series.curves[50][-1] == pytest.approx(
             p_false_detection(50, 0.5)
         )
 
@@ -42,19 +41,75 @@ class TestFigures:
         assert len(text.splitlines()) == 13  # title + header + rule + 10 rows
 
 
-class TestPaperClaims:
-    def test_every_claim_passes(self):
-        results = check_paper_claims()
-        failing = [claim.claim_id for claim, ok in results if not ok]
-        assert failing == []
+#: The rows that were the paper-claims checklist before the registry.
+PAPER_CLAIM_IDS = (
+    "fig5-high-density-small",
+    "fig5-n50-reasonable",
+    "fig6-negligible-below-0.25",
+    "fig6-below-1e-6-at-n50",
+    "ch-more-likely-than-dch",
+    "fig7-density-improves",
+    "fig7-sensitivity-grows-with-n",
+    "monotone-in-p",
+    "monotone-in-n",
+)
 
-    def test_claims_cover_all_three_figures(self):
-        ids = " ".join(claim.claim_id for claim in PAPER_CLAIMS)
-        assert "fig5" in ids and "fig6" in ids and "fig7" in ids
+#: Every closed-form row: milliseconds each, so tier-1 runs them; the
+#: simulation rows are the ``repro claims`` CI step's.
+CLOSED_FORM_IDS = PAPER_CLAIM_IDS + (
+    "fig2-dense-dch-reaches",
+    "fig2-sparse-far-corner",
+    "fig2-density-helps",
+    "fig5-axis-span",
+    "fig5-literal-form-agrees",
+    "fig6-log-domain-reaches-axis",
+    "fig7-below-raw-loss",
+)
+
+
+def _evaluate(ids):
+    rows = [c for c in claims.CLAIMS if c.claim_id in ids]
+    assert len(rows) == len(ids)
+    return {claim.claim_id: ok for claim, _measured, ok in
+            claims.evaluate_claims(rows)}
+
+
+class TestClaimsRegistry:
+    def test_claim_ids_are_unique(self):
+        ids = [claim.claim_id for claim in claims.CLAIMS]
+        assert len(ids) == len(set(ids))
+
+    def test_closed_form_rows_pass(self):
+        verdicts = _evaluate(CLOSED_FORM_IDS)
+        assert [i for i, ok in verdicts.items() if not ok] == []
+
+    def test_claims_cover_all_four_figures(self):
+        ids = " ".join(claim.claim_id for claim in claims.CLAIMS)
+        assert all(f"fig{n}" in ids for n in (2, 5, 6, 7))
 
     def test_render_claims(self):
-        text = render_claims()
+        rows = [c for c in claims.CLAIMS if c.claim_id in PAPER_CLAIM_IDS]
+        text = claims.render_claims(claims.evaluate_claims(rows))
+        assert text.splitlines()[1].split() == [
+            "claim", "statement", "measured", "status"
+        ]
+        assert "N=50 p=0.5: 1.2585e-07" in text  # Fig 6 at its claim
         assert "PASS" in text and "FAIL" not in text
+
+    def test_planted_bug_fails_its_rows(self, monkeypatch):
+        """The gate gates: a wrong Fig 5 measure fails every fig5 row."""
+        fig5 = [c.claim_id for c in claims.CLAIMS
+                if c.claim_id.startswith("fig5-")]
+        monkeypatch.setattr(claims, "p_false_detection", lambda n, p: 1.0)
+        verdicts = _evaluate(CLOSED_FORM_IDS)
+        assert len(fig5) == 4
+        assert not any(verdicts[i] for i in fig5)
+        # 1.0 still exceeds P(FDoCH); a measure that falls below it
+        # flips the CH-vs-DCH comparison.
+        assert verdicts["ch-more-likely-than-dch"]
+        monkeypatch.setattr(claims, "p_false_detection", lambda n, p: 0.0)
+        assert not _evaluate(("ch-more-likely-than-dch",))[
+            "ch-more-likely-than-dch"]
 
 
 class TestScenarioRunner:

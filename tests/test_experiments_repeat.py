@@ -34,11 +34,6 @@ class TestRepeat:
     def test_loss_rate_tracks_configuration(self, repeated):
         assert repeated.mean("observed_loss_rate") == pytest.approx(0.1, abs=0.02)
 
-    def test_table_rendering(self, repeated):
-        table = repeated.as_table()
-        assert "3 seeds" in table
-        assert "mean_completeness" in table
-
     def test_validation(self):
         config = ScenarioConfig(cluster_count=2, members_per_cluster=5)
         with pytest.raises(ExperimentError):

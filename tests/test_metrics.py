@@ -4,13 +4,8 @@ import pytest
 
 from repro.errors import AnalysisError
 from repro.failure.injection import FailureInjector
-from repro.fds.reports import ReportHistory
 from repro.metrics.collectors import collect_message_counts
-from repro.metrics.properties import (
-    detection_latency,
-    evaluate_histories,
-    evaluate_properties,
-)
+from repro.metrics.properties import detection_latency, evaluate_properties
 from repro.metrics.summary import summarize
 from repro.topology.placement import cluster_disk_placement
 
@@ -54,22 +49,6 @@ class TestPropertyReport:
         placement = cluster_disk_placement(10, 100.0, rng)
         _deployment, _layout, tracer, _network = deploy(placement)
         assert detection_latency(tracer, {5: 1.0}) == {5: None}
-
-
-class TestEvaluateHistories:
-    def test_generic_scoring(self, rng):
-        placement = cluster_disk_placement(5, 100.0, rng)
-        _deployment, _layout, _tracer, network = deploy(placement)
-        histories = {nid: ReportHistory() for nid in network.nodes}
-        network.crash(3)
-        for nid, history in histories.items():
-            if nid in (0, 1):
-                history.add(frozenset({3}))
-        histories[2].add(frozenset({4}))  # false suspicion of a live node
-        report = evaluate_histories(network, histories)
-        assert report.completeness[3] == pytest.approx(2 / 5)
-        assert (2, 4) in report.accuracy_violations
-        assert not report.is_complete
 
 
 class TestCollectors:
