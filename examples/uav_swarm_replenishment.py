@@ -19,7 +19,6 @@ Run:  python examples/uav_swarm_replenishment.py
 import numpy as np
 
 from repro import (
-    EnergyConfig,
     EnergyModel,
     FdsConfig,
     NetworkConfig,
@@ -60,7 +59,7 @@ def main() -> None:
         tracer=tracer,
     )
     config = FdsConfig(phi=20.0, thop=0.5)
-    energy = EnergyModel(EnergyConfig(capacity=500.0, harvest_rate=0.02))
+    energy = EnergyModel()
     deployment = install_fds(network, layout, config, energy=energy)
 
     # Phase 1: the middle clusterhead is lost to ground fire.

@@ -43,7 +43,7 @@ from repro.cluster import (
     build_clusters,
     run_formation,
 )
-from repro.energy import EnergyConfig, EnergyModel
+from repro.energy import EnergyModel
 from repro.errors import ReproError
 from repro.failure import FailureInjector, Faultload, make_random_crashes
 from repro.fds import FdsConfig, FdsDeployment, FdsProtocol, install_fds
@@ -101,7 +101,6 @@ __all__ = [
     "FdsDeployment",
     "install_fds",
     "EnergyModel",
-    "EnergyConfig",
     "FailureInjector",
     "Faultload",
     "make_random_crashes",

@@ -159,13 +159,12 @@ def audit_refutation_soundness(tracer: RecordingTracer) -> List[AuditFinding]:
 def round_structure_allowance(config: FdsConfig) -> float:
     """The per-interval active window the round-structure audit permits.
 
-    Covers R-1..R-3, the recovery window, and the worst-case BGW ladder:
-    ``3*Thop + (max_retries + 1) * (n_max + 1) * 2*Thop`` with a generous
-    ``n_max`` of 4.
+    Covers the execution (R-1..R-3 plus the recovery window) and the
+    worst-case BGW ladder: ``(max_retries + 1) * (n_max + 1) * 2*Thop``
+    with a generous ``n_max`` of 4.
     """
     return (
-        3.0 * config.thop
-        + config.recovery_rounds * config.thop
+        config.execution_duration()
         + (config.max_forward_retries + 1) * 5 * config.implicit_ack_window
     )
 
@@ -177,10 +176,10 @@ def round_structure_applicable(config: FdsConfig) -> bool:
     active and the audit has no silent tail to police -- it is *not
     applicable*, which is different from a run auditing clean.
 
-    The audit also abstains from digest-free configurations with
-    inter-cluster forwarding enabled.  Without digest witnesses every
-    lost heartbeat becomes a false detection, and the resulting relay /
-    refutation-repair traffic *chains* forwarding generations (relay ->
+    The audit also abstains from digest-free configurations.  Without
+    digest witnesses every lost heartbeat becomes a false detection, and
+    the resulting relay / refutation-repair traffic *chains* forwarding
+    generations (relay ->
     fresh gateway duty -> forwarded report -> relay ...): each link in
     the chain is individually ladder-conformant (the forwarder audit
     still polices that), but the chain's depth is set by the cluster
@@ -188,7 +187,7 @@ def round_structure_applicable(config: FdsConfig) -> bool:
     so no single-generation window short of ``phi`` is a sound claim
     there.
     """
-    if config.intercluster_forwarding and not config.use_digests:
+    if not config.use_digests:
         return False
     return round_structure_allowance(config) < config.phi
 
@@ -404,23 +403,13 @@ def run_audit_statuses(
             findings=tuple(audit_refutation_soundness(tracer)),
         )
     )
-    if config.intercluster_forwarding:
-        statuses.append(
-            AuditStatus(
-                audit="forwarder-conformance",
-                applicable=True,
-                findings=tuple(audit_forwarder_conformance(tracer, config)),
-            )
+    statuses.append(
+        AuditStatus(
+            audit="forwarder-conformance",
+            applicable=True,
+            findings=tuple(audit_forwarder_conformance(tracer, config)),
         )
-    else:
-        statuses.append(
-            AuditStatus(
-                audit="forwarder-conformance",
-                applicable=False,
-                findings=(),
-                note="intercluster forwarding disabled",
-            )
-        )
+    )
     if round_structure_applicable(config):
         statuses.append(
             AuditStatus(
@@ -432,7 +421,7 @@ def run_audit_statuses(
             )
         )
     else:
-        if config.intercluster_forwarding and not config.use_digests:
+        if not config.use_digests:
             note = (
                 "digest-free configuration: relay/refutation-repair "
                 "traffic legitimately chains forwarding generations "

@@ -82,12 +82,14 @@ def config_from_canonical(payload: Dict[str, Any]) -> ScenarioConfig:
     """Rebuild a :class:`ScenarioConfig` from its canonical dict."""
     data = dict(payload)
     fds_data = data.pop("fds", None)
-    known = {f.name for f in dataclasses.fields(ScenarioConfig)}
-    unknown = set(data) - known
+    unknown = set(data) - {f.name for f in dataclasses.fields(ScenarioConfig)}
+    if fds_data is not None:
+        fds_fields = {f.name for f in dataclasses.fields(FdsConfig)}
+        unknown |= {f"fds.{name}" for name in fds_data if name not in fds_fields}
     if unknown:
         raise ConfigurationError(
             f"canonical config has unknown fields {sorted(unknown)}; "
-            "was it written by a newer version of the library?"
+            "was it written by another version of the library?"
         )
     if fds_data is not None:
         data["fds"] = FdsConfig(**fds_data)

@@ -113,6 +113,13 @@ class ClusterDissolve:
 # Configuration
 # ----------------------------------------------------------------------
 
+#: A node that has heard *any* clusterhead recently will not declare
+#: itself CH until this many consecutive iterations pass with no head
+#: heard.  This time redundancy prevents a covered node from spuriously
+#: declaring (and conflicting) just because one iteration's head
+#: heartbeats were lost.
+DECLARATION_PATIENCE = 2
+
 
 @dataclass(frozen=True)
 class FormationConfig:
@@ -127,12 +134,6 @@ class FormationConfig:
     iterations: int = 3
     deputy_count: int = 2
     max_backups: int = 2
-    #: A node that has heard *any* clusterhead recently will not declare
-    #: itself CH until this many consecutive iterations pass with no head
-    #: heard.  This time redundancy prevents a covered node from spuriously
-    #: declaring (and conflicting) just because one iteration's head
-    #: heartbeats were lost.
-    declaration_patience: int = 2
     #: Upper bound of the RCC declaration backoff as a fraction of a
     #: round (see :func:`repro.cluster.rcc.declaration_backoff`).  Must
     #: leave ``(1 - backoff_fraction) * thop`` of slack above the
@@ -148,7 +149,6 @@ class FormationConfig:
         check_int_at_least("iterations", self.iterations, 1)
         check_int_at_least("deputy_count", self.deputy_count, 0)
         check_int_at_least("max_backups", self.max_backups, 0)
-        check_int_at_least("declaration_patience", self.declaration_patience, 1)
         if not 0.0 < self.backoff_fraction <= 0.9:
             raise ClusteringError(
                 "backoff_fraction must be in (0, 0.9], got "
@@ -199,7 +199,7 @@ class FormationProtocol(Protocol):
         self._pending_declaration = None
         # Iterations in a row with no clusterhead heard (starts at the
         # patience threshold so iteration 1 may declare).
-        self._no_head_iterations = config.declaration_patience
+        self._no_head_iterations = DECLARATION_PATIENCE
 
     # -- lifecycle ------------------------------------------------------
     def start(self, first_epoch: float) -> None:
@@ -251,7 +251,7 @@ class FormationProtocol(Protocol):
             # A lower-NID clusterhead is in range: lowest-ID policy says we
             # join it (round R2) rather than declare a conflicting cluster.
             return
-        if self._no_head_iterations < self.config.declaration_patience:
+        if self._no_head_iterations < DECLARATION_PATIENCE:
             # We heard a head recently; this iteration's silence is more
             # likely message loss than a genuine coverage hole.  Wait.
             return

@@ -6,7 +6,9 @@ retransmission "because of energy-balancing considerations".  Absolute
 joule figures are irrelevant to the protocol; what matters is each node's
 *remaining energy fraction*, which drives the waiting-period policy.  The
 model therefore tracks a normalized budget with fixed transmit/receive
-costs and a linear harvest rate.
+costs and a linear harvest rate -- the four constants below, shared by
+every node and by the array engine's
+:class:`~repro.sim.array_engine.energy.ArrayEnergyLedger`.
 """
 
 from __future__ import annotations
@@ -16,29 +18,15 @@ from typing import Dict
 
 from repro.errors import ConfigurationError
 from repro.types import NodeId, SimTime
-from repro.util.validation import check_non_negative, check_positive
 
-
-@dataclass(frozen=True)
-class EnergyConfig:
-    """Energy parameters shared by all nodes.
-
-    Units are normalized: a full battery is ``capacity`` units; one
-    transmission costs ``tx_cost``; receiving one message costs
-    ``rx_cost``; harvest restores ``harvest_rate`` units per simulated
-    second, capped at capacity.
-    """
-
-    capacity: float = 1000.0
-    tx_cost: float = 1.0
-    rx_cost: float = 0.2
-    harvest_rate: float = 0.05
-
-    def __post_init__(self) -> None:
-        check_positive("capacity", self.capacity)
-        check_non_negative("tx_cost", self.tx_cost)
-        check_non_negative("rx_cost", self.rx_cost)
-        check_non_negative("harvest_rate", self.harvest_rate)
+#: A full battery, in normalized units; every node starts full.
+CAPACITY = 1000.0
+#: Cost of one transmission.
+TX_COST = 1.0
+#: Cost of receiving one message.
+RX_COST = 0.2
+#: Units restored per simulated second, capped at :data:`CAPACITY`.
+HARVEST_RATE = 0.05
 
 
 @dataclass
@@ -50,9 +38,9 @@ class NodeEnergy:
     tx_count: int = 0
     rx_count: int = 0
 
-    def fraction(self, capacity: float) -> float:
+    def fraction(self) -> float:
         """Remaining energy as a fraction of capacity, in ``[0, 1]``."""
-        return max(0.0, min(1.0, self.level / capacity))
+        return max(0.0, min(1.0, self.level / CAPACITY))
 
 
 class EnergyModel:
@@ -64,20 +52,14 @@ class EnergyModel:
     energy-cost metrics of the ablation benchmarks.
     """
 
-    def __init__(self, config: EnergyConfig | None = None) -> None:
-        self.config = config if config is not None else EnergyConfig()
+    def __init__(self) -> None:
         self._nodes: Dict[NodeId, NodeEnergy] = {}
 
-    def register(self, node_id: NodeId, now: SimTime, level: float | None = None) -> None:
-        """Start tracking a node, optionally with a non-full battery."""
+    def register(self, node_id: NodeId, now: SimTime) -> None:
+        """Start tracking a node, with a full battery."""
         if node_id in self._nodes:
             raise ConfigurationError(f"node {node_id} already tracked")
-        start = self.config.capacity if level is None else float(level)
-        if not 0.0 <= start <= self.config.capacity:
-            raise ConfigurationError(
-                f"initial level {start} outside [0, {self.config.capacity}]"
-            )
-        self._nodes[node_id] = NodeEnergy(level=start, last_update=now)
+        self._nodes[node_id] = NodeEnergy(level=CAPACITY, last_update=now)
 
     def _entry(self, node_id: NodeId) -> NodeEnergy:
         try:
@@ -87,30 +69,28 @@ class EnergyModel:
 
     def _harvest(self, entry: NodeEnergy, now: SimTime) -> None:
         elapsed = max(0.0, now - entry.last_update)
-        entry.level = min(
-            self.config.capacity, entry.level + elapsed * self.config.harvest_rate
-        )
+        entry.level = min(CAPACITY, entry.level + elapsed * HARVEST_RATE)
         entry.last_update = now
 
     def on_transmit(self, node_id: NodeId, now: SimTime) -> None:
         """Charge one transmission to a node."""
         entry = self._entry(node_id)
         self._harvest(entry, now)
-        entry.level = max(0.0, entry.level - self.config.tx_cost)
+        entry.level = max(0.0, entry.level - TX_COST)
         entry.tx_count += 1
 
     def on_receive(self, node_id: NodeId, now: SimTime) -> None:
         """Charge one reception to a node."""
         entry = self._entry(node_id)
         self._harvest(entry, now)
-        entry.level = max(0.0, entry.level - self.config.rx_cost)
+        entry.level = max(0.0, entry.level - RX_COST)
         entry.rx_count += 1
 
     def remaining_fraction(self, node_id: NodeId, now: SimTime) -> float:
         """Remaining energy fraction at ``now`` (harvest applied)."""
         entry = self._entry(node_id)
         self._harvest(entry, now)
-        return entry.fraction(self.config.capacity)
+        return entry.fraction()
 
     def totals(self) -> Dict[str, float]:
         """Aggregate counters for metrics."""

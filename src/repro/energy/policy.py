@@ -9,14 +9,17 @@ waiting period and would balance energy."
 
 Our concrete instantiation::
 
-    wait(nid, e) = slot * (1 + (nid mod M)) / max(e, e_floor)
+    wait(nid, e) = slot * (1 + (nid mod WAIT_MODULUS)) / max(e, ENERGY_FLOOR)
 
 - the NID term gives every neighbor a distinct base slot (NIDs are unique,
-  and ``M`` is chosen larger than any plausible cluster population so the
-  modulus preserves distinctness within a cluster);
+  and :data:`WAIT_MODULUS` is larger than any plausible cluster
+  population, so the modulus preserves distinctness within a cluster);
 - dividing by the remaining-energy fraction ``e`` pushes low-energy nodes
   later, so high-energy nodes win the race and pay the forwarding cost;
-- ``e_floor`` bounds the delay for nearly drained nodes.
+- :data:`ENERGY_FLOOR` bounds the delay for nearly drained nodes.
+
+``slot`` is the protocol's ``FdsConfig.wait_slot``; the modulus and the
+floor are the constants below.
 """
 
 from __future__ import annotations
@@ -24,30 +27,24 @@ from __future__ import annotations
 from repro.types import NodeId
 from repro.util.validation import check_positive, check_probability
 
+#: NID slots the waiting period spreads a cluster's neighbors over.
+WAIT_MODULUS = 128
+#: Lowest remaining-energy fraction the waiting period divides by.
+ENERGY_FLOOR = 0.1
+
 
 class WaitingPeriodPolicy:
     """Computes unique, energy-aware waiting periods."""
 
-    def __init__(
-        self,
-        slot: float = 0.005,
-        modulus: int = 4096,
-        energy_floor: float = 0.05,
-    ) -> None:
+    def __init__(self, slot: float) -> None:
         self.slot = check_positive("slot", slot)
-        if modulus < 2:
-            raise ValueError(f"modulus must be >= 2, got {modulus}")
-        self.modulus = int(modulus)
-        self.energy_floor = check_probability("energy_floor", energy_floor)
-        if self.energy_floor == 0.0:
-            raise ValueError("energy_floor must be > 0")
 
     def waiting_period(self, node_id: NodeId, energy_fraction: float) -> float:
         """The delay before this node answers a forwarding request."""
         check_probability("energy_fraction", energy_fraction)
-        base = self.slot * (1 + (int(node_id) % self.modulus))
-        return base / max(energy_fraction, self.energy_floor)
+        base = self.slot * (1 + (int(node_id) % WAIT_MODULUS))
+        return base / max(energy_fraction, ENERGY_FLOOR)
 
     def max_period(self) -> float:
         """Upper bound of any waiting period (for window sizing)."""
-        return self.slot * self.modulus / self.energy_floor
+        return self.slot * WAIT_MODULUS / ENERGY_FLOOR

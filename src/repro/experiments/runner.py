@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.cluster.formation import FormationConfig, run_formation
 from repro.cluster.geometric import build_clusters
-from repro.energy.model import EnergyConfig, EnergyModel
+from repro.energy.model import EnergyModel
 from repro.errors import ConfigurationError, ExperimentError
 from repro.failure.faultload import Faultload, scenario_faultload
 from repro.failure.injection import FailureInjector
@@ -399,7 +399,7 @@ class EventEngine(Engine):
             network,
             self.layout,
             config.fds,
-            energy=EnergyModel(EnergyConfig()) if config.track_energy else None,
+            energy=EnergyModel() if config.track_energy else None,
             start_time=self.fds_start,
         )
 

@@ -36,12 +36,10 @@ class FailureInjector:
         network: Network,
         config: FdsConfig,
         fds_start: SimTime = 0.0,
-        enforce_gap: bool = True,
     ) -> None:
         self.network = network
         self.config = config
         self.fds_start = fds_start
-        self.enforce_gap = enforce_gap
         self.scheduled: List[CrashEvent] = []
 
     # ------------------------------------------------------------------
@@ -69,11 +67,11 @@ class FailureInjector:
             raise ConfigurationError(
                 f"crash time {time} is in the simulator's past"
             )
-        if self.enforce_gap and self.in_execution_window(time):
+        if self.in_execution_window(time):
             raise ConfigurationError(
                 f"crash at t={time} falls inside an FDS execution window; "
                 "the paper assumes nodes do not fail mid-execution -- use "
-                "align_to_gap() or enforce_gap=False"
+                "align_to_gap()"
             )
         event = CrashEvent(node_id=node_id, time=time)
         self.scheduled.append(event)

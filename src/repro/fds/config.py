@@ -8,15 +8,23 @@ paper's heartbeat interval).  The execution occupies a small fraction of
 execution is honored by the failure injector, which schedules crashes at
 mid-interval points.
 
-Every redundancy mechanism of the paper can be toggled off independently,
-which is what the ablation benchmarks sweep:
+Five redundancy mechanisms of the paper can be toggled off independently;
+they are what the ``ablation-*`` claim rows sweep:
 
 - ``use_digests``       -- round R-2 and the digest clauses of both rules;
 - ``peer_forwarding``   -- the intra-cluster completeness enhancement;
-- ``intercluster_forwarding`` / ``max_backups-style`` BGW standby;
+- ``dch_enabled``       -- DCH monitoring and takeover (feature F2);
+- ``max_forward_retries`` -- the GW/CH retry budget per boundary; with
+  the layout's BGW ladder (``ScenarioConfig.max_backups``) it carries
+  reports across cluster boundaries;
 - ``implicit_ack``      -- overheard-forwarding acknowledgments (off means
-  forward-and-hope, no retransmission);
-- ``admit_unmarked``    -- feature F5 membership subscriptions.
+  forward-and-hope, no retransmission).
+
+Everything else the protocol does is not optional: inter-cluster
+forwarding and the failure history riding on every report always run,
+and so do the CH's coverage re-ranking of its deputies (with digests and
+DCH on) and F5 admission -- on the event engine and rt; the array engine
+has neither (DESIGN §4).
 """
 
 from __future__ import annotations
@@ -29,6 +37,10 @@ from repro.util.validation import (
     check_positive,
 )
 
+#: Length of the peer-forwarding recovery window after R-3 ends, in
+#: multiples of ``thop``.
+RECOVERY_ROUNDS = 2.0
+
 
 @dataclass(frozen=True)
 class FdsConfig:
@@ -38,51 +50,31 @@ class FdsConfig:
     phi: float = 30.0
     #: Round duration / per-hop delivery bound (seconds).
     thop: float = 0.5
-    #: Length of the peer-forwarding recovery window after R-3 ends,
-    #: expressed in multiples of ``thop``.
-    recovery_rounds: float = 2.0
     #: Maximum retransmissions a GW/CH attempts per report per boundary.
     max_forward_retries: int = 2
 
     use_digests: bool = True
     peer_forwarding: bool = True
-    intercluster_forwarding: bool = True
     implicit_ack: bool = True
-    admit_unmarked: bool = True
-    #: Include previously known failures in outgoing failure reports
-    #: (Section 4.3's completeness repair for clusters that missed earlier
-    #: reports).
-    include_history: bool = True
     #: DCH monitoring and takeover (feature F2).  Disabling models a plain
     #: clustering with no deputies.
     dch_enabled: bool = True
-    #: Number of deputies the CH maintains when re-ranking.
+    #: Number of deputies the CH maintains.  The CH re-ranks them by
+    #: observed digest coverage and announces the ranking in R-3 updates:
+    #: the best-witnessed members are the ones a takeover can rely on to
+    #: reach the whole cluster (the reachability concern of Section 4.2 /
+    #: Figure 2).
     deputy_count: int = 2
-    #: Re-rank deputies by observed digest coverage and announce the
-    #: ranking in R-3 updates.  The best-witnessed members are the ones a
-    #: takeover can rely on to reach the whole cluster (the reachability
-    #: concern of Section 4.2 / Figure 2); disabling keeps the installed
-    #: (formation-time) deputy ranking forever.
-    rerank_deputies: bool = True
-
-    # Peer-forwarding waiting-period policy knobs (see
-    # :class:`repro.energy.policy.WaitingPeriodPolicy`).
+    #: Base slot of the peer-forwarding waiting period (see
+    #: :class:`repro.energy.policy.WaitingPeriodPolicy`).
     wait_slot: float = 0.03
-    wait_modulus: int = 128
-    energy_floor: float = 0.1
 
     def __post_init__(self) -> None:
         check_positive("phi", self.phi)
         check_positive("thop", self.thop)
-        check_positive("recovery_rounds", self.recovery_rounds)
         check_int_at_least("max_forward_retries", self.max_forward_retries, 0)
         check_positive("wait_slot", self.wait_slot)
-        check_int_at_least("wait_modulus", self.wait_modulus, 2)
         check_int_at_least("deputy_count", self.deputy_count, 0)
-        if not 0.0 < self.energy_floor <= 1.0:
-            raise ConfigurationError(
-                f"energy_floor must be in (0, 1], got {self.energy_floor}"
-            )
         # The whole execution (3 rounds + recovery + worst-case BGW standby
         # chatter) must fit comfortably inside one heartbeat interval.
         if self.phi < self.execution_duration():
@@ -98,7 +90,7 @@ class FdsConfig:
 
     def execution_duration(self) -> float:
         """Duration of R-1..R-3 plus the recovery window."""
-        return (3.0 + self.recovery_rounds) * self.thop
+        return (3.0 + RECOVERY_ROUNDS) * self.thop
 
     # -- execution timing policy ----------------------------------------
     # One definition for every substrate (event, array, rt).  Executions

@@ -32,16 +32,3 @@ def build_digest(
         nid for nid in heard_heartbeats if nid in cluster_members and nid != sender
     )
     return Digest(sender=sender, execution=execution, heard=heard)
-
-
-def digest_witnesses(
-    digests: dict[NodeId, FrozenSet[NodeId]], target: NodeId
-) -> FrozenSet[NodeId]:
-    """The digest senders whose digests reflect awareness of ``target``.
-
-    Used by both detection rules ("none of the digests ... reflect a
-    member's awareness of the heartbeat of v") and by tests.
-    """
-    return frozenset(
-        sender for sender, heard in digests.items() if target in heard
-    )

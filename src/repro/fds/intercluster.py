@@ -352,9 +352,7 @@ class InterclusterForwarder:
     def _forward(
         self, dest: NodeId, failures: FrozenSet[NodeId], origin: NodeId
     ) -> None:
-        history = (
-            self._get_history() if self._config.include_history else frozenset()
-        )
+        history = self._get_history()
         self.reports_sent += 1
         self.ledger.note_attempt(dest, failures)
         self._trace(

@@ -57,11 +57,7 @@ class PeerForwarder:
     ) -> None:
         self._node = node
         self._config = config
-        self._policy = WaitingPeriodPolicy(
-            slot=config.wait_slot,
-            modulus=config.wait_modulus,
-            energy_floor=config.energy_floor,
-        )
+        self._policy = WaitingPeriodPolicy(slot=config.wait_slot)
         self._get_update = get_update
         self._accept_update = accept_update
         self._energy_fraction = energy_fraction

@@ -269,7 +269,7 @@ class FdsProtocol(Protocol):
             for suspect in sorted(self.history.known):
                 if any(suspect in heard for heard in self._digests.values()):
                     self._note_liveness(suspect)
-        newly_deputies = self._rerank_deputies()
+        newly_deputies = self._rank_deputies()
         expected = frozenset(self.members) - {my_id} - self.history.known
         inputs = DetectionInputs(
             heartbeats=frozenset(self._heard), digests=dict(self._digests)
@@ -284,7 +284,7 @@ class FdsProtocol(Protocol):
         self.members -= novel
 
         admissions: FrozenSet[NodeId] = frozenset()
-        if self.config.admit_unmarked and self._admissions is not None:
+        if self._admissions is not None:
             # No already-a-member filtering: an *unmarked* heartbeat from a
             # node we previously admitted means it never learned of the
             # admission (the announcement was lost) -- re-announce until
@@ -311,21 +311,21 @@ class FdsProtocol(Protocol):
         )
         self._updates[execution] = update
         self._send(update)
-        if self.config.intercluster_forwarding and self.inter is not None:
+        if self.inter is not None:
             self.inter.on_local_update(update)
 
-    def _rerank_deputies(self):
+    def _rank_deputies(self):
         """Accumulate digest coverage and maybe re-rank the deputies.
 
         Coverage of member m = number of this execution's digests that
         list m, plus direct evidence at the head; accumulated across
         executions so early noise fades.  Returns the new ranking to
-        announce (None when unchanged or re-ranking is disabled).
+        announce (None when unchanged, or when digests or deputies are
+        off and the installed ranking stands).
         """
         assert self.node is not None
         my_id = self.node.node_id
-        if not (self.config.rerank_deputies and self.config.use_digests
-                and self.config.dch_enabled):
+        if not (self.config.use_digests and self.config.dch_enabled):
             return None
         for member in self.members:
             if member == my_id:
@@ -406,7 +406,7 @@ class FdsProtocol(Protocol):
         )
         self._updates[execution] = update
         self._send(update)
-        if self.config.intercluster_forwarding and self.inter is not None:
+        if self.inter is not None:
             self.inter.on_local_update(update)
 
     def _rebroadcast_current_update(self) -> None:
@@ -462,11 +462,7 @@ class FdsProtocol(Protocol):
         # (the announcing update can be lost) and still heartbeats unmarked.
         self._heard.add(heartbeat.sender)
         self._note_liveness(heartbeat.sender)
-        if (
-            not heartbeat.marked
-            and self.is_head
-            and self.config.admit_unmarked
-        ):
+        if not heartbeat.marked and self.is_head:
             assert self._admissions is not None
             self._admissions.note_unmarked_heartbeat(heartbeat.sender)
 
@@ -617,7 +613,7 @@ class FdsProtocol(Protocol):
             self._trace(ev.RELAY, failures=sorted(map(int, update.new_failures)),
                         origin=int(update.head))
         # Gateways record coverage and propagate any news outward.
-        if self.config.intercluster_forwarding and self.inter is not None:
+        if self.inter is not None:
             self.inter.on_local_update(update)
 
     def _process_refutations(self, refutations) -> None:
@@ -644,9 +640,7 @@ class FdsProtocol(Protocol):
                 r for r in report.refutations if r in self.history and r != my_id
             )
             self._process_refutations(report.refutations)
-            incoming = frozenset(report.failures)
-            if self.config.include_history:
-                incoming |= report.history
+            incoming = frozenset(report.failures) | report.history
             # Direct liveness evidence beats hearsay: a heartbeat heard
             # this execution proves the node outlived whatever stale
             # observation the forwarded report (or the history riding
@@ -681,7 +675,7 @@ class FdsProtocol(Protocol):
                 refutations=novel_refutations,
             )
             self._send(relay)
-            if self.config.intercluster_forwarding and self.inter is not None:
+            if self.inter is not None:
                 self.inter.on_local_update(relay)
         elif self.inter is not None:
             # Overhearing a clustermate's forwarding: origin-side implicit

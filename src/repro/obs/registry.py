@@ -1,10 +1,9 @@
 """A process-local metrics registry with cheap update handles.
 
 The registry is the single schema every workload reports through: the
-scenario runner folds a finished run into it, the campaign runner
-re-expresses its live telemetry (reps/sec, cache-hit ratio, ETA) on it,
-and the ``repro trace`` CLI rebuilds the same metric families from a
-spooled trace.  Exposition is dual: :meth:`MetricsRegistry.to_json` for
+campaign runner re-expresses its live telemetry (reps/sec, cache-hit
+ratio, ETA) on it, and the ``repro trace`` CLI rebuilds the detection
+and message metric families from a spooled trace.  Exposition is dual: :meth:`MetricsRegistry.to_json` for
 artifacts and tests, :meth:`MetricsRegistry.render_prometheus` for
 anything that scrapes the standard text format.
 
@@ -16,7 +15,7 @@ registry lookup per update.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -278,15 +277,6 @@ class MetricsRegistry:
             h.sum += float(data.get("sum", 0.0))
             h.count += int(data.get("count", 0))
 
-    # -- folding -------------------------------------------------------
-    def observe_all(self, name: str, values: Iterable[float],
-                    buckets: Sequence[float], help: str = "") -> Histogram:
-        """Histogram get-or-create plus a batch of observations."""
-        h = self.histogram(name, buckets, help=help)
-        for value in values:
-            h.observe(value)
-        return h
-
 
 def _fmt(value: float) -> str:
     """Prometheus number formatting: integers without a trailing ``.0``."""
@@ -298,45 +288,3 @@ def _fmt(value: float) -> str:
 def _escape_help(text: str) -> str:
     """0.0.4 HELP-line escaping: backslash first, then line feed."""
     return text.replace("\\", "\\\\").replace("\n", "\\n")
-
-
-def scenario_metrics(
-    result,
-    registry: Optional[MetricsRegistry] = None,
-) -> MetricsRegistry:
-    """Fold a finished :class:`~repro.experiments.runner.RunResult`
-    into a registry: message counters, loss rate, completeness/accuracy,
-    and the detection-latency histogram in phi units.
-    """
-    reg = registry if registry is not None else MetricsRegistry()
-    messages = result.messages
-    reg.counter("repro_radio_transmissions_total",
-                "Transmissions on the shared medium").inc(messages.transmissions)
-    reg.counter("repro_radio_deliveries_total",
-                "Copies delivered to live receivers").inc(messages.deliveries)
-    reg.counter("repro_radio_losses_total",
-                "Copies dropped by the loss model").inc(messages.losses)
-    reg.gauge("repro_radio_observed_loss_rate",
-              "Observed copy-loss fraction").set(messages.loss_rate)
-    reg.gauge("repro_scenario_nodes", "Deployed node count").set(
-        len(result.network)
-    )
-    reg.gauge("repro_scenario_mean_completeness",
-              "Mean per-failure completeness").set(
-        result.properties.mean_completeness
-    )
-    reg.counter("repro_scenario_accuracy_violations_total",
-                "Operational nodes suspected by operational nodes").inc(
-        len(result.properties.accuracy_violations)
-    )
-    phi = result.fds.phi
-    latencies = [
-        v / phi for v in result.detection_latencies.values() if v is not None
-    ]
-    reg.observe_all(
-        "repro_detection_latency_phi",
-        latencies,
-        PHI_LATENCY_BUCKETS,
-        help="Crash-to-first-detection latency in heartbeat intervals",
-    )
-    return reg

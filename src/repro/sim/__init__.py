@@ -12,7 +12,6 @@ from repro.sim.events import Event, EventQueue
 from repro.sim.loss import (
     BernoulliLoss,
     BoundedAdversaryLoss,
-    CompositeLoss,
     DistanceDependentLoss,
     GilbertElliottLoss,
     LossModel,
@@ -35,7 +34,6 @@ __all__ = [
     "build_loss_model",
     "GilbertElliottLoss",
     "DistanceDependentLoss",
-    "CompositeLoss",
     "PerfectLinks",
     "RadioMedium",
     "Envelope",

@@ -29,6 +29,9 @@ The event engine's energy surface also *feeds back* into its
 waiting-period policy; the array engine's ledger is observational only
 (the recovery ladder is modeled as independent attempts), which is a
 documented approximation, not a divergence the soak compares.
+
+Capacity, costs and harvest rate are the constants of
+:mod:`repro.energy.model`, shared with the scalar model.
 """
 
 from __future__ import annotations
@@ -37,7 +40,13 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.energy.model import EnergyConfig, EnergyModel
+from repro.energy.model import (
+    CAPACITY,
+    HARVEST_RATE,
+    RX_COST,
+    TX_COST,
+    EnergyModel,
+)
 
 
 class ArrayEnergyLedger:
@@ -54,16 +63,12 @@ class ArrayEnergyLedger:
     def __init__(
         self,
         node_count: int,
-        config: Optional[EnergyConfig] = None,
         start: float = 0.0,
         record_journal: bool = False,
     ) -> None:
-        self.config = config if config is not None else EnergyConfig()
         self.node_count = int(node_count)
         self.start = float(start)
-        self.level = np.full(
-            self.node_count, self.config.capacity, dtype=np.float64
-        )
+        self.level = np.full(self.node_count, CAPACITY, dtype=np.float64)
         self.last_update = np.full(self.node_count, float(start))
         self.tx_count = np.zeros(self.node_count, dtype=np.int64)
         self.rx_count = np.zeros(self.node_count, dtype=np.int64)
@@ -81,8 +86,7 @@ class ArrayEnergyLedger:
         # per-debit harvest is a bit-exact no-op once elapsed == 0.
         elapsed = np.maximum(0.0, now - self.last_update[idx])
         self.level[idx] = np.minimum(
-            self.config.capacity,
-            self.level[idx] + elapsed * self.config.harvest_rate,
+            CAPACITY, self.level[idx] + elapsed * HARVEST_RATE
         )
         self.last_update[idx] = now
         # Iterated subtraction with a per-debit zero floor, mirroring
@@ -105,14 +109,14 @@ class ArrayEnergyLedger:
         """Charge ``counts[n]`` transmissions to each node at ``now``."""
         if self.journal is not None:
             self._journal_append("tx", now, counts)
-        self._charge(now, counts, self.config.tx_cost)
+        self._charge(now, counts, TX_COST)
         self.tx_count += np.asarray(counts, dtype=np.int64)
 
     def charge_rx(self, now: float, counts: np.ndarray) -> None:
         """Charge ``counts[n]`` received copies to each node at ``now``."""
         if self.journal is not None:
             self._journal_append("rx", now, counts)
-        self._charge(now, counts, self.config.rx_cost)
+        self._charge(now, counts, RX_COST)
         self.rx_count += np.asarray(counts, dtype=np.int64)
 
     # ------------------------------------------------------------------
@@ -122,13 +126,10 @@ class ArrayEnergyLedger:
         """Remaining energy fraction at ``now`` (harvest applied)."""
         idx = int(node_id)
         elapsed = max(0.0, now - float(self.last_update[idx]))
-        level = min(
-            self.config.capacity,
-            float(self.level[idx]) + elapsed * self.config.harvest_rate,
-        )
+        level = min(CAPACITY, float(self.level[idx]) + elapsed * HARVEST_RATE)
         self.level[idx] = level
         self.last_update[idx] = now
-        return max(0.0, min(1.0, level / self.config.capacity))
+        return max(0.0, min(1.0, level / CAPACITY))
 
     def totals(self) -> Dict[str, float]:
         """Aggregate counters, same keys and arithmetic as EnergyModel.
@@ -167,7 +168,7 @@ def replay_journal(ledger: ArrayEnergyLedger) -> EnergyModel:
         raise ValueError(
             "ledger was not constructed with record_journal=True"
         )
-    model = EnergyModel(ledger.config)
+    model = EnergyModel()
     for node in range(ledger.node_count):
         model.register(node, ledger.start)
     for kind, now, ids, counts in ledger.journal:

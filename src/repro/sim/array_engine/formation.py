@@ -71,7 +71,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.cluster.formation import FormationConfig
+from repro.cluster.formation import DECLARATION_PATIENCE, FormationConfig
 from repro.cluster.state import Boundary, Cluster, ClusterLayout
 from repro.sim.array_engine.loss import ArrayLossDraw
 
@@ -280,7 +280,7 @@ class _State:
         self.conf_edge = np.full(n, PAD, dtype=np.int64)
         #: Iterations in a row with no head heard (starts at patience so
         #: iteration 1 may declare, like the event protocol).
-        self.no_head = np.full(n, config.declaration_patience, dtype=np.int64)
+        self.no_head = np.full(n, DECLARATION_PATIENCE, dtype=np.int64)
         #: (head -> member) edges whose join request was accepted; the
         #: head-side ``_members`` set, durable until the head resigns.
         self.joined = np.zeros(e, dtype=bool)
@@ -395,7 +395,7 @@ def _run_iteration(
         unmarked
         & (unmarked_min > ids)
         & (head_min > ids)
-        & (st.no_head >= config.declaration_patience)
+        & (st.no_head >= DECLARATION_PATIENCE)
     )
     q_idx = np.flatnonzero(q)
     backoff = np.full(n, np.inf)

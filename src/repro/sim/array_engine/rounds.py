@@ -29,8 +29,11 @@ filtering by current membership, and the loss-independence of crashed-
 node detection.  Deliberate, documented approximations (invisible to
 the soak verdicts): per-member message *timing* inside a round is
 collapsed, peer/inter retry ladders are modeled as ``max_forward_retries
-+ 1`` independent attempts, takeovers do not switch round authority, and
-cross-cluster heartbeat overhearing is not modeled.  The trace carries
++ 1`` independent attempts, takeovers do not switch round authority,
+cross-cluster heartbeat overhearing is not modeled, the installed deputy
+ranking is kept (no coverage re-ranking), and an unmarked node is never
+admitted (no F5).  The peer-forwarding race that ``wait_slot`` times is
+collapsed into the ladder.  The trace carries
 the verdict-bearing record kinds only (detection/refutation/takeover).
 
 Draw-order contract (engine-private; the gilbert chains and the bounded
@@ -415,7 +418,7 @@ class ArrayRoundEngine:
             prof.add_seconds(PHASE_ARRAY_SYNC, tick() - t0)
 
         # -- inter-cluster forwarding fixpoint
-        if fds.intercluster_forwarding and self.ch_gw_ids.size:
+        if self.ch_gw_ids.size:
             t0 = tick()
             self._intercluster(alive, alive_m, hd)
             if prof is not None:

@@ -39,7 +39,6 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.energy.model import EnergyConfig
 from repro.experiments.runner import (
     Engine,
     RunResult,
@@ -232,7 +231,6 @@ class ArrayEngine(Engine):
         self.energy = (
             ArrayEnergyLedger(
                 self.node_count,
-                EnergyConfig(),
                 start=fds_start,
                 record_journal=self.record_energy_journal,
             )

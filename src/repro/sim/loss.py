@@ -12,8 +12,6 @@ Extensions beyond the paper (used by ablation and robustness studies):
   per directed link, to probe the iid-loss assumption.
 - :class:`DistanceDependentLoss` -- loss grows with distance, approximating
   a fading channel inside the unit disk.
-- :class:`CompositeLoss` -- a message survives only if it survives every
-  component model.
 - :class:`PerfectLinks` -- no loss; the deterministic baseline the
   accuracy/completeness invariants are tested against.
 """
@@ -62,9 +60,9 @@ class LossModel:
         default implementation loops over :meth:`is_lost` in receiver
         order, which is *exactly* equivalent for any model -- including
         stateful ones like :class:`GilbertElliottLoss` (per-link Markov
-        state advances in the same order) and short-circuiting ones like
-        :class:`CompositeLoss` (RNG consumption per receiver is
-        preserved).  Stateless models override this with a single batched
+        state advances in the same order) and :class:`BoundedAdversaryLoss`
+        (the budget shrinks one receiver at a time).  Stateless models
+        override this with a single batched
         RNG draw; overrides must consume the generator identically to the
         sequential fallback (``rng.random(k)`` produces the same stream as
         ``k`` scalar draws) so that vectorized and scalar simulation paths
@@ -77,10 +75,6 @@ class LossModel:
             )
         return out
 
-    def describe(self) -> str:
-        """Human-readable parameterization, for experiment manifests."""
-        return type(self).__name__
-
 
 class PerfectLinks(LossModel):
     """Never loses a message (the paper's idealized reference case)."""
@@ -91,9 +85,6 @@ class PerfectLinks(LossModel):
     def lost_mask(self, sender, receivers, distances, time, rng) -> np.ndarray:
         # No RNG consumption, matching is_lost.
         return np.zeros(len(receivers), dtype=bool)
-
-    def describe(self) -> str:
-        return "PerfectLinks()"
 
 
 class BernoulliLoss(LossModel):
@@ -122,9 +113,6 @@ class BernoulliLoss(LossModel):
         if self.p == 1.0:
             return np.ones(k, dtype=bool)
         return rng.random(k) < self.p
-
-    def describe(self) -> str:
-        return f"BernoulliLoss(p={self.p})"
 
 
 class GilbertElliottLoss(LossModel):
@@ -179,16 +167,6 @@ class GilbertElliottLoss(LossModel):
         loss_p = self.p_bad if state == self.BAD else self.p_good
         return bool(rng.uniform() < loss_p)
 
-    def reset(self) -> None:
-        """Forget all per-link state (all links return to Good)."""
-        self._state.clear()
-
-    def describe(self) -> str:
-        return (
-            f"GilbertElliottLoss(p_good={self.p_good}, p_bad={self.p_bad}, "
-            f"p_gb={self.p_gb}, p_bg={self.p_bg})"
-        )
-
 
 class DistanceDependentLoss(LossModel):
     """Loss probability rising from ``p_near`` to ``p_far`` across the range.
@@ -235,12 +213,6 @@ class DistanceDependentLoss(LossModel):
     def lost_mask(self, sender, receivers, distances, time, rng) -> np.ndarray:
         return rng.random(len(receivers)) < self.loss_probabilities(distances)
 
-    def describe(self) -> str:
-        return (
-            f"DistanceDependentLoss(range={self.transmission_range}, "
-            f"p_near={self.p_near}, p_far={self.p_far}, exp={self.exponent})"
-        )
-
 
 class BoundedAdversaryLoss(LossModel):
     """Bernoulli loss with a hard cap on the total number of dropped copies.
@@ -273,33 +245,6 @@ class BoundedAdversaryLoss(LossModel):
             self.dropped += 1
             return True
         return False
-
-    def describe(self) -> str:
-        return f"BoundedAdversaryLoss(p={self.p}, budget={self.budget})"
-
-
-class CompositeLoss(LossModel):
-    """A copy survives only if it survives *every* component model.
-
-    Deliberately relies on the sequential :meth:`LossModel.lost_mask`
-    fallback: ``any`` short-circuits, so RNG consumption depends on which
-    component first declares a loss -- a batched OR over component masks
-    would draw differently and break scalar/vectorized bit-identity.
-    """
-
-    def __init__(self, *models: LossModel) -> None:
-        if not models:
-            raise ValueError("CompositeLoss requires at least one model")
-        self.models = tuple(models)
-
-    def is_lost(self, sender, receiver, distance, time, rng) -> bool:
-        return any(
-            m.is_lost(sender, receiver, distance, time, rng) for m in self.models
-        )
-
-    def describe(self) -> str:
-        inner = ", ".join(m.describe() for m in self.models)
-        return f"CompositeLoss({inner})"
 
 
 #: Loss-model kinds addressable by name (declarative scenario configs),

@@ -105,18 +105,6 @@ class SimNode:
         """The simulator's phase profiler."""
         return self.sim.profiler
 
-    def get_protocol(self, protocol_type: type) -> Protocol:
-        """The first installed protocol of the given type.
-
-        Raises :class:`NodeStateError` if absent.
-        """
-        for protocol in self.protocols:
-            if isinstance(protocol, protocol_type):
-                return protocol
-        raise NodeStateError(
-            f"node {self.node_id} has no protocol of type {protocol_type.__name__}"
-        )
-
     # ------------------------------------------------------------------
     # Communication
     # ------------------------------------------------------------------

@@ -139,17 +139,6 @@ class TestViolationsCaught:
         assert not status.applicable
         assert "digest-free" in status.note
 
-    def test_round_structure_applies_without_forwarding_or_with_digests(self):
-        assert round_structure_applicable(FdsConfig(phi=20.0, thop=0.5))
-        assert round_structure_applicable(
-            FdsConfig(
-                phi=20.0,
-                thop=0.5,
-                use_digests=False,
-                intercluster_forwarding=False,
-            )
-        )
-
 
 class TestAuditStatuses:
     def test_statuses_cover_every_audit(self):
@@ -175,16 +164,6 @@ class TestAuditStatuses:
         )
         assert not status.applicable
         assert "no crash schedule" in status.note
-
-    def test_forwarding_disabled_reported_not_applicable(self):
-        tracer = RecordingTracer()
-        config = FdsConfig(phi=20.0, thop=0.5, intercluster_forwarding=False)
-        status = next(
-            s
-            for s in run_audit_statuses(tracer, config)
-            if s.audit == "forwarder-conformance"
-        )
-        assert not status.applicable
 
     def test_run_all_audits_concatenates_status_findings(self):
         tracer = RecordingTracer()

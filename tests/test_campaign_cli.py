@@ -22,10 +22,12 @@ from repro.campaign.telemetry import read_events
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src"
 
+#: 30 serial chunks of ~15 ms: the work left after the first commit
+#: outlasts the SIGINT test's 10 ms journal poll by well over 10x.
 SCENARIO_ARGS = [
     "--kind", "scenario", "--clusters", "2", "--members", "8",
-    "--loss-p", "0.15", "--crashes", "1", "--executions", "2",
-    "--seeds", "6", "--seed-base", "1",
+    "--loss-p", "0.15", "--crashes", "1", "--executions", "4",
+    "--seeds", "30", "--seed-base", "1",
 ]
 
 MC_ARGS = [
@@ -102,6 +104,27 @@ class TestExitCodes:
         assert campaign_id in status_out
         assert "6/6" in status_out
 
+    def test_resume_stale_manifest_is_one_error_line(self, tmp_path, capsys):
+        """A manifest whose ``fds`` carries a field this version does not
+        know (``sleep_aware`` left with the Section-6 seam) is refused
+        with a typed error, not a traceback."""
+        store = tmp_path / "store"
+        assert main([
+            "campaign", "run", *SCENARIO_ARGS, "--store", str(store),
+            "--stop-after", "1",
+        ]) == 3
+        campaign_id = capsys.readouterr().out.split()[1].rstrip(":")
+        manifest_path = store / "campaigns" / campaign_id / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["params"]["config"]["fds"]["sleep_aware"] = False
+        manifest_path.write_text(json.dumps(manifest))
+        assert main([
+            "campaign", "resume", "--id", campaign_id, "--store", str(store),
+        ]) == 1
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "fds.sleep_aware" in lines[0]
+
     def test_resume_unknown_id_fails(self, tmp_path, capsys):
         assert main([
             "campaign", "resume", "--id", "doesnotexist",
@@ -137,7 +160,7 @@ class TestSigint:
                     for e in read_events(journals[0])
                 ):
                     break
-                time.sleep(0.05)
+                time.sleep(0.01)
                 if proc.poll() is not None:
                     pytest.fail(
                         "campaign finished before it could be interrupted:\n"
@@ -151,7 +174,8 @@ class TestSigint:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait()
-        assert code == 130
+        if code != 130:
+            pytest.fail(f"exit code {code}, not 130:\n" + proc.stdout.read())
 
         # The write-ahead log survived the signal: every line parses and
         # every journaled chunk's object exists in the store.

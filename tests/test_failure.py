@@ -35,16 +35,9 @@ class TestInjector:
         with pytest.raises(ConfigurationError, match="execution window"):
             injector.schedule_crash(3, 0.5)
 
-    def test_enforce_gap_can_be_disabled(self):
-        network = small_network()
-        injector = FailureInjector(
-            network, FdsConfig(phi=10.0, thop=0.5), enforce_gap=False
-        )
-        injector.schedule_crash(3, 0.5)
-
     def test_align_to_gap(self):
         network = small_network()
-        config = FdsConfig(phi=10.0, thop=0.5, recovery_rounds=2.0)
+        config = FdsConfig(phi=10.0, thop=0.5)
         injector = FailureInjector(network, config)
         window = config.execution_duration()
         aligned = injector.align_to_gap(0.5)

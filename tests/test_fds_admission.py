@@ -3,7 +3,6 @@
 import pytest
 
 from repro.cluster.state import LocalClusterView
-from repro.fds.config import FdsConfig
 from repro.fds.service import FdsProtocol
 from repro.sim.node import SimNode
 from repro.topology.placement import cluster_disk_placement
@@ -74,17 +73,6 @@ class TestAdmission:
         network.crash(nid)
         deployment.run_executions(2)
         assert nid in deployment.protocols[0].history
-
-    def test_admission_disabled(self, rng):
-        placement = cluster_disk_placement(15, 100.0, rng)
-        cfg = FdsConfig(phi=5.0, thop=0.5, admit_unmarked=False)
-        deployment, _layout, _tracer, network = deploy(placement, fds_config=cfg)
-        deployment.run_executions(1)
-        _nid, protocol = add_unmarked_node(
-            deployment, network, Vec2(30.0, 10.0), executions=2
-        )
-        deployment.run_executions(2)
-        assert not protocol.marked
 
     def test_unmarked_node_never_falsely_detected(self, rng):
         # The F5 race: the admission update is lost, the node heartbeats

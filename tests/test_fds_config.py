@@ -1,9 +1,15 @@
 """Tests for FDS configuration and timing derivations."""
 
+import ast
+import dataclasses
+from pathlib import Path
+
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.fds.config import FdsConfig
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
 
 class TestValidation:
@@ -20,8 +26,8 @@ class TestValidation:
             {"phi": -1.0},
             {"thop": 0.0},
             {"max_forward_retries": -1},
-            {"energy_floor": 0.0},
-            {"wait_modulus": 1},
+            {"wait_slot": 0.0},
+            {"deputy_count": -1},
         ],
     )
     def test_invalid_fields(self, kwargs):
@@ -36,7 +42,7 @@ class TestTiming:
         assert cfg.round_start(60.0, 2) == 61.0
 
     def test_execution_duration(self):
-        cfg = FdsConfig(phi=30.0, thop=0.5, recovery_rounds=2.0)
+        cfg = FdsConfig(phi=30.0, thop=0.5)
         assert cfg.execution_duration() == pytest.approx(2.5)
         assert cfg.r3_end_offset == pytest.approx(1.5)
 
@@ -59,3 +65,33 @@ class TestTiming:
         assert cfg.post_forward_wait(2) == pytest.approx(3.0)
         with pytest.raises(ConfigurationError):
             cfg.post_forward_wait(-1)
+
+
+#: Fields the array engine reads through another owner, with the reason.
+ARRAY_EXEMPT = {
+    "deputy_count": "the layout builders read it, via layout_knobs()",
+    "wait_slot": "it times the peer-forward race, which the rounds collapse",
+}
+
+
+def _attributes_loaded(package: Path, skip=()) -> set:
+    loaded = set()
+    for path in sorted(package.glob("*.py")):
+        if path.name in skip:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    return loaded
+
+
+def test_every_field_is_read_by_both_simulators():
+    """A protocol knob one simulator ignores would silently split the
+    engines: every field must be read by the event protocol (outside its
+    own definition) and by the array engine, bar the named exemptions."""
+    fields = {f.name for f in dataclasses.fields(FdsConfig)}
+    assert set(ARRAY_EXEMPT) <= fields
+    event = _attributes_loaded(SRC / "fds", skip={"config.py"})
+    array = _attributes_loaded(SRC / "sim" / "array_engine")
+    assert sorted(fields - event) == []
+    assert sorted(fields - array - set(ARRAY_EXEMPT)) == []

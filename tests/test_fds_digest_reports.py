@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.fds.digest import build_digest, digest_witnesses
+from repro.fds.digest import build_digest
 from repro.fds.reports import BoundaryLedger, ReportHistory
 
 
@@ -24,11 +24,6 @@ class TestBuildDigest:
 
     def test_empty(self):
         assert build_digest(1, 0, set(), {1, 2}).heard == frozenset()
-
-    def test_witnesses(self):
-        digests = {1: frozenset({5}), 2: frozenset({6}), 3: frozenset({5, 6})}
-        assert digest_witnesses(digests, 5) == frozenset({1, 3})
-        assert digest_witnesses(digests, 9) == frozenset()
 
 
 class TestReportHistory:

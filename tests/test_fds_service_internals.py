@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.energy.model import EnergyConfig, EnergyModel
+from repro.energy.model import EnergyModel
 from repro.fds.config import FdsConfig
 from repro.fds.messages import Heartbeat, HealthStatusUpdate
 from repro.fds.service import install_fds
@@ -74,7 +74,7 @@ class TestEnergyCharging:
         network = build_network(
             placement, NetworkConfig(loss_probability=0.0, seed=1)
         )
-        energy = EnergyModel(EnergyConfig(harvest_rate=0.0))
+        energy = EnergyModel()
         deployment = install_fds(network, layout, FdsConfig(phi=5.0, thop=0.5),
                                  energy=energy)
         deployment.run_executions(2)
@@ -90,7 +90,7 @@ class TestEnergyCharging:
         network = build_network(
             placement, NetworkConfig(loss_probability=0.0, seed=1)
         )
-        energy = EnergyModel(EnergyConfig(harvest_rate=0.0))
+        energy = EnergyModel()
         deployment = install_fds(network, layout, FdsConfig(phi=5.0, thop=0.5),
                                  energy=energy)
         protocol = deployment.protocols[3]

@@ -56,16 +56,22 @@ class TestRealTakeover:
         assert report.is_accurate
 
     def test_second_deputy_takes_over_if_first_also_dead(self, rng):
-        # Pin the deputy chain (no coverage re-ranking) so the succession
-        # order is exactly the installed one.
+        # The CH re-ranks its deputies by digest coverage and announces the
+        # ranking in its R-3 update; succession follows that ranking.
         placement = cluster_disk_placement(20, 100.0, rng)
-        cfg = FdsConfig(phi=5.0, thop=0.5, rerank_deputies=False)
-        deployment, layout, tracer, network = deploy(placement, fds_config=cfg)
-        first, second = layout.clusters[0].deputies[:2]
+        deployment, layout, tracer, network = deploy(placement)
+        first = layout.clusters[0].primary_deputy
         injector = FailureInjector(network, deployment.config)
         injector.crash_before_execution(first, execution=1)
         injector.crash_before_execution(0, execution=2)
         deployment.run_executions(4)
+        head = deployment.protocols[0]
+        announced = head._updates[0].deputies
+        assert announced[0] == first
+        second = announced[1]
+        # The ranking the CH last announced (execution 1) dropped the
+        # silent first deputy, so the runner-up leads it.
+        assert head.deputies[0] == second
         takeovers = tracer.filter(ev.TAKEOVER)
         assert len(takeovers) == 1
         assert takeovers[0].detail["new_head"] == int(second)
@@ -99,7 +105,7 @@ class TestTakeoverCrossClusterPropagation:
         """
         import numpy as np
 
-        from repro.energy.model import EnergyConfig, EnergyModel
+        from repro.energy.model import EnergyModel
         from repro.fds.service import install_fds
         from repro.sim.network import NetworkConfig, build_network
         from repro.topology.generators import corridor_field
@@ -115,7 +121,7 @@ class TestTakeoverCrossClusterPropagation:
             positions, NetworkConfig(loss_probability=0.1, seed=23)
         )
         config = FdsConfig(phi=20.0, thop=0.5)
-        energy = EnergyModel(EnergyConfig(capacity=500.0, harvest_rate=0.02))
+        energy = EnergyModel()
         deployment = install_fds(network, layout, config, energy=energy)
         injector = FailureInjector(network, config)
         injector.crash_before_execution(middle, execution=2)

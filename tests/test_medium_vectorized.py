@@ -17,7 +17,7 @@ import pytest
 from repro.sim.engine import Simulator
 from repro.sim.loss import (
     BernoulliLoss,
-    CompositeLoss,
+    BoundedAdversaryLoss,
     DistanceDependentLoss,
     GilbertElliottLoss,
     PerfectLinks,
@@ -202,15 +202,16 @@ class TestLostMaskEquivalence:
         assert masked._state == looped._state
         assert a.random() == b.random()
 
-    def test_composite_short_circuit_preserved(self):
-        # ``any`` stops at the first losing component; the fallback must
-        # reproduce that exact RNG consumption pattern.
-        model = CompositeLoss(BernoulliLoss(0.5), BernoulliLoss(0.5))
-        reference = CompositeLoss(BernoulliLoss(0.5), BernoulliLoss(0.5))
+    def test_bounded_adversary_budget_spent_per_receiver(self):
+        # The budget dies mid-mask; after that no receiver draws, so the
+        # fallback must stop consuming the RNG exactly where the loop does.
+        model = BoundedAdversaryLoss(p=0.5, budget=6)
+        reference = BoundedAdversaryLoss(p=0.5, budget=6)
         a, b = np.random.default_rng(13), np.random.default_rng(13)
         for _ in range(5):
             mask = model.lost_mask(0, self.RECEIVERS, self.DISTANCES, 0.0, a)
             assert mask.tolist() == self._scalar_reference(reference, b)
+        assert model.dropped == reference.dropped == 6
         assert a.random() == b.random()
 
 

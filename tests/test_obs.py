@@ -25,11 +25,7 @@ from repro.obs.profiler import (
     PHASE_SIM_HEAP,
     PhaseProfiler,
 )
-from repro.obs.registry import (
-    PHI_LATENCY_BUCKETS,
-    MetricsRegistry,
-    scenario_metrics,
-)
+from repro.obs.registry import PHI_LATENCY_BUCKETS, MetricsRegistry
 from repro.obs.spool import SpoolingTracer, iter_spool, read_spool
 from repro.sim.trace import RecordingTracer, TraceRecord, iter_jsonl
 from tests.spool_helpers import write_hostile_spool
@@ -358,20 +354,6 @@ class TestTraceAnalysis:
         assert starts == sorted(starts)
         assert all(start % config.fds.phi == 0 for start in starts)
         assert sum(c["radio"] for _s, c in rows) > 0
-
-    def test_scenario_metrics_from_recording_run(self):
-        config = ScenarioConfig(
-            cluster_count=2, members_per_cluster=8, crash_count=1,
-            executions=3, seed=11,
-        )
-        result = run_scenario(config)
-        reg = scenario_metrics(result)
-        payload = reg.to_json()
-        assert payload["counters"]["repro_radio_transmissions_total"] == (
-            result.messages.transmissions
-        )
-        assert payload["gauges"]["repro_scenario_nodes"] == len(result.network)
-        assert "repro_detection_latency_phi" in payload["histograms"]
 
     def test_detection_latency_graceful_without_records(
         self, scenario_spool, tmp_path

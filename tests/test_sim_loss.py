@@ -6,7 +6,6 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.sim.loss import (
     BernoulliLoss,
-    CompositeLoss,
     DistanceDependentLoss,
     GilbertElliottLoss,
     PerfectLinks,
@@ -42,9 +41,6 @@ class TestBernoulliLoss:
         with pytest.raises(ConfigurationError):
             BernoulliLoss(1.5)
 
-    def test_describe(self):
-        assert "0.3" in BernoulliLoss(0.3).describe()
-
 
 class TestGilbertElliott:
     def test_stationary_rate_formula(self):
@@ -72,11 +68,8 @@ class TestGilbertElliott:
         # Link (0,1) goes bad immediately and stays bad.
         model.is_lost(0, 1, 1.0, 0.0, gen)
         assert model.is_lost(0, 1, 1.0, 0.0, gen)
-        model.reset()
-        # After reset the chain re-enters Good... and then transitions to
-        # Bad again on the same call (p_gb=1), so loss resumes; the reset
-        # is observable through the state dict being empty beforehand.
-        assert not model._state
+        # The reverse link and every other link keep their own chain.
+        assert model._state == {(0, 1): GilbertElliottLoss.BAD}
 
     def test_non_ergodic_rejected(self):
         with pytest.raises(ValueError):
@@ -98,24 +91,6 @@ class TestDistanceDependent:
     def test_invalid_range(self):
         with pytest.raises(ValueError):
             DistanceDependentLoss(0.0)
-
-
-class TestComposite:
-    def test_survival_requires_all(self, gen):
-        model = CompositeLoss(BernoulliLoss(0.0), BernoulliLoss(1.0))
-        assert model.is_lost(0, 1, 1.0, 0.0, gen)
-
-    def test_all_pass(self, gen):
-        model = CompositeLoss(PerfectLinks(), BernoulliLoss(0.0))
-        assert not model.is_lost(0, 1, 1.0, 0.0, gen)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            CompositeLoss()
-
-    def test_describe_nests(self):
-        text = CompositeLoss(PerfectLinks(), BernoulliLoss(0.2)).describe()
-        assert "PerfectLinks" in text and "0.2" in text
 
 
 class TestBoundedAdversary:

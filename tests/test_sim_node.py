@@ -44,14 +44,6 @@ class TestProtocolStack:
         assert r1.received == ["msg"]
         assert r2.received == ["msg"]
 
-    def test_get_protocol(self):
-        _sim, a, _b = make_pair()
-        r = Recorder()
-        a.add_protocol(r)
-        assert a.get_protocol(Recorder) is r
-        with pytest.raises(NodeStateError):
-            a.get_protocol(int)
-
     def test_counters(self):
         sim, a, b = make_pair()
         b.add_protocol(Recorder())
