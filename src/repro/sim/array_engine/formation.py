@@ -18,6 +18,17 @@ lost, before the next round fires.  The shipped
 holds and the per-event schedule collapses to the synchronous round model
 this module implements.
 
+Edge list
+---------
+Rounds are programs over :class:`UnitDiskEdges`, the canonical
+``(src, dst)``-sorted directed edge list: a pure function of positions
+and radius, built over a half stencil of grid cells in bounded candidate
+blocks.  The ``min(heard)`` reductions read flags in in-edge order (one
+``flatnonzero``, one binary search of the receivers' segment starts).
+Draws on a few nodes' out-edges, or on one edge per sender, address
+those edges directly in ascending order -- the positions, and so the
+uniforms, an ``(E,)`` mask would give.
+
 Draw-order contract (engine-private, like the FDS rounds)
 ---------------------------------------------------------
 All formation loss draws ride one chain family, ``"fm"``, shaped ``(E,)``
@@ -93,10 +104,15 @@ class UnitDiskEdges:
     """The directed unit-disk edge list of a field, in canonical order.
 
     Edges are every ordered pair ``(src, dst)`` with ``src != dst`` and
-    ``hypot(dx, dy) <= radius``, sorted by ``(src, dst)``.  The set is
-    symmetric; :attr:`rev` maps each edge to its reverse.  Built by grid
-    binning with cell size ``radius`` (9 neighboring cells are exhaustive
-    for any positions), chunked so candidate-pair blocks stay bounded.
+    ``dx*dx + dy*dy <= radius**2``, sorted by ``(src, dst)``: a pure
+    function of the positions and the radius.
+    :func:`build_unit_disk_edges` finds them with a half stencil of grid
+    cells (own cell plus 4 forward cells, so each unordered pair is
+    tested once) in candidate blocks of at most :data:`_CANDIDATE_BLOCK`
+    pairs.  The set is symmetric, so in-degrees equal out-degrees
+    (:attr:`in_indptr` *is* :attr:`out_indptr`) and :attr:`rev`, which
+    maps each edge to its reverse, doubles as the in-edge order the
+    per-receiver reductions read their flags in (see ``__init__``).
     """
 
     def __init__(
@@ -111,32 +127,42 @@ class UnitDiskEdges:
         self.dst = dst
         self.dist = dist
         self.edge_count = int(src.size)
-        n, e = self.node_count, self.edge_count
-        counts = np.bincount(src, minlength=n) if e else np.zeros(n, np.int64)
+        n = self.node_count
         self.out_indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=self.out_indptr[1:])
+        np.cumsum(np.bincount(src, minlength=n), out=self.out_indptr[1:])
+        self.in_indptr = self.out_indptr
         # Edges sorted by (dst, src).  By symmetry of the edge set this
         # permutation is an involution and doubles as the reverse-edge
         # map: the j-th edge in (dst, src) order carries the pair
         # (dst=s_j, src=d_j), i.e. it *is* the reverse of canonical edge
         # j, so rev[j] = perm[j] and in-edge segments of a node list its
-        # sources in ascending order.
-        if e:
-            perm = np.lexsort((src, dst))
-        else:
-            perm = np.zeros(0, dtype=np.int64)
+        # sources in ascending order.  The keys are distinct, so any
+        # sort gives this one permutation.
+        perm = np.argsort(dst * n + src)
         self.rev = perm
         self.in_order = perm
-        in_counts = np.bincount(dst, minlength=n) if e else np.zeros(n, np.int64)
-        self.in_indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(in_counts, out=self.in_indptr[1:])
-        #: Nodes with in-degree > 0 (reduceat must skip empty segments:
-        #: clipping offsets would corrupt the segment *before* a run of
-        #: trailing empties, so reductions only ever see these).
-        self._nz = np.flatnonzero(in_counts > 0)
 
     def out_slice(self, node: int) -> slice:
         return slice(int(self.out_indptr[node]), int(self.out_indptr[node + 1]))
+
+    def out_edges(self, nodes: np.ndarray) -> np.ndarray:
+        """The out-edges of ascending ``nodes``, in ascending edge order
+        (the positions an ``(E,)`` mask of those edges would hold)."""
+        starts = self.out_indptr[nodes]
+        lengths = self.out_indptr[nodes + 1] - starts
+        shift = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+        return np.arange(shift.size, dtype=np.int64) + shift
+
+    def _first_flagged(self, flags: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Per node, whether any in-edge is flagged, and the in-order
+        position of the first flagged one: the first flagged position at
+        or after the segment start, a hit iff before the segment end.  A
+        flagged sentinel past the last segment keeps the search in bounds.
+        """
+        in_flags = np.append(flags[self.in_order], True)
+        flagged = np.flatnonzero(in_flags)
+        first = flagged[np.searchsorted(flagged, self.in_indptr[:-1])]
+        return first < self.in_indptr[1:], first
 
     def first_flagged_in_edge(self, flags: np.ndarray) -> np.ndarray:
         """Per node, the flagged in-edge with the lowest source NID.
@@ -148,89 +174,111 @@ class UnitDiskEdges:
         ``min(heard)`` / ``any(h < my_id)`` reductions of the event
         protocol.
         """
+        hit, first = self._first_flagged(flags)
         out = np.full(self.node_count, -1, dtype=np.int64)
-        if self.edge_count == 0 or self._nz.size == 0:
-            return out
-        e = self.edge_count
-        vals = np.where(flags[self.in_order], np.arange(e, dtype=np.int64), e)
-        mins = np.minimum.reduceat(vals, self.in_indptr[self._nz])
-        hit = mins < e
-        pos = np.minimum(mins, e - 1)
-        out[self._nz] = np.where(hit, self.in_order[pos], -1)
+        out[hit] = self.in_order[first[hit]]
         return out
 
     def min_flagged_src(self, flags: np.ndarray) -> np.ndarray:
         """Per node, the lowest source NID among flagged in-edges.
 
-        ``_BIG`` where no in-edge is flagged.
+        ``_BIG`` where no in-edge is flagged.  In-order position ``p``
+        holds the reverse of canonical edge ``p``, whose source is
+        ``dst[p]``.
         """
-        first = self.first_flagged_in_edge(flags)
-        if self.edge_count == 0:
-            return np.full(self.node_count, _BIG, dtype=np.int64)
-        return np.where(first >= 0, self.src[np.maximum(first, 0)], _BIG)
+        hit, first = self._first_flagged(flags)
+        out = np.full(self.node_count, _BIG, dtype=np.int64)
+        out[hit] = self.dst[first[hit]]
+        return out
+
+
+#: The forward half of a cell's 3x3 neighborhood, as ``(dy, dx)``: one
+#: cell's backward half is its neighbors' forward half.
+_FORWARD_CELLS = ((0, 1), (1, -1), (1, 0), (1, 1))
+
+#: Candidate pairs per block of :func:`build_unit_disk_edges` (more only
+#: to hold one node's candidates); ~50 bytes of temporaries each.
+_CANDIDATE_BLOCK = 1 << 19
+
+#: Cells are this much wider than the radius, so that rounding in the
+#: cell index cannot put two nodes in range of each other two cells
+#: apart (exhaustive while coordinates stay within ~10**6 radii).
+_CELL_SLACK = 1e-9
 
 
 def build_unit_disk_edges(
     xs: np.ndarray, ys: np.ndarray, radius: float
 ) -> UnitDiskEdges:
-    """Build the canonical directed unit-disk edge list of a field."""
+    """Build the canonical directed unit-disk edge list of a field.
+
+    Each node tests the nodes after it in its own cell and those of its
+    4 forward cells; each kept pair is emitted in both directions, as
+    ``dx*dx + dy*dy <= r*r`` is exactly symmetric in IEEE arithmetic
+    (``a - b == -(b - a)``).  One sort of ``src * N + dst`` keys puts
+    the edges in canonical order.
+    """
     n = int(xs.size)
     if n <= 1:
         empty = np.zeros(0, dtype=np.int64)
         return UnitDiskEdges(n, empty, empty.copy(), np.zeros(0, np.float64))
-    inv = 1.0 / float(radius)
+    inv = 1.0 / (float(radius) * (1.0 + _CELL_SLACK))
     cx = np.floor(xs * inv).astype(np.int64)
     cy = np.floor(ys * inv).astype(np.int64)
     cx -= cx.min()
     cy -= cy.min()
+    # One empty column past the widest row: dx = +-1 never wraps a row.
     stride = int(cx.max()) + 2
-    key = cy * stride + cx
-    order = np.argsort(key, kind="stable")
-    skey = key[order]
-    max_cell = int(np.bincount(key - key.min()).max()) if n else 1
-    chunk = max(1, int(8_000_000 // max(1, 9 * max_cell)))
+    cell = cy * stride + cx
+    order = np.argsort(cell, kind="stable")
+    skey = cell[order]
+    sx, sy = xs[order], ys[order]
+    # Per sorted position, the candidates' sorted positions
+    # [left, left + count): the rest of its own cell, then each forward cell.
+    left = np.empty((n, 1 + len(_FORWARD_CELLS)), dtype=np.int64)
+    count = np.empty_like(left)
+    left[:, 0] = np.arange(1, n + 1)
+    count[:, 0] = np.searchsorted(skey, skey, side="right") - left[:, 0]
+    for k, (dy, dx) in enumerate(_FORWARD_CELLS, start=1):
+        nkey = skey + (dy * stride + dx)
+        left[:, k] = np.searchsorted(skey, nkey, side="left")
+        count[:, k] = np.searchsorted(skey, nkey, side="right") - left[:, k]
+    per_node = count.sum(axis=1)
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(per_node, out=offsets[1:])
     r2 = float(radius) * float(radius)
-    ids = np.arange(n, dtype=np.int64)
-    src_parts: List[np.ndarray] = []
-    dst_parts: List[np.ndarray] = []
-    offsets = [(dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1)]
-    for lo in range(0, n, chunk):
-        hi = min(n, lo + chunk)
-        sub = ids[lo:hi]
-        kk = key[lo:hi]
-        for dy, dx in offsets:
-            nkey = kk + dy * stride + dx
-            left = np.searchsorted(skey, nkey, side="left")
-            right = np.searchsorted(skey, nkey, side="right")
-            cnt = right - left
-            tot = int(cnt.sum())
-            if tot == 0:
-                continue
-            src_r = np.repeat(sub, cnt)
-            cum = np.cumsum(cnt) - cnt
-            pos = (
-                np.arange(tot, dtype=np.int64)
-                - np.repeat(cum, cnt)
-                + np.repeat(left, cnt)
-            )
-            dst_r = order[pos]
-            ddx = xs[src_r] - xs[dst_r]
-            ddy = ys[src_r] - ys[dst_r]
-            keep = (src_r != dst_r) & (ddx * ddx + ddy * ddy <= r2)
-            if keep.any():
-                src_parts.append(src_r[keep])
-                dst_parts.append(dst_r[keep])
-    if src_parts:
-        src = np.concatenate(src_parts)
-        dst = np.concatenate(dst_parts)
-        order_e = np.lexsort((dst, src))
-        src = src[order_e]
-        dst = dst[order_e]
-    else:
-        src = np.zeros(0, dtype=np.int64)
-        dst = np.zeros(0, dtype=np.int64)
-    dist = np.hypot(xs[src] - xs[dst], ys[src] - ys[dst])
-    return UnitDiskEdges(n, src, dst, dist)
+    keys: List[np.ndarray] = []
+    lo = 0
+    while lo < n:
+        target = offsets[lo] + _CANDIDATE_BLOCK
+        hi = int(np.searchsorted(offsets, target, side="right")) - 1
+        hi = min(n, max(lo + 1, hi))
+        cnt = count[lo:hi].ravel()
+        a = np.repeat(np.arange(lo, hi, dtype=np.int64), per_node[lo:hi])
+        b = np.repeat(left[lo:hi].ravel() - (np.cumsum(cnt) - cnt), cnt)
+        b += np.arange(b.size, dtype=np.int64)
+        # ddx*ddx + ddy*ddy, in place: the same roundings.
+        ddx = sx[a]
+        ddx -= sx[b]
+        ddx *= ddx
+        ddy = sy[a]
+        ddy -= sy[b]
+        ddy *= ddy
+        ddx += ddy
+        keep = ddx <= r2
+        u, v = order[a[keep]], order[b[keep]]
+        keys += [u * n + v, v * n + u]
+        lo = hi
+    key = np.concatenate(keys)
+    del keys
+    key.sort()
+    src = key // n
+    dst = key  # the key buffer becomes dst = key - src * n
+    dst -= src * n
+    dx = xs[src]
+    dx -= xs[dst]
+    dy = ys[src]
+    dy -= ys[dst]
+    return UnitDiskEdges(n, src, dst, np.hypot(dx, dy, out=dx))
 
 
 # ----------------------------------------------------------------------
@@ -291,6 +339,22 @@ class _State:
         self.transmissions = 0
 
 
+def _draw_edges(
+    loss: ArrayLossDraw, edges: UnitDiskEdges, idx: np.ndarray
+) -> np.ndarray:
+    """Delivered flags for one copy on each edge ``idx`` (ascending).
+
+    The same uniforms in the same order, and the same chain steps, as a
+    draw over an ``(E,)`` mask of those edges -- without the mask.
+    """
+    return loss.draw_into(
+        np.ones(idx.size, dtype=bool),
+        distances=edges.dist[idx],
+        chain=FORMATION_CHAIN,
+        at=idx,
+    )
+
+
 def _dissolve(
     st: _State,
     edges: UnitDiskEdges,
@@ -301,14 +365,14 @@ def _dissolve(
     resign_idx = np.flatnonzero(resign)
     if resign_idx.size == 0:
         return
-    dis = loss.draw_into(
-        resign[edges.src], distances=edges.dist, chain=FORMATION_CHAIN
-    )
+    out_e = edges.out_edges(resign_idx)
+    dis = _draw_edges(loss, edges, out_e)
     st.transmissions += int(resign_idx.size)
     # Receivers affiliated with a resigner release their membership
     # (heads never do: their confirmed head is themselves).
-    hit = dis & (st.conf_head[edges.dst] == edges.src) & ~st.is_head[edges.dst]
-    victims = np.unique(edges.dst[hit])
+    rx = edges.dst[out_e]
+    hit = dis & (st.conf_head[rx] == edges.src[out_e]) & ~st.is_head[rx]
+    victims = np.unique(rx[hit])
     st.marked[victims] = False
     st.conf_head[victims] = PAD
     st.conf_edge[victims] = PAD
@@ -319,9 +383,9 @@ def _dissolve(
     st.conf_head[resign_idx] = PAD
     st.conf_edge[resign_idx] = PAD
     st.ann_deputies[resign_idx] = PAD
-    for h in resign_idx:
-        st.joined[edges.out_slice(int(h))] = False
-        st.boundary_asn.pop(int(h), None)
+    st.joined[out_e] = False
+    for h in resign_idx.tolist():
+        st.boundary_asn.pop(h, None)
 
 
 def _resolve_declarations(
@@ -369,16 +433,14 @@ def _run_iteration(
     ids = np.arange(n, dtype=np.int64)
 
     # -- R0: heartbeats (flags snapshot the sender's state at send time).
-    marked0 = st.marked.copy()
-    head0 = st.is_head.copy()
     hb = loss.draw_into(
         np.ones(edges.edge_count, dtype=bool),
         distances=dist,
         chain=FORMATION_CHAIN,
     )
     st.transmissions += n
-    heard_unmarked_e = hb & ~marked0[src]
-    heard_head_e = hb & head0[src]
+    heard_unmarked_e = hb & ~st.marked[src]
+    heard_head_e = hb & st.is_head[src]
     head_min = edges.min_flagged_src(heard_head_e)
 
     # -- wave A: heads hearing a lower-NID head heartbeat resign.
@@ -403,16 +465,19 @@ def _run_iteration(
         backoff[q_idx] = backoff_rng.uniform(
             0.0, config.backoff_fraction * config.thop, q_idx.size
         )
-    dec_raw = loss.draw_into(q[src], distances=dist, chain=FORMATION_CHAIN)
-    sup = dec_raw & q[dst] & (src < dst) & (backoff[src] < backoff[dst])
-    fired = _resolve_declarations(q, src[sup], dst[sup], n)
+    q_out = edges.out_edges(q_idx)
+    dec = _draw_edges(loss, edges, q_out)
+    q_src, q_dst = src[q_out], dst[q_out]
+    sup = dec & q[q_dst] & (q_src < q_dst) & (backoff[q_src] < backoff[q_dst])
+    fired = _resolve_declarations(q, q_src[sup], q_dst[sup], n)
     fired_idx = np.flatnonzero(fired)
     st.is_head[fired_idx] = True
     st.marked[fired_idx] = True
     st.conf_head[fired_idx] = fired_idx
     st.conf_edge[fired_idx] = PAD
     st.transmissions += int(fired_idx.size)
-    dec_e = dec_raw & fired[src]
+    dec_e = np.zeros(edges.edge_count, dtype=bool)
+    dec_e[q_out[dec & fired[q_src]]] = True
     dec_min = edges.min_flagged_src(dec_e)
 
     # -- wave B: heads hearing a lower-NID declaration resign (their
@@ -423,25 +488,22 @@ def _run_iteration(
     # target accepts only if it is (still) a head at receipt.
     avail_e = dec_e | heard_head_e
     target_in_edge = edges.first_flagged_in_edge(avail_e)
-    joiners = ~st.marked & (target_in_edge >= 0)
-    joiner_idx = np.flatnonzero(joiners)
-    join_active = np.zeros(edges.edge_count, dtype=bool)
-    if joiner_idx.size:
-        join_active[edges.rev[target_in_edge[joiner_idx]]] = True
-    jn = loss.draw_into(join_active, distances=dist, chain=FORMATION_CHAIN)
+    joiner_idx = np.flatnonzero(~st.marked & (target_in_edge >= 0))
+    e_t = target_in_edge[joiner_idx]
+    # The joiner -> target edges lie in the joiners' own out-slices, so
+    # they ascend with the joiners.
+    jn = _draw_edges(loss, edges, edges.rev[e_t])
     st.transmissions += int(joiner_idx.size)
-    if joiner_idx.size:
-        e_t = target_in_edge[joiner_idx]
-        accepted = jn[edges.rev[e_t]] & st.is_head[src[e_t]]
-        st.joined[e_t[accepted]] = True
+    st.joined[e_t[jn & st.is_head[src[e_t]]]] = True
 
     # -- R3: every head announces its member list; members confirm, heads
     # hearing a lower head's announcement resign (wave C, after the
     # confirms -- see the module docstring's approximation notes).
     head_idx = np.flatnonzero(st.is_head)
+    head_out = edges.out_edges(head_idx)
     if config.deputy_count:
         st.ann_deputies[head_idx] = PAD
-        j_edges = np.flatnonzero(st.joined & st.is_head[src])
+        j_edges = head_out[st.joined[head_out]]
         if j_edges.size:
             j_src = src[j_edges]
             starts = np.searchsorted(j_src, head_idx, side="left")
@@ -452,9 +514,8 @@ def _run_iteration(
                 st.ann_deputies[head_idx, k] = np.where(
                     take, dst[j_edges[pos]], PAD
                 )
-    ann = loss.draw_into(
-        st.is_head[src], distances=dist, chain=FORMATION_CHAIN
-    )
+    ann = np.zeros(edges.edge_count, dtype=bool)
+    ann[head_out[_draw_edges(loss, edges, head_out)]] = True
     st.transmissions += int(head_idx.size)
     conf_e = edges.first_flagged_in_edge(ann & st.joined)
     confirm = (conf_e >= 0) & ~st.is_head
@@ -470,29 +531,23 @@ def _run_iteration(
 
     # -- R4: confirmed members that heard foreign heads send one
     # candidacy to their own CH; the CH accepts from current members.
-    foreign_e = avail_e | heard_head_e
-    foreign_e = foreign_e & (src != st.conf_head[dst])
-    has_foreign = edges.first_flagged_in_edge(foreign_e) >= 0
+    foreign_e = np.flatnonzero(avail_e | heard_head_e)
+    foreign_e = foreign_e[src[foreign_e] != st.conf_head[dst[foreign_e]]]
+    has_foreign = np.zeros(n, dtype=bool)
+    has_foreign[dst[foreign_e]] = True
     senders = ~st.is_head & (st.conf_head != PAD) & has_foreign
     sender_idx = np.flatnonzero(senders)
-    cand_active = np.zeros(edges.edge_count, dtype=bool)
-    if sender_idx.size:
-        cand_active[edges.rev[st.conf_edge[sender_idx]]] = True
-    cd = loss.draw_into(cand_active, distances=dist, chain=FORMATION_CHAIN)
+    ce = st.conf_edge[sender_idx]
+    # Sender -> own-CH edges, ascending with the senders (as in R2).
+    cd = _draw_edges(loss, edges, edges.rev[ce])
     st.transmissions += int(sender_idx.size)
     accepted_s = np.zeros(n, dtype=bool)
-    if sender_idx.size:
-        ce = st.conf_edge[sender_idx]
-        ok = (
-            cd[edges.rev[ce]]
-            & st.is_head[st.conf_head[sender_idx]]
-            & st.joined[ce]
-        )
-        accepted_s[sender_idx[ok]] = True
+    ok = cd & st.is_head[st.conf_head[sender_idx]] & st.joined[ce]
+    accepted_s[sender_idx[ok]] = True
 
     # -- R5: each head ranks this iteration's candidates per foreign
     # peer and broadcasts one BoundaryAssignment per (head, peer) pair.
-    tri_e = np.flatnonzero(foreign_e & accepted_s[dst])
+    tri_e = foreign_e[accepted_s[dst[foreign_e]]]
     group_counts = np.zeros(n, dtype=np.int64)
     if tri_e.size:
         tri_head = st.conf_head[dst[tri_e]]

@@ -25,15 +25,6 @@ def check_positive(name: str, value: float) -> float:
     return float(value)
 
 
-def check_non_negative(name: str, value: float) -> float:
-    """Validate that ``value`` is a finite number >= 0."""
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ConfigurationError(f"{name} must be a number, got {value!r}")
-    if not math.isfinite(value) or value < 0:
-        raise ConfigurationError(f"{name} must be >= 0 and finite, got {value}")
-    return float(value)
-
-
 def check_range(name: str, value: float, low: float, high: float) -> float:
     """Validate that ``value`` lies in the closed interval ``[low, high]``."""
     if not isinstance(value, (int, float)) or isinstance(value, bool):

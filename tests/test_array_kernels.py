@@ -1,10 +1,12 @@
 """The array engine's blocked kernels against one-shot references.
 
-``_fill_adjacency``, ``ArrayLossDraw.delivered`` / ``draw_into`` and the
-inter-cluster frontier scan stream through cache-sized blocks; each must
-give, bit for bit, what the unblocked formulation gives -- same arrays,
-same counters, and the random stream left at the same position.  The
-unblocked formulations live here and nowhere else.
+``_fill_adjacency``, ``ArrayLossDraw.delivered`` / ``draw_into``, the
+inter-cluster frontier scan and the formation's unit-disk edge build
+stream through cache-sized blocks; each must give, bit for bit, what
+the unblocked formulation gives -- same arrays, same counters, and the
+random stream left at the same position.  The formation's per-receiver
+reductions must give what a per-node loop gives.  The unblocked
+formulations live here and nowhere else.
 """
 
 import copy
@@ -13,14 +15,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.experiments.runner import ScenarioConfig
 from repro.fds.config import FdsConfig
+from repro.sim.array_engine import formation as formation_module
 from repro.sim.array_engine import layout as layout_module
 from repro.sim.array_engine import loss as loss_module
-from repro.sim.array_engine.layout import build_array_layout
+from repro.sim.array_engine.formation import build_unit_disk_edges
+from repro.sim.array_engine.layout import build_array_layout, lattice_positions
 from repro.sim.array_engine.loss import ArrayLossDraw
 from repro.sim.array_engine.rounds import ArrayRoundEngine
 from repro.sim.trace import NullTracer
@@ -297,6 +301,193 @@ def test_gilbert_mask_gather_equals_index_gather(at_kind):
     assert_same_stream_position(new, ref)
 
 
+GILBERT = (("p_good", 0.05), ("p_bad", 0.7), ("p_gb", 0.2), ("p_bg", 0.3))
+
+
+@pytest.mark.parametrize("at_kind", ["none", "row", "slice", "rows"])
+@pytest.mark.parametrize(
+    "kind", ["perfect", "bernoulli", "distance", "bounded", "gilbert"]
+)
+def test_all_active_draw_equals_masked_draw(kind, at_kind):
+    """Every copy active (the formation's heartbeat flood and edge-list
+    draws) skips the gather/scatter: same masks, counters, chains and
+    stream position, across more than one uniform block."""
+    params = {"bounded": (("budget", 4000.0),), "gilbert": GILBERT}.get(kind, ())
+    new, ref = loss_pair(kind, params, seed=3, p=0.2)
+    family = (3, BLOCK // 2 + 5)
+    at = {
+        "none": None, "row": 1, "slice": slice(1, 3), "rows": np.array([0, 2]),
+    }[at_kind]
+    for loss in (new, ref):
+        loss.ensure_chain("fam", family)
+    shape = np.zeros(family, dtype=bool)[at if at is not None else ...].shape
+    distances = np.random.default_rng(4).uniform(0.0, 1.2 * RADIUS, shape)
+    for _ in range(3):  # chains carry state from draw to draw
+        active = np.ones(shape, dtype=bool)
+        got = new.draw_into(active, distances, chain="fam", at=at)
+        assert got.shape == shape
+        np.testing.assert_array_equal(
+            got, ref.draw_into(active, distances, chain="fam", at=at)
+        )
+        assert_same_state(new, ref)
+    assert_same_stream_position(new, ref)
+
+
+# ---------------------------------------------------------------------------
+# (c) unit-disk edge build vs a brute-force pair scan
+# ---------------------------------------------------------------------------
+def unit_disk_reference(xs, ys, radius):
+    """Every ordered pair tested over the full N x N difference matrix
+    (``dx*dx + dy*dy <= r*r``, the builder's arithmetic), row-major."""
+    n = xs.size
+    dx = xs[:, None] - xs[None, :]
+    dy = ys[:, None] - ys[None, :]
+    adjacent = (dx * dx + dy * dy <= radius * radius) & ~np.eye(n, dtype=bool)
+    src, dst = np.nonzero(adjacent)
+    index = np.full((n, n), -1, dtype=np.int64)
+    index[src, dst] = np.arange(src.size)
+    out_indptr, in_indptr = (
+        np.concatenate(([0], np.cumsum(adjacent.sum(axis=axis))))
+        for axis in (1, 0)
+    )
+    return dict(
+        src=src,
+        dst=dst,
+        dist=np.hypot(dx[src, dst], dy[src, dst]),
+        rev=index[dst, src],
+        out_indptr=out_indptr,
+        in_indptr=in_indptr,
+    )
+
+
+def assert_edges_match_pair_scan(xs, ys, radius=RADIUS):
+    xs = np.asarray(xs, dtype=np.float64)
+    ys = np.asarray(ys, dtype=np.float64)
+    edges = build_unit_disk_edges(xs, ys, radius)
+    want = unit_disk_reference(xs, ys, radius)
+    assert edges.node_count == xs.size
+    assert edges.edge_count == want["src"].size
+    for name, value in want.items():
+        got = getattr(edges, name)
+        np.testing.assert_array_equal(got, value, err_msg=name)
+        assert got.dtype == value.dtype, name
+    np.testing.assert_array_equal(edges.in_order, want["rev"])
+    return edges
+
+
+#: Multiples of r/20: 3-4-5 triangles and collinear runs put pairs
+#: exactly ``radius`` apart and nodes exactly on cell boundaries, and
+#: repeats give coincident points.
+LATTICE = st.integers(-40, 40).map(lambda k: k * RADIUS / 20)
+COORD = st.one_of(LATTICE, st.floats(-3 * RADIUS, 3 * RADIUS))
+
+
+@settings(max_examples=150, deadline=None)
+@given(points=st.lists(st.tuples(COORD, COORD), max_size=80))
+@example(points=[])
+@example(points=[(0.0, 0.0)])
+@example(points=[(0.0, 0.0), (RADIUS, 0.0)])
+@example(points=[(-RADIUS, -RADIUS), (-0.4 * RADIUS, -0.2 * RADIUS)])
+@example(points=[(5.0, 5.0)] * 3 + [(5.0 + RADIUS, 5.0)])
+# In range (dx rounds to -RADIUS) yet in cells -1 and +1 of width RADIUS.
+@example(points=[(-1e-20, 0.0), (RADIUS, 0.0)])
+def test_edges_equal_brute_force_pair_scan(points):
+    xs = [x for x, _ in points]
+    ys = [y for _, y in points]
+    assert_edges_match_pair_scan(xs, ys)
+
+
+def test_edges_of_a_field_in_one_cell_form_a_clique():
+    rng = np.random.default_rng(7)
+    xs, ys = rng.uniform(0.0, RADIUS / 3, (2, 60))
+    edges = assert_edges_match_pair_scan(xs, ys)
+    assert edges.edge_count == 60 * 59
+
+
+def test_edges_across_the_stride_gap_column():
+    """Nodes packed along the east and west edges of stacked cell rows:
+    east-edge nodes of a row neighbor those of the rows above and
+    below, never the west-edge nodes a row-wrapping key would put next
+    to them."""
+    rng = np.random.default_rng(8)
+    rows = np.repeat(np.arange(6), 20)
+    east = rng.random(120) < 0.5
+    xs = (np.where(east, 4.99, 0.01) + rng.uniform(-0.005, 0.005, 120)) * RADIUS
+    ys = (rows + rng.uniform(0.0, 1.0, 120)) * RADIUS
+    edges = assert_edges_match_pair_scan(xs, ys)
+    assert edges.edge_count
+    assert (east[edges.src] == east[edges.dst]).all()
+
+
+@pytest.mark.parametrize("block", [1, 7, 500])
+def test_edges_do_not_depend_on_the_candidate_block(monkeypatch, block):
+    """Small blocks split the scan mid-field; a block of 1 holds one
+    node's candidates, however many there are."""
+    monkeypatch.setattr(formation_module, "_CANDIDATE_BLOCK", block)
+    xs, ys = lattice_positions(3, 60, RADIUS, np.random.default_rng(9))
+    assert_edges_match_pair_scan(xs, ys)
+
+
+# ---------------------------------------------------------------------------
+# (d) in-order reductions vs a per-node loop
+# ---------------------------------------------------------------------------
+def first_flagged_reference(edges, flags):
+    """Per node, the flagged in-edge with the lowest source, and that
+    source (``-1`` / int64 max where none is flagged)."""
+    first = np.full(edges.node_count, -1, dtype=np.int64)
+    lowest = np.full(edges.node_count, np.iinfo(np.int64).max, dtype=np.int64)
+    for node in range(edges.node_count):
+        hits = np.flatnonzero(flags & (edges.dst == node))
+        if hits.size:
+            first[node] = hits[np.argmin(edges.src[hits])]
+            lowest[node] = edges.src[first[node]]
+    return first, lowest
+
+
+def reduction_field():
+    """Clustered nodes plus isolated ones first, mid-field and last:
+    zero in-degree segments, leading and trailing."""
+    rng = np.random.default_rng(10)
+    xs, ys = rng.uniform(0.0, 3 * RADIUS, (2, 60))
+    far = 40 * RADIUS * np.arange(1, 6)
+    xs = np.concatenate(([-far[0]], xs[:30], [far[1]], xs[30:], far[2:]))
+    ys = np.concatenate(([0.0], ys[:30], [0.0], ys[30:], [0.0] * 3))
+    edges = build_unit_disk_edges(xs, ys, RADIUS)
+    degree = np.diff(edges.in_indptr)
+    assert degree[0] == degree[31] == 0 and (degree[-3:] == 0).all()
+    assert degree[1:31].all()
+    return edges
+
+
+REDUCTION_EDGES = reduction_field()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2 ** 32 - 1),
+    density=st.sampled_from([0.0, 0.02, 0.3, 1.0]),
+)
+def test_first_flagged_equals_per_node_loop(seed, density):
+    edges = REDUCTION_EDGES
+    flags = np.random.default_rng(seed).random(edges.edge_count) < density
+    first, lowest = first_flagged_reference(edges, flags)
+    np.testing.assert_array_equal(edges.first_flagged_in_edge(flags), first)
+    np.testing.assert_array_equal(edges.min_flagged_src(flags), lowest)
+
+
+@pytest.mark.parametrize("n", [0, 1, 4])
+def test_reductions_without_edges(n):
+    edges = build_unit_disk_edges(
+        np.arange(n) * 10 * RADIUS, np.zeros(n), RADIUS
+    )
+    flags = np.zeros(0, dtype=bool)
+    assert edges.edge_count == 0
+    np.testing.assert_array_equal(edges.first_flagged_in_edge(flags), [-1] * n)
+    np.testing.assert_array_equal(
+        edges.min_flagged_src(flags), [np.iinfo(np.int64).max] * n
+    )
+
+
 # ---------------------------------------------------------------------------
 # Memory: the bound the docstrings state
 # ---------------------------------------------------------------------------
@@ -324,6 +515,21 @@ def test_layout_build_holds_no_field_sized_temporaries():
     assert peak <= 2.5 * returned
 
 
+def test_edge_build_keeps_its_candidates_in_blocks():
+    """A 2*10**4-node field with 1.2*10**6 edges: the build peaks at
+    1.7x the arrays it returns; one unchunked candidate block made it
+    3.3x, and the 9-cell scan with a lexsort 2.4x."""
+    xs, ys = lattice_positions(400, 49, RADIUS, RngFactory(1).stream("placement"))
+    edges, peak = traced_peak(lambda: build_unit_disk_edges(xs, ys, RADIUS))
+    arrays = {
+        id(value): value for value in vars(edges).values()
+        if isinstance(value, np.ndarray)
+    }
+    returned = sum(value.nbytes for value in arrays.values())
+    assert edges.edge_count > 10 ** 6
+    assert peak <= 2 * returned
+
+
 def test_draw_into_allocates_less_than_its_mask_and_output():
     """Beyond ``out``: one bool per active copy and one uniform block
     (index gather + one-shot uniforms took 16 bytes per active copy)."""
@@ -336,7 +542,7 @@ def test_draw_into_allocates_less_than_its_mask_and_output():
 
 
 # ---------------------------------------------------------------------------
-# (d) frontier scan vs recomputing every channel every wave
+# (e) frontier scan vs recomputing every channel every wave
 # ---------------------------------------------------------------------------
 def full_rescan_intercluster(engine, alive, alive_m, hd, waves):
     """``_intercluster`` as it was: ``has`` over all channels, each wave.

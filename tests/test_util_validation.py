@@ -7,7 +7,6 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.util.validation import (
     check_int_at_least,
-    check_non_negative,
     check_positive,
     check_probability,
     check_range,
@@ -33,16 +32,6 @@ class TestCheckPositive:
     def test_rejects(self, value):
         with pytest.raises(ConfigurationError):
             check_positive("x", value)
-
-
-class TestCheckNonNegative:
-    def test_accepts_zero(self):
-        assert check_non_negative("x", 0) == 0.0
-
-    @pytest.mark.parametrize("value", [-0.1, math.inf, True])
-    def test_rejects(self, value):
-        with pytest.raises(ConfigurationError):
-            check_non_negative("x", value)
 
 
 class TestCheckRange:
