@@ -30,7 +30,9 @@ dependency-free of the engines it observes.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable
+from typing import Dict, Iterable, List
+
+import numpy as np
 
 from repro.obs.analyze import (
     TopologyReducer,
@@ -43,6 +45,32 @@ from repro.sim.trace import TraceRecord
 #: Coordinate rounding in the emitted record (display precision; keeps a
 #: million-node topology line ~40% smaller than full float reprs).
 _COORD_DECIMALS = 4
+_COORD_SCALE = 10.0 ** _COORD_DECIMALS
+
+
+def _round_coords(values) -> List[float]:
+    """``[round(v, _COORD_DECIMALS) for v in values]``, vectorized.
+
+    ``round`` rounds the exact value of ``v`` and returns the double
+    nearest the decimal result.  With ``k = rint(v * 1e4)`` an integer
+    below 2**52, ``k / 1e4`` *is* that nearest double (IEEE division is
+    correctly rounded), and ``k`` is ``round``'s integer unless the
+    inexact product ``v * 1e4`` lies near a half-integer.  Those values,
+    and non-finite or huge ones, go through ``round`` itself.  (np.round
+    is not correctly rounded, and the array spool's bytes are pinned.)
+    """
+    exact = np.asarray(values, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = exact * _COORD_SCALE
+        k = np.rint(scaled)
+        near_half = (
+            np.abs(np.abs(scaled - k) - 0.5) <= 2 * np.spacing(np.abs(scaled))
+        )
+        fallback = near_half | ~(np.abs(scaled) < 2.0 ** 52)
+    out = (k / _COORD_SCALE).tolist()
+    for i in np.flatnonzero(fallback).tolist():
+        out[i] = round(float(exact[i]), _COORD_DECIMALS)
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -77,8 +105,8 @@ def layout_topology_detail(layout, positions) -> Dict[str, object]:
         "boundaries": boundaries,
         "unclustered": sorted(int(n) for n in layout.unclustered),
         "nodes": nodes,
-        "x": [round(float(positions[n].x), _COORD_DECIMALS) for n in nodes],
-        "y": [round(float(positions[n].y), _COORD_DECIMALS) for n in nodes],
+        "x": _round_coords([positions[n].x for n in nodes]),
+        "y": _round_coords([positions[n].y for n in nodes]),
     }
 
 
@@ -120,15 +148,13 @@ def array_topology_detail(layout) -> Dict[str, object]:
         )
     ]
     boundaries.sort(key=lambda entry: (entry["owner"], entry["peer"]))
-    # Python's round(): np.round is not correctly rounded, and the
-    # array spool's bytes are pinned.
     return {
         "clusters": clusters,
         "boundaries": boundaries,
         "unclustered": (layout.assign == pad).nonzero()[0].tolist(),
         "nodes": list(range(layout.node_count)),
-        "x": [round(v, _COORD_DECIMALS) for v in layout.xs.tolist()],
-        "y": [round(v, _COORD_DECIMALS) for v in layout.ys.tolist()],
+        "x": _round_coords(layout.xs),
+        "y": _round_coords(layout.ys),
     }
 
 

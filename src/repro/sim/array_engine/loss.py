@@ -55,7 +55,8 @@ Blocking never moves the stream.  ``bernoulli`` / ``bounded`` /
 ``distance`` draws fetch their uniforms ``_DRAW_BLOCK`` at a time into
 one reused buffer; ``Generator.random`` spends one 64-bit output per
 double, so the stream ends where a single ``random(count)`` would leave
-it and a draw of at most one block *is* a single call.  ``bounded``
+it and a draw of at most one block *is* a single call.  Draws of at
+most ``_SMALL_DRAW`` copies skip the buffer altogether.  ``bounded``
 applies its budget after the whole call's uniforms are drawn: the call
 in which the budget runs out consumes all ``count`` of them, the next
 call none.  ``gilbert`` draws every transition, then every loss, per
@@ -74,6 +75,12 @@ from repro.sim.loss import build_loss_model
 #: Uniforms drawn per ``Generator.random(out=...)`` call (module
 #: docstring: blocking never moves the stream).
 _DRAW_BLOCK = 1 << 16
+
+#: Largest draw taken in one ``Generator.random(count)`` with no scratch
+#: buffer: attempt ladders and one cluster's relay.  Larger draws go
+#: through the block buffer, allocated before the draw (a full block
+#: drawn this way allocates after it and shows in peak RSS).
+_SMALL_DRAW = 1 << 10
 
 
 class ArrayLossDraw:
@@ -157,6 +164,11 @@ class ArrayLossDraw:
         For ``gilbert`` the ``count`` copies are *sequential attempts on
         one directed link* -- ``chain``/``at`` name its state cell, and
         the chain advances once per attempt.
+
+        Up to ``_SMALL_DRAW`` copies (an attempt ladder, one cluster's
+        relay) take one ``rng.random(count)`` and a compare, with no
+        scratch buffer; larger draws go through the uniform block.  Both
+        leave the stream where ``random(count)`` does.
         """
         if count <= 0:
             return np.zeros(0, dtype=bool)
@@ -187,8 +199,14 @@ class ArrayLossDraw:
             if p == 0.0 or (self.kind == "bounded" and self.budget_left <= 0):
                 self.delivered_count += count
                 return np.ones(count, dtype=bool)
-        out = np.zeros(count, dtype=bool)
-        if by_distance or p < 1.0:
+        if not by_distance and p >= 1.0:
+            out = np.zeros(count, dtype=bool)  # all lost, no uniforms
+        elif count <= _SMALL_DRAW:
+            if by_distance:
+                p = self.model.loss_probabilities(distances)
+            out = self.rng.random(count) >= p
+        else:
+            out = np.zeros(count, dtype=bool)
             uniforms = np.empty(min(count, _DRAW_BLOCK))
             for lo in range(0, count, _DRAW_BLOCK):
                 hi = lo + _DRAW_BLOCK  # slices clip at ``count``
@@ -222,7 +240,10 @@ class ArrayLossDraw:
         Beyond the returned mask this allocates one bool per *active*
         copy plus one uniform block (``distance`` adds the active
         copies' distances, ``gilbert`` two uniforms per active copy) --
-        never an index array or a uniform per cell.  When every copy is
+        never an index array or a uniform per cell.  A small draw (at
+        most ``_SMALL_DRAW`` active copies, e.g. one cluster's relay)
+        skips the block, as in :meth:`delivered`, and only ``distance``
+        gathers the distances it is passed.  When every copy is
         active (the formation's heartbeat flood over all edges, and its
         edge-list draws) the copies are the cells in C order: no gather
         or scatter, and the delivered array is the returned mask.
@@ -259,7 +280,7 @@ class ArrayLossDraw:
             delivered = ~lost
             self.delivered_count += int(delivered.sum())
         else:
-            if distances is not None:
+            if self.kind == "distance" and distances is not None:
                 distances = np.asarray(distances)
                 distances = distances.ravel() if every else distances[active]
             delivered = self.delivered(count, distances=distances)

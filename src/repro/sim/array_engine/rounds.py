@@ -52,14 +52,23 @@ and peer-request copies member -> own CH; ``cm`` carries CH broadcasts
 deputy-row witness draws); ``over``/``rep`` the per-channel gateway
 ladders.
 
-Frontier invariant of the inter-cluster fixpoint: which channels hold
-forwardable news (``has``) is computed for all channels once per
-execution; afterwards only a successful crossing changes knowledge, and
-only of the CH and members of the cluster it entered, which ``has``
-reads as destination CH, source CH or outbound gateway of exactly the
-channels incident to that cluster.  Each wave therefore recomputes
-those rows alone; the per-wave ``active`` lists, their order and every
-draw equal a full rescan's (``tests/test_array_kernels.py``).
+The inter-cluster scan.  Which channels hold forwardable news is
+computed for all channels once per execution; afterwards only a
+successful crossing changes knowledge, and only of the CH and members
+of the cluster it entered, which a channel's news reads as destination
+CH, source CH or outbound gateway of exactly the channels incident to
+that cluster (the frontier invariant).  Each wave therefore recomputes
+those channels alone.  While the fixpoint runs, the CH and gateway
+rows of ``known`` are mirrored as Python-int bitmasks (bit ``j`` is
+target column ``j``; one ``packbits`` each, any T), so testing for
+news is ``src & ~dst`` on ints.  Nothing in the fixpoint reads another
+member row: a crossing updates the destination CH's int and the ints
+of that cluster's gateways its relay copy reached, and the relayed
+members' rows (gateways included) are merged at wave end, one column
+at a time.  The CH ints are written back to ``known`` after the
+fixpoint, which stops on the first wave without a crossing or after
+``C + 3`` waves.  Channel order, rank order and every draw equal the
+per-crossing fixpoint's on bool rows (``tests/test_array_kernels.py``).
 
 Energy (``track_energy``): an optional
 :class:`~repro.sim.array_engine.energy.ArrayEnergyLedger` charges every
@@ -80,7 +89,7 @@ sends, on the event engine via the medium counters and here via
 from __future__ import annotations
 
 import time as _time
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -102,6 +111,9 @@ from repro.sim.array_engine.energy import ArrayEnergyLedger
 from repro.sim.array_engine.layout import PAD, ArrayLayout
 from repro.sim.array_engine.loss import ArrayLossDraw
 from repro.sim.trace import Tracer
+
+#: Knowledge columns added per growth of the (N, T) ``known`` buffer.
+_KNOWN_CHUNK = 16
 
 
 class ArrayRoundEngine:
@@ -221,14 +233,7 @@ class ArrayRoundEngine:
             self.ch_src_nid = np.zeros(0, dtype=np.int64)
             self.ch_dst_nid = np.zeros(0, dtype=np.int64)
 
-        #: Per-channel scalars of :meth:`_cross_channel` as Python values
-        #: (numpy scalar indexing cost more than a crossing's draws).
-        self._crossing = list(zip(
-            self.ch_dst.tolist(), self.ch_dst_nid.tolist(),
-            self.ch_src_nid.tolist(), self.ch_inbound.tolist(),
-            self.ch_gw_ids.tolist(),
-        ))
-        self._safe_gw = np.where(self.ch_gw_ok, self.ch_gw_ids, 0)
+        self._scan_tables()
 
         # The per-channel gateway ladders address chain cells by (b, g)
         # before any full-family draw would create them, so pre-create
@@ -240,6 +245,62 @@ class ArrayRoundEngine:
         #: DCH and intercluster phases, flushed at ``t_r3end``).
         self._e_tx: Optional[np.ndarray] = None
         self._e_rx: Optional[np.ndarray] = None
+
+    def _scan_tables(self) -> None:
+        """The inter-cluster scan's per-channel and per-cluster tables,
+        as Python values (numpy scalar indexing costs more than the
+        scan's bit arithmetic)."""
+        layout, fds = self.layout, self.fds
+        #: Tries per gateway ladder (one without implicit ACKs).
+        self._attempts = (
+            (fds.max_forward_retries + 1) if fds.implicit_ack else 1
+        )
+        ok = self.ch_gw_ok
+        slots = layout.boundary_gateway_slots
+        real = slots != PAD
+        owners = layout.boundary_owner.repeat(slots.shape[1])[real.ravel()]
+        slots = slots[real]
+        #: Every gateway NID (sorted): the member rows the scan mirrors.
+        self._gw_nids, first = np.unique(
+            layout.members[owners, slots], return_index=True
+        )
+        #: ``(B, G)`` index into ``_gw_nids`` (0 at pads: NID 0 sorts first).
+        self._ch_gw_k = np.searchsorted(
+            self._gw_nids, np.where(ok, self.ch_gw_ids, 0)
+        )
+        self._channels = list(zip(
+            self.ch_src.tolist(), self.ch_dst.tolist(),
+            self.ch_dst_nid.tolist(), self.ch_inbound.tolist(),
+        ))
+        #: Per channel, ``(rank, gateway index)`` of its ranked
+        #: gateways, primary first.
+        self._ranks = [
+            [(g, k) for g, (k, ok_g) in enumerate(zip(*row)) if ok_g]
+            for row in zip(self._ch_gw_k.tolist(), ok.tolist())
+        ]
+        #: Per cluster, the channels it is the source or destination of.
+        self._incident: List[List[int]] = [[] for _ in range(self.C)]
+        for b, (src, dst, _, _) in enumerate(self._channels):
+            self._incident[src].append(b)
+            self._incident[dst].append(b)
+        #: Per cluster, its gateways as ``(member slots, indices)``.
+        per_cluster: List[tuple] = [([], []) for _ in range(self.C)]
+        for k, (c, slot) in enumerate(
+            zip(owners[first].tolist(), slots[first].tolist())
+        ):
+            per_cluster[c][0].append(slot)
+            per_cluster[c][1].append(k)
+        self._cluster_gws = [
+            (np.asarray(at_c, dtype=np.int64), ks) if ks else None
+            for at_c, ks in per_cluster
+        ]
+        #: ``(B, G, attempts)`` per-attempt gateway link distances.
+        self._ladder_dist = {
+            name: np.repeat(dist[:, :, None], self._attempts, axis=2)
+            for name, dist in (
+                ("over", self.ch_overhear_dist), ("rep", self.ch_report_dist)
+            )
+        }
 
     # ------------------------------------------------------------------
     # Energy accounting helpers
@@ -277,10 +338,15 @@ class ArrayRoundEngine:
         else:
             row = self.layout.members[cluster]
             self.t_slot.append(int(np.flatnonzero(row == node_id)[0]))
-        self.known = np.concatenate(
-            [self.known, np.zeros((self.layout.node_count, 1), dtype=bool)],
-            axis=1,
-        )
+        # ``known`` is a view of the first columns of a wider buffer,
+        # grown by a fixed chunk (doubling would hold (N, 2T) at N = 10**6).
+        spare = self.known.base
+        if spare is None or spare.shape[1] == col:
+            spare = np.zeros(
+                (self.layout.node_count, col + _KNOWN_CHUNK), dtype=bool
+            )
+            spare[:, :col] = self.known
+        self.known = spare[:, : col + 1]
         return col
 
     @property
@@ -725,98 +791,163 @@ class ArrayRoundEngine:
         destination cluster immediately (the event engine's
         same-execution forwarding cascade), so one fixpoint pass per
         propagation wave reaches the whole field under perfect links.
+
+        Runs as the inter-cluster scan of the module docstring.
         """
         if not self.T:
             return
-        fds = self.fds
-        attempts = (fds.max_forward_retries + 1) if fds.implicit_ack else 1
-        alive_gw = self.ch_gw_ok & alive[self._safe_gw]
-        has = self._has_news(slice(None), alive_gw)
-        entered = np.zeros(self.C, dtype=bool)
-        guard = 0
-        while guard <= self.C + 2:
-            guard += 1
-            active = np.flatnonzero(has.any(axis=1)).tolist()
-            entered[:] = False
-            for b in active:
-                if self._cross_channel(b, has[b], alive_m, hd, attempts):
-                    entered[self.ch_dst[b]] = True
-            if not entered.any():
+        loss, known = self.loss, self.known
+        heads, head_words = _bitmasks(known[self.head_ids])
+        gws, gw_words = _bitmasks(known[self._gw_nids])
+        # Which channels hold news, for all channels once.
+        alive_k = alive[self._gw_nids]
+        alive_gw = self.ch_gw_ok & alive_k[self._ch_gw_k]
+        dst_words = head_words[self.ch_dst]
+        out_has = (gw_words[self._ch_gw_k] & ~dst_words[:, None, :]).any(axis=2)
+        in_has = (head_words[self.ch_src] & ~dst_words).any(axis=1)
+        has = np.where(self.ch_inbound[:, None], in_has[:, None], out_has)
+        has &= alive_gw
+        first = np.flatnonzero(has.any(axis=1))
+        if not first.size:
+            return
+        ranks = self._ranks
+        #: Channel -> its ranks with news, for every channel holding any.
+        live = {
+            b: [rank for rank in ranks[b] if row[rank[0]]]
+            for b, row in zip(first.tolist(), has[first].tolist())
+        }
+        alive_k = alive_k.tolist()
+
+        attempts = self._attempts
+        channels, cluster_gws = self._channels, self._cluster_gws
+        over_dist = self._ladder_dist["over"]
+        rep_dist = self._ladder_dist["rep"]
+        members, gw_nids = self.layout.members, self._gw_nids
+        e_tx, e_rx = self._e_tx, self._e_rx
+        reports = bgw = relays = 0
+        touched = set()
+        for _ in range(self.C + 3):
+            entered = set()
+            #: news -> member NID arrays that received it this wave
+            merges: Dict[int, List[np.ndarray]] = {}
+            for b in sorted(live):
+                src, dst, dst_nid, inbound = channels[b]
+                lacks = ~heads[dst]
+                for g, k in live[b]:
+                    news = (heads[src] if inbound else gws[k]) & lacks
+                    if not news:
+                        break  # covered by an earlier crossing this wave
+                    if inbound:
+                        over = loss.delivered(
+                            attempts, over_dist[b, g], chain="over", at=(b, g)
+                        )
+                        heard = over.tolist().count(True)
+                        if e_rx is not None:
+                            e_rx[gw_nids[k]] += heard
+                        if not heard:
+                            continue  # never overheard the source CH; next BGW
+                    if g:
+                        bgw += 1
+                    rep = loss.delivered(
+                        attempts, rep_dist[b, g], chain="rep", at=(b, g)
+                    )
+                    reports += 1
+                    arrived = rep.tolist().count(True)
+                    if e_tx is not None:
+                        e_tx[gw_nids[k]] += attempts
+                        e_rx[dst_nid] += arrived
+                    if not arrived:
+                        continue  # report ladder exhausted; next BGW takes over
+                    if e_tx is not None:
+                        e_tx[dst_nid] += 1
+                    heads[dst] |= news
+                    rel = loss.draw_into(alive_m[dst], hd[dst], chain="cm", at=dst)
+                    relays += 1
+                    at_dst = cluster_gws[dst]
+                    if at_dst is not None:
+                        slots, ks = at_dst
+                        for k_dst, hit in zip(ks, rel[slots].tolist()):
+                            if hit:
+                                gws[k_dst] |= news
+                    merges.setdefault(news, []).append(members[dst][rel])
+                    entered.add(dst)
+                    break
+            if not entered:
                 break
-            # Every other row would recompute to the value it holds
-            # (frontier invariant, module docstring).
-            rows = np.flatnonzero(entered[self.ch_src] | entered[self.ch_dst])
-            has[rows] = self._has_news(rows, alive_gw)
+            touched |= entered
+            # Members only gain bits: one scatter per column set in some
+            # news, no gather.
+            columns: Dict[int, List[np.ndarray]] = {}
+            for news, parts in merges.items():
+                while news:
+                    low = news & -news
+                    columns.setdefault(low.bit_length() - 1, []).extend(parts)
+                    news ^= low
+            for col, parts in columns.items():
+                known[np.concatenate(parts), col] = True
+            if e_rx is not None:
+                e_rx += np.bincount(
+                    np.concatenate([p for parts in merges.values() for p in parts]),
+                    minlength=self.layout.node_count,
+                )
+            # Every other channel's ranks stay what they are (frontier
+            # invariant, module docstring).
+            for b in {b for c in entered for b in self._incident[c]}:
+                fresh = self._news_ranks(b, heads, gws, alive_k)
+                if fresh:
+                    live[b] = fresh
+                else:
+                    live.pop(b, None)
 
-    def _has_news(self, rows, alive_gw: np.ndarray) -> np.ndarray:
-        """``(len(rows), G)``: the alive ranked gateways of channels
-        ``rows`` that could carry news the destination CH lacks -- their
-        own knowledge outbound, the source CH's inbound."""
-        known = self.known
-        dst_known = known[self.ch_dst_nid[rows]]  # (R, T)
-        out_has = (known[self._safe_gw[rows]] & ~dst_known[:, None, :]).any(axis=2)
-        in_has = (known[self.ch_src_nid[rows]] & ~dst_known).any(axis=1)
-        has = np.where(self.ch_inbound[rows, None], in_has[:, None], out_has)
-        return has & alive_gw[rows]
+        if touched:
+            order = sorted(touched)
+            known[self.head_ids[order]] = _bool_rows(
+                [heads[c] for c in order], self.T
+            )
+        self.bgw_activations += bgw
+        self.reports_sent += reports
+        self.report_retransmissions += reports * (attempts - 1)
+        self.transmissions += reports * attempts + relays
 
-    def _cross_channel(
-        self,
-        b: int,
-        ranks_ok: np.ndarray,
-        alive_m: np.ndarray,
-        hd: np.ndarray,
-        attempts: int,
-    ) -> bool:
-        """Attempt one channel crossing; returns True on success."""
-        loss = self.loss
-        layout = self.layout
-        # dst: cluster index (layout rows, chains); dst_nid: its CH's NID.
-        dst, dst_nid, src_nid, inbound, gw_ids = self._crossing[b]
-        src_row = self.known[src_nid]
-        for g in np.flatnonzero(ranks_ok).tolist():
-            gid = gw_ids[g]
-            if inbound:
-                news = src_row & ~self.known[dst_nid]
-            else:
-                news = self.known[gid] & ~self.known[dst_nid]
-            if not news.any():
-                return False  # covered by an earlier crossing this wave
-            if inbound:
-                over = self._ladder("over", self.ch_overhear_dist, b, g, attempts)
-                if self._e_rx is not None:
-                    self._e_rx[gid] += int(over.sum())
-                if not over.any():
-                    continue  # never overheard the source CH; next BGW
-            if g > 0:
-                self.bgw_activations += 1
-            rep = self._ladder("rep", self.ch_report_dist, b, g, attempts)
-            self.reports_sent += 1
-            self.report_retransmissions += attempts - 1
-            self.transmissions += attempts
-            if self._e_tx is not None:
-                self._e_tx[gid] += attempts
-                self._e_rx[dst_nid] += int(rep.sum())
-            if not rep.any():
-                continue  # report ladder exhausted; next BGW takes over
-            self.known[dst_nid] |= news
-            rel = loss.draw_into(alive_m[dst], hd[dst], chain="cm", at=dst)
-            self.transmissions += 1
-            rec_ids = layout.members[dst][rel & layout.member_mask[dst]]
-            if self._e_tx is not None:
-                self._e_tx[dst_nid] += 1
-                self._e_rx[rec_ids] += 1
-            if rec_ids.size:
-                self.known[rec_ids] |= news[None, :]
-            return True
-        return False
+    def _news_ranks(
+        self, b: int, heads: List[int], gws: List[int], alive_k: List[bool]
+    ) -> list:
+        """Channel ``b``'s alive ranks that could carry news its
+        destination CH lacks: their own knowledge outbound, the source
+        CH's inbound."""
+        src, dst, _, inbound = self._channels[b]
+        lacks = ~heads[dst]
+        if inbound:
+            if not heads[src] & lacks:
+                return []
+            return [rank for rank in self._ranks[b] if alive_k[rank[1]]]
+        return [
+            rank for rank in self._ranks[b]
+            if alive_k[rank[1]] and gws[rank[1]] & lacks
+        ]
 
-    def _ladder(
-        self, chain: str, dist: np.ndarray, b: int, g: int, attempts: int
-    ) -> np.ndarray:
-        """``attempts`` sequential tries on gateway link ``(b, g)``."""
-        distances = None
-        if self.loss.kind == "distance":  # the only kind reading them
-            distances = np.full(attempts, dist[b, g])
-        return self.loss.delivered(
-            attempts, distances=distances, chain=chain, at=(b, g)
-        )
+
+def _bitmasks(rows: np.ndarray) -> Tuple[List[int], np.ndarray]:
+    """``(R, T)`` bool rows as Python ints (bit ``j`` is column ``j``)
+    and as ``(R, W)`` little-endian uint64 words, from one ``packbits``."""
+    r, t = rows.shape
+    words = np.zeros((r, 8 * -(-t // 64)), dtype=np.uint8)
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    words[:, : packed.shape[1]] = packed
+    words = words.view("<u8")
+    ints = words[:, -1].tolist()
+    for w in range(words.shape[1] - 2, -1, -1):
+        ints = [(high << 64) | low for high, low in zip(ints, words[:, w].tolist())]
+    return ints, words
+
+
+def _bool_rows(ints: List[int], t: int) -> np.ndarray:
+    """The inverse of :func:`_bitmasks`: ``(len(ints), t)`` bool rows."""
+    width = -(-t // 8)
+    packed = np.frombuffer(
+        b"".join(value.to_bytes(width, "little") for value in ints),
+        dtype=np.uint8,
+    )
+    return np.unpackbits(
+        packed.reshape(len(ints), width), axis=1, count=t, bitorder="little"
+    ).view(bool)

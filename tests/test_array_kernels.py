@@ -1,15 +1,17 @@
 """The array engine's blocked kernels against one-shot references.
 
-``_fill_adjacency``, ``ArrayLossDraw.delivered`` / ``draw_into``, the
-inter-cluster frontier scan and the formation's unit-disk edge build
-stream through cache-sized blocks; each must give, bit for bit, what
-the unblocked formulation gives -- same arrays, same counters, and the
-random stream left at the same position.  The formation's per-receiver
-reductions must give what a per-node loop gives.  The unblocked
-formulations live here and nowhere else.
+``_fill_adjacency``, ``ArrayLossDraw.delivered`` / ``draw_into`` and
+the formation's unit-disk edge build stream through cache-sized blocks;
+each must give, bit for bit, what the unblocked formulation gives --
+same arrays, same counters, and the random stream left at the same
+position.  The formation's per-receiver reductions must give what a
+per-node loop gives, and the inter-cluster scan on int bitmasks what
+the per-crossing fixpoint on bool rows gives, draw for draw.  The
+reference formulations live here and nowhere else.
 """
 
 import copy
+import dataclasses
 import math
 import tracemalloc
 
@@ -18,15 +20,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.experiments.runner import ScenarioConfig
+from repro.experiments.runner import ScenarioConfig, run_engine, scenario_config
 from repro.fds.config import FdsConfig
 from repro.sim.array_engine import formation as formation_module
 from repro.sim.array_engine import layout as layout_module
 from repro.sim.array_engine import loss as loss_module
+from repro.sim.array_engine import rounds as rounds_module
+from repro.sim.array_engine import runner as runner_module
 from repro.sim.array_engine.formation import build_unit_disk_edges
 from repro.sim.array_engine.layout import build_array_layout, lattice_positions
 from repro.sim.array_engine.loss import ArrayLossDraw
 from repro.sim.array_engine.rounds import ArrayRoundEngine
+from repro.sim.array_engine.runner import ArrayEngine
 from repro.sim.trace import NullTracer
 from repro.util.rng import RngFactory
 
@@ -201,7 +206,8 @@ def mask_with(count, rng):
     return mask.reshape(4, -1)
 
 
-SIZES = [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7]
+SMALL = loss_module._SMALL_DRAW
+SIZES = [0, 1, 3, SMALL, SMALL + 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7]
 
 
 def bounded_budget(mode, seed, p):
@@ -542,98 +548,290 @@ def test_draw_into_allocates_less_than_its_mask_and_output():
 
 
 # ---------------------------------------------------------------------------
-# (e) frontier scan vs recomputing every channel every wave
+# (e) the inter-cluster scan vs the per-crossing oracle
 # ---------------------------------------------------------------------------
-def full_rescan_intercluster(engine, alive, alive_m, hd, waves):
-    """``_intercluster`` as it was: ``has`` over all channels, each wave.
-    Appends one ``[(channel, ranks_ok, crossed), ...]`` list per wave."""
-    if not engine.T:
-        return
-    fds = engine.fds
-    attempts = (fds.max_forward_retries + 1) if fds.implicit_ack else 1
-    ok = engine.ch_gw_ok
-    safe_gw = np.where(ok, engine.ch_gw_ids, 0)
-    alive_gw = ok & alive[safe_gw]
-    guard = 0
-    while guard <= engine.C + 2:
-        guard += 1
-        dst_known = engine.known[engine.ch_dst_nid]
-        gw_known = engine.known[safe_gw]
-        out_has = (gw_known & ~dst_known[:, None, :]).any(axis=2)
-        in_has = (engine.known[engine.ch_src_nid] & ~dst_known).any(axis=1)
-        has = np.where(engine.ch_inbound[:, None], in_has[:, None], out_has)
-        has &= alive_gw
-        active = np.flatnonzero(has.any(axis=1))
-        if active.size == 0:
-            break
-        wave = []
-        for b in active:
-            crossed = engine._cross_channel(
-                int(b), has[b], alive_m, hd, attempts
+class OracleRoundEngine(ArrayRoundEngine):
+    """The inter-cluster fixpoint one crossing at a time on the bool
+    ``known`` rows, numpy throughout: what the int scan replaced.
+
+    ``rescan`` recomputes every channel's news each wave instead of the
+    entered clusters' channels (the frontier invariant's reference).
+    :attr:`waves` holds, per execution, every wave's ``[(channel,
+    ranks_ok, crossed), ...]``; :attr:`capped` one flag per fixpoint
+    the wave cap stopped: whether news was still pending then.
+    """
+
+    rescan = False
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.crossing = list(zip(
+            self.ch_dst.tolist(), self.ch_dst_nid.tolist(),
+            self.ch_src_nid.tolist(), self.ch_inbound.tolist(),
+            self.ch_gw_ids.tolist(),
+        ))
+        self.safe_gw = np.where(self.ch_gw_ok, self.ch_gw_ids, 0)
+        self.waves = []
+        self.capped = []
+
+    def _intercluster(self, alive, alive_m, hd):
+        run = []
+        self.waves.append(run)
+        if not self.T:
+            return
+        fds = self.fds
+        attempts = (fds.max_forward_retries + 1) if fds.implicit_ack else 1
+        alive_gw = self.ch_gw_ok & alive[self.safe_gw]
+        has = self._has_news(slice(None), alive_gw)
+        entered = np.zeros(self.C, dtype=bool)
+        guard = 0
+        while guard <= self.C + 2:
+            guard += 1
+            active = np.flatnonzero(has.any(axis=1)).tolist()
+            entered[:] = False
+            wave = []
+            for b in active:
+                crossed = self._cross_channel(b, has[b], alive_m, hd, attempts)
+                wave.append((b, has[b].tolist(), crossed))
+                if crossed:
+                    entered[self.ch_dst[b]] = True
+            if wave:
+                run.append(wave)
+            if not entered.any():
+                return
+            rows = (
+                slice(None) if self.rescan
+                else np.flatnonzero(entered[self.ch_src] | entered[self.ch_dst])
             )
-            wave.append((int(b), has[b].tolist(), crossed))
-        waves.append(wave)
-        if not any(crossed for _, _, crossed in wave):
-            break
+            has[rows] = self._has_news(rows, alive_gw)
+        self.capped.append(bool(has.any()))
+
+    def _has_news(self, rows, alive_gw):
+        known = self.known
+        dst_known = known[self.ch_dst_nid[rows]]  # (R, T)
+        out_has = (known[self.safe_gw[rows]] & ~dst_known[:, None, :]).any(axis=2)
+        in_has = (known[self.ch_src_nid[rows]] & ~dst_known).any(axis=1)
+        has = np.where(self.ch_inbound[rows, None], in_has[:, None], out_has)
+        return has & alive_gw[rows]
+
+    def _cross_channel(self, b, ranks_ok, alive_m, hd, attempts):
+        loss = self.loss
+        layout = self.layout
+        dst, dst_nid, src_nid, inbound, gw_ids = self.crossing[b]
+        src_row = self.known[src_nid]
+        for g in np.flatnonzero(ranks_ok).tolist():
+            gid = gw_ids[g]
+            if inbound:
+                news = src_row & ~self.known[dst_nid]
+            else:
+                news = self.known[gid] & ~self.known[dst_nid]
+            if not news.any():
+                return False
+            if inbound:
+                over = self._ladder("over", self.ch_overhear_dist, b, g, attempts)
+                if self._e_rx is not None:
+                    self._e_rx[gid] += int(over.sum())
+                if not over.any():
+                    continue
+            if g > 0:
+                self.bgw_activations += 1
+            rep = self._ladder("rep", self.ch_report_dist, b, g, attempts)
+            self.reports_sent += 1
+            self.report_retransmissions += attempts - 1
+            self.transmissions += attempts
+            if self._e_tx is not None:
+                self._e_tx[gid] += attempts
+                self._e_rx[dst_nid] += int(rep.sum())
+            if not rep.any():
+                continue
+            self.known[dst_nid] |= news
+            rel = loss.draw_into(alive_m[dst], hd[dst], chain="cm", at=dst)
+            self.transmissions += 1
+            rec_ids = layout.members[dst][rel & layout.member_mask[dst]]
+            if self._e_tx is not None:
+                self._e_tx[dst_nid] += 1
+                self._e_rx[rec_ids] += 1
+            if rec_ids.size:
+                self.known[rec_ids] |= news[None, :]
+            return True
+        return False
+
+    def _ladder(self, chain, dist, b, g, attempts):
+        distances = None
+        if self.loss.kind == "distance":
+            distances = np.full(attempts, dist[b, g])
+        return self.loss.delivered(
+            attempts, distances=distances, chain=chain, at=(b, g)
+        )
 
 
-def frontier_engines(config):
-    """Two identical engines (own copies of the loss stream) on one
-    field, ``crash_count`` members silent from execution 1 on."""
-    layout = build_array_layout(
-        config.cluster_count, config.members_per_cluster,
-        config.transmission_range, RngFactory(config.seed).stream("placement"),
+class RescanOracleRoundEngine(OracleRoundEngine):
+    rescan = True
+
+
+class LoggedLossDraw(ArrayLossDraw):
+    """Logs every inter-cluster draw -- gateway ladders and relays -- as
+    ``(chain, at, delivered, budget before, budget after)``."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.log = []
+
+    def delivered(self, count, distances=None, chain=None, at=None):
+        before = self.budget_left
+        out = super().delivered(count, distances, chain=chain, at=at)
+        if chain in ("over", "rep"):
+            self.log.append((chain, at, out.tolist(), before, self.budget_left))
+        return out
+
+    def draw_into(self, active, distances=None, chain=None, at=None):
+        before = self.budget_left
+        out = super().draw_into(active, distances, chain=chain, at=at)
+        if chain == "cm" and isinstance(at, int):  # a relay
+            self.log.append((chain, at, out.tolist(), before, self.budget_left))
+        return out
+
+
+def scan_and_oracle(monkeypatch, config, oracle=OracleRoundEngine):
+    """``config`` run end to end on the scan and on ``oracle``."""
+    engines = []
+    for rounds_class in (ArrayRoundEngine, oracle):
+        with monkeypatch.context() as patch:
+            patch.setattr(runner_module, "ArrayRoundEngine", rounds_class)
+            patch.setattr(runner_module, "ArrayLossDraw", LoggedLossDraw)
+            engine = ArrayEngine(config)
+            run_engine(engine)
+        engines.append(engine)
+    return engines
+
+
+ENGINE_COUNTERS = (
+    "transmissions", "peer_requests", "peer_forwards", "peer_recoveries",
+    "reports_sent", "report_retransmissions", "bgw_activations",
+)
+
+
+def assert_same_run(scan, oracle):
+    """Draw for draw, then every piece of state the run leaves."""
+    got, want = scan.rounds, oracle.rounds
+    assert got.loss.log == want.loss.log
+    assert got.t_ids == want.t_ids
+    np.testing.assert_array_equal(got.known, want.known)
+    np.testing.assert_array_equal(got.suspected, want.suspected)
+    np.testing.assert_array_equal(got.takeover_active, want.takeover_active)
+    for name in ENGINE_COUNTERS:
+        assert getattr(got, name) == getattr(want, name), name
+    assert scan.tracer.records == oracle.tracer.records
+    if scan.energy is not None:
+        for name in ("level", "last_update", "tx_count", "rx_count"):
+            np.testing.assert_array_equal(
+                getattr(scan.energy, name), getattr(oracle.energy, name)
+            )
+    assert_same_state(got.loss, want.loss)
+    assert_same_stream_position(got.loss, want.loss)
+
+
+def crossings(oracle):
+    return sum(
+        crossed
+        for run in oracle.rounds.waves for wave in run for _, _, crossed in wave
     )
-    crash_exec = np.full(layout.node_count, config.executions + 1, np.int64)
-    members = np.arange(config.cluster_count, layout.node_count)
-    crashed = np.random.default_rng(config.seed).choice(
-        members, config.crash_count, replace=False
+
+
+#: 36 twelve-member clusters, spacing 1.25: multi-duty gateways, BGW
+#: ladders and waves several deep.
+SCAN_FIELD = dict(engine="array", cluster_count=36, executions=4, crash_count=8)
+
+
+@pytest.mark.parametrize(
+    "kind", ["perfect", "bernoulli", "distance", "bounded", "gilbert"]
+)
+def test_scan_equals_oracle_for_every_loss_kind(monkeypatch, kind):
+    config = scenario_config(
+        loss_kind=kind, loss_p=0.3, loss_budget=400, seed=5, **SCAN_FIELD
     )
-    crash_exec[crashed] = 1
-    loss = ArrayLossDraw(
-        config.loss_kind, config.loss_params, config.loss_probability,
-        config.transmission_range,
-        RngFactory(config.seed).stream("array", "loss"),
+    scan, oracle = scan_and_oracle(monkeypatch, config)
+    assert crossings(oracle) > 20
+    assert_same_run(scan, oracle)
+
+
+def test_scan_equals_oracle_with_gilbert_and_energy(monkeypatch):
+    config = scenario_config(
+        loss_kind="gilbert", loss_p=0.3, track_energy=True, seed=6,
+        **SCAN_FIELD,
     )
-    frontier = ArrayRoundEngine(
-        layout, config.fds, loss, NullTracer(), crash_exec
+    scan, oracle = scan_and_oracle(monkeypatch, config)
+    assert crossings(oracle) > 20
+    assert scan.energy.rx_count.sum() > 0
+    assert_same_run(scan, oracle)
+
+
+def test_scan_equals_oracle_on_a_protocol_formed_layout(monkeypatch):
+    config = ScenarioConfig(
+        engine="array", formation="protocol", formation_iterations=2,
+        cluster_count=16, members_per_cluster=20, executions=4,
+        crash_count=6, loss_probability=0.3, seed=5,
     )
-    return frontier, copy.deepcopy(frontier)
+    scan, oracle = scan_and_oracle(monkeypatch, config)
+    # Lossy short formation: 18 clusters, heads off the lattice identity.
+    heads = scan.layout.head_nids
+    assert (heads != np.arange(heads.size)).any()
+    assert crossings(oracle) > 20
+    assert_same_run(scan, oracle)
 
 
-def run_recording_waves(frontier, rescan, executions):
-    """Per execution, every wave's ``(channel, ranks_ok, crossed)`` list
-    on both engines: ``(frontier, rescan)``, each ``[execution][wave]``."""
-    frontier_runs, rescan_runs = [], []
-    scan, cross = frontier._has_news, frontier._cross_channel
-
-    def scanning(rows, alive_gw):  # one scan opens each wave
-        frontier_runs[-1].append([])
-        return scan(rows, alive_gw)
-
-    def crossing(b, ranks_ok, *rest):
-        crossed = cross(b, ranks_ok, *rest)
-        frontier_runs[-1][-1].append((b, ranks_ok.tolist(), crossed))
-        return crossed
-
-    frontier._has_news, frontier._cross_channel = scanning, crossing
-    rescan._intercluster = lambda alive, alive_m, hd: full_rescan_intercluster(
-        rescan, alive, alive_m, hd, rescan_runs[-1]
+def test_scan_equals_oracle_when_the_budget_runs_out_mid_fixpoint(monkeypatch):
+    """The budget is set to the drops made before the inter-cluster
+    draw in the middle of a budget-free run, plus one: the scan must
+    spend the last drop where the oracle does and draw nothing after."""
+    free = scenario_config(
+        loss_kind="bounded", loss_p=0.3, loss_budget=10 ** 9, seed=8,
+        **SCAN_FIELD,
     )
-    for e in range(executions):
-        frontier_runs.append([])
-        rescan_runs.append([])
-        frontier.run_execution(e)
-        rescan.run_execution(e)
-    # The scan after the last progressing wave opens one nothing crosses in.
-    return [[w for w in run if w] for run in frontier_runs], rescan_runs
+    _, probe = scan_and_oracle(monkeypatch, free)
+    log = probe.rounds.loss.log
+    spent = 10 ** 9 - log[len(log) // 2][3]
+    config = dataclasses.replace(
+        free, loss_params=(("budget", float(spent + 1)),)
+    )
+    scan, oracle = scan_and_oracle(monkeypatch, config)
+    ran_out = [entry for entry in oracle.rounds.loss.log if entry[3] > entry[4] == 0]
+    assert ran_out, "the budget ran out outside the inter-cluster fixpoint"
+    assert_same_run(scan, oracle)
 
 
-def assert_same_outcome(frontier, rescan):
-    np.testing.assert_array_equal(frontier.known, rescan.known)
-    assert frontier.transmissions == rescan.transmissions
-    assert_same_state(frontier.loss, rescan.loss)
-    assert_same_stream_position(frontier.loss, rescan.loss)
+def test_scan_equals_oracle_past_64_targets(monkeypatch):
+    """More than 64 tracked targets: multi-word ints and words."""
+    config = scenario_config(
+        engine="array", cluster_count=64, executions=4, crash_count=72,
+        loss_kind="bernoulli", loss_p=0.2, seed=9,
+    )
+    scan, oracle = scan_and_oracle(monkeypatch, config)
+    assert scan.rounds.T > 64
+    assert crossings(oracle) > 20
+    assert_same_run(scan, oracle)
+
+
+#: 9-cluster fields with a fixpoint that at p = 0.8 runs all C + 3 = 12
+#: waves and still has news pending: the cap, not a quiet wave, stops
+#: it, so a cap one wave early or late moves the draws.
+CAPPED_SEEDS = [18, 50, 71]
+
+
+@pytest.mark.parametrize("seed", CAPPED_SEEDS)
+def test_scan_stops_at_the_wave_cap_where_the_oracle_does(monkeypatch, seed):
+    config = ScenarioConfig(
+        engine="array", cluster_count=9, members_per_cluster=10,
+        crash_count=3, executions=5, loss_probability=0.8, seed=seed,
+    )
+    scan, oracle = scan_and_oracle(monkeypatch, config)
+    rounds = oracle.rounds
+    assert any(
+        len(run) == rounds.C + 3 and all(any(c for *_, c in w) for w in run)
+        for run in rounds.waves
+    )
+    assert True in rounds.capped
+    assert_same_run(scan, oracle)
 
 
 FRONTIER_FIELD = dict(
@@ -642,31 +840,28 @@ FRONTIER_FIELD = dict(
 )
 
 
-def test_frontier_scan_crosses_the_channels_a_full_rescan_would():
+def test_frontier_scan_crosses_the_channels_a_full_rescan_would(monkeypatch):
     config = ScenarioConfig(loss_probability=0.25, **FRONTIER_FIELD)
-    frontier, rescan = frontier_engines(config)
-    got, want = run_recording_waves(frontier, rescan, config.executions)
-    assert got == want
-    assert max(len(run) for run in want) > 3  # news did travel in waves
-    assert_same_outcome(frontier, rescan)
+    scan, rescan = scan_and_oracle(monkeypatch, config, RescanOracleRoundEngine)
+    assert max(len(run) for run in rescan.rounds.waves) > 3  # news did travel in waves
+    assert_same_run(scan, rescan)
 
 
-def test_exhausted_report_ladder_keeps_its_channel_active():
+def test_exhausted_report_ladder_keeps_its_channel_active(monkeypatch):
     """70 % loss and one attempt per report: ladders run dry, and a
     channel whose crossing failed is tried again in the next wave even
-    when neither of its clusters was entered -- the row the frontier
-    scan did *not* recompute must still say so."""
+    when neither of its clusters was entered -- a channel the frontier
+    did *not* recompute must still hold its news."""
     config = ScenarioConfig(
         loss_probability=0.7,
         fds=FdsConfig(implicit_ack=False),
         **FRONTIER_FIELD,
     )
-    frontier, rescan = frontier_engines(config)
-    got, want = run_recording_waves(frontier, rescan, config.executions)
-    assert got == want
-    src, dst = frontier.ch_src.tolist(), frontier.ch_dst.tolist()
+    scan, oracle = scan_and_oracle(monkeypatch, config)
+    rounds = oracle.rounds
+    src, dst = rounds.ch_src.tolist(), rounds.ch_dst.tolist()
     retained_retries = 0
-    for run in got:
+    for run in rounds.waves:
         for wave, following in zip(run, run[1:]):
             entered = {dst[b] for b, _, crossed in wave if crossed}
             again = {b for b, _, _ in following}
@@ -676,4 +871,50 @@ def test_exhausted_report_ladder_keeps_its_channel_active():
                 and src[b] not in entered and dst[b] not in entered
             )
     assert retained_retries > 0
-    assert_same_outcome(frontier, rescan)
+    assert_same_run(scan, oracle)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    t=st.sampled_from([1, 7, 8, 63, 64, 65, 128, 130]),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_bitmasks_round_trip(t, seed):
+    rows = np.random.default_rng(seed).random((5, t)) < 0.5
+    ints, words = rounds_module._bitmasks(rows)
+    assert ints == [
+        sum(1 << j for j in np.flatnonzero(row).tolist()) for row in rows
+    ]
+    assert words.dtype == np.dtype("<u8") and words.shape == (5, -(-t // 64))
+    np.testing.assert_array_equal(rounds_module._bool_rows(ints, t), rows)
+
+
+def test_known_grows_in_column_chunks():
+    """``known`` is an (N, T) view whose buffer grows a fixed chunk at a
+    time, and a deep copy (a plain array) grows from its own values."""
+    layout = build_array_layout(4, 30, RADIUS, RngFactory(1).stream("placement"))
+    n = layout.node_count
+    loss = ArrayLossDraw("perfect", (), 0.0, RADIUS, np.random.default_rng(1))
+    engine = ArrayRoundEngine(
+        layout, FdsConfig(), loss, NullTracer(), np.full(n, 9, np.int64)
+    )
+    chunk = rounds_module._KNOWN_CHUNK
+    targets = list(range(4, 4 + 2 * chunk + 3))
+    buffers = []
+    for nid in targets:
+        col = engine._col(nid)
+        engine.known[nid, col] = True
+        assert engine.known.shape == (n, col + 1)
+        if not any(engine.known.base is seen for seen in buffers):
+            buffers.append(engine.known.base)
+    assert len(buffers) == 3
+    assert [b.shape[1] for b in buffers] == [chunk, 2 * chunk, 3 * chunk]
+    twin = copy.deepcopy(engine)
+    for nid in (100, 101):
+        for e in (engine, twin):
+            col = e._col(nid)
+            e.known[nid, col] = True
+    np.testing.assert_array_equal(twin.known, engine.known)
+    expected = np.zeros((n, len(targets) + 2), dtype=bool)
+    expected[targets + [100, 101], np.arange(len(targets) + 2)] = True
+    np.testing.assert_array_equal(engine.known, expected)

@@ -9,13 +9,17 @@ differentially.
 """
 
 import json
+import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.experiments.runner import ScenarioConfig, run_scenario
 from repro.obs.analyze import TOPOLOGY_KIND, TopologyView
 from repro.obs.spool import SpoolingTracer, read_spool
 from repro.obs.topology import (
+    _round_coords,
     array_topology_detail,
     topology_payload,
     topology_view,
@@ -137,6 +141,32 @@ class TestArrayDetail:
             assert got["unclustered"]
             assert max(c["head"] for c in got["clusters"]) \
                 >= len(got["clusters"])
+
+
+#: Exact and near halves of the fourth decimal: where the scaled
+#: product ``v * 1e4`` may round the other way from ``v`` itself.
+HALVES = st.integers(-10 ** 9, 10 ** 9).map(lambda n: (n + 0.5) / 1e4)
+COORDS = st.one_of(
+    st.floats(),
+    HALVES,
+    HALVES.map(lambda v: math.nextafter(v, math.inf)),
+    HALVES.map(lambda v: math.nextafter(v, -math.inf)),
+)
+
+
+class TestCoordinateRounding:
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(COORDS, max_size=40))
+    @example(values=[
+        0.0, -0.0, -0.00001, 0.00005, -0.00005, 0.03125, -0.03125, 2.675,
+        1.00005, 5e-324, 1e300, -1e300, 2 ** 52 / 1e4, 2 ** 53 / 1e4,
+        math.inf, -math.inf, math.nan,
+    ])
+    def test_vectorized_rounding_equals_round(self, values):
+        """Value, sign of zero and type: the bytes ``json.dumps`` writes."""
+        got = _round_coords(values)
+        assert [repr(v) for v in got] == [repr(round(v, 4)) for v in values]
+        assert all(type(v) is float for v in got)
 
 
 class TestReconstruction:
