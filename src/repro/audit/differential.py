@@ -427,10 +427,7 @@ def formation_violations(spec: ScenarioConfig) -> List[Violation]:
     within width and strictly NID-ascending, extraction round-trips
     through ``ClusterLayout`` validation.
     """
-    from repro.sim.array_engine.formation import (
-        formation_cluster_layout,
-        formation_shape_violations,
-    )
+    from repro.sim.array_engine.formation import formation_shape_violations
 
     violations: List[Violation] = []
 
@@ -439,7 +436,7 @@ def formation_violations(spec: ScenarioConfig) -> List[Violation]:
     )
     event = run_scenario(replace(lossless, engine="event"))
     array = run_scenario(replace(lossless, engine="array"))
-    layout = formation_cluster_layout(array.formation)
+    layout = array.layout.cluster_layout()
     for field_name, got, want in (
         ("clusters", layout.clusters, event.layout.clusters),
         ("boundaries", layout.boundaries, event.layout.boundaries),
@@ -502,8 +499,8 @@ def energy_ledger_violations(spec: ScenarioConfig) -> List[Violation]:
     accounting: one transmit debit per counted transmission, one
     receive debit per delivered copy.
     """
-    from repro.sim.array_engine import run_array_scenario
     from repro.sim.array_engine.energy import replay_journal
+    from repro.sim.array_engine.runner import run_array_scenario
 
     config = replace(spec, engine="array", track_energy=True)
     result = run_array_scenario(config, record_energy_journal=True)

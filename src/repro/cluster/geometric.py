@@ -7,67 +7,40 @@ the paper's redundancy roles:
 
 1. Repeatedly: among unmarked nodes, every node whose NID is the lowest in
    its unmarked one-hop neighborhood declares itself CH; its unmarked
-   neighbors join it as members.  Iterate until no unmarked node has an
-   unmarked neighbor; remaining unmarked nodes are isolated (degree-0 among
-   the uncovered) and stay unclustered.
-2. Deputies (F2) per cluster via :mod:`repro.cluster.deputies`.
-3. Boundaries (F1/F3): for every ordered pair of clusters whose disks
-   overlap enough that the owner has a member adjacent to the peer CH, a
-   :class:`Boundary` with a primary GW and ranked BGWs via
-   :mod:`repro.cluster.gateways`.
+   neighbors join it (the lowest such CH) as members.  Iterate until no
+   unmarked node has an unmarked neighbor; isolated nodes stay unclustered.
+2. Deputies (F2) per cluster, ranked by coverage: (distance to CH
+   ascending, in-cluster degree descending, NID).  Section 4.2's
+   reachability discussion (Figure 2(a)) shows a DCH fails by being too
+   far from the CH to reach all members, so closer candidates rank first.
+3. Boundaries (F1/F3): for every ordered pair of clusters where the owner
+   has a member adjacent to the peer CH, a :class:`Boundary` owned by that
+   side, whose candidates (such members) rank by (the larger of their two
+   CH distances, NID) -- the most central node of the lens-shaped overlap
+   hears both CHs most reliably.  The first is the GW, the next
+   ``max_backups`` the ranked BGWs (rank k waits ``k * 2*Thop``).
 
-The oracle is used to set up analysis/benchmark scenarios deterministically;
-the distributed protocol in :mod:`repro.cluster.formation` is tested for
-convergence *to this oracle's output* under perfect links.
+The arrays are computed once, by
+:func:`repro.sim.array_engine.layout.geometric_layout` over the graph's
+unit-disk edge list.  The oracle sets up analysis and benchmark scenarios
+deterministically; the distributed protocol in
+:mod:`repro.cluster.formation` is tested for convergence *to this oracle's
+output* under perfect links.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Set
-
-from repro.cluster.deputies import DEFAULT_DEPUTY_COUNT, select_deputies
-from repro.cluster.gateways import DEFAULT_MAX_BACKUPS, select_boundary
-from repro.cluster.state import Boundary, Cluster, ClusterLayout
-from repro.errors import ClusteringError
+from repro.cluster.state import ClusterLayout
 from repro.topology.graph import UnitDiskGraph
-from repro.types import NodeId
+from repro.util.validation import check_int_at_least
 
+#: Default number of deputies per cluster.  Two gives the takeover chain a
+#: backup without meaningfully increasing R-3 traffic.
+DEFAULT_DEPUTY_COUNT = 2
 
-def lowest_id_partition(graph: UnitDiskGraph) -> Dict[NodeId, Set[NodeId]]:
-    """The iterative lowest-ID partition: head -> member set (head included).
-
-    Deterministic: iteration order is by NID everywhere.
-    """
-    unmarked: Set[NodeId] = set(graph.nodes())
-    clusters: Dict[NodeId, Set[NodeId]] = {}
-    while unmarked:
-        # Heads this pass: unmarked nodes with the lowest NID within their
-        # *unmarked* one-hop neighborhood.  min(unmarked) always qualifies,
-        # so every pass makes progress and the loop terminates.
-        heads = [
-            nid
-            for nid in sorted(unmarked)
-            if all(
-                other > nid
-                for other in graph.neighbors(nid)
-                if other in unmarked
-            )
-        ]
-        for head in heads:
-            if head not in unmarked:
-                continue  # claimed as a member by an earlier head this pass
-            if graph.degree(head) == 0:
-                # Truly isolated (no neighbors at all): the paper leaves
-                # such nodes unclustered.  Drop from unmarked; the caller
-                # records them as unclustered.
-                unmarked.discard(head)
-                continue
-            members = {head} | {
-                nid for nid in graph.neighbors(head) if nid in unmarked
-            }
-            clusters[head] = members
-            unmarked -= members
-    return clusters
+#: Default cap on BGWs per boundary; the analysis in Section 5 of the paper
+#: and our ablations vary this as ``n``.
+DEFAULT_MAX_BACKUPS = 2
 
 
 def build_clusters(
@@ -75,54 +48,16 @@ def build_clusters(
     deputy_count: int = DEFAULT_DEPUTY_COUNT,
     max_backups: int = DEFAULT_MAX_BACKUPS,
 ) -> ClusterLayout:
-    """Full oracle layout: partition + deputies + boundaries.
+    """Full oracle layout: partition + deputies + boundaries, validated
+    against ``graph``."""
+    # Imported here: the array engine package imports the experiment
+    # runner, which imports this module.
+    from repro.sim.array_engine.layout import geometric_layout
 
-    Raises :class:`ClusteringError` if the graph is empty.
-    """
-    if len(graph) == 0:  # pragma: no cover - UnitDiskGraph forbids empty
-        raise ClusteringError("cannot cluster an empty graph")
-    partition = lowest_id_partition(graph)
-    covered: Set[NodeId] = set()
-    for members in partition.values():
-        covered |= members
-    unclustered = [nid for nid in graph.nodes() if nid not in covered]
-
-    positions = graph.positions()
-    clusters: List[Cluster] = []
-    member_sets: Dict[NodeId, FrozenSet[NodeId]] = {}
-    for head in sorted(partition):
-        members = frozenset(partition[head])
-        member_sets[head] = members
-        in_cluster_degree = {
-            nid: sum(1 for nb in graph.neighbors(nid) if nb in members)
-            for nid in members
-        }
-        deputies = select_deputies(
-            head, members, positions, in_cluster_degree, count=deputy_count
-        )
-        clusters.append(Cluster(head=head, members=members, deputies=deputies))
-
-    boundaries: List[Boundary] = []
-    heads = sorted(partition)
-    neighbor_sets = {head: frozenset(graph.neighbors(head)) for head in heads}
-    for owner in heads:
-        for peer in heads:
-            if peer == owner:
-                continue
-            boundary = select_boundary(
-                owner_head=owner,
-                peer_head=peer,
-                owner_members=member_sets[owner],
-                peer_head_neighbors=neighbor_sets[peer],
-                positions=positions,
-                max_backups=max_backups,
-            )
-            if boundary is not None:
-                boundaries.append(boundary)
-
-    return ClusterLayout(
-        clusters=clusters,
-        boundaries=boundaries,
-        graph=graph,
-        unclustered=unclustered,
+    check_int_at_least("deputy_count", deputy_count, 0)
+    check_int_at_least("max_backups", max_backups, 0)
+    xs, ys, edges = graph.field()
+    layout = geometric_layout(
+        xs, ys, graph.radius, edges, deputy_count, max_backups
     )
+    return layout.cluster_layout(graph)

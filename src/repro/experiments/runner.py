@@ -490,7 +490,7 @@ def run_scenario(
     the trace alone.
     """
     if config.engine == "array":
-        from repro.sim.array_engine import run_array_scenario
+        from repro.sim.array_engine.runner import run_array_scenario
 
         return run_array_scenario(config, tracer=tracer, profiler=profiler)
     if config.engine == "rt":

@@ -7,8 +7,9 @@ updates and inter-cluster forwarding across *all* clusters at once -- as
 batched boolean-array programs:
 
 - :mod:`.layout` -- the field as flat arrays: member matrices, radio
-  adjacency, deputy ranks, and boundary gateways, built bit-identically
-  to the scalar topology/cluster pipeline from the same seeded stream;
+  adjacency, deputy ranks, and boundary gateways; the one oracle
+  clustering, which the event engine reads through
+  :func:`~repro.cluster.geometric.build_clusters`;
 - :mod:`.loss` -- vectorized per-copy Bernoulli/bounded/distance loss
   draws under the shared ``SeedSequence`` discipline;
 - :mod:`.formation` -- the six-round distributed formation protocol
@@ -22,39 +23,7 @@ batched boolean-array programs:
 
 The event engine remains the scalar reference; the differential soak
 harness (:mod:`repro.audit.differential`) proves verdict-level
-equivalence between the two on every soak run.
+equivalence between the two on every soak run.  The package imports
+none of its modules, so reaching the oracle loads :mod:`.layout` alone;
+import names from the modules.
 """
-
-from repro.sim.array_engine.formation import (
-    FormationOutcome,
-    formation_array_layout,
-    formation_cluster_layout,
-    formation_shape_violations,
-    run_array_formation,
-)
-from repro.sim.array_engine.layout import (
-    ArrayLayout,
-    build_array_layout,
-    lattice_positions,
-)
-from repro.sim.array_engine.loss import ArrayLossDraw
-from repro.sim.array_engine.rounds import ArrayRoundEngine
-from repro.sim.array_engine.runner import (
-    ArrayScenarioResult,
-    run_array_scenario,
-)
-
-__all__ = [
-    "ArrayLayout",
-    "ArrayLossDraw",
-    "ArrayRoundEngine",
-    "ArrayScenarioResult",
-    "FormationOutcome",
-    "build_array_layout",
-    "formation_array_layout",
-    "formation_cluster_layout",
-    "formation_shape_violations",
-    "lattice_positions",
-    "run_array_formation",
-    "run_array_scenario",
-]

@@ -20,10 +20,11 @@ this module implements.
 
 Edge list
 ---------
-Rounds are programs over :class:`UnitDiskEdges`, the canonical
-``(src, dst)``-sorted directed edge list: a pure function of positions
-and radius, built over a half stencil of grid cells in bounded candidate
-blocks.  The ``min(heard)`` reductions read flags in in-edge order (one
+Rounds are programs over :class:`~repro.topology.graph.UnitDiskEdges`,
+the canonical ``(src, dst)``-sorted directed edge list of
+:func:`~repro.topology.graph.build_unit_disk_edges` -- the range test
+the graph, the radio medium and the oracle use too.  The
+``min(heard)`` reductions read flags in in-edge order (one
 ``flatnonzero``, one binary search of the receivers' segment starts).
 Draws on a few nodes' out-edges, or on one edge per sender, address
 those edges directly in ascending order -- the positions, and so the
@@ -83,8 +84,13 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from repro.cluster.formation import DECLARATION_PATIENCE, FormationConfig
-from repro.cluster.state import Boundary, Cluster, ClusterLayout
+from repro.sim.array_engine.layout import (
+    ArrayLayout,
+    _member_slots,
+    _rank_boundaries,
+)
 from repro.sim.array_engine.loss import ArrayLossDraw
+from repro.topology.graph import UnitDiskEdges, build_unit_disk_edges
 
 #: Pad value for "no node" entries (matches layout.PAD).
 PAD = -1
@@ -93,192 +99,6 @@ PAD = -1
 FORMATION_CHAIN = "fm"
 
 _BIG = np.iinfo(np.int64).max
-
-
-# ----------------------------------------------------------------------
-# Unit-disk edge set
-# ----------------------------------------------------------------------
-
-
-class UnitDiskEdges:
-    """The directed unit-disk edge list of a field, in canonical order.
-
-    Edges are every ordered pair ``(src, dst)`` with ``src != dst`` and
-    ``dx*dx + dy*dy <= radius**2``, sorted by ``(src, dst)``: a pure
-    function of the positions and the radius.
-    :func:`build_unit_disk_edges` finds them with a half stencil of grid
-    cells (own cell plus 4 forward cells, so each unordered pair is
-    tested once) in candidate blocks of at most :data:`_CANDIDATE_BLOCK`
-    pairs.  The set is symmetric, so in-degrees equal out-degrees
-    (:attr:`in_indptr` *is* :attr:`out_indptr`) and :attr:`rev`, which
-    maps each edge to its reverse, doubles as the in-edge order the
-    per-receiver reductions read their flags in (see ``__init__``).
-    """
-
-    def __init__(
-        self,
-        node_count: int,
-        src: np.ndarray,
-        dst: np.ndarray,
-        dist: np.ndarray,
-    ) -> None:
-        self.node_count = int(node_count)
-        self.src = src
-        self.dst = dst
-        self.dist = dist
-        self.edge_count = int(src.size)
-        n = self.node_count
-        self.out_indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=n), out=self.out_indptr[1:])
-        self.in_indptr = self.out_indptr
-        # Edges sorted by (dst, src).  By symmetry of the edge set this
-        # permutation is an involution and doubles as the reverse-edge
-        # map: the j-th edge in (dst, src) order carries the pair
-        # (dst=s_j, src=d_j), i.e. it *is* the reverse of canonical edge
-        # j, so rev[j] = perm[j] and in-edge segments of a node list its
-        # sources in ascending order.  The keys are distinct, so any
-        # sort gives this one permutation.
-        perm = np.argsort(dst * n + src)
-        self.rev = perm
-        self.in_order = perm
-
-    def out_slice(self, node: int) -> slice:
-        return slice(int(self.out_indptr[node]), int(self.out_indptr[node + 1]))
-
-    def out_edges(self, nodes: np.ndarray) -> np.ndarray:
-        """The out-edges of ascending ``nodes``, in ascending edge order
-        (the positions an ``(E,)`` mask of those edges would hold)."""
-        starts = self.out_indptr[nodes]
-        lengths = self.out_indptr[nodes + 1] - starts
-        shift = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
-        return np.arange(shift.size, dtype=np.int64) + shift
-
-    def _first_flagged(self, flags: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Per node, whether any in-edge is flagged, and the in-order
-        position of the first flagged one: the first flagged position at
-        or after the segment start, a hit iff before the segment end.  A
-        flagged sentinel past the last segment keeps the search in bounds.
-        """
-        in_flags = np.append(flags[self.in_order], True)
-        flagged = np.flatnonzero(in_flags)
-        first = flagged[np.searchsorted(flagged, self.in_indptr[:-1])]
-        return first < self.in_indptr[1:], first
-
-    def first_flagged_in_edge(self, flags: np.ndarray) -> np.ndarray:
-        """Per node, the flagged in-edge with the lowest source NID.
-
-        ``flags`` is an ``(E,)`` bool mask; returns an ``(N,)`` int64
-        array of edge indices, ``-1`` where no in-edge is flagged.
-        In-edge segments are src-ascending, so the first flagged position
-        in a segment is the minimum-NID sender -- exactly the
-        ``min(heard)`` / ``any(h < my_id)`` reductions of the event
-        protocol.
-        """
-        hit, first = self._first_flagged(flags)
-        out = np.full(self.node_count, -1, dtype=np.int64)
-        out[hit] = self.in_order[first[hit]]
-        return out
-
-    def min_flagged_src(self, flags: np.ndarray) -> np.ndarray:
-        """Per node, the lowest source NID among flagged in-edges.
-
-        ``_BIG`` where no in-edge is flagged.  In-order position ``p``
-        holds the reverse of canonical edge ``p``, whose source is
-        ``dst[p]``.
-        """
-        hit, first = self._first_flagged(flags)
-        out = np.full(self.node_count, _BIG, dtype=np.int64)
-        out[hit] = self.dst[first[hit]]
-        return out
-
-
-#: The forward half of a cell's 3x3 neighborhood, as ``(dy, dx)``: one
-#: cell's backward half is its neighbors' forward half.
-_FORWARD_CELLS = ((0, 1), (1, -1), (1, 0), (1, 1))
-
-#: Candidate pairs per block of :func:`build_unit_disk_edges` (more only
-#: to hold one node's candidates); ~50 bytes of temporaries each.
-_CANDIDATE_BLOCK = 1 << 19
-
-#: Cells are this much wider than the radius, so that rounding in the
-#: cell index cannot put two nodes in range of each other two cells
-#: apart (exhaustive while coordinates stay within ~10**6 radii).
-_CELL_SLACK = 1e-9
-
-
-def build_unit_disk_edges(
-    xs: np.ndarray, ys: np.ndarray, radius: float
-) -> UnitDiskEdges:
-    """Build the canonical directed unit-disk edge list of a field.
-
-    Each node tests the nodes after it in its own cell and those of its
-    4 forward cells; each kept pair is emitted in both directions, as
-    ``dx*dx + dy*dy <= r*r`` is exactly symmetric in IEEE arithmetic
-    (``a - b == -(b - a)``).  One sort of ``src * N + dst`` keys puts
-    the edges in canonical order.
-    """
-    n = int(xs.size)
-    if n <= 1:
-        empty = np.zeros(0, dtype=np.int64)
-        return UnitDiskEdges(n, empty, empty.copy(), np.zeros(0, np.float64))
-    inv = 1.0 / (float(radius) * (1.0 + _CELL_SLACK))
-    cx = np.floor(xs * inv).astype(np.int64)
-    cy = np.floor(ys * inv).astype(np.int64)
-    cx -= cx.min()
-    cy -= cy.min()
-    # One empty column past the widest row: dx = +-1 never wraps a row.
-    stride = int(cx.max()) + 2
-    cell = cy * stride + cx
-    order = np.argsort(cell, kind="stable")
-    skey = cell[order]
-    sx, sy = xs[order], ys[order]
-    # Per sorted position, the candidates' sorted positions
-    # [left, left + count): the rest of its own cell, then each forward cell.
-    left = np.empty((n, 1 + len(_FORWARD_CELLS)), dtype=np.int64)
-    count = np.empty_like(left)
-    left[:, 0] = np.arange(1, n + 1)
-    count[:, 0] = np.searchsorted(skey, skey, side="right") - left[:, 0]
-    for k, (dy, dx) in enumerate(_FORWARD_CELLS, start=1):
-        nkey = skey + (dy * stride + dx)
-        left[:, k] = np.searchsorted(skey, nkey, side="left")
-        count[:, k] = np.searchsorted(skey, nkey, side="right") - left[:, k]
-    per_node = count.sum(axis=1)
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(per_node, out=offsets[1:])
-    r2 = float(radius) * float(radius)
-    keys: List[np.ndarray] = []
-    lo = 0
-    while lo < n:
-        target = offsets[lo] + _CANDIDATE_BLOCK
-        hi = int(np.searchsorted(offsets, target, side="right")) - 1
-        hi = min(n, max(lo + 1, hi))
-        cnt = count[lo:hi].ravel()
-        a = np.repeat(np.arange(lo, hi, dtype=np.int64), per_node[lo:hi])
-        b = np.repeat(left[lo:hi].ravel() - (np.cumsum(cnt) - cnt), cnt)
-        b += np.arange(b.size, dtype=np.int64)
-        # ddx*ddx + ddy*ddy, in place: the same roundings.
-        ddx = sx[a]
-        ddx -= sx[b]
-        ddx *= ddx
-        ddy = sy[a]
-        ddy -= sy[b]
-        ddy *= ddy
-        ddx += ddy
-        keep = ddx <= r2
-        u, v = order[a[keep]], order[b[keep]]
-        keys += [u * n + v, v * n + u]
-        lo = hi
-    key = np.concatenate(keys)
-    del keys
-    key.sort()
-    src = key // n
-    dst = key  # the key buffer becomes dst = key - src * n
-    dst -= src * n
-    dx = xs[src]
-    dx -= xs[dst]
-    dy = ys[src]
-    dy -= ys[dst]
-    return UnitDiskEdges(n, src, dst, np.hypot(dx, dy, out=dx))
 
 
 # ----------------------------------------------------------------------
@@ -643,220 +463,74 @@ def run_array_formation(
 # ----------------------------------------------------------------------
 
 
-def formation_cluster_layout(outcome: FormationOutcome) -> ClusterLayout:
-    """Build a :class:`ClusterLayout` from converged array state.
-
-    An exact mirror of :func:`repro.cluster.formation.extract_layout`:
-    affiliation comes from each member's own confirmed head, deputies are
-    the head's announced list filtered to affiliated members, boundary
-    forwarders are filtered to affiliated members with at least one
-    usable forwarder.
-    """
-    heads = [int(h) for h in np.flatnonzero(outcome.is_head)]
-    head_set = set(heads)
-    affiliation: Dict[int, int] = {}
-    for h in heads:
-        affiliation[h] = h
-    conf = outcome.conf_head
-    member_idx = np.flatnonzero(
-        ~outcome.is_head & (conf != PAD)
-    )
-    for m in member_idx:
-        h = int(conf[m])
-        if h in head_set:
-            affiliation[int(m)] = h
-
-    preimage: Dict[int, List[int]] = {h: [] for h in heads}
-    for nid, h in affiliation.items():
-        if nid != h:
-            preimage[h].append(nid)
-
-    clusters: List[Cluster] = []
-    for h in heads:
-        members = frozenset(preimage[h]) | {h}
-        deputies = tuple(
-            int(d)
-            for d in outcome.ann_deputies[h]
-            if d != PAD and int(d) in members
-        )
-        clusters.append(Cluster(head=h, members=members, deputies=deputies))
-
-    boundaries: List[Boundary] = []
-    for h in heads:
-        for peer, forwarders in sorted(
-            outcome.boundary_asn.get(h, {}).items()
-        ):
-            if peer not in head_set:
-                continue
-            usable = tuple(
-                f for f in forwarders if affiliation.get(f) == h
-            )
-            if not usable:
-                continue
-            boundaries.append(
-                Boundary(
-                    owner=h,
-                    peer=peer,
-                    gateway=usable[0],
-                    backups=usable[1:],
-                )
-            )
-
-    unclustered = [
-        int(nid) for nid in range(outcome.node_count) if nid not in affiliation
-    ]
-    return ClusterLayout(
-        clusters=clusters, boundaries=boundaries, unclustered=unclustered
-    )
-
-
 def formation_array_layout(
     outcome: FormationOutcome,
     keep_pair_dist: bool = False,
-) -> "ArrayLayout":
+) -> ArrayLayout:
     """Re-express a formation outcome as an :class:`ArrayLayout`.
 
-    The protocol twin of :func:`~repro.sim.array_engine.layout.
-    build_array_layout`: heads carry arbitrary NIDs (``head_ids`` maps
-    cluster index -> head NID), members are the affiliated non-head
-    nodes (NID-ascending slots), deputies are the announced list
-    filtered to members, and boundaries come from the R5 assignments
-    filtered exactly like :func:`formation_cluster_layout`.  Unclustered
-    nodes get ``assign == PAD`` and occupy no member slot.
+    The mirror of :func:`repro.cluster.formation.extract_layout`: heads
+    carry arbitrary NIDs (``head_ids`` maps cluster index -> head NID),
+    members are the non-head nodes whose confirmed head survived
+    (NID-ascending slots), deputies are the head's announced list
+    filtered to its members, and each boundary is the head's R5 ladder
+    toward a surviving peer filtered to its members, dropped when none
+    is left.  Unclustered nodes get ``assign == PAD`` and occupy no
+    member slot.  :meth:`ArrayLayout.cluster_layout` gives the
+    event-comparable ``ClusterLayout``.
     """
-    from repro.sim.array_engine.layout import (
-        ArrayLayout,
-        _fill_adjacency,
-    )
-
     n = outcome.node_count
-    xs, ys = outcome.xs, outcome.ys
     head_ids = np.flatnonzero(outcome.is_head).astype(np.int64)
     c = int(head_ids.size)
     cl_of = np.full(n, PAD, dtype=np.int64)
     cl_of[head_ids] = np.arange(c, dtype=np.int64)
-
-    assign = np.full(n, PAD, dtype=np.int64)
-    assign[head_ids] = np.arange(c, dtype=np.int64)
-    conf = outcome.conf_head
-    is_member = ~outcome.is_head & (conf != PAD)
-    member_nids = np.flatnonzero(is_member)
-    if member_nids.size:
-        conf_cl = cl_of[conf[member_nids]]
-        ok = conf_cl != PAD
-        member_nids = member_nids[ok]
-        assign[member_nids] = conf_cl[ok]
-
-    counts = (
-        np.bincount(assign[member_nids], minlength=c).astype(np.int64)
-        if member_nids.size
-        else np.zeros(c, dtype=np.int64)
-    )
-    max_m = int(counts.max()) if c and counts.size else 0
-    members = np.full((c, max_m), PAD, dtype=np.int64)
-    member_mask = np.zeros((c, max_m), dtype=bool)
-    if member_nids.size:
-        order = np.argsort(assign[member_nids], kind="stable")
-        sorted_ids = member_nids[order]
-        sorted_cl = assign[member_nids][order]
-        starts = np.zeros(c + 1, dtype=np.int64)
-        np.cumsum(counts, out=starts[1:])
-        slot = np.arange(sorted_ids.size, dtype=np.int64) - starts[sorted_cl]
-        members[sorted_cl, slot] = sorted_ids
-        member_mask[sorted_cl, slot] = True
-
-    safe = np.where(members >= 0, members, 0)
-    px = np.where(member_mask, xs[safe], np.nan)
-    py = np.where(member_mask, ys[safe], np.nan)
-    hx = xs[head_ids] if c else np.zeros(0)
-    hy = ys[head_ids] if c else np.zeros(0)
-    head_dx = px - hx[:, None]
-    head_dy = py - hy[:, None]
-    head_dist = np.where(
-        member_mask, np.sqrt(head_dx * head_dx + head_dy * head_dy), np.inf
+    assign = cl_of.copy()
+    member_nids = np.flatnonzero(~outcome.is_head & (outcome.conf_head != PAD))
+    assign[member_nids] = cl_of[outcome.conf_head[member_nids]]
+    fields, slot_of = _member_slots(
+        outcome.xs, outcome.ys, outcome.radius, assign, head_ids, keep_pair_dist
     )
 
-    adjacency = np.zeros((c, max_m, max_m), dtype=bool)
-    with np.errstate(invalid="ignore"):
-        pair_dist = _fill_adjacency(
-            adjacency, px, py, outcome.radius,
-            keep_dist=keep_pair_dist,
-        )
+    ann = outcome.ann_deputies[head_ids]
+    safe = np.where(ann != PAD, ann, 0)
+    own = (
+        (ann != PAD)
+        & (assign[safe] == np.arange(c)[:, None])
+        & (slot_of[safe] != PAD)
+    )
+    rank = np.cumsum(own, axis=1) - 1
+    rows = np.nonzero(own)[0]
+    deputies = np.full(ann.shape, PAD, dtype=np.int64)
+    deputy_slots = np.full(ann.shape, PAD, dtype=np.int64)
+    deputies[rows, rank[own]] = ann[own]
+    deputy_slots[rows, rank[own]] = slot_of[ann[own]]
 
-    config = outcome.config
-    d_count = config.deputy_count
-    deputies = np.full((c, d_count), PAD, dtype=np.int64)
-    deputy_slots = np.full((c, d_count), PAD, dtype=np.int64)
-    for ci, h in enumerate(head_ids):
-        row = members[ci]
-        row_count = int(counts[ci])
-        k = 0
-        for d in outcome.ann_deputies[int(h)]:
-            if d == PAD or k >= d_count:
-                continue
-            if assign[d] != ci or outcome.is_head[d]:
-                continue
-            slot = int(np.searchsorted(row[:row_count], d))
-            if slot < row_count and row[slot] == d:
-                deputies[ci, k] = int(d)
-                deputy_slots[ci, k] = slot
-                k += 1
-
-    gw_count = 1 + config.max_backups
-    b_owner: List[int] = []
-    b_peer: List[int] = []
-    b_slots: List[np.ndarray] = []
-    for ci, h in enumerate(head_ids):
-        row = members[ci]
-        row_count = int(counts[ci])
-        for peer, forwarders in sorted(
-            outcome.boundary_asn.get(int(h), {}).items()
-        ):
-            pc = cl_of[peer] if 0 <= peer < n else PAD
-            if pc == PAD:
-                continue
-            slots = np.full(gw_count, PAD, dtype=np.int64)
-            k = 0
-            for f in forwarders:
-                if assign[f] != ci or outcome.is_head[f]:
-                    continue
-                slot = int(np.searchsorted(row[:row_count], f))
-                if slot < row_count and row[slot] == f:
-                    slots[k] = slot
-                    k += 1
-            if k == 0:
-                continue
-            b_owner.append(ci)
-            b_peer.append(int(pc))
-            b_slots.append(slots)
-    if b_owner:
-        boundary_owner = np.asarray(b_owner, dtype=np.int64)
-        boundary_peer = np.asarray(b_peer, dtype=np.int64)
-        boundary_gateway_slots = np.stack(b_slots)
-    else:
-        boundary_owner = np.zeros(0, dtype=np.int64)
-        boundary_peer = np.zeros(0, dtype=np.int64)
-        boundary_gateway_slots = np.zeros((0, gw_count), dtype=np.int64)
-
+    # R5 ladders as flat candidates, ranked by their position.
+    cl_list, assign_list = cl_of.tolist(), assign.tolist()
+    slot_list = slot_of.tolist()
+    candidates = [
+        (ci, cl_list[peer], slot_list[f], k)
+        for ci, h in enumerate(head_ids.tolist())
+        for peer, forwarders in outcome.boundary_asn.get(h, {}).items()
+        if cl_list[peer] != PAD
+        for k, f in enumerate(forwarders)
+        if assign_list[f] == ci and slot_list[f] != PAD
+    ]
+    columns = [np.array(col, dtype=np.int64) for col in zip(*candidates)]
+    if not columns:
+        columns = [np.zeros(0, dtype=np.int64)] * 4
     return ArrayLayout(
         cluster_count=c,
         node_count=n,
         radius=outcome.radius,
-        xs=xs,
-        ys=ys,
+        xs=outcome.xs,
+        ys=outcome.ys,
         assign=assign,
-        members=members,
-        member_mask=member_mask,
-        member_counts=counts,
-        adjacency=adjacency,
-        head_dist=head_dist,
+        head_ids=head_ids,
         deputies=deputies,
         deputy_slots=deputy_slots,
-        boundary_owner=boundary_owner,
-        boundary_peer=boundary_peer,
-        boundary_gateway_slots=boundary_gateway_slots,
-        pair_dist=pair_dist,
-        head_ids=head_ids,
+        **fields,
+        **_rank_boundaries(*columns, 1 + outcome.config.max_backups),
     )
 
 
@@ -874,7 +548,6 @@ def formation_shape_violations(outcome: FormationOutcome) -> List[str]:
     """
     violations: List[str] = []
     heads = np.flatnonzero(outcome.is_head)
-    head_set = {int(h) for h in heads}
 
     if not np.all(outcome.marked[heads]):
         violations.append("head not marked")
@@ -911,18 +584,12 @@ def formation_shape_violations(outcome: FormationOutcome) -> List[str]:
                 )
 
     # The extracted ClusterLayout must pass the paper's structural
-    # validation (exactly-one affiliation, deputies/forwarders members
-    # of their cluster, head in its own member set).
+    # validation (exactly-one affiliation, no node both clustered and
+    # unclustered, deputies/forwarders members of their cluster, head in
+    # its own member set); its heads are the is_head flags by
+    # construction.
     try:
-        layout = formation_cluster_layout(outcome)
+        formation_array_layout(outcome).cluster_layout()
     except Exception as exc:  # ClusteringError and anything else
         violations.append(f"layout extraction failed: {exc!r}")
-        return violations
-    clustered = set()
-    for cluster in layout.clusters.values():
-        clustered |= set(cluster.members)
-    if clustered & set(layout.unclustered):
-        violations.append("node both clustered and unclustered")
-    if set(layout.clusters) != head_set:
-        violations.append("extracted heads disagree with is_head flags")
     return violations

@@ -1,44 +1,53 @@
-"""Vectorized field construction for the array engine.
+"""The array layout pipeline: the one oracle clustering.
 
-Reproduces, without ever instantiating per-node Python objects, exactly
-what the event-engine setup path produces for the ``multi_cluster_field``
-lattice under the geometric oracle:
+Every geometric (oracle) cluster structure in the code base is built
+here, as flat arrays; :func:`repro.cluster.geometric.build_clusters`
+reads its :class:`~repro.cluster.state.ClusterLayout` off this pipeline
+through :meth:`ArrayLayout.cluster_layout`.  Two partition steps feed
+one assembly:
 
-- **Placement** is bit-identical to :func:`~repro.topology.generators.
-  multi_cluster_field`: member positions come from the same
-  ``stream("placement")`` generator, drawn as one strided ``random(2n)``
-  block (``rng.uniform()`` consumes exactly one stream element, so the
-  interleaved radius/angle draws match the scalar loop bit-for-bit).
-- **Cluster assignment** equals :func:`~repro.cluster.geometric.
-  lowest_id_partition` on the unit-disk graph, computed in O(N) from
-  lattice arithmetic instead of O(N·deg) Python graph traversal:
+- **Any positions** (:func:`geometric_layout`): the iterative lowest-ID
+  partition as per-pass minimum reductions over the unit-disk edge list
+  (:func:`~repro.topology.graph.build_unit_disk_edges`), and gateway
+  candidates read off the edges (member of the owner -> foreign head).
+- **The** ``multi_cluster_field`` **lattice** (:func:`build_array_layout`),
+  whose field-wide edge list would outweigh the layout: placement is
+  bit-identical to :func:`~repro.topology.generators.multi_cluster_field`
+  (the same ``stream("placement")`` generator, drawn as one strided
+  ``random(2n)`` block), and the partition is O(N) lattice arithmetic:
   lattice CHs are pairwise non-adjacent (spacing in ``(r, 2r)``) and
-  carry the lowest NIDs, so every lattice CH becomes a head and every
-  member joins the lowest-ID lattice head within radio range.  Because
-  the lattice pitch exceeds the radius, the only candidate heads for a
-  node are the four surrounding lattice cells.
-- **Deputies and boundaries** replicate the rank keys of
-  :mod:`repro.cluster.deputies` and :mod:`repro.cluster.gateways`.
+  carry the lowest NIDs, so every member joins the lowest-ID lattice
+  head within radio range among the four corners of its cell.  Gateway
+  candidates come from the 8 surrounding cells.
 
-The layout-equivalence test (``tests/test_array_engine.py``) pins this
-against the real :func:`build_clusters` output at moderate N.
+Both (and protocol formation's
+:func:`~repro.sim.array_engine.formation.formation_array_layout`) share
+:func:`_member_slots`; the two oracles share the deputy ranking
+(distance to head, in-cluster degree descending, NID) and the gateway
+ranking (the larger of the two head distances, NID).  The general path
+ranks by ``math.hypot`` distances, like the scalar reference walker
+that now lives in the tests (``tests/cluster_reference.py``);
+``tests/test_array_engine.py`` pins the lattice path against
+:func:`build_clusters`.
 
 The only O(C * M^2) pass, the member<->member adjacency
-(:func:`_fill_adjacency`, shared with protocol-formed layouts), runs in
-cache-sized blocks of whole clusters through two in-place scratch
-buffers: the one-expression form's arithmetic without its field-sized
-temporaries (``tests/test_array_kernels.py`` checks both).
+(:func:`_fill_adjacency`), runs in cache-sized blocks of whole clusters
+through two in-place scratch buffers: the one-expression form's
+arithmetic without its field-sized temporaries
+(``tests/test_array_kernels.py`` checks both).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.cluster.state import Boundary, Cluster, ClusterLayout
 from repro.errors import TopologyError
+from repro.topology.graph import UnitDiskEdges, UnitDiskGraph
 from repro.util.validation import check_int_at_least, check_positive
 
 #: Pad value for ragged (cluster, slot) integer arrays.
@@ -56,10 +65,11 @@ class ArrayLayout:
     cluster_count: int
     node_count: int
     radius: float
-    #: Node positions, indexed by NID (heads are NIDs ``0..C-1``).
+    #: Node positions, indexed by node (the NID, except on a graph's
+    #: layout: see :meth:`cluster_layout`).
     xs: np.ndarray
     ys: np.ndarray
-    #: Cluster index of every node (head ``h`` maps to ``h``).
+    #: Cluster index of every node, ``PAD`` if unclustered.
     assign: np.ndarray
     #: ``(C, M)`` member NIDs, ``PAD``-padded; excludes the head itself.
     members: np.ndarray
@@ -87,10 +97,10 @@ class ArrayLayout:
     #: ``(C, M, M)`` member<->member distances (only materialized for
     #: distance-dependent loss models).
     pair_dist: Optional[np.ndarray] = None
-    #: Cluster index -> head NID.  ``None`` means the oracle lattice
-    #: identity (head ``c`` carries NID ``c``); protocol-formed layouts
-    #: (:func:`~repro.sim.array_engine.formation.formation_array_layout`)
-    #: carry arbitrary head NIDs here.
+    #: Cluster index -> head node.  ``None`` means the lattice identity
+    #: (head ``c`` is node ``c``); :func:`geometric_layout` and
+    #: :func:`~repro.sim.array_engine.formation.formation_array_layout`
+    #: carry arbitrary heads here.
     head_ids: Optional[np.ndarray] = None
 
     @property
@@ -110,6 +120,53 @@ class ArrayLayout:
         clusters everyone; protocol formation leaves stragglers ``PAD``)."""
         nid = int(node_id)
         return 0 <= nid < self.node_count and int(self.assign[nid]) >= 0
+
+    def cluster_layout(
+        self, graph: Optional[UnitDiskGraph] = None
+    ) -> ClusterLayout:
+        """The same structure as a validated :class:`ClusterLayout`.
+
+        Node index ``i`` is NID ``graph.nodes()[i]`` when a graph is
+        given (and the layout is checked against it), NID ``i`` otherwise.
+        """
+        nid_of = graph.nodes() if graph is not None else range(self.node_count)
+        heads = [nid_of[h] for h in self.head_nids.tolist()]
+        rows = [
+            [nid_of[m] for m in row[:count]]
+            for row, count in zip(
+                self.members.tolist(), self.member_counts.tolist()
+            )
+        ]
+        clusters = [
+            Cluster(
+                head=head,
+                members=frozenset({head} | set(row)),
+                deputies=tuple(nid_of[d] for d in deputies if d != PAD),
+            )
+            for head, row, deputies in zip(heads, rows, self.deputies.tolist())
+        ]
+        boundaries = []
+        for owner, peer, slots in zip(
+            self.boundary_owner.tolist(),
+            self.boundary_peer.tolist(),
+            self.boundary_gateway_slots.tolist(),
+        ):
+            ladder = [rows[owner][s] for s in slots if s != PAD]
+            boundaries.append(
+                Boundary(
+                    owner=heads[owner],
+                    peer=heads[peer],
+                    gateway=ladder[0],
+                    backups=tuple(ladder[1:]),
+                )
+            )
+        alone = np.flatnonzero(self.assign == PAD).tolist()
+        return ClusterLayout(
+            clusters=clusters,
+            boundaries=boundaries,
+            graph=graph,
+            unclustered=[nid_of[i] for i in alone],
+        )
 
 
 def _lattice_field(
@@ -256,6 +313,206 @@ def lattice_positions(
     return np.concatenate([hx, mx]), np.concatenate([hy, my])
 
 
+def _member_slots(
+    xs: np.ndarray,
+    ys: np.ndarray,
+    radius: float,
+    assign: np.ndarray,
+    head_ids: np.ndarray,
+    keep_pair_dist: bool = False,
+) -> Tuple[Dict[str, Any], np.ndarray]:
+    """The member-slot fields of an :class:`ArrayLayout`, and ``slot_of``.
+
+    ``assign`` is every node's cluster index (``PAD`` = unclustered) and
+    ``head_ids`` the heads' NIDs by cluster index.  Returns the
+    ``members``, ``member_mask``, ``member_counts``, ``adjacency``,
+    ``head_dist`` and ``pair_dist`` fields, with slots NID-ascending,
+    plus each node's member slot (``PAD`` for heads and unclustered
+    nodes).
+    """
+    n, c = int(xs.size), int(head_ids.size)
+    is_member = assign != PAD
+    is_member[head_ids] = False
+    member_nids = np.flatnonzero(is_member)
+    member_cl = assign[member_nids]
+    counts = np.bincount(member_cl, minlength=c).astype(np.int64)
+    max_m = int(counts.max()) if c else 0
+    members = np.full((c, max_m), PAD, dtype=np.int64)
+    member_mask = np.zeros((c, max_m), dtype=bool)
+    order = np.argsort(member_cl, kind="stable")
+    sorted_ids = member_nids[order]
+    sorted_cl = member_cl[order]
+    starts = np.zeros(c + 1, dtype=np.int64)
+    np.cumsum(counts, out=starts[1:])
+    slot = np.arange(sorted_ids.size, dtype=np.int64) - starts[sorted_cl]
+    members[sorted_cl, slot] = sorted_ids
+    member_mask[sorted_cl, slot] = True
+    slot_of = np.full(n, PAD, dtype=np.int64)
+    slot_of[sorted_ids] = slot
+
+    safe = np.where(member_mask, members, 0)
+    px = np.where(member_mask, xs[safe], np.nan)
+    py = np.where(member_mask, ys[safe], np.nan)
+    head_dx = px - xs[head_ids][:, None]
+    head_dy = py - ys[head_ids][:, None]
+    head_dist = np.where(
+        member_mask, np.sqrt(head_dx * head_dx + head_dy * head_dy), np.inf
+    )
+    adjacency = np.zeros((c, max_m, max_m), dtype=bool)
+    with np.errstate(invalid="ignore"):
+        pair_dist = _fill_adjacency(
+            adjacency, px, py, radius, keep_dist=keep_pair_dist
+        )
+    fields = dict(
+        members=members,
+        member_mask=member_mask,
+        member_counts=counts,
+        adjacency=adjacency,
+        head_dist=head_dist,
+        pair_dist=pair_dist,
+    )
+    return fields, slot_of
+
+
+def _rank_deputies(
+    fields: Dict[str, Any], dist: np.ndarray, deputy_count: int
+) -> Dict[str, np.ndarray]:
+    """``deputies`` / ``deputy_slots``: per cluster the top
+    ``deputy_count`` members by (``dist`` to the head ascending,
+    in-cluster degree descending, NID).  In-cluster degree counts
+    neighbors within the member set *plus* the head (every member is
+    inside its head's disk, hence adjacent)."""
+    members, member_mask = fields["members"], fields["member_mask"]
+    c, max_m = members.shape
+    degree = fields["adjacency"].sum(axis=2) + member_mask.astype(np.int64)
+    ids_for_sort = np.where(member_mask, members, np.iinfo(np.int64).max)
+    # Per-cluster slot order, best deputy first (pads sort last via inf).
+    rank = np.lexsort((ids_for_sort, -degree, dist), axis=-1)
+    deputies = np.full((c, deputy_count), PAD, dtype=np.int64)
+    deputy_slots = np.full((c, deputy_count), PAD, dtype=np.int64)
+    rows = np.arange(c)
+    for j in range(min(deputy_count, max_m)):
+        slot_j = rank[:, j]
+        ok = member_mask[rows, slot_j]
+        deputy_slots[:, j] = np.where(ok, slot_j, PAD)
+        deputies[:, j] = np.where(ok, members[rows, slot_j], PAD)
+    return dict(deputies=deputies, deputy_slots=deputy_slots)
+
+
+def _rank_boundaries(
+    owner: np.ndarray,
+    peer: np.ndarray,
+    slot: np.ndarray,
+    key: np.ndarray,
+    gw_count: int,
+) -> Dict[str, np.ndarray]:
+    """The boundary fields from flat gateway candidates.
+
+    Candidate ``i`` is member slot ``slot[i]`` of cluster ``owner[i]``,
+    able to reach the head of cluster ``peer[i]``.  Per (owner, peer)
+    pair the candidates rank by (``key``, slot) -- slots are
+    NID-ascending, so slot is the NID tiebreak -- and the first
+    ``gw_count`` form the GW + BGW ladder.
+    """
+    order = np.lexsort((slot, key, peer, owner))
+    owner, peer, slot = owner[order], peer[order], slot[order]
+    new = np.ones(owner.size, dtype=bool)
+    new[1:] = (owner[1:] != owner[:-1]) | (peer[1:] != peer[:-1])
+    group = np.cumsum(new) - 1
+    starts = np.flatnonzero(new)
+    rank = np.arange(owner.size) - starts[group]
+    keep = rank < gw_count
+    slots = np.full((starts.size, gw_count), PAD, dtype=np.int64)
+    slots[group[keep], rank[keep]] = slot[keep]
+    return dict(
+        boundary_owner=owner[starts],
+        boundary_peer=peer[starts],
+        boundary_gateway_slots=slots,
+    )
+
+
+def _hypot(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """Elementwise :func:`math.hypot`, the scalar reference's distance
+    (``np.hypot`` and ``sqrt(dx*dx + dy*dy)`` can round differently)."""
+    flat = map(math.hypot, dx.ravel().tolist(), dy.ravel().tolist())
+    return np.fromiter(flat, np.float64, dx.size).reshape(dx.shape)
+
+
+def _lowest_id_partition(edges: UnitDiskEdges) -> Tuple[np.ndarray, np.ndarray]:
+    """``(assign, head_ids)``: the iterative lowest-ID partition.
+
+    Each pass, every unmarked node whose unmarked neighbors all have
+    higher NIDs becomes a head, and every other unmarked node adjacent to
+    a new head joins the lowest one; passes repeat until every node is
+    marked.  Nodes without neighbors stay unclustered (``PAD``).  Node
+    index order is NID order.
+    """
+    n = edges.node_count
+    ids = np.arange(n, dtype=np.int64)
+    owner = np.full(n, PAD, dtype=np.int64)
+    unmarked = np.diff(edges.out_indptr) > 0
+    while unmarked.any():
+        heads = unmarked & (edges.min_flagged_src(unmarked[edges.src]) > ids)
+        nearest = edges.min_flagged_src(heads[edges.src])
+        joins = unmarked & ~heads & (nearest < n)
+        owner[heads] = ids[heads]
+        owner[joins] = nearest[joins]
+        unmarked &= ~(heads | joins)
+    head_ids = np.flatnonzero(owner == ids)
+    cl_of = np.full(n, PAD, dtype=np.int64)
+    cl_of[head_ids] = np.arange(head_ids.size, dtype=np.int64)
+    assign = np.where(owner != PAD, cl_of[owner], PAD)
+    return assign, head_ids
+
+
+def geometric_layout(
+    xs: np.ndarray,
+    ys: np.ndarray,
+    radius: float,
+    edges: UnitDiskEdges,
+    deputy_count: int,
+    max_backups: int,
+) -> ArrayLayout:
+    """The oracle layout of any field, from its unit-disk edge list.
+
+    Heads carry their node index in ``head_ids``.  Deputies and gateways
+    rank by ``math.hypot`` distances (see module docstring); a gateway
+    candidate is any edge from a member of one cluster to the head of
+    another.
+    """
+    assign, head_ids = _lowest_id_partition(edges)
+    fields, slot_of = _member_slots(xs, ys, radius, assign, head_ids)
+    members, member_mask = fields["members"], fields["member_mask"]
+    safe = np.where(member_mask, members, 0)
+    hx, hy = xs[head_ids], ys[head_ids]
+    dist = np.where(
+        member_mask, _hypot(xs[safe] - hx[:, None], ys[safe] - hy[:, None]), np.inf
+    )
+    is_head = np.zeros(xs.size, dtype=bool)
+    is_head[head_ids] = True
+    src, dst = edges.src, edges.dst
+    cand = np.flatnonzero(is_head[dst] & (slot_of[src] != PAD))
+    src, dst = src[cand], dst[cand]
+    owner, peer = assign[src], assign[dst]
+    src, dst, owner, peer = (a[owner != peer] for a in (src, dst, owner, peer))
+    worst = np.maximum(
+        _hypot(xs[src] - hx[owner], ys[src] - hy[owner]),
+        _hypot(xs[src] - xs[dst], ys[src] - ys[dst]),
+    )
+    return ArrayLayout(
+        cluster_count=int(head_ids.size),
+        node_count=int(xs.size),
+        radius=radius,
+        xs=xs,
+        ys=ys,
+        assign=assign,
+        head_ids=head_ids,
+        **fields,
+        **_rank_deputies(fields, dist, deputy_count),
+        **_rank_boundaries(owner, peer, slot_of[src], worst, 1 + max_backups),
+    )
+
+
 def build_array_layout(
     cluster_count: int,
     members_per_cluster: int,
@@ -266,129 +523,67 @@ def build_array_layout(
     max_backups: int = 2,
     keep_pair_dist: bool = False,
 ) -> ArrayLayout:
-    """Build the full array layout (see module docstring)."""
+    """The oracle layout of the ``multi_cluster_field`` lattice (see
+    module docstring); heads are NIDs ``0..C-1``."""
     cols, spacing, hx, hy, mx, my = _lattice_field(
         cluster_count, members_per_cluster, radius, spacing_factor, rng
     )
-    node_count = cluster_count + mx.size
     xs = np.concatenate([hx, mx])
     ys = np.concatenate([hy, my])
-
-    assign = np.empty(node_count, dtype=np.int64)
+    assign = np.empty(xs.size, dtype=np.int64)
     assign[:cluster_count] = np.arange(cluster_count)
     assign[cluster_count:] = _assign_members(
         mx, my, spacing, radius, cols, cluster_count
     )
-
-    counts = np.bincount(assign[cluster_count:], minlength=cluster_count)
-    max_m = int(counts.max()) if counts.size else 0
-    members = np.full((cluster_count, max_m), PAD, dtype=np.int64)
-    member_mask = np.zeros((cluster_count, max_m), dtype=bool)
-    member_ids = np.arange(cluster_count, node_count, dtype=np.int64)
-    order = np.argsort(assign[cluster_count:], kind="stable")
-    sorted_ids = member_ids[order]
-    sorted_cl = assign[cluster_count:][order]
-    starts = np.zeros(cluster_count + 1, dtype=np.int64)
-    np.cumsum(counts, out=starts[1:])
-    slot = np.arange(sorted_ids.size, dtype=np.int64) - starts[sorted_cl]
-    members[sorted_cl, slot] = sorted_ids
-    member_mask[sorted_cl, slot] = True
-
-    px = np.where(member_mask, xs[np.where(members >= 0, members, 0)], np.nan)
-    py = np.where(member_mask, ys[np.where(members >= 0, members, 0)], np.nan)
-    head_dx = px - hx[:, None]
-    head_dy = py - hy[:, None]
-    head_dist = np.where(
-        member_mask, np.sqrt(head_dx * head_dx + head_dy * head_dy), np.inf
+    fields, _ = _member_slots(
+        xs, ys, radius, assign, np.arange(cluster_count), keep_pair_dist
     )
-
-    adjacency = np.zeros((cluster_count, max_m, max_m), dtype=bool)
-    with np.errstate(invalid="ignore"):
-        pair_dist = _fill_adjacency(
-            adjacency, px, py, radius, keep_dist=keep_pair_dist
-        )
-
-    # Deputy ranking: (distance-to-head asc, in-cluster degree desc, NID).
-    # In-cluster degree counts neighbors within the member set *plus* the
-    # head (every member is inside its head's disk, hence adjacent).
-    degree = adjacency.sum(axis=2) + member_mask.astype(np.int64)
-    ids_for_sort = np.where(member_mask, members, np.iinfo(np.int64).max)
-    # Per-cluster slot order, best deputy first (pads sort last via inf).
-    rank = np.lexsort((ids_for_sort, -degree, head_dist), axis=-1)
-    deputies = np.full((cluster_count, deputy_count), PAD, dtype=np.int64)
-    deputy_slots = np.full((cluster_count, deputy_count), PAD, dtype=np.int64)
-    if max_m and deputy_count:
-        for j in range(min(deputy_count, max_m)):
-            slot_j = rank[:, j]
-            ok = member_mask[np.arange(cluster_count), slot_j]
-            deputy_slots[:, j] = np.where(ok, slot_j, PAD)
-            deputies[:, j] = np.where(
-                ok, members[np.arange(cluster_count), slot_j], PAD
-            )
-
-    b_owner, b_peer, b_slots = _build_boundaries(
-        cluster_count, cols, spacing, radius, hx, hy, px, py,
-        member_mask, members, head_dist, max_backups,
-    )
-
     return ArrayLayout(
         cluster_count=cluster_count,
-        node_count=node_count,
+        node_count=int(xs.size),
         radius=radius,
         xs=xs,
         ys=ys,
         assign=assign,
-        members=members,
-        member_mask=member_mask,
-        member_counts=counts.astype(np.int64),
-        adjacency=adjacency,
-        head_dist=head_dist,
-        deputies=deputies,
-        deputy_slots=deputy_slots,
-        boundary_owner=b_owner,
-        boundary_peer=b_peer,
-        boundary_gateway_slots=b_slots,
-        pair_dist=pair_dist,
+        **fields,
+        **_rank_deputies(fields, fields["head_dist"], deputy_count),
+        **_rank_boundaries(
+            *_lattice_gateway_candidates(
+                cluster_count, cols, spacing, radius, xs, ys, fields
+            ),
+            1 + max_backups,
+        ),
     )
 
 
-def _build_boundaries(
+def _lattice_gateway_candidates(
     cluster_count: int,
     cols: int,
     spacing: float,
     radius: float,
-    hx: np.ndarray,
-    hy: np.ndarray,
-    px: np.ndarray,
-    py: np.ndarray,
-    member_mask: np.ndarray,
-    members: np.ndarray,
-    head_dist: np.ndarray,
-    max_backups: int,
-) -> tuple:
-    """Ordered boundaries with ranked gateways (gateways.py rank key).
+    xs: np.ndarray,
+    ys: np.ndarray,
+    fields: Dict[str, Any],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(owner, peer, slot, worst)`` of every lattice gateway candidate.
 
-    A boundary owner->peer exists iff some owner member lies within
-    radius of the peer head.  Peer heads more than one lattice cell away
-    sit at distance >= 2*spacing > 2*radius from the owner center, so no
-    owner member can reach them: the 8 surrounding cells are exhaustive.
-    Per boundary the top ``1 + max_backups`` candidates are kept --
-    primary gateway plus the BGW ladder the event layout falls back to
-    when the primary is dead or uninformed.
+    A candidate is a member within radius of a foreign head.  Peer heads
+    more than one lattice cell away sit at distance >= 2*spacing >
+    2*radius from the owner center, so no owner member can reach them:
+    the 8 surrounding cells are exhaustive.  ``worst`` is the larger of
+    the member's two head distances.
     """
-    if members.shape[1] == 0:
-        empty = np.zeros(0, dtype=np.int64)
-        return empty, empty.copy(), np.zeros((0, 1 + max_backups), np.int64)
+    members, member_mask = fields["members"], fields["member_mask"]
+    head_dist = fields["head_dist"]
+    safe = np.where(member_mask, members, 0)
+    px = np.where(member_mask, xs[safe], np.nan)
+    py = np.where(member_mask, ys[safe], np.nan)
     rows_total = (cluster_count + cols - 1) // cols
     idx = np.arange(cluster_count, dtype=np.int64)
     own_col = idx % cols
     own_row = idx // cols
-    owners = []
-    peers = []
-    slots = []
     r2 = radius * radius
-    arange_c = idx
-    gw_count = 1 + max_backups
+    found: List[Tuple[np.ndarray, ...]] = []
     for dr in (-1, 0, 1):
         for dc in (-1, 0, 1):
             if dr == 0 and dc == 0:
@@ -405,30 +600,15 @@ def _build_boundaries(
             )
             if not valid.any():
                 continue
-            phx = hx[np.where(valid, peer, 0)][:, None]
-            phy = hy[np.where(valid, peer, 0)][:, None]
+            phx = xs[np.where(valid, peer, 0)][:, None]
+            phy = ys[np.where(valid, peer, 0)][:, None]
             with np.errstate(invalid="ignore"):
                 d2 = (px - phx) ** 2 + (py - phy) ** 2
                 cand = member_mask & (d2 <= r2) & valid[:, None]
-                # Rank key: (max of the two head distances, NID).  Slots
-                # are NID-ascending, so a stable argsort over the
-                # worst-link distance yields the GW + BGW ladder order.
-                worst = np.maximum(head_dist, np.sqrt(d2))
-            worst = np.where(cand, worst, np.inf)
-            has = cand.any(axis=1)
-            rank = np.argsort(worst, axis=1, kind="stable")[:, :gw_count]
-            ranked_ok = np.take_along_axis(worst, rank, axis=1) < np.inf
-            ranked = np.where(ranked_ok, rank, PAD)
-            for c in arange_c[has]:
-                owners.append(int(c))
-                peers.append(int(peer[c]))
-                slots.append(ranked[c])
-    if not owners:
+            owner, slot = np.nonzero(cand)
+            worst = np.maximum(head_dist[owner, slot], np.sqrt(d2[owner, slot]))
+            found.append((owner, peer[owner], slot, worst))
+    if not found:
         empty = np.zeros(0, dtype=np.int64)
-        return empty, empty.copy(), np.zeros((0, gw_count), dtype=np.int64)
-    order = np.lexsort((np.asarray(peers), np.asarray(owners)))
-    return (
-        np.asarray(owners, dtype=np.int64)[order],
-        np.asarray(peers, dtype=np.int64)[order],
-        np.asarray(slots, dtype=np.int64)[order],
-    )
+        return empty, empty, empty, np.zeros(0)
+    return tuple(np.concatenate(parts) for parts in zip(*found))

@@ -74,9 +74,8 @@ class ArrayScenarioResult(RunResult):
     :class:`~repro.sim.array_engine.energy.ArrayEnergyLedger`)."""
 
     #: Converged formation state (populated iff
-    #: ``config.formation == "protocol"``); feed it to
-    #: :func:`~repro.sim.array_engine.formation.formation_cluster_layout`
-    #: for the event-comparable ``ClusterLayout`` or to
+    #: ``config.formation == "protocol"``; ``layout.cluster_layout()`` is
+    #: the event-comparable ``ClusterLayout``); feed it to
     #: :func:`~repro.sim.array_engine.formation.formation_shape_violations`
     #: for the structural audit.
     formation: Optional[FormationOutcome] = None

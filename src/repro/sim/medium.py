@@ -13,10 +13,11 @@ Semantics follow Section 2.3 of the paper:
   round-based deadlines in the protocol hold, matching the paper's timing
   assumption 2 in Section 2.2).
 
-The medium also maintains the neighbor structure (via a spatial grid hash,
-so building a 1000-node network does not cost O(n^2) distance checks) and
-exposes it read-only to protocols *only* through what they can hear --
-protocol code never peeks at ground truth.
+The medium also maintains the neighbor structure, read off
+:func:`~repro.topology.graph.build_unit_disk_edges` (the one range test)
+on the first lookup after a register/unregister, and exposes it
+read-only to protocols *only* through what they can hear -- protocol
+code never peeks at ground truth.
 
 Hot-path design
 ---------------
@@ -57,11 +58,10 @@ seeded run bit for bit.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from functools import partial
 from itertools import compress
 from time import perf_counter
-from typing import Callable, Dict, Iterable, NamedTuple, Optional, Set, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Set, Tuple
 
 import numpy as np
 
@@ -70,6 +70,7 @@ from repro.obs.profiler import PHASE_RADIO_DELIVER, PHASE_RADIO_TRANSMIT
 from repro.sim.engine import Simulator
 from repro.sim.loss import LossModel, PerfectLinks
 from repro.sim.trace import NullTracer, Tracer
+from repro.topology.graph import unit_disk_neighbors
 from repro.types import NodeId, SimTime
 from repro.util.geometry import Vec2
 from repro.util.validation import check_positive, check_range
@@ -140,8 +141,6 @@ class RadioMedium:
         self._receiving: Dict[NodeId, bool] = {}
         #: Nodes currently muted; empty set enables the no-filter fast path.
         self._muted: Set[NodeId] = set()
-        self._cell_size = self.transmission_range
-        self._grid: Dict[Tuple[int, int], Set[NodeId]] = defaultdict(set)
         self._neighbor_cache: Optional[Dict[NodeId, Tuple[NodeId, ...]]] = None
         #: Per-sender ``((neighbors, distances), neighbor_ids)``: the public
         #: pair of :meth:`neighbor_arrays` plus the neighbors as an int64
@@ -168,18 +167,15 @@ class RadioMedium:
         self._positions[node_id] = position
         self._handlers[node_id] = handler
         self._receiving[node_id] = True
-        self._grid[self._cell_of(position)].add(node_id)
         self._invalidate_topology()
 
     def unregister(self, node_id: NodeId) -> None:
         """Detach a node entirely (e.g. permanent removal from the field)."""
-        position = self._positions.pop(node_id, None)
-        if position is None:
+        if self._positions.pop(node_id, None) is None:
             raise MediumError(f"node {node_id} is not registered")
         del self._handlers[node_id]
         del self._receiving[node_id]
         self._muted.discard(node_id)
-        self._grid[self._cell_of(position)].discard(node_id)
         self._invalidate_topology()
 
     def set_receiving(self, node_id: NodeId, receiving: bool) -> None:
@@ -206,8 +202,9 @@ class RadioMedium:
     def neighbors_of(self, node_id: NodeId) -> Tuple[NodeId, ...]:
         """One-hop neighbors of a node (ground truth, cached, sorted)."""
         if self._neighbor_cache is None:
-            self._build_neighbor_cache()
-        assert self._neighbor_cache is not None
+            self._neighbor_cache = unit_disk_neighbors(
+                self._positions, self.transmission_range
+            )
         try:
             return self._neighbor_cache[node_id]
         except KeyError:
@@ -377,36 +374,6 @@ class RadioMedium:
                 profiler.add(PHASE_RADIO_DELIVER, t0)
         else:
             self._handlers[receiver](envelope)
-
-    # ------------------------------------------------------------------
-    # Spatial grid internals
-    # ------------------------------------------------------------------
-    def _cell_of(self, position: Vec2) -> Tuple[int, int]:
-        return (
-            int(np.floor(position.x / self._cell_size)),
-            int(np.floor(position.y / self._cell_size)),
-        )
-
-    def _candidate_ids(self, position: Vec2) -> Iterable[NodeId]:
-        cx, cy = self._cell_of(position)
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                yield from self._grid.get((cx + dx, cy + dy), ())
-
-    def _build_neighbor_cache(self) -> None:
-        cache: Dict[NodeId, Tuple[NodeId, ...]] = {}
-        r = self.transmission_range
-        for node_id, position in self._positions.items():
-            neighbors = [
-                other
-                for other in self._candidate_ids(position)
-                if other != node_id
-                and position.distance_to(self._positions[other]) <= r
-            ]
-            # Cells are unordered sets; sort so neighbor tuples (and every
-            # iteration the protocols do over them) stay deterministic.
-            cache[node_id] = tuple(sorted(neighbors))
-        self._neighbor_cache = cache
 
     def message_stats(self) -> Dict[str, int]:
         """Cumulative medium-level counters."""

@@ -143,8 +143,10 @@ def cluster_disk_placement(
 
     The CH gets the lowest NID (``ch_id``) so lowest-ID clustering elects
     it.  When ``worst_case_member`` is set, the *highest*-NID member is
-    placed exactly on the circumference -- the worst case of Figure 4(b)
-    that the paper's bounds are computed against.
+    placed on the circumference -- the worst case of Figure 4(b) that the
+    paper's bounds are computed against.  Where rounding puts it outside
+    the range test (``dx*dx + dy*dy <= r*r``), it steps toward the center
+    one ulp per coordinate until it passes.
     """
     check_int_at_least("member_count", member_count, 1)
     check_positive("radius", radius)
@@ -153,7 +155,13 @@ def cluster_disk_placement(
         placement[NodeId(ch_id + 1 + i)] = sample_in_disk(rng, center, radius)
     if worst_case_member:
         theta = float(rng.uniform(0.0, 2.0 * math.pi))
-        placement[NodeId(ch_id + member_count)] = Vec2(
-            center.x + radius * math.cos(theta), center.y + radius * math.sin(theta)
-        )
+        x = center.x + radius * math.cos(theta)
+        y = center.y + radius * math.sin(theta)
+        while True:
+            dx, dy = x - center.x, y - center.y
+            if dx * dx + dy * dy <= radius * radius:
+                break
+            x = float(np.nextafter(x, center.x))
+            y = float(np.nextafter(y, center.y))
+        placement[NodeId(ch_id + member_count)] = Vec2(x, y)
     return placement

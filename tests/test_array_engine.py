@@ -38,8 +38,8 @@ from repro.experiments.runner import (
     run_scenario,
     scenario_config,
 )
-from repro.sim.array_engine import run_array_scenario
 from repro.sim.array_engine.layout import PAD, build_array_layout
+from repro.sim.array_engine.runner import run_array_scenario
 from repro.topology.generators import multi_cluster_field
 from repro.topology.graph import UnitDiskGraph
 from repro.util.rng import RngFactory
@@ -144,7 +144,6 @@ def test_layout_knobs_reach_every_layout_builder(formation, knob):
     (the event oracle used to install 2 deputies whatever was asked, and
     protocol formation 2 backups)."""
     from repro.fds.config import FdsConfig
-    from repro.sim.array_engine.formation import formation_cluster_layout
 
     config = _config(
         formation=formation, fds=FdsConfig(deputy_count=knob),
@@ -155,7 +154,7 @@ def test_layout_knobs_reach_every_layout_builder(formation, knob):
     if formation == "oracle":
         _assert_same_layout(array.layout, event)
     else:
-        layout = formation_cluster_layout(array.formation)
+        layout = array.layout.cluster_layout()
         assert layout.clusters == event.clusters
         assert layout.boundaries == event.boundaries
     assert max(len(c.deputies) for c in event.clusters.values()) == knob
@@ -474,10 +473,8 @@ def test_protocol_formation_lossless_bit_identical(seed):
     engine's ``run_formation`` -- clusters, deputies, boundaries,
     unclustered set -- and the FDS phase that follows must emit
     bit-identical verdict records."""
-    from repro.sim.array_engine.formation import formation_cluster_layout
-
     event, array = _formation_pair(seed=seed, loss_probability=0.0)
-    layout = formation_cluster_layout(array.formation)
+    layout = array.layout.cluster_layout()
     assert layout.clusters == event.layout.clusters
     assert layout.boundaries == event.layout.boundaries
     assert layout.unclustered == event.layout.unclustered
@@ -527,10 +524,7 @@ def test_fds_rounds_with_nonidentity_heads_match_event():
     from repro.failure.injection import FailureInjector
     from repro.fds.config import FdsConfig
     from repro.fds.service import install_fds
-    from repro.sim.array_engine.formation import (
-        formation_array_layout,
-        formation_cluster_layout,
-    )
+    from repro.sim.array_engine.formation import formation_array_layout
     from repro.sim.array_engine.loss import ArrayLossDraw
     from repro.sim.array_engine.rounds import ArrayRoundEngine
     from repro.sim.loss import build_loss_model
@@ -547,8 +541,8 @@ def test_fds_rounds_with_nonidentity_heads_match_event():
     heads = [int(h) for h in outcome.head_ids()]
     assert heads != list(range(len(heads)))  # the interesting case
 
-    cluster_layout = formation_cluster_layout(outcome)
     array_layout = formation_array_layout(outcome)
+    cluster_layout = array_layout.cluster_layout()
     fds = FdsConfig()
     executions = 4
 
@@ -609,7 +603,7 @@ def _formation_layouts_for_field(xs, ys, radius, loss_p=0.0, iterations=3):
     two extracted ClusterLayouts."""
     from repro.cluster.formation import FormationConfig, run_formation
     from repro.sim.array_engine.formation import (
-        formation_cluster_layout,
+        formation_array_layout,
         run_array_formation,
     )
     from repro.sim.array_engine.loss import ArrayLossDraw
@@ -641,7 +635,7 @@ def _formation_layouts_for_field(xs, ys, radius, loss_p=0.0, iterations=3):
         np.asarray(xs, dtype=float), np.asarray(ys, dtype=float), radius,
         config, loss, np.random.default_rng(2),
     )
-    return event_layout, formation_cluster_layout(outcome)
+    return event_layout, formation_array_layout(outcome).cluster_layout()
 
 
 def test_formation_single_node_field():

@@ -1,12 +1,14 @@
 """The array engine's blocked kernels against one-shot references.
 
 ``_fill_adjacency``, ``ArrayLossDraw.delivered`` / ``draw_into`` and
-the formation's unit-disk edge build stream through cache-sized blocks;
-each must give, bit for bit, what the unblocked formulation gives --
-same arrays, same counters, and the random stream left at the same
-position.  The formation's per-receiver reductions must give what a
-per-node loop gives, and the inter-cluster scan on int bitmasks what
-the per-crossing fixpoint on bool rows gives, draw for draw.  The
+the unit-disk edge build stream through cache-sized blocks; each must
+give, bit for bit, what the unblocked formulation gives -- same arrays,
+same counters, and the random stream left at the same position.  The
+graph and the radio medium read their neighbours off that edge build,
+so they must give what the brute-force pair scan gives too.  The
+formation's per-receiver reductions must give what a per-node loop
+gives, and the inter-cluster scan on int bitmasks what the
+per-crossing fixpoint on bool rows gives, draw for draw.  The
 reference formulations live here and nowhere else.
 """
 
@@ -22,7 +24,6 @@ from hypothesis import strategies as st
 
 from repro.experiments.runner import ScenarioConfig, run_engine, scenario_config
 from repro.fds.config import FdsConfig
-from repro.sim.array_engine import formation as formation_module
 from repro.sim.array_engine import layout as layout_module
 from repro.sim.array_engine import loss as loss_module
 from repro.sim.array_engine import rounds as rounds_module
@@ -32,7 +33,12 @@ from repro.sim.array_engine.layout import build_array_layout, lattice_positions
 from repro.sim.array_engine.loss import ArrayLossDraw
 from repro.sim.array_engine.rounds import ArrayRoundEngine
 from repro.sim.array_engine.runner import ArrayEngine
+from repro.sim.engine import Simulator
+from repro.sim.medium import RadioMedium
 from repro.sim.trace import NullTracer
+from repro.topology import graph as graph_module
+from repro.topology.graph import UnitDiskGraph
+from repro.util.geometry import Vec2
 from repro.util.rng import RngFactory
 
 RADIUS = 100.0
@@ -429,9 +435,82 @@ def test_edges_across_the_stride_gap_column():
 def test_edges_do_not_depend_on_the_candidate_block(monkeypatch, block):
     """Small blocks split the scan mid-field; a block of 1 holds one
     node's candidates, however many there are."""
-    monkeypatch.setattr(formation_module, "_CANDIDATE_BLOCK", block)
+    monkeypatch.setattr(graph_module, "_CANDIDATE_BLOCK", block)
     xs, ys = lattice_positions(3, 60, RADIUS, np.random.default_rng(9))
     assert_edges_match_pair_scan(xs, ys)
+
+
+def pair_scan_neighbors(positions):
+    """NID -> sorted neighbours by :func:`unit_disk_reference`."""
+    nids = sorted(positions)
+    xs = np.array([positions[nid].x for nid in nids], dtype=np.float64)
+    ys = np.array([positions[nid].y for nid in nids], dtype=np.float64)
+    want = unit_disk_reference(xs, ys, RADIUS)
+    neighbors = {nid: [] for nid in nids}
+    for i, j in zip(want["src"].tolist(), want["dst"].tolist()):
+        neighbors[nids[i]].append(nids[j])
+    return {nid: tuple(sorted(found)) for nid, found in neighbors.items()}
+
+
+def fresh_medium():
+    return RadioMedium(Simulator(), transmission_range=RADIUS)
+
+
+def assert_medium_matches_pair_scan(medium, positions):
+    want = pair_scan_neighbors(positions)
+    for nid, pos in positions.items():
+        assert medium.neighbors_of(nid) == want[nid]
+        neighbors, distances = medium.neighbor_arrays(nid)
+        assert neighbors == want[nid]
+        # Per-sender distances stay math.hypot (Vec2.distance_to):
+        # np.hypot rounds differently and would move distance-loss draws.
+        np.testing.assert_array_equal(
+            distances, [pos.distance_to(positions[m]) for m in neighbors]
+        )
+
+
+#: Distinct, non-contiguous NIDs for a field of up to 80 nodes.
+NIDS = st.lists(st.integers(0, 10**6), min_size=80, max_size=80, unique=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(points=st.lists(st.tuples(COORD, COORD), min_size=1, max_size=80), ids=NIDS)
+@example(points=[(-1e-20, 0.0), (RADIUS, 0.0)], ids=[0, 1] + list(range(2, 80)))
+@example(points=[(-1e-20, 0.0), (RADIUS, 0.0)], ids=[907, 12] + list(range(2, 80)))
+def test_graph_and_medium_equal_brute_force_pair_scan(points, ids):
+    """``UnitDiskGraph`` and ``RadioMedium`` neighbours are the pair
+    scan's, under any NIDs -- including the ``(-1e-20, 0)``-``(r, 0)``
+    pair, in range yet in cells -1 and +1 of a grid of width ``r``."""
+    positions = {ids[i]: Vec2(x, y) for i, (x, y) in enumerate(points)}
+    want = pair_scan_neighbors(positions)
+    graph = UnitDiskGraph(positions, RADIUS)
+    assert list(graph.edges()) == sorted(
+        (a, b) for a, found in want.items() for b in found if a < b
+    )
+    assert {nid: graph.neighbors(nid) for nid in positions} == want
+    medium = fresh_medium()
+    for nid, pos in positions.items():
+        medium.register(nid, pos, lambda envelope: None)
+    assert_medium_matches_pair_scan(medium, positions)
+
+
+def test_medium_rebuilds_neighbors_after_register_and_unregister():
+    positions = {40: Vec2(0.0, 0.0), 7: Vec2(RADIUS, 0.0), 93: Vec2(3 * RADIUS, 0.0)}
+    medium = fresh_medium()
+    for nid, pos in positions.items():
+        medium.register(nid, pos, lambda envelope: None)
+    assert_medium_matches_pair_scan(medium, positions)
+    assert medium.neighbors_of(93) == ()
+    # A node registered after the first lookup joins both ends' tables.
+    positions[3] = Vec2(2 * RADIUS, 0.0)
+    medium.register(3, positions[3], lambda envelope: None)
+    assert_medium_matches_pair_scan(medium, positions)
+    assert medium.neighbors_of(93) == (3,)
+    assert medium.neighbors_of(7) == (3, 40)
+    del positions[7]
+    medium.unregister(7)
+    assert_medium_matches_pair_scan(medium, positions)
+    assert medium.neighbors_of(40) == ()
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from repro.analysis.incompleteness import (
     p_incompleteness,
     p_incompleteness_literal,
 )
-from repro.cluster.geometric import lowest_id_partition
+from repro.cluster.geometric import build_clusters
 from repro.fds.config import FdsConfig
 from repro.fds.detector import DetectionInputs, apply_failure_rule
 from repro.fds.digest import build_digest
@@ -400,7 +400,10 @@ def test_lowest_id_partition_invariants(points):
     graph = UnitDiskGraph(
         {i: Vec2(x, y) for i, (x, y) in enumerate(points)}, 100.0
     )
-    partition = lowest_id_partition(graph)
+    partition = {
+        head: cluster.members
+        for head, cluster in build_clusters(graph).clusters.items()
+    }
     all_members = [m for members in partition.values() for m in members]
     # Exactly-one-cluster membership (feature F3 at the partition level).
     assert len(all_members) == len(set(all_members))

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from repro.cluster.geometric import build_clusters
 from repro.errors import TopologyError
+from repro.topology.graph import UnitDiskGraph
 from repro.topology.placement import (
     cluster_disk_placement,
     gaussian_blobs_placement,
@@ -92,6 +94,20 @@ class TestClusterDisk:
         )
         edge = placement[max(placement)]
         assert edge.norm() == pytest.approx(100.0)
+
+    def test_worst_case_member_stays_in_range(self):
+        """Rounding can put v just past R (19 of these seeds), which
+        would split the analysis cluster in two: v must pass the range
+        test and stay within a few ulps of R."""
+        for seed in range(200):
+            placement = cluster_disk_placement(
+                50, 100.0, np.random.default_rng(seed), worst_case_member=True
+            )
+            layout = build_clusters(UnitDiskGraph(placement, 100.0))
+            assert layout.heads == (0,), seed
+            assert not layout.unclustered
+            edge = placement[50]
+            assert abs(edge.norm() - 100.0) <= 4 * np.spacing(100.0), seed
 
     def test_all_members_within_ch_range(self, rng):
         placement = cluster_disk_placement(40, 100.0, rng)
