@@ -152,9 +152,11 @@ class FdsProtocol(Protocol):
 
     def _trace(self, kind: str, **detail: object) -> None:
         assert self.node is not None
-        self.node.tracer.record(
-            self.node.now, kind, node=int(self.node.node_id), **detail
-        )
+        tracer = self.node.tracer
+        if tracer.enabled:
+            tracer.record(
+                self.node.now, kind, node=int(self.node.node_id), **detail
+            )
 
     def _send(self, payload: object, recipient: Optional[NodeId] = None) -> None:
         assert self.node is not None

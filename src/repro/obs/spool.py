@@ -13,17 +13,18 @@ flattened detail), so ``repro trace``, ``jq``, and pandas all read it
 directly; :func:`iter_spool` streams it back as
 :class:`~repro.sim.trace.TraceRecord` objects.
 
-Writing is batched.  ``record()`` encodes its arguments straight to a
-line (no :class:`TraceRecord` is built) and appends it to a pending
-batch; every ``flush_every`` records, and on ``flush()`` / ``close()``,
-the batch goes to the file as one write followed by a stream flush.
-So ``flush_every`` bounds three things at once: the records a crash of
-the writing process can lose, the lines held in memory, and how far a
-reader of the growing file (``iter_spool(follow=True)``, the dashboard's
-``/events``) can lag -- a live tail advances in steps of ``flush_every``
-records (4096 by default; the rt runtime uses 64, a dashboard following
-a run wants a small value too).  In exchange the file only ever grows by
-whole lines: another reader never sees a torn one.
+Writing is batched.  ``record()`` and ``row()`` encode their arguments
+straight to a line (no :class:`TraceRecord` is built) and append it to a
+pending batch; every ``flush_every`` records, and on ``flush()`` /
+``close()``, the batch goes to the file as one write followed by a
+stream flush.  So ``flush_every`` bounds three things at once: the
+records a crash of the writing process can lose, the lines held in
+memory, and how far a reader of the growing file
+(``iter_spool(follow=True)``, the dashboard's ``/events``) can lag -- a
+live tail advances in steps of ``flush_every`` records (4096 by
+default; the rt runtime uses 64, a dashboard following a run wants a
+small value too).  In exchange the file only ever grows by whole lines:
+another reader never sees a torn one.
 
 Emission is safe under concurrency: the batch, the counters and the
 file are only touched under an internal lock (lines are encoded outside
@@ -46,7 +47,9 @@ import json
 import time
 import threading
 from pathlib import Path
-from typing import BinaryIO, Iterator, List, Mapping, Optional, Sequence, Union
+from typing import (
+    BinaryIO, Iterator, List, Mapping, Optional, Sequence, Tuple, Union,
+)
 
 from repro.errors import ConfigurationError
 from repro.sim.trace import TraceRecord, Tracer, record_line
@@ -109,6 +112,17 @@ class SpoolingTracer(Tracer):
     ) -> None:
         # Overridden so the hot path builds no TraceRecord.
         self._spool(time, kind, node, detail)
+
+    def row(
+        self,
+        time: SimTime,
+        kind: str,
+        node: Optional[int],
+        keys: Tuple[str, ...],
+        *values: object,
+    ) -> None:
+        # Overridden so a row goes to its line with no TraceRecord either.
+        self._spool(time, kind, node, dict(zip(keys, values)))
 
     def emit(self, record: TraceRecord) -> None:
         self._spool(record.time, record.kind, record.node, record.detail)

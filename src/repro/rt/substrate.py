@@ -27,7 +27,7 @@ from typing import Callable, Optional
 from repro.obs.profiler import NULL_PROFILER
 from repro.rt.codec import CodecError, decode_frame, encode_frame
 from repro.sim.medium import Envelope, draw_delays
-from repro.sim.trace import Tracer
+from repro.sim.trace import LOSS_KEYS, RX_KEYS, TX_KEYS, Tracer
 from repro.types import NodeId
 from repro.util.geometry import Vec2
 
@@ -142,11 +142,12 @@ class UdpLink(asyncio.DatagramProtocol):
         frame = encode_frame(sender, recipient, now, payload)
         tracer = self.tracer
         if tracer.enabled:
-            tracer.record(
+            tracer.row(
                 now,
                 "radio.tx",
-                node=int(sender),
-                recipient=None if recipient is None else int(recipient),
+                int(sender),
+                TX_KEYS,
+                None if recipient is None else int(recipient),
             )
         call_later = net.scheduler.loop.call_later
         sent = 0
@@ -157,11 +158,8 @@ class UdpLink(asyncio.DatagramProtocol):
             ):
                 net.losses += 1
                 if tracer.enabled:
-                    tracer.record(
-                        now,
-                        "radio.loss",
-                        node=int(neighbor),
-                        sender=int(sender),
+                    tracer.row(
+                        now, "radio.loss", int(neighbor), LOSS_KEYS, int(sender)
                     )
                 continue
             delay = float(draw_delays(net.delay_rng, net.max_delay, 1)[0])
@@ -205,13 +203,14 @@ class UdpLink(asyncio.DatagramProtocol):
             ),
         )
         if tracer.enabled:
-            tracer.record(
+            tracer.row(
                 now,
                 "radio.rx",
-                node=int(self.node_id),
-                sender=int(frame.sender),
-                overheard=envelope.overheard,
-                latency=now - frame.sent_at,
+                int(self.node_id),
+                RX_KEYS,
+                int(frame.sender),
+                envelope.overheard,
+                now - frame.sent_at,
             )
         self._handler(envelope)
 

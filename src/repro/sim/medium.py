@@ -69,7 +69,7 @@ from repro.errors import MediumError
 from repro.obs.profiler import PHASE_RADIO_DELIVER, PHASE_RADIO_TRANSMIT
 from repro.sim.engine import Simulator
 from repro.sim.loss import LossModel, PerfectLinks
-from repro.sim.trace import NullTracer, Tracer
+from repro.sim.trace import LOSS_KEYS, RX_KEYS, TX_KEYS, NullTracer, Tracer
 from repro.topology.graph import unit_disk_neighbors
 from repro.types import NodeId, SimTime
 from repro.util.geometry import Vec2
@@ -292,7 +292,7 @@ class RadioMedium:
         tracer = self.tracer
         tracing = tracer.enabled
         if tracing:
-            tracer.record(now, "radio.tx", node=int(sender), recipient=recipient)
+            tracer.row(now, "radio.tx", int(sender), TX_KEYS, recipient)
 
         (neighbors, distances), receivers = self._sender_arrays(sender)
         if not neighbors:
@@ -315,10 +315,9 @@ class RadioMedium:
         if n_lost:
             self.losses += n_lost
             if tracing:
+                row, sender_id = tracer.row, int(sender)
                 for receiver in receivers[lost].tolist():
-                    tracer.record(
-                        now, "radio.loss", node=receiver, sender=int(sender)
-                    )
+                    row(now, "radio.loss", receiver, LOSS_KEYS, sender_id)
             survivors = receivers[~lost]
             if not len(survivors):
                 return 0
@@ -357,13 +356,14 @@ class RadioMedium:
             return
         self.deliveries += 1
         if self.tracer.enabled:
-            self.tracer.record(
+            self.tracer.row(
                 envelope.received_at,
                 "radio.rx",
-                node=int(receiver),
-                sender=int(envelope.sender),
-                overheard=envelope.overheard,
-                latency=envelope.received_at - envelope.sent_at,
+                int(receiver),
+                RX_KEYS,
+                int(envelope.sender),
+                envelope.overheard,
+                envelope.received_at - envelope.sent_at,
             )
         profiler = self.sim.profiler
         if profiler.enabled:

@@ -183,10 +183,9 @@ class TestGoldenEventEngine:
         profiler = PhaseProfiler()
         result = run_scenario(ScenarioConfig(**kwargs), profiler=profiler)
         unprofiled = RecordingTracer()
-        unprofiled.records = [
-            r for r in result.tracer.records
-            if not r.kind.startswith("profile.")
-        ]
+        for record in result.tracer.records:
+            if not record.kind.startswith("profile."):
+                unprofiled.emit(record)
         assert len(unprofiled.records) < len(result.tracer.records)
         assert observed(result, unprofiled) == (fingerprint_, events, stats)
         assert profiler.calls == GOLDEN_PHASE_CALLS

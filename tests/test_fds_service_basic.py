@@ -12,6 +12,7 @@ from repro.failure.injection import FailureInjector
 from repro.fds import events as ev
 from repro.fds.config import FdsConfig
 from repro.metrics.properties import evaluate_properties
+from repro.sim.trace import NullTracer
 from repro.topology.generators import corridor_field, multi_cluster_field
 from repro.topology.placement import cluster_disk_placement
 
@@ -128,3 +129,31 @@ class TestMultipleCrashes:
         first_members = layout.clusters[layout.heads[0]].members
         for nid in first_members:
             assert victim in deployment.protocols[nid].history
+
+
+class _DisabledRaisingTracer(NullTracer):
+    """Disabled, and any record handed to it is a bug."""
+
+    def record(self, *args, **kwargs):
+        raise AssertionError(f"record() on a disabled tracer: {args}")
+
+    def emit(self, record):
+        raise AssertionError(f"emit() on a disabled tracer: {record}")
+
+    def row(self, *row):
+        raise AssertionError(f"row() on a disabled tracer: {row}")
+
+
+def test_disabled_tracer_is_never_called():
+    # Lossy and with crashes, so detections, relays, peer requests and
+    # gateway duties all fire: every emitter checks ``enabled`` first.
+    from repro.experiments.runner import ScenarioConfig, run_scenario
+
+    config = ScenarioConfig(
+        cluster_count=3, members_per_cluster=12, crash_count=2,
+        executions=4, loss_probability=0.2, seed=5,
+    )
+    untraced = run_scenario(config, tracer=_DisabledRaisingTracer())
+    traced = run_scenario(config)
+    assert untraced.properties == traced.properties
+    assert untraced.messages == traced.messages
