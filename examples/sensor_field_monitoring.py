@@ -47,7 +47,7 @@ def main() -> None:
 
     # Distributed cluster formation over the lossy medium (features F1-F4).
     formation = FormationConfig(thop=0.5, iterations=4)
-    layout = run_formation(network, formation)
+    layout = run_formation(network, formation).cluster_layout()
     summary = layout.summary()
     print(
         f"self-organized into {summary['clusters']:.0f} clusters covering "

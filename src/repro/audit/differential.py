@@ -411,10 +411,10 @@ def formation_violations(spec: ScenarioConfig) -> List[Violation]:
     **Lossless leg** (both engines, ``formation="protocol"`` over
     perfect links): the placement stream is shared and no loss draw is
     consulted, so the six-round protocol must converge to the *same*
-    clustering on both engines -- the extracted
-    :class:`~repro.cluster.state.ClusterLayout` (clusters, deputies,
-    boundaries, unclustered set) and the FDS phase's verdict records
-    must be bit-identical, times included.
+    clustering on both engines -- the two
+    :class:`~repro.sim.array_engine.layout.ArrayLayout` objects must be
+    equal on every array and scalar, and the FDS phase's verdict records
+    bit-identical, times included.
 
     **Lossy leg** (array engine only, the spec's own loss model): the
     engines draw formation loss from private streams, so under loss the
@@ -424,8 +424,8 @@ def formation_violations(spec: ScenarioConfig) -> List[Violation]:
     invariants of :func:`~repro.sim.array_engine.formation.
     formation_shape_violations`: heads marked and self-affiliated,
     members in radio range of their confirmed head, forwarder ladders
-    within width and strictly NID-ascending, extraction round-trips
-    through ``ClusterLayout`` validation.
+    within width and strictly NID-ascending, the layout reads back as a
+    ``ClusterLayout`` view.
     """
     from repro.sim.array_engine.formation import formation_shape_violations
 
@@ -436,22 +436,17 @@ def formation_violations(spec: ScenarioConfig) -> List[Violation]:
     )
     event = run_scenario(replace(lossless, engine="event"))
     array = run_scenario(replace(lossless, engine="array"))
-    layout = array.layout.cluster_layout()
-    for field_name, got, want in (
-        ("clusters", layout.clusters, event.layout.clusters),
-        ("boundaries", layout.boundaries, event.layout.boundaries),
-        ("unclustered", layout.unclustered, event.layout.unclustered),
-    ):
-        if got != want:
-            violations.append(
-                Violation(
-                    kind="differential:formation",
-                    description=(
-                        f"lossless formation layouts diverged on "
-                        f"{field_name}: array {got!r} != event {want!r}"
-                    ),
-                )
+    mismatched = array.layout.mismatches(event.layout)
+    if mismatched:
+        violations.append(
+            Violation(
+                kind="differential:formation",
+                description=(
+                    "lossless formation layouts diverged on "
+                    f"{', '.join(mismatched)}"
+                ),
             )
+        )
     if verdict_records(event.tracer) != verdict_records(array.tracer):
         violations.append(
             Violation(

@@ -37,8 +37,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
+import numpy as np
+
 from repro.cluster import rcc
-from repro.cluster.state import Boundary, Cluster, ClusterLayout
 from repro.errors import ClusteringError
 from repro.sim.medium import Envelope
 from repro.sim.network import Network
@@ -125,9 +126,9 @@ DECLARATION_PATIENCE = 2
 class FormationConfig:
     """Tuning of the formation protocol.
 
-    ``thop`` must exceed the medium's maximum one-hop delay so that every
-    message sent at a round's start is delivered (if not lost) within the
-    round.
+    ``thop`` and ``backoff_fraction`` must satisfy the round synchrony
+    condition against the medium's max one-hop delay
+    (:func:`check_round_synchrony`).
     """
 
     thop: float = 0.5
@@ -135,10 +136,7 @@ class FormationConfig:
     deputy_count: int = 2
     max_backups: int = 2
     #: Upper bound of the RCC declaration backoff as a fraction of a
-    #: round (see :func:`repro.cluster.rcc.declaration_backoff`).  Must
-    #: leave ``(1 - backoff_fraction) * thop`` of slack above the
-    #: medium's max one-hop delay so a backed-off declaration still
-    #: lands within its round.
+    #: round (see :func:`repro.cluster.rcc.declaration_backoff`).
     backoff_fraction: float = 0.4
 
     #: Rounds per iteration (fixed by the protocol structure).
@@ -182,12 +180,10 @@ class FormationProtocol(Protocol):
         self.is_head = False
         self.confirmed_head: Optional[NodeId] = None
         self.marked = False
-        self.announced_members: FrozenSet[NodeId] = frozenset()
         self.announced_deputies: Tuple[NodeId, ...] = ()
-        #: For heads: peer head -> ranked forwarders (as assigned in R5).
+        #: For heads: peer head -> ranked forwarders (as assigned in R5;
+        #: a member's duties are read off the heads' ladders).
         self.boundary_assignments: Dict[NodeId, Tuple[NodeId, ...]] = {}
-        #: For members: peer head -> (my rank, backup count) duties heard.
-        self.my_gateway_duties: Dict[NodeId, Tuple[int, int]] = {}
         # Per-iteration scratch state.
         self._heard_unmarked: Set[NodeId] = set()
         self._heard_heads: Set[NodeId] = set()
@@ -304,7 +300,6 @@ class FormationProtocol(Protocol):
         deputies = tuple(
             sorted(m for m in members if m != self.node.node_id)
         )[: self.config.deputy_count]
-        self.announced_members = members
         self.announced_deputies = deputies
         self.node.send(
             ClusterAnnouncement(
@@ -368,8 +363,6 @@ class FormationProtocol(Protocol):
                     self._candidacies.setdefault(payload.sender, set()).update(
                         payload.foreign_heads
                     )
-        elif isinstance(payload, BoundaryAssignment):
-            self._on_boundary_assignment(payload)
         elif isinstance(payload, ClusterDissolve):
             if self.confirmed_head == payload.head and not self.is_head:
                 self._become_unmarked()
@@ -386,22 +379,7 @@ class FormationProtocol(Protocol):
         if my_id in announcement.members:
             self.confirmed_head = announcement.head
             self.marked = True
-            self.announced_members = announcement.members
             self.announced_deputies = announcement.deputies
-
-    def _on_boundary_assignment(self, assignment: BoundaryAssignment) -> None:
-        assert self.node is not None
-        if assignment.head != self.confirmed_head:
-            return
-        my_id = self.node.node_id
-        if my_id in assignment.forwarders:
-            rank = assignment.forwarders.index(my_id)
-            self.my_gateway_duties[assignment.peer] = (
-                rank,
-                len(assignment.forwarders) - 1,
-            )
-        else:
-            self.my_gateway_duties.pop(assignment.peer, None)
 
     # -- RCC repair -----------------------------------------------------
     def _maybe_resign(self, heard_head: NodeId) -> None:
@@ -416,15 +394,13 @@ class FormationProtocol(Protocol):
         self.is_head = False
         self.marked = False
         self.confirmed_head = None
-        self.announced_members = frozenset()
         self.announced_deputies = ()
         self.boundary_assignments = {}
-        self.my_gateway_duties = {}
         self._members = set()
 
 
 # ----------------------------------------------------------------------
-# Driver + layout extraction
+# Driver + state packing
 # ----------------------------------------------------------------------
 
 
@@ -440,55 +416,64 @@ def install_formation(network: Network, config: FormationConfig) -> Dict[NodeId,
     return protocols
 
 
-def extract_layout(
+def check_round_synchrony(
+    thop: float, backoff_fraction: float, max_delay: float,
+    error: type = ClusteringError,
+) -> None:
+    """Raise ``error`` unless formation rounds are synchronous: a
+    declaration backed off by up to ``backoff_fraction * thop`` and
+    delayed by up to ``max_delay`` lands before the next round fires,
+    ``backoff_fraction * thop + max_delay <= thop``.  The array engine's
+    round model (:mod:`repro.sim.array_engine.formation`) assumes it."""
+    if backoff_fraction * thop + max_delay > thop:
+        raise error(
+            "formation rounds are not synchronous: the RCC backoff "
+            f"({backoff_fraction} * thop) plus the medium's max one-hop "
+            f"delay ({max_delay}) exceeds thop ({thop})"
+        )
+
+
+def pack_formation_state(
+    network: Network,
     protocols: Dict[NodeId, FormationProtocol],
     config: FormationConfig,
-) -> ClusterLayout:
-    """Build a :class:`ClusterLayout` from converged per-node state.
+):
+    """The protocols' state as the
+    :class:`~repro.sim.array_engine.formation.FormationOutcome` arrays the
+    array engine's conversion reads; node index ``i`` is the ``i``-th
+    smallest NID.  Only heads' announced deputies and R5 ladders are
+    packed: a member's affiliation is its *own* confirmed head, which
+    keeps F3 even if a CH's member list drifted through lost
+    announcements."""
+    # Imported here: the array formation imports this module.
+    from repro.sim.array_engine.formation import PAD, FormationOutcome
 
-    Affiliation is taken from each *member's own* confirmed head (the
-    node-side truth), which guarantees feature F3 (exactly one affiliation)
-    even if a CH's member list drifted due to lost announcements.
-    """
-    heads = {nid for nid, p in protocols.items() if p.is_head}
-    affiliation: Dict[NodeId, NodeId] = {}
-    for nid, protocol in protocols.items():
+    nids = sorted(protocols)
+    index = {nid: i for i, nid in enumerate(nids)}
+    state = [protocols[nid] for nid in nids]
+    deputies = np.full((len(nids), config.deputy_count), PAD, dtype=np.int64)
+    boundary_asn: Dict[int, Dict[int, Tuple[int, ...]]] = {}
+    for i, protocol in enumerate(state):
         if protocol.is_head:
-            affiliation[nid] = nid
-        elif protocol.confirmed_head is not None and protocol.confirmed_head in heads:
-            affiliation[nid] = protocol.confirmed_head
-
-    clusters: List[Cluster] = []
-    for head in sorted(heads):
-        members = frozenset(
-            nid for nid, h in affiliation.items() if h == head
-        ) | {head}
-        deputies = tuple(
-            d for d in protocols[head].announced_deputies if d in members
-        )
-        clusters.append(Cluster(head=head, members=members, deputies=deputies))
-
-    boundaries: List[Boundary] = []
-    for head in sorted(heads):
-        members = frozenset(nid for nid, h in affiliation.items() if h == head)
-        for peer, forwarders in sorted(protocols[head].boundary_assignments.items()):
-            if peer not in heads:
-                continue
-            usable = tuple(f for f in forwarders if affiliation.get(f) == head)
-            if not usable:
-                continue
-            boundaries.append(
-                Boundary(
-                    owner=head,
-                    peer=peer,
-                    gateway=usable[0],
-                    backups=usable[1:],
-                )
-            )
-
-    unclustered = [nid for nid in protocols if nid not in affiliation]
-    return ClusterLayout(
-        clusters=clusters, boundaries=boundaries, unclustered=unclustered
+            announced = [index[d] for d in protocol.announced_deputies]
+            deputies[i, : len(announced)] = announced
+            boundary_asn[i] = {
+                index[peer]: tuple(index[f] for f in forwarders)
+                for peer, forwarders in protocol.boundary_assignments.items()
+            }
+    return FormationOutcome(
+        config=config,
+        node_count=len(nids),
+        radius=network.medium.transmission_range,
+        xs=np.array([network.nodes[n].position.x for n in nids], dtype=float),
+        ys=np.array([network.nodes[n].position.y for n in nids], dtype=float),
+        is_head=np.array([p.is_head for p in state], dtype=bool),
+        marked=np.array([p.marked for p in state], dtype=bool),
+        conf_head=np.array(
+            [index.get(p.confirmed_head, PAD) for p in state], dtype=np.int64
+        ),
+        ann_deputies=deputies,
+        boundary_asn=boundary_asn,
     )
 
 
@@ -496,16 +481,19 @@ def run_formation(
     network: Network,
     config: Optional[FormationConfig] = None,
     start_time: float = 0.0,
-) -> ClusterLayout:
-    """Install, run, and extract: the one-call formation entry point."""
+):
+    """Install, run, pack and convert: the one-call formation entry
+    point.  Returns an :class:`~repro.sim.array_engine.layout.ArrayLayout`
+    (node index ``i`` is the ``i``-th smallest NID; ``cluster_layout``
+    reads it NID-keyed, given a graph when NIDs are not ``0..N-1``)."""
+    from repro.sim.array_engine.formation import formation_array_layout
+
     cfg = config if config is not None else FormationConfig()
-    if network.medium.max_delay >= cfg.thop:
-        raise ClusteringError(
-            "formation thop must exceed the medium's max one-hop delay "
-            f"({cfg.thop} <= {network.medium.max_delay})"
-        )
+    check_round_synchrony(
+        cfg.thop, cfg.backoff_fraction, network.medium.max_delay
+    )
     protocols = install_formation(network, cfg)
     for protocol in protocols.values():
         protocol.start(start_time)
     network.sim.run_until(start_time + cfg.total_duration())
-    return extract_layout(protocols, cfg)
+    return formation_array_layout(pack_formation_state(network, protocols, cfg))

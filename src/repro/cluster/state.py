@@ -5,24 +5,30 @@ one-hop members, a ranked list of deputy clusterheads (DCHs, feature F2),
 and -- per neighboring cluster -- a :class:`Boundary` holding the primary
 gateway (GW) and ranked backup gateways (BGWs).
 
-:class:`ClusterLayout` is the whole-network structure; it validates the
-paper's structural invariants on construction:
+:class:`ClusterLayout` is the whole-network structure keyed by NID: a
+read-only view of the one cluster structure the code assembles, the
+:class:`~repro.sim.array_engine.layout.ArrayLayout`.  The arrays hold
+the paper's structural invariants by construction -- every node sits in
+at most one cluster row (feature F3, gateways included), heads are
+distinct, deputies and gateways are member slots of the cluster they
+serve -- and the view checks the geometric ones against a graph:
 
 - every member of a cluster is a one-hop neighbor of its CH (clusters map
   to unit disks, Section 3);
-- every node is affiliated with exactly one cluster (feature F3 -- this
-  includes gateways, which older algorithms left unaffiliated);
-- deputies and gateways are members of the cluster they serve.
+- every forwarder reaches the peer CH of its boundary;
+- every node of the graph is accounted for.
 
 :class:`LocalClusterView` is the slice of the layout a single node is
 allowed to know -- what the formation protocol's announcements told it.
-The FDS protocol consumes only local views, never the global layout.
+The FDS protocol consumes only local views, never the global layout;
+they are derived once, on the arrays
+(:meth:`~repro.sim.array_engine.layout.ArrayLayout.local_views`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, Mapping, Optional, Tuple
 
 from repro.errors import ClusteringError
 from repro.topology.graph import UnitDiskGraph
@@ -115,64 +121,54 @@ class LocalClusterView:
 
 
 class ClusterLayout:
-    """The network-wide cluster structure, with invariant validation."""
+    """A read-only, NID-keyed view of an
+    :class:`~repro.sim.array_engine.layout.ArrayLayout`.
 
-    def __init__(
-        self,
-        clusters: Iterable[Cluster],
-        boundaries: Iterable[Boundary] = (),
-        graph: Optional[UnitDiskGraph] = None,
-        unclustered: Iterable[NodeId] = (),
-    ) -> None:
+    Built only by :meth:`ArrayLayout.cluster_layout
+    <repro.sim.array_engine.layout.ArrayLayout.cluster_layout>`: node
+    index ``i`` of the arrays is NID ``graph.nodes()[i]`` when a graph is
+    given (and the structure is validated against it), NID ``i``
+    otherwise.  Everything here is read off the arrays' one local-view
+    derivation (:meth:`ArrayLayout.local_views`): ``clusters`` from the
+    heads' views, ``boundaries`` from the forwarders' gateway duties.
+    """
+
+    def __init__(self, array, graph: Optional[UnitDiskGraph] = None) -> None:
+        self.array = array
+        clusters = array.cluster_count
+        for owner, peer in zip(
+            array.boundary_owner.tolist(), array.boundary_peer.tolist()
+        ):
+            if not (0 <= owner < clusters and 0 <= peer < clusters):
+                raise ClusteringError(
+                    f"boundary {owner}->{peer} does not join two clusters"
+                )
+        nid_of = graph.nodes() if graph is not None else range(array.node_count)
+        self._views: Dict[NodeId, LocalClusterView] = array.local_views(nid_of)
         self.clusters: Dict[NodeId, Cluster] = {}
-        for cluster in clusters:
-            if cluster.head in self.clusters:
-                raise ClusteringError(f"duplicate cluster head {cluster.head}")
-            self.clusters[cluster.head] = cluster
+        unclustered = []
+        ladders: Dict[Tuple[NodeId, NodeId], Dict[int, NodeId]] = {}
+        for nid, view in sorted(self._views.items()):
+            if view.role is NodeRole.UNMARKED:
+                unclustered.append(nid)
+            elif view.is_head:
+                self.clusters[nid] = Cluster(nid, view.members, view.deputies)
+            for peer, (rank, _n) in view.gateway_duties.items():
+                ladders.setdefault((view.head, peer), {})[rank] = nid
         self.unclustered: FrozenSet[NodeId] = frozenset(unclustered)
-
-        self._affiliation: Dict[NodeId, NodeId] = {}
-        for cluster in self.clusters.values():
-            for member in cluster.members:
-                if member in self._affiliation:
-                    raise ClusteringError(
-                        f"node {member} is affiliated with two clusters "
-                        f"({self._affiliation[member]} and {cluster.head}); "
-                        "feature F3 requires exactly one"
-                    )
-                self._affiliation[member] = cluster.head
-        overlap = self.unclustered & set(self._affiliation)
-        if overlap:
-            raise ClusteringError(
-                f"nodes both clustered and unclustered: {sorted(overlap)}"
+        self.boundaries: Dict[Tuple[NodeId, NodeId], Boundary] = {
+            (owner, peer): Boundary(
+                owner=owner,
+                peer=peer,
+                gateway=ladder[0],
+                backups=tuple(ladder[r] for r in range(1, len(ladder))),
             )
-
-        self.boundaries: Dict[Tuple[NodeId, NodeId], Boundary] = {}
-        for boundary in boundaries:
-            self._add_boundary(boundary)
-
+            for (owner, peer), ladder in sorted(ladders.items())
+        }
         if graph is not None:
             self._validate_against_graph(graph)
 
     # ------------------------------------------------------------------
-    def _add_boundary(self, boundary: Boundary) -> None:
-        if boundary.owner not in self.clusters:
-            raise ClusteringError(f"boundary owner {boundary.owner} is not a CH")
-        if boundary.peer not in self.clusters:
-            raise ClusteringError(f"boundary peer {boundary.peer} is not a CH")
-        owner_cluster = self.clusters[boundary.owner]
-        for forwarder in boundary.all_forwarders:
-            if forwarder not in owner_cluster.members:
-                raise ClusteringError(
-                    f"forwarder {forwarder} on boundary "
-                    f"{boundary.owner}->{boundary.peer} is not a member of "
-                    f"its owning cluster {boundary.owner}"
-                )
-        key = (boundary.owner, boundary.peer)
-        if key in self.boundaries:
-            raise ClusteringError(f"duplicate boundary {key}")
-        self.boundaries[key] = boundary
-
     def _validate_against_graph(self, graph: UnitDiskGraph) -> None:
         for cluster in self.clusters.values():
             for member in cluster.ordinary_members:
@@ -188,8 +184,7 @@ class ClusterLayout:
                         f"forwarder {forwarder} on boundary {owner}->{peer} "
                         f"cannot reach the peer CH {peer}"
                     )
-        covered = set(self._affiliation) | set(self.unclustered)
-        missing = set(graph.nodes()) - covered
+        missing = set(graph.nodes()) - set(self._views)
         if missing:
             raise ClusteringError(
                 f"layout does not account for nodes {sorted(missing)}"
@@ -199,77 +194,33 @@ class ClusterLayout:
     @property
     def heads(self) -> Tuple[NodeId, ...]:
         """All clusterhead NIDs, sorted."""
-        return tuple(sorted(self.clusters))
+        return tuple(self.clusters)
 
     def cluster_of(self, node_id: NodeId) -> Cluster:
         """The cluster a node is affiliated with."""
-        try:
-            return self.clusters[self._affiliation[node_id]]
-        except KeyError:
-            raise ClusteringError(f"node {node_id} is not clustered") from None
+        if not self.is_clustered(node_id):
+            raise ClusteringError(f"node {node_id} is not clustered")
+        return self.clusters[self._views[node_id].head]
 
     def is_clustered(self, node_id: NodeId) -> bool:
-        return node_id in self._affiliation
+        view = self._views.get(node_id)
+        return view is not None and view.role is not NodeRole.UNMARKED
 
     def role_of(self, node_id: NodeId) -> NodeRole:
-        """The role a node plays in the layout.
-
-        A node with several roles reports the most specific one in the
-        order CH > GW > BGW > DCH > OM (a deputy that is also a gateway is
-        reported as a gateway; its deputy rank is still visible in the
-        cluster's ``deputies`` tuple).
-        """
-        if node_id in self.unclustered:
-            return NodeRole.UNMARKED
-        cluster = self.cluster_of(node_id)
-        if node_id == cluster.head:
-            return NodeRole.CH
-        ranks = self._gateway_ranks(node_id, cluster.head)
-        if any(rank == 0 for rank, _n in ranks.values()):
-            return NodeRole.GW
-        if ranks:
-            return NodeRole.BGW
-        if node_id in cluster.deputies:
-            return NodeRole.DCH
-        return NodeRole.OM
-
-    def _gateway_ranks(
-        self, node_id: NodeId, head: NodeId
-    ) -> Dict[NodeId, Tuple[int, int]]:
-        duties: Dict[NodeId, Tuple[int, int]] = {}
-        for (owner, peer), boundary in self.boundaries.items():
-            if owner != head:
-                continue
-            forwarders = boundary.all_forwarders
-            if node_id in forwarders:
-                duties[peer] = (forwarders.index(node_id), boundary.backup_count)
-        return duties
+        """The role a node plays in the layout (see
+        :meth:`ArrayLayout.local_views` for the precedence)."""
+        return self.local_view(node_id).role
 
     def local_view(self, node_id: NodeId) -> LocalClusterView:
         """The per-node knowledge slice the FDS protocol is given."""
-        if node_id in self.unclustered:
-            return LocalClusterView(
-                node_id=node_id,
-                role=NodeRole.UNMARKED,
-                head=node_id,
-                members=frozenset({node_id}),
-                deputies=(),
-            )
-        cluster = self.cluster_of(node_id)
-        head_boundaries: Dict[NodeId, int] = {}
-        if node_id == cluster.head:
-            for (owner, peer), boundary in self.boundaries.items():
-                if owner == cluster.head:
-                    head_boundaries[peer] = len(boundary.all_forwarders)
-        return LocalClusterView(
-            node_id=node_id,
-            role=self.role_of(node_id),
-            head=cluster.head,
-            members=cluster.members,
-            deputies=cluster.deputies,
-            gateway_duties=self._gateway_ranks(node_id, cluster.head),
-            head_boundaries=head_boundaries,
-        )
+        try:
+            return self._views[node_id]
+        except KeyError:
+            raise ClusteringError(f"node {node_id} is not clustered") from None
+
+    def local_views(self) -> Dict[NodeId, LocalClusterView]:
+        """Every node's view, keyed by NID."""
+        return self._views
 
     def neighboring_heads(self, head: NodeId) -> Tuple[NodeId, ...]:
         """CHs this cluster has an outgoing boundary to."""
@@ -279,14 +230,14 @@ class ClusterLayout:
 
     def clustered_nodes(self) -> Tuple[NodeId, ...]:
         """All nodes affiliated with some cluster, sorted."""
-        return tuple(sorted(self._affiliation))
+        return tuple(nid for nid in sorted(self._views) if self.is_clustered(nid))
 
     def summary(self) -> Dict[str, float]:
         """Structural statistics, for reports and sanity checks."""
         sizes = [c.size for c in self.clusters.values()]
         return {
             "clusters": float(len(self.clusters)),
-            "clustered_nodes": float(len(self._affiliation)),
+            "clustered_nodes": float(len(self._views) - len(self.unclustered)),
             "unclustered_nodes": float(len(self.unclustered)),
             "min_cluster_size": float(min(sizes)) if sizes else 0.0,
             "mean_cluster_size": float(sum(sizes) / len(sizes)) if sizes else 0.0,

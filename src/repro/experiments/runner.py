@@ -19,7 +19,11 @@ from typing import Any, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cluster.formation import FormationConfig, run_formation
+from repro.cluster.formation import (
+    FormationConfig,
+    check_round_synchrony,
+    run_formation,
+)
 from repro.cluster.geometric import build_clusters
 from repro.energy.model import EnergyModel
 from repro.errors import ConfigurationError, ExperimentError
@@ -35,7 +39,7 @@ from repro.metrics.properties import (
 )
 from repro.obs.analyze import TraceMeta, stamp_profile, stamp_run_header
 from repro.obs.profiler import PhaseProfiler
-from repro.obs.topology import layout_topology_detail
+from repro.obs.topology import array_topology_detail
 from repro.sim.loss import LossModel, build_loss_model, loss_params
 from repro.sim.network import NetworkConfig, build_network
 from repro.sim.trace import RecordingTracer, Tracer
@@ -67,7 +71,8 @@ class ScenarioConfig:
     #: ``formation="protocol"``.
     formation_iterations: int = 3
     #: Upper bound of the RCC declaration backoff as a fraction of a
-    #: round (see :func:`repro.cluster.rcc.declaration_backoff`).
+    #: round (see :func:`repro.cluster.rcc.declaration_backoff`); must
+    #: keep formation rounds synchronous (``check_round_synchrony``).
     formation_backoff_fraction: float = 0.4
     track_energy: bool = False
     #: Declarative loss-model spec (see :func:`repro.sim.loss.build_loss_model`).
@@ -133,6 +138,13 @@ class ScenarioConfig:
             )
         if self.executions < 1:
             raise ExperimentError("executions must be >= 1")
+        if self.formation == "protocol":
+            # On every engine, against the event engine's medium (its
+            # NetworkConfig keeps the default max_delay).
+            check_round_synchrony(
+                self.fds.thop, self.formation_backoff_fraction,
+                NetworkConfig.max_delay, ExperimentError,
+            )
         if self.time_scale <= 0:
             raise ConfigurationError(
                 f"time_scale must be positive, got {self.time_scale}"
@@ -230,6 +242,7 @@ class RunResult:
     #: crash time are in the same timebase.
     fds: FdsConfig
     fds_start: SimTime
+    #: The run's ``ArrayLayout`` (node index = NID), on every engine.
     layout: Any
     #: Ground-truth liveness at the end of the run: ``operational_ids()``,
     #: ``crashed_ids()``, ``len()`` and the clock ``sim.now``.
@@ -344,15 +357,15 @@ class Engine:
         graph = UnitDiskGraph(
             self.positions, radius=self.config.transmission_range
         )
-        self.layout = build_clusters(graph, **self.config.layout_knobs())
+        self.layout = build_clusters(graph, **self.config.layout_knobs()).array
         return graph
 
     def heads(self) -> Sequence[int]:
         """Clusterhead NIDs (never crash candidates)."""
-        return self.layout.heads
+        return self.layout.head_nids
 
     def topology_detail(self) -> Dict[str, object]:
-        return layout_topology_detail(self.layout, self.positions)
+        return array_topology_detail(self.layout)
 
     def arm(self, faultload: Faultload) -> None:
         """Schedule the crashes."""

@@ -5,7 +5,8 @@ Public surface:
 - :class:`FdsConfig` -- protocol timing and mechanism toggles.
 - :class:`FdsProtocol` -- the per-node protocol (installed on sim nodes).
 - :func:`install_fds` / :class:`FdsDeployment` -- wire an FDS onto a
-  network given a :class:`~repro.cluster.state.ClusterLayout`.
+  network given an :class:`~repro.sim.array_engine.layout.ArrayLayout`
+  or its :class:`~repro.cluster.state.ClusterLayout` view.
 - :mod:`repro.fds.detector` -- the paper's two detection rules as pure
   functions.
 """

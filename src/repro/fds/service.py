@@ -37,10 +37,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Dict, FrozenSet, List, Optional, Set
+from typing import Any, Dict, FrozenSet, List, Optional, Set
 
 from repro.cluster.maintenance import AdmissionBook
-from repro.cluster.state import ClusterLayout, LocalClusterView
+from repro.cluster.state import LocalClusterView
 from repro.energy.model import EnergyModel
 from repro.errors import ConfigurationError, ProtocolError
 from repro.fds import events as ev
@@ -707,7 +707,8 @@ class FdsDeployment:
     """
 
     network: Network
-    layout: ClusterLayout
+    #: An ``ArrayLayout`` or its ``ClusterLayout`` view.
+    layout: Any
     config: FdsConfig
     protocols: Dict[NodeId, FdsProtocol]
     energy: Optional[EnergyModel]
@@ -750,12 +751,14 @@ class FdsDeployment:
 
 def install_fds(
     network: Network,
-    layout: ClusterLayout,
+    layout: Any,
     config: Optional[FdsConfig] = None,
     energy: Optional[EnergyModel] = None,
     start_time: float = 0.0,
 ) -> FdsDeployment:
-    """Attach an :class:`FdsProtocol` to every node per the layout."""
+    """Attach an :class:`FdsProtocol` to every node per the layout: an
+    ``ArrayLayout`` (node index = NID) or its NID-keyed ``ClusterLayout``
+    view, whose ``local_views()`` both come from the arrays."""
     cfg = config if config is not None else FdsConfig()
     if network.medium.max_delay >= cfg.thop:
         raise ConfigurationError(
@@ -765,10 +768,12 @@ def install_fds(
     if energy is not None:
         for node_id in sorted(network.nodes):
             energy.register(node_id, network.sim.now)
+    views = layout.local_views()
     protocols: Dict[NodeId, FdsProtocol] = {}
     for node_id, node in sorted(network.nodes.items()):
-        view = layout.local_view(node_id)
-        protocol = FdsProtocol(cfg, view, energy=energy)
+        if node_id not in views:
+            raise ConfigurationError(f"the layout has no node {node_id}")
+        protocol = FdsProtocol(cfg, views[node_id], energy=energy)
         node.add_protocol(protocol)
         protocols[node_id] = protocol
     return FdsDeployment(

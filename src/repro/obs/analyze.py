@@ -150,7 +150,7 @@ def stamp_run_header(
 
     The map follows immediately so the spool alone can draw the field
     (``repro serve``'s ``/api/topology``); ``topology_detail`` comes from
-    :func:`repro.obs.topology.layout_topology_detail` or its array twin.
+    :func:`repro.obs.topology.array_topology_detail`.
     """
     tracer.record(time, META_KIND, **meta.to_detail())
     tracer.record(time, TOPOLOGY_KIND, **topology_detail)

@@ -4,15 +4,11 @@ The spool is self-describing for *time* (``meta.scenario``) but, before
 this module, said nothing about *structure* -- which nodes head which
 clusters, who the deputies are, where the GW/BGW forwarding ladders sit.
 The dashboard's cluster map needs exactly that, so runs now stamp one
-``meta.topology`` record right after ``meta.scenario``:
-
-- the event engine serializes its :class:`~repro.cluster.state.ClusterLayout`
-  plus node positions (:func:`layout_topology_detail`);
-- the array engine serializes its
-  :class:`~repro.sim.array_engine.layout.ArrayLayout` flat arrays into
-  the identical shape (:func:`array_topology_detail`);
-- the rt runtime serializes the same :class:`ClusterLayout` it installs
-  protocols from.
+``meta.topology`` record right after ``meta.scenario``.  Every engine
+(event, array, rt) runs on an
+:class:`~repro.sim.array_engine.layout.ArrayLayout`, so one serializer
+writes it: :func:`array_topology_detail`, from the flat arrays and the
+node positions they carry.
 
 :func:`topology_view` replays a record stream into a
 :class:`~repro.obs.analyze.TopologyView` -- cluster membership crossed
@@ -76,46 +72,13 @@ def _round_coords(values) -> List[float]:
 # ----------------------------------------------------------------------
 # Emission side
 # ----------------------------------------------------------------------
-def layout_topology_detail(layout, positions) -> Dict[str, object]:
-    """``meta.topology`` detail from a :class:`ClusterLayout` + placement.
-
-    ``positions`` maps node id -> an object with ``x``/``y`` (``Vec2``).
-    All values are plain JSON types; members include the head, matching
-    :class:`~repro.cluster.state.Cluster` semantics.
-    """
-    clusters = [
-        {
-            "head": int(head),
-            "members": sorted(int(m) for m in cluster.members),
-            "deputies": [int(d) for d in cluster.deputies],
-        }
-        for head, cluster in sorted(layout.clusters.items())
-    ]
-    boundaries = [
-        {
-            "owner": int(owner),
-            "peer": int(peer),
-            "forwarders": [int(f) for f in boundary.all_forwarders],
-        }
-        for (owner, peer), boundary in sorted(layout.boundaries.items())
-    ]
-    nodes = sorted(int(n) for n in positions)
-    return {
-        "clusters": clusters,
-        "boundaries": boundaries,
-        "unclustered": sorted(int(n) for n in layout.unclustered),
-        "nodes": nodes,
-        "x": _round_coords([positions[n].x for n in nodes]),
-        "y": _round_coords([positions[n].y for n in nodes]),
-    }
-
-
 def array_topology_detail(layout) -> Dict[str, object]:
     """``meta.topology`` detail from an :class:`ArrayLayout`.
 
-    Emits the same shape as :func:`layout_topology_detail`: members
-    include the head NID, boundary forwarders are member NIDs (PAD slots
-    dropped), and unclustered nodes are those with ``assign == PAD``.
+    Node index is NID.  All values are plain JSON types: members include
+    the head NID (as :class:`~repro.cluster.state.Cluster` members do),
+    boundary forwarders are member NIDs (PAD slots dropped) in ladder
+    order, and unclustered nodes are those with ``assign == PAD``.
     """
     pad = -1  # repro.sim.array_engine.layout.PAD
     # Whole arrays to Python lists once: ``int()``/``float()`` on 10^5

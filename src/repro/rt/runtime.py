@@ -176,12 +176,13 @@ class RtRuntime(Engine):
         )
 
         # Same protocol objects as the simulator, on the same host class.
+        views = self.layout.local_views()
         for nid, link in self.links.items():
             node = self.nodes[nid] = SimNode(
                 nid, self.positions[nid], scheduler, link
             )
             protocol = self.protocols[nid] = FdsProtocol(
-                self.fds, self.layout.local_view(nid)
+                self.fds, views[nid]
             )
             node.add_protocol(protocol)
             protocol.start(

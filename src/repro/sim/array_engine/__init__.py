@@ -7,15 +7,17 @@ updates and inter-cluster forwarding across *all* clusters at once -- as
 batched boolean-array programs:
 
 - :mod:`.layout` -- the field as flat arrays: member matrices, radio
-  adjacency, deputy ranks, and boundary gateways; the one oracle
-  clustering, which the event engine reads through
-  :func:`~repro.cluster.geometric.build_clusters`;
+  adjacency, deputy ranks, and boundary gateways.  The
+  :class:`~.layout.ArrayLayout` is the one cluster structure every
+  engine runs on (event and rt included), with the one derivation of a
+  node's local view; the oracle clustering is built here too;
 - :mod:`.loss` -- vectorized per-copy Bernoulli/bounded/distance loss
   draws under the shared ``SeedSequence`` discipline;
 - :mod:`.formation` -- the six-round distributed formation protocol
   (Section 3, F1-F5) as batched array programs over the unit-disk edge
-  list; lossless runs extract a ``ClusterLayout`` bit-identical to the
-  event engine's :func:`~repro.cluster.formation.run_formation`;
+  list, and the one formation-to-layout conversion; lossless runs yield
+  an ``ArrayLayout`` equal, field for field, to the event engine's
+  :func:`~repro.cluster.formation.run_formation`;
 - :mod:`.rounds` -- the per-execution array program (detection and
   refutation as masked reductions over the whole field);
 - :mod:`.runner` -- :func:`run_array_scenario`, the drop-in scenario

@@ -9,14 +9,13 @@ node/edge arrays instead of per-node protocol objects and timers.
 
 Round synchrony
 ---------------
-The event engine's formation is round-synchronous by construction as long
-as ``max_delay <= (1 - backoff_fraction) * thop``: every message sent at a
-round's start (and every backed-off declaration) is delivered, if not
-lost, before the next round fires.  The shipped
-:class:`~repro.sim.network.NetworkConfig` fixes ``max_delay = 0.1`` with
-``thop = 0.5`` and ``backoff_fraction = 0.4``, so the condition always
-holds and the per-event schedule collapses to the synchronous round model
-this module implements.
+The event engine's formation is round-synchronous by construction under
+:func:`~repro.cluster.formation.check_round_synchrony`: every message
+sent at a round's start (and every backed-off declaration) is delivered,
+if not lost, before the next round fires.  ``run_formation`` and
+``ScenarioConfig(formation="protocol")`` reject a configuration that
+breaks it, so the per-event schedule collapses to the synchronous round
+model this module implements.
 
 Edge list
 ---------
@@ -63,8 +62,9 @@ draws from per-node streams; backoffs only break declaration ties between
 *adjacent* qualified nodes, which cannot exist under lossless channels).
 
 Engine-private approximations (all invisible under lossless channels,
-where the resulting :class:`~repro.cluster.state.ClusterLayout` is
-bit-identical to :func:`repro.cluster.formation.run_formation`):
+where the resulting :class:`~repro.sim.array_engine.layout.ArrayLayout`
+is identical, field for field, to
+:func:`repro.cluster.formation.run_formation`'s):
 
 - declaration suppression ignores per-copy delivery *delay*: a delivered
   lower-NID declaration with an earlier backoff always suppresses;
@@ -79,7 +79,7 @@ bit-identical to :func:`repro.cluster.formation.run_formation`):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -110,10 +110,11 @@ _BIG = np.iinfo(np.int64).max
 class FormationOutcome:
     """Converged per-node formation state, plus field geometry.
 
-    The array twin of the event engine's ``Dict[NodeId,
-    FormationProtocol]`` after :func:`run_formation` parks the clock:
-    everything :func:`repro.cluster.formation.extract_layout` reads is
-    here as flat arrays.
+    What :func:`formation_array_layout` reads, as flat arrays: produced
+    by :func:`run_array_formation`, and packed from the event engine's
+    per-node protocols by
+    :func:`repro.cluster.formation.pack_formation_state` (which leaves
+    ``edges`` unset and ``transmissions`` at zero).
     """
 
     config: FormationConfig
@@ -121,7 +122,6 @@ class FormationOutcome:
     radius: float
     xs: np.ndarray
     ys: np.ndarray
-    edges: UnitDiskEdges
     is_head: np.ndarray
     marked: np.ndarray
     conf_head: np.ndarray
@@ -129,8 +129,9 @@ class FormationOutcome:
     ann_deputies: np.ndarray
     #: head NID -> peer head NID -> ranked forwarder NIDs (R5 state).
     boundary_asn: Dict[int, Dict[int, Tuple[int, ...]]]
+    edges: Optional[UnitDiskEdges] = None
     #: Formation message sends (one per broadcast/unicast, any fan-out).
-    transmissions: int
+    transmissions: int = 0
 
     def head_ids(self) -> np.ndarray:
         """Sorted NIDs of the surviving clusterheads."""
@@ -469,15 +470,14 @@ def formation_array_layout(
 ) -> ArrayLayout:
     """Re-express a formation outcome as an :class:`ArrayLayout`.
 
-    The mirror of :func:`repro.cluster.formation.extract_layout`: heads
+    The one formation-to-layout conversion, for both engines: heads
     carry arbitrary NIDs (``head_ids`` maps cluster index -> head NID),
     members are the non-head nodes whose confirmed head survived
     (NID-ascending slots), deputies are the head's announced list
     filtered to its members, and each boundary is the head's R5 ladder
     toward a surviving peer filtered to its members, dropped when none
     is left.  Unclustered nodes get ``assign == PAD`` and occupy no
-    member slot.  :meth:`ArrayLayout.cluster_layout` gives the
-    event-comparable ``ClusterLayout``.
+    member slot.
     """
     n = outcome.node_count
     head_ids = np.flatnonzero(outcome.is_head).astype(np.int64)
@@ -583,11 +583,10 @@ def formation_shape_violations(outcome: FormationOutcome) -> List[str]:
                     f"forwarder ladder not strictly ascending on {h}->{peer}"
                 )
 
-    # The extracted ClusterLayout must pass the paper's structural
-    # validation (exactly-one affiliation, no node both clustered and
-    # unclustered, deputies/forwarders members of their cluster, head in
-    # its own member set); its heads are the is_head flags by
-    # construction.
+    # The layout must read back as a ClusterLayout view (every boundary
+    # joins two clusters, deputies are non-head members, the head is in
+    # its own member set); F3 and the forwarders' membership hold in the
+    # arrays by construction.
     try:
         formation_array_layout(outcome).cluster_layout()
     except Exception as exc:  # ClusteringError and anything else

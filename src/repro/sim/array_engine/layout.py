@@ -40,14 +40,15 @@ arithmetic without its field-sized temporaries
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass, field, fields
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cluster.state import Boundary, Cluster, ClusterLayout
+from repro.cluster.state import ClusterLayout, LocalClusterView
 from repro.errors import TopologyError
 from repro.topology.graph import UnitDiskEdges, UnitDiskGraph
+from repro.types import NodeId, NodeRole
 from repro.util.validation import check_int_at_least, check_positive
 
 #: Pad value for ragged (cluster, slot) integer arrays.
@@ -121,15 +122,17 @@ class ArrayLayout:
         nid = int(node_id)
         return 0 <= nid < self.node_count and int(self.assign[nid]) >= 0
 
-    def cluster_layout(
-        self, graph: Optional[UnitDiskGraph] = None
-    ) -> ClusterLayout:
-        """The same structure as a validated :class:`ClusterLayout`.
-
-        Node index ``i`` is NID ``graph.nodes()[i]`` when a graph is
-        given (and the layout is checked against it), NID ``i`` otherwise.
-        """
-        nid_of = graph.nodes() if graph is not None else range(self.node_count)
+    def local_views(
+        self, nid_of: Optional[Sequence[int]] = None
+    ) -> Dict[NodeId, LocalClusterView]:
+        """Every node's :class:`LocalClusterView` keyed by NID (index
+        ``i`` is NID ``nid_of[i]``, ``i`` by default): the one derivation
+        of roles and duties.  Role precedence is CH > GW > BGW > DCH > OM
+        (a deputy on a ladder reports its gateway role), UNMARKED for an
+        unclustered node; ``gateway_duties`` map peer head -> (ladder
+        rank, backup count), ``head_boundaries`` peer head -> ladder
+        length."""
+        nid_of = range(self.node_count) if nid_of is None else nid_of
         heads = [nid_of[h] for h in self.head_nids.tolist()]
         rows = [
             [nid_of[m] for m in row[:count]]
@@ -137,36 +140,67 @@ class ArrayLayout:
                 self.members.tolist(), self.member_counts.tolist()
             )
         ]
-        clusters = [
-            Cluster(
-                head=head,
-                members=frozenset({head} | set(row)),
-                deputies=tuple(nid_of[d] for d in deputies if d != PAD),
-            )
-            for head, row, deputies in zip(heads, rows, self.deputies.tolist())
-        ]
-        boundaries = []
+        duties: Dict[NodeId, Dict[NodeId, Tuple[int, int]]] = {}
+        ladder_lengths: List[Dict[NodeId, int]] = [{} for _ in heads]
         for owner, peer, slots in zip(
             self.boundary_owner.tolist(),
             self.boundary_peer.tolist(),
             self.boundary_gateway_slots.tolist(),
         ):
             ladder = [rows[owner][s] for s in slots if s != PAD]
-            boundaries.append(
-                Boundary(
-                    owner=heads[owner],
-                    peer=heads[peer],
-                    gateway=ladder[0],
-                    backups=tuple(ladder[1:]),
-                )
+            ladder_lengths[owner][heads[peer]] = len(ladder)
+            for rank, nid in enumerate(ladder):
+                duties.setdefault(nid, {})[heads[peer]] = (rank, len(ladder) - 1)
+        views: Dict[NodeId, LocalClusterView] = {}
+        for head, row, deputy_row, lengths in zip(
+            heads, rows, self.deputies.tolist(), ladder_lengths
+        ):
+            members = frozenset((head, *row))
+            deputies = tuple(nid_of[d] for d in deputy_row if d != PAD)
+            views[head] = LocalClusterView(
+                head, NodeRole.CH, head, members, deputies,
+                head_boundaries=lengths,
             )
-        alone = np.flatnonzero(self.assign == PAD).tolist()
-        return ClusterLayout(
-            clusters=clusters,
-            boundaries=boundaries,
-            graph=graph,
-            unclustered=[nid_of[i] for i in alone],
-        )
+            for nid in row:
+                own = duties.get(nid, {})
+                if any(rank == 0 for rank, _n in own.values()):
+                    role = NodeRole.GW
+                elif own:
+                    role = NodeRole.BGW
+                elif nid in deputies:
+                    role = NodeRole.DCH
+                else:
+                    role = NodeRole.OM
+                views[nid] = LocalClusterView(
+                    nid, role, head, members, deputies, gateway_duties=own
+                )
+        for i in np.flatnonzero(self.assign == PAD).tolist():
+            nid = nid_of[i]
+            views[nid] = LocalClusterView(
+                nid, NodeRole.UNMARKED, nid, frozenset({nid}), ()
+            )
+        return views
+
+    def cluster_layout(
+        self, graph: Optional[UnitDiskGraph] = None
+    ) -> ClusterLayout:
+        """The NID-keyed :class:`ClusterLayout` view: index ``i`` is NID
+        ``graph.nodes()[i]`` (checked against the graph) or ``i``."""
+        return ClusterLayout(self, graph)
+
+    def mismatches(self, other: "ArrayLayout") -> List[str]:
+        """Names of the fields (arrays by dtype and value) on which
+        ``other`` differs; empty iff the two layouts are identical."""
+
+        def same(a: Any, b: Any) -> bool:
+            if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
+                return a.dtype == b.dtype and np.array_equal(a, b)
+            return type(a) is type(b) and a == b
+
+        return [
+            f.name for f in fields(self)
+            if not same(getattr(self, f.name), getattr(other, f.name))
+        ]
 
 
 def _lattice_field(

@@ -54,7 +54,6 @@ from repro.obs.profiler import (
     PHASE_ARRAY_SCORE,
     PhaseProfiler,
 )
-from repro.obs.topology import array_topology_detail
 from repro.sim.array_engine.energy import ArrayEnergyLedger
 from repro.sim.array_engine.formation import (
     FormationOutcome,
@@ -74,8 +73,7 @@ class ArrayScenarioResult(RunResult):
     :class:`~repro.sim.array_engine.energy.ArrayEnergyLedger`)."""
 
     #: Converged formation state (populated iff
-    #: ``config.formation == "protocol"``; ``layout.cluster_layout()`` is
-    #: the event-comparable ``ClusterLayout``); feed it to
+    #: ``config.formation == "protocol"``); feed it to
     #: :func:`~repro.sim.array_engine.formation.formation_shape_violations`
     #: for the structural audit.
     formation: Optional[FormationOutcome] = None
@@ -201,12 +199,6 @@ class ArrayEngine(Engine):
                 PHASE_ARRAY_LAYOUT, _time.perf_counter() - t0
             )
         self.node_count = self.layout.node_count
-
-    def heads(self) -> np.ndarray:
-        return self.layout.head_nids
-
-    def topology_detail(self) -> Dict[str, object]:
-        return array_topology_detail(self.layout)
 
     def arm(self, faultload: Faultload) -> None:
         config, fds_start = self.config, self.fds_start

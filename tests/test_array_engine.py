@@ -149,14 +149,13 @@ def test_layout_knobs_reach_every_layout_builder(formation, knob):
         formation=formation, fds=FdsConfig(deputy_count=knob),
         max_backups=knob, spacing_factor=1.25, crash_count=0, executions=1,
     )
-    event = run_scenario(config).layout
+    event_arrays = run_scenario(config).layout
     array = run_scenario(replace(config, engine="array"))
+    event = event_arrays.cluster_layout()
     if formation == "oracle":
         _assert_same_layout(array.layout, event)
     else:
-        layout = array.layout.cluster_layout()
-        assert layout.clusters == event.clusters
-        assert layout.boundaries == event.boundaries
+        assert array.layout.mismatches(event_arrays) == []
     assert max(len(c.deputies) for c in event.clusters.values()) == knob
     assert max(
         len(b.all_forwarders) for b in event.boundaries.values()
@@ -469,15 +468,11 @@ def _formation_pair(**overrides):
 @pytest.mark.parametrize("seed", [0, 1, 7])
 def test_protocol_formation_lossless_bit_identical(seed):
     """The acceptance lock: under lossless channels the vectorized
-    formation must converge to the exact ClusterLayout of the event
-    engine's ``run_formation`` -- clusters, deputies, boundaries,
-    unclustered set -- and the FDS phase that follows must emit
-    bit-identical verdict records."""
+    formation must converge to the exact ArrayLayout of the event
+    engine's ``run_formation`` -- every array and scalar -- and the FDS
+    phase that follows must emit bit-identical verdict records."""
     event, array = _formation_pair(seed=seed, loss_probability=0.0)
-    layout = array.layout.cluster_layout()
-    assert layout.clusters == event.layout.clusters
-    assert layout.boundaries == event.layout.boundaries
-    assert layout.unclustered == event.layout.unclustered
+    assert array.layout.mismatches(event.layout) == []
     assert verdict_records(event.tracer) == verdict_records(array.tracer)
     assert event.detection_latencies == array.detection_latencies
     assert event.properties.completeness == array.properties.completeness
@@ -600,7 +595,7 @@ def test_fds_rounds_with_nonidentity_heads_match_event():
 
 def _formation_layouts_for_field(xs, ys, radius, loss_p=0.0, iterations=3):
     """Run formation over an explicit field on both engines; return the
-    two extracted ClusterLayouts."""
+    two layouts, read as ClusterLayouts."""
     from repro.cluster.formation import FormationConfig, run_formation
     from repro.sim.array_engine.formation import (
         formation_array_layout,
@@ -625,7 +620,7 @@ def _formation_layouts_for_field(xs, ys, radius, loss_p=0.0, iterations=3):
         ),
         loss_model=build_loss_model(kind, params),
     )
-    event_layout = run_formation(network, config)
+    event_layout = run_formation(network, config).cluster_layout()
 
     loss = ArrayLossDraw(
         kind, params, loss_probability=loss_p, transmission_range=radius,

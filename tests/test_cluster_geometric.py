@@ -16,7 +16,7 @@ from repro.topology.placement import (
     uniform_rect_placement,
 )
 from repro.util.geometry import Vec2
-from tests.cluster_reference import reference_clusters
+from tests.cluster_reference import assert_same_structure, reference_clusters
 
 RADIUS = 100.0
 
@@ -121,17 +121,17 @@ LATTICE = st.integers(-30, 30).map(lambda k: k * RADIUS / 20)
 
 
 def assert_matches_reference(graph, deputy_count, max_backups):
-    got = build_clusters(graph, deputy_count, max_backups)
-    want = reference_clusters(graph, deputy_count, max_backups)
-    assert list(got.clusters.items()) == list(want.clusters.items())
-    assert list(got.boundaries.items()) == list(want.boundaries.items())
-    assert got.unclustered == want.unclustered
+    assert_same_structure(
+        build_clusters(graph, deputy_count, max_backups),
+        reference_clusters(graph, deputy_count, max_backups),
+    )
 
 
 class TestMatchesReference:
     """``build_clusters`` equals the node-at-a-time reference walker
     (``tests/cluster_reference.py``): members, deputies, every boundary
-    ladder, the unclustered set, and the order of both dicts."""
+    ladder, the unclustered set, the order of both dicts, and every
+    node's local view (role, duties, head boundaries)."""
 
     @settings(max_examples=80, deadline=None)
     @given(

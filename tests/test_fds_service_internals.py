@@ -3,6 +3,7 @@
 import pytest
 
 from repro.energy.model import EnergyModel
+from repro.errors import ConfigurationError
 from repro.fds.config import FdsConfig
 from repro.fds.messages import Heartbeat, HealthStatusUpdate
 from repro.fds.service import install_fds
@@ -64,6 +65,30 @@ class TestStaleFiltering:
         )
         assert unheard in head.history
         assert heard not in head.history
+
+
+class TestInstallReadsTheArrays:
+    def test_array_layout_and_its_view_install_the_same_views(self, rng):
+        placement = cluster_disk_placement(10, 100.0, rng)
+        view = build_clusters(UnitDiskGraph(placement, radius=100.0))
+        installed = []
+        for layout in (view, view.array):
+            network = build_network(placement, NetworkConfig(seed=1))
+            deployment = install_fds(network, layout, FdsConfig(phi=5.0, thop=0.5))
+            installed.append(
+                {nid: p._initial_view for nid, p in deployment.protocols.items()}
+            )
+        assert installed[0] == installed[1] == view.local_views()
+
+    def test_array_layout_must_cover_the_network(self, rng):
+        # An ArrayLayout's node index is the NID: a network whose NIDs are
+        # not 0..N-1 needs the NID-keyed view.
+        placement = cluster_disk_placement(10, 100.0, rng, ch_id=100)
+        graph = UnitDiskGraph(placement, radius=100.0)
+        network = build_network(placement, NetworkConfig(seed=1))
+        with pytest.raises(ConfigurationError, match="no node"):
+            install_fds(network, build_clusters(graph).array)
+        install_fds(network, build_clusters(graph))
 
 
 class TestEnergyCharging:

@@ -28,7 +28,9 @@ def pipeline_result():
     network = build_network(
         placement, NetworkConfig(loss_probability=0.15, seed=31)
     )
-    layout = run_formation(network, FormationConfig(thop=0.5, iterations=4))
+    layout = run_formation(
+        network, FormationConfig(thop=0.5, iterations=4)
+    ).cluster_layout()
     fds_config = FdsConfig(phi=10.0, thop=0.5)
     fds_start = network.sim.now + 1.0
     deployment = install_fds(network, layout, fds_config, start_time=fds_start)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.experiments.runner import ScenarioConfig, run_scenario
+from repro.experiments.runner import EventEngine, ScenarioConfig, run_scenario
 from repro.obs.analyze import TOPOLOGY_KIND, TopologyView
 from repro.obs.spool import SpoolingTracer, read_spool
 from repro.obs.topology import (
@@ -24,7 +24,10 @@ from repro.obs.topology import (
     topology_payload,
     topology_view,
 )
-from repro.sim.trace import TraceRecord
+from repro.rt.runtime import RtRuntime
+from repro.sim.trace import TraceRecord, record_line
+from repro.topology.generators import multi_cluster_field
+from repro.util.rng import RngFactory
 
 
 def _spool_scenario(tmp_path, **overrides):
@@ -141,6 +144,77 @@ class TestArrayDetail:
             assert got["unclustered"]
             assert max(c["head"] for c in got["clusters"]) \
                 >= len(got["clusters"])
+
+
+def reference_layout_topology_detail(layout, positions):
+    """The retired second serializer: ``meta.topology`` detail from a
+    ``ClusterLayout`` plus the placement (``Vec2`` per NID)."""
+    clusters = [
+        {
+            "head": int(head),
+            "members": sorted(int(m) for m in cluster.members),
+            "deputies": [int(d) for d in cluster.deputies],
+        }
+        for head, cluster in sorted(layout.clusters.items())
+    ]
+    boundaries = [
+        {
+            "owner": int(owner),
+            "peer": int(peer),
+            "forwarders": [int(f) for f in boundary.all_forwarders],
+        }
+        for (owner, peer), boundary in sorted(layout.boundaries.items())
+    ]
+    nodes = sorted(int(n) for n in positions)
+    return {
+        "clusters": clusters,
+        "boundaries": boundaries,
+        "unclustered": sorted(int(n) for n in layout.unclustered),
+        "nodes": nodes,
+        "x": _round_coords([positions[n].x for n in nodes]),
+        "y": _round_coords([positions[n].y for n in nodes]),
+    }
+
+
+#: Event-oracle, lossy event-protocol and rt (22-node) fields.
+SERIALIZED_FIELDS = [
+    *(
+        (EventEngine, dict(cluster_count=c, members_per_cluster=m, seed=seed))
+        for c, m in ((2, 6), (9, 20), (5, 14))
+        for seed in (0, 7)
+    ),
+    *(
+        (EventEngine, dict(
+            cluster_count=4, members_per_cluster=12, seed=seed,
+            formation="protocol", formation_iterations=2,
+            loss_probability=0.3,
+        ))
+        for seed in range(4)
+    ),
+    *(
+        (RtRuntime, dict(cluster_count=2, members_per_cluster=10, seed=seed))
+        for seed in range(3)
+    ),
+]
+
+
+class TestOneSerializer:
+    @pytest.mark.parametrize("engine_class, fields", SERIALIZED_FIELDS)
+    def test_bytes_equal_the_retired_serializer(self, engine_class, fields):
+        config = ScenarioConfig(crash_count=1, executions=2, **fields)
+        engine = engine_class(config)
+        engine.prepare()
+        positions = multi_cluster_field(
+            config.cluster_count, config.members_per_cluster,
+            config.transmission_range,
+            RngFactory(config.seed).stream("placement"),
+            spacing_factor=config.spacing_factor,
+        )
+        want = reference_layout_topology_detail(
+            engine.layout.cluster_layout(), positions
+        )
+        assert record_line(0.0, TOPOLOGY_KIND, None, engine.topology_detail()) \
+            == record_line(0.0, TOPOLOGY_KIND, None, want)
 
 
 #: Exact and near halves of the fourth decimal: where the scaled
