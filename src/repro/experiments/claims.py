@@ -39,10 +39,9 @@ from repro.analysis.montecarlo import (
 from repro.analysis.sweep import PAPER_N_VALUES, PAPER_P_GRID
 from repro.experiments import ablations
 from repro.experiments.figures import FIG2_N_VALUES, figure2_dch_reachability
-from repro.experiments.repeat import repeat_scenario
+from repro.experiments.repeat import SeriesSummary, repeat_scenario
 from repro.experiments.runner import ScenarioConfig, run_scenario
 from repro.experiments.scenarios import single_cluster_validation
-from repro.metrics.summary import SeriesSummary
 from repro.sim.trace import NullTracer
 from repro.util.tables import format_cell, render_table
 

@@ -15,12 +15,48 @@ is how to use more than one core.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Dict, List, Sequence, Tuple
 
-from repro.errors import ExperimentError
+from repro.errors import AnalysisError, ExperimentError
 from repro.experiments.runner import ScenarioConfig, run_scenario
-from repro.metrics.summary import SeriesSummary, summarize
+
+
+@dataclass(frozen=True)
+class SeriesSummary:
+    """Mean / stddev / extremes of a sample."""
+
+    count: int
+    mean: float
+    #: Population standard deviation.
+    std: float
+    minimum: float
+    maximum: float
+
+    @property
+    def stderr(self) -> float:
+        """Standard error of the mean: the sample standard deviation over
+        sqrt(n), i.e. ``std / sqrt(n - 1)``; NaN below two samples."""
+        if self.count < 2:
+            return math.nan
+        return self.std / math.sqrt(self.count - 1)
+
+
+def summarize(values: Sequence[float]) -> SeriesSummary:
+    """Summary statistics of a non-empty sample."""
+    if not values:
+        raise AnalysisError("cannot summarize an empty sample")
+    n = len(values)
+    mean = sum(values) / n
+    variance = sum((v - mean) ** 2 for v in values) / n
+    return SeriesSummary(
+        count=n,
+        mean=mean,
+        std=math.sqrt(variance),
+        minimum=min(values),
+        maximum=max(values),
+    )
 
 
 @dataclass(frozen=True)

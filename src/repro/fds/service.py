@@ -739,15 +739,6 @@ class FdsDeployment:
         except KeyError:
             raise ConfigurationError(f"no FDS protocol on node {node_id}") from None
 
-    def knowledge_of(self, failure: NodeId) -> FrozenSet[NodeId]:
-        """Operational clustered nodes whose history includes ``failure``."""
-        return frozenset(
-            nid
-            for nid, protocol in self.protocols.items()
-            if self.network.nodes[nid].is_operational
-            and failure in protocol.history
-        )
-
 
 def install_fds(
     network: Network,

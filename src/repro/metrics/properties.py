@@ -11,16 +11,21 @@ The paper's target properties (Section 4.1), made measurable:
   operational nodes."  Every (suspector, suspected) pair where the
   suspected node is in fact operational is a violation.
 
-The scorer reads protocol state (each node's
-:class:`~repro.fds.reports.ReportHistory`) and ground truth from the
-network -- exactly the vantage point the paper's analysis takes.
+One kernel, :func:`score_knowledge`, scores every engine from a
+``(node, target)`` knowledge matrix and ground-truth masks -- exactly
+the vantage point the paper's analysis takes.  Its adapters only pack
+engine state: :func:`evaluate_properties` packs each event/rt node's
+:class:`~repro.fds.reports.ReportHistory`, the array engine's
+``_score_properties`` hands over its round state's matrix as is.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.fds.service import FdsDeployment
 from repro.sim.trace import Tracer
@@ -85,57 +90,86 @@ class LivenessView:
         return len(self.operational) + len(self.crashed)
 
 
-def _observer_ids(deployment: FdsDeployment) -> List[NodeId]:
-    """Operational nodes that belong to some cluster (paper's scope)."""
-    return [
-        nid
-        for nid in deployment.network.operational_ids()
-        if deployment.layout.is_clustered(nid)
-    ]
+def score_knowledge(
+    node_ids: Sequence[int],
+    known: np.ndarray,
+    target_ids: Sequence[int],
+    operational: np.ndarray,
+    clustered: np.ndarray,
+) -> PropertyReport:
+    """Score a finished run from what every node knows -- the one scorer.
 
+    ``known[i, j]`` says whether node ``node_ids[i]`` holds
+    ``target_ids[j]`` in its failure history; ``operational`` and
+    ``clustered`` are ground truth over the same rows.  Observers are the
+    operational clustered rows (the paper's scope).  A crashed node
+    scores the fraction of observers that know it: 0.0 when it has no
+    column (nobody knows it), 1.0 when there are no observers.
+    Completeness keys follow the crashed rows' order.  Accuracy pairs
+    scan every operational row, clustered or not, against every
+    operational target, sorted by (suspector, suspected).
+    """
+    node_ids = np.asarray(node_ids, dtype=np.int64)
+    target_ids = np.asarray(target_ids, dtype=np.int64)
+    operational = np.asarray(operational, dtype=bool)
+    op_rows = np.flatnonzero(operational)
+    obs_rows = np.flatnonzero(operational & np.asarray(clustered, dtype=bool))
+    crashed = node_ids[~operational].tolist()
+    col_of = {t: j for j, t in enumerate(target_ids.tolist())}
 
-def completeness_of(deployment: FdsDeployment, failure: NodeId) -> float:
-    """Fraction of operational clustered nodes aware of ``failure``."""
-    observers = _observer_ids(deployment)
-    if not observers:
-        return 1.0
-    aware = sum(
-        1 for nid in observers if failure in deployment.protocols[nid].history
-    )
-    return aware / len(observers)
+    completeness: Dict[NodeId, float] = {}
+    incomplete: List[NodeId] = []
+    for v in crashed:
+        col = col_of.get(v)
+        if not obs_rows.size:
+            frac = 1.0
+        elif col is None:
+            frac = 0.0
+        else:
+            frac = float(known[obs_rows, col].sum()) / float(obs_rows.size)
+        completeness[NodeId(v)] = frac
+        if frac < 1.0:
+            incomplete.append(NodeId(v))
 
-
-def accuracy_violations(
-    deployment: FdsDeployment,
-) -> Tuple[Tuple[NodeId, NodeId], ...]:
-    """All (suspector, operational-suspected) pairs, sorted."""
-    operational = set(deployment.network.operational_ids())
     violations: List[Tuple[NodeId, NodeId]] = []
-    for nid in sorted(operational):
-        protocol = deployment.protocols[nid]
-        for suspected in sorted(protocol.history.known):
-            if suspected in operational:
-                violations.append((nid, suspected))
-    return tuple(violations)
+    op_cols = np.flatnonzero(np.isin(target_ids, node_ids[op_rows]))
+    if op_rows.size and op_cols.size:
+        rows, cols = np.nonzero(known[np.ix_(op_rows, op_cols)])
+        suspector = node_ids[op_rows[rows]]
+        suspected = target_ids[op_cols[cols]]
+        order = np.lexsort((suspected, suspector))
+        violations = list(
+            zip(suspector[order].tolist(), suspected[order].tolist())
+        )
+
+    return PropertyReport(
+        completeness=completeness,
+        accuracy_violations=tuple(violations),
+        incomplete_failures=tuple(incomplete),
+        operational_count=int(obs_rows.size),
+        crashed_count=len(crashed),
+    )
 
 
 def evaluate_properties(deployment: FdsDeployment) -> PropertyReport:
-    """Score a finished run."""
-    observers = _observer_ids(deployment)
-    crashed = deployment.network.crashed_ids()
-    completeness: Dict[NodeId, float] = {}
-    incomplete: List[NodeId] = []
-    for failure in crashed:
-        frac = completeness_of(deployment, failure)
-        completeness[failure] = frac
-        if frac < 1.0:
-            incomplete.append(failure)
-    return PropertyReport(
-        completeness=completeness,
-        accuracy_violations=accuracy_violations(deployment),
-        incomplete_failures=tuple(incomplete),
-        operational_count=len(observers),
-        crashed_count=len(crashed),
+    """Score a finished event or rt run: pack each node's failure
+    history into the knowledge matrix :func:`score_knowledge` reads."""
+    network, layout = deployment.network, deployment.layout
+    operational = network.operational_ids()
+    node_ids = operational + network.crashed_ids()
+    histories = [deployment.protocols[nid].history.known for nid in node_ids]
+    target_ids = sorted(set().union(*histories))
+    col_of = {t: j for j, t in enumerate(target_ids)}
+    rows = [i for i, history in enumerate(histories) for _ in history]
+    cols = [col_of[t] for history in histories for t in history]
+    known = np.zeros((len(node_ids), len(target_ids)), dtype=bool)
+    known[rows, cols] = True
+    return score_knowledge(
+        node_ids,
+        known,
+        target_ids,
+        np.arange(len(node_ids)) < len(operational),
+        np.array([layout.is_clustered(nid) for nid in node_ids], dtype=bool),
     )
 
 

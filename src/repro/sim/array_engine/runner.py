@@ -2,9 +2,10 @@
 
 :class:`ArrayEngine` is the array-engine side of
 :func:`repro.experiments.runner.run_scenario`: it supplies the layout,
-the round program and the numpy scorer to the shared run skeleton, and
-the run comes back as a :class:`~repro.experiments.runner.RunResult`
-whose trace carries the same verdict-bearing record kinds.  The field
+the round program and the knowledge matrix it scores to the shared run
+skeleton, and the run comes back as a
+:class:`~repro.experiments.runner.RunResult` whose trace carries the
+same verdict-bearing record kinds.  The field
 reuses the event engine's ``stream("placement")`` (the skeleton's
 ``stream("faultload")`` is shared by construction), so a scenario's
 topology and ground truth match bit-for-bit across engines; only the
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -47,7 +48,11 @@ from repro.experiments.runner import (
 )
 from repro.failure.faultload import Faultload
 from repro.metrics.collectors import MessageCounts
-from repro.metrics.properties import LivenessView, PropertyReport
+from repro.metrics.properties import (
+    LivenessView,
+    PropertyReport,
+    score_knowledge,
+)
 from repro.obs.profiler import (
     PHASE_ARRAY_LAYOUT,
     PHASE_ARRAY_ROUNDS,
@@ -80,66 +85,24 @@ class ArrayScenarioResult(RunResult):
 
 
 def _score_properties(
-    engine: ArrayRoundEngine,
+    rounds: ArrayRoundEngine,
     crash_exec: np.ndarray,
     executions: int,
-    clustered_mask: Optional[np.ndarray] = None,
+    clustered: np.ndarray,
 ) -> Tuple[PropertyReport, Tuple[NodeId, ...], Tuple[NodeId, ...]]:
-    """Numpy translation of :func:`repro.metrics.properties.evaluate_properties`.
-
-    Observers are the operational *clustered* nodes (the paper's scope;
-    the oracle lattice clusters everyone, so ``clustered_mask=None``
-    means all-True, while protocol layouts pass ``assign != PAD``).  A
-    node is operational at the horizon iff its first dead execution lies
-    beyond the run.  Accuracy pairs scan every operational node --
-    clustered or not -- sorted by (suspector, suspected), matching the
-    event-side scorer.
-    """
+    """Score the run with :func:`repro.metrics.properties.score_knowledge`
+    over the round state's knowledge matrix (node index = NID).  A node is
+    operational at the horizon iff its first dead execution lies beyond
+    the run; also returns the operational and crashed NIDs."""
     op_mask = crash_exec > executions
-    op_ids = np.flatnonzero(op_mask)
-    crashed_ids = np.flatnonzero(~op_mask)
-    if clustered_mask is None:
-        obs_ids = op_ids
-    else:
-        obs_ids = np.flatnonzero(op_mask & clustered_mask)
-    known = engine.known
-    t_ids = np.asarray(engine.t_ids, dtype=np.int64)
-
-    completeness: Dict[NodeId, float] = {}
-    incomplete: List[NodeId] = []
-    for v in crashed_ids:
-        col = engine.t_col.get(int(v))
-        if col is None:
-            frac = 0.0 if obs_ids.size else 1.0
-        elif obs_ids.size:
-            frac = float(known[obs_ids, col].sum()) / float(obs_ids.size)
-        else:
-            frac = 1.0
-        completeness[NodeId(int(v))] = frac
-        if frac < 1.0:
-            incomplete.append(NodeId(int(v)))
-
-    violations: List[Tuple[NodeId, NodeId]] = []
-    if t_ids.size and op_ids.size:
-        op_cols = np.flatnonzero(op_mask[t_ids])
-        if op_cols.size:
-            sub = known[np.ix_(op_ids, op_cols)]
-            rows, cols = np.nonzero(sub)
-            sus = t_ids[op_cols][cols]
-            order = np.lexsort((sus, op_ids[rows]))
-            violations = [
-                (NodeId(int(op_ids[rows[i]])), NodeId(int(sus[i])))
-                for i in order
-            ]
-
-    report = PropertyReport(
-        completeness=completeness,
-        accuracy_violations=tuple(violations),
-        incomplete_failures=tuple(incomplete),
-        operational_count=int(obs_ids.size),
-        crashed_count=int(crashed_ids.size),
+    report = score_knowledge(
+        np.arange(op_mask.size), rounds.known, rounds.t_ids, op_mask, clustered
     )
-    return report, tuple(op_ids.tolist()), tuple(crashed_ids.tolist())
+    return (
+        report,
+        tuple(np.flatnonzero(op_mask).tolist()),
+        tuple(np.flatnonzero(~op_mask).tolist()),
+    )
 
 
 class ArrayEngine(Engine):
@@ -250,14 +213,15 @@ class ArrayEngine(Engine):
             )
 
     def score(self) -> Dict[str, Any]:
+        """Properties from the one scorer over the round state's knowledge
+        matrix, observers the operational nodes the layout clusters (every
+        node on the oracle lattice); counts from the round engine and the
+        loss draw."""
         rounds, loss, outcome = self.rounds, self.loss, self.formation
         executions = self.config.executions
         t0 = _time.perf_counter()
         report, operational, crashed = _score_properties(
-            rounds, self.crash_exec, executions,
-            clustered_mask=(
-                (self.layout.assign >= 0) if outcome is not None else None
-            ),
+            rounds, self.crash_exec, executions, self.layout.assign >= 0
         )
         if self.profiler is not None:
             self.profiler.add_seconds(

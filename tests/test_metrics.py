@@ -1,12 +1,14 @@
 """Tests for the metrics layer."""
 
+import math
+
 import pytest
 
 from repro.errors import AnalysisError
 from repro.failure.injection import FailureInjector
 from repro.metrics.collectors import collect_message_counts
 from repro.metrics.properties import detection_latency, evaluate_properties
-from repro.metrics.summary import summarize
+from repro.experiments.repeat import summarize
 from repro.topology.placement import cluster_disk_placement
 
 from tests.fds_helpers import deploy
@@ -67,7 +69,11 @@ class TestSummarize:
         assert s.mean == pytest.approx(2.5)
         assert s.minimum == 1.0 and s.maximum == 4.0
         assert s.std == pytest.approx(1.1180339887)
-        assert s.stderr == pytest.approx(s.std / 2)
+        # Sample SD (1.2910) over sqrt(4).
+        assert s.stderr == pytest.approx(0.6454972244)
+
+    def test_single_sample_has_no_stderr(self):
+        assert math.isnan(summarize([3.0]).stderr)
 
     def test_empty_rejected(self):
         with pytest.raises(AnalysisError):
