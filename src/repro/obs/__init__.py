@@ -9,8 +9,8 @@ One plane serves every workload in the repository:
   to simulation phases (radio fan-out, FDS rounds, inter-cluster
   forwarding, event-heap churn) behind an ``enabled`` fast-path gate so
   disabled overhead is a single attribute load per hot call;
-- :class:`~repro.obs.spool.SpoolingTracer` streams
-  :class:`~repro.sim.trace.TraceRecord`\\ s to gzip'd JSONL on disk,
+- :class:`~repro.obs.spool.SpoolingTracer` streams trace records to
+  gzip'd JSONL on disk,
   bounding memory where :class:`~repro.sim.trace.RecordingTracer` would
   grow without limit;
 - :mod:`repro.obs.analyze` + the ``repro trace`` CLI load spooled traces

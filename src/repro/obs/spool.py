@@ -13,10 +13,10 @@ flattened detail), so ``repro trace``, ``jq``, and pandas all read it
 directly; :func:`iter_spool` streams it back as
 :class:`~repro.sim.trace.TraceRecord` objects.
 
-Writing is batched.  ``record()`` and ``row()`` encode their arguments
-straight to a line (no :class:`TraceRecord` is built) and append it to a
-pending batch; every ``flush_every`` records, and on ``flush()`` /
-``close()``, the batch goes to the file as one write followed by a
+Writing is batched.  :meth:`SpoolingTracer.emit`, the one write method
+(``record()`` is the base class's keyword adapter onto it), encodes its
+arguments straight to a line and appends it to a pending batch; every
+``flush_every`` records, and on ``flush()`` / ``close()``, the batch goes to the file as one write followed by a
 stream flush.  So ``flush_every`` bounds three things at once: the
 records a crash of the writing process can lose, the lines held in
 memory, and how far a reader of the growing file
@@ -35,8 +35,12 @@ single event loop the callbacks never truly race, but the lock makes the
 guarantee independent of the caller's scheduling.)
 
 Reading is tolerant by type, in both modes through one bytes-level line
-parser: a line that is torn, not UTF-8, not JSON, not a JSON object or
-has no string ``kind`` carries no record and is skipped.
+parser: a line that is torn, not UTF-8, not JSON, not a JSON object,
+has no string ``kind``, a ``time`` that is not a number or a ``node``
+that is neither an integer nor null carries no record and is skipped.  A
+gzip spool cut short (its writer killed) yields the complete lines
+before the cut; a corrupt gzip stream is a :class:`ConfigurationError`
+naming the file.
 """
 
 from __future__ import annotations
@@ -46,23 +50,15 @@ import io
 import json
 import time
 import threading
+import zlib
 from pathlib import Path
 from typing import (
-    BinaryIO, Iterator, List, Mapping, Optional, Sequence, Tuple, Union,
+    BinaryIO, Iterator, List, Optional, Sequence, Tuple, Union,
 )
 
 from repro.errors import ConfigurationError
-from repro.sim.trace import TraceRecord, Tracer, record_line
+from repro.sim.trace import TraceRecord, Tracer, kind_matches, record_line
 from repro.types import SimTime
-
-
-def _kind_matches(kind: str, prefixes: Sequence[str]) -> bool:
-    """Segment-aware prefix match (``"fds"`` matches ``"fds.detection"``,
-    not ``"fdsx"``)."""
-    for prefix in prefixes:
-        if kind == prefix or kind.startswith(prefix + "."):
-            return True
-    return False
 
 
 class SpoolingTracer(Tracer):
@@ -103,17 +99,7 @@ class SpoolingTracer(Tracer):
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
-    def record(
-        self,
-        time: SimTime,
-        kind: str,
-        node: Optional[int] = None,
-        **detail: object,
-    ) -> None:
-        # Overridden so the hot path builds no TraceRecord.
-        self._spool(time, kind, node, detail)
-
-    def row(
+    def emit(
         self,
         time: SimTime,
         kind: str,
@@ -121,21 +107,8 @@ class SpoolingTracer(Tracer):
         keys: Tuple[str, ...],
         *values: object,
     ) -> None:
-        # Overridden so a row goes to its line with no TraceRecord either.
-        self._spool(time, kind, node, dict(zip(keys, values)))
-
-    def emit(self, record: TraceRecord) -> None:
-        self._spool(record.time, record.kind, record.node, record.detail)
-
-    def _spool(
-        self,
-        time: SimTime,
-        kind: str,
-        node: Optional[int],
-        detail: Mapping[str, object],
-    ) -> None:
         # Encode outside the lock (pure CPU), batch inside it.
-        line = record_line(time, kind, node, detail)
+        line = record_line(time, kind, node, dict(zip(keys, values)))
         with self._lock:
             if self._closed:
                 raise ConfigurationError(
@@ -198,14 +171,34 @@ def _open_spool(path: Path) -> BinaryIO:
     return path.open("rb")
 
 
+def _read_lines(path: Path) -> Iterator[bytes]:
+    """The spool's lines up to its end.
+
+    A gzip stream cut short (its writer killed before ``close``) ends at
+    the cut: the complete lines before it stand and the torn one goes,
+    the same policy as a torn final line of a plain spool.  A corrupt
+    stream is a :class:`ConfigurationError` naming the file.
+    """
+    with _open_spool(path) as handle:
+        try:
+            yield from handle
+        except EOFError:
+            return
+        except (zlib.error, gzip.BadGzipFile) as exc:
+            raise ConfigurationError(
+                f"corrupt gzip spool {path}: {exc}"
+            ) from None
+
+
 def _parse_line(
     raw: bytes, prefixes: Optional[Sequence[str]]
 ) -> Optional[TraceRecord]:
     """One JSONL line -> record, or ``None`` (blank/garbage/filtered).
 
     Garbage is anything that is not a JSON object with a string
-    ``kind``: a torn line, bytes that are not UTF-8, a bare number or
-    list.  None of them carries a completed event.
+    ``kind``, a numeric ``time`` (default 0.0) and an integer or null
+    ``node``: a torn line, bytes that are not UTF-8, a bare number or
+    list, ``"time": "soon"``.  None of them carries a completed event.
     """
     try:
         payload = json.loads(str(raw, "utf-8"))
@@ -216,10 +209,19 @@ def _parse_line(
     kind = payload.pop("kind", "")
     if not isinstance(kind, str):
         return None
-    if prefixes is not None and not _kind_matches(kind, prefixes):
+    if prefixes is not None and not kind_matches(kind, prefixes):
         return None
-    time = SimTime(payload.pop("time", 0.0))
+    time = payload.pop("time", 0.0)
     node = payload.pop("node", None)
+    # Exact types: JSON's true/false parse to bool, which is no number.
+    if type(time) not in (int, float) or not (
+        node is None or type(node) is int
+    ):
+        return None
+    try:
+        time = SimTime(time)
+    except OverflowError:  # an integer past the float range
+        return None
     # What is left of the object is the detail, in file order.
     return TraceRecord(time, kind, node, payload)
 
@@ -256,11 +258,10 @@ def iter_spool(
         raise ConfigurationError(f"no trace spool at {path}")
     prefixes = tuple(kinds) if kinds is not None else None
     if not follow:
-        with _open_spool(path) as handle:
-            for raw in handle:
-                record = _parse_line(raw, prefixes)
-                if record is not None:
-                    yield record
+        for raw in _read_lines(path):
+            record = _parse_line(raw, prefixes)
+            if record is not None:
+                yield record
         return
     if poll_interval <= 0:
         raise ConfigurationError(

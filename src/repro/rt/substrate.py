@@ -142,7 +142,7 @@ class UdpLink(asyncio.DatagramProtocol):
         frame = encode_frame(sender, recipient, now, payload)
         tracer = self.tracer
         if tracer.enabled:
-            tracer.row(
+            tracer.emit(
                 now,
                 "radio.tx",
                 int(sender),
@@ -158,7 +158,7 @@ class UdpLink(asyncio.DatagramProtocol):
             ):
                 net.losses += 1
                 if tracer.enabled:
-                    tracer.row(
+                    tracer.emit(
                         now, "radio.loss", int(neighbor), LOSS_KEYS, int(sender)
                     )
                 continue
@@ -203,7 +203,7 @@ class UdpLink(asyncio.DatagramProtocol):
             ),
         )
         if tracer.enabled:
-            tracer.row(
+            tracer.emit(
                 now,
                 "radio.rx",
                 int(self.node_id),

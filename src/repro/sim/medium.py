@@ -292,7 +292,7 @@ class RadioMedium:
         tracer = self.tracer
         tracing = tracer.enabled
         if tracing:
-            tracer.row(now, "radio.tx", int(sender), TX_KEYS, recipient)
+            tracer.emit(now, "radio.tx", int(sender), TX_KEYS, recipient)
 
         (neighbors, distances), receivers = self._sender_arrays(sender)
         if not neighbors:
@@ -315,9 +315,9 @@ class RadioMedium:
         if n_lost:
             self.losses += n_lost
             if tracing:
-                row, sender_id = tracer.row, int(sender)
+                emit, sender_id = tracer.emit, int(sender)
                 for receiver in receivers[lost].tolist():
-                    row(now, "radio.loss", receiver, LOSS_KEYS, sender_id)
+                    emit(now, "radio.loss", receiver, LOSS_KEYS, sender_id)
             survivors = receivers[~lost]
             if not len(survivors):
                 return 0
@@ -356,7 +356,7 @@ class RadioMedium:
             return
         self.deliveries += 1
         if self.tracer.enabled:
-            self.tracer.row(
+            self.tracer.emit(
                 envelope.received_at,
                 "radio.rx",
                 int(receiver),

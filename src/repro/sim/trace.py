@@ -1,20 +1,22 @@
 """Structured tracing of simulation activity.
 
-A :class:`Tracer` receives one :class:`TraceRecord` per noteworthy event
+A :class:`Tracer` receives one record per noteworthy event
 (transmission, delivery, loss, detection, ...).  Components emit through
 whatever tracer the network was built with; the default
 :class:`NullTracer` makes tracing free when disabled, and
 :class:`RecordingTracer` captures records for tests and metrics.
 
-Hot emitters (the radio's ``radio.tx`` / ``radio.loss`` / ``radio.rx``,
-over nine records in ten) call :meth:`Tracer.row` with the detail as
-positional values after a ``keys`` tuple declared once per kind
-(:data:`TX_KEYS`, :data:`LOSS_KEYS`, :data:`RX_KEYS`).  The in-memory
-sink stores each record as that flat row, ``(time, kind, node, keys,
+Every record enters a sink through one method, :meth:`Tracer.emit`,
+which takes the detail as positional values after a ``keys`` tuple.  Hot
+emitters (the radio's ``radio.tx`` / ``radio.loss`` / ``radio.rx``, over
+nine records in ten) call it directly with keys declared once per kind
+(:data:`TX_KEYS`, :data:`LOSS_KEYS`, :data:`RX_KEYS`); everyone else
+calls :meth:`Tracer.record`, its keyword adapter.  The in-memory sink
+stores each record as the argument row, ``(time, kind, node, keys,
 *values)``: a tuple of atoms, which CPython's collector untracks at its
 first pass, where a dataclass holding a dict stays tracked for the life
-of the trace.  ``RecordingTracer.records`` materialises a
-:class:`TraceRecord` per row on read.
+of the trace.  :class:`TraceRecord` is the read side only:
+``RecordingTracer.records`` materialises one per row on read.
 """
 
 from __future__ import annotations
@@ -40,7 +42,9 @@ class TraceRecord:
 
     ``kind`` is a dotted category string (e.g. ``"radio.loss"``,
     ``"fds.false_detection"``); ``node`` is the acting node's NID when one
-    applies; ``detail`` carries kind-specific fields.
+    applies; ``detail`` carries kind-specific fields.  Built on the read
+    side only (:class:`TraceRows`, the spool reader, the analyzers);
+    writers call :meth:`Tracer.emit` or :meth:`Tracer.record`.
     """
 
     time: SimTime
@@ -52,17 +56,26 @@ class TraceRecord:
 class Tracer:
     """Interface: receives trace records; subclasses decide what to keep.
 
+    A sink defines :meth:`emit` only; :meth:`record` is shared.
     ``enabled`` is a class-level fast-path flag: hot loops (the radio
     medium's transmit fan-out) consult it *before* assembling a record, so
-    a disabled tracer costs a single attribute load per event instead of a
-    :class:`TraceRecord` allocation.  Subclasses that discard everything
-    (:class:`NullTracer`) set it to ``False``; emitting to a tracer whose
-    ``enabled`` is ``False`` is still safe, just wasted work.
+    a disabled tracer costs a single attribute load per event.  Subclasses
+    that discard everything (:class:`NullTracer`) set it to ``False``;
+    emitting to a tracer whose ``enabled`` is ``False`` is still safe,
+    just wasted work.
     """
 
     enabled: bool = True
 
-    def emit(self, record: TraceRecord) -> None:
+    def emit(
+        self,
+        time: SimTime,
+        kind: str,
+        node: Optional[int],
+        keys: Tuple[str, ...],
+        *values: object,
+    ) -> None:
+        """Take one record: detail ``keys[i]`` is ``values[i]``."""
         raise NotImplementedError
 
     def record(
@@ -72,19 +85,8 @@ class Tracer:
         node: Optional[int] = None,
         **detail: object,
     ) -> None:
-        """Convenience constructor-and-emit."""
-        self.emit(TraceRecord(time=time, kind=kind, node=node, detail=detail))
-
-    def row(
-        self,
-        time: SimTime,
-        kind: str,
-        node: Optional[int],
-        keys: Tuple[str, ...],
-        *values: object,
-    ) -> None:
-        """Positional :meth:`record`: detail ``keys[i]`` is ``values[i]``."""
-        self.emit(TraceRecord(time, kind, node, dict(zip(keys, values))))
+        """Keyword :meth:`emit`: the detail in argument order."""
+        self.emit(time, kind, node, tuple(detail), *detail.values())
 
 
 class NullTracer(Tracer):
@@ -92,21 +94,17 @@ class NullTracer(Tracer):
 
     enabled = False
 
-    def emit(self, record: TraceRecord) -> None:
+    def emit(self, *row: object) -> None:
         pass
 
-    def record(
-        self,
-        time: SimTime,
-        kind: str,
-        node: Optional[int] = None,
-        **detail: object,
-    ) -> None:
-        # Overridden to skip even the TraceRecord construction.
-        pass
 
-    def row(self, *row: object) -> None:
-        pass
+def kind_matches(kind: str, prefixes: Sequence[str]) -> bool:
+    """Segment-aware prefix match (``"fds"`` matches ``"fds.detection"``,
+    not ``"fdsx"``)."""
+    for prefix in prefixes:
+        if kind == prefix or kind.startswith(prefix + "."):
+            return True
+    return False
 
 
 def _materialise(row: tuple) -> TraceRecord:
@@ -164,23 +162,7 @@ class RecordingTracer(Tracer):
         """Every record so far, as a read-only view."""
         return self._view
 
-    def emit(self, record: TraceRecord) -> None:
-        detail = record.detail
-        self._rows.append(
-            (record.time, record.kind, record.node, tuple(detail),
-             *detail.values())
-        )
-
-    def record(
-        self,
-        time: SimTime,
-        kind: str,
-        node: Optional[int] = None,
-        **detail: object,
-    ) -> None:
-        self._rows.append((time, kind, node, tuple(detail), *detail.values()))
-
-    def row(self, *row: object) -> None:
+    def emit(self, *row: object) -> None:
         # The call's own argument tuple is the stored row.
         self._rows.append(row)
 
@@ -188,10 +170,8 @@ class RecordingTracer(Tracer):
         return len(self._rows)
 
     def _matching(self, kind: str) -> Iterator[tuple]:
-        prefix = kind + "."
-        for row in self._rows:
-            if row[1] == kind or row[1].startswith(prefix):
-                yield row
+        prefixes = (kind,)
+        return (row for row in self._rows if kind_matches(row[1], prefixes))
 
     def filter(self, kind: str) -> list[TraceRecord]:
         """All records whose kind equals or is nested under ``kind``."""

@@ -208,3 +208,28 @@ class TestTraceCli:
         captured = capsys.readouterr()
         assert captured.out.startswith("3 record(s)")
         assert "Traceback" not in captured.out + captured.err
+
+    def test_gzip_spool_cut_short_summarizes_its_complete_lines(
+        self, tmp_path, capsys
+    ):
+        from tests.spool_helpers import write_cut_gzip_spool
+
+        path = tmp_path / "cut.jsonl.gz"
+        write_cut_gzip_spool(path)
+        assert main(["trace", "summarize", str(path)]) == 0
+        captured = capsys.readouterr()
+        count = int(captured.out.split(" record(s)", 1)[0])
+        assert 0 < count < 200
+        assert "Traceback" not in captured.out + captured.err
+
+    def test_corrupt_gzip_spool_is_one_error_line(self, tmp_path, capsys):
+        from tests.spool_helpers import write_corrupt_gzip_spool
+
+        path = tmp_path / "corrupt.jsonl.gz"
+        write_corrupt_gzip_spool(path)
+        assert main(["trace", "summarize", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.startswith("error:")
+        assert str(path) in captured.out
+        assert captured.out.count("\n") == 1
+        assert "Traceback" not in captured.out + captured.err

@@ -182,7 +182,9 @@ class TestGoldenEventEngine:
         unprofiled = RecordingTracer()
         for record in result.tracer.records:
             if not record.kind.startswith("profile."):
-                unprofiled.emit(record)
+                unprofiled.record(
+                    record.time, record.kind, record.node, **record.detail
+                )
         assert len(unprofiled.records) < len(result.tracer.records)
         assert observed(result, unprofiled) == (fingerprint_, events, stats)
         assert profiler.calls == GOLDEN_PHASE_CALLS
@@ -349,6 +351,25 @@ class TestGoldenSpoolBytes:
                 profiler=PhaseProfiler(),
             )
         assert spool_fingerprint(path) == (sha256, lines)
+
+    def test_every_spooled_record_enters_through_emit(
+        self, tmp_path, monkeypatch
+    ):
+        # ``emit`` is the spool's one write method (and the benchmark's
+        # ``obs.spool.emit`` wrap target): ``record`` and the radio both
+        # reach the file through it.
+        calls = 0
+        real = SpoolingTracer.emit
+
+        def counting(self, *row):
+            nonlocal calls
+            calls += 1
+            real(self, *row)
+
+        monkeypatch.setattr(SpoolingTracer, "emit", counting)
+        with SpoolingTracer(tmp_path / "trace.jsonl") as tracer:
+            run_scenario(ScenarioConfig(**PIPELINE), tracer=tracer)
+        assert calls == tracer.spooled == GOLDEN_SPOOLS["event"][2]
 
     def test_rt_merge_unchanged(self, tmp_path):
         write_rt_node_spools(tmp_path)

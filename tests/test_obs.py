@@ -28,7 +28,9 @@ from repro.obs.profiler import (
 from repro.obs.registry import PHI_LATENCY_BUCKETS, MetricsRegistry
 from repro.obs.spool import SpoolingTracer, iter_spool, read_spool
 from repro.sim.trace import RecordingTracer, TraceRecord, iter_jsonl
-from tests.spool_helpers import write_hostile_spool
+from tests.spool_helpers import (
+    write_corrupt_gzip_spool, write_cut_gzip_spool, write_hostile_spool,
+)
 
 
 # ----------------------------------------------------------------------
@@ -236,6 +238,30 @@ class TestSpoolingTracer:
         assert [(r.time, r.kind) for r in read_spool(path)] == [
             (1.0, "a"), (2.0, "b"), (3.0, "c"),
         ]
+
+    def test_gzip_spool_cut_short_yields_its_complete_lines(self, tmp_path):
+        path = tmp_path / "t.jsonl.gz"
+        write_cut_gzip_spool(path)
+        times = [r.time for r in read_spool(path)]
+        assert 0 < len(times) < 200
+        assert times == [float(n) for n in range(len(times))]
+
+    def test_unclosed_gzip_spool_yields_its_flushed_batches(self, tmp_path):
+        path = tmp_path / "t.jsonl.gz"
+        tracer = SpoolingTracer(path, flush_every=4)
+        for n in range(1, 11):
+            tracer.record(float(n), "k", node=n)
+        assert [r.time for r in read_spool(path)] == [
+            float(n) for n in range(1, 9)
+        ]
+        tracer.close()
+        assert len(read_spool(path)) == 10
+
+    def test_corrupt_gzip_spool_is_a_configuration_error(self, tmp_path):
+        path = tmp_path / "t.jsonl.gz"
+        write_corrupt_gzip_spool(path)
+        with pytest.raises(ConfigurationError, match="t.jsonl.gz"):
+            read_spool(path)
 
     def test_follow_mode_skips_the_same_lines(self, tmp_path):
         path = tmp_path / "t.jsonl"

@@ -195,12 +195,7 @@ def test_spooling_tracer_concurrent_emit(tmp_path):
     def hammer(worker: int) -> None:
         barrier.wait()
         for i in range(per_thread):
-            tracer.emit(TraceRecord(
-                time=float(i),
-                kind="contention.test",
-                node=worker,
-                detail={"i": i},
-            ))
+            tracer.record(float(i), "contention.test", node=worker, i=i)
 
     workers = [
         threading.Thread(target=hammer, args=(w,)) for w in range(threads)
@@ -227,11 +222,11 @@ def test_spooling_tracer_close_is_safe_under_emit(tmp_path):
     from repro.errors import ConfigurationError
 
     tracer = SpoolingTracer(tmp_path / "closing.jsonl")
-    tracer.emit(TraceRecord(time=0.0, kind="x", node=None, detail={}))
+    tracer.record(0.0, "x")
     tracer.close()
     tracer.close()  # idempotent
     with pytest.raises(ConfigurationError):
-        tracer.emit(TraceRecord(time=1.0, kind="x", node=None, detail={}))
+        tracer.record(1.0, "x")
 
 
 # ----------------------------------------------------------------------

@@ -30,8 +30,9 @@ from repro.obs.spool import SpoolingTracer
 from repro.serve import state
 from repro.serve.http import DashboardServer
 from repro.serve.state import SpoolView, StoreView
-from repro.sim.trace import TraceRecord
-from tests.spool_helpers import PIPELINE, write_hostile_spool
+from tests.spool_helpers import (
+    PIPELINE, write_corrupt_gzip_spool, write_hostile_spool,
+)
 
 
 @pytest.fixture(scope="module")
@@ -266,6 +267,14 @@ class TestHostileSpool:
         assert json.loads(body)["records"] == 3
         assert body == _cli("trace", "summarize", str(path), "--json")
 
+    def test_corrupt_gzip_spool_is_400(self, tmp_path):
+        path = tmp_path / "corrupt.jsonl.gz"
+        write_corrupt_gzip_spool(path)
+        with serving(path) as port:
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                _get(port, "/api/summary")
+        assert excinfo.value.code == 400
+
 
 class TestTopologyEndpoint:
     def test_topology_reconstructs_cluster_map(self, spool):
@@ -410,10 +419,7 @@ class TestLiveEvents:
         new record must arrive promptly and the writer must not block."""
         path = tmp_path / "live.jsonl"
         with SpoolingTracer(path, flush_every=1) as tracer:
-            tracer.emit(TraceRecord(
-                time=0.0, kind="meta.scenario", node=None,
-                detail={"nodes": 2, "phi": 30.0},
-            ))
+            tracer.record(0.0, "meta.scenario", nodes=2, phi=30.0)
             with serving(path, poll_interval=0.05) as port:
                 sock = self._open_sse(port)
                 header = self._read_until(sock, b"data: ")
@@ -421,10 +427,7 @@ class TestLiveEvents:
                 assert b"text/event-stream" in header
 
                 started = time.monotonic()
-                tracer.emit(TraceRecord(
-                    time=1.0, kind="fds.detection", node=1,
-                    detail={"target": 0},
-                ))
+                tracer.record(1.0, "fds.detection", node=1, target=0)
                 buffer = self._read_until(sock, b"fds.detection")
                 elapsed = time.monotonic() - started
                 assert elapsed < 2.0  # poll_interval is 0.05 s
@@ -446,12 +449,8 @@ class TestLiveEvents:
     def test_events_kind_filter(self, tmp_path):
         path = tmp_path / "live.jsonl"
         with SpoolingTracer(path, flush_every=1) as tracer:
-            tracer.emit(TraceRecord(
-                time=0.0, kind="radio.tx", node=0, detail={},
-            ))
-            tracer.emit(TraceRecord(
-                time=0.5, kind="fds.relay", node=1, detail={},
-            ))
+            tracer.record(0.0, "radio.tx", node=0)
+            tracer.record(0.5, "fds.relay", node=1)
             with serving(path, poll_interval=0.05) as port:
                 sock = self._open_sse(port, "?kinds=fds")
                 buffer = self._read_until(sock, b"fds.relay")

@@ -37,9 +37,9 @@ class TestRecordingTracer:
 
     def test_prefix_scans_skip_a_longer_sibling_kind(self):
         tracer = RecordingTracer()
-        tracer.row(1.0, "radiox", 1, trace_module.LOSS_KEYS, 2)
-        tracer.row(2.0, "radio", 1, trace_module.LOSS_KEYS, 2)
-        tracer.row(3.0, "radio.rx", 1, trace_module.LOSS_KEYS, 2)
+        tracer.emit(1.0, "radiox", 1, trace_module.LOSS_KEYS, 2)
+        tracer.emit(2.0, "radio", 1, trace_module.LOSS_KEYS, 2)
+        tracer.emit(3.0, "radio.rx", 1, trace_module.LOSS_KEYS, 2)
         assert tracer.count("radio") == 2
         assert [r.time for r in tracer.iter_kind("radio")] == [2.0, 3.0]
         assert [r.time for r in tracer.filter("radio")] == [2.0, 3.0]
@@ -71,9 +71,8 @@ class TestRecordingTracer:
         tracer.record(0.0, "x.z")
         assert len(list(tracer.iter_kind("x"))) == 2
 
-
     def test_record_fast_path_matches_emit(self):
-        # ``record`` appends without the ``emit`` dispatch; both must
+        # ``record`` is the keyword adapter onto ``emit``; both must
         # hold the same records.
         calls = [
             (0.5, "radio.tx", 3, {"recipient": None}),
@@ -83,31 +82,23 @@ class TestRecordingTracer:
         direct, emitted = RecordingTracer(), RecordingTracer()
         for time, kind, node, detail in calls:
             direct.record(time, kind, node=node, **detail)
-            emitted.emit(TraceRecord(time, kind, node, detail))
+            emitted.emit(time, kind, node, tuple(detail), *detail.values())
         assert direct.records == emitted.records
 
 
 def test_null_tracer_discards():
     tracer = NullTracer()
     tracer.record(0.0, "anything")  # must not raise or store
-    tracer.row(0.0, "radio.tx", 1, trace_module.TX_KEYS, None)
+    tracer.emit(0.0, "radio.tx", 1, trace_module.TX_KEYS, None)
 
 
-def test_only_recording_tracer_overrides_record(tmp_path):
-    # Besides RecordingTracer's in-memory fast path, SpoolingTracer is
-    # the one other ``record`` override: a record bound for disk only
-    # needs its JSON line, so ``record`` encodes the arguments without
-    # building a TraceRecord first -- and must write exactly what
-    # ``emit`` of the equivalent record writes.
-    from repro.obs.spool import SpoolingTracer
-    from repro.sim.trace import Tracer
-
-    assert SpoolingTracer.record is not Tracer.record
-    with SpoolingTracer(tmp_path / "t.jsonl") as spool:
-        spool.record(1.0, "k", node=2, x=1)
-        spool.emit(TraceRecord(1.0, "k", 2, {"x": 1}))
-    first, second = (tmp_path / "t.jsonl").read_text().splitlines()
-    assert first == second == '{"kind": "k", "node": 2, "time": 1.0, "x": 1}'
+def test_every_sink_shares_the_one_record_adapter():
+    # A sink's one write method is ``emit``; ``record`` is never
+    # overridden, so every keyword record reaches the sink through it.
+    for sink in (NullTracer, RecordingTracer, SpoolingTracer):
+        assert sink.record is Tracer.record
+        assert "emit" in vars(sink)
+        assert not {"row", "record"} & set(vars(sink))
 
 
 # ----------------------------------------------------------------------
@@ -131,14 +122,14 @@ _VALUE = st.recursive(
 
 
 class _Collecting(Tracer):
-    """A tracer with only ``emit``: ``record`` and ``row`` use the
-    base class defaults."""
+    """A tracer with only ``emit``: ``record`` is the base class's."""
 
     def __init__(self):
         self.emitted = []
 
-    def emit(self, record):
-        self.emitted.append(record)
+    def emit(self, time, kind, node, keys, *values):
+        detail = dict(zip(keys, values))
+        self.emitted.append(TraceRecord(time, kind, node, detail))
 
 
 def _spool_bytes(directory, name, write):
@@ -159,12 +150,11 @@ def _spool_bytes(directory, name, write):
          detail={"sender": -0.0, "overheard": True, "latency": 1e-07})
 @example(time=1.0, kind="k", node=3,
          detail={"x": None, "y": [[1, "\u00e9"], []], "z": False})
-def test_record_emit_and_row_store_and_write_the_same(time, kind, node, detail):
+def test_record_and_emit_store_and_write_the_same(time, kind, node, detail):
     keys, values = tuple(detail), tuple(detail.values())
     writers = {
         "record": lambda t: t.record(time, kind, node, **detail),
-        "emit": lambda t: t.emit(TraceRecord(time, kind, node, dict(detail))),
-        "row": lambda t: t.row(time, kind, node, keys, *values),
+        "emit": lambda t: t.emit(time, kind, node, keys, *values),
     }
     expected = [TraceRecord(time, kind, node, detail)]
     lines = []
@@ -178,23 +168,23 @@ def test_record_emit_and_row_store_and_write_the_same(time, kind, node, detail):
         collecting = _Collecting()
         write(collecting)
         assert collecting.emitted == expected
-    assert lines[0] == lines[1] == lines[2] == list(iter_jsonl(expected * 2))
+    assert lines[0] == lines[1] == list(iter_jsonl(expected * 2))
     with tempfile.TemporaryDirectory() as directory:
         spooled = {
             name: _spool_bytes(directory, name, write)
             for name, write in writers.items()
         }
-    assert spooled["record"] == spooled["emit"] == spooled["row"]
-    assert spooled["row"] == (lines[0][0] + "\n").encode("utf-8")
+    assert spooled["record"] == spooled["emit"]
+    assert spooled["emit"] == (lines[0][0] + "\n").encode("utf-8")
 
 
 def _recorded():
     tracer = RecordingTracer()
-    tracer.row(0.5, "radio.tx", 3, trace_module.TX_KEYS, None)
-    tracer.row(0.5, "radio.loss", 4, trace_module.LOSS_KEYS, 3)
-    tracer.row(0.6, "radio.rx", 5, trace_module.RX_KEYS, 3, True, 0.1)
+    tracer.emit(0.5, "radio.tx", 3, trace_module.TX_KEYS, None)
+    tracer.emit(0.5, "radio.loss", 4, trace_module.LOSS_KEYS, 3)
+    tracer.emit(0.6, "radio.rx", 5, trace_module.RX_KEYS, 3, True, 0.1)
     tracer.record(0.7, "fds.detection", node=5, target=4, execution=0)
-    tracer.emit(TraceRecord(0.8, "meta.note"))
+    tracer.record(0.8, "meta.note")
     return tracer
 
 
@@ -249,16 +239,16 @@ def test_records_view_is_read_only_and_compares_element_wise():
         tracer.records[0] = TraceRecord(0.0, "x")
     other = RecordingTracer()
     for record in tracer.records:
-        other.emit(record)
+        other.record(record.time, record.kind, record.node, **record.detail)
     assert other.records == tracer.records
     assert tracer.records == list(tracer.records)
     other.record(1.0, "extra")
     assert other.records != tracer.records
     reordered = RecordingTracer()
     for record in tracer.records:
-        reordered.emit(
-            TraceRecord(record.time, record.kind, record.node,
-                        dict(reversed(record.detail.items())))
+        reordered.record(
+            record.time, record.kind, record.node,
+            **dict(reversed(record.detail.items())),
         )
     assert reordered.records == tracer.records
 

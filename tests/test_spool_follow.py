@@ -15,11 +15,10 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.obs.spool import SpoolingTracer, iter_spool
-from repro.sim.trace import TraceRecord
 
 
-def _record(t, kind="fds.ping", node=0, **detail):
-    return TraceRecord(time=t, kind=kind, node=node, detail=detail)
+def _record(tracer, t, kind="fds.ping", node=0, **detail):
+    tracer.record(t, kind, node, **detail)
 
 
 class TestFollowValidation:
@@ -54,7 +53,7 @@ class TestFollowStop:
         path = tmp_path / "t.jsonl"
         with SpoolingTracer(path) as tracer:
             for i in range(5):
-                tracer.emit(_record(float(i)))
+                _record(tracer, float(i))
         stop = threading.Event()
         stop.set()
         records = list(
@@ -81,9 +80,9 @@ class TestFollowStop:
     def test_kind_filter_applies_in_follow_mode(self, tmp_path):
         path = tmp_path / "t.jsonl"
         with SpoolingTracer(path) as tracer:
-            tracer.emit(_record(0.0, kind="radio.tx"))
-            tracer.emit(_record(1.0, kind="fds.detection"))
-            tracer.emit(_record(2.0, kind="fdsx.not_nested"))
+            _record(tracer, 0.0, kind="radio.tx")
+            _record(tracer, 1.0, kind="fds.detection")
+            _record(tracer, 2.0, kind="fdsx.not_nested")
         stop = threading.Event()
         stop.set()
         records = list(
@@ -110,11 +109,11 @@ class TestFollowLive:
                 seen.append(record)
 
         with SpoolingTracer(path, flush_every=1) as tracer:
-            tracer.emit(_record(0.0))   # file exists before the reader starts
+            _record(tracer, 0.0)   # file exists before the reader starts
             reader = threading.Thread(target=read)
             reader.start()
             for i in range(1, total):
-                tracer.emit(_record(float(i), payload="x" * (i % 37)))
+                _record(tracer, float(i), payload="x" * (i % 37))
                 if i % 50 == 0:
                     time.sleep(0.02)   # let the reader interleave mid-stream
         # Writer done and flushed; give the reader one poll to drain.
@@ -160,6 +159,6 @@ class TestFollowLive:
     def test_non_follow_mode_unchanged(self, tmp_path):
         path = tmp_path / "t.jsonl"
         with SpoolingTracer(path) as tracer:
-            tracer.emit(_record(0.0))
-            tracer.emit(_record(1.0))
+            _record(tracer, 0.0)
+            _record(tracer, 1.0)
         assert [r.time for r in iter_spool(path)] == [0.0, 1.0]
