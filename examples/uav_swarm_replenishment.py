@@ -31,7 +31,7 @@ from repro import (
 from repro.failure.injection import FailureInjector
 from repro.fds import events as ev
 from repro.fds.service import install_fds
-from repro.topology.generators import corridor_field
+from repro.topology.generators import multi_cluster_field
 from repro.types import NodeRole
 
 
@@ -39,8 +39,9 @@ def main() -> None:
     rng = np.random.default_rng(seed=23)
 
     # A patrol line: three overlapping clusters of 24 vehicles each.
-    positions = corridor_field(
-        cluster_count=3, members_per_cluster=24, radius=100.0, rng=rng
+    positions = multi_cluster_field(
+        cluster_count=3, members_per_cluster=24, radius=100.0, rng=rng,
+        columns=3,
     )
     graph = UnitDiskGraph(positions, radius=100.0)
     layout = build_clusters(graph)

@@ -64,7 +64,6 @@ from repro.sim import (
 from repro.topology import (
     UnitDiskGraph,
     multi_cluster_field,
-    single_cluster_disk,
     uniform_rect_placement,
 )
 from repro.types import NodeId, NodeRole, NodeStatus
@@ -87,7 +86,6 @@ __all__ = [
     "RecordingTracer",
     "UnitDiskGraph",
     "uniform_rect_placement",
-    "single_cluster_disk",
     "multi_cluster_field",
     "Cluster",
     "Boundary",

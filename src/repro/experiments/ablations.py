@@ -20,23 +20,14 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, List, Tuple
 
-import numpy as np
-
-from repro.cluster.geometric import build_clusters
+from repro.experiments.runner import EventEngine, ScenarioConfig, run_scenario
+from repro.experiments.scenarios import single_cluster_config
+from repro.failure.injection import FailureInjector
 from repro.fds import events as ev
 from repro.fds.config import FdsConfig
-from repro.fds.service import install_fds
 from repro.metrics.collectors import collect_message_counts
-from repro.metrics.properties import evaluate_properties
-from repro.failure.injection import FailureInjector
 from repro.sim.loss import GilbertElliottLoss
-from repro.sim.network import NetworkConfig, build_network
-from repro.sim.trace import RecordingTracer
-from repro.topology.generators import corridor_field
-from repro.topology.graph import UnitDiskGraph
-from repro.topology.placement import cluster_disk_placement
-from repro.types import NodeId
-from repro.util.rng import RngFactory
+from repro.sim.trace import NullTracer
 from repro.util.tables import render_table
 
 
@@ -77,29 +68,6 @@ def render_ablation(result: AblationResult) -> str:
     return render_table(headers, rows, title=f"ablation: {result.name}")
 
 
-# ----------------------------------------------------------------------
-# Shared single-cluster runner
-# ----------------------------------------------------------------------
-
-
-def _run_single_cluster(
-    n: int, p: float, executions: int, seed: int, cfg: FdsConfig
-) -> Tuple[RecordingTracer, "object", int]:
-    rngs = RngFactory(seed)
-    placement = cluster_disk_placement(
-        member_count=n - 1, radius=100.0, rng=rngs.stream("placement")
-    )
-    graph = UnitDiskGraph(placement, radius=100.0)
-    layout = build_clusters(graph)
-    tracer = RecordingTracer()
-    network = build_network(
-        placement, NetworkConfig(loss_probability=p, seed=seed), tracer=tracer
-    )
-    deployment = install_fds(network, layout, cfg)
-    deployment.run_executions(executions)
-    return tracer, deployment, n - 1
-
-
 def ablation_digest(
     n: int = 40,
     p: float = 0.3,
@@ -108,10 +76,9 @@ def ablation_digest(
 ) -> AblationResult:
     """R-2 on/off: false detections per member-execution (no crashes).
 
-    Without digests the rule degenerates to a bare heartbeat timeout and
-    the per-member false-detection probability is ``p**2`` (heartbeat and
-    digest... the digest *message* still being absent, only the heartbeat
-    matters: ``p``); with digests it is the Figure 5 bound.
+    Without digests the rule degenerates to a bare heartbeat timeout: a
+    member is falsely detected iff its heartbeat copy to the CH is lost,
+    with probability ``p``.  With digests the bound is Figure 5's.
     """
     base = FdsConfig(phi=4.0, thop=0.5)
     rows: List[AblationRow] = []
@@ -119,17 +86,17 @@ def ablation_digest(
         ("with-digests", base),
         ("without-digests", replace(base, use_digests=False)),
     ):
-        tracer, _deployment, members = _run_single_cluster(
-            n, p, executions, seed, cfg
+        result = run_scenario(
+            single_cluster_config(n, p, executions, seed, cfg)
         )
-        false_detections = tracer.count(ev.DETECTION)
+        false_detections = result.tracer.count(ev.DETECTION)
         rows.append(
             AblationRow(
                 label=label,
                 metrics={
                     "false_detections": float(false_detections),
                     "rate_per_member_execution": false_detections
-                    / (members * executions),
+                    / ((n - 1) * executions),
                 },
             )
         )
@@ -149,11 +116,11 @@ def ablation_peer_forwarding(
         ("with-peer-forwarding", base),
         ("without-peer-forwarding", replace(base, peer_forwarding=False)),
     ):
-        _tracer, deployment, members = _run_single_cluster(
-            n, p, executions, seed, cfg
+        result = run_scenario(
+            single_cluster_config(n, p, executions, seed, cfg)
         )
         missing = 0
-        for nid, protocol in deployment.protocols.items():
+        for protocol in result.deployment.protocols.values():
             if protocol.is_head:
                 continue
             received = protocol.updates_received
@@ -164,11 +131,18 @@ def ablation_peer_forwarding(
                 metrics={
                     "missed_updates": float(missing),
                     "rate_per_member_execution": missing
-                    / (members * executions),
+                    / ((n - 1) * executions),
                 },
             )
         )
     return AblationResult(name="peer-forwarding", rows=tuple(rows))
+
+
+# ----------------------------------------------------------------------
+# Targeted crashes: the scenario's random faultload cannot pick the
+# victim, so these drive the event engine's prepare/run directly and
+# schedule their one crash in between.
+# ----------------------------------------------------------------------
 
 
 def ablation_dch(
@@ -186,34 +160,22 @@ def ablation_dch(
     rows: List[AblationRow] = []
     for label, dch_enabled in (("with-dch", True), ("without-dch", False)):
         cfg = FdsConfig(phi=4.0, thop=0.5, dch_enabled=dch_enabled)
-        rngs = RngFactory(seed)
-        placement = cluster_disk_placement(
-            member_count=n - 1, radius=100.0, rng=rngs.stream("placement")
+        engine = EventEngine(
+            single_cluster_config(n, p, executions, seed, cfg)
         )
-        graph = UnitDiskGraph(placement, radius=100.0)
-        layout = build_clusters(graph)
-        network = build_network(
-            placement, NetworkConfig(loss_probability=p, seed=seed)
-        )
-        deployment = install_fds(network, layout, cfg)
-        injector = FailureInjector(network, cfg)
-        head = layout.heads[0]
-        injector.crash_before_execution(head, 2)
-        deployment.run_executions(executions)
+        engine.prepare()
+        head = engine.layout.cluster_layout().heads[0]
+        FailureInjector(engine.network, cfg).crash_before_execution(head, 2)
+        engine.run()
+        protocols = engine.deployment.protocols
         survivors = [
-            nid
-            for nid in network.operational_ids()
-            if nid != head
+            nid for nid in engine.network.operational_ids() if nid != head
         ]
-        aware = sum(
-            1
-            for nid in survivors
-            if head in deployment.protocols[nid].history
-        )
+        aware = sum(1 for nid in survivors if head in protocols[nid].history)
         last_served = sum(
             1
             for nid in survivors
-            if (executions - 1) in deployment.protocols[nid].updates_received
+            if (executions - 1) in protocols[nid].updates_received
         )
         rows.append(
             AblationRow(
@@ -227,59 +189,69 @@ def ablation_dch(
     return AblationResult(name="dch-takeover", rows=tuple(rows))
 
 
-# ----------------------------------------------------------------------
-# Boundary ablations (two-or-more-cluster corridor)
-# ----------------------------------------------------------------------
-
-
-def _run_corridor(
+def _corridor_row(
+    label: str,
     p: float,
     seed: int,
+    trials: int,
     cfg: FdsConfig,
     max_backups: int,
-    clusters: int = 2,
-    members: int = 25,
-    executions: int = 3,
-):
-    rngs = RngFactory(seed)
-    placement = corridor_field(
-        cluster_count=clusters,
-        members_per_cluster=members,
-        radius=100.0,
-        rng=rngs.stream("placement"),
+) -> AblationRow:
+    """Cross-boundary knowledge and report cost over ``trials`` runs
+    (seeds ``seed + 1000 * t``) of two 25-member clusters side by side
+    (the default 1x2 lattice), one member of the first crashed before
+    execution 1, three executions."""
+    fractions = []
+    reports = 0
+    for t in range(trials):
+        engine = EventEngine(
+            ScenarioConfig(
+                cluster_count=2,
+                members_per_cluster=25,
+                loss_probability=p,
+                crash_count=0,
+                executions=3,
+                seed=seed + 1000 * t,
+                fds=cfg,
+                max_backups=max_backups,
+            ),
+            tracer=NullTracer(),
+        )
+        engine.prepare()
+        layout = engine.layout.cluster_layout()
+        # Crash a member of the *first* cluster (the boundary owner), far
+        # from the peer: the report then crosses via the owner's GW/BGW
+        # outbound path only, isolating the standby-ladder mechanism.
+        # (Failures on the peer side can also cross via overheard
+        # peer-forwarded updates, which would mask the ablation.)
+        first_head, last_head = layout.heads[0], layout.heads[-1]
+        boundary_forwarders = {
+            f for b in layout.boundaries.values() for f in b.all_forwarders
+        }
+        far = engine.positions[last_head]
+        victim = max(
+            layout.clusters[first_head].ordinary_members - boundary_forwarders,
+            key=lambda nid: engine.positions[nid].distance_to(far),
+        )
+        FailureInjector(engine.network, cfg).crash_before_execution(victim, 1)
+        engine.run()
+        # Did the last cluster's members learn about the victim?
+        observers = [
+            nid
+            for nid in layout.clusters[last_head].members
+            if engine.network.nodes[nid].is_operational
+        ]
+        protocols = engine.deployment.protocols
+        aware = sum(1 for nid in observers if victim in protocols[nid].history)
+        fractions.append(aware / len(observers))
+        reports += collect_message_counts(engine.deployment).reports_sent
+    return AblationRow(
+        label=label,
+        metrics={
+            "mean_cross_boundary_knowledge": sum(fractions) / len(fractions),
+            "mean_reports_sent": reports / trials,
+        },
     )
-    graph = UnitDiskGraph(placement, radius=100.0)
-    layout = build_clusters(graph, max_backups=max_backups)
-    network = build_network(
-        placement, NetworkConfig(loss_probability=p, seed=seed)
-    )
-    deployment = install_fds(network, layout, cfg)
-    injector = FailureInjector(network, cfg)
-    # Crash a member of the *first* cluster (the boundary owner), far from
-    # the peer: the report then crosses via the owner's GW/BGW outbound
-    # path only, isolating the standby-ladder mechanism.  (Failures on the
-    # peer side can also cross via overheard peer-forwarded updates, which
-    # would mask the ablation.)
-    first_head = layout.heads[0]
-    boundary_forwarders = {
-        f for b in layout.boundaries.values() for f in b.all_forwarders
-    }
-    victim = max(
-        layout.clusters[first_head].ordinary_members - boundary_forwarders,
-        key=lambda nid: graph.distance(nid, layout.heads[-1]),
-    )
-    injector.crash_before_execution(victim, 1)
-    deployment.run_executions(executions)
-    # Did the last cluster's members learn about the victim?
-    last_members = layout.clusters[layout.heads[-1]].members
-    observers = [
-        nid for nid in last_members if network.nodes[nid].is_operational
-    ]
-    aware = sum(
-        1 for nid in observers if victim in deployment.protocols[nid].history
-    )
-    counts = collect_message_counts(deployment)
-    return aware / len(observers), counts
 
 
 def ablation_bgw_count(
@@ -294,27 +266,13 @@ def ablation_bgw_count(
     isolating the mechanism the ``k * 2*Thop`` standby ladder provides.
     """
     cfg = FdsConfig(phi=6.0, thop=0.5, max_forward_retries=0)
-    rows: List[AblationRow] = []
-    for backups in (0, 1, 2):
-        fractions = []
-        reports = 0
-        for t in range(trials):
-            fraction, counts = _run_corridor(
-                p, seed + 1000 * t, cfg, max_backups=backups
-            )
-            fractions.append(fraction)
-            reports += counts.reports_sent
-        rows.append(
-            AblationRow(
-                label=f"backups={backups}",
-                metrics={
-                    "mean_cross_boundary_knowledge": sum(fractions)
-                    / len(fractions),
-                    "mean_reports_sent": reports / trials,
-                },
-            )
-        )
-    return AblationResult(name="bgw-count", rows=tuple(rows))
+    return AblationResult(
+        name="bgw-count",
+        rows=tuple(
+            _corridor_row(f"backups={backups}", p, seed, trials, cfg, backups)
+            for backups in (0, 1, 2)
+        ),
+    )
 
 
 def ablation_implicit_ack(
@@ -323,31 +281,23 @@ def ablation_implicit_ack(
     seed: int = 0,
 ) -> AblationResult:
     """Implicit ack on/off: delivery robustness vs forwarding cost."""
-    rows: List[AblationRow] = []
-    for label, implicit in (
-        ("with-implicit-ack", True),
-        ("without-implicit-ack", False),
-    ):
-        cfg = FdsConfig(phi=6.0, thop=0.5, implicit_ack=implicit)
-        fractions = []
-        reports = 0
-        for t in range(trials):
-            fraction, counts = _run_corridor(
-                p, seed + 1000 * t, cfg, max_backups=2
+    return AblationResult(
+        name="implicit-ack",
+        rows=tuple(
+            _corridor_row(
+                label,
+                p,
+                seed,
+                trials,
+                FdsConfig(phi=6.0, thop=0.5, implicit_ack=implicit),
+                max_backups=2,
             )
-            fractions.append(fraction)
-            reports += counts.reports_sent
-        rows.append(
-            AblationRow(
-                label=label,
-                metrics={
-                    "mean_cross_boundary_knowledge": sum(fractions)
-                    / len(fractions),
-                    "mean_reports_sent": reports / trials,
-                },
+            for label, implicit in (
+                ("with-implicit-ack", True),
+                ("without-implicit-ack", False),
             )
-        )
-    return AblationResult(name="implicit-ack", rows=tuple(rows))
+        ),
+    )
 
 
 def ablation_loss_model() -> AblationResult:
@@ -357,33 +307,28 @@ def ablation_loss_model() -> AblationResult:
     executions: once under iid loss p = 0.2, once under a Gilbert-Elliott
     channel whose stationary loss rate is also 0.2.
     """
-    bursty = GilbertElliottLoss(p_good=0.05, p_bad=0.8, p_gb=0.05, p_bg=0.2)
+    cfg = FdsConfig(phi=5.0, thop=0.5)
+    gilbert = (("p_good", 0.05), ("p_bad", 0.8), ("p_gb", 0.05), ("p_bg", 0.2))
+    mean = GilbertElliottLoss(**dict(gilbert)).stationary_loss_rate
     rows: List[AblationRow] = []
-    for label, loss_model in (
-        ("iid p=0.2", None),
-        (f"gilbert-elliott mean={bursty.stationary_loss_rate:.2f}", bursty),
+    for label, loss in (
+        ("iid p=0.2", {}),
+        (f"gilbert-elliott mean={mean:.2f}",
+         dict(loss_kind="gilbert", loss_params=gilbert)),
     ):
-        rng = np.random.default_rng(11)
-        placement = cluster_disk_placement(39, 100.0, rng)
-        layout = build_clusters(UnitDiskGraph(placement, 100.0))
-        tracer = RecordingTracer()
-        network = build_network(
-            placement,
-            NetworkConfig(loss_probability=0.2, seed=3),
-            loss_model=loss_model,
-            tracer=tracer,
+        engine = EventEngine(
+            single_cluster_config(40, 0.2, 10, 11, cfg, **loss)
         )
-        cfg = FdsConfig(phi=5.0, thop=0.5)
-        deployment = install_fds(network, layout, cfg)
-        FailureInjector(network, cfg).crash_before_execution(11, 2)
-        deployment.run_executions(10)
-        report = evaluate_properties(deployment)
+        engine.prepare()
+        FailureInjector(engine.network, cfg).crash_before_execution(11, 2)
+        engine.run()
+        report = engine.score()["properties"]
         rows.append(
             AblationRow(
                 label=label,
                 metrics={
                     "false_detections": float(
-                        sum(1 for r in tracer.iter_kind(ev.DETECTION)
+                        sum(1 for r in engine.tracer.iter_kind(ev.DETECTION)
                             if r.detail["target"] != 11)
                     ),
                     "crash_completeness": report.completeness.get(11, 0.0),

@@ -129,6 +129,16 @@ class ScenarioConfig:
             raise ExperimentError(str(exc)) from exc
         if self.crash_count < 0:
             raise ExperimentError("crash_count must be >= 0")
+        # Every crash lands at the same offset into its interval, and on
+        # every engine (rt scales phi and thop alike) it must miss the
+        # execution window.
+        crash = self.fds.crash_time(0.0, 1)
+        window = self.fds.execution_duration()
+        if self.crash_count and crash < window:
+            raise ExperimentError(
+                f"a crash {crash} s into the interval falls inside the FDS "
+                f"execution window ({window} s); increase phi or shrink thop"
+            )
         if self.formation_iterations < 1:
             raise ExperimentError("formation_iterations must be >= 1")
         if not 0.0 < self.formation_backoff_fraction <= 0.9:

@@ -22,23 +22,17 @@ the protocol is under the most stress.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Any, Dict, Tuple
 
 from repro.analysis.confidence import wilson_interval
 from repro.analysis.false_detection import p_false_detection
 from repro.analysis.incompleteness import p_incompleteness
-from repro.cluster.geometric import build_clusters
 from repro.errors import ExperimentError
+from repro.experiments.runner import EventEngine, ScenarioConfig, run_engine
 from repro.fds import events as ev
 from repro.fds.config import FdsConfig
-from repro.fds.service import install_fds
-from repro.metrics.properties import evaluate_properties
-from repro.sim.network import NetworkConfig, build_network
-from repro.sim.trace import RecordingTracer
-from repro.topology.graph import UnitDiskGraph
 from repro.topology.placement import cluster_disk_placement
 from repro.types import NodeId
-from repro.util.rng import RngFactory
 
 
 @dataclass(frozen=True)
@@ -76,6 +70,39 @@ class ValidationResult:
         )
 
 
+def single_cluster_config(
+    n: int, p: float, executions: int, seed: int, fds: FdsConfig, **fields: Any
+) -> ScenarioConfig:
+    """Section 5's setting: one CH-centred cluster of ``n`` nodes (the
+    paper's N, CH included) and no crashes drawn by the scenario."""
+    return ScenarioConfig(
+        cluster_count=1,
+        members_per_cluster=n - 1,
+        loss_probability=p,
+        crash_count=0,
+        executions=executions,
+        seed=seed,
+        fds=fds,
+        **fields,
+    )
+
+
+class _WorstCaseCluster(EventEngine):
+    """The event engine on Section 5's cluster: one CH at the centre and
+    ``members_per_cluster`` members, the highest-NID one on the
+    circumference."""
+
+    def place_field(self) -> None:
+        config = self.config
+        self.positions = cluster_disk_placement(
+            member_count=config.members_per_cluster,
+            radius=config.transmission_range,
+            rng=self.rngs.stream("placement"),
+            worst_case_member=True,
+        )
+        self.node_count = len(self.positions)
+
+
 def single_cluster_validation(
     n: int = 50,
     p: float = 0.5,
@@ -91,43 +118,25 @@ def single_cluster_validation(
     """
     if n < 3:
         raise ExperimentError(f"n must be >= 3, got {n}")
-    if executions < 1:
-        raise ExperimentError("executions must be >= 1")
-    rngs = RngFactory(seed)
-    placement = cluster_disk_placement(
-        member_count=n - 1,
-        radius=100.0,
-        rng=rngs.stream("placement"),
-        worst_case_member=True,
-    )
-    watched = NodeId(max(placement))  # the circumference member
-    graph = UnitDiskGraph(placement, radius=100.0)
-    layout = build_clusters(graph)
-    if len(layout.clusters) != 1:
+    result = run_engine(_WorstCaseCluster(single_cluster_config(
+        n, p, executions, seed, fds_config or FdsConfig(phi=4.0, thop=0.5)
+    )))
+    if len(result.layout.clusters) != 1:
         raise ExperimentError(
             "single-cluster placement unexpectedly produced "
-            f"{len(layout.clusters)} clusters"
+            f"{len(result.layout.clusters)} clusters"
         )
-    tracer = RecordingTracer()
-    network = build_network(
-        placement,
-        NetworkConfig(loss_probability=p, seed=seed),
-        tracer=tracer,
-    )
-    cfg = fds_config if fds_config is not None else FdsConfig(phi=4.0, thop=0.5)
-    deployment = install_fds(network, layout, cfg)
-    deployment.run_executions(executions)
+    watched = NodeId(n - 1)  # the circumference member
 
     false_detections = sum(
         1
-        for record in tracer.iter_kind(ev.DETECTION)
+        for record in result.tracer.iter_kind(ev.DETECTION)
         if int(record.detail["target"]) == int(watched)
     )
-    received = deployment.protocols[watched].updates_received
+    received = result.deployment.protocols[watched].updates_received
     incompleteness_events = executions - len(
         [k for k in received if 0 <= k < executions]
     )
-    report = evaluate_properties(deployment)
     return ValidationResult(
         n=n,
         p=p,
@@ -137,7 +146,7 @@ def single_cluster_validation(
         incompleteness_events=incompleteness_events,
         analytic_false_detection=p_false_detection(n, p),
         analytic_incompleteness=p_incompleteness(n, p),
-        accuracy_violations_final=len(report.accuracy_violations),
+        accuracy_violations_final=len(result.properties.accuracy_violations),
     )
 
 

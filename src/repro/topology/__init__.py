@@ -6,11 +6,7 @@ from repro.topology.analysis import (
     is_connected,
     isolated_nodes,
 )
-from repro.topology.generators import (
-    corridor_field,
-    multi_cluster_field,
-    single_cluster_disk,
-)
+from repro.topology.generators import multi_cluster_field
 from repro.topology.graph import UnitDiskGraph
 from repro.topology.placement import (
     cluster_disk_placement,
@@ -27,9 +23,7 @@ __all__ = [
     "grid_placement",
     "gaussian_blobs_placement",
     "cluster_disk_placement",
-    "single_cluster_disk",
     "multi_cluster_field",
-    "corridor_field",
     "connected_components",
     "degree_statistics",
     "is_connected",

@@ -1,43 +1,25 @@
 """Scenario topology generators.
 
-These compose the low-level placements into the field layouts the paper's
-introduction motivates: a single analysis cluster (Section 5), a
-multi-cluster field with guaranteed CH spacing, and a corridor (chain of
-clusters) that stresses inter-cluster forwarding depth.
+:func:`multi_cluster_field` composes cluster disks into the field the
+paper's introduction motivates: a lattice with guaranteed CH spacing.
+One cluster is Section 5's analysis cluster
+(:func:`~repro.topology.placement.cluster_disk_placement` draws the same
+nodes), and one row (``columns=cluster_count``) is a corridor that
+stresses inter-cluster forwarding depth.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List
+from typing import List
 
 import numpy as np
 
 from repro.errors import TopologyError
-from repro.topology.placement import Placement, cluster_disk_placement
+from repro.topology.placement import Placement
 from repro.types import NodeId
 from repro.util.geometry import Vec2, sample_in_disk
 from repro.util.validation import check_int_at_least, check_positive
-
-
-def single_cluster_disk(
-    member_count: int,
-    radius: float,
-    rng: np.random.Generator,
-    worst_case_member: bool = False,
-) -> Placement:
-    """The paper's Section 5 setting: one CH-centered cluster disk.
-
-    ``member_count`` is the number of non-CH members; total population is
-    ``member_count + 1`` (the paper's ``N`` counts all hosts in the
-    cluster, so pass ``member_count = N - 1``).
-    """
-    return cluster_disk_placement(
-        member_count=member_count,
-        radius=radius,
-        rng=rng,
-        worst_case_member=worst_case_member,
-    )
 
 
 def multi_cluster_field(
@@ -79,26 +61,3 @@ def multi_cluster_field(
             placement[NodeId(next_id)] = sample_in_disk(rng, center, radius)
             next_id += 1
     return placement
-
-
-def corridor_field(
-    cluster_count: int,
-    members_per_cluster: int,
-    radius: float,
-    rng: np.random.Generator,
-    spacing_factor: float = 1.6,
-) -> Placement:
-    """A 1-D chain of overlapping clusters.
-
-    Failure reports from one end must cross ``cluster_count - 1`` boundaries
-    to reach the other -- the stress case for inter-cluster forwarding and
-    the BGW standby mechanism.
-    """
-    return multi_cluster_field(
-        cluster_count=cluster_count,
-        members_per_cluster=members_per_cluster,
-        radius=radius,
-        rng=rng,
-        spacing_factor=spacing_factor,
-        columns=cluster_count,
-    )

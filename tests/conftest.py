@@ -7,7 +7,7 @@ import pytest
 
 from repro.cluster.geometric import build_clusters
 from repro.sim.network import NetworkConfig, build_network
-from repro.topology.generators import corridor_field
+from repro.topology.generators import multi_cluster_field
 from repro.topology.graph import UnitDiskGraph
 from repro.topology.placement import cluster_disk_placement
 from repro.util.rng import RngFactory
@@ -36,8 +36,9 @@ def small_cluster(small_cluster_placement):
 @pytest.fixture
 def two_cluster_world(rng):
     """(placement, graph, layout) for two overlapping clusters."""
-    placement = corridor_field(
-        cluster_count=2, members_per_cluster=15, radius=100.0, rng=rng
+    placement = multi_cluster_field(
+        cluster_count=2, members_per_cluster=15, radius=100.0, rng=rng,
+        columns=2,
     )
     graph = UnitDiskGraph(placement, radius=100.0)
     layout = build_clusters(graph)

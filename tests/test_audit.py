@@ -18,7 +18,7 @@ from repro.failure.injection import FailureInjector
 from repro.fds import events as ev
 from repro.fds.config import FdsConfig
 from repro.sim.trace import RecordingTracer
-from repro.topology.generators import corridor_field
+from repro.topology.generators import multi_cluster_field
 
 from tests.fds_helpers import deploy
 
@@ -28,7 +28,7 @@ def audited_run():
     import numpy as np
 
     rng = np.random.default_rng(12345)
-    placement = corridor_field(2, 20, 100.0, rng)
+    placement = multi_cluster_field(2, 20, 100.0, rng, columns=2)
     deployment, layout, tracer, network = deploy(placement, p=0.2, seed=6)
     injector = FailureInjector(network, deployment.config)
     victim = sorted(layout.clusters[0].ordinary_members)[2]

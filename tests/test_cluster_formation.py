@@ -17,7 +17,7 @@ from repro.errors import ClusteringError, ExperimentError
 from repro.experiments.runner import ScenarioConfig, run_scenario
 from repro.sim.array_engine.formation import formation_array_layout
 from repro.sim.network import NetworkConfig, build_network
-from repro.topology.generators import corridor_field, multi_cluster_field
+from repro.topology.generators import multi_cluster_field
 from repro.topology.graph import UnitDiskGraph
 from repro.topology.placement import uniform_rect_placement
 from repro.types import NodeRole
@@ -89,7 +89,7 @@ class TestRoundSynchrony:
 #: three field shapes, lossless and lossy, one and three iterations.
 SWEEP_FIELDS = {
     "lattice": lambda rng: multi_cluster_field(4, 20, 100.0, rng),
-    "corridor": lambda rng: corridor_field(3, 15, 100.0, rng),
+    "corridor": lambda rng: multi_cluster_field(3, 15, 100.0, rng, columns=3),
     "uniform_rect": lambda rng: uniform_rect_placement(80, 400.0, 400.0, rng),
 }
 

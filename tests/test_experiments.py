@@ -13,6 +13,7 @@ from repro.experiments.figures import (
     render_figure,
 )
 from repro.experiments.runner import ScenarioConfig, run_scenario
+from repro.fds.config import FdsConfig
 from repro.experiments.scenarios import (
     single_cluster_validation,
     validation_summary,
@@ -146,6 +147,25 @@ class TestScenarioRunner:
                     ScenarioConfig(
                         engine=engine, loss_kind=kind, loss_params=params
                     )
+
+
+    def test_crash_schedule_inside_an_execution_window(self):
+        # phi=4, thop=0.5: a crash lands 0.6*phi = 2.4 s into the
+        # interval, inside the 2.5 s execution window.  Refused before any
+        # engine starts; the event engine used to raise mid-run and the
+        # array engine to crash the node inside the window.
+        fds = FdsConfig(phi=4.0, thop=0.5)
+        for engine in ("event", "array", "rt"):
+            config = dict(
+                cluster_count=1, members_per_cluster=20, loss_probability=0.0,
+                executions=3, seed=1, fds=fds, engine=engine,
+            )
+            with pytest.raises(ExperimentError, match="execution window"):
+                run_scenario(ScenarioConfig(crash_count=1, **config))
+            ScenarioConfig(crash_count=0, **config)
+            ScenarioConfig(
+                crash_count=1, **{**config, "fds": FdsConfig(phi=5.0)}
+            )
 
 
 class TestValidation:

@@ -5,13 +5,13 @@ import pytest
 from repro.failure.injection import FailureInjector
 from repro.fds import events as ev
 from repro.fds.config import FdsConfig
-from repro.topology.generators import corridor_field
+from repro.topology.generators import multi_cluster_field
 
 from tests.fds_helpers import TargetedLoss, deploy
 
 
 def two_clusters(rng, **kwargs):
-    placement = corridor_field(2, 30, 100.0, rng)
+    placement = multi_cluster_field(2, 30, 100.0, rng, columns=2)
     return placement, deploy(placement, **kwargs)
 
 
@@ -164,7 +164,7 @@ class TestBgwStandby:
 
 class TestDedup:
     def test_no_infinite_relay_loops(self, rng):
-        placement = corridor_field(3, 30, 100.0, rng)
+        placement = multi_cluster_field(3, 30, 100.0, rng, columns=3)
         deployment, layout, tracer, network = deploy(placement)
         injector = FailureInjector(network, deployment.config)
         victim = sorted(

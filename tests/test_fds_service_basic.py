@@ -13,7 +13,7 @@ from repro.fds import events as ev
 from repro.fds.config import FdsConfig
 from repro.metrics.properties import evaluate_properties
 from repro.sim.trace import NullTracer
-from repro.topology.generators import corridor_field, multi_cluster_field
+from repro.topology.generators import multi_cluster_field
 from repro.topology.placement import cluster_disk_placement
 
 from tests.fds_helpers import deploy
@@ -117,7 +117,7 @@ class TestMultipleCrashes:
         # Density is chosen high enough that every adjacent cluster pair
         # has gateway candidates (sparse fields can lack a boundary, which
         # the paper defers to an inter-cluster routing protocol).
-        placement = corridor_field(5, 35, 100.0, rng)
+        placement = multi_cluster_field(5, 35, 100.0, rng, columns=5)
         deployment, layout, _tracer, network = deploy(placement)
         owners = {owner for (owner, _peer) in layout.boundaries}
         assert owners == set(layout.heads[:-1]), "corridor chain incomplete"

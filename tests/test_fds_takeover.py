@@ -108,13 +108,13 @@ class TestTakeoverCrossClusterPropagation:
         from repro.energy.model import EnergyModel
         from repro.fds.service import install_fds
         from repro.sim.network import NetworkConfig, build_network
-        from repro.topology.generators import corridor_field
+        from repro.topology.generators import multi_cluster_field
         from repro.topology.graph import UnitDiskGraph
         from repro.cluster.geometric import build_clusters
         from repro.metrics.properties import evaluate_properties
 
         local_rng = np.random.default_rng(seed=23)
-        positions = corridor_field(3, 24, 100.0, local_rng)
+        positions = multi_cluster_field(3, 24, 100.0, local_rng, columns=3)
         layout = build_clusters(UnitDiskGraph(positions, radius=100.0))
         middle = layout.heads[1]
         network = build_network(

@@ -1,26 +1,31 @@
 """Tests for scenario topology generators."""
 
+import numpy as np
 import pytest
 
 from repro.errors import TopologyError
 from repro.topology.analysis import is_connected
-from repro.topology.generators import (
-    corridor_field,
-    multi_cluster_field,
-    single_cluster_disk,
-)
+from repro.topology.generators import multi_cluster_field
 from repro.topology.graph import UnitDiskGraph
+from repro.topology.placement import cluster_disk_placement
 
 
 class TestSingleClusterDisk:
+    """A one-cluster lattice is the Section 5 analysis cluster."""
+
     def test_population(self, rng):
-        placement = single_cluster_disk(49, 100.0, rng)
+        placement = multi_cluster_field(1, 49, 100.0, rng)
         assert len(placement) == 50  # N = member_count + 1 (the CH)
 
     def test_all_one_hop_from_ch(self, rng):
-        placement = single_cluster_disk(30, 100.0, rng)
+        placement = multi_cluster_field(1, 30, 100.0, rng)
         g = UnitDiskGraph(placement, 100.0)
         assert g.degree(0) == 30
+
+    def test_draws_what_cluster_disk_placement_draws(self):
+        assert multi_cluster_field(
+            1, 30, 100.0, np.random.default_rng(5)
+        ) == cluster_disk_placement(30, 100.0, np.random.default_rng(5))
 
 
 class TestMultiClusterField:
@@ -50,14 +55,16 @@ class TestMultiClusterField:
 
 
 class TestCorridor:
+    """One lattice row: a chain of overlapping clusters."""
+
     def test_chs_form_a_line(self, rng):
-        placement = corridor_field(5, 10, 100.0, rng)
+        placement = multi_cluster_field(5, 10, 100.0, rng, columns=5)
         ys = {placement[h].y for h in range(5)}
         assert ys == {0.0}
         xs = [placement[h].x for h in range(5)]
         assert xs == sorted(xs)
 
     def test_adjacent_disks_overlap(self, rng):
-        placement = corridor_field(3, 10, 100.0, rng)
+        placement = multi_cluster_field(3, 10, 100.0, rng, columns=3)
         # CH spacing 160 < 2R = 200: the disks overlap.
         assert placement[1].x - placement[0].x < 200.0
