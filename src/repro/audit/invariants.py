@@ -114,11 +114,11 @@ def audit_detection_timing(
 
 
 def audit_refutation_soundness(tracer: RecordingTracer) -> List[AuditFinding]:
-    """Each refutation at a node follows a matching suspicion there.
+    """Every refutation of a node follows some detection of it.
 
-    Reconstructs each node's suspicion set from its own detection /
-    update-application ordering is not possible from the compact trace, so
-    the audit checks the necessary condition that *somebody* announced the
+    The compact trace does not record when each node applied an update,
+    so a node's own suspicion set cannot be rebuilt from it.  The audit
+    checks the necessary condition instead: *somebody* announced the
     target failed before anyone refutes it.
     """
     findings: List[AuditFinding] = []

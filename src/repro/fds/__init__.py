@@ -7,16 +7,11 @@ Public surface:
 - :func:`install_fds` / :class:`FdsDeployment` -- wire an FDS onto a
   network given an :class:`~repro.sim.array_engine.layout.ArrayLayout`
   or its :class:`~repro.cluster.state.ClusterLayout` view.
-- :mod:`repro.fds.detector` -- the paper's two detection rules as pure
-  functions.
+- :mod:`repro.fds.detector` -- the paper's two detection rules as
+  boolean masks, the one form every engine evaluates.
 """
 
 from repro.fds.config import FdsConfig
-from repro.fds.detector import (
-    DetectionInputs,
-    apply_ch_failure_rule,
-    apply_failure_rule,
-)
 from repro.fds.digest import build_digest
 from repro.fds.messages import (
     Digest,
@@ -35,9 +30,6 @@ __all__ = [
     "FdsProtocol",
     "FdsDeployment",
     "install_fds",
-    "DetectionInputs",
-    "apply_failure_rule",
-    "apply_ch_failure_rule",
     "build_digest",
     "Heartbeat",
     "Digest",

@@ -1,4 +1,4 @@
-"""The paper's two detection rules, as pure functions.
+"""The paper's two detection rules, as pure masked reductions.
 
 Keeping the rules free of protocol plumbing makes the paper's soundness
 argument directly testable:
@@ -19,110 +19,32 @@ node can produce none of the three kinds of evidence, so the rules never
 miss a real failure ("the above rule is sufficient to guarantee that no
 failed cluster members will go undetected") -- the property-based tests
 state this as an invariant.
+
+Each rule is written once, element-wise over boolean arrays of any
+common shape: the round-level array engine
+(:mod:`repro.sim.array_engine`) evaluates every monitored node of every
+cluster in one reduction, and :class:`~repro.fds.service.FdsProtocol`
+(the event engine and the UDP runtime) evaluates one authority's rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import AbstractSet, FrozenSet, Mapping
-
 import numpy as np
 
-from repro.types import NodeId
 
-
-@dataclass(frozen=True)
-class DetectionInputs:
-    """Everything a detecting authority observed during one execution.
-
-    ``heartbeats`` -- senders whose R-1 heartbeats were received/overheard;
-    ``digests`` -- digest sender -> the set of NIDs that digest listed;
-    ``update_received_from`` -- the head whose R-3 update arrived (if any),
-    used only by the CH-failure rule.
-    """
-
-    heartbeats: FrozenSet[NodeId]
-    digests: Mapping[NodeId, FrozenSet[NodeId]]
-    update_received_from: NodeId | None = None
-
-    def evidence_of(self, target: NodeId, use_digests: bool = True) -> bool:
-        """Whether any evidence of ``target``'s liveness was observed.
-
-        Evidence = a direct heartbeat, a digest *from* the target, or
-        (when ``use_digests``) any received digest listing the target.
-        """
-        if target in self.heartbeats:
-            return True
-        if target in self.digests:
-            return True
-        if use_digests and any(
-            target in heard for heard in self.digests.values()
-        ):
-            return True
-        return False
-
-
-def apply_failure_rule(
-    expected_members: AbstractSet[NodeId],
-    inputs: DetectionInputs,
-    use_digests: bool = True,
-) -> FrozenSet[NodeId]:
-    """The CH's failure detection rule over its expected members.
-
-    ``expected_members`` are the cluster members the CH still believes
-    operational (already-known failures are excluded by the caller).
-    Returns the newly detected failed set.  With ``use_digests=False`` the
-    digest clauses are disabled (the R-2 ablation), reducing the rule to a
-    plain heartbeat timeout.
-    """
-    return frozenset(
-        v
-        for v in expected_members
-        if not inputs.evidence_of(v, use_digests=use_digests)
-    )
-
-
-def apply_ch_failure_rule(
-    ch: NodeId,
-    inputs: DetectionInputs,
-    use_digests: bool = True,
-) -> bool:
-    """The DCH's CH-failure detection rule.
-
-    True iff all three conditions hold: no CH heartbeat, no CH digest, no
-    digest witnessing the CH (condition folded into ``evidence_of``), and
-    no R-3 health status update received from the CH.
-    """
-    if inputs.evidence_of(ch, use_digests=use_digests):
-        return False
-    if inputs.update_received_from == ch:
-        return False
-    return True
-
-
-# ----------------------------------------------------------------------
-# Array forms of the same rules.
-#
-# The round-level array engine (:mod:`repro.sim.array_engine`) evaluates
-# the rules for *every* monitored node of *every* cluster in one masked
-# reduction.  Keeping the masked forms here, next to the scalar rules
-# they restate, makes the pair easy to audit: each function is the
-# element-wise translation of ``evidence_of`` / ``apply_failure_rule`` /
-# ``apply_ch_failure_rule`` over boolean arrays of any common shape.
-# ----------------------------------------------------------------------
 def evidence_mask(
     heartbeat: np.ndarray,
     digest_from: np.ndarray,
     witnessed: np.ndarray,
     use_digests: bool = True,
 ) -> np.ndarray:
-    """Array form of :meth:`DetectionInputs.evidence_of`.
+    """Whether the authority observed any evidence of each node's liveness.
 
     Element ``[...]`` is True iff the authority saw a direct heartbeat,
     a digest *from* the node, or (when ``use_digests``) a digest
-    witnessing the node's heartbeat.  With ``use_digests=False`` the
-    callers pass all-False digest masks (R-2 never runs), so only the
-    heartbeat term can fire -- same reduction as the scalar rule.
+    witnessing the node's heartbeat.  ``use_digests=False`` (the R-2
+    ablation) drops the witness term only: a digest *from* the node
+    still proves it alive, though with R-2 off none is ever sent.
     """
     evidence = heartbeat | digest_from
     if use_digests:
@@ -133,7 +55,7 @@ def evidence_mask(
 def failure_rule_mask(
     expected: np.ndarray, evidence: np.ndarray
 ) -> np.ndarray:
-    """Array form of :func:`apply_failure_rule`.
+    """The CH's failure detection rule.
 
     ``expected`` marks the members the authority still believes
     operational; the result marks the newly detected failures.
@@ -144,7 +66,7 @@ def failure_rule_mask(
 def ch_failure_rule_mask(
     ch_evidence: np.ndarray, update_received: np.ndarray
 ) -> np.ndarray:
-    """Array form of :func:`apply_ch_failure_rule` (one lane per cluster).
+    """The DCH's CH-failure detection rule (one lane per cluster).
 
     True where the acting DCH saw neither evidence of the CH nor the
     CH's R-3 health status update.

@@ -35,9 +35,13 @@ binding; the runtime binding lives in :mod:`repro.rt.runtime`.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, compress
 from time import perf_counter
-from typing import Any, Dict, FrozenSet, List, Optional, Set
+from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Set
+
+import numpy as np
 
 from repro.cluster.maintenance import AdmissionBook
 from repro.cluster.state import LocalClusterView
@@ -45,7 +49,7 @@ from repro.energy.model import EnergyModel
 from repro.errors import ConfigurationError, ProtocolError
 from repro.fds import events as ev
 from repro.fds.config import FdsConfig
-from repro.fds.detector import DetectionInputs, apply_ch_failure_rule, apply_failure_rule
+from repro.fds.detector import ch_failure_rule_mask, evidence_mask, failure_rule_mask
 from repro.fds.digest import build_digest
 from repro.fds.intercluster import InterclusterForwarder
 from repro.fds.messages import (
@@ -263,26 +267,28 @@ class FdsProtocol(Protocol):
         if not self.is_head:
             return
         my_id = self.node.node_id
+        listed = self._digest_tally()
         if self.config.use_digests:
             # A digest listing a suspected node is liveness evidence (no
             # message creation on links): refute before detecting.  This
             # heals suspicions of members the head itself cannot hear --
             # the Figure 2(a) reachability case after a takeover.
             for suspect in sorted(self.history.known):
-                if any(suspect in heard for heard in self._digests.values()):
+                if suspect in listed:
                     self._note_liveness(suspect)
-        newly_deputies = self._rank_deputies()
-        expected = frozenset(self.members) - {my_id} - self.history.known
-        inputs = DetectionInputs(
-            heartbeats=frozenset(self._heard), digests=dict(self._digests)
+        newly_deputies = self._rank_deputies(listed)
+        rows = sorted(self.members - {my_id})
+        known = self.history.known
+        expected = np.fromiter(
+            (v not in known for v in rows), dtype=bool, count=len(rows)
         )
-        newly = apply_failure_rule(
-            expected, inputs, use_digests=self.config.use_digests
-        )
-        for target in sorted(newly):
+        newly = list(compress(
+            rows, failure_rule_mask(expected, self._evidence(rows, listed))
+        ))
+        for target in newly:
             self._trace(ev.DETECTION, target=int(target), detector=int(my_id),
                         execution=execution)
-        novel = self.history.add(newly)
+        novel = self.history.add(frozenset(newly))
         self.members -= novel
 
         admissions: FrozenSet[NodeId] = frozenset()
@@ -316,12 +322,32 @@ class FdsProtocol(Protocol):
         if self.inter is not None:
             self.inter.on_local_update(update)
 
-    def _rank_deputies(self):
+    def _digest_tally(self) -> Counter:
+        """How many of this execution's received digests list each NID
+        (digests are sets, so a digest counts a node at most once)."""
+        return Counter(chain.from_iterable(self._digests.values()))
+
+    def _evidence(self, nodes: Sequence[NodeId], listed: Counter) -> np.ndarray:
+        """This execution's liveness evidence of each of ``nodes``: the
+        rows of :func:`~repro.fds.detector.evidence_mask`, packed from the
+        heartbeats heard, the digests received and their ``listed`` tally."""
+
+        def row(seen) -> np.ndarray:
+            return np.fromiter(
+                (v in seen for v in nodes), dtype=bool, count=len(nodes)
+            )
+
+        return evidence_mask(
+            row(self._heard), row(self._digests), row(listed),
+            use_digests=self.config.use_digests,
+        )
+
+    def _rank_deputies(self, listed: Counter):
         """Accumulate digest coverage and maybe re-rank the deputies.
 
         Coverage of member m = number of this execution's digests that
-        list m, plus direct evidence at the head; accumulated across
-        executions so early noise fades.  Returns the new ranking to
+        list m (``listed``), plus direct evidence at the head; accumulated
+        across executions so early noise fades.  Returns the new ranking to
         announce (None when unchanged, or when digests or deputies are
         off and the installed ranking stands).
         """
@@ -332,7 +358,7 @@ class FdsProtocol(Protocol):
         for member in self.members:
             if member == my_id:
                 continue
-            score = sum(1 for heard in self._digests.values() if member in heard)
+            score = listed[member]
             if member in self._digests:
                 score += 1
             if member in self._heard:
@@ -377,13 +403,11 @@ class FdsProtocol(Protocol):
     def _apply_dch_rule(self, execution: int) -> None:
         assert self.node is not None
         update = self._updates.get(execution)
-        update_from = update.head if update is not None else None
-        inputs = DetectionInputs(
-            heartbeats=frozenset(self._heard),
-            digests=dict(self._digests),
-            update_received_from=update_from,
+        received = np.array([update is not None and update.head == self.head])
+        fires = ch_failure_rule_mask(
+            self._evidence([self.head], self._digest_tally()), received
         )
-        if not apply_ch_failure_rule(self.head, inputs, use_digests=self.config.use_digests):
+        if not fires[0]:
             return
         old_head = self.head
         my_id = self.node.node_id

@@ -178,7 +178,9 @@ def detection_latency(
     crash_times: Dict[NodeId, SimTime],
     spool: Optional[Path] = None,
 ) -> Dict[NodeId, Optional[SimTime]]:
-    """Seconds from each crash to its *first* detection event (None if never).
+    """Seconds from each crash to its first detection at or after it
+    (None if none).  A false detection before the crash is not the
+    crash's detection.
 
     Reads the detections from a tracer with full in-memory records, else
     from the ``spool`` file the run left behind (a closed spooling
@@ -198,7 +200,12 @@ def detection_latency(
     first_detection: Dict[NodeId, SimTime] = {}
     for record in detections:
         target = NodeId(int(record.detail["target"]))
-        if target not in first_detection:
+        crashed_at = crash_times.get(target)
+        if (
+            crashed_at is not None
+            and record.time >= crashed_at
+            and target not in first_detection
+        ):
             first_detection[target] = record.time
     return {
         nid: (first_detection[nid] - t if nid in first_detection else None)

@@ -181,7 +181,7 @@ class TraceSummary:
     phases: Dict[str, Tuple[float, int]] = field(default_factory=dict)
     #: node -> crash time.
     crash_times: Dict[int, float] = field(default_factory=dict)
-    #: target -> first detection time.
+    #: crashed node -> first detection time at or after its crash.
     first_detection: Dict[int, float] = field(default_factory=dict)
     #: per-hop delivery latencies were observed into the registry.
     registry: MetricsRegistry = field(default_factory=MetricsRegistry)
@@ -239,6 +239,8 @@ class SummaryReducer:
 
     def __init__(self) -> None:
         self.summary = TraceSummary()
+        #: target -> its detection times, in record order.
+        self._detections: Dict[int, List[float]] = {}
         self._hop = self.summary.registry.histogram(
             "repro_hop_latency_seconds",
             HOP_LATENCY_BUCKETS,
@@ -272,10 +274,18 @@ class SummaryReducer:
         elif kind == "fds.detection":
             target = record.detail.get("target")
             if target is not None:
-                summary.first_detection.setdefault(int(target), record.time)
+                self._detections.setdefault(int(target), []).append(record.time)
 
     def finish(self) -> TraceSummary:
         summary = self.summary
+        # A false detection before the crash is not the crash's detection.
+        for node, crashed_at in summary.crash_times.items():
+            detected_at = next(
+                (t for t in self._detections.get(node, ()) if t >= crashed_at),
+                None,
+            )
+            if detected_at is not None:
+                summary.first_detection[node] = detected_at
         phi_hist = summary.registry.histogram(
             "repro_detection_latency_phi",
             PHI_LATENCY_BUCKETS,

@@ -12,9 +12,9 @@ one assembly:
   candidates read off the edges (member of the owner -> foreign head).
 - **The** ``multi_cluster_field`` **lattice** (:func:`build_array_layout`),
   whose field-wide edge list would outweigh the layout: placement is
-  bit-identical to :func:`~repro.topology.generators.multi_cluster_field`
-  (the same ``stream("placement")`` generator, drawn as one strided
-  ``random(2n)`` block), and the partition is O(N) lattice arithmetic:
+  :func:`~repro.topology.generators.draw_lattice`, the one draw behind
+  :func:`~repro.topology.generators.multi_cluster_field`, and the
+  partition is O(N) lattice arithmetic:
   lattice CHs are pairwise non-adjacent (spacing in ``(r, 2r)``) and
   carry the lowest NIDs, so every member joins the lowest-ID lattice
   head within radio range among the four corners of its cell.  Gateway
@@ -47,9 +47,9 @@ import numpy as np
 
 from repro.cluster.state import ClusterLayout, LocalClusterView
 from repro.errors import TopologyError
+from repro.topology.generators import draw_lattice
 from repro.topology.graph import UnitDiskEdges, UnitDiskGraph
 from repro.types import NodeId, NodeRole
-from repro.util.validation import check_int_at_least, check_positive
 
 #: Pad value for ragged (cluster, slot) integer arrays.
 PAD = -1
@@ -203,43 +203,6 @@ class ArrayLayout:
         ]
 
 
-def _lattice_field(
-    cluster_count: int,
-    members_per_cluster: int,
-    radius: float,
-    spacing_factor: float,
-    rng: np.random.Generator,
-) -> tuple:
-    """``(cols, spacing, hx, hy, mx, my)``: the validated lattice, head
-    and member coordinates bit-identical to the scalar path.
-
-    Applies :func:`~repro.topology.generators.multi_cluster_field`'s
-    field checks, so both engines reject the same configs with the same
-    typed error.
-    """
-    check_int_at_least("cluster_count", cluster_count, 1)
-    check_int_at_least("members_per_cluster", members_per_cluster, 1)
-    check_positive("radius", radius)
-    if not 1.0 < spacing_factor < 2.0:
-        raise TopologyError(
-            "spacing_factor must be in (1, 2) so disks overlap without "
-            f"CHs being mutual neighbors; got {spacing_factor}"
-        )
-    cols = max(1, int(math.ceil(math.sqrt(cluster_count))))
-    spacing = spacing_factor * radius
-    idx = np.arange(cluster_count, dtype=np.int64)
-    hx = (idx % cols).astype(np.float64) * spacing
-    hy = (idx // cols).astype(np.float64) * spacing
-    count = cluster_count * members_per_cluster
-    u = rng.random(2 * count)
-    rr = radius * np.sqrt(u[0::2])
-    theta = 2.0 * math.pi * u[1::2]
-    disk = np.arange(count, dtype=np.int64) // members_per_cluster
-    mx = hx[disk] + rr * np.cos(theta)
-    my = hy[disk] + rr * np.sin(theta)
-    return cols, spacing, hx, hy, mx, my
-
-
 def _assign_members(
     mx: np.ndarray,
     my: np.ndarray,
@@ -336,13 +299,14 @@ def lattice_positions(
 ) -> tuple:
     """``(xs, ys)`` of the whole lattice field, heads first.
 
-    Bit-identical to :func:`~repro.topology.generators.
-    multi_cluster_field` under the same ``stream("placement")``
-    generator -- the coordinate source for protocol formation, which
-    needs raw positions rather than the oracle's pre-assigned layout.
+    The coordinates :func:`~repro.topology.generators.
+    multi_cluster_field` places from the same generator (both are
+    :func:`~repro.topology.generators.draw_lattice`'s) -- the coordinate
+    source for protocol formation, which needs raw positions rather than
+    the oracle's pre-assigned layout.
     """
-    _, _, hx, hy, mx, my = _lattice_field(
-        cluster_count, members_per_cluster, radius, spacing_factor, rng
+    _, _, hx, hy, mx, my = draw_lattice(
+        cluster_count, members_per_cluster, radius, rng, spacing_factor
     )
     return np.concatenate([hx, mx]), np.concatenate([hy, my])
 
@@ -559,8 +523,8 @@ def build_array_layout(
 ) -> ArrayLayout:
     """The oracle layout of the ``multi_cluster_field`` lattice (see
     module docstring); heads are NIDs ``0..C-1``."""
-    cols, spacing, hx, hy, mx, my = _lattice_field(
-        cluster_count, members_per_cluster, radius, spacing_factor, rng
+    cols, spacing, hx, hy, mx, my = draw_lattice(
+        cluster_count, members_per_cluster, radius, rng, spacing_factor
     )
     xs = np.concatenate([hx, mx])
     ys = np.concatenate([hy, my])

@@ -14,6 +14,7 @@ import threading
 
 import pytest
 
+from repro.audit.differential import predetected_targets
 from repro.errors import ConfigurationError
 from repro.experiments.runner import ScenarioConfig, run_scenario
 from repro.obs.analyze import lineage, summarize, timeline
@@ -380,6 +381,38 @@ class TestTraceAnalysis:
         assert starts == sorted(starts)
         assert all(start % config.fds.phi == 0 for start in starts)
         assert sum(c["radio"] for _s, c in rows) > 0
+
+    @pytest.mark.parametrize("engine, seed, node", [
+        ("array", 3, 15), ("array", 6, 32), ("event", 2, 81),
+    ])
+    def test_a_detection_before_the_crash_is_not_its_detection(
+        self, tmp_path, engine, seed, node
+    ):
+        # Node ``node`` is falsely detected before it crashes.  Counted
+        # as the crash's detection, that would give a negative latency
+        # (and a negative mean) on every read path.
+        config = ScenarioConfig(
+            cluster_count=4, members_per_cluster=20, loss_probability=0.45,
+            crash_count=3, executions=6, engine=engine, seed=seed,
+        )
+        memory = run_scenario(config)
+        assert node in predetected_targets(memory)
+        path = tmp_path / "run.jsonl.gz"
+        with SpoolingTracer(path) as tracer:
+            spooled = run_scenario(config, tracer=tracer)
+        from_spool = {
+            nid: None if phi_units is None else phi_units * config.fds.phi
+            for nid, phi_units in summarize(
+                iter_spool(path)
+            ).detection_latencies_phi().items()
+        }
+        for latencies in (
+            memory.detection_latencies, spooled.detection_latencies, from_spool
+        ):
+            assert set(latencies) == set(memory.crash_times)
+            assert all(v is None or v >= 0 for v in latencies.values())
+            assert latencies == from_spool
+        assert memory.summary()["mean_detection_latency"] >= 0
 
     def test_detection_latency_graceful_without_records(
         self, scenario_spool, tmp_path

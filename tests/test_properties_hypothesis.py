@@ -19,7 +19,7 @@ from repro.analysis.incompleteness import (
 )
 from repro.cluster.geometric import build_clusters
 from repro.fds.config import FdsConfig
-from repro.fds.detector import DetectionInputs, apply_failure_rule
+from repro.fds.detector import evidence_mask, failure_rule_mask
 from repro.fds.digest import build_digest
 from repro.fds.reports import BoundaryLedger, ReportHistory
 from repro.sim.engine import Simulator
@@ -321,10 +321,16 @@ node_ids = st.integers(min_value=0, max_value=40)
     st.dictionaries(node_ids, st.frozensets(node_ids, max_size=10), max_size=10),
 )
 def test_failure_rule_detects_exactly_the_unevidenced(expected, heartbeats, digests):
-    inputs = DetectionInputs(
-        heartbeats=frozenset(heartbeats), digests=digests
+    nodes = sorted(expected | heartbeats | set(digests))
+    listed = set().union(*digests.values())
+
+    def row(group):
+        return np.array([v in group for v in nodes], dtype=bool)
+
+    flagged = failure_rule_mask(
+        row(expected), evidence_mask(row(heartbeats), row(digests), row(listed))
     )
-    detected = apply_failure_rule(expected, inputs)
+    detected = frozenset(v for v, hit in zip(nodes, flagged) if hit)
     for v in expected:
         has_evidence = (
             v in heartbeats

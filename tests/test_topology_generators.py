@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import TopologyError
+from repro.errors import ConfigurationError, TopologyError
 from repro.topology.analysis import is_connected
 from repro.topology.generators import multi_cluster_field
 from repro.topology.graph import UnitDiskGraph
@@ -52,6 +52,13 @@ class TestMultiClusterField:
             multi_cluster_field(2, 5, 100.0, rng, spacing_factor=2.5)
         with pytest.raises(TopologyError):
             multi_cluster_field(2, 5, 100.0, rng, spacing_factor=1.0)
+
+    @pytest.mark.parametrize("columns", [0, -2, 2.5, True])
+    def test_columns_must_be_a_positive_int(self, rng, columns):
+        # Unchecked, 0 would divide by zero, -2 would stack CHs at
+        # negative lattice points and 2.5 would place a non-lattice field.
+        with pytest.raises(ConfigurationError, match="columns"):
+            multi_cluster_field(4, 5, 100.0, rng, columns=columns)
 
 
 class TestCorridor:
