@@ -15,11 +15,14 @@ directly; :func:`iter_spool` streams it back as
 
 Writing is batched.  :meth:`SpoolingTracer.emit`, the one write method
 (``record()`` is the base class's keyword adapter onto it), encodes its
-arguments straight to a line and appends it to a pending batch; every
-``flush_every`` records, and on ``flush()`` / ``close()``, the batch goes to the file as one write followed by a
-stream flush.  So ``flush_every`` bounds three things at once: the
-records a crash of the writing process can lose, the lines held in
-memory, and how far a reader of the growing file
+arguments straight to a line (:func:`repro.sim.trace.row_line`: the
+record's cached ``(kind, keys)`` template filled with json's text for
+each value, no dict built) and appends it to a pending batch; every
+``flush_every`` records, and on ``flush()`` / ``close()``, the batch
+goes to the file as one write followed by a stream flush.  So
+``flush_every`` bounds three things at once: the records a crash of the
+writing process can lose, the lines held in memory, and how far a
+reader of the growing file
 (``iter_spool(follow=True)``, the dashboard's ``/events``) can lag -- a
 live tail advances in steps of ``flush_every`` records (4096 by
 default; the rt runtime uses 64, a dashboard following a run wants a
@@ -34,13 +37,20 @@ share one spool without interleaving half-written lines.  (Within a
 single event loop the callbacks never truly race, but the lock makes the
 guarantee independent of the caller's scheduling.)
 
-Reading is tolerant by type, in both modes through one bytes-level line
-parser: a line that is torn, not UTF-8, not JSON, not a JSON object,
-has no string ``kind``, a ``time`` that is not a number or a ``node``
-that is neither an integer nor null carries no record and is skipped.  A
-gzip spool cut short (its writer killed) yields the complete lines
-before the cut; a corrupt gzip stream is a :class:`ConfigurationError`
-naming the file.
+Reading goes by batches.  Each read of the file is split once at its
+last newline (a trailing partial line waits for the next read) and its
+complete lines are parsed up to :data:`_BATCH_LINES` at a time, in
+plain, gzip and follow mode alike.  A batch whose every line starts with
+its only ``{`` and ends with its only ``}`` is loaded as one JSON array;
+there an element can only begin at a line start, so exactly one element
+per line means each is its own line's object.  Any other batch, or one
+that fails that load, is parsed line by line.  Both feed one validation
+step, tolerant by type: a line that is torn, not UTF-8, not JSON, not a
+JSON object, has no string ``kind``, a ``time`` that is not a number or
+a ``node`` that is neither an integer nor null carries no record and is
+skipped.  A gzip spool cut short (its writer killed) yields the complete
+lines before the cut; a corrupt gzip stream is a
+:class:`ConfigurationError` naming the file.
 """
 
 from __future__ import annotations
@@ -53,11 +63,11 @@ import threading
 import zlib
 from pathlib import Path
 from typing import (
-    BinaryIO, Iterator, List, Optional, Sequence, Tuple, Union,
+    BinaryIO, Iterable, Iterator, List, Optional, Sequence, Tuple, Union,
 )
 
 from repro.errors import ConfigurationError
-from repro.sim.trace import TraceRecord, Tracer, kind_matches, record_line
+from repro.sim.trace import TraceRecord, Tracer, kind_matches, row_line
 from repro.types import SimTime
 
 
@@ -108,7 +118,7 @@ class SpoolingTracer(Tracer):
         *values: object,
     ) -> None:
         # Encode outside the lock (pure CPU), batch inside it.
-        line = record_line(time, kind, node, dict(zip(keys, values)))
+        line = row_line(time, kind, node, keys, values)
         with self._lock:
             if self._closed:
                 raise ConfigurationError(
@@ -171,59 +181,103 @@ def _open_spool(path: Path) -> BinaryIO:
     return path.open("rb")
 
 
-def _read_lines(path: Path) -> Iterator[bytes]:
-    """The spool's lines up to its end.
-
-    A gzip stream cut short (its writer killed before ``close``) ends at
-    the cut: the complete lines before it stand and the torn one goes,
-    the same policy as a torn final line of a plain spool.  A corrupt
-    stream is a :class:`ConfigurationError` naming the file.
-    """
-    with _open_spool(path) as handle:
-        try:
-            yield from handle
-        except EOFError:
-            return
-        except (zlib.error, gzip.BadGzipFile) as exc:
-            raise ConfigurationError(
-                f"corrupt gzip spool {path}: {exc}"
-            ) from None
+#: Bytes asked of the file per read; the complete lines of each read are
+#: parsed together, in batches of at most :data:`_BATCH_LINES` lines.
+_READ_BYTES = 65536
+_BATCH_LINES = 1024
 
 
-def _parse_line(
-    raw: bytes, prefixes: Optional[Sequence[str]]
-) -> Optional[TraceRecord]:
-    """One JSONL line -> record, or ``None`` (blank/garbage/filtered).
-
-    Garbage is anything that is not a JSON object with a string
-    ``kind``, a numeric ``time`` (default 0.0) and an integer or null
-    ``node``: a torn line, bytes that are not UTF-8, a bare number or
-    list, ``"time": "soon"``.  None of them carries a completed event.
-    """
+def _load_line(raw: bytes) -> object:
+    """One line's JSON value, or ``None`` when it has none (torn, not
+    UTF-8, not JSON)."""
     try:
-        payload = json.loads(str(raw, "utf-8"))
+        return json.loads(str(raw, "utf-8"))
     except ValueError:  # JSONDecodeError and UnicodeDecodeError alike
         return None
-    if not isinstance(payload, dict):
-        return None
-    kind = payload.pop("kind", "")
-    if not isinstance(kind, str):
-        return None
-    if prefixes is not None and not kind_matches(kind, prefixes):
-        return None
-    time = payload.pop("time", 0.0)
-    node = payload.pop("node", None)
-    # Exact types: JSON's true/false parse to bool, which is no number.
-    if type(time) not in (int, float) or not (
-        node is None or type(node) is int
+
+
+def _load_batch(text: bytes) -> Optional[list]:
+    """The JSON values of ``text``'s newline-separated lines in one
+    ``json.loads``, or ``None`` when the batch does not qualify.
+
+    It qualifies when every line starts with its only ``{`` and ends
+    with its only ``}``: then an array element can only begin at a line
+    start, and a string or error that crosses a line fails the parse or
+    merges lines, so exactly one element per line means each element is
+    its own line's object -- what :func:`_load_line` returns for it.
+    """
+    lines = text.count(b"\n") + 1
+    if not (
+        text[:1] == b"{"
+        and text[-1:] == b"}"
+        and text.count(b"}\n{") == lines - 1
+        and text.count(b"{") == lines
+        and text.count(b"}") == lines
     ):
         return None
     try:
-        time = SimTime(time)
-    except OverflowError:  # an integer past the float range
+        # Strict decode: json.loads(bytes) would pass surrogates.
+        values = json.loads(
+            "[" + str(text, "utf-8").replace("}\n{", "},{") + "]"
+        )
+    except (ValueError, RecursionError):
         return None
-    # What is left of the object is the detail, in file order.
-    return TraceRecord(time, kind, node, payload)
+    return values if len(values) == lines else None
+
+
+def _records(
+    payloads: Iterable[object], prefixes: Optional[Sequence[str]]
+) -> Iterator[TraceRecord]:
+    """The records among JSON values, each checked as a trace line.
+
+    Garbage is anything that is not a JSON object with a string
+    ``kind``, a numeric ``time`` (default 0.0) and an integer or null
+    ``node``: a bare number or list, an object without a kind,
+    ``"time": "soon"``.  None of them carries a completed event.
+    """
+    for payload in payloads:
+        if not isinstance(payload, dict):
+            continue
+        kind = payload.pop("kind", None)
+        if not isinstance(kind, str):
+            continue
+        if prefixes is not None and not kind_matches(kind, prefixes):
+            continue
+        time = payload.pop("time", 0.0)
+        node = payload.pop("node", None)
+        # Exact types: JSON's true/false parse to bool, which is no number.
+        if type(time) not in (int, float) or not (
+            node is None or type(node) is int
+        ):
+            continue
+        try:
+            time = SimTime(time)
+        except OverflowError:  # an integer past the float range
+            continue
+        # What is left of the object is the detail, in file order.
+        yield TraceRecord(time, kind, node, payload)
+
+
+def _parse_lines(
+    text: bytes, prefixes: Optional[Sequence[str]]
+) -> Iterator[TraceRecord]:
+    """The records of ``text``'s newline-separated lines (no trailing
+    newline), parsed in batches of at most :data:`_BATCH_LINES` lines:
+    each batch in one ``json.loads`` when :func:`_load_batch` allows it,
+    else line by line."""
+    if text.count(b"\n") < _BATCH_LINES:
+        batches = [text]
+    else:
+        lines = text.split(b"\n")
+        batches = [
+            b"\n".join(lines[start:start + _BATCH_LINES])
+            for start in range(0, len(lines), _BATCH_LINES)
+        ]
+    for batch in batches:
+        payloads = _load_batch(batch)
+        if payloads is None:
+            payloads = map(_load_line, batch.split(b"\n"))
+        yield from _records(payloads, prefixes)
 
 
 def iter_spool(
@@ -257,39 +311,44 @@ def iter_spool(
     if not path.is_file():
         raise ConfigurationError(f"no trace spool at {path}")
     prefixes = tuple(kinds) if kinds is not None else None
-    if not follow:
-        for raw in _read_lines(path):
-            record = _parse_line(raw, prefixes)
-            if record is not None:
-                yield record
-        return
-    if poll_interval <= 0:
+    if follow and poll_interval <= 0:
         raise ConfigurationError(
             f"poll_interval must be > 0, got {poll_interval}"
         )
-    if path.suffix == ".gz" or _is_gzip(path):
+    if follow and (path.suffix == ".gz" or _is_gzip(path)):
         raise ConfigurationError(
             f"cannot follow gzip spool {path}: gzip streams are not "
             "seekable-appendable; spool to plain .jsonl for live tailing"
         )
-    # Binary tail loop: bytes after the last newline stay buffered until
-    # the writer finishes the line, so a torn trailing line is retried
-    # rather than dropped.
-    with path.open("rb") as handle:
+    # Bytes after the last newline stay buffered: at the end of a
+    # finished spool they are its last line; in follow mode they wait
+    # for the writer to finish the line, so a torn trailing line is
+    # retried rather than dropped.
+    with _open_spool(path) as handle:
         pending = b""
         while True:
-            chunk = handle.read(65536)
+            try:
+                # read1: what one read decompressed is kept even when the
+                # next one finds a gzip stream cut short (its writer
+                # killed before close), which ends the spool there.
+                chunk = handle.read1(_READ_BYTES)
+            except EOFError:
+                return
+            except (zlib.error, gzip.BadGzipFile) as exc:
+                raise ConfigurationError(
+                    f"corrupt gzip spool {path}: {exc}"
+                ) from None
             if chunk:
                 pending += chunk
-                while True:
-                    newline = pending.find(b"\n")
-                    if newline < 0:
-                        break
-                    raw, pending = pending[:newline], pending[newline + 1:]
-                    record = _parse_line(raw, prefixes)
-                    if record is not None:
-                        yield record
+                cut = pending.rfind(b"\n")
+                if cut >= 0:
+                    yield from _parse_lines(pending[:cut], prefixes)
+                    pending = pending[cut + 1:]
                 continue
+            if not follow:
+                if pending:
+                    yield from _parse_lines(pending, prefixes)
+                return
             if stop is not None and stop.is_set():
                 return
             if idle_marker:

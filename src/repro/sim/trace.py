@@ -25,6 +25,7 @@ import json
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from operator import eq, itemgetter
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
@@ -192,19 +193,90 @@ class RecordingTracer(Tracer):
         self._rows.clear()
 
 
-def record_to_dict(record: TraceRecord) -> Dict[str, object]:
-    """The record's flat-dict serialization (detail keys inlined)."""
-    return {
-        "time": record.time,
-        "kind": record.kind,
-        "node": record.node,
-        **dict(record.detail),
-    }
-
-
 #: ``json.dumps(..., sort_keys=True)`` builds this encoder on every call;
-#: trace lines share one.
+#: trace lines share one.  It encodes the records no template fits and
+#: every value that is no plain scalar.
 _encode = json.JSONEncoder(sort_keys=True).encode
+
+_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_text(value: float) -> str:
+    text = float.__repr__(value)
+    return _FLOAT_WORDS.get(text, text)
+
+
+#: json's own text for a value of exactly these types; any other type
+#: (lists, dicts, float/int subclasses, unencodable objects) goes through
+#: :data:`_encode`, which is what json does for a nested value.
+_SCALAR_TEXT = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float_text,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}.get
+
+#: ``(kind, keys) -> (format, order)`` or ``None`` (no template fits).
+#: Emitters use a few dozen shapes; the cache is emptied when full.
+_TEMPLATES: Dict[tuple, Optional[tuple]] = {}
+_TEMPLATE_LIMIT = 4096
+
+
+def _template(kind: object, keys: Tuple[object, ...]) -> Optional[tuple]:
+    """The ``%`` format of a flat record of ``kind`` with detail ``keys``
+    and the getter that puts ``(time, node, *values)`` in its slot order;
+    ``None`` when the record needs the dict encode (a kind or key that is
+    no ``str``, a key that repeats or shadows ``time``/``kind``/``node``).
+    """
+    template = None
+    if (
+        type(kind) is str
+        and all(type(key) is str for key in keys)
+        and len({"time", "kind", "node", *keys}) == len(keys) + 3
+    ):
+        # The members in sort_keys order, each with its value's index
+        # into (time, node, *values) or, for the kind, its literal text.
+        members = sorted([
+            ("kind", encode_basestring_ascii(kind)), ("node", 1), ("time", 0),
+            *zip(keys, range(2, len(keys) + 2)),
+        ])
+        text = ", ".join(
+            (encode_basestring_ascii(name) + ": ").replace("%", "%%")
+            + ("%s" if type(slot) is int else slot.replace("%", "%%"))
+            for name, slot in members
+        )
+        slots = [slot for _, slot in members if type(slot) is int]
+        template = ("{" + text + "}", itemgetter(*slots))
+    if len(_TEMPLATES) >= _TEMPLATE_LIMIT:
+        _TEMPLATES.clear()
+    _TEMPLATES[kind, keys] = template
+    return template
+
+
+def row_line(
+    time: SimTime,
+    kind: str,
+    node: Optional[int],
+    keys: Tuple[str, ...],
+    values: Tuple[object, ...],
+) -> str:
+    """:func:`record_line` of a record given as an emit row (detail
+    ``keys[i]`` is ``values[i]``), without building the detail dict."""
+    try:
+        template = _TEMPLATES[kind, keys]
+    except KeyError:
+        template = _template(kind, keys)
+    except TypeError:  # an unhashable kind or key: no template
+        template = None
+    if template is None or len(values) != len(keys):
+        detail = dict(zip(keys, values))
+        return _encode({"time": time, "kind": kind, "node": node, **detail})
+    text, order = template
+    return text % tuple([
+        _SCALAR_TEXT(type(value), _encode)(value)
+        for value in order((time, node, *values))
+    ])
 
 
 def record_line(
@@ -217,9 +289,17 @@ def record_line(
 
     Every writer of trace lines -- :func:`iter_jsonl`, the disk spool,
     the rt spool merge, the dashboard's SSE tail -- goes through here, so
-    the format has a single owner: :func:`record_to_dict`'s flat object
-    with sorted keys, encoded without building the record first.
+    the format has a single owner: the flat object ``{"time", "kind",
+    "node", **detail}`` as ``json.dumps(..., sort_keys=True)`` writes
+    it.  It is filled into a template cached per ``(kind, keys)``: the
+    key names escaped and sorted once, the kind literal, each value in
+    json's own scalar text (anything else through the encoder, as json
+    does for a nested value); a record no template fits is encoded as
+    the dict.  Either way the bytes are json's.
     """
+    if type(detail) is dict:
+        keys, values = tuple(detail), tuple(detail.values())
+        return row_line(time, kind, node, keys, values)
     return _encode({"time": time, "kind": kind, "node": node, **detail})
 
 

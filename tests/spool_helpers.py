@@ -2,6 +2,8 @@
 
 import gzip
 
+from repro.sim.trace import TraceRecord
+
 #: The benchmark's ``trace_pipeline`` scenario at seed 1 (~44 k records);
 #: the golden spool and endpoint hashes are taken over its trace.
 PIPELINE = dict(
@@ -12,7 +14,7 @@ PIPELINE = dict(
 
 def write_hostile_spool(path) -> bytes:
     """Three records among lines that are valid JSON but no object, not
-    UTF-8, an object without a string kind, a time that is no number or
+    UTF-8, an object without a kind or with one that is no string, a time that is no number or
     past the float range, a node that is neither an integer nor null,
     blank, and torn."""
     data = b"".join([
@@ -23,6 +25,7 @@ def write_hostile_spool(path) -> bytes:
         b'{"time": 2.5, "kind": "b\xff", "node": 1}\n',
         b"\xff\xfe\n",
         b'{"time": 2.7, "kind": 5}\n',
+        b'{"time": 1.0, "node": 3}\n',
         b'{"kind": "sim.crash", "time": "soon", "node": 1}\n',
         b'{"kind": "sim.crash", "time": null, "node": 1}\n',
         b'{"kind": "sim.crash", "time": true, "node": 1}\n',
@@ -56,3 +59,14 @@ def write_cut_gzip_spool(path, lines=200) -> None:
     )
     full = gzip.compress(data)
     path.write_bytes(full[: len(full) // 2])
+
+
+def record_to_dict(record: TraceRecord) -> dict:
+    """The record's flat-dict form (detail keys inlined): what a trace
+    line is the ``json.dumps(..., sort_keys=True)`` of."""
+    return {
+        "time": record.time,
+        "kind": record.kind,
+        "node": record.node,
+        **dict(record.detail),
+    }

@@ -7,6 +7,7 @@ spool), and the bounded RecordingTracer satellite.
 """
 
 import gzip
+import io
 import json
 import math
 import re
@@ -247,6 +248,21 @@ class TestSpoolingTracer:
         assert 0 < len(times) < 200
         assert times == [float(n) for n in range(len(times))]
 
+    def test_gzip_spool_cut_before_a_newline_drops_that_line(self, tmp_path):
+        # A stream flushed but never closed, ending on a line whose
+        # newline was not written: that line is torn, though its JSON
+        # is whole.
+        buffer = io.BytesIO()
+        with gzip.GzipFile(fileobj=buffer, mode="wb") as handle:
+            handle.write(
+                b'{"time": 1.0, "kind": "a"}\n{"time": 2.0, "kind": "b"}'
+            )
+            handle.flush()
+            cut = buffer.getvalue()
+        path = tmp_path / "t.jsonl.gz"
+        path.write_bytes(cut)
+        assert [r.kind for r in read_spool(path)] == ["a"]
+
     def test_unclosed_gzip_spool_yields_its_flushed_batches(self, tmp_path):
         path = tmp_path / "t.jsonl.gz"
         tracer = SpoolingTracer(path, flush_every=4)
@@ -271,6 +287,19 @@ class TestSpoolingTracer:
         stop.set()
         records = iter_spool(path, follow=True, poll_interval=0.01, stop=stop)
         assert [r.kind for r in records] == ["a", "b", "c"]
+
+    @pytest.mark.parametrize("follow", [False, True])
+    def test_an_object_without_a_kind_is_no_record(self, tmp_path, follow):
+        path = tmp_path / "t.jsonl"
+        path.write_bytes(
+            b'{"time": 1.0, "node": 3}\n{"time": 2.0, "kind": "a"}\n'
+        )
+        stop = threading.Event()
+        stop.set()
+        records = iter_spool(
+            path, follow=follow, poll_interval=0.01, stop=stop
+        )
+        assert [(r.time, r.kind) for r in records] == [(2.0, "a")]
 
     def test_flush_every_is_what_another_reader_sees(self, tmp_path):
         # The rt crash-isolation contract: whatever happens to the

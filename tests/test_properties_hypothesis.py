@@ -4,9 +4,12 @@ import functools
 import heapq
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
-from hypothesis import assume, given, settings
+import pytest
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.false_detection import (
@@ -24,12 +27,14 @@ from repro.fds.digest import build_digest
 from repro.fds.reports import BoundaryLedger, ReportHistory
 from repro.sim.engine import Simulator
 from repro.sim.events import EventQueue
-from repro.sim.trace import TraceRecord, record_line, record_to_dict
+from repro.obs.spool import SpoolingTracer
+from repro.sim.trace import TraceRecord, record_line
 from repro.topology.graph import UnitDiskGraph
 from repro.util.geometry import Vec2, lens_area
 from repro.util.logmath import log_binomial, log_binomial_pmf, logsumexp
 from repro.util.rng import derive_seed
 from repro.util.tables import render_table
+from tests.spool_helpers import record_to_dict
 
 
 # ----------------------------------------------------------------------
@@ -506,32 +511,142 @@ json_scalars = st.one_of(
     st.none(),
     st.booleans(),
     st.integers(),
-    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(),
     st.sampled_from([1e-07, -0.0, 0.1 + 0.2, 1e22, 5e-324]),
+    st.floats().map(np.float64),  # a float subclass json encodes
     st.text(max_size=12),
 )
+#: Detail keys, among them the flat record's own names and names that
+#: need escaping (or a literal ``%`` in a ``%`` template).
+detail_keys = st.one_of(
+    st.text(max_size=8),
+    st.sampled_from([
+        "time", "kind", "node", 'q"uote', "back\\slash", "new\nline",
+        "%s", "100%", "\u00e9", "\ud800", "\x7f",
+    ]),
+)
 detail_values = st.recursive(
-    json_scalars, lambda inner: st.lists(inner, max_size=4), max_leaves=12
+    json_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(detail_keys, inner, max_size=3),
+    ),
+    max_leaves=12,
 )
-detail_keys = st.text(max_size=8).filter(
-    lambda key: key not in ("time", "kind", "node")
+record_times = st.one_of(
+    st.floats(), st.integers(), st.floats().map(np.float64),
 )
+record_kinds = st.one_of(
+    st.text(max_size=20), st.sampled_from(["radio.rx", 'a"b', "%s%%"]),
+)
+record_nodes = st.one_of(st.none(), st.integers(min_value=0, max_value=10**6))
+
+
+def _dumps_or_error(thunk):
+    try:
+        return thunk()
+    except Exception as exc:  # noqa: BLE001 -- compared, not handled
+        return type(exc), str(exc)
 
 
 @given(
-    st.floats(allow_nan=False, allow_infinity=False),
-    st.text(max_size=20),
-    st.one_of(st.none(), st.integers(min_value=0, max_value=10**6)),
+    record_times,
+    record_kinds,
+    record_nodes,
     st.dictionaries(detail_keys, detail_values, max_size=6),
 )
+@example(float("nan"), "k", None, {"v": float("inf"), "w": -float("inf")})
+@example(3, "k%s", 1, {"%s": "100%", 'q"uote': {"b": [1.5, None]}, "time": 2})
+@example(np.float64(0.5), "rx", 4, {"v": np.float64(1e-07), "kind": "x"})
 def test_record_line_is_the_sorted_dump_of_the_flat_record(
     time, kind, node, detail
 ):
     # The spool's bytes are pinned to what json.dumps of the flat dict
     # gave before record_line existed: same key order, float repr,
-    # ASCII escaping and separators.
+    # ASCII escaping and separators.  A detail key named time/kind/node
+    # overrides the record's own, as in the flat dict.
     expected = json.dumps(
         record_to_dict(TraceRecord(time, kind, node, detail)), sort_keys=True
     )
     assert record_line(time, kind, node, detail) == expected
     assert "\n" not in expected
+
+
+@pytest.mark.parametrize(
+    "detail",
+    [
+        {"x": np.int64(3)}, {"x": 1.5, "y": [np.bool_(True)]},
+        {"x": object()}, {"x": {1: "a", "b": 2}},
+        # A key that is no str cannot be sorted among the record's own.
+        {1: 1}, {2.5: 1}, {None: 1}, {True: 1},
+    ],
+    ids=[
+        "int64", "nested-bool_", "object", "mixed-nested-keys",
+        "int-key", "float-key", "none-key", "bool-key",
+    ],
+)
+def test_record_line_raises_what_json_raises(detail):
+    flat = {"time": 1.0, "kind": "k", "node": 2, **detail}
+    expected = _dumps_or_error(lambda: json.dumps(flat, sort_keys=True))
+    assert isinstance(expected, tuple)
+    assert _dumps_or_error(lambda: record_line(1.0, "k", 2, detail)) == (
+        expected
+    )
+
+
+emit_rows = st.lists(
+    st.tuples(
+        record_times,
+        record_kinds,
+        record_nodes,
+        st.lists(st.tuples(detail_keys, detail_values), max_size=5),
+    ),
+    max_size=8,
+)
+
+
+@settings(max_examples=50)
+@given(emit_rows)
+def test_spooled_rows_are_their_record_lines(rows):
+    # SpoolingTracer.emit fills the template from the row itself; the
+    # file holds record_line of the row's detail dict, repeated keys
+    # included (the last value wins).
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.jsonl"
+        with SpoolingTracer(path) as tracer:
+            for time, kind, node, pairs in rows:
+                keys = tuple(key for key, _ in pairs)
+                tracer.emit(time, kind, node, keys, *(v for _, v in pairs))
+        expected = "".join(
+            record_line(time, kind, node, dict(pairs)) + "\n"
+            for time, kind, node, pairs in rows
+        )
+        assert path.read_text(encoding="utf-8") == expected
+
+
+def test_a_row_with_more_or_fewer_values_than_keys_spools_their_pairs(
+    tmp_path,
+):
+    path = tmp_path / "t.jsonl"
+    rows = [(1.0, "k", 2, ("a", "b"), (1,)), (2.0, "k", 3, ("a",), (1, 2))]
+    with SpoolingTracer(path) as tracer:
+        for time, kind, node, keys, values in rows:
+            tracer.emit(time, kind, node, keys, *values)
+    assert path.read_text(encoding="utf-8").splitlines() == [
+        record_line(time, kind, node, dict(zip(keys, values)))
+        for time, kind, node, keys, values in rows
+    ]
+
+
+@pytest.mark.parametrize(
+    "value", [np.int64(3), np.bool_(True), object()],
+    ids=["int64", "bool_", "object"],
+)
+def test_spooling_an_unencodable_value_raises_what_json_raises(
+    tmp_path, value
+):
+    expected = _dumps_or_error(lambda: json.dumps({"x": value}))
+    with SpoolingTracer(tmp_path / "t.jsonl") as tracer:
+        assert _dumps_or_error(
+            lambda: tracer.emit(1.0, "k", 2, ("x",), value)
+        ) == expected

@@ -260,7 +260,7 @@ def test_trace_latency_cli_labels_wall_units(spooled_run, capsys):
 
 def test_trace_latency_cli_keeps_phi_units_for_sim(tmp_path, capsys):
     from repro.obs.cli import cmd_trace
-    from repro.sim.trace import record_to_dict
+    from tests.spool_helpers import record_to_dict
     import argparse
 
     sim = run_scenario(ScenarioConfig(

@@ -14,7 +14,9 @@ import time
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.experiments.runner import ScenarioConfig, run_scenario
 from repro.obs.spool import SpoolingTracer, iter_spool
+from tests.spool_helpers import PIPELINE
 
 
 def _record(tracer, t, kind="fds.ping", node=0, **detail):
@@ -162,3 +164,20 @@ class TestFollowLive:
             _record(tracer, 0.0)
             _record(tracer, 1.0)
         assert [r.time for r in iter_spool(path)] == [0.0, 1.0]
+
+    def test_following_a_whole_spool_reads_what_plain_mode_reads(
+        self, tmp_path
+    ):
+        # Each read is split once and its complete lines parsed in
+        # batches; the records are the plain reader's, in order.
+        path = tmp_path / "pipeline.jsonl"
+        with SpoolingTracer(path) as tracer:
+            run_scenario(ScenarioConfig(**PIPELINE), tracer=tracer)
+        stop = threading.Event()
+        stop.set()
+        followed = list(
+            iter_spool(path, follow=True, poll_interval=0.01, stop=stop)
+        )
+        plain = list(iter_spool(path))
+        assert len(plain) == tracer.spooled
+        assert followed == plain
