@@ -332,13 +332,13 @@ class FdsProtocol(Protocol):
         rows of :func:`~repro.fds.detector.evidence_mask`, packed from the
         heartbeats heard, the digests received and their ``listed`` tally."""
 
-        def row(seen) -> np.ndarray:
+        def packed(seen) -> np.ndarray:
             return np.fromiter(
                 (v in seen for v in nodes), dtype=bool, count=len(nodes)
             )
 
         return evidence_mask(
-            row(self._heard), row(self._digests), row(listed),
+            packed(self._heard), packed(self._digests), packed(listed),
             use_digests=self.config.use_digests,
         )
 
