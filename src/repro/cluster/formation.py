@@ -35,15 +35,14 @@ CH that hears a lower-NID CH resigns and dissolves its cluster
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.cluster import rcc
 from repro.errors import ClusteringError
-from repro.sim.medium import Envelope
 from repro.sim.network import Network
-from repro.sim.node import Protocol
+from repro.sim.node import Protocol, ignore
 from repro.types import NodeId
 from repro.util.validation import check_int_at_least, check_positive
 
@@ -340,32 +339,49 @@ class FormationProtocol(Protocol):
             )
 
     # -- receive --------------------------------------------------------
-    def on_receive(self, envelope: Envelope) -> None:
+    def handlers(self) -> Dict[type, Callable[[object], None]]:
+        return {
+            FormationHeartbeat: self._on_heartbeat,
+            ChDeclaration: self._on_declaration,
+            JoinRequest: self._on_join_request,
+            ClusterAnnouncement: self._on_announcement,
+            GatewayCandidacy: self._on_candidacy,
+            ClusterDissolve: self._on_dissolve,
+            # The packing reads each head's own assignments
+            # (``boundary_assignments``); a receiver has nothing to keep.
+            BoundaryAssignment: ignore,
+        }
+
+    def _on_heartbeat(self, heartbeat: FormationHeartbeat) -> None:
+        if not heartbeat.marked:
+            self._heard_unmarked.add(heartbeat.sender)
+        if heartbeat.is_head:
+            self._heard_heads.add(heartbeat.sender)
+            self._maybe_resign(heartbeat.sender)
+
+    def _on_declaration(self, declaration: ChDeclaration) -> None:
+        self._declarations_heard.add(declaration.sender)
+        self._maybe_resign(declaration.sender)
+
+    def _on_join_request(self, request: JoinRequest) -> None:
         assert self.node is not None
-        payload = envelope.payload
-        if isinstance(payload, FormationHeartbeat):
-            if not payload.marked:
-                self._heard_unmarked.add(payload.sender)
-            if payload.is_head:
-                self._heard_heads.add(payload.sender)
-                self._maybe_resign(payload.sender)
-        elif isinstance(payload, ChDeclaration):
-            self._declarations_heard.add(payload.sender)
-            self._maybe_resign(payload.sender)
-        elif isinstance(payload, JoinRequest):
-            if self.is_head and payload.head == self.node.node_id:
-                self._join_requests.add(payload.sender)
-        elif isinstance(payload, ClusterAnnouncement):
-            self._on_announcement(payload)
-        elif isinstance(payload, GatewayCandidacy):
-            if self.is_head and payload.head == self.node.node_id:
-                if payload.sender in self._members:
-                    self._candidacies.setdefault(payload.sender, set()).update(
-                        payload.foreign_heads
-                    )
-        elif isinstance(payload, ClusterDissolve):
-            if self.confirmed_head == payload.head and not self.is_head:
-                self._become_unmarked()
+        if self.is_head and request.head == self.node.node_id:
+            self._join_requests.add(request.sender)
+
+    def _on_candidacy(self, candidacy: GatewayCandidacy) -> None:
+        assert self.node is not None
+        if (
+            self.is_head
+            and candidacy.head == self.node.node_id
+            and candidacy.sender in self._members
+        ):
+            self._candidacies.setdefault(candidacy.sender, set()).update(
+                candidacy.foreign_heads
+            )
+
+    def _on_dissolve(self, dissolve: ClusterDissolve) -> None:
+        if self.confirmed_head == dissolve.head and not self.is_head:
+            self._become_unmarked()
 
     def _on_announcement(self, announcement: ClusterAnnouncement) -> None:
         assert self.node is not None

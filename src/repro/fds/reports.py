@@ -26,29 +26,32 @@ class ReportHistory:
     """
 
     def __init__(self) -> None:
-        self._known: Set[NodeId] = set()
+        #: The live set behind :attr:`known`: hot paths test membership
+        #: on it directly (no ``__contains__`` frame); change it only
+        #: through :meth:`add` and :meth:`refute`.
+        self.failed: Set[NodeId] = set()
         self.refuted_total = 0
 
     @property
     def known(self) -> FrozenSet[NodeId]:
-        return frozenset(self._known)
+        return frozenset(self.failed)
 
     def __contains__(self, node_id: NodeId) -> bool:
-        return node_id in self._known
+        return node_id in self.failed
 
     def __len__(self) -> int:
-        return len(self._known)
+        return len(self.failed)
 
     def add(self, failures: FrozenSet[NodeId] | Set[NodeId]) -> FrozenSet[NodeId]:
         """Merge ``failures``; returns the subset that was new."""
-        novel = frozenset(failures) - frozenset(self._known)
-        self._known.update(novel)
+        novel = frozenset(failures) - frozenset(self.failed)
+        self.failed.update(novel)
         return novel
 
     def refute(self, node_id: NodeId) -> bool:
         """Remove a falsely suspected node; True if it was present."""
-        if node_id in self._known:
-            self._known.discard(node_id)
+        if node_id in self.failed:
+            self.failed.discard(node_id)
             self.refuted_total += 1
             return True
         return False

@@ -39,7 +39,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, compress
 from time import perf_counter
-from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Set
+from typing import Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Set
 
 import numpy as np
 
@@ -63,9 +63,8 @@ from repro.fds.messages import (
 )
 from repro.fds.peer_forwarding import PeerForwarder
 from repro.fds.reports import ReportHistory
-from repro.sim.medium import Envelope
 from repro.sim.network import Network
-from repro.sim.node import Protocol
+from repro.sim.node import Protocol, ignore
 from repro.types import NodeId, NodeRole
 
 
@@ -444,41 +443,54 @@ class FdsProtocol(Protocol):
     # ------------------------------------------------------------------
     # Receive path
     # ------------------------------------------------------------------
-    def on_receive(self, envelope: Envelope) -> None:
+    def handlers(self) -> Dict[type, Callable[[Any], None]]:
+        """The receive table: one handler per FDS payload type.
+
+        With an energy ledger, every entry first debits one reception
+        (whatever the copy then turns out to say), so the charge is wired
+        here once, not tested per copy.
+        """
+        assert self.peer is not None and self.inter is not None
+        table: Dict[type, Callable[[Any], None]] = {
+            Heartbeat: self._on_heartbeat,
+            Digest: self._on_digest,
+            HealthStatusUpdate: self._on_update,
+            FailureReport: self._on_report,
+            PeerForwardRequest: (
+                self.peer.on_request if self.config.peer_forwarding
+                else ignore
+            ),
+            PeerForward: self._on_peer_forward,
+            PeerForwardAck: self.peer.on_ack,
+        }
+        if self.energy is None:
+            return table
+        return {kind: self._charged(handle) for kind, handle in table.items()}
+
+    def _charged(self, handle: Callable[[Any], None]) -> Callable[[Any], None]:
+        node, debit = self.node, self.energy.on_receive
+
+        def charged(payload: Any) -> None:
+            debit(node.node_id, node.now)
+            handle(payload)
+
+        return charged
+
+    def _on_peer_forward(self, forward: PeerForward) -> None:
         assert self.node is not None
-        if self.energy is not None:
-            self.energy.on_receive(self.node.node_id, self.node.now)
-        payload = envelope.payload
-        if isinstance(payload, Heartbeat):
-            self._on_heartbeat(payload)
-        elif isinstance(payload, Digest):
-            self._on_digest(payload)
-        elif isinstance(payload, HealthStatusUpdate):
-            self._on_update(payload)
-        elif isinstance(payload, FailureReport):
-            self._on_report(payload)
-        elif isinstance(payload, PeerForwardRequest):
-            if self.config.peer_forwarding and self.peer is not None:
-                self.peer.on_request(payload)
-        elif isinstance(payload, PeerForward):
-            if self.peer is not None:
-                self.peer.on_peer_forward(payload)
-            # An overheard peer-forward carries a full authority update.
-            # For a boundary forwarder this is a second listening channel
-            # into the neighboring cluster: after a takeover there, the
-            # new head may be out of our radio range (its position is not
-            # the old center), but its updates keep circulating among the
-            # members in the overlap via peer forwarding.
-            if (
-                self.inter is not None
-                and payload.requester != self.node.node_id
-                and payload.update.head != self.head
-                and payload.update.head != self.node.node_id
-            ):
-                self.inter.on_foreign_update(payload.update)
-        elif isinstance(payload, PeerForwardAck):
-            if self.peer is not None:
-                self.peer.on_ack(payload)
+        self.peer.on_peer_forward(forward)
+        # An overheard peer-forward carries a full authority update.
+        # For a boundary forwarder this is a second listening channel
+        # into the neighboring cluster: after a takeover there, the
+        # new head may be out of our radio range (its position is not
+        # the old center), but its updates keep circulating among the
+        # members in the overlap via peer forwarding.
+        if (
+            forward.requester != self.node.node_id
+            and forward.update.head != self.head
+            and forward.update.head != self.node.node_id
+        ):
+            self.inter.on_foreign_update(forward.update)
 
     def _on_heartbeat(self, heartbeat: Heartbeat) -> None:
         if heartbeat.execution != self.execution:
@@ -506,7 +518,7 @@ class FdsProtocol(Protocol):
         evidence from a suspected node proves the suspicion false.
         """
         assert self.node is not None
-        if sender in self.history:
+        if sender in self.history.failed:
             self.history.refute(sender)
             if sender in self._ever_members:
                 self.members.add(sender)

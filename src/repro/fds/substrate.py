@@ -6,8 +6,8 @@ everything it needs from its host funnels through the small surface
 formalized here -- transmit a payload, schedule a restartable timeout,
 read a monotonic clock, and emit trace records.  One host class
 implements it, :class:`~repro.sim.node.SimNode` with its
-:class:`~repro.sim.timers.TimerService`: the fail-stop gate on send and
-deliver, the ``sim.crash`` record and the restartable timer exist once.
+:class:`~repro.sim.timers.TimerService`: the fail-stop gate on send, the
+``sim.crash`` record and the restartable timer exist once.
 The seam between substrates is *below* the host, in the two
 collaborators a ``SimNode`` is built with:
 
@@ -20,7 +20,13 @@ collaborators a ``SimNode`` is built with:
   ``set_receiving``, ``tracer``): the modeled
   :class:`~repro.sim.medium.RadioMedium` or the node's
   :class:`~repro.rt.substrate.UdpLink` (length-prefixed JSON datagrams
-  between localhost UDP sockets).
+  between localhost UDP sockets).  ``register(node_id, position,
+  table)`` takes the node's receive table, ``{payload type:
+  handler(payload)}`` (the merge of its protocols'
+  :meth:`~repro.sim.node.Protocol.handlers`); the medium calls
+  ``table[type(payload)]`` for each copy it delivers while the node is
+  receiving, and ``set_receiving(node_id, False)`` -- the crash --
+  stops that at once, copies in flight included.
 
 Because the same protocol objects run on the same host over both
 substrates, a simulated scenario and a real-socket scenario of the same

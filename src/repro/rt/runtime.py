@@ -238,7 +238,9 @@ class RtRuntime(Engine):
             properties=evaluate_properties(self),
             messages=collect_message_counts(self, {
                 "transmissions": sum(n.sent_count for _, n in nodes),
-                "deliveries": sum(n.received_count for _, n in nodes),
+                "deliveries": sum(
+                    link.deliveries for link in self.links.values()
+                ),
                 "losses": self.losses,
             }),
             nodes=self.nodes,

@@ -16,7 +16,9 @@ substrate through two collaborators, and these are the runtime's:
   socket, the node's own spool, and the supervisor task that is the
   node's "process".  ``set_receiving(node, False)`` is process death:
   :meth:`SimNode.crash` calls it, the task is cancelled and the socket
-  closes.
+  closes.  A decoded datagram takes the medium's receive path: the
+  link counts it, emits ``radio.rx`` and calls the node's receive table
+  for the payload's type, all in :meth:`UdpLink.datagram_received`.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import Callable, Optional
 
 from repro.obs.profiler import NULL_PROFILER
 from repro.rt.codec import CodecError, decode_frame, encode_frame
-from repro.sim.medium import Envelope, draw_delays
+from repro.sim.medium import ReceiveTable, draw_delays
 from repro.sim.trace import LOSS_KEYS, RX_KEYS, TX_KEYS, Tracer
 from repro.types import NodeId
 from repro.util.geometry import Vec2
@@ -97,8 +99,12 @@ class UdpLink(asyncio.DatagramProtocol):
     def __init__(self, net, tracer: Tracer) -> None:
         self.tracer = tracer
         self._net = net
-        self._handler: Optional[Callable[[Envelope], None]] = None
+        self._table: ReceiveTable = {}
+        self._receiving = False
         self.node_id: Optional[NodeId] = None
+        #: Datagrams decoded and handed to the node (the medium's
+        #: ``deliveries``): none after the crash.
+        self.deliveries = 0
         self.transport: Optional[asyncio.DatagramTransport] = None
         self.address: Optional[tuple] = None
         #: The node's "process": alive until shutdown or crash-cancel.
@@ -122,14 +128,16 @@ class UdpLink(asyncio.DatagramProtocol):
     # The medium face (what SimNode calls)
     # ------------------------------------------------------------------
     def register(
-        self, node_id: NodeId, position: Vec2, handler: Callable[[Envelope], None]
+        self, node_id: NodeId, position: Vec2, table: ReceiveTable
     ) -> None:
         self.node_id = node_id
-        self._handler = handler
+        self._table = table
+        self._receiving = True
 
     def set_receiving(self, node_id: NodeId, receiving: bool) -> None:
         """Fail-stop (the only caller is ``SimNode.crash``, with False)."""
         assert not receiving, "a real socket does not come back"
+        self._receiving = False
         self.close()
 
     def transmit(
@@ -176,6 +184,9 @@ class UdpLink(asyncio.DatagramProtocol):
     # asyncio.DatagramProtocol: decode, trace, deliver -- and never die
     # ------------------------------------------------------------------
     def datagram_received(self, data: bytes, addr) -> None:
+        # A crashed node drops what the loop had already read for it.
+        if not self._receiving:
+            return
         net = self._net
         now = net.scheduler.now
         tracer = self.tracer
@@ -191,17 +202,7 @@ class UdpLink(asyncio.DatagramProtocol):
                     error=str(exc),
                 )
             return
-        envelope = Envelope(
-            sender=frame.sender,
-            recipient=frame.recipient,
-            payload=frame.payload,
-            sent_at=frame.sent_at,
-            received_at=now,
-            overheard=(
-                frame.recipient is not None
-                and frame.recipient != self.node_id
-            ),
-        )
+        self.deliveries += 1
         if tracer.enabled:
             tracer.emit(
                 now,
@@ -209,10 +210,15 @@ class UdpLink(asyncio.DatagramProtocol):
                 int(self.node_id),
                 RX_KEYS,
                 int(frame.sender),
-                envelope.overheard,
+                frame.recipient is not None and frame.recipient != self.node_id,
                 now - frame.sent_at,
             )
-        self._handler(envelope)
+        payload = frame.payload
+        try:
+            handler = self._table[type(payload)]
+        except KeyError:
+            return  # no protocol of the node takes this payload type
+        handler(payload)
 
     def error_received(self, exc) -> None:  # pragma: no cover - platform
         # ICMP errors from a crashed peer's closed port are expected noise.

@@ -18,7 +18,7 @@ from repro.sim.loss import (
     PerfectLinks,
     build_loss_model,
 )
-from repro.sim.medium import Envelope, RadioMedium
+from repro.sim.medium import RadioMedium
 from repro.sim.network import Network, NetworkConfig, build_network
 from repro.sim.node import Protocol, SimNode
 from repro.sim.timers import Timer, TimerService
@@ -36,7 +36,6 @@ __all__ = [
     "DistanceDependentLoss",
     "PerfectLinks",
     "RadioMedium",
-    "Envelope",
     "Network",
     "NetworkConfig",
     "build_network",

@@ -41,7 +41,10 @@ class Simulator:
         start_time: SimTime = 0.0,
         profiler: Optional[PhaseProfiler] = None,
     ) -> None:
-        self._now: SimTime = start_time
+        #: Current simulated time in seconds.  A plain attribute, written
+        #: by the run loop only: every delivered copy and timer reads it,
+        #: and a property would cost each read a Python frame.
+        self.now: SimTime = start_time
         self._queue = EventQueue()
         self._running = False
         self._processed = 0
@@ -51,11 +54,6 @@ class Simulator:
         self.profiler: PhaseProfiler = (
             profiler if profiler is not None else NULL_PROFILER
         )
-
-    @property
-    def now(self) -> SimTime:
-        """Current simulated time in seconds."""
-        return self._now
 
     @property
     def pending_events(self) -> int:
@@ -80,9 +78,9 @@ class Simulator:
         current instant, after already-queued same-time events of equal
         priority); scheduling in the past raises :class:`SchedulingError`.
         """
-        if time < self._now:
+        if time < self.now:
             raise SchedulingError(
-                f"cannot schedule at t={time} before current time t={self._now}"
+                f"cannot schedule at t={time} before current time t={self.now}"
             )
         return self._queue.push(time, callback, priority=priority, label=label)
 
@@ -97,7 +95,7 @@ class Simulator:
         if delay < 0:
             raise SchedulingError(f"delay must be >= 0, got {delay}")
         return self.schedule_at(
-            self._now + delay, callback, priority=priority, label=label
+            self.now + delay, callback, priority=priority, label=label
         )
 
     def schedule_batch(
@@ -116,7 +114,7 @@ class Simulator:
         :mod:`repro.sim.events`, "delivery lane").  Any time in the past
         raises :class:`SchedulingError`.
         """
-        self._queue.push_batch(times, targets, callback, not_before=self._now)
+        self._queue.push_batch(times, targets, callback, not_before=self.now)
 
     def cancel(self, event: Event) -> None:
         """Cancel a scheduled event; idempotent."""
@@ -139,16 +137,16 @@ class Simulator:
         The clock is advanced to ``end_time`` even if the queue drains early,
         so periodic services can keep scheduling relative to a known time.
         """
-        if end_time < self._now:
+        if end_time < self.now:
             raise SchedulingError(
-                f"end_time {end_time} is before current time {self._now}"
+                f"end_time {end_time} is before current time {self.now}"
             )
         self._guard_reentry()
         try:
             self._advance(end_time, None)
         finally:
             self._running = False
-        self._now = end_time
+        self.now = end_time
 
     def run(self, max_events: Optional[int] = None) -> None:
         """Run until the queue is empty (or ``max_events`` is hit).
@@ -199,7 +197,7 @@ class Simulator:
                 time, _priority, _sequence, callback, _event = queue.pop_heap()
                 if profiling:
                     profiler.add(PHASE_SIM_HEAP, t0)
-                self._now = time
+                self.now = time
                 self._processed += 1
                 fired += 1
                 callback()
@@ -216,7 +214,7 @@ class Simulator:
                 queue.lane_pos = pos + 1
                 if profiling:
                     profiler.add(PHASE_SIM_HEAP, t0)
-                self._now = time
+                self.now = time
                 self._processed += 1
                 fired += 1
                 callbacks[pos](targets[pos])
@@ -228,9 +226,14 @@ class Simulator:
                 time = times[pos]
                 if time > end_time or queue.parked_min <= time:
                     break
-                # Heap entries are (time, priority, sequence, ...) tuples.
-                if heap and heap[0] < (time, DEFAULT_PRIORITY, sequences[pos]):
-                    break
+                # Heap entries are (time, priority, sequence, ...) tuples;
+                # the full key is built only when the top is not later.
+                if heap:
+                    top = heap[0]
+                    if top[0] <= time and top < (
+                        time, DEFAULT_PRIORITY, sequences[pos]
+                    ):
+                        break
         return fired
 
     def _guard_reentry(self) -> None:

@@ -37,14 +37,19 @@ heartbeat, digest, and gossip fans out over it, and each is heard by
   allocated per copy at transmission time -- no heap event, no
   callable, no envelope (see :mod:`repro.sim.events`, "delivery lane").
 
-The :class:`Envelope` is built when the copy *arrives*
-(:meth:`RadioMedium._deliver_copy`), with ``received_at`` read off the
-clock, and handed to the receiver or dropped against the medium's state
-at that instant -- a receiver that crashed, was muted or left the field
-while the copy was in flight hears nothing, exactly as when every copy
-was its own event.  Building it late is what keeps ~8 000 in-flight
-copies per round from existing as long-lived container objects that the
-cycle collector has to walk.
+Each node registers its *receive table*, ``{payload type:
+handler(payload)}``, the merge of its protocols' tables
+(:meth:`repro.sim.node.Protocol.handlers`).  When a copy *arrives*, the
+lane callback (:meth:`RadioMedium._deliver_copy`) does the whole receive
+in one frame: it drops the copy against the medium's state at that
+instant -- a receiver that crashed, was muted or left the field while
+the copy was in flight hears nothing, exactly as when every copy was
+its own event -- counts it, emits ``radio.rx`` (sender, overheard,
+latency, read off the clock), and calls the receiver's handler for the
+payload's type inside the ``radio.deliver`` phase.  A type no protocol
+of the receiver handles is dropped after the count.  No envelope object
+is built: handlers take the payload, the one field protocols read, so
+the ~8 000 copies in flight per round exist only as lane entries.
 
 The draw schedule is canonical -- all loss draws in ascending receiver
 order, then all delay draws for the surviving receivers -- batched
@@ -52,7 +57,7 @@ NumPy doubles consume the bit stream exactly like sequential scalar
 draws, and a batch takes the sequence numbers its copies would have
 taken one by one.  So the per-receiver reference loop the tests keep
 (``tests/scalar_medium.py``, overriding :meth:`RadioMedium._fan_out`
-with one ``schedule_at`` and one eager envelope per copy) replays any
+with one ``schedule_at`` of the lane callback per copy) replays any
 seeded run bit for bit.
 """
 
@@ -61,7 +66,7 @@ from __future__ import annotations
 from functools import partial
 from itertools import compress
 from time import perf_counter
-from typing import Callable, Dict, NamedTuple, Optional, Set, Tuple
+from typing import Callable, Dict, Mapping, Optional, Set, Tuple
 
 import numpy as np
 
@@ -76,27 +81,8 @@ from repro.util.geometry import Vec2
 from repro.util.validation import check_positive, check_range
 
 
-class Envelope(NamedTuple):
-    """A delivered copy of a transmission, as seen by one receiver.
-
-    ``overheard`` is ``True`` when the receiver was not the intended
-    recipient -- the paper's "inherent message redundancy" that digests
-    exploit.  ``recipient is None`` means an intentional broadcast, in which
-    case no copy is marked overheard.
-
-    A ``NamedTuple`` rather than a dataclass: one envelope is allocated
-    per delivered copy, so construction sits on the radio hot path.
-    """
-
-    sender: NodeId
-    recipient: Optional[NodeId]
-    payload: object
-    sent_at: SimTime
-    received_at: SimTime
-    overheard: bool
-
-
-DeliveryHandler = Callable[[Envelope], None]
+#: A node's receive table: payload type -> the handler that takes it.
+ReceiveTable = Mapping[type, Callable[[object], None]]
 
 
 def draw_delays(
@@ -137,9 +123,9 @@ class RadioMedium:
         self.tracer = tracer if tracer is not None else NullTracer()
 
         self._positions: Dict[NodeId, Vec2] = {}
-        self._handlers: Dict[NodeId, DeliveryHandler] = {}
-        self._receiving: Dict[NodeId, bool] = {}
-        #: Nodes currently muted; empty set enables the no-filter fast path.
+        self._tables: Dict[NodeId, ReceiveTable] = {}
+        #: Nodes currently muted (crashed nodes hear nothing); the empty
+        #: set enables the fan-out's no-filter fast path.
         self._muted: Set[NodeId] = set()
         self._neighbor_cache: Optional[Dict[NodeId, Tuple[NodeId, ...]]] = None
         #: Per-sender ``((neighbors, distances), neighbor_ids)``: the public
@@ -159,30 +145,29 @@ class RadioMedium:
     # Registration and topology
     # ------------------------------------------------------------------
     def register(
-        self, node_id: NodeId, position: Vec2, handler: DeliveryHandler
+        self, node_id: NodeId, position: Vec2, table: ReceiveTable
     ) -> None:
-        """Attach a node at ``position``; ``handler`` receives envelopes."""
+        """Attach a node at ``position``; each delivered copy goes to
+        ``table[type(payload)]`` (read at delivery, so the node may fill
+        the table after registering)."""
         if node_id in self._positions:
             raise MediumError(f"node {node_id} is already registered")
         self._positions[node_id] = position
-        self._handlers[node_id] = handler
-        self._receiving[node_id] = True
+        self._tables[node_id] = table
         self._invalidate_topology()
 
     def unregister(self, node_id: NodeId) -> None:
         """Detach a node entirely (e.g. permanent removal from the field)."""
         if self._positions.pop(node_id, None) is None:
             raise MediumError(f"node {node_id} is not registered")
-        del self._handlers[node_id]
-        del self._receiving[node_id]
+        del self._tables[node_id]
         self._muted.discard(node_id)
         self._invalidate_topology()
 
     def set_receiving(self, node_id: NodeId, receiving: bool) -> None:
         """Mute/unmute a node's receiver (crashed nodes hear nothing)."""
-        if node_id not in self._receiving:
+        if node_id not in self._tables:
             raise MediumError(f"node {node_id} is not registered")
-        self._receiving[node_id] = receiving
         if receiving:
             self._muted.discard(node_id)
         else:
@@ -327,7 +312,7 @@ class RadioMedium:
         self.sim.schedule_batch(
             now + draw_delays(self.rng, self.max_delay, len(survivors)),
             survivors,
-            partial(self._deliver_copy, (sender, recipient, payload, now)),
+            partial(self._deliver_copy, (int(sender), recipient, payload, now)),
         )
         return len(survivors)
 
@@ -336,44 +321,40 @@ class RadioMedium:
         transmission: Tuple[NodeId, Optional[NodeId], object, SimTime],
         receiver: NodeId,
     ) -> None:
-        """Lane callback: one copy of ``transmission`` reaches ``receiver`` now."""
-        sender, recipient, payload, sent_at = transmission
-        self._deliver(
-            receiver,
-            Envelope(
-                sender,
-                recipient,
-                payload,
-                sent_at,
-                self.sim.now,
-                recipient is not None and receiver != recipient,
-            ),
-        )
-
-    def _deliver(self, receiver: NodeId, envelope: Envelope) -> None:
-        # Receiver may have crashed/unregistered since the copy left.
-        if not self._receiving.get(receiver, False):
+        """Lane callback: one copy of ``transmission`` reaches ``receiver``
+        now -- the whole receive path (see module doc, "Hot-path design")."""
+        # The receiver may have crashed (``crash`` mutes it) or left the
+        # field since the copy left.
+        table = self._tables.get(receiver)
+        if table is None or receiver in self._muted:
             return
         self.deliveries += 1
+        sender, recipient, payload, sent_at = transmission
+        # Lane targets and the record's sender are ints already.
         if self.tracer.enabled:
+            now = self.sim.now
             self.tracer.emit(
-                envelope.received_at,
+                now,
                 "radio.rx",
-                int(receiver),
+                receiver,
                 RX_KEYS,
-                int(envelope.sender),
-                envelope.overheard,
-                envelope.received_at - envelope.sent_at,
+                sender,
+                recipient is not None and receiver != recipient,
+                now - sent_at,
             )
+        try:
+            handler = table[type(payload)]
+        except KeyError:
+            return  # no protocol of the receiver takes this payload type
         profiler = self.sim.profiler
         if profiler.enabled:
             t0 = perf_counter()
             try:
-                self._handlers[receiver](envelope)
+                handler(payload)
             finally:
                 profiler.add(PHASE_RADIO_DELIVER, t0)
         else:
-            self._handlers[receiver](envelope)
+            handler(payload)
 
     def message_stats(self) -> Dict[str, int]:
         """Cumulative medium-level counters."""

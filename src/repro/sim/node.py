@@ -6,26 +6,35 @@ it neither transmits nor receives, and it never recovers by itself.
 outstanding timer is disarmed, and subsequent send attempts are dropped.
 
 Protocols (cluster formation, the FDS) are attached as
-:class:`Protocol` instances; each receives delivered envelopes in
-attachment order.
+:class:`Protocol` instances.  Each declares its receive table once, at
+attach -- ``{payload type: handler(payload)}`` -- and the node merges
+the tables (protocols handle disjoint types) into the one table it
+registered with its medium.  The medium's delivery callback calls the
+handler straight from that table (see :mod:`repro.sim.medium`, "Hot-path
+design"), so a delivered copy passes no node frame and no type chain.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
-from repro.errors import NodeStateError
+from repro.errors import ConfigurationError, NodeStateError
 from repro.sim.engine import Simulator
-from repro.sim.medium import Envelope, RadioMedium
+from repro.sim.medium import RadioMedium, ReceiveTable
 from repro.sim.timers import TimerService
 from repro.types import NodeId, NodeStatus
 from repro.util.geometry import Vec2
 
 
+def ignore(payload: object) -> None:
+    """The handler of a payload type a protocol takes and has no use for
+    (in this configuration): the copy is received, then dropped."""
+
+
 class Protocol:
     """Base class for per-node protocol handlers.
 
-    Subclasses override :meth:`on_receive` (and optionally
+    Subclasses override :meth:`handlers` (and optionally
     :meth:`on_crash`).  A protocol sends through its node, never through the
     medium directly, so crash semantics apply uniformly.
     """
@@ -40,8 +49,11 @@ class Protocol:
         """Called by the node when the protocol is installed."""
         self.node = node
 
-    def on_receive(self, envelope: Envelope) -> None:
-        """Handle a delivered (possibly overheard) message copy."""
+    def handlers(self) -> ReceiveTable:
+        """The receive table, read once when the protocol is attached:
+        each payload type this protocol takes, mapped to the handler a
+        delivered (possibly overheard) copy is passed to."""
+        return {}
 
     def on_crash(self) -> None:
         """Called once when the owning node crashes."""
@@ -76,8 +88,10 @@ class SimNode:
         self.timers = TimerService(sim)
         self.protocols: List[Protocol] = []
         self.sent_count = 0
-        self.received_count = 0
-        medium.register(node_id, position, self._on_envelope)
+        #: The merged receive table of :attr:`protocols`; the medium holds
+        #: this very dict, so a protocol added later is heard at once.
+        self.table: Dict[type, Callable[[object], None]] = {}
+        medium.register(node_id, position, self.table)
 
     # ------------------------------------------------------------------
     # Protocol stack
@@ -85,6 +99,14 @@ class SimNode:
     def add_protocol(self, protocol: Protocol) -> None:
         """Install a protocol; it starts receiving immediately."""
         protocol.attach(self)
+        table = protocol.handlers()
+        taken = sorted(kind.__name__ for kind in table.keys() & self.table.keys())
+        if taken:
+            raise ConfigurationError(
+                f"node {self.node_id}: protocol {protocol.name!r} handles "
+                f"payload types another protocol already handles: {taken}"
+            )
+        self.table.update(table)
         self.protocols.append(protocol)
 
     # ------------------------------------------------------------------
@@ -117,13 +139,6 @@ class SimNode:
             return 0
         self.sent_count += 1
         return self.medium.transmit(self.node_id, payload, recipient)
-
-    def _on_envelope(self, envelope: Envelope) -> None:
-        if self.status is not NodeStatus.ALIVE:
-            return
-        self.received_count += 1
-        for protocol in self.protocols:
-            protocol.on_receive(envelope)
 
     # ------------------------------------------------------------------
     # Failure injection

@@ -171,8 +171,12 @@ class RecordingTracer(Tracer):
         return len(self._rows)
 
     def _matching(self, kind: str) -> Iterator[tuple]:
-        prefixes = (kind,)
-        return (row for row in self._rows if kind_matches(row[1], prefixes))
+        # kind_matches for the one prefix, inline: no call per row.
+        nested = kind + "."
+        return (
+            row for row in self._rows
+            if row[1] == kind or row[1].startswith(nested)
+        )
 
     def filter(self, kind: str) -> list[TraceRecord]:
         """All records whose kind equals or is nested under ``kind``."""

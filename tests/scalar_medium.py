@@ -1,8 +1,9 @@
 """The per-receiver reference radio: what ``RadioMedium`` must replay.
 
 :class:`ScalarRadioMedium` is the pre-vectorization fan-out kept as a
-test oracle: one scalar RNG draw, one distance recomputation and one
-tracer dispatch per receiver.  It follows the production path's
+test oracle: one scalar RNG draw, one distance recomputation, one
+tracer dispatch and one heap event (firing the lane callback) per
+receiver.  It follows the production path's
 canonical draw schedule -- all loss draws first (ascending receiver id),
 then all delay draws for the survivors -- so a seeded run must come out
 bit-identical under either class.  Everything else is deliberately
@@ -16,7 +17,7 @@ from functools import partial
 from typing import Iterator, List, Optional
 from unittest import mock
 
-from repro.sim.medium import Envelope, RadioMedium
+from repro.sim.medium import RadioMedium
 from repro.types import NodeId
 
 
@@ -32,7 +33,7 @@ class ScalarRadioMedium(RadioMedium):
         self.tracer.record(now, "radio.tx", node=int(sender), recipient=recipient)
         survivors: List[NodeId] = []
         for receiver in self.neighbors_of(sender):
-            if not self._receiving[receiver]:
+            if receiver in self._muted:
                 continue
             dist = self.distance(sender, receiver)
             if self.loss_model.is_lost(sender, receiver, dist, now, self.rng):
@@ -44,17 +45,13 @@ class ScalarRadioMedium(RadioMedium):
             survivors.append(receiver)
         for receiver in survivors:
             delay = float(self.max_delay * (1.0 - self.rng.random()))
-            envelope = Envelope(
-                sender=sender,
-                recipient=recipient,
-                payload=payload,
-                sent_at=now,
-                received_at=now + delay,
-                overheard=(recipient is not None and receiver != recipient),
-            )
             self.sim.schedule_at(
-                envelope.received_at,
-                partial(self._deliver, receiver, envelope),
+                now + delay,
+                partial(
+                    self._deliver_copy,
+                    (int(sender), recipient, payload, now),
+                    receiver,
+                ),
                 label="radio.delivery",
             )
         return len(survivors)

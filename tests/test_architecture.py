@@ -4,7 +4,7 @@ The FDS is one protocol executed three ways (the event engine, the array
 engine and rt), and it stays one protocol because each decision has one
 owner: one process pool, one layout producer, one scorer, one trace
 sink, one scenario description, one rule kernel and lattice draw, one
-trace line codec, and no module without a caller.
+trace line codec, one receive path, and no module without a caller.
 
 Each contract is a function from a :class:`Tree` of sources to the list
 of its violations (empty when it holds).  A text check matches the text
@@ -38,6 +38,12 @@ RUNNER = "src/repro/experiments/runner.py"
 DETECTOR = "src/repro/fds/detector.py"
 GENERATORS = "src/repro/topology/generators.py"
 HTTP = "src/repro/serve/http.py"
+MEDIUM = "src/repro/sim/medium.py"
+LINK = "src/repro/rt/substrate.py"
+#: Where protocols and their hosts live: the text form of the receive
+#: contract greps these (the energy ledger's ``on_receive`` debit and
+#: the JSON validators' ``isinstance(payload, dict)`` sit elsewhere).
+RECEIVE_CODE = ("src/repro/fds/", "src/repro/cluster/", "src/repro/sim/", "src/repro/rt/")
 #: The writers of trace lines that must leave the encoding to record_line.
 LINE_WRITERS = (
     SPOOL,
@@ -489,6 +495,87 @@ def one_trace_line_codec(tree: Tree) -> Violations:
     return found
 
 
+def _lookups(source: Source) -> List[str]:
+    """``Class.method`` of every ``[type(payload)]`` subscript in a
+    method of the module: a receive-table dispatch."""
+    found = []
+    for cls in source.tree.body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for fn in cls.body:
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                key = node.slice if isinstance(node, ast.Subscript) else None
+                if (
+                    isinstance(key, ast.Call) and _name(key.func) == "type"
+                    and [_name(arg) for arg in key.args] == ["payload"]
+                ):
+                    found.append(f"{cls.name}.{fn.name}")
+    return found
+
+
+@contract
+def one_receive_path(tree: Tree) -> Violations:
+    """A delivered copy reaches its handler through the receiver's
+    table, ``{payload type: handler(payload)}``, in the one frame of the
+    medium's lane callback (``RadioMedium._deliver_copy``) or the rt
+    link's ``UdpLink.datagram_received``: no protocol defines
+    ``on_receive``, nothing dispatches on a table's payload types with
+    ``isinstance``, and neither carrier builds an ``Envelope``."""
+    found = _gone(tree, "def on_receive(", *RECEIVE_CODE)
+    found += _gone(tree, "isinstance(payload, ", *RECEIVE_CODE)
+    found += _gone(tree, "Envelope(", MEDIUM, LINK)
+    found += [
+        f"{site}: no Envelope is built; handlers take the payload"
+        for site in tree.call_sites("Envelope", MEDIUM, LINK)
+    ]
+    found += _gone(tree, re.compile(r"def (_deliver|_on_envelope)\("), SRC)
+    for path, method in ((MEDIUM, "RadioMedium._deliver_copy"),
+                         (LINK, "UdpLink.datagram_received")):
+        source = tree.sources.get(path)
+        if source is None or method not in _lookups(source):
+            found.append(f"{path}: {method} calls the node's table[type(payload)]")
+    # The payload types some receive table takes (the keys of the dicts
+    # in every ``handlers`` method) ...
+    kinds = set()
+    for source in tree.naming("def handlers(", SRC):
+        for fn in ast.walk(source.tree):
+            if isinstance(fn, ast.FunctionDef) and fn.name == "handlers":
+                for node in ast.walk(fn):
+                    if isinstance(node, ast.Dict):
+                        kinds.update(_name(key) for key in node.keys if key)
+    kinds.discard("")
+    # ... are dispatched by the table only, ...
+    for source in tree.under(SRC):
+        for site, _, call in source.index.calls:
+            if site.name != "isinstance" or len(call.args) != 2:
+                continue
+            against = call.args[1]
+            names = against.elts if isinstance(against, ast.Tuple) else [against]
+            hit = kinds.intersection(source.resolve(_name(n)) for n in names)
+            if hit:
+                found.append(f"{site}: isinstance dispatch on {sorted(hit)}")
+    # ... and no Protocol subclass, at any depth, binds on_receive.
+    protocols = {"Protocol"}
+    while True:
+        classes = [
+            (site, [source.resolve(base) for base in bases], bound)
+            for source in tree.under(SRC)
+            if any(name in source.text for name in protocols)
+            for site, bases, bound in source.index.classes
+        ]
+        more = {site.name for site, bases, _ in classes if protocols.intersection(bases)}
+        if more <= protocols:
+            break
+        protocols |= more
+    return found + [
+        f"{site}: a Protocol declares handlers(), not on_receive"
+        for site, bases, bound in classes
+        if protocols.intersection(bases) and "on_receive" in bound
+    ]
+
+
 # -- plantings --------------------------------------------------------------
 
 
@@ -762,6 +849,66 @@ PLANTINGS = [
     plant(one_trace_line_codec, "sort_keys_spaced", {
         HTTP: add("import json\ndef body(x): return json.dumps(x, sort_keys = True)"),
     }),
+    plant(one_receive_path, "on_receive_in_fds", {SERVICE: add("""
+        class Listener(Protocol):
+            def on_receive(self, envelope):
+                pass
+    """)}),
+    plant(one_receive_path, "on_receive_outside_the_protocol_packages", {
+        "src/repro/audit/probe.py": add("""
+            from repro.sim.node import Protocol as Base
+
+            class Listener(Base):
+                def on_receive(self, envelope):
+                    pass
+        """),
+    }),
+    plant(one_receive_path, "on_receive_in_a_grandchild_bound_by_name", {
+        "src/repro/audit/probe.py": add("""
+            from repro.fds.service import FdsProtocol
+
+            class Quiet(FdsProtocol):
+                pass
+
+            class Loud(Quiet):
+                on_receive = print
+        """),
+    }),
+    plant(one_receive_path, "isinstance_chain", {SERVICE: add("""
+        def dispatch(self, payload):
+            if isinstance(payload, Heartbeat):
+                self._on_heartbeat(payload)
+    """)}),
+    plant(one_receive_path, "isinstance_on_a_table_type_elsewhere", {
+        "src/repro/audit/probe.py": add("""
+            from repro.cluster.formation import ClusterDissolve as Dissolve
+
+            def dissolves(message):
+                return isinstance(message, (int, Dissolve))
+        """),
+    }),
+    plant(one_receive_path, "envelope_in_the_medium", {MEDIUM: add(
+        "def wrap(p): return Envelope(0, None, p, 0.0, 0.0, False)"
+    )}),
+    plant(one_receive_path, "envelope_in_the_link_assigned_to", {LINK: add("""
+        from repro.sim import medium
+
+        Env = medium.Envelope
+
+        def wrap(p):
+            return Env(0, None, p, 0.0, 0.0, False)
+    """)}),
+    plant(one_receive_path, "deliver_frame_back", {MEDIUM: add(
+        "def _deliver(medium, receiver, payload): pass"
+    )}),
+    plant(one_receive_path, "medium_off_the_table", {MEDIUM: sub(
+        "handler = table[type(payload)]",
+        "handler = table[payload.__class__]",
+    )}),
+    plant(one_receive_path, "link_off_the_table", {LINK: sub(
+        "handler = self._table[type(payload)]",
+        "handler = self._table[payload.__class__]",
+    )}),
 ]
 
 #: Code that looks like a violation to a looser check but keeps the
@@ -782,6 +929,16 @@ NEAR_MISSES = [
             def record(self, **fields):
                 pass
     """)}),
+    plant(one_receive_path, "a_ledger_debit_named_on_receive", {
+        "src/repro/obs/probe.py": add("""
+            class Ledger:
+                def on_receive(self, node_id, now):
+                    pass
+
+            def valid(payload):
+                return isinstance(payload, dict)
+        """),
+    }),
     plant(one_trace_line_codec, "sort_keys_false", {
         HTTP: add("import json\ndef body(x): return json.dumps(x, sort_keys=False)"),
     }),

@@ -490,7 +490,7 @@ def test_graph_and_medium_equal_brute_force_pair_scan(points, ids):
     assert {nid: graph.neighbors(nid) for nid in positions} == want
     medium = fresh_medium()
     for nid, pos in positions.items():
-        medium.register(nid, pos, lambda envelope: None)
+        medium.register(nid, pos, {})
     assert_medium_matches_pair_scan(medium, positions)
 
 
@@ -498,12 +498,12 @@ def test_medium_rebuilds_neighbors_after_register_and_unregister():
     positions = {40: Vec2(0.0, 0.0), 7: Vec2(RADIUS, 0.0), 93: Vec2(3 * RADIUS, 0.0)}
     medium = fresh_medium()
     for nid, pos in positions.items():
-        medium.register(nid, pos, lambda envelope: None)
+        medium.register(nid, pos, {})
     assert_medium_matches_pair_scan(medium, positions)
     assert medium.neighbors_of(93) == ()
     # A node registered after the first lookup joins both ends' tables.
     positions[3] = Vec2(2 * RADIUS, 0.0)
-    medium.register(3, positions[3], lambda envelope: None)
+    medium.register(3, positions[3], {})
     assert_medium_matches_pair_scan(medium, positions)
     assert medium.neighbors_of(93) == (3,)
     assert medium.neighbors_of(7) == (3, 40)

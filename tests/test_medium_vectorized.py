@@ -55,13 +55,11 @@ def make_medium(loss=None, rng_seed=0, vectorized=True, tracer=None,
 
 
 def register_cluster(medium, inboxes, count=12, spacing=5.0):
-    """``count`` nodes in a tight line -- everyone hears everyone."""
+    """``count`` nodes in a tight line -- everyone hears everyone -- each
+    appending the ``str`` payloads it receives to ``inboxes[nid]``."""
     for i in range(count):
         inboxes[i] = []
-        medium.register(
-            i, Vec2(spacing * i, 0.0),
-            (lambda n: (lambda env: inboxes[n].append(env)))(i),
-        )
+        medium.register(i, Vec2(spacing * i, 0.0), {str: inboxes[i].append})
 
 
 class TestDelayBounds:
@@ -90,19 +88,20 @@ class TestDelayBounds:
         assert batch.tolist() == scalars
 
     def test_transmitted_copies_respect_bound(self):
-        sim, medium = make_medium(max_delay=0.05)
+        tracer = RecordingTracer()
+        sim, medium = make_medium(max_delay=0.05, tracer=tracer)
         inboxes = {}
         register_cluster(medium, inboxes, count=10)
         for sender in range(10):
             medium.transmit(sender, "ping")
         sim.run()
+        # Every transmission left at 0.0: a copy's latency is its arrival.
         delays = [
-            env.received_at - env.sent_at
-            for box in inboxes.values()
-            for env in box
+            (r.detail["latency"], r.time) for r in tracer.iter_kind("radio.rx")
         ]
+        assert len(delays) == sum(len(box) for box in inboxes.values())
         assert delays, "expected deliveries"
-        assert all(0.0 < d <= 0.05 for d in delays)
+        assert all(0.0 < d == t <= 0.05 for d, t in delays)
 
 
 class TestArrayCacheInvalidation:
@@ -124,17 +123,17 @@ class TestArrayCacheInvalidation:
 
     def test_register_invalidates(self):
         _sim, medium = make_medium()
-        medium.register(0, Vec2(0, 0), lambda e: None)
+        medium.register(0, Vec2(0, 0), {})
         assert medium.neighbor_arrays(0)[0] == ()
-        medium.register(1, Vec2(40.0, 0), lambda e: None)
+        medium.register(1, Vec2(40.0, 0), {})
         neighbors, distances = medium.neighbor_arrays(0)
         assert neighbors == (1,) and distances[0] == pytest.approx(40.0)
 
     def test_unregister_invalidates(self):
         _sim, medium = make_medium()
-        medium.register(0, Vec2(0, 0), lambda e: None)
-        medium.register(1, Vec2(40.0, 0), lambda e: None)
-        medium.register(2, Vec2(0, 40.0), lambda e: None)
+        medium.register(0, Vec2(0, 0), {})
+        medium.register(1, Vec2(40.0, 0), {})
+        medium.register(2, Vec2(0, 40.0), {})
         assert medium.neighbor_arrays(0)[0] == (1, 2)
         medium.unregister(1)
         neighbors, distances = medium.neighbor_arrays(0)
@@ -219,7 +218,8 @@ class TestVectorizedScalarEquivalence:
     def test_paths_bit_identical_at_medium_level(self):
         # Same seed, same topology, same transmissions: the production
         # fan-out and the scalar reference (tests/scalar_medium.py) must
-        # produce identical envelopes, counters, and trace records.
+        # produce identical inboxes, counters, and trace records (the rx
+        # records carry each copy's sender, overheard flag and latency).
         captured = {}
         for vectorized in (True, False):
             tracer = RecordingTracer()
@@ -266,16 +266,16 @@ class TestMidFlightChanges:
         register_cluster(medium, inboxes, count=10)
         replies = []
 
-        def replier(envelope):
+        def replier(payload):
             # A handler that transmits (a batch parked mid-drain) and
             # detaches a node that still has copies in flight.
-            inboxes[self.REPLIER].append(envelope)
+            inboxes[self.REPLIER].append(payload)
             if not replies:
                 replies.append(sim.now)
                 medium.transmit(self.REPLIER, "reply")
                 medium.unregister(9)
 
-        medium._handlers[self.REPLIER] = replier
+        medium._tables[self.REPLIER] = {str: replier}
         medium.set_receiving(self.UNMUTED, False)
         for sender in (self.SENDER, 1, 6, 7, 8):
             medium.transmit(sender, f"from{sender}")
@@ -295,22 +295,22 @@ class TestMidFlightChanges:
 
     def test_each_copy_sees_the_state_at_its_arrival(self):
         inboxes, stats, records, processed, replies = self._run(True)
-        assert all(e.received_at <= 0.03 for e in inboxes[self.MUTED])
-        assert all(e.received_at <= 0.05 for e in inboxes[self.GONE])
+        # (time, receiver, sender) of every delivered copy.
+        rx = [(t, node, dict(d)["sender"]) for t, kind, node, d in records
+              if kind == "radio.rx"]
+        assert all(t <= 0.03 for t, node, _ in rx if node == self.MUTED)
+        assert all(t <= 0.05 for t, node, _ in rx if node == self.GONE)
         # Muted at transmission time: no copy was ever addressed to it,
         # so unmuting mid-flight delivers nothing from that burst.
-        assert [e.payload for e in inboxes[self.UNMUTED]] == []
+        assert inboxes[self.UNMUTED] == []
         # The sender left at 0.06; its copies already in flight still land.
         late = [
-            e for box in inboxes.values() for e in box
-            if e.sender == self.SENDER and e.received_at > 0.06
+            t for t, _, sender in rx if sender == self.SENDER and t > 0.06
         ]
         assert late
         # Node 9 was detached by the replier's handler: nothing after that.
-        assert all(e.received_at <= replies[0] for e in inboxes[9])
-        assert any(
-            e.payload == "reply" for box in inboxes.values() for e in box
-        )
+        assert all(t <= replies[0] for t, node, _ in rx if node == 9)
+        assert any("reply" in box for box in inboxes.values())
         # Every scheduled copy was popped (dropped ones included), and
         # the rx records are exactly the delivered ones.
         delivered = sum(len(box) for box in inboxes.values())

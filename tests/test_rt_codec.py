@@ -41,6 +41,7 @@ from repro.rt.codec import (
     encode_message,
 )
 from repro.rt.substrate import CODEC_ERROR_KIND, UdpLink, WallClockScheduler
+from repro.sim.node import Protocol, SimNode
 from repro.sim.trace import RecordingTracer
 
 
@@ -310,7 +311,7 @@ def test_v1_frame_at_a_live_link_is_counted_not_raised():
         tracer = RecordingTracer()
         delivered = []
         link = UdpLink(net, tracer)
-        link.register(7, None, delivered.append)
+        link.register(7, None, {cls: delivered.append for cls in MESSAGE_TYPES})
         await link.open(asyncio.Event())
         try:
             with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sender:
@@ -325,11 +326,44 @@ def test_v1_frame_at_a_live_link_is_counted_not_raised():
 
     net, tracer, delivered = asyncio.run(scenario())
     # The link outlived the stale frame: the valid one behind it arrived.
-    assert [type(e.payload) for e in delivered] == [PeerForwardAck]
+    assert [type(payload) for payload in delivered] == [PeerForwardAck]
     assert net.codec_errors == 1
     (record,) = tracer.iter_kind(CODEC_ERROR_KIND)
     assert record.node == 7
     assert "wire version" in record.detail["error"]
+
+
+class _Acks(Protocol):
+    def __init__(self):
+        super().__init__()
+        self.received = []
+
+    def handlers(self):
+        return {PeerForwardAck: self.received.append}
+
+
+def test_a_crashed_node_drops_datagrams_already_queued_to_it():
+    async def scenario():
+        loop = asyncio.get_running_loop()
+        scheduler = WallClockScheduler(loop)
+        net = SimpleNamespace(scheduler=scheduler, codec_errors=0)
+        tracer = RecordingTracer()
+        link = UdpLink(net, tracer)
+        await link.open(asyncio.Event())
+        node = SimNode(7, None, scheduler, link)
+        acks = _Acks()
+        node.add_protocol(acks)
+        link.datagram_received(_valid_frame(), None)
+        node.crash()  # closes the socket
+        # A datagram the loop read for the node before the kill.
+        link.datagram_received(_valid_frame(), None)
+        await asyncio.sleep(0)
+        return link, tracer, acks
+
+    link, tracer, acks = asyncio.run(scenario())
+    assert [type(payload) for payload in acks.received] == [PeerForwardAck]
+    assert link.deliveries == 1
+    assert tracer.count("radio.rx") == 1
 
 
 def test_decode_message_rejects_non_dict():

@@ -26,26 +26,28 @@ def make_medium(loss=None, rng_seed=0, tracer=None, max_delay=0.1):
 
 
 def register_line(medium, inboxes, spacing=60.0, count=4):
-    """Nodes 0..count-1 on a line, `spacing` apart; returns positions."""
-    for i in range(count):
-        nid = i
+    """Nodes 0..count-1 on a line, `spacing` apart, each appending the
+    ``str`` payloads it receives to ``inboxes[nid]``."""
+    for nid in range(count):
         inboxes[nid] = []
-        medium.register(
-            nid, Vec2(spacing * i, 0.0),
-            (lambda n: (lambda env: inboxes[n].append(env)))(nid),
-        )
+        medium.register(nid, Vec2(spacing * nid, 0.0), {str: inboxes[nid].append})
+
+
+def rx_details(tracer, node):
+    """The ``radio.rx`` records at ``node``: (time, detail) pairs."""
+    return [(r.time, r.detail) for r in tracer.iter_kind("radio.rx") if r.node == node]
 
 
 class TestRegistration:
     def test_duplicate_registration_rejected(self):
         _sim, medium = make_medium()
-        medium.register(1, Vec2(0, 0), lambda e: None)
+        medium.register(1, Vec2(0, 0), {})
         with pytest.raises(MediumError):
-            medium.register(1, Vec2(1, 1), lambda e: None)
+            medium.register(1, Vec2(1, 1), {})
 
     def test_unregister(self):
         _sim, medium = make_medium()
-        medium.register(1, Vec2(0, 0), lambda e: None)
+        medium.register(1, Vec2(0, 0), {})
         medium.unregister(1)
         assert medium.node_ids() == ()
         with pytest.raises(MediumError):
@@ -71,8 +73,8 @@ class TestNeighborStructure:
 
     def test_boundary_distance_inclusive(self):
         _sim, medium = make_medium()
-        medium.register(0, Vec2(0, 0), lambda e: None)
-        medium.register(1, Vec2(100.0, 0), lambda e: None)
+        medium.register(0, Vec2(0, 0), {})
+        medium.register(1, Vec2(100.0, 0), {})
         assert medium.neighbors_of(0) == (1,)
 
     def test_grid_matches_brute_force(self):
@@ -84,7 +86,7 @@ class TestNeighborStructure:
             for i in range(120)
         }
         for nid, pos in positions.items():
-            medium.register(nid, pos, lambda e: None)
+            medium.register(nid, pos, {})
         for nid, pos in positions.items():
             brute = tuple(
                 sorted(
@@ -99,23 +101,29 @@ class TestNeighborStructure:
 class TestTransmission:
     def test_promiscuous_delivery(self):
         # A unicast is heard by every in-range node, flagged overheard.
-        sim, medium = make_medium()
+        tracer = RecordingTracer()
+        sim, medium = make_medium(tracer=tracer)
         inboxes = {}
         register_line(medium, inboxes, spacing=60.0, count=3)
         medium.transmit(1, "hello", recipient=2)
         sim.run()
-        assert len(inboxes[2]) == 1 and not inboxes[2][0].overheard
-        assert len(inboxes[0]) == 1 and inboxes[0][0].overheard
-        assert inboxes[0][0].payload == "hello"
+        [(_, to_recipient)] = rx_details(tracer, 2)
+        [(_, overheard)] = rx_details(tracer, 0)
+        assert len(inboxes[2]) == 1 and not to_recipient["overheard"]
+        assert len(inboxes[0]) == 1 and overheard["overheard"]
+        assert to_recipient["sender"] == overheard["sender"] == 1
+        assert inboxes[0][0] == "hello"
 
     def test_broadcast_has_no_overheard_flag(self):
-        sim, medium = make_medium()
+        tracer = RecordingTracer()
+        sim, medium = make_medium(tracer=tracer)
         inboxes = {}
         register_line(medium, inboxes, spacing=60.0, count=3)
         medium.transmit(1, "b", recipient=None)
         sim.run()
-        assert not inboxes[0][0].overheard
-        assert not inboxes[2][0].overheard
+        assert inboxes[0] == inboxes[2] == ["b"]
+        assert not rx_details(tracer, 0)[0][1]["overheard"]
+        assert not rx_details(tracer, 2)[0][1]["overheard"]
 
     def test_sender_does_not_hear_itself(self):
         sim, medium = make_medium()
@@ -134,18 +142,21 @@ class TestTransmission:
         assert inboxes[1] == []
 
     def test_delivery_within_max_delay(self):
-        sim, medium = make_medium(max_delay=0.05)
+        tracer = RecordingTracer()
+        sim, medium = make_medium(max_delay=0.05, tracer=tracer)
         inboxes = {}
         register_line(medium, inboxes, spacing=60.0, count=2)
         medium.transmit(0, "x")
         sim.run()
-        env = inboxes[1][0]
-        assert env.sent_at == 0.0
-        assert 0.0 < env.received_at <= 0.05
+        assert inboxes[1] == ["x"]
+        [(received_at, detail)] = rx_details(tracer, 1)
+        # Sent at 0.0: the latency is the arrival time.
+        assert detail["latency"] == received_at
+        assert 0.0 < received_at <= 0.05
 
     def test_unknown_sender_or_recipient_raise(self):
         _sim, medium = make_medium()
-        medium.register(0, Vec2(0, 0), lambda e: None)
+        medium.register(0, Vec2(0, 0), {})
         with pytest.raises(MediumError):
             medium.transmit(5, "x")
         with pytest.raises(MediumError):
@@ -172,10 +183,7 @@ class TestLossIntegration:
         inboxes = {}
         for i in range(5):
             inboxes[i] = []
-            medium.register(
-                i, Vec2(10.0 * i, 0.0),
-                (lambda n: (lambda env: inboxes[n].append(env)))(i),
-            )
+            medium.register(i, Vec2(10.0 * i, 0.0), {str: inboxes[i].append})
         for _ in range(200):
             medium.transmit(0, "x")
         sim.run()
@@ -253,7 +261,7 @@ class TestUnregisterMidFlight:
         medium.transmit(0, "one")
         medium.unregister(1)
         sim.run()
-        medium.register(1, Vec2(60.0, 0.0), inboxes[1].append)
+        medium.register(1, Vec2(60.0, 0.0), {str: inboxes[1].append})
         medium.transmit(0, "two")
         sim.run()
-        assert [env.payload for env in inboxes[1]] == ["two"]
+        assert inboxes[1] == ["two"]

@@ -65,7 +65,7 @@ class TestBuildNetwork:
                 NetworkConfig(loss_probability=0.5, seed=seed),
             )
             received = []
-            net.medium._handlers[1] = lambda env: received.append(env.payload)
+            net.medium._tables[1] = {int: received.append}
             for i in range(100):
                 net.medium.transmit(0, i)
             net.sim.run()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import NodeStateError
+from repro.errors import ConfigurationError, NodeStateError
 from repro.sim.engine import Simulator
 from repro.sim.medium import RadioMedium
 from repro.sim.node import Protocol, SimNode
@@ -13,13 +13,14 @@ from repro.util.geometry import Vec2
 class Recorder(Protocol):
     name = "recorder"
 
-    def __init__(self):
+    def __init__(self, kinds=(str,)):
         super().__init__()
+        self.kinds = kinds
         self.received = []
         self.crashed = False
 
-    def on_receive(self, envelope):
-        self.received.append(envelope.payload)
+    def handlers(self):
+        return {kind: self.received.append for kind in self.kinds}
 
     def on_crash(self):
         self.crashed = True
@@ -34,15 +35,34 @@ def make_pair():
 
 
 class TestProtocolStack:
-    def test_delivery_reaches_all_protocols_in_order(self):
+    def test_delivery_reaches_the_protocol_that_takes_the_type(self):
         sim, a, b = make_pair()
-        r1, r2 = Recorder(), Recorder()
+        r1, r2 = Recorder((str,)), Recorder((int,))
         b.add_protocol(r1)
         b.add_protocol(r2)
         a.send("msg")
+        a.send(7)
         sim.run()
         assert r1.received == ["msg"]
-        assert r2.received == ["msg"]
+        assert r2.received == [7]
+
+    def test_protocols_take_disjoint_types(self):
+        _sim, _a, b = make_pair()
+        b.add_protocol(Recorder((str, int)))
+        with pytest.raises(ConfigurationError, match="int"):
+            b.add_protocol(Recorder((int,)))
+        assert len(b.protocols) == 1
+
+    def test_a_type_no_protocol_takes_is_dropped(self):
+        sim, a, b = make_pair()
+        r = Recorder((str,))
+        b.add_protocol(r)
+        a.send(b"bytes")
+        a.send("msg")
+        sim.run()
+        assert r.received == ["msg"]
+        # The copy was delivered (and counted) before it found no taker.
+        assert b.medium.deliveries == 2
 
     def test_counters(self):
         sim, a, b = make_pair()
@@ -51,7 +71,7 @@ class TestProtocolStack:
         a.send("two")
         sim.run()
         assert a.sent_count == 2
-        assert b.received_count == 2
+        assert b.medium.deliveries == 2
 
 
 class TestFailStop:
