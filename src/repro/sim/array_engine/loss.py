@@ -61,11 +61,27 @@ applies its budget after the whole call's uniforms are drawn: the call
 in which the budget runs out consumes all ``count`` of them, the next
 call none.  ``gilbert`` draws every transition, then every loss, per
 call -- blocking would interleave the two, so it stays one-shot.
+
+The member-pair pass.  A round's clustermate copies are the cells
+``[c, hearer u, sender v]`` of the layout's ``(C, M, M)`` adjacency
+whose hearer and sender are both alive (``draw_into`` with ``alive``).
+That mask is never materialised: :func:`pair_blocks` cuts the clusters
+into blocks of at most ``_PAIR_BLOCK_CELLS`` cells (one cluster at
+least), and each block's active cells are formed straight into the
+returned cube, gathered with one ``flatnonzero``, drawn, and ``put``
+back as delivered flags.  The blocks still make one logical draw: the
+uniforms go in C order, the ``bounded`` budget is spent in that order
+and, as above, dies with the call (the block in which it runs out and
+every later block still consume their uniforms), ``distance`` takes
+each block's ``pair_dist`` cells, and ``gilbert`` sweeps the blocks
+twice -- every transition, then every loss -- with the active cells of
+the first sweep held in the cube itself.  Beyond the cube, the pass
+holds block-sized scratch only.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -81,6 +97,18 @@ _DRAW_BLOCK = 1 << 16
 #: through the block buffer, allocated before the draw (a full block
 #: drawn this way allocates after it and shows in peak RSS).
 _SMALL_DRAW = 1 << 10
+
+#: Member-pair cells per block of the pair pass (module docstring) and
+#: of every reduction over the pair cube: 64 KiB of bool, whose index
+#: and uniform scratch stay within a core's L2 cache.
+_PAIR_BLOCK_CELLS = 1 << 16
+
+
+def pair_blocks(c: int, m: int) -> List[Tuple[int, int]]:
+    """``(lo, hi)`` ranges of whole clusters, ``_PAIR_BLOCK_CELLS`` pair
+    cells per range at most (one cluster at least)."""
+    step = max(1, _PAIR_BLOCK_CELLS // max(1, m * m))
+    return [(lo, min(c, lo + step)) for lo in range(0, c, step)]
 
 
 class ArrayLossDraw:
@@ -136,20 +164,84 @@ class ArrayLossDraw:
             self._chains[chain] = state
         return state
 
-    def _gilbert_flat(self, n: int, states: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Advance ``n`` link chains one step and draw their losses.
+    def _gilbert_flat(self, states: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Advance the link chains one step and draw their losses.
 
         ``states`` is a flat boolean array (True = Bad) of the active
         links; returns ``(new_states, lost)``.  Transition first, then
         the loss draw in the new state -- the scalar model's order.
         """
+        new_states = self._gilbert_step(states)
+        return new_states, self._gilbert_lost(new_states)
+
+    def _gilbert_step(self, states: np.ndarray) -> np.ndarray:
+        """The chains' next states: Good->Bad with ``p_gb``, Bad->Good
+        with ``p_bg``; one uniform per link."""
         model = self.model
-        u = self.rng.random(n)
-        toggle = u < np.where(states, model.p_bg, model.p_gb)
-        new_states = states ^ toggle
-        u2 = self.rng.random(n)
-        lost = u2 < np.where(new_states, model.p_bad, model.p_good)
-        return new_states, lost
+        u = self.rng.random(states.size)
+        return states ^ (u < np.where(states, model.p_bg, model.p_gb))
+
+    def _gilbert_lost(self, states: np.ndarray) -> np.ndarray:
+        """One loss draw per link in its (new) state; one uniform each."""
+        model = self.model
+        u = self.rng.random(states.size)
+        return u < np.where(states, model.p_bad, model.p_good)
+
+    # ------------------------------------------------------------------
+    # Stateless kinds (bernoulli / bounded / distance)
+    # ------------------------------------------------------------------
+    def _delivers_all(self) -> bool:
+        """Whether a draw now delivers every copy and takes no uniform:
+        ``perfect``, the ``p == 0`` shortcut, a spent ``bounded`` budget."""
+        if self.kind == "perfect":
+            return True
+        if self.kind not in ("bernoulli", "bounded"):
+            return False
+        return self.model.p == 0.0 or (
+            self.kind == "bounded" and self.budget_left <= 0
+        )
+
+    def _draw_stateless(self, out: np.ndarray, distances) -> None:
+        """Fill the flat ``out`` with ``out.size`` copies' delivered
+        flags, then spend the ``bounded`` budget on their losses.
+
+        Takes one uniform per copy (none at ``p >= 1``), through the
+        uniform block above ``_SMALL_DRAW`` copies.  Called again within
+        one logical draw (the pair pass's blocks) it continues the
+        stream, and after the budget died it still takes its uniforms.
+        """
+        count = out.size
+        by_distance = self.kind == "distance"
+        if by_distance and distances is None:
+            raise ExperimentError(
+                "distance loss draws require per-copy distances"
+            )
+        p = None if by_distance else self.model.p
+        if not by_distance and p >= 1.0:
+            out[...] = False  # all lost, no uniforms
+        elif count <= _SMALL_DRAW:
+            if by_distance:
+                p = self.model.loss_probabilities(distances)
+            np.greater_equal(self.rng.random(count), p, out=out)
+        else:
+            uniforms = np.empty(min(count, _DRAW_BLOCK))
+            for lo in range(0, count, _DRAW_BLOCK):
+                hi = lo + _DRAW_BLOCK  # slices clip at ``count``
+                u = self.rng.random(out=uniforms[: count - lo])
+                if by_distance:
+                    p = self.model.loss_probabilities(distances[lo:hi])
+                np.greater_equal(u, p, out=out[lo:hi])
+        if self.kind == "bounded":
+            # Spend the budget in flat draw order; later losses revert
+            # to deliveries once the adversary is out of drops.  All of
+            # this call's uniforms are consumed by then -- only the
+            # *next* call stops drawing.
+            idx = np.flatnonzero(~out)
+            if idx.size > self.budget_left:
+                out[idx[self.budget_left:]] = True
+                self.budget_left = 0
+            else:
+                self.budget_left -= int(idx.size)
 
     # ------------------------------------------------------------------
     def delivered(
@@ -173,58 +265,22 @@ class ArrayLossDraw:
         if count <= 0:
             return np.zeros(0, dtype=bool)
         self.attempted += count
-        if self.kind == "perfect":
-            self.delivered_count += count
-            return np.ones(count, dtype=bool)
         if self.kind == "gilbert":
             state = self._chain_view(chain, at, ())
             cell = at if at is not None else ()
             s = np.asarray([state[cell]])
             out = np.empty(count, dtype=bool)
             for i in range(count):
-                s, lost = self._gilbert_flat(1, s)
+                s, lost = self._gilbert_flat(s)
                 out[i] = not lost[0]
             state[cell] = bool(s[0])
             self.delivered_count += int(out.sum())
             return out
-        by_distance = self.kind == "distance"
-        if by_distance:
-            if distances is None:
-                raise ExperimentError(
-                    "distance loss draws require per-copy distances"
-                )
-        else:
-            # bernoulli / bounded share the p in {0, 1} shortcut discipline.
-            p = self.model.p
-            if p == 0.0 or (self.kind == "bounded" and self.budget_left <= 0):
-                self.delivered_count += count
-                return np.ones(count, dtype=bool)
-        if not by_distance and p >= 1.0:
-            out = np.zeros(count, dtype=bool)  # all lost, no uniforms
-        elif count <= _SMALL_DRAW:
-            if by_distance:
-                p = self.model.loss_probabilities(distances)
-            out = self.rng.random(count) >= p
-        else:
-            out = np.zeros(count, dtype=bool)
-            uniforms = np.empty(min(count, _DRAW_BLOCK))
-            for lo in range(0, count, _DRAW_BLOCK):
-                hi = lo + _DRAW_BLOCK  # slices clip at ``count``
-                u = self.rng.random(out=uniforms[: count - lo])
-                if by_distance:
-                    p = self.model.loss_probabilities(distances[lo:hi])
-                np.greater_equal(u, p, out=out[lo:hi])
-        if self.kind == "bounded":
-            # Spend the budget in flat draw order; later losses revert
-            # to deliveries once the adversary is out of drops.  All of
-            # this call's uniforms are consumed by then -- only the
-            # *next* call stops drawing.
-            idx = np.flatnonzero(~out)
-            if idx.size > self.budget_left:
-                out[idx[self.budget_left:]] = True
-                self.budget_left = 0
-            else:
-                self.budget_left -= int(idx.size)
+        if self._delivers_all():
+            self.delivered_count += count
+            return np.ones(count, dtype=bool)
+        out = np.empty(count, dtype=bool)
+        self._draw_stateless(out, distances)
         self.delivered_count += int(np.count_nonzero(out))
         return out
 
@@ -234,6 +290,7 @@ class ArrayLossDraw:
         distances: Optional[np.ndarray] = None,
         chain: Optional[str] = None,
         at=None,
+        alive: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Delivered mask shaped like ``active``; False wherever inactive.
 
@@ -255,7 +312,14 @@ class ArrayLossDraw:
         (position in ``active`` identifies the directed link); ``at``
         optionally indexes into a larger family so a draw site can
         address a slice of it (e.g. one cluster's CH -> member row).
+
+        With ``alive`` (``(C, M)``), ``active`` is the ``(C, M, M)``
+        member adjacency and the copies are its cells whose hearer and
+        sender are both alive: the pair pass of the module docstring,
+        with ``distances`` the ``(C, M, M)`` pair distances.
         """
+        if alive is not None:
+            return self._draw_pairs(active, alive, distances, chain)
         count = int(np.count_nonzero(active))
         if count == 0:
             return np.zeros(active.shape, dtype=bool)
@@ -268,13 +332,13 @@ class ArrayLossDraw:
             state = self._chain_view(chain, at, active.shape)
             if every:
                 cells = Ellipsis if at is None else at
-                new_states, lost = self._gilbert_flat(count, state[cells].ravel())
+                new_states, lost = self._gilbert_flat(state[cells].ravel())
                 state[cells] = new_states.reshape(active.shape)
             else:
                 # Gather-copy under ``at`` (advanced indexing may not
                 # yield a writable view), mutate, scatter back.
                 gathered = state[at].copy() if at is not None else state
-                gathered[active], lost = self._gilbert_flat(count, gathered[active])
+                gathered[active], lost = self._gilbert_flat(gathered[active])
                 if at is not None:
                     state[at] = gathered
             delivered = ~lost
@@ -287,4 +351,57 @@ class ArrayLossDraw:
         if out is None:
             return delivered.reshape(active.shape)
         out[active] = delivered
+        return out
+
+    def _draw_pairs(
+        self,
+        adjacency: np.ndarray,
+        alive: np.ndarray,
+        distances: Optional[np.ndarray],
+        chain: Optional[str],
+    ) -> np.ndarray:
+        """The member-pair pass (module docstring): one logical draw
+        over ``adjacency & alive[:, None, :] & alive[:, :, None]``."""
+        out = np.zeros(adjacency.shape, dtype=bool)
+        blocks = pair_blocks(*alive.shape)
+        free = self._delivers_all()
+        gilbert = self.kind == "gilbert"
+        state = None  # the gilbert family, created by the first copy
+        attempted = delivered = 0
+        for lo, hi in blocks:
+            block = out[lo:hi]
+            np.logical_and(adjacency[lo:hi], alive[lo:hi, None, :], out=block)
+            block &= alive[lo:hi, :, None]
+            if free:
+                attempted += int(np.count_nonzero(block))
+                continue
+            idx = np.flatnonzero(block)
+            attempted += idx.size
+            if gilbert:
+                if idx.size:
+                    if state is None:
+                        state = self._chain_view(chain, None, adjacency.shape)
+                    cells = state[lo:hi]
+                    cells.put(idx, self._gilbert_step(cells.take(idx)))
+                continue
+            got = np.empty(idx.size, dtype=bool)
+            self._draw_stateless(
+                got, None if distances is None else distances[lo:hi].take(idx)
+            )
+            lost = idx.take(np.flatnonzero(~got))
+            block.put(lost, False)  # the block holds the active cells
+            delivered += idx.size - lost.size
+        if state is not None:
+            # Every transition is drawn; the cube still holds the active
+            # cells, now every loss in the same order.
+            for lo, hi in blocks:
+                block = out[lo:hi]
+                idx = np.flatnonzero(block)
+                lost = idx.take(
+                    np.flatnonzero(self._gilbert_lost(state[lo:hi].take(idx)))
+                )
+                block.put(lost, False)
+                delivered += idx.size - lost.size
+        self.attempted += attempted
+        self.delivered_count += attempted if free else delivered
         return out

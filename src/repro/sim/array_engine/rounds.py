@@ -52,6 +52,15 @@ and peer-request copies member -> own CH; ``cm`` carries CH broadcasts
 deputy-row witness draws); ``over``/``rep`` the per-channel gateway
 ladders.
 
+The member-pair cube.  ``hb_mm`` is the one ``(C, M, M)`` array an
+execution allocates.  :meth:`~repro.sim.array_engine.loss.ArrayLossDraw.
+draw_into` with ``alive`` forms the active pairs (adjacency, alive
+hearer, alive sender) of one cluster block at a time straight into it
+and draws them there (the pair pass of
+:mod:`repro.sim.array_engine.loss`), and the witness reduction reads
+it in the same :func:`~repro.sim.array_engine.loss.pair_blocks`; no
+pair mask or other cube-sized temporary exists beside it.
+
 The inter-cluster scan.  Which channels hold forwardable news is
 computed for all channels once per execution; afterwards only a
 successful crossing changes knowledge, and only of the CH and members
@@ -109,7 +118,7 @@ from repro.obs.profiler import (
 )
 from repro.sim.array_engine.energy import ArrayEnergyLedger
 from repro.sim.array_engine.layout import PAD, ArrayLayout
-from repro.sim.array_engine.loss import ArrayLossDraw
+from repro.sim.array_engine.loss import ArrayLossDraw, pair_blocks
 from repro.sim.trace import Tracer
 
 #: Knowledge columns added per growth of the (N, T) ``known`` buffer.
@@ -363,17 +372,13 @@ class ArrayRoundEngine:
         if self.tracer.enabled:
             self.tracer.record(time, kind, node=node, **detail)
 
-    def _witness_reduce(
-        self, sender_ok: np.ndarray, hb_mm: np.ndarray
-    ) -> np.ndarray:
-        """``out[c, v] = any_u(sender_ok[c, u] & hb_mm[c, u, v])``."""
+    @staticmethod
+    def _witness_reduce(sender_ok: np.ndarray, hb_mm: np.ndarray) -> np.ndarray:
+        """``out[c, v] = any_u(sender_ok[c, u] & hb_mm[c, u, v])``, in
+        the pair pass's cluster blocks."""
         c, m = sender_ok.shape
-        if m == 0:
-            return np.zeros((c, 0), dtype=bool)
         out = np.zeros((c, m), dtype=bool)
-        chunk = max(1, int(16_000_000 // max(1, m * m)))
-        for lo in range(0, c, chunk):
-            hi = min(c, lo + chunk)
+        for lo, hi in pair_blocks(c, m):
             out[lo:hi] = (sender_ok[lo:hi, :, None] & hb_mm[lo:hi]).any(axis=1)
         return out
 
@@ -402,8 +407,9 @@ class ArrayRoundEngine:
         pd = layout.pair_dist
         hb_mc = loss.draw_into(alive_m, hd, chain="mc")  # member -> own CH
         hb_cm = loss.draw_into(alive_m, hd, chain="cm")  # CH broadcast -> member
-        mm_active = layout.adjacency & alive_m[:, None, :] & alive_m[:, :, None]
-        hb_mm = loss.draw_into(mm_active, pd, chain="mm")  # [c, hearer u, sender v]
+        hb_mm = loss.draw_into(  # [c, hearer u, sender v]
+            layout.adjacency, pd, chain="mm", alive=alive_m
+        )
         if use_digests:
             dg_mc = loss.draw_into(alive_m, hd, chain="mc")  # member digest -> CH
             dg_cm = loss.draw_into(alive_m, hd, chain="cm")  # CH digest -> member
@@ -477,8 +483,7 @@ class ArrayRoundEngine:
         # ladder has not completed when the rule is evaluated)
         if fds.dch_enabled:
             self._dch_rule(
-                e, t_r3end, alive, hb_cm, dg_cm, dg_mc, hb_mm, upd_direct,
-                alive_m,
+                e, t_r3end, alive, hb_cm, dg_cm, upd_direct, alive_m
             )
         if prof is not None:
             prof.add_seconds(PHASE_ARRAY_SYNC, tick() - t0)
@@ -692,8 +697,6 @@ class ArrayRoundEngine:
         alive: np.ndarray,
         hb_cm: np.ndarray,
         dg_cm: np.ndarray,
-        dg_mc: np.ndarray,
-        hb_mm: np.ndarray,
         upd_direct: np.ndarray,
         alive_m: np.ndarray,
     ) -> None:

@@ -1,7 +1,8 @@
 """The array engine's blocked kernels against one-shot references.
 
-``_fill_adjacency``, ``ArrayLossDraw.delivered`` / ``draw_into`` and
-the unit-disk edge build stream through cache-sized blocks; each must
+``_fill_adjacency``, ``ArrayLossDraw.delivered`` / ``draw_into``, the
+member-pair pass with its witness reduction, and the unit-disk edge
+build stream through cache-sized blocks; each must
 give, bit for bit, what the unblocked formulation gives -- same arrays,
 same counters, and the random stream left at the same position.  The
 graph and the radio medium read their neighbours off that edge build,
@@ -167,7 +168,7 @@ class OneShotLossDraw(ArrayLossDraw):
                 state = self._chain_view(chain, at, active.shape)
                 gathered = state[at].copy() if at is not None else state
                 s = gathered.ravel()[flat].copy()
-                s, lost = self._gilbert_flat(int(flat.size), s)
+                s, lost = self._gilbert_flat(s)
                 gathered.ravel()[flat] = s
                 if at is not None:
                     state[at] = gathered
@@ -343,6 +344,99 @@ def test_all_active_draw_equals_masked_draw(kind, at_kind):
         )
         assert_same_state(new, ref)
     assert_same_stream_position(new, ref)
+
+
+# ---------------------------------------------------------------------------
+# (b') the blocked member-pair pass vs the one-shot mask draw
+# ---------------------------------------------------------------------------
+PAIR_CELLS = loss_module._PAIR_BLOCK_CELLS
+
+
+def pair_field(c, m, seed):
+    """A ``(C, M, M)`` adjacency (no self pairs), float32 pair distances
+    and two ``(C, M)`` alive masks, one per consecutive draw."""
+    shapes = np.random.default_rng(seed)
+    adjacency = shapes.random((c, m, m)) < 0.6
+    adjacency[:, np.arange(m), np.arange(m)] = False
+    distances = shapes.uniform(0.0, 1.2 * RADIUS, (c, m, m)).astype(np.float32)
+    alive = [shapes.random((c, m)) < 0.9 for _ in range(2)]
+    return adjacency, distances, alive
+
+
+def pair_mask(adjacency, alive):
+    return adjacency & alive[:, None, :] & alive[:, :, None]
+
+
+def pair_budget(mode, adjacency, alive, seed, p, step):
+    """A bounded budget read off the first draw's one-shot uniforms: it
+    dies half-way through the first block's losses ("inside"), on that
+    block's last loss ("edge"), half-way through the later blocks'
+    losses ("later"), or never."""
+    if mode == "never":
+        return 10 ** 9
+    active = pair_mask(adjacency, alive)
+    lost = np.random.default_rng(seed).random(int(active.sum())) < p
+    first = int(lost[: int(active[:step].sum())].sum())
+    return {
+        "inside": first // 2,
+        "edge": first,
+        "later": first + (int(lost.sum()) - first) // 2,
+    }[mode]
+
+
+PAIR_KINDS = {
+    "bernoulli-p0": ("bernoulli", (), 0.0),
+    "bernoulli-p0.1": ("bernoulli", (), 0.1),
+    "bernoulli-p1": ("bernoulli", (), 1.0),
+    "bounded-inside": ("bounded", "inside", 0.1),
+    "bounded-edge": ("bounded", "edge", 0.1),
+    "bounded-later": ("bounded", "later", 0.1),
+    "bounded-never": ("bounded", "never", 0.1),
+    "distance": ("distance", (), 0.1),
+    "gilbert": ("gilbert", GILBERT, 0.1),
+}
+
+
+@pytest.mark.parametrize("around", [-1, 0, 1, "three"])
+@pytest.mark.parametrize("m", [1, 2, 127])
+@pytest.mark.parametrize("case", sorted(PAIR_KINDS))
+def test_pair_pass_equals_one_shot_mask_draw(case, m, around):
+    """Two consecutive draws (chains and the budget carry over) with C
+    at, one under, one over the block edge, or past three blocks."""
+    kind, params, p = PAIR_KINDS[case]
+    step = max(1, PAIR_CELLS // (m * m))
+    c = 3 * step + 1 if around == "three" else step + around
+    seed = 17 * m + c
+    adjacency, distances, alive = pair_field(c, m, seed)
+    if kind == "bounded":
+        params = (("budget", float(pair_budget(
+            params, adjacency, alive[0], seed, p, step
+        ))),)
+    new, ref = loss_pair(kind, params, seed, p=p)
+    dist = distances if kind == "distance" else None
+    for alive_m in alive:
+        got = new.draw_into(adjacency, dist, chain="mm", alive=alive_m)
+        want = ref.draw_into(pair_mask(adjacency, alive_m), dist, chain="mm")
+        assert got.shape == adjacency.shape
+        np.testing.assert_array_equal(got, want)
+        assert_same_state(new, ref)
+    if kind == "bounded":
+        # The budget is spent by the first draw unless it never dies.
+        assert (new.budget_left > 0) == (PAIR_KINDS[case][1] == "never")
+    assert_same_stream_position(new, ref)
+
+
+@pytest.mark.parametrize("around", [-1, 0, 1])
+@pytest.mark.parametrize("m", [1, 2, 127])
+def test_witness_reduce_equals_one_shot_reduce(m, around):
+    step = max(1, PAIR_CELLS // (m * m))
+    shapes = np.random.default_rng(m + around)
+    sender_ok = shapes.random((step + around, m)) < 0.3
+    hb_mm = shapes.random((step + around, m, m)) < 0.05
+    np.testing.assert_array_equal(
+        ArrayRoundEngine._witness_reduce(sender_ok, hb_mm),
+        (sender_ok[:, :, None] & hb_mm).any(axis=1),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -600,6 +694,46 @@ def test_layout_build_holds_no_field_sized_temporaries():
     assert peak <= 2.5 * returned
 
 
+class TracedRoundEngine(ArrayRoundEngine):
+    """Records each execution's tracemalloc peak, counted from its entry."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.peaks = []
+
+    def run_execution(self, e):
+        tracemalloc.start()
+        try:
+            super().run_execution(e)
+            self.peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+
+
+@pytest.mark.parametrize("kind", ["bernoulli", "distance", "gilbert"])
+def test_round_program_holds_one_pair_cube(monkeypatch, kind):
+    """Beyond what it held at entry, an execution holds the ``hb_mm``
+    cube plus block-sized scratch (~1.7 MB here).  With the mask formed
+    whole and the witness reduce in 16 M-cell chunks it held 3 cubes
+    (bernoulli), 4 (distance) and 10.5 (gilbert)."""
+    monkeypatch.setattr(runner_module, "ArrayRoundEngine", TracedRoundEngine)
+    config = scenario_config(
+        cluster_count=200, members_per_cluster=100, executions=3,
+        crash_count=6, loss_probability=0.1, loss_kind=kind,
+        engine="array", seed=1,
+    )
+    engine = ArrayEngine(config)
+    run_engine(engine)
+    cube = engine.layout.adjacency.nbytes
+    assert cube > 3_000_000
+    assert len(engine.rounds.peaks) == 3
+    for e, peak in enumerate(engine.rounds.peaks):
+        # The first gilbert execution creates the ``mm`` chain family,
+        # a cube of state the run keeps.
+        kept = cube if kind == "gilbert" and e == 0 else 0
+        assert peak <= cube + 32 * PAIR_CELLS + kept, (e, peak / cube)
+
+
 def test_edge_build_keeps_its_candidates_in_blocks():
     """A 2*10**4-node field with 1.2*10**6 edges: the build peaks at
     1.7x the arrays it returns; one unchunked candidate block made it
@@ -763,9 +897,9 @@ class LoggedLossDraw(ArrayLossDraw):
             self.log.append((chain, at, out.tolist(), before, self.budget_left))
         return out
 
-    def draw_into(self, active, distances=None, chain=None, at=None):
+    def draw_into(self, active, distances=None, chain=None, at=None, alive=None):
         before = self.budget_left
-        out = super().draw_into(active, distances, chain=chain, at=at)
+        out = super().draw_into(active, distances, chain=chain, at=at, alive=alive)
         if chain == "cm" and isinstance(at, int):  # a relay
             self.log.append((chain, at, out.tolist(), before, self.budget_left))
         return out
