@@ -23,7 +23,7 @@ from repro import (
     install_fds,
 )
 from repro.failure.injection import FailureInjector
-from repro.metrics.properties import detection_latency
+from repro.obs.verdicts import VerdictTimeline
 from repro.topology.generators import multi_cluster_field
 
 
@@ -78,7 +78,8 @@ def main() -> None:
     for failure, fraction in report.completeness.items():
         print(f"failure of node {failure}: known by {fraction:.1%} of the field")
     print(f"accuracy violations: {len(report.accuracy_violations)}")
-    for victim, latency in detection_latency(tracer, crash_times).items():
+    latencies = VerdictTimeline.read(tracer, crash_times).latencies()
+    for victim, latency in latencies.items():
         shown = f"{latency:.1f}s" if latency is not None else "never"
         print(f"detection latency for node {victim}: {shown}")
     counts = collect_message_counts(deployment)

@@ -64,6 +64,7 @@ from repro.fds.events import (
 )
 from repro.fds.intercluster import InterclusterForwarder
 from repro.fds.messages import FailureReport, HealthStatusUpdate
+from repro.obs.verdicts import VerdictTimeline
 from repro.sim.engine import Simulator
 from repro.sim.medium import RadioMedium
 from repro.sim.node import SimNode
@@ -157,13 +158,14 @@ def accuracy_violations(
     operational: Iterable[int],
     horizon: float,
     losses: int,
-    tracer: RecordingTracer,
+    verdicts: VerdictTimeline,
     final_suspicions: Iterable[Tuple[int, int]],
 ) -> List[Violation]:
     """False suspicions must be refuted (or fall in the final window).
 
-    Trace-based: pair every detection of a node that is ``operational``
-    at the end with a later refutation *somewhere*.  A detection inside
+    Trace-based: every detection of a node that is ``operational`` at
+    the end needs a refutation of it *somewhere* at or after the
+    detection (:meth:`VerdictTimeline.unrefuted`).  A detection inside
     the last ``recovery window`` before ``horizon`` may legitimately
     still be awaiting its repair, so it is excused; when the run had no
     actual ``losses`` there is no excuse and ``final_suspicions`` (the
@@ -172,29 +174,19 @@ def accuracy_violations(
     """
     window = (config.max_forward_retries + 1) * config.phi
     operational = {int(nid) for nid in operational}
-    refuted_at: dict = {}
-    for record in tracer.iter_kind(REFUTATION):
-        target = int(record.detail["target"])
-        refuted_at.setdefault(target, []).append(record.time)
-    violations: List[Violation] = []
-    for record in tracer.iter_kind(DETECTION):
-        target = int(record.detail["target"])
-        if target not in operational:
-            continue
-        if any(t >= record.time for t in refuted_at.get(target, [])):
-            continue
-        if record.time > horizon - window:
-            continue  # refutation legitimately past the horizon
-        violations.append(
-            Violation(
-                kind="accuracy",
-                description=(
-                    f"node {record.node} detected operational node "
-                    f"{target} at t={record.time:.3f} with no refutation "
-                    f"in the remaining {horizon - record.time:.1f}s"
-                ),
-            )
+    violations = [
+        Violation(
+            kind="accuracy",
+            description=(
+                f"node {node} detected operational node "
+                f"{target} at t={time:.3f} with no refutation "
+                f"in the remaining {horizon - time:.1f}s"
+            ),
         )
+        for time, node, target in verdicts.unrefuted()
+        # Past horizon - window the refutation may legitimately be late.
+        if target in operational and time <= horizon - window
+    ]
     if losses == 0:
         violations.extend(
             Violation(
@@ -216,7 +208,7 @@ def run_accuracy_violations(result: RunResult) -> List[Violation]:
         result.network.operational_ids(),
         result.network.sim.now,
         result.losses,
-        result.tracer,
+        result.verdicts,
         result.properties.accuracy_violations,
     )
 
@@ -237,21 +229,6 @@ def audit_violations(
             for finding in status.findings
         )
     return violations
-
-
-def predetected_targets(result) -> set:
-    """Crash targets some node *falsely* detected before they crashed.
-
-    The ``0.4*phi + 2*thop`` latency anchor assumes the CH was not
-    already suspecting the target, so such targets are anchor-exempt.
-    """
-    predetected = set()
-    for record in result.tracer.iter_kind(DETECTION):
-        target = int(record.detail["target"])
-        crash_time = result.crash_times.get(target)
-        if crash_time is not None and record.time < crash_time:
-            predetected.add(target)
-    return predetected
 
 
 # ----------------------------------------------------------------------
@@ -365,7 +342,12 @@ def engine_pair_violations(
 
     if same_crashes:
         want, got = _latencies_phi(reference), _latencies_phi(other)
-        exempt = predetected_targets(reference) | predetected_targets(other)
+        # The 0.4*phi + 2*thop anchor assumes the CH was not already
+        # suspecting the target: a crash detected before it happened is
+        # anchor-exempt.
+        exempt = (
+            reference.verdicts.predetected() | other.verdicts.predetected()
+        )
         for target in sorted(set(want) - exempt):
             w, g = want[target], got[target]
             if (w is None) != (g is None):

@@ -29,6 +29,7 @@ from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.fds import events as ev
 from repro.fds.config import FdsConfig
+from repro.obs.verdicts import VerdictTimeline
 from repro.sim.trace import RecordingTracer
 from repro.types import NodeId, SimTime
 
@@ -96,14 +97,14 @@ def audit_detection_timing(
     """Detections happen only at R-3 or end-of-R-3 round boundaries."""
     findings: List[AuditFinding] = []
     legal_offsets = (2.0 * config.thop, 3.0 * config.thop)
-    for record in tracer.iter_kind(ev.DETECTION):
-        phase = math.fmod(record.time - fds_start, config.phi)
+    for time, node, _target in VerdictTimeline.read(tracer).detections:
+        phase = math.fmod(time - fds_start, config.phi)
         if not any(abs(phase - off) <= tolerance for off in legal_offsets):
             findings.append(
                 AuditFinding(
                     audit="detection-timing",
-                    time=record.time,
-                    node=record.node,
+                    time=time,
+                    node=node,
                     description=(
                         f"detection at interval offset {phase:.4f}, expected "
                         f"one of {legal_offsets}"
@@ -119,41 +120,22 @@ def audit_refutation_soundness(tracer: RecordingTracer) -> List[AuditFinding]:
     The compact trace does not record when each node applied an update,
     so a node's own suspicion set cannot be rebuilt from it.  The audit
     checks the necessary condition instead: *somebody* announced the
-    target failed before anyone refutes it.
+    target failed at or before the moment anyone refutes it.
     """
-    findings: List[AuditFinding] = []
-    suspected_since: Dict[int, SimTime] = {}
-    for record in tracer.records:
-        if record.kind == ev.DETECTION:
-            target = int(record.detail["target"])
-            suspected_since.setdefault(target, record.time)
-        elif record.kind == ev.REFUTATION:
-            target = int(record.detail["target"])
-            if target not in suspected_since:
-                findings.append(
-                    AuditFinding(
-                        audit="refutation-soundness",
-                        time=record.time,
-                        node=record.node,
-                        description=(
-                            f"refutation of {target} with no prior "
-                            "detection anywhere"
-                        ),
-                    )
-                )
-            elif record.time < suspected_since[target]:
-                findings.append(
-                    AuditFinding(
-                        audit="refutation-soundness",
-                        time=record.time,
-                        node=record.node,
-                        description=(
-                            f"refutation of {target} precedes its first "
-                            "detection"
-                        ),
-                    )
-                )
-    return findings
+    unsupported = VerdictTimeline.read(tracer).unsupported_refutations()
+    return [
+        AuditFinding(
+            audit="refutation-soundness",
+            time=refutation.time,
+            node=refutation.node,
+            description=(
+                f"refutation of {refutation.target} "
+                + ("with no prior detection anywhere" if first is None
+                   else "precedes its first detection")
+            ),
+        )
+        for refutation, first in unsupported
+    ]
 
 
 def round_structure_allowance(config: FdsConfig) -> float:

@@ -23,9 +23,9 @@ from typing import Dict, List, Tuple
 from repro.experiments.runner import EventEngine, ScenarioConfig, run_scenario
 from repro.experiments.scenarios import single_cluster_config
 from repro.failure.injection import FailureInjector
-from repro.fds import events as ev
 from repro.fds.config import FdsConfig
 from repro.metrics.collectors import collect_message_counts
+from repro.obs.verdicts import VerdictTimeline
 from repro.sim.loss import GilbertElliottLoss
 from repro.sim.trace import NullTracer
 from repro.util.tables import render_table
@@ -89,7 +89,7 @@ def ablation_digest(
         result = run_scenario(
             single_cluster_config(n, p, executions, seed, cfg)
         )
-        false_detections = result.tracer.count(ev.DETECTION)
+        false_detections = sum(result.verdicts.detection_counts().values())
         rows.append(
             AblationRow(
                 label=label,
@@ -323,13 +323,13 @@ def ablation_loss_model() -> AblationResult:
         FailureInjector(engine.network, cfg).crash_before_execution(11, 2)
         engine.run()
         report = engine.score()["properties"]
+        detections = VerdictTimeline.read(engine.tracer).detection_counts()
         rows.append(
             AblationRow(
                 label=label,
                 metrics={
                     "false_detections": float(
-                        sum(1 for r in engine.tracer.iter_kind(ev.DETECTION)
-                            if r.detail["target"] != 11)
+                        sum(detections.values()) - detections[11]
                     ),
                     "crash_completeness": report.completeness.get(11, 0.0),
                     "residual_violations": float(

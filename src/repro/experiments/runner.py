@@ -32,14 +32,12 @@ from repro.failure.injection import FailureInjector
 from repro.fds.config import FdsConfig
 from repro.fds.service import FdsDeployment, install_fds
 from repro.metrics.collectors import MessageCounts, collect_message_counts
-from repro.metrics.properties import (
-    PropertyReport,
-    detection_latency,
-    evaluate_properties,
-)
+from repro.metrics.properties import PropertyReport, evaluate_properties
 from repro.obs.analyze import TraceMeta, stamp_profile, stamp_run_header
 from repro.obs.profiler import PhaseProfiler
+from repro.obs.spool import iter_spool
 from repro.obs.topology import array_topology_detail
+from repro.obs.verdicts import VerdictTimeline
 from repro.sim.loss import LossModel, build_loss_model, loss_params
 from repro.sim.network import NetworkConfig, build_network
 from repro.sim.trace import RecordingTracer, Tracer
@@ -279,13 +277,32 @@ class RunResult:
         return tracer.path if getattr(tracer, "closed", False) else None
 
     @property
+    def verdicts(self) -> Optional[VerdictTimeline]:
+        """The run's detections and refutations against its
+        :attr:`crash_times`: from the in-memory trace, else from
+        :attr:`spool`; ``None`` with neither (a ``NullTracer``, a spooler
+        still open -- ``repro trace`` reads the file once it is closed)."""
+        if isinstance(self.tracer, RecordingTracer):
+            return VerdictTimeline.read(self.tracer, self.crash_times)
+        if self.spool is not None:
+            return VerdictTimeline.read(iter_spool(self.spool), self.crash_times)
+        return None
+
+    @property
     def detection_latencies(self) -> Dict[NodeId, Optional[SimTime]]:
-        """Crash-to-first-detection seconds per crashed node, from the
-        in-memory trace or else from :attr:`spool` (every entry ``None``
-        with neither)."""
-        return detection_latency(
-            self.tracer, self.crash_times, spool=self.spool
-        )
+        """Seconds from each crash to its first detection at or after it
+        (``None`` if none, or if the run kept no :attr:`verdicts`).
+
+        The anchor is :attr:`crash_times`, the scheduled crash instants.
+        On rt that is the schedule, not the wall-clock instant the kill
+        ran, which is what the spool's ``sim.crash`` record holds and
+        ``repro trace latency`` measures from; the two differ by the
+        scheduler's lateness.
+        """
+        verdicts = self.verdicts
+        if verdicts is None:
+            return dict.fromkeys(self.crash_times)
+        return verdicts.latencies()
 
     def summary(self) -> Dict[str, float]:
         """The headline numbers of the run -- same keys on every engine."""

@@ -29,7 +29,6 @@ from repro.analysis.false_detection import p_false_detection
 from repro.analysis.incompleteness import p_incompleteness
 from repro.errors import ExperimentError
 from repro.experiments.runner import EventEngine, ScenarioConfig, run_engine
-from repro.fds import events as ev
 from repro.fds.config import FdsConfig
 from repro.topology.placement import cluster_disk_placement
 from repro.types import NodeId
@@ -128,11 +127,7 @@ def single_cluster_validation(
         )
     watched = NodeId(n - 1)  # the circumference member
 
-    false_detections = sum(
-        1
-        for record in result.tracer.iter_kind(ev.DETECTION)
-        if int(record.detail["target"]) == int(watched)
-    )
+    false_detections = result.verdicts.detection_counts()[watched]
     received = result.deployment.protocols[watched].updates_received
     incompleteness_events = executions - len(
         [k for k in received if 0 <= k < executions]

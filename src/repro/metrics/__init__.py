@@ -9,7 +9,6 @@ matrix).  :func:`collect_message_counts` totals the messages.
 from repro.metrics.collectors import MessageCounts, collect_message_counts
 from repro.metrics.properties import (
     PropertyReport,
-    detection_latency,
     evaluate_properties,
     score_knowledge,
 )
@@ -18,7 +17,6 @@ __all__ = [
     "MessageCounts",
     "collect_message_counts",
     "PropertyReport",
-    "detection_latency",
     "evaluate_properties",
     "score_knowledge",
 ]

@@ -22,14 +22,11 @@ engine state: :func:`evaluate_properties` packs each event/rt node's
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.fds.service import FdsDeployment
-from repro.sim.trace import Tracer
-from repro.fds import events as ev
 from repro.types import NodeId, SimTime
 
 
@@ -172,42 +169,3 @@ def evaluate_properties(deployment: FdsDeployment) -> PropertyReport:
         np.array([layout.is_clustered(nid) for nid in node_ids], dtype=bool),
     )
 
-
-def detection_latency(
-    tracer: Optional[Tracer],
-    crash_times: Dict[NodeId, SimTime],
-    spool: Optional[Path] = None,
-) -> Dict[NodeId, Optional[SimTime]]:
-    """Seconds from each crash to its first detection at or after it
-    (None if none).  A false detection before the crash is not the
-    crash's detection.
-
-    Reads the detections from a tracer with full in-memory records, else
-    from the ``spool`` file the run left behind (a closed spooling
-    tracer's file, the runtime's merged spool).  With neither -- a
-    NullTracer, a spooler still open -- every entry is ``None``; the
-    latencies are then recovered post-hoc by ``repro trace latency``.
-    """
-    iter_kind = getattr(tracer, "iter_kind", None)
-    if iter_kind is not None:
-        detections = iter_kind(ev.DETECTION)
-    elif spool is not None:
-        from repro.obs.spool import iter_spool
-
-        detections = (r for r in iter_spool(spool) if r.kind == ev.DETECTION)
-    else:
-        return {nid: None for nid in crash_times}
-    first_detection: Dict[NodeId, SimTime] = {}
-    for record in detections:
-        target = NodeId(int(record.detail["target"]))
-        crashed_at = crash_times.get(target)
-        if (
-            crashed_at is not None
-            and record.time >= crashed_at
-            and target not in first_detection
-        ):
-            first_detection[target] = record.time
-    return {
-        nid: (first_detection[nid] - t if nid in first_detection else None)
-        for nid, t in crash_times.items()
-    }

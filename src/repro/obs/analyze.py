@@ -7,7 +7,9 @@ in one pass, so analyzing a multi-gigabyte spool never materializes it.
 
 Each reduction is a small *reducer*: ``feed(record)`` applies its
 per-record rule, ``finish()`` returns the result.  The rule lives in the
-reducer and nowhere else: :func:`summarize`, :func:`timeline`,
+reducer and nowhere else (the verdict rules: in the
+:class:`~repro.obs.verdicts.VerdictTimeline` that the summary, lineage
+and topology reducers feed).  :func:`summarize`, :func:`timeline`,
 :func:`lineage` and :func:`repro.obs.topology.topology_view` drive one
 reducer each (what ``repro trace`` calls), and :func:`reduce_records`
 drives several over the *same* pass -- which is how ``repro serve``
@@ -40,6 +42,7 @@ from repro.obs.registry import (
     MetricsRegistry,
 )
 from repro.obs.profiler import PhaseProfiler
+from repro.obs.verdicts import CRASH_KIND, TIMELINE_KINDS, VerdictTimeline
 from repro.sim.trace import TraceRecord, Tracer
 
 #: Kind of the run-description record the scenario runner emits first.
@@ -53,8 +56,6 @@ TOPOLOGY_KIND = "meta.topology"
 WALL_TIMEBASE = "wall_ms"
 #: Kind of the per-phase wall-clock records emitted at run end.
 PROFILE_KIND = "profile.phase"
-#: Kind the node runtime emits when a node fail-stops.
-CRASH_KIND = "sim.crash"
 
 #: Detail keys that name sets of node ids a record is "about".
 _NODE_SET_KEYS = ("failures", "covered", "pending", "admissions")
@@ -239,8 +240,7 @@ class SummaryReducer:
 
     def __init__(self) -> None:
         self.summary = TraceSummary()
-        #: target -> its detection times, in record order.
-        self._detections: Dict[int, List[float]] = {}
+        self._verdicts = VerdictTimeline()
         self._hop = self.summary.registry.histogram(
             "repro_hop_latency_seconds",
             HOP_LATENCY_BUCKETS,
@@ -268,24 +268,13 @@ class SummaryReducer:
             calls = int(record.detail.get("calls", 0))
             old_s, old_c = summary.phases.get(phase, (0.0, 0))
             summary.phases[phase] = (old_s + seconds, old_c + calls)
-        elif kind == CRASH_KIND:
-            if record.node is not None:
-                summary.crash_times.setdefault(int(record.node), record.time)
-        elif kind == "fds.detection":
-            target = record.detail.get("target")
-            if target is not None:
-                self._detections.setdefault(int(target), []).append(record.time)
+        elif kind in TIMELINE_KINDS:
+            self._verdicts.feed(record)
 
     def finish(self) -> TraceSummary:
         summary = self.summary
-        # A false detection before the crash is not the crash's detection.
-        for node, crashed_at in summary.crash_times.items():
-            detected_at = next(
-                (t for t in self._detections.get(node, ()) if t >= crashed_at),
-                None,
-            )
-            if detected_at is not None:
-                summary.first_detection[node] = detected_at
+        summary.crash_times = self._verdicts.crash_times
+        summary.first_detection = self._verdicts.first_detections()
         phi_hist = summary.registry.histogram(
             "repro_detection_latency_phi",
             PHI_LATENCY_BUCKETS,
@@ -405,13 +394,13 @@ class Lineage:
     target: int
     crash_time: Optional[float]
     events: List[LineageEvent]
+    #: Every node that announced the target failed, before its crash too.
     detectors: Tuple[int, ...]
     forward_hops: int
     relays: int
-
-    @property
-    def detected(self) -> bool:
-        return bool(self.detectors)
+    #: Detected at or after the crash (announced at all, when the trace
+    #: holds no crash of the target).
+    detected: bool
 
     @property
     def crossed_boundary(self) -> bool:
@@ -478,8 +467,7 @@ class LineageReducer:
         self.target = int(target)
         self._meta = TraceMeta()
         self._matched: List[TraceRecord] = []
-        self._crash_time: Optional[float] = None
-        self._detectors: List[int] = []
+        self._verdicts = VerdictTimeline()
         self._forward_hops = 0
         self._relays = 0
 
@@ -488,9 +476,10 @@ class LineageReducer:
         if kind == META_KIND and not self._meta.found:
             self._meta = TraceMeta.from_record(record)
             return
+        if kind in TIMELINE_KINDS:
+            self._verdicts.feed(record)
         if kind == CRASH_KIND:
             if record.node is not None and int(record.node) == self.target:
-                self._crash_time = record.time
                 self._matched.append(record)
             return
         if not kind.startswith("fds."):
@@ -498,11 +487,7 @@ class LineageReducer:
         if not _mentions(record, self.target):
             return
         self._matched.append(record)
-        if kind == "fds.detection":
-            detector = record.detail.get("detector")
-            if detector is not None and int(detector) not in self._detectors:
-                self._detectors.append(int(detector))
-        elif kind == "fds.report_forwarded":
+        if kind == "fds.report_forwarded":
             self._forward_hops += 1
         elif kind == "fds.relay":
             self._relays += 1
@@ -527,13 +512,20 @@ class LineageReducer:
             )
             for record in self._matched
         ]
+        verdicts = self._verdicts
+        crash_time = verdicts.crash_times.get(self.target)
+        detectors = verdicts.detectors(self.target)
         return Lineage(
             target=self.target,
-            crash_time=self._crash_time,
+            crash_time=crash_time,
             events=events,
-            detectors=tuple(self._detectors),
+            detectors=detectors,
             forward_hops=self._forward_hops,
             relays=self._relays,
+            detected=(
+                bool(detectors) if crash_time is None
+                else self.target in verdicts.first_detections()
+            ),
         )
 
 
@@ -588,8 +580,9 @@ class TopologyView:
     positions: Dict[int, Tuple[float, float]] = field(default_factory=dict)
     #: node -> crash time (ground truth).
     crash_times: Dict[int, float] = field(default_factory=dict)
-    #: node -> first ``fds.detection`` time.
-    first_detection: Dict[int, float] = field(default_factory=dict)
+    #: node -> its first announcement as failed, at any time: a false
+    #: detection before (or without) a crash counts.
+    first_announcement: Dict[int, float] = field(default_factory=dict)
     #: Whether a ``meta.topology`` record was present.
     found: bool = False
 
@@ -631,6 +624,7 @@ class TopologyReducer:
 
     def __init__(self) -> None:
         self.view = TopologyView()
+        self._verdicts = VerdictTimeline()
 
     def feed(self, record: TraceRecord) -> None:
         view = self.view
@@ -653,16 +647,14 @@ class TopologyReducer:
                 for n, x, y in zip(nodes, xs, ys)
             }
             view.found = True
-        elif kind == CRASH_KIND:
-            if record.node is not None:
-                view.crash_times.setdefault(int(record.node), record.time)
-        elif kind == "fds.detection":
-            target = record.detail.get("target")
-            if target is not None:
-                view.first_detection.setdefault(int(target), record.time)
+        elif kind in TIMELINE_KINDS:
+            self._verdicts.feed(record)
 
     def finish(self) -> TopologyView:
-        return self.view
+        view = self.view
+        view.crash_times = self._verdicts.crash_times
+        view.first_announcement = self._verdicts.first_announcements()
+        return view
 
 
 # ----------------------------------------------------------------------

@@ -203,9 +203,13 @@ def _print_lineage(chain: Lineage) -> None:
         if chain.crash_time is not None
         else "crash not in trace"
     )
+    detectors = list(chain.detectors)
+    if chain.detected or not detectors:
+        verdict = f"detected by {detectors or 'nobody'}"
+    else:
+        verdict = f"undetected (announced by {detectors} before the crash)"
     print(
-        f"report lineage for node {chain.target}: {crash}; "
-        f"detected by {list(chain.detectors) or 'nobody'}; "
+        f"report lineage for node {chain.target}: {crash}; {verdict}; "
         f"{chain.forward_hops} boundary forwarding(s), "
         f"{chain.relays} relay(s)"
     )

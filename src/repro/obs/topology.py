@@ -12,10 +12,11 @@ node positions they carry.
 
 :func:`topology_view` replays a record stream into a
 :class:`~repro.obs.analyze.TopologyView` -- cluster membership crossed
-with the ground-truth ``sim.crash`` stream and the ``fds.detection``
-verdicts, so the map can show crashed-but-undetected vs detected nodes;
-the per-record rule is :class:`~repro.obs.analyze.TopologyReducer`, next
-to the other reducers.  Spools written before this record existed
+with the ground-truth ``sim.crash`` stream and each node's first
+``fds.detection`` announcement (read by
+:class:`~repro.obs.verdicts.VerdictTimeline`); the per-record rule is
+:class:`~repro.obs.analyze.TopologyReducer`, next to the other
+reducers.  Spools written before this record existed
 degrade gracefully (``found=False``; crash/detection status is still
 reported per node).
 
@@ -130,14 +131,22 @@ def topology_view(records: Iterable[TraceRecord]) -> TopologyView:
 
 
 def topology_payload(view: TopologyView) -> Dict[str, object]:
-    """The ``/api/topology`` document: per-node rows plus the cluster map."""
+    """The ``/api/topology`` document: per-node rows plus the cluster map.
+
+    A row's ``detected_at`` and the top-level ``detected`` count mean
+    *first announced as failed*, false announcements included: a node
+    falsely detected while up shows a ``detected_at`` before its
+    ``crashed_at``, or with none.  Crash detection is ``/api/latency``
+    (:func:`~repro.obs.analyze.latency_payload`): only a detection at or
+    after the crash counts, else its latency is ``null``.
+    """
     roles = view.roles()
     owners = view.cluster_of()
     node_ids = sorted(
         set(view.positions)
         | set(roles)
         | set(view.crash_times)
-        | set(view.first_detection)
+        | set(view.first_announcement)
     )
     nodes = []
     for node in node_ids:
@@ -149,7 +158,7 @@ def topology_payload(view: TopologyView) -> Dict[str, object]:
             "x": None if position is None else position[0],
             "y": None if position is None else position[1],
             "crashed_at": view.crash_times.get(node),
-            "detected_at": view.first_detection.get(node),
+            "detected_at": view.first_announcement.get(node),
         })
     return {
         "found": view.found,
@@ -166,5 +175,5 @@ def topology_payload(view: TopologyView) -> Dict[str, object]:
         "unclustered": view.unclustered,
         "nodes": nodes,
         "crashed": len(view.crash_times),
-        "detected": len(view.first_detection),
+        "detected": len(view.first_announcement),
     }

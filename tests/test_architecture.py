@@ -4,7 +4,8 @@ The FDS is one protocol executed three ways (the event engine, the array
 engine and rt), and it stays one protocol because each decision has one
 owner: one process pool, one layout producer, one scorer, one trace
 sink, one scenario description, one rule kernel and lattice draw, one
-trace line codec, one receive path, and no module without a caller.
+trace line codec, one receive path, one verdict reader, and no module
+without a caller.
 
 Each contract is a function from a :class:`Tree` of sources to the list
 of its violations (empty when it holds).  A text check matches the text
@@ -40,6 +41,8 @@ GENERATORS = "src/repro/topology/generators.py"
 HTTP = "src/repro/serve/http.py"
 MEDIUM = "src/repro/sim/medium.py"
 LINK = "src/repro/rt/substrate.py"
+VERDICTS = "src/repro/obs/verdicts.py"
+ANALYZE = "src/repro/obs/analyze.py"
 #: Where protocols and their hosts live: the text form of the receive
 #: contract greps these (the energy ledger's ``on_receive`` debit and
 #: the JSON validators' ``isinstance(payload, dict)`` sit elsewhere).
@@ -576,6 +579,91 @@ def one_receive_path(tree: Tree) -> Violations:
     ]
 
 
+#: The verdict kinds, as the constants of fds/events.py and as text.
+VERDICT_NAMES = ("DETECTION", "REFUTATION")
+VERDICT_TEXTS = ("fds.detection", "fds.refutation")
+_VERDICT = r"""(?:\w+\.)?(?:DETECTION|REFUTATION)\b|["']fds\.(?:detection|refutation)["']"""
+#: A record filter or comparison on a verdict kind, and a target read.
+VERDICT_FILTER = re.compile(
+    rf"\b(?:iter_kind|count|filter)\(\s*(?:{_VERDICT})"
+    rf"|[=!]=\s*(?:{_VERDICT})|(?:{_VERDICT})\s*[=!]="
+)
+TARGET_READ = re.compile(r"""detail(?:\[\s*["']target["']\s*\]|\.get\(\s*["']target["'])""")
+
+
+def _verdict_reads(source: Source, exempt: range) -> List[str]:
+    """Every filter of records by a verdict kind (``iter_kind`` /
+    ``count`` / ``filter`` of one, ``==`` / ``!=`` / ``in`` against one)
+    and every ``detail["target"]`` / ``detail.get("target")`` in the
+    module, outside the ``exempt`` lines."""
+
+    def verdict(node: ast.AST) -> bool:
+        if isinstance(node, ast.Constant):
+            return node.value in VERDICT_TEXTS
+        return source.resolve(_name(node)) in VERDICT_NAMES
+
+    def target(node: ast.AST) -> bool:
+        return isinstance(node, ast.Constant) and node.value == "target"
+
+    found = []
+    for node in ast.walk(source.tree):
+        if getattr(node, "lineno", 0) in exempt:
+            continue
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            operands += [
+                element for operand in operands
+                if isinstance(operand, (ast.Tuple, ast.List, ast.Set))
+                for element in operand.elts
+            ]
+            hit = any(map(verdict, operands))
+        elif isinstance(node, ast.Call):
+            func, args = node.func, node.args
+            hit = (
+                _name(func) in ("iter_kind", "count", "filter")
+                and any(map(verdict, args))
+            ) or (
+                isinstance(func, ast.Attribute) and func.attr == "get"
+                and _name(func.value) == "detail" and args and target(args[0])
+            )
+        elif isinstance(node, ast.Subscript):
+            hit = _name(node.value) == "detail" and target(node.slice)
+        else:
+            continue
+        if hit:
+            found.append(f"{source.path}:{node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+@contract
+def one_verdict_reader(tree: Tree) -> Violations:
+    """``VerdictTimeline`` (obs/verdicts.py) is the one reader of
+    detection and refutation records: nothing else in src/repro filters
+    records by a verdict kind or reads a verdict record's
+    ``detail["target"]``.  The emitters, the kind constants, the engine
+    pair's ``VERDICT_KINDS`` tuple and the lineage notes' display text
+    (``_note_for`` in obs/analyze.py) name the kinds and stay."""
+    found = _one(tree.defs("VerdictTimeline", SRC), "VerdictTimeline", VERDICTS, "")
+    notes = [
+        range(node.lineno, node.end_lineno + 1)
+        for node in tree.sources[ANALYZE].tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "_note_for"
+    ] if ANALYZE in tree.sources else []
+    message = "verdict records are read by VerdictTimeline only"
+    for source in tree.under(SRC):
+        if source.path == VERDICTS:
+            continue
+        exempt = notes[0] if source.path == ANALYZE and notes else range(0)
+        hits = [
+            hit for pattern in (VERDICT_FILTER, TARGET_READ)
+            for hit in source.grep(pattern)
+            if int(hit.split(":")[1]) not in exempt
+        ]
+        found += _count(hits, 0, f"{message} ({source.path})")
+        found += [f"{hit}: {message}" for hit in _verdict_reads(source, exempt)]
+    return found
+
+
 # -- plantings --------------------------------------------------------------
 
 
@@ -611,6 +699,7 @@ SERVICE = "src/repro/fds/service.py"
 ABLATIONS = "src/repro/experiments/ablations.py"
 SCENARIOS = "src/repro/experiments/scenarios.py"
 ORPHAN = "src/repro/util/orphan.py"
+INVARIANTS = "src/repro/audit/invariants.py"
 TEST = "tests/test_planted.py"
 
 SECOND_POOL = """
@@ -909,6 +998,38 @@ PLANTINGS = [
         "handler = self._table[type(payload)]",
         "handler = self._table[payload.__class__]",
     )}),
+    plant(one_verdict_reader, "no_kernel", {
+        VERDICTS: sub("class VerdictTimeline:", "class Timeline:"),
+    }),
+    plant(one_verdict_reader, "second_kernel", {
+        "src/repro/audit/differential.py": add("class VerdictTimeline: pass"),
+    }),
+    plant(one_verdict_reader, "iter_kind_in_audit", {INVARIANTS: add(
+        "def detections(tracer): return list(tracer.iter_kind(ev.DETECTION))"
+    )}),
+    plant(one_verdict_reader, "target_read_in_experiments", {
+        ABLATIONS: add("def target(record): return record.detail['target']"),
+    }),
+    plant(one_verdict_reader, "target_get_in_serve", {
+        "src/repro/serve/state.py": add('def target(r): return r.detail.get("target")'),
+    }),
+    plant(one_verdict_reader, "count_of_refutations", {
+        SCENARIOS: add("def refuted(result): return result.tracer.count(ev.REFUTATION)"),
+    }),
+    plant(one_verdict_reader, "kind_compared_outside_the_notes", {
+        ANALYZE: add('def detection(record): return record.kind == "fds.detection"'),
+    }),
+    plant(one_verdict_reader, "kind_imported_as", {INVARIANTS: add("""
+        from repro.fds.events import REFUTATION as REFUTED
+
+        def refutations(tracer):
+            return tracer.filter(
+                REFUTED)
+    """)}),
+    plant(one_verdict_reader, "kind_in_a_tuple", {PROPERTIES: add("""
+        def verdicts(records):
+            return [r for r in records if r.kind in ("fds.refutation", "x")]
+    """)}),
 ]
 
 #: Code that looks like a violation to a looser check but keeps the
@@ -942,6 +1063,14 @@ NEAR_MISSES = [
     plant(one_trace_line_codec, "sort_keys_false", {
         HTTP: add("import json\ndef body(x): return json.dumps(x, sort_keys=False)"),
     }),
+    plant(one_verdict_reader, "an_emitter_and_other_kinds", {SERVICE: add("""
+        def announce(self, target, tracer):
+            self._trace(ev.DETECTION, target=int(target))
+            return tracer.count("radio.tx"), tracer.iter_kind(ev.TAKEOVER)
+    """)}),
+    plant(one_verdict_reader, "a_test_reads_the_records", {TEST: add(
+        "def targets(t): return [r.detail['target'] for r in t.iter_kind(ev.DETECTION)]"
+    )}),
 ]
 
 

@@ -29,7 +29,6 @@ import pytest
 from repro.audit.differential import (
     energy_ledger_violations,
     engine_pair_violations,
-    predetected_targets,
     verdict_records,
 )
 from repro.cluster.geometric import build_clusters
@@ -242,7 +241,7 @@ def _assert_detected_before_crash(result) -> None:
     crash later included.  Those detections precede the crashes, so no
     crash has a detection of its own: every latency is ``None``."""
     crashed = set(map(int, result.crash_times))
-    assert crashed and crashed <= predetected_targets(result)
+    assert crashed and crashed <= result.verdicts.predetected()
     assert all(v is None for v in result.detection_latencies.values())
 
 

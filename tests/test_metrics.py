@@ -7,8 +7,9 @@ import pytest
 from repro.errors import AnalysisError
 from repro.failure.injection import FailureInjector
 from repro.metrics.collectors import collect_message_counts
-from repro.metrics.properties import detection_latency, evaluate_properties
+from repro.metrics.properties import evaluate_properties
 from repro.experiments.repeat import summarize
+from repro.obs.verdicts import VerdictTimeline
 from repro.topology.placement import cluster_disk_placement
 
 from tests.fds_helpers import deploy
@@ -43,14 +44,14 @@ class TestPropertyReport:
         victim = sorted(layout.clusters[0].ordinary_members)[0]
         event = injector.crash_before_execution(victim, execution=1)
         deployment.run_executions(2)
-        latencies = detection_latency(tracer, {victim: event.time})
+        latencies = VerdictTimeline.read(tracer, {victim: event.time}).latencies()
         assert latencies[victim] is not None
         assert 0 < latencies[victim] < deployment.config.phi
 
     def test_latency_none_when_never_detected(self, rng):
         placement = cluster_disk_placement(10, 100.0, rng)
         _deployment, _layout, tracer, _network = deploy(placement)
-        assert detection_latency(tracer, {5: 1.0}) == {5: None}
+        assert VerdictTimeline.read(tracer, {5: 1.0}).latencies() == {5: None}
 
 
 class TestCollectors:

@@ -15,10 +15,10 @@ import threading
 
 import pytest
 
-from repro.audit.differential import predetected_targets
 from repro.errors import ConfigurationError
 from repro.experiments.runner import ScenarioConfig, run_scenario
-from repro.obs.analyze import lineage, summarize, timeline
+from repro.__main__ import main
+from repro.obs.analyze import latency_payload, lineage, summarize, timeline
 from repro.obs.profiler import (
     NULL_PROFILER,
     PHASE_FDS_INTERCLUSTER,
@@ -29,6 +29,7 @@ from repro.obs.profiler import (
 )
 from repro.obs.registry import PHI_LATENCY_BUCKETS, MetricsRegistry
 from repro.obs.spool import SpoolingTracer, iter_spool, read_spool
+from repro.obs.topology import topology_payload, topology_view
 from repro.sim.trace import RecordingTracer, TraceRecord, iter_jsonl
 from tests.spool_helpers import (
     write_corrupt_gzip_spool, write_cut_gzip_spool, write_hostile_spool,
@@ -415,7 +416,7 @@ class TestTraceAnalysis:
         ("array", 3, 15), ("array", 6, 32), ("event", 2, 81),
     ])
     def test_a_detection_before_the_crash_is_not_its_detection(
-        self, tmp_path, engine, seed, node
+        self, tmp_path, capsys, engine, seed, node
     ):
         # Node ``node`` is falsely detected before it crashes.  Counted
         # as the crash's detection, that would give a negative latency
@@ -425,7 +426,7 @@ class TestTraceAnalysis:
             crash_count=3, executions=6, engine=engine, seed=seed,
         )
         memory = run_scenario(config)
-        assert node in predetected_targets(memory)
+        assert node in memory.verdicts.predetected()
         path = tmp_path / "run.jsonl.gz"
         with SpoolingTracer(path) as tracer:
             spooled = run_scenario(config, tracer=tracer)
@@ -442,6 +443,28 @@ class TestTraceAnalysis:
             assert all(v is None or v >= 0 for v in latencies.values())
             assert latencies == from_spool
         assert memory.summary()["mean_detection_latency"] >= 0
+        # Lineage and its exit code are one more read path: detected means
+        # detected at or after the crash.
+        records = list(iter_spool(path))
+        detected = from_spool[node] is not None
+        assert lineage(records, node).detected is detected
+        assert main(["trace", "lineage", str(path), str(node)]) == (
+            0 if detected else 1
+        )
+        header = capsys.readouterr().out.splitlines()[0]
+        assert ("undetected" in header) is not detected
+        # The cluster map shows the first announcement, the false one
+        # before the crash included; /api/latency shows the crash's.
+        (row,) = [
+            row for row in topology_payload(topology_view(records))["nodes"]
+            if row["id"] == node
+        ]
+        assert row["detected_at"] < row["crashed_at"]
+        (crash,) = [
+            crash for crash in latency_payload(summarize(records))["crashes"]
+            if crash["node"] == node
+        ]
+        assert (crash["latency_phi"] is None) is not detected
 
     def test_detection_latency_graceful_without_records(
         self, scenario_spool, tmp_path

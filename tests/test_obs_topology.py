@@ -259,7 +259,7 @@ class TestReconstruction:
         assert len(view.crash_times) == 1
         crashed = next(iter(view.crash_times))
         # The injected crash was detected; latency is positive.
-        assert view.first_detection[crashed] > view.crash_times[crashed]
+        assert view.first_announcement[crashed] > view.crash_times[crashed]
 
     def test_role_precedence_head_beats_deputy_beats_gateway(self):
         view = TopologyView(
