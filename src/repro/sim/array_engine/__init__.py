@@ -6,8 +6,11 @@ expresses an entire FDS φ-interval -- R-1 heartbeats, R-2 digests, R-3
 updates and inter-cluster forwarding across *all* clusters at once -- as
 batched boolean-array programs:
 
-- :mod:`.layout` -- the field as flat arrays: member matrices, radio
-  adjacency, deputy ranks, and boundary gateways.  The
+- :mod:`.bits` -- the one bit layout: member-pair cubes (the radio
+  adjacency, each execution's clustermate heartbeats) packed eight
+  cells to a byte, and knowledge rows as int bitmasks;
+- :mod:`.layout` -- the field as flat arrays: member matrices, packed
+  radio adjacency, deputy ranks, and boundary gateways.  The
   :class:`~.layout.ArrayLayout` is the one cluster structure every
   engine runs on (event and rt included), with the one derivation of a
   node's local view; the oracle clustering is built here too;
@@ -26,6 +29,6 @@ batched boolean-array programs:
 The event engine remains the scalar reference; the differential soak
 harness (:mod:`repro.audit.differential`) proves verdict-level
 equivalence between the two on every soak run.  The package imports
-none of its modules, so reaching the oracle loads :mod:`.layout` alone;
-import names from the modules.
+none of its modules, so reaching the oracle loads :mod:`.layout` and
+its :mod:`.bits` alone; import names from the modules.
 """

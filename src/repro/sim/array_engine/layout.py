@@ -32,9 +32,10 @@ that now lives in the tests (``tests/cluster_reference.py``);
 
 The only O(C * M^2) pass, the member<->member adjacency
 (:func:`_fill_adjacency`), runs in cache-sized blocks of whole clusters
-through two in-place scratch buffers: the one-expression form's
-arithmetic without its field-sized temporaries
-(``tests/test_array_kernels.py`` checks both).
+through in-place scratch buffers and keeps its bits packed
+(:mod:`repro.sim.array_engine.bits`): the one-expression form's
+arithmetic without its field-sized temporaries, in one eighth of the
+bool cube's bytes (``tests/test_array_kernels.py`` checks both).
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ import numpy as np
 
 from repro.cluster.state import ClusterLayout, LocalClusterView
 from repro.errors import TopologyError
+from repro.sim.array_engine import bits
 from repro.topology.generators import draw_lattice
 from repro.topology.graph import UnitDiskEdges, UnitDiskGraph
 from repro.types import NodeId, NodeRole
@@ -78,7 +80,10 @@ class ArrayLayout:
     member_mask: np.ndarray
     #: Per-cluster member count.
     member_counts: np.ndarray
-    #: ``(C, M, M)`` member<->member radio adjacency (diagonal False).
+    #: Member<->member radio adjacency, packed along the sender axis
+    #: (:mod:`~repro.sim.array_engine.bits`): ``(C, M, ceil(M/8))``
+    #: uint8, bit ``v`` of row ``[c, u]`` set iff members ``u`` and
+    #: ``v`` are in range (never ``u == v``; pad bits zero).
     adjacency: np.ndarray
     #: ``(C, M)`` member distance to own head (inf at pads).
     head_dist: np.ndarray
@@ -256,13 +261,15 @@ def _fill_adjacency(
     radius: float,
     keep_dist: bool = False,
 ) -> Optional[np.ndarray]:
-    """Member<->member adjacency per cluster, written straight into ``out``.
+    """Member<->member adjacency per cluster, packed into ``out``
+    (``(C, M, ceil(M/8))`` uint8).
 
     ``px``/``py`` are NaN at pad slots, so pads compare adjacent to
     nothing.  Blocks of whole clusters go through two scratch buffers of
-    ``_ADJACENCY_BLOCK_CELLS`` (or one cluster's ``M * M``) float64:
-    beyond ``out`` and the optional float32 distances, nothing of size
-    ``C * M * M`` is allocated.
+    ``_ADJACENCY_BLOCK_CELLS`` (or one cluster's ``M * M``) float64 and
+    one bool block of padded cells, packed into ``out``: beyond ``out``
+    and the optional float32 distances, nothing of size ``C * M * M`` is
+    allocated.
     """
     c, m = px.shape
     dist = np.zeros((c, m, m), dtype=np.float32) if keep_dist else None
@@ -271,11 +278,14 @@ def _fill_adjacency(
     block = max(1, _ADJACENCY_BLOCK_CELLS // (m * m))
     d2_buf = np.empty((block, m, m))
     dy_buf = np.empty((block, m, m))
+    # Padded cells (:func:`~repro.sim.array_engine.bits.padded_cells`):
+    # the pad cells are never written, so they stay False.
+    adj_buf = np.zeros((block, m, 8 * bits.width(m)), dtype=bool)
     r2 = radius * radius
     di = np.arange(m)
     for lo in range(0, c, block):
         hi = min(c, lo + block)
-        d2, dy = d2_buf[: hi - lo], dy_buf[: hi - lo]
+        d2, dy, adj = d2_buf[: hi - lo], dy_buf[: hi - lo], adj_buf[: hi - lo]
         # float64 throughout: the equivalence tests compare against the
         # graph's float64 edge predicate, so no rounding at the boundary.
         np.subtract(px[lo:hi, :, None], px[lo:hi, None, :], out=d2)
@@ -283,8 +293,9 @@ def _fill_adjacency(
         np.subtract(py[lo:hi, :, None], py[lo:hi, None, :], out=dy)
         np.multiply(dy, dy, out=dy)
         np.add(d2, dy, out=d2)
-        np.less_equal(d2, r2, out=out[lo:hi])
-        out[lo:hi, di, di] = False
+        np.less_equal(d2, r2, out=adj[:, :, :m])
+        adj[:, di, di] = False
+        bits.repack(adj, out[lo:hi])
         if dist is not None:
             dist[lo:hi] = np.sqrt(d2, out=d2)
     return dist
@@ -356,7 +367,7 @@ def _member_slots(
     head_dist = np.where(
         member_mask, np.sqrt(head_dx * head_dx + head_dy * head_dy), np.inf
     )
-    adjacency = np.zeros((c, max_m, max_m), dtype=bool)
+    adjacency = np.zeros((c, max_m, bits.width(max_m)), dtype=np.uint8)
     with np.errstate(invalid="ignore"):
         pair_dist = _fill_adjacency(
             adjacency, px, py, radius, keep_dist=keep_pair_dist
@@ -382,7 +393,7 @@ def _rank_deputies(
     inside its head's disk, hence adjacent)."""
     members, member_mask = fields["members"], fields["member_mask"]
     c, max_m = members.shape
-    degree = fields["adjacency"].sum(axis=2) + member_mask.astype(np.int64)
+    degree = bits.popcount(fields["adjacency"]) + member_mask.astype(np.int64)
     ids_for_sort = np.where(member_mask, members, np.iinfo(np.int64).max)
     # Per-cluster slot order, best deputy first (pads sort last via inf).
     rank = np.lexsort((ids_for_sort, -degree, dist), axis=-1)

@@ -63,20 +63,26 @@ call none.  ``gilbert`` draws every transition, then every loss, per
 call -- blocking would interleave the two, so it stays one-shot.
 
 The member-pair pass.  A round's clustermate copies are the cells
-``[c, hearer u, sender v]`` of the layout's ``(C, M, M)`` adjacency
-whose hearer and sender are both alive (``draw_into`` with ``alive``).
-That mask is never materialised: :func:`pair_blocks` cuts the clusters
-into blocks of at most ``_PAIR_BLOCK_CELLS`` cells (one cluster at
-least), and each block's active cells are formed straight into the
-returned cube, gathered with one ``flatnonzero``, drawn, and ``put``
-back as delivered flags.  The blocks still make one logical draw: the
+``[c, hearer u, sender v]`` of the layout's member adjacency whose
+hearer and sender are both alive (``draw_into`` with ``alive``).  The
+adjacency and the returned delivered cube are packed along the sender
+axis (:mod:`repro.sim.array_engine.bits`: ``(C, M, ceil(M/8))`` uint8),
+and the active cells are formed in those bytes, straight into the
+returned cube: adjacency AND the packed alive senders, dead hearers'
+rows zeroed.  :func:`pair_blocks` then cuts the clusters into blocks
+of at most ``_PAIR_BLOCK_CELLS`` cells (one cluster at least), and each
+block is unpacked once into a block-sized bool scratch (its padded
+cells), gathered with one ``flatnonzero``, drawn, and packed back with
+the lost cells cleared.  The set and C order of the active cells are
+those of the bool cube, so the blocks still make one logical draw: the
 uniforms go in C order, the ``bounded`` budget is spent in that order
 and, as above, dies with the call (the block in which it runs out and
 every later block still consume their uniforms), ``distance`` takes
-each block's ``pair_dist`` cells, and ``gilbert`` sweeps the blocks
-twice -- every transition, then every loss -- with the active cells of
-the first sweep held in the cube itself.  Beyond the cube, the pass
-holds block-sized scratch only.
+each block's ``pair_dist`` cells (an unpacked ``(C, M, M)`` float32
+cube), and ``gilbert`` sweeps the blocks twice -- every transition,
+then every loss -- with the active cells of the first sweep held in the
+packed cube itself (its ``mm`` chain family stays one bool per cell).
+Beyond the cube, the pass holds block-sized scratch only.
 """
 
 from __future__ import annotations
@@ -86,6 +92,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.errors import ExperimentError
+from repro.sim.array_engine import bits
 from repro.sim.loss import build_loss_model
 
 #: Uniforms drawn per ``Generator.random(out=...)`` call (module
@@ -98,9 +105,9 @@ _DRAW_BLOCK = 1 << 16
 #: drawn this way allocates after it and shows in peak RSS).
 _SMALL_DRAW = 1 << 10
 
-#: Member-pair cells per block of the pair pass (module docstring) and
-#: of every reduction over the pair cube: 64 KiB of bool, whose index
-#: and uniform scratch stay within a core's L2 cache.
+#: Member-pair cells per block of the pair pass (module docstring): a
+#: 64 KiB bool scratch, whose index and uniform scratch stay within a
+#: core's L2 cache.
 _PAIR_BLOCK_CELLS = 1 << 16
 
 
@@ -313,10 +320,11 @@ class ArrayLossDraw:
         optionally indexes into a larger family so a draw site can
         address a slice of it (e.g. one cluster's CH -> member row).
 
-        With ``alive`` (``(C, M)``), ``active`` is the ``(C, M, M)``
-        member adjacency and the copies are its cells whose hearer and
-        sender are both alive: the pair pass of the module docstring,
-        with ``distances`` the ``(C, M, M)`` pair distances.
+        With ``alive`` (``(C, M)``), ``active`` is the packed member
+        adjacency and the copies are its cells whose hearer and sender
+        are both alive: the pair pass of the module docstring, with
+        ``distances`` the ``(C, M, M)`` pair distances.  The delivered
+        cube comes back packed like ``active``.
         """
         if alive is not None:
             return self._draw_pairs(active, alive, distances, chain)
@@ -361,47 +369,60 @@ class ArrayLossDraw:
         chain: Optional[str],
     ) -> np.ndarray:
         """The member-pair pass (module docstring): one logical draw
-        over ``adjacency & alive[:, None, :] & alive[:, :, None]``."""
-        out = np.zeros(adjacency.shape, dtype=bool)
-        blocks = pair_blocks(*alive.shape)
-        free = self._delivers_all()
+        over ``adjacency & alive[:, None, :] & alive[:, :, None]``, all
+        three and the result packed along the sender axis."""
+        c, m = alive.shape
+        out = np.bitwise_and(adjacency, bits.pack(alive)[:, None, :])
+        out &= np.where(alive, np.uint8(0xFF), np.uint8(0))[:, :, None]
+        if self._delivers_all():
+            count = int(bits.popcount(out).sum())
+            self.attempted += count
+            self.delivered_count += count
+            return out
         gilbert = self.kind == "gilbert"
         state = None  # the gilbert family, created by the first copy
         attempted = delivered = 0
+        blocks = pair_blocks(c, m)
         for lo, hi in blocks:
-            block = out[lo:hi]
-            np.logical_and(adjacency[lo:hi], alive[lo:hi, None, :], out=block)
-            block &= alive[lo:hi, :, None]
-            if free:
-                attempted += int(np.count_nonzero(block))
-                continue
-            idx = np.flatnonzero(block)
+            rows = out[lo:hi]
+            cells = bits.padded_cells(rows)
+            idx = np.flatnonzero(cells)
             attempted += idx.size
             if gilbert:
                 if idx.size:
                     if state is None:
-                        state = self._chain_view(chain, None, adjacency.shape)
-                    cells = state[lo:hi]
-                    cells.put(idx, self._gilbert_step(cells.take(idx)))
+                        state = self._chain_view(chain, None, (c, m, m))
+                    at, chains = bits.cube_index(idx, m), state[lo:hi]
+                    chains.put(at, self._gilbert_step(chains.take(at)))
                 continue
             got = np.empty(idx.size, dtype=bool)
-            self._draw_stateless(
-                got, None if distances is None else distances[lo:hi].take(idx)
-            )
-            lost = idx.take(np.flatnonzero(~got))
-            block.put(lost, False)  # the block holds the active cells
-            delivered += idx.size - lost.size
+            self._draw_stateless(got, None if distances is None else (
+                distances[lo:hi].take(bits.cube_index(idx, m))
+            ))
+            delivered += _clear_lost(rows, cells, idx, ~got)
         if state is not None:
             # Every transition is drawn; the cube still holds the active
             # cells, now every loss in the same order.
             for lo, hi in blocks:
-                block = out[lo:hi]
-                idx = np.flatnonzero(block)
-                lost = idx.take(
-                    np.flatnonzero(self._gilbert_lost(state[lo:hi].take(idx)))
-                )
-                block.put(lost, False)
-                delivered += idx.size - lost.size
+                rows = out[lo:hi]
+                cells = bits.padded_cells(rows)
+                idx = np.flatnonzero(cells)
+                at = bits.cube_index(idx, m)
+                lost = self._gilbert_lost(state[lo:hi].take(at))
+                delivered += _clear_lost(rows, cells, idx, lost)
         self.attempted += attempted
-        self.delivered_count += attempted if free else delivered
+        self.delivered_count += delivered
         return out
+
+
+def _clear_lost(
+    rows: np.ndarray, cells: np.ndarray, idx: np.ndarray, lost: np.ndarray
+) -> int:
+    """Clear the lost copies of one pair block: ``cells`` are ``rows``'
+    padded cells, ``idx`` the active ones and ``lost`` their flags.
+    Returns the delivered count."""
+    gone = idx.take(np.flatnonzero(lost))
+    if gone.size:
+        cells.put(gone, False)
+        bits.repack(cells, rows)
+    return idx.size - gone.size

@@ -52,14 +52,18 @@ and peer-request copies member -> own CH; ``cm`` carries CH broadcasts
 deputy-row witness draws); ``over``/``rep`` the per-channel gateway
 ladders.
 
-The member-pair cube.  ``hb_mm`` is the one ``(C, M, M)`` array an
-execution allocates.  :meth:`~repro.sim.array_engine.loss.ArrayLossDraw.
-draw_into` with ``alive`` forms the active pairs (adjacency, alive
-hearer, alive sender) of one cluster block at a time straight into it
-and draws them there (the pair pass of
-:mod:`repro.sim.array_engine.loss`), and the witness reduction reads
-it in the same :func:`~repro.sim.array_engine.loss.pair_blocks`; no
-pair mask or other cube-sized temporary exists beside it.
+The member-pair cube.  ``hb_mm`` is the one member-pair array an
+execution allocates, packed along the sender axis like the layout's
+adjacency (:mod:`repro.sim.array_engine.bits`: ``(C, M, ceil(M/8))``
+uint8, one eighth of the bool cube's bytes).
+:meth:`~repro.sim.array_engine.loss.ArrayLossDraw.draw_into` with
+``alive`` forms the active pairs (adjacency, alive hearer, alive
+sender) straight into it and draws them there, one cluster block at a
+time (the pair pass of :mod:`repro.sim.array_engine.loss`).  Its
+readers stay packed: the witness reduction ORs the accepted digest
+senders' rows, a target's refutation reads one sender column, and the
+energy ledger's receive counts are row popcounts; no pair mask or other
+cube-sized temporary exists beside it.
 
 The inter-cluster scan.  Which channels hold forwardable news is
 computed for all channels once per execution; afterwards only a
@@ -69,7 +73,8 @@ CH, source CH or outbound gateway of exactly the channels incident to
 that cluster (the frontier invariant).  Each wave therefore recomputes
 those channels alone.  While the fixpoint runs, the CH and gateway
 rows of ``known`` are mirrored as Python-int bitmasks (bit ``j`` is
-target column ``j``; one ``packbits`` each, any T), so testing for
+target column ``j``; :func:`~repro.sim.array_engine.bits.bitmasks`,
+any T), so testing for
 news is ``src & ~dst`` on ints.  Nothing in the fixpoint reads another
 member row: a crossing updates the destination CH's int and the ints
 of that cluster's gateways its relay copy reached, and the relayed
@@ -98,7 +103,7 @@ sends, on the event engine via the medium counters and here via
 from __future__ import annotations
 
 import time as _time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -116,9 +121,10 @@ from repro.obs.profiler import (
     PHASE_ARRAY_SYNC,
     PhaseProfiler,
 )
+from repro.sim.array_engine import bits
 from repro.sim.array_engine.energy import ArrayEnergyLedger
 from repro.sim.array_engine.layout import PAD, ArrayLayout
-from repro.sim.array_engine.loss import ArrayLossDraw, pair_blocks
+from repro.sim.array_engine.loss import ArrayLossDraw
 from repro.sim.trace import Tracer
 
 #: Knowledge columns added per growth of the (N, T) ``known`` buffer.
@@ -374,13 +380,13 @@ class ArrayRoundEngine:
 
     @staticmethod
     def _witness_reduce(sender_ok: np.ndarray, hb_mm: np.ndarray) -> np.ndarray:
-        """``out[c, v] = any_u(sender_ok[c, u] & hb_mm[c, u, v])``, in
-        the pair pass's cluster blocks."""
-        c, m = sender_ok.shape
-        out = np.zeros((c, m), dtype=bool)
-        for lo, hi in pair_blocks(c, m):
-            out[lo:hi] = (sender_ok[lo:hi, :, None] & hb_mm[lo:hi]).any(axis=1)
-        return out
+        """``out[c, v] = any_u(sender_ok[c, u] & hb_mm[c, u, v])``: the
+        OR of the packed rows of the hearers ``u`` in ``sender_ok``, with
+        no temporary beyond the ``(C, W)`` result."""
+        words = np.bitwise_or.reduce(
+            hb_mm, axis=1, where=sender_ok[:, :, None], initial=0
+        )
+        return bits.unpack(words, sender_ok.shape[1])
 
     # ------------------------------------------------------------------
     # One execution
@@ -407,7 +413,7 @@ class ArrayRoundEngine:
         pd = layout.pair_dist
         hb_mc = loss.draw_into(alive_m, hd, chain="mc")  # member -> own CH
         hb_cm = loss.draw_into(alive_m, hd, chain="cm")  # CH broadcast -> member
-        hb_mm = loss.draw_into(  # [c, hearer u, sender v]
+        hb_mm = loss.draw_into(  # [c, hearer u, sender v], packed
             layout.adjacency, pd, chain="mm", alive=alive_m
         )
         if use_digests:
@@ -428,7 +434,7 @@ class ArrayRoundEngine:
             rx = self._node_counts()
             rx[self.head_ids] += hb_mc.sum(axis=1)
             self._scatter_member_counts(
-                hb_cm.astype(np.int64) + hb_mm.sum(axis=2), rx
+                hb_cm.astype(np.int64) + bits.popcount(hb_mm), rx
             )
             energy.charge_rx(epoch, rx)
             if use_digests:
@@ -530,7 +536,7 @@ class ArrayRoundEngine:
             if slot == PAD:  # head target: heartbeat or digest broadcast
                 heard = hb_cm[c] | dg_cm[c]
             else:
-                heard = hb_mm[c, :, slot]
+                heard = bits.column(hb_mm[c], slot)
             if not heard.any():
                 continue
             row_ids = layout.members[c]
@@ -738,7 +744,9 @@ class ArrayRoundEngine:
                 # Digests the deputy overheard from clustermates that
                 # themselves heard the CH's heartbeat.  Fresh draws for
                 # the deputy's copies (per-receiver independence).
-                dep_adj = layout.adjacency[rows, safe_slot]  # (C, M)
+                dep_adj = bits.unpack(  # (C, M)
+                    layout.adjacency[rows, safe_slot], self.M
+                )
                 md_active = (
                     dep_adj & alive_m & acting[:, None]
                 )
@@ -800,8 +808,8 @@ class ArrayRoundEngine:
         if not self.T:
             return
         loss, known = self.loss, self.known
-        heads, head_words = _bitmasks(known[self.head_ids])
-        gws, gw_words = _bitmasks(known[self._gw_nids])
+        heads, head_words = bits.bitmasks(known[self.head_ids])
+        gws, gw_words = bits.bitmasks(known[self._gw_nids])
         # Which channels hold news, for all channels once.
         alive_k = alive[self._gw_nids]
         alive_gw = self.ch_gw_ok & alive_k[self._ch_gw_k]
@@ -904,7 +912,7 @@ class ArrayRoundEngine:
 
         if touched:
             order = sorted(touched)
-            known[self.head_ids[order]] = _bool_rows(
+            known[self.head_ids[order]] = bits.bool_rows(
                 [heads[c] for c in order], self.T
             )
         self.bgw_activations += bgw
@@ -929,28 +937,3 @@ class ArrayRoundEngine:
             if alive_k[rank[1]] and gws[rank[1]] & lacks
         ]
 
-
-def _bitmasks(rows: np.ndarray) -> Tuple[List[int], np.ndarray]:
-    """``(R, T)`` bool rows as Python ints (bit ``j`` is column ``j``)
-    and as ``(R, W)`` little-endian uint64 words, from one ``packbits``."""
-    r, t = rows.shape
-    words = np.zeros((r, 8 * -(-t // 64)), dtype=np.uint8)
-    packed = np.packbits(rows, axis=1, bitorder="little")
-    words[:, : packed.shape[1]] = packed
-    words = words.view("<u8")
-    ints = words[:, -1].tolist()
-    for w in range(words.shape[1] - 2, -1, -1):
-        ints = [(high << 64) | low for high, low in zip(ints, words[:, w].tolist())]
-    return ints, words
-
-
-def _bool_rows(ints: List[int], t: int) -> np.ndarray:
-    """The inverse of :func:`_bitmasks`: ``(len(ints), t)`` bool rows."""
-    width = -(-t // 8)
-    packed = np.frombuffer(
-        b"".join(value.to_bytes(width, "little") for value in ints),
-        dtype=np.uint8,
-    )
-    return np.unpackbits(
-        packed.reshape(len(ints), width), axis=1, count=t, bitorder="little"
-    ).view(bool)

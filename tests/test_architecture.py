@@ -4,8 +4,8 @@ The FDS is one protocol executed three ways (the event engine, the array
 engine and rt), and it stays one protocol because each decision has one
 owner: one process pool, one layout producer, one scorer, one trace
 sink, one scenario description, one rule kernel and lattice draw, one
-trace line codec, one receive path, one verdict reader, and no module
-without a caller.
+trace line codec, one receive path, one verdict reader, one bit layout
+of the array engine's packed rows, and no module without a caller.
 
 Each contract is a function from a :class:`Tree` of sources to the list
 of its violations (empty when it holds).  A text check matches the text
@@ -43,6 +43,8 @@ MEDIUM = "src/repro/sim/medium.py"
 LINK = "src/repro/rt/substrate.py"
 VERDICTS = "src/repro/obs/verdicts.py"
 ANALYZE = "src/repro/obs/analyze.py"
+ARRAY_ENGINE = "src/repro/sim/array_engine/"
+BITS = "src/repro/sim/array_engine/bits.py"
 #: Where protocols and their hosts live: the text form of the receive
 #: contract greps these (the energy ledger's ``on_receive`` debit and
 #: the JSON validators' ``isinstance(payload, dict)`` sit elsewhere).
@@ -664,6 +666,33 @@ def one_verdict_reader(tree: Tree) -> Violations:
     return found
 
 
+#: A pack, an unpack, or a bit order chosen in place.
+BIT_LAYOUT = re.compile(r"\b(?:un)?packbits\b|\bbitorder\s*=")
+
+
+@contract
+def one_pair_bit_layout(tree: Tree) -> Violations:
+    """sim/array_engine/bits.py owns the array engine's bit layout (the
+    packed member adjacency and ``hb_mm`` cube, the knowledge-row
+    bitmasks): ``pack`` and ``unpack`` are defined there, and no other
+    array-engine module calls ``packbits`` / ``unpackbits`` or passes
+    ``bitorder=``."""
+    found = []
+    for name in ("pack", "unpack"):
+        found += _one(tree.defs(name, ARRAY_ENGINE), name, BITS, "")
+    others = [s.path for s in tree.under(ARRAY_ENGINE) if s.path != BITS]
+    message = f"bits are packed and unpacked by {BITS} only"
+    found += _count(tree.grep(BIT_LAYOUT, *others), 0, message)
+    for name in ("packbits", "unpackbits"):
+        found += [f"{site}: {message}" for site in tree.call_sites(name, *others)]
+    return found + [
+        f"{site}: bitorder=: {message}"
+        for source in tree.under(*others)
+        for site, _, node in source.index.calls
+        if any(keyword.arg == "bitorder" for keyword in node.keywords)
+    ]
+
+
 # -- plantings --------------------------------------------------------------
 
 
@@ -701,6 +730,8 @@ SCENARIOS = "src/repro/experiments/scenarios.py"
 ORPHAN = "src/repro/util/orphan.py"
 INVARIANTS = "src/repro/audit/invariants.py"
 TEST = "tests/test_planted.py"
+ROUNDS = "src/repro/sim/array_engine/rounds.py"
+LOSS = "src/repro/sim/array_engine/loss.py"
 
 SECOND_POOL = """
     from concurrent.futures import ProcessPoolExecutor
@@ -1030,6 +1061,28 @@ PLANTINGS = [
         def verdicts(records):
             return [r for r in records if r.kind in ("fds.refutation", "x")]
     """)}),
+    plant(one_pair_bit_layout, "unpack_adjacency_in_rounds", {ROUNDS: add(
+        "def cube(layout): return np.unpackbits(layout.adjacency, axis=-1)"
+    )}),
+    plant(one_pair_bit_layout, "big_endian_in_loss", {LOSS: sub(
+        "bits.pack(alive)[:, None, :]",
+        'np.packbits(alive, axis=-1, bitorder="big")[:, None, :]',
+    )}),
+    plant(one_pair_bit_layout, "bitorder_through_a_helper", {LOSS: add(
+        'def senders(alive): return bits.pack(alive, bitorder="big")'
+    )}),
+    plant(one_pair_bit_layout, "unpack_imported_as", {
+        "src/repro/sim/array_engine/layout.py": add("""
+            from numpy import unpackbits as spread
+
+            def cube(adjacency):
+                return spread(adjacency, axis=-1)
+        """),
+    }),
+    plant(one_pair_bit_layout, "pack_moved", {
+        BITS: sub("def pack(", "def pack_rows("),
+        ROUNDS: add("def pack(cells): return cells"),
+    }),
 ]
 
 #: Code that looks like a violation to a looser check but keeps the
@@ -1070,6 +1123,12 @@ NEAR_MISSES = [
     """)}),
     plant(one_verdict_reader, "a_test_reads_the_records", {TEST: add(
         "def targets(t): return [r.detail['target'] for r in t.iter_kind(ev.DETECTION)]"
+    )}),
+    plant(one_pair_bit_layout, "a_test_packs_its_reference", {TEST: add(
+        'def rows(cells): return np.packbits(cells, axis=-1, bitorder="little")'
+    )}),
+    plant(one_pair_bit_layout, "packbits_outside_the_array_engine", {MC: add(
+        "def words(flags): return np.packbits(flags)"
     )}),
 ]
 

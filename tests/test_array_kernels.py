@@ -5,6 +5,8 @@ member-pair pass with its witness reduction, and the unit-disk edge
 build stream through cache-sized blocks; each must
 give, bit for bit, what the unblocked formulation gives -- same arrays,
 same counters, and the random stream left at the same position.  The
+member-pair cubes are packed bits (``bits``); every packed reader must
+give what its bool-cube form gives.  The
 graph and the radio medium read their neighbours off that edge build,
 so they must give what the brute-force pair scan gives too.  The
 formation's per-receiver reductions must give what a per-node loop
@@ -25,6 +27,7 @@ from hypothesis import strategies as st
 
 from repro.experiments.runner import ScenarioConfig, run_engine, scenario_config
 from repro.fds.config import FdsConfig
+from repro.sim.array_engine import bits
 from repro.sim.array_engine import layout as layout_module
 from repro.sim.array_engine import loss as loss_module
 from repro.sim.array_engine import rounds as rounds_module
@@ -81,13 +84,15 @@ def ragged_field(c, m, seed):
 
 
 def fill(px, py, radius=RADIUS, keep_dist=False):
+    """The packed adjacency, unpacked, and the optional distances."""
     c, m = px.shape
-    out = np.zeros((c, m, m), dtype=bool)
+    out = np.zeros((c, m, bits.width(m)), dtype=np.uint8)
     with np.errstate(invalid="ignore"):
         dist = layout_module._fill_adjacency(
             out, px, py, radius, keep_dist=keep_dist
         )
-    return out, dist
+    np.testing.assert_array_equal(bits.pack(bits.unpack(out, m)), out)  # pads 0
+    return bits.unpack(out, m), dist
 
 
 @pytest.mark.parametrize("m", [1, 2, 127])
@@ -415,10 +420,11 @@ def test_pair_pass_equals_one_shot_mask_draw(case, m, around):
     new, ref = loss_pair(kind, params, seed, p=p)
     dist = distances if kind == "distance" else None
     for alive_m in alive:
-        got = new.draw_into(adjacency, dist, chain="mm", alive=alive_m)
+        got = new.draw_into(
+            bits.pack(adjacency), dist, chain="mm", alive=alive_m
+        )
         want = ref.draw_into(pair_mask(adjacency, alive_m), dist, chain="mm")
-        assert got.shape == adjacency.shape
-        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(got, bits.pack(want))
         assert_same_state(new, ref)
     if kind == "bounded":
         # The budget is spent by the first draw unless it never dies.
@@ -434,9 +440,140 @@ def test_witness_reduce_equals_one_shot_reduce(m, around):
     sender_ok = shapes.random((step + around, m)) < 0.3
     hb_mm = shapes.random((step + around, m, m)) < 0.05
     np.testing.assert_array_equal(
-        ArrayRoundEngine._witness_reduce(sender_ok, hb_mm),
+        ArrayRoundEngine._witness_reduce(sender_ok, bits.pack(hb_mm)),
         (sender_ok[:, :, None] & hb_mm).any(axis=1),
     )
+
+
+# ---------------------------------------------------------------------------
+# (b'') the packed member-pair readers vs their bool-cube forms
+# ---------------------------------------------------------------------------
+#: No cells; 7, 1 and 0 pad bits in one byte; 7 and 1 pad bits past it.
+PACKED_M = [0, 1, 7, 8, 9, 127]
+
+
+def pack_reference(cells):
+    """Bit ``v % 8`` of byte ``v // 8`` per cell, bit by bit; pads 0."""
+    m = cells.shape[-1]
+    rows = np.zeros(cells.shape[:-1] + (-(-m // 8),), dtype=np.uint8)
+    for v in range(m):
+        rows[..., v // 8] |= cells[..., v].astype(np.uint8) << (v % 8)
+    return rows
+
+
+def pad_bits(rows, m):
+    """The bits past ``m`` in each packed row's last byte."""
+    if m % 8 == 0:
+        return np.zeros(rows.shape[:-1], dtype=np.uint8)
+    return rows[..., -1] >> (m % 8)
+
+
+def block_sizes(m):
+    """C one under, at and one over the pair block edge, and past two."""
+    step = max(1, PAIR_CELLS // max(1, m * m))
+    return sorted({max(1, step - 1), step, step + 1, 2 * step + 1})
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.sampled_from(PACKED_M),
+    at=st.integers(0, 3),
+    seed=st.integers(0, 2 ** 32 - 1),
+    density=st.sampled_from([0.0, 0.05, 0.5, 1.0]),
+)
+def test_packed_readers_equal_their_bool_forms(m, at, seed, density):
+    """The witness reduce, a target's column read, the deputy row, the
+    rx counts and the deputy degree, each on the packed cube against
+    the same read of the bool cube; and the pack itself, bit by bit."""
+    c = block_sizes(m)[at] if m > 9 else 3 + at
+    shapes = np.random.default_rng(seed)
+    cube = shapes.random((c, m, m)) < density
+    rows = pack_reference(cube)
+    np.testing.assert_array_equal(bits.pack(cube), rows)
+    np.testing.assert_array_equal(bits.unpack(rows, m), cube)
+    sender_ok = shapes.random((c, m)) < 0.3
+    np.testing.assert_array_equal(
+        ArrayRoundEngine._witness_reduce(sender_ok, rows),
+        (sender_ok[:, :, None] & cube).any(axis=1),
+    )
+    np.testing.assert_array_equal(bits.popcount(rows), cube.sum(axis=2))
+    if not m:
+        return
+    slot = int(shapes.integers(m))
+    for ci in range(c):
+        np.testing.assert_array_equal(bits.column(rows[ci], slot), cube[ci, :, slot])
+    slots = shapes.integers(0, m, c)
+    np.testing.assert_array_equal(
+        bits.unpack(rows[np.arange(c), slots], m), cube[np.arange(c), slots]
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    m=st.sampled_from(PACKED_M),
+    at=st.integers(0, 3),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_packed_layout_ranks_and_pads_as_the_bool_cube(m, at, seed):
+    """``_fill_adjacency`` leaves every pad bit zero, and the deputies
+    ranked off its packed rows are those ranked by the bool degree."""
+    c = block_sizes(m)[at] if m > 9 else 3 + at
+    px, py = ragged_field(c, m, seed)
+    packed = np.zeros((c, m, bits.width(m)), dtype=np.uint8)
+    with np.errstate(invalid="ignore"):
+        layout_module._fill_adjacency(packed, px, py, RADIUS)
+    cube = adjacency_reference(px, py, RADIUS)[0]
+    np.testing.assert_array_equal(packed, pack_reference(cube))
+    assert not pad_bits(packed, m).any()
+    mask = ~np.isnan(px)
+    members = np.where(mask, np.arange(c * m).reshape(c, m), layout_module.PAD)
+    dist = np.where(mask, np.hypot(px, py), np.inf)
+    fields = dict(members=members, member_mask=mask, adjacency=packed)
+    got = layout_module._rank_deputies(fields, dist, 3)
+    degree = cube.sum(axis=2) + mask
+    ids = np.where(mask, members, np.iinfo(np.int64).max)
+    rank = np.lexsort((ids, -degree, dist), axis=-1)[:, :3]
+    ok = np.take_along_axis(mask, rank, axis=1)
+    want = np.full((c, 3), layout_module.PAD)
+    want[:, : rank.shape[1]] = np.where(ok, rank, layout_module.PAD)
+    np.testing.assert_array_equal(got["deputy_slots"], want)
+
+
+PACKED_KINDS = dict(PAIR_KINDS, perfect=("perfect", (), 0.0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    m=st.sampled_from(PACKED_M),
+    case=st.sampled_from(sorted(PACKED_KINDS)),
+    at=st.integers(0, 3),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_packed_pair_pass_equals_the_bool_mask_draw(m, case, at, seed):
+    """Two consecutive pair passes on the packed adjacency (chains and
+    the budget carry over) against the one-shot draw over the bool
+    active mask, under all five loss kinds: the packed result, its pad
+    bits, the counters, the chains and the stream position."""
+    kind, params, p = PACKED_KINDS[case]
+    step = max(1, PAIR_CELLS // max(1, m * m))
+    c = block_sizes(m)[at]
+    adjacency, distances, alive = pair_field(c, m, seed)
+    if kind == "bounded":
+        params = (("budget", float(pair_budget(
+            params, adjacency, alive[0], seed, p, step
+        ))),)
+    new, ref = loss_pair(kind, params, seed, p=p)
+    dist = distances if kind == "distance" else None
+    for alive_m in alive:
+        got = new.draw_into(
+            pack_reference(adjacency), dist, chain="mm", alive=alive_m
+        )
+        want = ref.draw_into(pair_mask(adjacency, alive_m), dist, chain="mm")
+        assert got.dtype == np.uint8 and got.shape == (c, m, bits.width(m))
+        np.testing.assert_array_equal(got, pack_reference(want))
+        assert not pad_bits(got, m).any()
+        assert_same_state(new, ref)
+    assert_same_stream_position(new, ref)
 
 
 # ---------------------------------------------------------------------------
@@ -680,9 +817,13 @@ def traced_peak(call):
 
 
 def test_layout_build_holds_no_field_sized_temporaries():
-    """numpy reports its buffers to tracemalloc.  The O(N) bookkeeping
-    arrays of the build weigh about as much as this small field's 3 MB
-    adjacency, hence 2.5x; the unblocked kernel peaked at 26x."""
+    """numpy reports its buffers to tracemalloc.  Beyond what it
+    returns, the build holds the (C, M) and O(N) bookkeeping of the
+    member slots: about eight packed adjacencies' worth on this small
+    field (3.1 MB).  A bool (C, M, M) cube anywhere in the build -- the
+    adjacency unpacked, or a degree summed through an int64 cast of the
+    packed bytes -- adds eight more and fails the bound of twelve; the
+    unblocked kernel peaked at 26x the returned arrays."""
     layout, peak = traced_peak(lambda: build_array_layout(
         200, 100, RADIUS, RngFactory(1).stream("placement")
     ))
@@ -690,8 +831,10 @@ def test_layout_build_holds_no_field_sized_temporaries():
         value.nbytes for value in vars(layout).values()
         if isinstance(value, np.ndarray)
     )
-    assert layout.adjacency.nbytes > 3_000_000
-    assert peak <= 2.5 * returned
+    c, m, w = layout.adjacency.shape
+    assert layout.adjacency.dtype == np.uint8 and w == bits.width(m)
+    assert c * m * m > 3_000_000  # the bool cube it does not hold
+    assert peak <= returned + 12 * layout.adjacency.nbytes
 
 
 class TracedRoundEngine(ArrayRoundEngine):
@@ -712,10 +855,11 @@ class TracedRoundEngine(ArrayRoundEngine):
 
 @pytest.mark.parametrize("kind", ["bernoulli", "distance", "gilbert"])
 def test_round_program_holds_one_pair_cube(monkeypatch, kind):
-    """Beyond what it held at entry, an execution holds the ``hb_mm``
-    cube plus block-sized scratch (~1.7 MB here).  With the mask formed
-    whole and the witness reduce in 16 M-cell chunks it held 3 cubes
-    (bernoulli), 4 (distance) and 10.5 (gilbert)."""
+    """Beyond what it held at entry, an execution holds the packed
+    ``hb_mm`` cube (0.7 MB here) plus block-sized scratch (~1.7 MB).  A
+    bool (C, M, M) cube (5.3 MB) anywhere in it fails the bound.  With
+    the mask formed whole and the witness reduce in 16 M-cell chunks it
+    held 3 bool cubes (bernoulli), 4 (distance) and 10.5 (gilbert)."""
     monkeypatch.setattr(runner_module, "ArrayRoundEngine", TracedRoundEngine)
     config = scenario_config(
         cluster_count=200, members_per_cluster=100, executions=3,
@@ -724,13 +868,15 @@ def test_round_program_holds_one_pair_cube(monkeypatch, kind):
     )
     engine = ArrayEngine(config)
     run_engine(engine)
-    cube = engine.layout.adjacency.nbytes
-    assert cube > 3_000_000
+    c, m, w = engine.layout.adjacency.shape
+    cube = engine.layout.adjacency.nbytes  # packed, like ``hb_mm``
+    assert w == bits.width(m) and c * m * m > 5_000_000
     assert len(engine.rounds.peaks) == 3
     for e, peak in enumerate(engine.rounds.peaks):
         # The first gilbert execution creates the ``mm`` chain family,
-        # a cube of state the run keeps.
-        kept = cube if kind == "gilbert" and e == 0 else 0
+        # state the run keeps: one bool per (hearer, sender) cell, since
+        # each step reads and writes the chains of scattered cells.
+        kept = c * m * m if kind == "gilbert" and e == 0 else 0
         assert peak <= cube + 32 * PAIR_CELLS + kept, (e, peak / cube)
 
 
@@ -1094,12 +1240,12 @@ def test_exhausted_report_ladder_keeps_its_channel_active(monkeypatch):
 )
 def test_bitmasks_round_trip(t, seed):
     rows = np.random.default_rng(seed).random((5, t)) < 0.5
-    ints, words = rounds_module._bitmasks(rows)
+    ints, words = bits.bitmasks(rows)
     assert ints == [
         sum(1 << j for j in np.flatnonzero(row).tolist()) for row in rows
     ]
     assert words.dtype == np.dtype("<u8") and words.shape == (5, -(-t // 64))
-    np.testing.assert_array_equal(rounds_module._bool_rows(ints, t), rows)
+    np.testing.assert_array_equal(bits.bool_rows(ints, t), rows)
 
 
 def test_known_grows_in_column_chunks():

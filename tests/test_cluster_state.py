@@ -6,6 +6,7 @@ import pytest
 
 from repro.cluster.state import Boundary, Cluster
 from repro.errors import ClusteringError
+from repro.sim.array_engine import bits
 from repro.sim.array_engine.layout import PAD, ArrayLayout
 from repro.topology.graph import UnitDiskGraph
 from repro.types import NodeRole
@@ -50,7 +51,7 @@ def literal_layout(clusters, boundaries=(), node_count=None, xs=None, ys=None):
         members=members,
         member_mask=mask,
         member_counts=mask.sum(axis=1),
-        adjacency=np.zeros((c, width, width), dtype=bool),
+        adjacency=np.zeros((c, width, bits.width(width)), dtype=np.uint8),
         head_dist=np.where(mask, 1.0, np.inf),
         deputies=deputies,
         deputy_slots=deputy_slots,
