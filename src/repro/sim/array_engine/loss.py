@@ -43,10 +43,10 @@ Gilbert chain contract (engine-private, like the draw order itself):
 - only active copies advance their chain or consume the stream,
   mirroring the event medium where absent links and crashed senders
   produce no transmissions;
-- attempt ladders (:meth:`ArrayLossDraw.delivered` with ``chain``/
-  ``at``) advance one link's chain sequentially, once per attempt --
-  retries on a bursty link are correlated, which is the entire point of
-  the model.
+- attempt ladders (:meth:`UniformTape.ladder`) advance one link's
+  chain sequentially, once per attempt -- transition, then loss, per
+  attempt -- so retries on a bursty link are correlated, which is the
+  entire point of the model.
 
 All chains start in the Good state, like the scalar model's fresh
 per-link dictionary.
@@ -61,6 +61,25 @@ applies its budget after the whole call's uniforms are drawn: the call
 in which the budget runs out consumes all ``count`` of them, the next
 call none.  ``gilbert`` draws every transition, then every loss, per
 call -- blocking would interleave the two, so it stays one-shot.
+Neither does a tape's read-ahead: closing the tape restores the stream
+and advances it past the consumed uniforms only (below).
+
+The tape.  The inter-cluster fixpoint makes many small draws -- two
+attempt ladders and a relay broadcast per crossing -- whose per-call
+numpy overhead dwarfs their uniforms.  :meth:`ArrayLossDraw.tape`
+snapshots ``rng.bit_generator.state`` and reads uniforms ahead
+(``_TAPE_FIRST`` at first, refills doubling up to ``_TAPE_MAX``), and
+for ``bernoulli`` / ``bounded`` compares each block with ``p`` once.
+:meth:`UniformTape.ladder` and :meth:`UniformTape.broadcast` consume the
+uniforms in order, each giving exactly the per-call draw it replaces:
+same flags, counters, ``bounded`` budget (spent after the draw's
+uniforms, in flat order) and gilbert chains (a ladder steps one cell,
+transition then loss per attempt; a broadcast draws every transition,
+then every loss).  On close, after an exception too, the tape restores
+the snapshot and calls ``advance(consumed)``: PCG64 spends one 64-bit
+output per double, so the stream is left where the per-call draws leave
+it, and the uniforms read ahead but not consumed are never seen.  While
+a tape is open, any other draw on ``loss.rng`` raises.
 
 The member-pair pass.  A round's clustermate copies are the cells
 ``[c, hearer u, sender v]`` of the layout's member adjacency whose
@@ -100,10 +119,16 @@ from repro.sim.loss import build_loss_model
 _DRAW_BLOCK = 1 << 16
 
 #: Largest draw taken in one ``Generator.random(count)`` with no scratch
-#: buffer: attempt ladders and one cluster's relay.  Larger draws go
-#: through the block buffer, allocated before the draw (a full block
+#: buffer: a small field's rows, the peer ladder's stragglers.  Larger
+#: draws go through the block buffer, allocated before the draw (a full block
 #: drawn this way allocates after it and shows in peak RSS).
 _SMALL_DRAW = 1 << 10
+
+#: Uniforms a tape reads ahead when it opens, and the most one refill
+#: reads (module docstring: the tape).  Kept small: the fixpoint runs
+#: once per execution, often on a handful of crossings.
+_TAPE_FIRST = 1 << 8
+_TAPE_MAX = 1 << 12
 
 #: Member-pair cells per block of the pair pass (module docstring): a
 #: 64 KiB bool scratch, whose index and uniform scratch stay within a
@@ -208,6 +233,13 @@ class ArrayLossDraw:
             self.kind == "bounded" and self.budget_left <= 0
         )
 
+    def link_loss(self, distances: np.ndarray) -> Optional[np.ndarray]:
+        """Per-link loss probabilities at ``distances`` for a tape's
+        draws (``distance`` only; None for every other kind)."""
+        if self.kind != "distance":
+            return None
+        return self.model.loss_probabilities(distances)
+
     def _draw_stateless(self, out: np.ndarray, distances) -> None:
         """Fill the flat ``out`` with ``out.size`` copies' delivered
         flags, then spend the ``bounded`` budget on their losses.
@@ -239,50 +271,40 @@ class ArrayLossDraw:
                     p = self.model.loss_probabilities(distances[lo:hi])
                 np.greater_equal(u, p, out=out[lo:hi])
         if self.kind == "bounded":
-            # Spend the budget in flat draw order; later losses revert
-            # to deliveries once the adversary is out of drops.  All of
-            # this call's uniforms are consumed by then -- only the
-            # *next* call stops drawing.
-            idx = np.flatnonzero(~out)
-            if idx.size > self.budget_left:
-                out[idx[self.budget_left:]] = True
-                self.budget_left = 0
-            else:
-                self.budget_left -= int(idx.size)
+            self._spend_budget(out)
+
+    def _spend_budget(self, out: np.ndarray) -> None:
+        """Spend the ``bounded`` budget on the losses of ``out`` in flat
+        draw order; later losses revert to deliveries once the adversary
+        is out of drops.  All of the call's uniforms are consumed by
+        then -- only the *next* call stops drawing."""
+        idx = np.flatnonzero(~out)
+        if idx.size > self.budget_left:
+            out[idx[self.budget_left:]] = True
+            self.budget_left = 0
+        else:
+            self.budget_left -= int(idx.size)
 
     # ------------------------------------------------------------------
     def delivered(
-        self,
-        count: int,
-        distances: Optional[np.ndarray] = None,
-        chain: Optional[str] = None,
-        at=None,
+        self, count: int, distances: Optional[np.ndarray] = None
     ) -> np.ndarray:
-        """A delivered mask for ``count`` copies (True = arrives).
+        """A delivered mask for ``count`` independent copies (True =
+        arrives); not for ``gilbert``, whose copies ride link chains
+        (:meth:`draw_into`, :meth:`UniformTape.ladder`).
 
-        For ``gilbert`` the ``count`` copies are *sequential attempts on
-        one directed link* -- ``chain``/``at`` name its state cell, and
-        the chain advances once per attempt.
-
-        Up to ``_SMALL_DRAW`` copies (an attempt ladder, one cluster's
-        relay) take one ``rng.random(count)`` and a compare, with no
-        scratch buffer; larger draws go through the uniform block.  Both
-        leave the stream where ``random(count)`` does.
+        Up to ``_SMALL_DRAW`` copies take one ``rng.random(count)`` and
+        a compare, with no scratch buffer; larger draws go through the
+        uniform block.  Both leave the stream where ``random(count)``
+        does.
         """
         if count <= 0:
             return np.zeros(0, dtype=bool)
-        self.attempted += count
         if self.kind == "gilbert":
-            state = self._chain_view(chain, at, ())
-            cell = at if at is not None else ()
-            s = np.asarray([state[cell]])
-            out = np.empty(count, dtype=bool)
-            for i in range(count):
-                s, lost = self._gilbert_flat(s)
-                out[i] = not lost[0]
-            state[cell] = bool(s[0])
-            self.delivered_count += int(out.sum())
-            return out
+            raise ExperimentError(
+                "gilbert draws name their links: draw_into or a tape ladder"
+            )
+        self.attempted += count
         if self._delivers_all():
             self.delivered_count += count
             return np.ones(count, dtype=bool)
@@ -305,8 +327,8 @@ class ArrayLossDraw:
         copy plus one uniform block (``distance`` adds the active
         copies' distances, ``gilbert`` two uniforms per active copy) --
         never an index array or a uniform per cell.  A small draw (at
-        most ``_SMALL_DRAW`` active copies, e.g. one cluster's relay)
-        skips the block, as in :meth:`delivered`, and only ``distance``
+        most ``_SMALL_DRAW`` active copies) skips the block, as in
+        :meth:`delivered`, and only ``distance``
         gathers the distances it is passed.  When every copy is
         active (the formation's heartbeat flood over all edges, and its
         edge-list draws) the copies are the cells in C order: no gather
@@ -360,6 +382,11 @@ class ArrayLossDraw:
             return delivered.reshape(active.shape)
         out[active] = delivered
         return out
+
+    def tape(self) -> "UniformTape":
+        """Open a uniform tape on this draw's stream (module docstring:
+        the tape); use it as a context manager."""
+        return UniformTape(self)
 
     def _draw_pairs(
         self,
@@ -426,3 +453,186 @@ def _clear_lost(
         cells.put(gone, False)
         bits.repack(cells, rows)
     return idx.size - gone.size
+
+
+class _Sealed:
+    """Stands in for ``ArrayLossDraw.rng`` while a tape reads it ahead."""
+
+    def __getattr__(self, name: str):
+        raise ExperimentError(
+            "loss stream drawn while a uniform tape is open (engine bug)"
+        )
+
+
+class UniformTape:
+    """The loss stream read ahead for a run of small draws (module
+    docstring: the tape).  Open it with :meth:`ArrayLossDraw.tape`; on
+    exit it leaves the stream where the per-call draws would."""
+
+    def __init__(self, loss: ArrayLossDraw) -> None:
+        self._loss = loss
+        self._rng = rng = loss.rng
+        self._snapshot = rng.bit_generator.state
+        self._block = rng.random(_TAPE_FIRST)
+        self._pos = 0  # next uniform of ``_block``
+        self._spent = 0  # uniforms consumed before ``_block[0]``
+        loss.rng = _Sealed()
+        model, kind = loss.model, loss.kind
+        #: ``(p_gb, p_bg, p_good, p_bad)`` for ``gilbert``, else None.
+        self._gilbert = (
+            (model.p_gb, model.p_bg, model.p_good, model.p_bad)
+            if kind == "gilbert" else None
+        )
+        #: The copy loss probability of ``bernoulli`` / ``bounded``;
+        #: None for ``distance``, whose draws pass their own.
+        self._p = getattr(model, "p", None)
+        self._bounded = kind == "bounded"
+        #: Every copy arrives, no uniforms (``_delivers_all`` short of a
+        #: spent budget, which is checked per draw).
+        self._free = kind == "perfect" or self._p == 0.0
+        #: Every copy is lost, no uniforms (``p >= 1``).
+        self._doomed = self._p is not None and self._p >= 1.0
+        self._arrive()
+
+    def __enter__(self) -> "UniformTape":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Rewind the stream to the snapshot and advance it past the
+        consumed uniforms; the draw owns its stream again."""
+        rng = self._rng
+        if rng is None:
+            return
+        self._rng = None
+        bit_generator, snapshot = rng.bit_generator, self._snapshot
+        bit_generator.state = snapshot
+        bit_generator.advance(self._spent + self._pos)
+        if snapshot["has_uint32"]:  # ``advance`` drops the cached half-word
+            state = bit_generator.state
+            state["has_uint32"] = snapshot["has_uint32"]
+            state["uinteger"] = snapshot["uinteger"]
+            bit_generator.state = state
+        self._loss.rng = rng
+
+    def _arrive(self) -> None:
+        """``_arrives``: each uniform of ``_block`` compared with the
+        fixed ``p`` of ``bernoulli`` / ``bounded`` (u >= p: the copy
+        arrives), once per block instead of once per draw."""
+        if self._p is not None:
+            self._arrives = self._block >= self._p
+            self._arrives.flags.writeable = False  # rows are views of it
+
+    def _take(self, n: int) -> int:
+        """Consume ``n`` uniforms; returns where they start in ``_block``."""
+        i = self._pos
+        if i + n > self._block.size:
+            left = self._block[i:]
+            size = max(n, min(2 * self._block.size, _TAPE_MAX))
+            fresh = self._rng.random(size - left.size)
+            self._block = np.concatenate([left, fresh])
+            self._arrive()
+            self._spent += i
+            i = 0
+        self._pos = i + n
+        return i
+
+    def ladder(self, attempts: int, chain: str, at, link_p=None) -> int:
+        """The delivered count of one attempt ladder on the link
+        ``chain[at]`` (:meth:`ladder_flags`)."""
+        return self.ladder_flags(attempts, chain, at, link_p).count(True)
+
+    def ladder_flags(
+        self, attempts: int, chain: str, at, link_p=None
+    ) -> List[bool]:
+        """Per attempt, whether the copy arrives: one directed link's
+        attempt ladder, drawn as ``attempts`` copies of one call.
+
+        ``gilbert`` advances the link's chain cell ``chain[at]`` once per
+        attempt (a transition, then a loss, per attempt); ``distance``
+        reads the link's loss probability at ``link_p[at]``.
+        """
+        loss = self._loss
+        loss.attempted += attempts
+        if self._gilbert is not None:
+            p_gb, p_bg, p_good, p_bad = self._gilbert
+            state = loss._chain_view(chain, at, ())
+            bad = bool(state[at])
+            i = self._take(2 * attempts)
+            u = self._block[i:i + 2 * attempts].tolist()
+            flags = []
+            for step, draw in zip(u[::2], u[1::2]):
+                if step < (p_bg if bad else p_gb):
+                    bad = not bad
+                flags.append(draw >= (p_bad if bad else p_good))
+            state[at] = bad
+        elif self._free or (self._bounded and loss.budget_left <= 0):
+            flags = [True] * attempts
+        else:
+            if self._doomed:
+                flags = [False] * attempts
+            elif link_p is None:
+                i = self._take(attempts)
+                flags = self._arrives[i:i + attempts].tolist()
+            else:
+                p = float(link_p[at])
+                i = self._take(attempts)
+                flags = [u >= p for u in self._block[i:i + attempts].tolist()]
+            if self._bounded:
+                for j, arrived in enumerate(flags):
+                    if not arrived:
+                        if loss.budget_left:
+                            loss.budget_left -= 1
+                        else:
+                            flags[j] = True
+        loss.delivered_count += flags.count(True)
+        return flags
+
+    def broadcast(
+        self,
+        active: np.ndarray,
+        count: int,
+        link_p: Optional[np.ndarray] = None,
+        chain: Optional[str] = None,
+        at: Optional[int] = None,
+    ) -> np.ndarray:
+        """Delivered flags of one broadcast to the ``count`` active
+        copies of row ``at`` (``active``, a bool row): the draw of
+        ``draw_into(active, ..., at=at)``.  ``distance`` reads the
+        copies' loss probabilities off ``link_p``
+        (:meth:`ArrayLossDraw.link_loss`); ``gilbert`` draws every
+        transition, then every loss, on the active cells of
+        ``chain[at]``."""
+        if not count:
+            return np.zeros(0, dtype=bool)
+        loss = self._loss
+        loss.attempted += count
+        if self._gilbert is not None:
+            p_gb, p_bg, p_good, p_bad = self._gilbert
+            links = loss._chain_view(chain, at, None)[at]
+            bad = links[active]
+            i = self._take(2 * count)
+            u = self._block[i:i + 2 * count]
+            bad ^= u[:count] < np.where(bad, p_bg, p_gb)
+            out = u[count:] >= np.where(bad, p_bad, p_good)
+            links[active] = bad
+        elif self._free or (self._bounded and loss.budget_left <= 0):
+            loss.delivered_count += count
+            return np.ones(count, dtype=bool)
+        else:
+            if self._doomed:
+                out = np.zeros(count, dtype=bool)
+            elif self._p is None:
+                i = self._take(count)
+                out = self._block[i:i + count] >= link_p
+            else:
+                i = self._take(count)
+                out = self._arrives[i:i + count]
+                if self._bounded:
+                    out = out.copy()  # ``_arrives`` is read-only
+            if self._bounded:
+                loss._spend_budget(out)
+        loss.delivered_count += int(np.count_nonzero(out))
+        return out

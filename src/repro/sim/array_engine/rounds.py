@@ -81,8 +81,18 @@ of that cluster's gateways its relay copy reached, and the relayed
 members' rows (gateways included) are merged at wave end, one column
 at a time.  The CH ints are written back to ``known`` after the
 fixpoint, which stops on the first wave without a crossing or after
-``C + 3`` waves.  Channel order, rank order and every draw equal the
-per-crossing fixpoint's on bool rows (``tests/test_array_kernels.py``).
+``C + 3`` waves.  At a wave's end a channel out of an entered cluster
+has its ranks with news fixed afresh; one into it keeps the subset of
+its ranks that still has news.  Once some channel holds news, every
+draw of the fixpoint comes off one uniform tape
+(:class:`~repro.sim.array_engine.loss.UniformTape`): a gateway ladder is
+a few Python floats, a relay one compare on a tape slice over the
+destination's alive members, whose NIDs, CH distances and gateway
+positions are gathered on the cluster's first entry in the execution.
+The draw order above is unchanged, and the tape leaves the stream where
+the per-call draws would.  Channel order, rank order and every draw
+equal the per-crossing fixpoint's on bool rows
+(``tests/test_array_kernels.py``).
 
 Energy (``track_energy``): an optional
 :class:`~repro.sim.array_engine.energy.ArrayEnergyLedger` charges every
@@ -103,6 +113,7 @@ sends, on the event engine via the medium counters and here via
 from __future__ import annotations
 
 import time as _time
+from itertools import compress
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -293,11 +304,13 @@ class ArrayRoundEngine:
             [(g, k) for g, (k, ok_g) in enumerate(zip(*row)) if ok_g]
             for row in zip(self._ch_gw_k.tolist(), ok.tolist())
         ]
-        #: Per cluster, the channels it is the source or destination of.
-        self._incident: List[List[int]] = [[] for _ in range(self.C)]
+        #: Per cluster, the channels out of it and those into it.
+        self._out_of: List[List[int]] = [[] for _ in range(self.C)]
+        self._into: List[List[int]] = [[] for _ in range(self.C)]
         for b, (src, dst, _, _) in enumerate(self._channels):
-            self._incident[src].append(b)
-            self._incident[dst].append(b)
+            self._out_of[src].append(b)
+            self._into[dst].append(b)
+        self._member_counts: List[int] = layout.member_counts.tolist()
         #: Per cluster, its gateways as ``(member slots, indices)``.
         per_cluster: List[tuple] = [([], []) for _ in range(self.C)]
         for k, (c, slot) in enumerate(
@@ -309,13 +322,12 @@ class ArrayRoundEngine:
             (np.asarray(at_c, dtype=np.int64), ks) if ks else None
             for at_c, ks in per_cluster
         ]
-        #: ``(B, G, attempts)`` per-attempt gateway link distances.
-        self._ladder_dist = {
-            name: np.repeat(dist[:, :, None], self._attempts, axis=2)
-            for name, dist in (
-                ("over", self.ch_overhear_dist), ("rep", self.ch_report_dist)
-            )
-        }
+        #: ``(B, G)`` loss probability of each gateway ladder's link
+        #: (``distance`` only; None for every other loss kind).
+        self._ladder_p = [
+            self.loss.link_loss(dist)
+            for dist in (self.ch_overhear_dist, self.ch_report_dist)
+        ]
 
     # ------------------------------------------------------------------
     # Energy accounting helpers
@@ -671,29 +683,19 @@ class ArrayRoundEngine:
         """Merge the CH payload into every member that got the update.
 
         Refutations apply first, then the union of new and known
-        failures -- the event engine's ``_apply_update`` order.
+        failures -- the event engine's ``_apply_update`` order.  Only the
+        ``(K, T)`` rows of the ``K`` members that got it are gathered,
+        merged and written back.
         """
         if not self.T or not got_update.any():
             return
         layout = self.layout
-        ch_payload = self.known[self.head_ids]
-        safe_ids = np.where(layout.member_mask, layout.members, 0)
-        mk = self.known[safe_ids]  # (C, M, T) gathered copy
-        rec = got_update[:, :, None]
-        if refuted_exec.shape[1] < self.T:
-            refuted_exec = np.concatenate(
-                [
-                    refuted_exec,
-                    np.zeros(
-                        (self.C, self.T - refuted_exec.shape[1]), dtype=bool
-                    ),
-                ],
-                axis=1,
-            )
-        mk &= ~(rec & refuted_exec[:, None, :])
-        mk |= rec & ch_payload[:, None, :]
-        take = got_update & layout.member_mask
-        self.known[layout.members[take]] = mk[take]
+        cs, ss = np.nonzero(got_update & layout.member_mask)
+        ids = layout.members[cs, ss]
+        rows = self.known[ids]
+        rows[:, : refuted_exec.shape[1]] &= ~refuted_exec[cs]
+        rows |= self.known[self.head_ids[cs]]
+        self.known[ids] = rows
 
     # ------------------------------------------------------------------
     def _dch_rule(
@@ -807,7 +809,7 @@ class ArrayRoundEngine:
         """
         if not self.T:
             return
-        loss, known = self.loss, self.known
+        known = self.known
         heads, head_words = bits.bitmasks(known[self.head_ids])
         gws, gw_words = bits.bitmasks(known[self._gw_nids])
         # Which channels hold news, for all channels once.
@@ -827,88 +829,85 @@ class ArrayRoundEngine:
             b: [rank for rank in ranks[b] if row[rank[0]]]
             for b, row in zip(first.tolist(), has[first].tolist())
         }
-        alive_k = alive_k.tolist()
+        #: Per channel, its ranks with an alive gateway.
+        up = ranks
+        dead = np.flatnonzero((self.ch_gw_ok > alive_gw).any(axis=1))
+        if dead.size:
+            alive_k = alive_k.tolist()
+            up = list(ranks)
+            for b in dead.tolist():
+                up[b] = [rank for rank in ranks[b] if alive_k[rank[1]]]
+        #: Cluster -> its relay copies this execution (filled on entry).
+        relay: Dict[int, tuple] = {}
 
         attempts = self._attempts
-        channels, cluster_gws = self._channels, self._cluster_gws
-        over_dist = self._ladder_dist["over"]
-        rep_dist = self._ladder_dist["rep"]
-        members, gw_nids = self.layout.members, self._gw_nids
+        channels = self._channels
+        over_p, rep_p = self._ladder_p
+        gw_nids = self._gw_nids
         e_tx, e_rx = self._e_tx, self._e_rx
         reports = bgw = relays = 0
         touched = set()
-        for _ in range(self.C + 3):
-            entered = set()
-            #: news -> member NID arrays that received it this wave
-            merges: Dict[int, List[np.ndarray]] = {}
-            for b in sorted(live):
-                src, dst, dst_nid, inbound = channels[b]
-                lacks = ~heads[dst]
-                for g, k in live[b]:
-                    news = (heads[src] if inbound else gws[k]) & lacks
-                    if not news:
-                        break  # covered by an earlier crossing this wave
-                    if inbound:
-                        over = loss.delivered(
-                            attempts, over_dist[b, g], chain="over", at=(b, g)
-                        )
-                        heard = over.tolist().count(True)
-                        if e_rx is not None:
-                            e_rx[gw_nids[k]] += heard
-                        if not heard:
-                            continue  # never overheard the source CH; next BGW
-                    if g:
-                        bgw += 1
-                    rep = loss.delivered(
-                        attempts, rep_dist[b, g], chain="rep", at=(b, g)
-                    )
-                    reports += 1
-                    arrived = rep.tolist().count(True)
-                    if e_tx is not None:
-                        e_tx[gw_nids[k]] += attempts
-                        e_rx[dst_nid] += arrived
-                    if not arrived:
-                        continue  # report ladder exhausted; next BGW takes over
-                    if e_tx is not None:
-                        e_tx[dst_nid] += 1
-                    heads[dst] |= news
-                    rel = loss.draw_into(alive_m[dst], hd[dst], chain="cm", at=dst)
-                    relays += 1
-                    at_dst = cluster_gws[dst]
-                    if at_dst is not None:
-                        slots, ks = at_dst
-                        for k_dst, hit in zip(ks, rel[slots].tolist()):
-                            if hit:
+        with self.loss.tape() as tape:
+            for _ in range(self.C + 3):
+                entered = set()
+                #: news -> member NID arrays that received it this wave
+                merges: Dict[int, List[np.ndarray]] = {}
+                for b in sorted(live):
+                    src, dst, dst_nid, inbound = channels[b]
+                    lacks = ~heads[dst]
+                    for g, k in live[b]:
+                        news = (heads[src] if inbound else gws[k]) & lacks
+                        if not news:
+                            break  # covered by an earlier crossing this wave
+                        if inbound:
+                            heard = tape.ladder(attempts, "over", (b, g), over_p)
+                            if e_rx is not None:
+                                e_rx[gw_nids[k]] += heard
+                            if not heard:
+                                continue  # never overheard the source CH; next BGW
+                        if g:
+                            bgw += 1
+                        arrived = tape.ladder(attempts, "rep", (b, g), rep_p)
+                        reports += 1
+                        if e_tx is not None:
+                            e_tx[gw_nids[k]] += attempts
+                            e_rx[dst_nid] += arrived
+                        if not arrived:
+                            continue  # report ladder exhausted; next BGW takes over
+                        if e_tx is not None:
+                            e_tx[dst_nid] += 1
+                        heads[dst] |= news
+                        copies = relay.get(dst)
+                        if copies is None:
+                            copies = relay[dst] = self._relay_copies(dst, alive_m, hd)
+                        alive_c, count, nids, link_p, gw_at, gw_ks = copies
+                        rel = tape.broadcast(alive_c, count, link_p, "cm", dst)
+                        relays += 1
+                        if gw_ks:
+                            for k_dst in compress(gw_ks, rel[gw_at].tolist()):
                                 gws[k_dst] |= news
-                    merges.setdefault(news, []).append(members[dst][rel])
-                    entered.add(dst)
+                        merges.setdefault(news, []).append(nids[rel])
+                        entered.add(dst)
+                        break
+                if not entered:
                     break
-            if not entered:
-                break
-            touched |= entered
-            # Members only gain bits: one scatter per column set in some
-            # news, no gather.
-            columns: Dict[int, List[np.ndarray]] = {}
-            for news, parts in merges.items():
-                while news:
-                    low = news & -news
-                    columns.setdefault(low.bit_length() - 1, []).extend(parts)
-                    news ^= low
-            for col, parts in columns.items():
-                known[np.concatenate(parts), col] = True
-            if e_rx is not None:
-                e_rx += np.bincount(
-                    np.concatenate([p for parts in merges.values() for p in parts]),
-                    minlength=self.layout.node_count,
-                )
-            # Every other channel's ranks stay what they are (frontier
-            # invariant, module docstring).
-            for b in {b for c in entered for b in self._incident[c]}:
-                fresh = self._news_ranks(b, heads, gws, alive_k)
-                if fresh:
-                    live[b] = fresh
-                else:
-                    live.pop(b, None)
+                touched |= entered
+                # Members only gain bits: one scatter per column set in
+                # some news, no gather.
+                columns: Dict[int, List[np.ndarray]] = {}
+                for news, parts in merges.items():
+                    while news:
+                        low = news & -news
+                        columns.setdefault(low.bit_length() - 1, []).extend(parts)
+                        news ^= low
+                for col, parts in columns.items():
+                    known[:, col][np.concatenate(parts)] = True
+                if e_rx is not None:
+                    e_rx += np.bincount(
+                        np.concatenate([p for parts in merges.values() for p in parts]),
+                        minlength=self.layout.node_count,
+                    )
+                self._refresh(entered, live, up, heads, gws)
 
         if touched:
             order = sorted(touched)
@@ -920,20 +919,87 @@ class ArrayRoundEngine:
         self.report_retransmissions += reports * (attempts - 1)
         self.transmissions += reports * attempts + relays
 
-    def _news_ranks(
-        self, b: int, heads: List[int], gws: List[int], alive_k: List[bool]
-    ) -> list:
-        """Channel ``b``'s alive ranks that could carry news its
-        destination CH lacks: their own knowledge outbound, the source
-        CH's inbound."""
-        src, dst, _, inbound = self._channels[b]
-        lacks = ~heads[dst]
-        if inbound:
-            if not heads[src] & lacks:
-                return []
-            return [rank for rank in self._ranks[b] if alive_k[rank[1]]]
-        return [
-            rank for rank in self._ranks[b]
-            if alive_k[rank[1]] and gws[rank[1]] & lacks
-        ]
+    def _relay_copies(
+        self, c: int, alive_m: np.ndarray, hd: np.ndarray
+    ) -> tuple:
+        """Cluster ``c``'s relay copies: its alive members (a view of
+        ``alive_m``), their count, NIDs and loss probabilities
+        (``distance`` only), and its alive gateways as positions among
+        the alive members plus their gateway indices (none: ``gw_ks``
+        empty).  Kept for the execution: with every member alive
+        (member slots are packed left) all are views or the run's
+        gateway table; otherwise the NIDs are an int32 copy."""
+        alive_c = alive_m[c]
+        count = int(np.count_nonzero(alive_c))
+        gws_c = self._cluster_gws[c]
+        if count == self._member_counts[c]:
+            slots = slice(0, count)
+            gw_at, gw_ks = gws_c if gws_c is not None else ((), [])
+            nids = self.layout.members[c, slots]
+        else:
+            slots = np.flatnonzero(alive_c)
+            gw_at, gw_ks = (), []
+            if gws_c is not None:
+                at_c, ks = gws_c
+                up = alive_c[at_c]
+                gw_at = np.searchsorted(slots, at_c[up])
+                gw_ks = list(compress(ks, up.tolist()))
+            nids = self.layout.members[c, slots].astype(np.int32)
+        link_p = self.loss.link_loss(hd[c, slots])
+        return alive_c, count, nids, link_p, gw_at, gw_ks
 
+    def _refresh(
+        self,
+        entered: set,
+        live: Dict[int, list],
+        up: List[list],
+        heads: List[int],
+        gws: List[int],
+    ) -> None:
+        """Fix the ranks with news of the channels around the clusters
+        this wave entered, from the alive ranks ``up``; every other
+        channel's stay what they are (frontier invariant, module
+        docstring).
+
+        A channel out of an entered cluster may have gained news.  One
+        into it can only have lost some (its destination CH gained
+        bits): unless it is also out of an entered cluster, its ranks
+        with news are among those it held, and one that held none still
+        holds none.  Inbound ranks need only an alive gateway; outbound
+        ones their gateway's own news.  A channel between two entered
+        clusters is fixed twice, to the same ranks.
+        """
+        channels = self._channels
+        for c in entered:
+            head = heads[c]
+            for b in self._out_of[c]:
+                _, dst, _, inbound = channels[b]
+                lacks = ~heads[dst]
+                if inbound:
+                    fresh = up[b] if head & lacks else None
+                else:
+                    fresh = []  # a loop: cheaper than a comprehension here
+                    for rank in up[b]:
+                        if gws[rank[1]] & lacks:
+                            fresh.append(rank)
+                if fresh:
+                    live[b] = fresh
+                else:
+                    live.pop(b, None)
+            lacks = ~head
+            for b in self._into[c]:
+                held = live.get(b)
+                if held is None:
+                    continue
+                src, _, _, inbound = channels[b]
+                if inbound:
+                    fresh = held if heads[src] & lacks else None
+                else:
+                    fresh = []
+                    for rank in held:
+                        if gws[rank[1]] & lacks:
+                            fresh.append(rank)
+                if fresh:
+                    live[b] = fresh
+                else:
+                    del live[b]

@@ -5,7 +5,8 @@ engine and rt), and it stays one protocol because each decision has one
 owner: one process pool, one layout producer, one scorer, one trace
 sink, one scenario description, one rule kernel and lattice draw, one
 trace line codec, one receive path, one verdict reader, one bit layout
-of the array engine's packed rows, and no module without a caller.
+of the array engine's packed rows, one rewinder of a random stream, and
+no module without a caller.
 
 Each contract is a function from a :class:`Tree` of sources to the list
 of its violations (empty when it holds).  A text check matches the text
@@ -45,6 +46,7 @@ VERDICTS = "src/repro/obs/verdicts.py"
 ANALYZE = "src/repro/obs/analyze.py"
 ARRAY_ENGINE = "src/repro/sim/array_engine/"
 BITS = "src/repro/sim/array_engine/bits.py"
+LOSS = "src/repro/sim/array_engine/loss.py"
 #: Where protocols and their hosts live: the text form of the receive
 #: contract greps these (the energy ledger's ``on_receive`` debit and
 #: the JSON validators' ``isinstance(payload, dict)`` sit elsewhere).
@@ -693,6 +695,28 @@ def one_pair_bit_layout(tree: Tree) -> Violations:
     ]
 
 
+#: A random stream's generator state, read or set, or its ``advance``.
+REWIND = re.compile(r"\bbit_generator\b|\.advance\(")
+
+
+@contract
+def one_stream_rewind(tree: Tree) -> Violations:
+    """sim/array_engine/loss.py owns rewinding a random stream (the
+    uniform tape's snapshot, restore and ``advance``): no other module of
+    src/repro reads or writes ``bit_generator`` or calls ``advance``,
+    through an alias included."""
+    others = [s.path for s in tree.under(SRC) if s.path != LOSS]
+    message = f"random streams are rewound by {LOSS} only"
+    found = _count(tree.grep(REWIND, *others), 0, message)
+    found += [f"{site}: {message}" for site in tree.call_sites("advance", *others)]
+    return found + [
+        f"{source.path}:{node.lineno}: bit_generator: {message}"
+        for source in tree.naming("bit_generator", *others)
+        for node in ast.walk(source.tree)
+        if isinstance(node, ast.Attribute) and node.attr == "bit_generator"
+    ]
+
+
 # -- plantings --------------------------------------------------------------
 
 
@@ -731,7 +755,6 @@ ORPHAN = "src/repro/util/orphan.py"
 INVARIANTS = "src/repro/audit/invariants.py"
 TEST = "tests/test_planted.py"
 ROUNDS = "src/repro/sim/array_engine/rounds.py"
-LOSS = "src/repro/sim/array_engine/loss.py"
 
 SECOND_POOL = """
     from concurrent.futures import ProcessPoolExecutor
@@ -1083,6 +1106,24 @@ PLANTINGS = [
         BITS: sub("def pack(", "def pack_rows("),
         ROUNDS: add("def pack(cells): return cells"),
     }),
+    plant(one_stream_rewind, "state_set_in_rounds", {ROUNDS: add(
+        "def rewind(rng, s): rng.bit_generator.state = s"
+    )}),
+    plant(one_stream_rewind, "advance_aliased_in_formation", {
+        "src/repro/sim/array_engine/formation.py": add("""
+            def skip(rng, n):
+                step = rng.bit_generator.advance
+                step(n)
+        """),
+    }),
+    plant(one_stream_rewind, "advance_imported_as", {ROUNDS: add("""
+        from numpy.random import PCG64
+
+        jump = PCG64.advance
+
+        def skip(generator, n):
+            jump(generator, n)
+    """)}),
 ]
 
 #: Code that looks like a violation to a looser check but keeps the
@@ -1129,6 +1170,14 @@ NEAR_MISSES = [
     )}),
     plant(one_pair_bit_layout, "packbits_outside_the_array_engine", {MC: add(
         "def words(flags): return np.packbits(flags)"
+    )}),
+    plant(one_stream_rewind, "a_test_reads_the_state", {
+        "tests/test_medium_vectorized.py": add(
+            "def position(rng): return rng.bit_generator.state"
+        ),
+    }),
+    plant(one_stream_rewind, "a_clock_advanced_to", {MC: add(
+        "def tick(clock): return clock.advance_to(1.0), clock._advance(2)"
     )}),
 ]
 

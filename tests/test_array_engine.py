@@ -357,10 +357,11 @@ def test_gilbert_always_bad_drops_everything():
 
 
 def test_gilbert_single_link_ladder_matches_scalar_reference():
-    """Sequential single-copy draws on one chain cell consume the stream
-    exactly like the scalar model (transition uniform, then loss uniform
-    in the new state), so seeding both identically must reproduce the
-    same delivered sequence -- correlated bursts included."""
+    """Sequential single-copy tape ladders on one chain cell consume the
+    stream exactly like the scalar model (transition uniform, then loss
+    uniform in the new state), so seeding both identically must
+    reproduce the same delivered sequence -- correlated bursts included
+    -- and so must one 200-attempt ladder."""
     from repro.sim.array_engine.loss import ArrayLossDraw
     from repro.sim.loss import GilbertElliottLoss
 
@@ -372,12 +373,18 @@ def test_gilbert_single_link_ladder_matches_scalar_reference():
     )
     scalar = GilbertElliottLoss(**params)
     scalar_rng = np.random.default_rng(99)
-    got = [bool(array.delivered(1, chain="link")[0]) for _ in range(200)]
+    array.ensure_chain("link", ())
+    with array.tape() as tape:
+        got = [bool(tape.ladder(1, "link", ())) for _ in range(200)]
     want = [
         not scalar.is_lost(0, 1, 10.0, float(i), scalar_rng)
         for i in range(200)
     ]
     assert got == want
+    array.rng = np.random.default_rng(99)
+    array.ensure_chain("ladder", ())
+    with array.tape() as tape:
+        assert tape.ladder_flags(200, "ladder", ()) == want
     assert any(got) and not all(got)  # the chain actually burst
 
 

@@ -10,7 +10,8 @@ give what its bool-cube form gives.  The
 graph and the radio medium read their neighbours off that edge build,
 so they must give what the brute-force pair scan gives too.  The
 formation's per-receiver reductions must give what a per-node loop
-gives, and the inter-cluster scan on int bitmasks what the
+gives, the uniform tape's ladders and broadcasts what the per-call
+draws give, and the inter-cluster scan on int bitmasks what the
 per-crossing fixpoint on bool rows gives, draw for draw.  The
 reference formulations live here and nowhere else.
 """
@@ -22,9 +23,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from repro.errors import ExperimentError
 from repro.experiments.runner import ScenarioConfig, run_engine, scenario_config
 from repro.fds.config import FdsConfig
 from repro.sim.array_engine import bits
@@ -135,7 +137,7 @@ class OneShotLossDraw(ArrayLossDraw):
 
     def delivered(self, count, distances=None, chain=None, at=None):
         if count <= 0 or self.kind in ("perfect", "gilbert"):
-            return super().delivered(count, distances, chain=chain, at=at)
+            return super().delivered(count, distances)
         self.attempted += count
         if self.kind == "distance":
             p = self.model.loss_probabilities(distances)
@@ -906,6 +908,42 @@ def test_draw_into_allocates_less_than_its_mask_and_output():
     assert peak <= mask.nbytes + out.nbytes
 
 
+def test_update_merge_gathers_only_the_updated_rows():
+    """Past 64 targets, ``_apply_updates`` merges the ``(K, T)`` rows of
+    the K members that got the update (5 % here), bit for bit what the
+    ``(C, M, T)`` formulation gives.  A gathered ``(C, M, T)`` copy of
+    ``known`` (1.4 MB here) fails the bound by itself; the rows and
+    their index arrays take under a third of it."""
+    layout = build_array_layout(200, 100, RADIUS, RngFactory(1).stream("placement"))
+    n = layout.node_count
+    loss = ArrayLossDraw("perfect", (), 0.0, RADIUS, np.random.default_rng(1))
+    engine = ArrayRoundEngine(
+        layout, FdsConfig(), loss, NullTracer(), np.full(n, 9, np.int64)
+    )
+    for nid in layout.members[layout.member_mask][:70].tolist():
+        engine._col(nid)
+    rng = np.random.default_rng(2)
+    c, m, t = layout.members.shape + (engine.T,)
+    engine.known[...] = rng.random(engine.known.shape) < 0.3
+    got_update = rng.random((c, m)) < 0.05
+    refuted = rng.random((c, t - 3)) < 0.2  # narrower: grown targets
+    # The (C, M, T) formulation.
+    want = engine.known.copy()
+    safe = np.where(layout.member_mask, layout.members, 0)
+    mk = want[safe]
+    rec = got_update[:, :, None]
+    wide = np.zeros((c, t), dtype=bool)
+    wide[:, : t - 3] = refuted
+    mk &= ~(rec & wide[:, None, :])
+    mk |= rec & want[layout.head_nids][:, None, :]
+    take = got_update & layout.member_mask
+    want[layout.members[take]] = mk[take]
+    _, peak = traced_peak(lambda: engine._apply_updates(got_update, refuted))
+    assert t > 64 and c * m * t > 1_000_000
+    assert peak <= c * m * t // 3
+    np.testing.assert_array_equal(engine.known, want)
+
+
 # ---------------------------------------------------------------------------
 # (e) the inter-cluster scan vs the per-crossing oracle
 # ---------------------------------------------------------------------------
@@ -1028,9 +1066,28 @@ class RescanOracleRoundEngine(OracleRoundEngine):
     rescan = True
 
 
+def gilbert_ladder(loss, count, chain, at):
+    """``count`` sequential attempts on the gilbert link ``chain[at]``,
+    one ``rng.random(1)`` each for the transition and then the loss: the
+    per-call ladder the tape's replaced."""
+    state = loss._chain_view(chain, at, ())
+    s = np.asarray([state[at]])
+    out = np.empty(count, dtype=bool)
+    for i in range(count):
+        s, lost = loss._gilbert_flat(s)
+        out[i] = not lost[0]
+    state[at] = bool(s[0])
+    loss.attempted += count
+    loss.delivered_count += int(out.sum())
+    return out
+
+
 class LoggedLossDraw(ArrayLossDraw):
     """Logs every inter-cluster draw -- gateway ladders and relays -- as
-    ``(chain, at, delivered, budget before, budget after)``."""
+    ``(chain, at, delivered, budget before, budget after)``, drawn per
+    call (the oracle's ``delivered`` / ``draw_into``) or off a tape (the
+    scan's ``ladder`` / ``broadcast``).  A relay logs its active copies'
+    flags.  ``delivered`` with ``chain`` draws a gilbert ladder per call."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -1038,7 +1095,10 @@ class LoggedLossDraw(ArrayLossDraw):
 
     def delivered(self, count, distances=None, chain=None, at=None):
         before = self.budget_left
-        out = super().delivered(count, distances, chain=chain, at=at)
+        if self.kind == "gilbert" and chain is not None:
+            out = gilbert_ladder(self, count, chain, at)
+        else:
+            out = super().delivered(count, distances)
         if chain in ("over", "rep"):
             self.log.append((chain, at, out.tolist(), before, self.budget_left))
         return out
@@ -1047,8 +1107,199 @@ class LoggedLossDraw(ArrayLossDraw):
         before = self.budget_left
         out = super().draw_into(active, distances, chain=chain, at=at, alive=alive)
         if chain == "cm" and isinstance(at, int):  # a relay
-            self.log.append((chain, at, out.tolist(), before, self.budget_left))
+            self.log.append((chain, at, out[active].tolist(), before, self.budget_left))
         return out
+
+    def tape(self):
+        return LoggedTape(self)
+
+
+class LoggedTape(loss_module.UniformTape):
+    def ladder_flags(self, attempts, chain, at, link_p=None):
+        before = self._loss.budget_left
+        flags = super().ladder_flags(attempts, chain, at, link_p)
+        self._loss.log.append((chain, at, list(flags), before, self._loss.budget_left))
+        return flags
+
+    def broadcast(self, active, count, link_p=None, chain=None, at=None):
+        before = self._loss.budget_left
+        out = super().broadcast(active, count, link_p, chain, at)
+        self._loss.log.append((chain, at, out.tolist(), before, self._loss.budget_left))
+        return out
+
+
+#: Tape cases: ``(kind, p, params)``; the bounded budgets are set per
+#: example (:func:`tape_budget`).
+TAPE_CASES = {
+    "perfect": ("perfect", 0.0, ()),
+    "p0": ("bernoulli", 0.0, ()),
+    "p01": ("bernoulli", 0.1, ()),
+    "p1": ("bernoulli", 1.0, ()),
+    "bounded_in_ladder": ("bounded", 0.3, None),
+    "bounded_in_row": ("bounded", 0.3, None),
+    "bounded_on_last": ("bounded", 0.3, None),
+    "bounded_p1": ("bounded", 1.0, (("budget", 5.0),)),
+    "distance": ("distance", 0.0, ()),
+    "gilbert": ("gilbert", 0.0, GILBERT),
+}
+TAPE_LINKS = (4, 3)  # (B, G) ladder cells
+
+
+def tape_field(m, seed):
+    """Row activity, CH distances and ladder link distances."""
+    rng = np.random.default_rng(seed)
+    active = rng.random((3, m)) < 0.8
+    hd = rng.uniform(0.0, 1.2 * RADIUS, (3, m))
+    links = rng.uniform(0.0, 1.2 * RADIUS, TAPE_LINKS)
+    links[0, 0] = np.inf  # a pad: the far loss probability
+    return active, hd, links
+
+
+def per_call_draws(loss, draws, field):
+    """``draws`` as the per-call engine drew them: a ladder through
+    ``delivered``, a relay through ``draw_into`` on one row."""
+    active, hd, links = field
+    for ladder, attempts, cell in draws:
+        if ladder:
+            at = divmod(cell % links.size, links.shape[1])
+            loss.delivered(attempts, np.full(attempts, links[at]), chain="rep", at=at)
+        else:
+            c = cell % active.shape[0]
+            loss.draw_into(active[c], hd[c], chain="cm", at=c)
+
+
+def tape_draws(loss, draws, field):
+    """The same draws off one tape."""
+    active, hd, links = field
+    link_p = loss.link_loss(links)
+    with loss.tape() as tape:
+        for ladder, attempts, cell in draws:
+            if ladder:
+                at = divmod(cell % links.size, links.shape[1])
+                tape.ladder(attempts, "rep", at, link_p)
+            else:
+                c = cell % active.shape[0]
+                copy_p = loss.link_loss(hd[c, active[c]])
+                tape.broadcast(active[c], int(active[c].sum()), copy_p, "cm", c)
+
+
+def tape_budget(case, draws, field, seed):
+    """A budget that runs out inside a ladder, inside a row, or on a
+    call's last copy, read off a budget-free per-call run; None when
+    ``draws`` has no such call."""
+    probe = LoggedLossDraw(
+        "bounded", (("budget", 1e9),), 0.3, RADIUS, np.random.default_rng(seed)
+    )
+    for name in ("rep", "cm"):
+        probe.ensure_chain(name, field[2].shape if name == "rep" else field[0].shape)
+    per_call_draws(probe, draws, field)
+    lost_before = 0
+    for chain, _, flags, _, _ in probe.log:
+        lost = [i for i, arrived in enumerate(flags) if not arrived]
+        wanted = {
+            "bounded_in_ladder": chain == "rep" and len(lost) >= 2,
+            "bounded_in_row": chain == "cm" and len(lost) >= 2,
+            "bounded_on_last": bool(flags) and not flags[-1],
+        }[case]
+        if wanted:
+            spend = len(lost) if case == "bounded_on_last" else 1
+            return (("budget", float(lost_before + spend)),)
+        lost_before += len(lost)
+    return None
+
+
+def tape_pair(case, draws, field, seed):
+    kind, p, params = TAPE_CASES[case]
+    if params is None:
+        params = tape_budget(case, draws, field, seed)
+        assume(params is not None)
+    pair = []
+    for _ in range(2):
+        loss = LoggedLossDraw(kind, params, p, RADIUS, np.random.default_rng(seed))
+        loss.ensure_chain("rep", field[2].shape)
+        loss.ensure_chain("cm", field[0].shape)
+        pair.append(loss)
+    return pair
+
+
+TAPE_DRAWS = st.lists(
+    st.tuples(st.booleans(), st.integers(1, 4), st.integers(0, 11)),
+    min_size=1, max_size=30,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    case=st.sampled_from(sorted(TAPE_CASES)),
+    draws=TAPE_DRAWS,
+    m=st.sampled_from([12, 150, 5000]),  # 5000: one row past _TAPE_MAX
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_tape_draws_equal_per_call_draws(case, draws, m, seed):
+    """Any sequence of ladders and rows off one tape gives, draw for
+    draw, the per-call draws: flags, counters, budget, chains, and the
+    stream left at the same position -- across block refills too."""
+    field = tape_field(m, seed)
+    new, ref = tape_pair(case, draws, field, seed)
+    tape_draws(new, draws, field)
+    per_call_draws(ref, draws, field)
+    assert new.log == ref.log
+    assert_same_state(new, ref)
+    assert_same_stream_position(new, ref)
+    if case.startswith("bounded_in") or case == "bounded_on_last":
+        assert ref.budget_left == 0
+
+
+@pytest.mark.parametrize("case", ["p01", "gilbert", "distance"])
+def test_tape_grows_past_its_first_block(case):
+    """Rows of 150 copies, 300 uniforms for gilbert, run the tape
+    through several refills of its first block."""
+    draws = [(False, 1, c) for c in range(12)] + [(True, 4, 5)]
+    field = tape_field(150, 3)
+    new, ref = tape_pair(case, draws, field, 3)
+    tape_draws(new, draws, field)
+    per_call_draws(ref, draws, field)
+    assert new.attempted > 4 * loss_module._TAPE_FIRST
+    assert new.log == ref.log
+    assert_same_state(new, ref)
+    assert_same_stream_position(new, ref)
+
+
+def test_tape_leaves_the_stream_where_its_draws_did_after_an_exception():
+    """An exception inside the tape still rewinds and advances the
+    stream past the consumed uniforms only (a cached half-word from a
+    32-bit draw included), and hands ``rng`` back; any other draw on the
+    stream while the tape is open raises."""
+    field = tape_field(12, 7)
+    draws = [(True, 3, 1), (False, 1, 0), (True, 2, 4)]
+    new, ref = tape_pair("p01", draws, field, 7)
+    for loss in (new, ref):
+        loss.rng.integers(0, 10, dtype=np.uint32)  # caches the other half
+    generator = new.rng
+    with pytest.raises(ValueError, match="mid-fixpoint"):
+        with new.tape() as tape:
+            tape.ladder(3, "rep", (0, 1))
+            tape.broadcast(np.arange(12) < 5, 5, None, "cm", 0)
+            raise ValueError("mid-fixpoint")
+    assert new.rng is generator
+    other = ArrayLossDraw("bernoulli", (), 0.1, RADIUS, np.random.default_rng(7))
+    with other.tape():
+        for draw in (
+            lambda: other.delivered(3),
+            lambda: other.draw_into(field[0]),
+            other.tape,
+        ):
+            with pytest.raises(ExperimentError, match="tape is open"):
+                draw()
+    ref.delivered(3, chain="rep", at=(0, 1))
+    ref.draw_into(np.arange(12) < 5, chain="cm", at=0)
+    assert new.log == ref.log
+    assert_same_state(new, ref)
+    assert new.rng.bit_generator.state == ref.rng.bit_generator.state
+    assert new.rng.integers(0, 10, dtype=np.uint32) == ref.rng.integers(
+        0, 10, dtype=np.uint32
+    )
+    assert_same_stream_position(new, ref)
 
 
 def scan_and_oracle(monkeypatch, config, oracle=OracleRoundEngine):
